@@ -6,10 +6,10 @@ stable partition hash.  Two measurements:
 
 * **Equivalence** — replay a 16-user interleaved recording (8 deployed
   gesture queries, raw frames through each shard's ``kinect_t`` view) on a
-  4-shard runtime in the interpreted, compiled and batched matcher
-  configurations, and assert the per-player detection sequences are
-  *identical* to a single inline engine's.  Sharding must never trade
-  correctness for scale.
+  4-shard runtime over **both executors** in the interpreted, compiled
+  and batched matcher configurations, and assert the per-player detection
+  sequences are *identical* to a single inline engine's.  Sharding must
+  never trade correctness for scale, whichever transport carries it.
 * **Scaling** — end-to-end throughput (feed + drain) of
   ``GestureSession(shards=1/2/4/8)`` on the 16-user workload, recorded to
   ``BENCH_shard_scaling.json``.  ``shards=1`` is the inline engine path.
@@ -71,10 +71,17 @@ def _per_player_detections(detections):
     return grouped
 
 
-def _run_sharded(queries, frames, compile_predicates=True, batch_size=None, shards=EQUIVALENCE_SHARDS):
+def _run_sharded(
+    queries,
+    frames,
+    compile_predicates=True,
+    batch_size=None,
+    shards=EQUIVALENCE_SHARDS,
+    executor="thread",
+):
     """Replay ``frames`` on a sharded runtime; returns its detections."""
     spec = ShardEngineSpec(matcher=MatcherConfig(compile_predicates=compile_predicates))
-    with ShardedRuntime(shard_count=shards, spec=spec) as runtime:
+    with ShardedRuntime(shard_count=shards, spec=spec, executor=executor) as runtime:
         for query in queries:
             runtime.register_query(query)
         runtime.feed(frames, batch_size=batch_size)
@@ -91,14 +98,17 @@ def test_b4_sharded_detections_equal_inline_per_player(gesture_queries):
     assert len({player for player, _ in baseline}) == USER_COUNT
 
     # A 4-shard runtime must reproduce it exactly, player by player, on
-    # every matcher configuration.
-    for label, kwargs in (
-        ("interpreted", dict(compile_predicates=False)),
-        ("compiled", dict()),
-        ("batched", dict(batch_size=BATCH_SIZE)),
-    ):
-        sharded = _run_sharded(gesture_queries, recording.frames, **kwargs)
-        assert _per_player_detections(sharded) == baseline, label
+    # every matcher configuration and over both transports.
+    for executor in ("thread", "process"):
+        for label, kwargs in (
+            ("interpreted", dict(compile_predicates=False)),
+            ("compiled", dict()),
+            ("batched", dict(batch_size=BATCH_SIZE)),
+        ):
+            sharded = _run_sharded(
+                gesture_queries, recording.frames, executor=executor, **kwargs
+            )
+            assert _per_player_detections(sharded) == baseline, (executor, label)
 
 
 def test_b4_shard_counts_are_equivalent(gesture_queries):

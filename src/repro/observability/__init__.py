@@ -9,7 +9,7 @@ Three building blocks:
   with fixed bucket boundaries, so per-thread and per-process shard
   histograms combine losslessly (see :mod:`repro.observability.histogram`);
 * :class:`Tracer` / :class:`TraceContext` — span-based tracing with a
-  serialisable context that crosses the ``ProcessShard`` pickle boundary,
+  serialisable context that crosses the process-shard pickle boundary,
   head sampling (default off), a bounded ring buffer, and Chrome
   trace-event export (see :mod:`repro.observability.tracing`);
 * :class:`JsonFormatter` — a stdlib ``logging`` formatter emitting one

@@ -10,7 +10,7 @@ and documented once.
 * :func:`monotonic_time` — ``CLOCK_MONOTONIC``.  Use for timestamps that
   must be *comparable across processes on the same host* (queue-wait
   stamps and trace-span timestamps travel from the feeding process into
-  ``ProcessShard`` children; on Linux the monotonic clock is system-wide
+  process-shard children; on Linux the monotonic clock is system-wide
   per boot, so parent and child readings share an epoch).
 * :func:`perf_clock` — ``perf_counter``.  Highest-resolution clock for
   durations measured *within* one process (batch timing, fsync timing).

@@ -4,7 +4,7 @@ Every histogram in the repository shares one immutable boundary ladder: a
 1–2–5 log-linear progression from 1 µs to 50 s (24 finite upper edges
 plus the overflow bucket).  Fixing the boundaries is the whole design:
 two histograms recorded independently — on different threads, or on the
-two sides of the ``ProcessShard`` pickle boundary — merge by element-wise
+two sides of the process-shard pickle boundary — merge by element-wise
 addition of their bucket counts, with no re-bucketing and no loss.  Merge
 is therefore associative and commutative, and a merged histogram is
 byte-identical to the histogram that a single observer would have

@@ -1,7 +1,7 @@
 """Span-based tracing with a serialisable context and Chrome-trace export.
 
 A :class:`TraceContext` is three primitives — trace id, span id, sampled
-flag — so it pickles across the ``ProcessShard`` boundary and serialises
+flag — so it pickles across the process-shard boundary and serialises
 into protocol frames unchanged.  The :class:`Tracer` makes the *head*
 sampling decision once, when a request enters the system (the gateway
 frame or ``session.feed``): unsampled requests carry ``None`` instead of

@@ -9,10 +9,13 @@ side by side:
     same shard, in order.
 ``repro.runtime.queues``
     bounded per-shard queues with explicit backpressure
-    (``block`` / ``drop_oldest`` / ``error``).
+    (``block`` / ``drop_oldest`` / ``drop_newest`` / ``error``).
 ``repro.runtime.shard``
-    worker shards: thread- and process-backed executors behind one
-    protocol, with graceful failure reporting.
+    the worker loop and its parent-side handle: one message protocol,
+    with graceful failure reporting.
+``repro.runtime.transport``
+    what carries the protocol: an in-memory queue to a worker thread, or
+    ``multiprocessing`` pipes to a worker process.
 ``repro.runtime.results``
     merging per-shard detections into one timestamp-ordered view.
 ``repro.runtime.metrics``
@@ -23,6 +26,7 @@ side by side:
 Most applications never import this package directly:
 ``GestureSession(SessionConfig(shards=4))`` runs the whole session on a
 sharded runtime transparently (see :mod:`repro.api.session`).
+``docs/runtime.md`` describes the shard protocol and the two executors.
 """
 
 from repro.errors import (
@@ -35,23 +39,15 @@ from repro.runtime.metrics import MetricsRegistry, ShardMetrics
 from repro.runtime.queues import BackpressurePolicy, ShardQueue
 from repro.runtime.results import DetectionLog, merge_detections
 from repro.runtime.router import HashPartitionRouter, stable_partition_hash
-from repro.runtime.shard import (
-    EngineShard,
-    ProcessShard,
-    RemoteShardError,
-    ShardEngineSpec,
-    ShardFailure,
-)
+from repro.runtime.shard import RemoteShardError, ShardEngineSpec, ShardFailure
 from repro.runtime.sharded import ShardedQuery, ShardedRuntime
 
 __all__ = [
     "BackpressureError",
     "BackpressurePolicy",
     "DetectionLog",
-    "EngineShard",
     "HashPartitionRouter",
     "MetricsRegistry",
-    "ProcessShard",
     "RemoteShardError",
     "RuntimeStateError",
     "ShardEngineSpec",

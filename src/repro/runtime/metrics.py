@@ -209,9 +209,9 @@ class ShardMetrics:
         self._queue_depth_hwm = 0
         self._busy_seconds = 0.0
         self._errors = 0
-        # Latency histograms.  Single-writer by construction (the shard's
-        # worker thread for a thread shard; the parent replaces whole
-        # states collected from a process shard), so not lock-protected.
+        # Latency histograms.  Single-writer by construction (whichever
+        # thread delivers the shard's ``done`` messages: the worker thread
+        # itself, or a process transport's listener), so not lock-protected.
         self.queue_wait = LatencyHistogram()
         self.batch_processing = LatencyHistogram()
 
@@ -247,31 +247,12 @@ class ShardMetrics:
             self._errors += 1
 
     def record_queue_wait(self, seconds: float) -> None:
-        """One enqueue→dequeue latency sample (worker thread only)."""
+        """One enqueue→dequeue latency sample (delivery thread only)."""
         self.queue_wait.record(seconds)
 
     def record_batch_seconds(self, seconds: float) -> None:
-        """One batch-processing duration sample (worker thread only)."""
+        """One batch-processing duration sample (delivery thread only)."""
         self.batch_processing.record(seconds)
-
-    def histogram_states(self) -> Dict[str, Dict[str, object]]:
-        """JSON-/pickle-safe states of this shard's histograms."""
-        return {
-            "queue_wait": self.queue_wait.to_state(),
-            "batch_processing": self.batch_processing.to_state(),
-        }
-
-    def replace_histogram_states(self, states: Mapping[str, Mapping[str, object]]) -> None:
-        """Adopt cumulative histogram states collected from a process shard.
-
-        Child-side histograms are cumulative over the shard's lifetime, so
-        the parent *replaces* its copies instead of merging (merging would
-        double-count every earlier collection).
-        """
-        if "queue_wait" in states:
-            self.queue_wait = LatencyHistogram.from_state(states["queue_wait"])
-        if "batch_processing" in states:
-            self.batch_processing = LatencyHistogram.from_state(states["batch_processing"])
 
     # -- readers ---------------------------------------------------------------------
 

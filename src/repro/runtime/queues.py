@@ -22,15 +22,14 @@ is an explicit policy instead of an accident:
     :class:`~repro.errors.BackpressureError` is raised to the producer —
     for callers that implement their own flow control.
 
-The queue also tracks *unfinished work* (items taken by the worker but not
-yet processed), which is what lets the runtime implement ``drain()`` as a
-real barrier rather than "queue looks empty".
+The queue is strictly FIFO and never drops a control message, which is
+what lets the runtime implement ``drain()`` as a ``flush`` control: its
+acknowledgement proves everything queued before it was processed.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 from typing import Any, List, Optional, Tuple
 
@@ -66,7 +65,7 @@ class ShardQueue:
     ``weight`` is the number of tuples an item carries; control messages
     enqueue with weight 0 and are exempt from capacity accounting (they
     must reach the worker even when the data path is saturated — dropping
-    a ``deploy`` or ``drain`` marker would wedge the runtime).
+    a ``deploy`` or ``flush`` marker would wedge the runtime).
     """
 
     def __init__(
@@ -82,12 +81,10 @@ class ShardQueue:
         self.metrics = metrics
         self._items: deque = deque()
         self._weight = 0
-        self._unfinished = 0
         self._closed = False
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
         self._not_full = threading.Condition(self._lock)
-        self._all_done = threading.Condition(self._lock)
 
     # -- producer side ----------------------------------------------------------------
 
@@ -133,7 +130,6 @@ class ShardQueue:
                         raise RuntimeStateError("the shard queue is closed")
             self._items.append((item, weight))
             self._weight += weight
-            self._unfinished += 1
             if self.metrics is not None:
                 if dropped:
                     self.metrics.add_dropped(dropped)
@@ -156,11 +152,8 @@ class ShardQueue:
                 continue
             dropped += weight
             self._weight -= weight
-            self._unfinished -= 1
         for entry in reversed(kept):
             self._items.appendleft(entry)
-        if dropped and self._unfinished == 0 and not self._items:
-            self._all_done.notify_all()
         return dropped
 
     # -- worker side ------------------------------------------------------------------
@@ -178,28 +171,7 @@ class ShardQueue:
             self._not_full.notify_all()
             return item, weight
 
-    def task_done(self) -> None:
-        """Mark one dequeued item as fully processed (drain barrier)."""
-        with self._lock:
-            self._unfinished -= 1
-            if self._unfinished < 0:
-                raise RuntimeStateError("task_done() called more often than put()")
-            if self._unfinished == 0:
-                self._all_done.notify_all()
-
-    # -- barriers and lifecycle -------------------------------------------------------
-
-    def join(self, timeout: Optional[float] = None) -> bool:
-        """Wait until every enqueued item has been processed."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._lock:
-            while self._unfinished > 0:
-                remaining = None if deadline is None else deadline - time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    return False
-                if not self._all_done.wait(timeout=remaining):
-                    return False
-            return True
+    # -- lifecycle --------------------------------------------------------------------
 
     def close(self) -> None:
         """Refuse further puts and wake every waiter.  Idempotent.
@@ -211,21 +183,13 @@ class ShardQueue:
             self._closed = True
             self._not_empty.notify_all()
             self._not_full.notify_all()
-            self._all_done.notify_all()
 
     def abandon(self) -> None:
-        """Discard all queued items and release drain waiters (failure path)."""
+        """Discard all queued items (failure path)."""
         with self._lock:
             self._items.clear()
             self._weight = 0
-            self._unfinished = 0
             self._not_full.notify_all()
-            self._all_done.notify_all()
-
-    @property
-    def closed(self) -> bool:
-        with self._lock:
-            return self._closed
 
     @property
     def depth(self) -> int:

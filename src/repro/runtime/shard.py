@@ -1,76 +1,59 @@
-"""Worker shards: one engine, one queue, one worker each.
+"""Worker shards: one engine, one inbox, one worker loop each.
 
-A shard is the unit of concurrency of the sharded runtime: it owns a
-private :class:`~repro.cep.engine.CEPEngine` (with its own ``kinect_t``
-view and run tables), a bounded :class:`~repro.runtime.queues.ShardQueue`,
-and a worker that services the queue.  Everything that touches the engine —
-tuples *and* control operations like deploying a query or resetting
-matchers — flows through the queue, so engine state is only ever touched
-from the worker and no engine-internal locking is needed.  Because the
-queue is FIFO, a control enqueued after a feed observes all of that feed's
-tuples, exactly like an inline engine would.
+A shard is the unit of concurrency of the sharded runtime.  Its worker
+(:func:`worker_loop`) owns a private :class:`~repro.cep.engine.CEPEngine`
+and is the only code that ever touches it: tuples *and* control
+operations arrive as messages on one FIFO inbox, so a control enqueued
+after a feed observes all of that feed's tuples, exactly like an inline
+engine would.  The parent-side :class:`Shard` speaks that protocol through
+a transport (:mod:`repro.runtime.transport`) and neither it nor the loop
+knows whether the worker is a thread or a child process.
 
-Two executors implement the same protocol:
-
-:class:`EngineShard`
-    The worker is a daemon *thread*.  Zero serialisation cost and shared
-    memory (the runtime can introspect live matcher state), but on a
-    GIL-bound CPython build shards time-slice one core; the win over the
-    inline path comes from queue-drain batching, not parallelism.
-:class:`ProcessShard`
-    The worker is a *process* (forkserver/spawn, never a multi-threaded
-    fork).  Tuples and detections cross a pipe,
-    so there is pickling overhead and no live engine introspection, but
-    shards genuinely run in parallel — the executor to use for CPU-bound
-    scaling on multi-core machines.  Queries travel as query *text*
-    (builder/parser round-trips are byte-identical, so compiled-predicate
-    cache keys agree with the parent's), and the backpressure bound is
-    enforced parent-side with a credit counter fed by the worker's
-    processed acknowledgements.
-
-Failure semantics are identical: an exception on the data path marks the
-shard failed, pending control waiters are released with the failure, and
-the owning runtime surfaces a :class:`~repro.errors.ShardFailedError`
-(chaining the original exception) on the next interaction.  A failing
-*control* (e.g. deploying a malformed query) is reported to its caller and
-does **not** kill the shard.
+The message table, what each transport can and cannot do, and the failure
+semantics are in ``docs/runtime.md``.
 """
 
 from __future__ import annotations
 
 import contextlib
-import multiprocessing
+import itertools
 import threading
 import time
 import traceback
+from concurrent import futures
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping, Optional, Sequence
 
 from repro.cep.engine import CEPEngine, DeployedQuery
 from repro.cep.matcher import Detection, MatcherConfig
 from repro.cep.sinks import CallbackSink
 from repro.cep.views import RAW_STREAM_NAME, TRANSFORMED_STREAM_NAME, install_kinect_view
-from repro.errors import BackpressureError, RuntimeStateError, ShardFailedError
+from repro.errors import RuntimeStateError, ShardFailedError, UnknownQueryError
 from repro.observability.clock import monotonic_time, perf_clock
-from repro.observability.histogram import LatencyHistogram
 from repro.observability.telemetry import Telemetry, TelemetryConfig
 from repro.observability.tracing import TraceContext, use_context
 from repro.runtime.metrics import ShardMetrics
-from repro.runtime.queues import BackpressurePolicy, ShardQueue
 from repro.streams.clock import SimulatedClock
 from repro.transform.pipeline import KinectTransformer, TransformConfig
 
+if TYPE_CHECKING:
+    from repro.runtime.transport import Transport
+
 __all__ = [
-    "ShardEngineSpec",
-    "EngineShard",
-    "ProcessShard",
     "RemoteShardError",
+    "Shard",
+    "ShardEngineSpec",
     "ShardFailure",
-    "current_detection_latency",
+    "worker_loop",
 ]
 
-#: How detections leave a shard: ``callback(shard_id, detection)``.
-DetectionCallback = Callable[[int, Detection], None]
+#: How detections leave a shard: ``callback(shard_id, detection, latency)``.
+#: ``latency`` is the ingest→detection time the worker measured at emit
+#: (``None`` when telemetry is off).
+DetectionCallback = Callable[[int, Detection, Optional[float]], None]
+
+#: A message of the shard protocol: a tuple whose first item is its kind.
+Message = tuple
 
 
 class RemoteShardError(Exception):
@@ -84,6 +67,11 @@ class RemoteShardError(Exception):
         super().__init__(message)
         self.remote_traceback = remote_traceback
 
+    def __reduce__(self):
+        # The default reduction replays ``args`` only and would lose the
+        # traceback on the way to the parent.
+        return (RemoteShardError, (self.args[0], self.remote_traceback))
+
 
 @dataclass
 class ShardFailure:
@@ -93,10 +81,13 @@ class ShardFailure:
     error: BaseException
     traceback_text: str = ""
 
+    def as_error(self) -> ShardFailedError:
+        error = ShardFailedError(self.shard_id, self.error, detail=self.traceback_text)
+        error.__cause__ = self.error
+        return error
+
     def raise_(self) -> None:
-        raise ShardFailedError(
-            self.shard_id, self.error, detail=self.traceback_text
-        ) from self.error
+        raise self.as_error()
 
 
 @dataclass(frozen=True)
@@ -108,7 +99,7 @@ class ShardEngineSpec:
     defaults and the Kinect transformation view between ``raw_stream`` and
     ``view_stream``.  Being a plain dataclass of plain dataclasses it
     crosses a process boundary losslessly, which is what lets thread and
-    process shards run *identical* engines.
+    process workers run *identical* engines.
     """
 
     matcher: MatcherConfig = field(default_factory=MatcherConfig)
@@ -117,8 +108,8 @@ class ShardEngineSpec:
     view_stream: str = TRANSFORMED_STREAM_NAME
     install_view: bool = True
     #: Telemetry knobs for the shard's side of the pipeline.  Rides the
-    #: pickle boundary with the rest of the spec, so a process shard's
-    #: child builds the same tracer/histogram configuration the parent
+    #: pickle boundary with the rest of the spec, so a worker process
+    #: builds the same tracer/histogram configuration the parent
     #: runs (``None`` = telemetry fully off).
     telemetry: Optional[TelemetryConfig] = None
 
@@ -143,7 +134,7 @@ class ShardEngineSpec:
 
 
 # ---------------------------------------------------------------------------
-# Control operations (shared by both executors)
+# Worker side
 # ---------------------------------------------------------------------------
 
 
@@ -153,13 +144,22 @@ def _apply_control(
     payload: Any,
     emit: Callable[[Detection], None],
 ) -> Any:
-    """Execute one control operation against a shard-local engine."""
+    """Execute one control operation against a shard-local engine.
+
+    Only plain data is returned (it rides the ``ack`` to the parent); live
+    objects such as a deployed query stay with the worker, because they
+    could not cross a process boundary and nothing parent-side wants one.
+    """
+    if op == "capture_state":
+        return engine.capture_state()
+    if op == "query_stats":
+        return engine.query_stats()
     if op == "deploy":
         name, query_text, matcher_config, partition_override = payload
         kwargs: Dict[str, Any] = {}
         if partition_override is not None:
             kwargs["partition_field"] = partition_override[0]
-        return engine.register_query(
+        engine.register_query(
             query_text,
             name=name,
             sink=CallbackSink(emit),
@@ -167,75 +167,29 @@ def _apply_control(
             create_missing_streams=True,
             **kwargs,
         )
-    if op == "undeploy":
+    elif op == "undeploy":
         engine.unregister_query(payload)
-        return None
-    if op == "enable":
-        name, enabled = payload
-        engine.enable_query(name, enabled)
-        return None
-    if op == "clear_detections":
+    elif op == "enable":
+        engine.enable_query(*payload)
+    elif op == "clear_detections":
         engine.clear_detections()
-        return None
-    if op == "clear_query_detections":
+    elif op == "clear_query_detections":
         engine.get_query(payload).clear_detections()
-        return None
-    if op == "reset_matchers":
+    elif op == "reset_matchers":
         engine.reset_matchers()
-        return None
-    if op == "reset_transformers":
+    elif op == "reset_transformers":
         for view in engine.views.values():
             if isinstance(view.function, KinectTransformer):
                 view.function.reset()
-        return None
-    if op == "register_function":
-        name, function, arity = payload
-        engine.register_function(name, function, arity)
-        return None
-    if op == "capture_state":
-        return engine.capture_state()
-    if op == "query_stats":
-        return engine.query_stats()
-    if op == "restore_state":
+    elif op == "register_function":
+        engine.register_function(*payload)
+    elif op == "restore_state":
         # Re-registered queries need the shard's detection callback attached,
         # exactly as a live "deploy" would wire it.
-        return engine.restore_state(payload, sink_factory=lambda: CallbackSink(emit))
-    if op == "flush":
-        return None
-    raise ValueError(f"unknown shard control operation {op!r}")
-
-
-#: Control ops whose result is plain data and may cross a process boundary
-#: (everything else acks with ``None`` on the process executor).
-#: ``telemetry`` is handled by the worker loops themselves (it needs the
-#: shard's histograms and tracer, which ``_apply_control`` cannot see).
-_PICKLABLE_CONTROL_RESULTS = frozenset({"capture_state", "query_stats", "telemetry"})
-
-
-#: Per-thread ingest stamp of the batch currently being processed, plus the
-#: parent-listener override for latencies computed in a child process.
-_batch_meta = threading.local()
-
-
-def current_detection_latency() -> Optional[float]:
-    """Ingest→now latency of the batch being processed on this thread.
-
-    :func:`_run_batch` installs the producer's enqueue stamp for the
-    duration of the engine push, so a detection callback running
-    synchronously under it (thread shards) reads the end-to-end
-    ingest→detection latency with one clock call.  Process shards compute
-    the latency child-side at emit time, ship it with the detection, and
-    the parent listener installs it here as an override around its
-    callback.  ``None`` whenever telemetry is off — recording is then
-    skipped entirely.
-    """
-    override = getattr(_batch_meta, "override", None)
-    if override is not None:
-        return override
-    enqueued_at = getattr(_batch_meta, "enqueued_at", None)
-    if enqueued_at is None:
-        return None
-    return max(0.0, monotonic_time() - enqueued_at)
+        engine.restore_state(payload, sink_factory=lambda: CallbackSink(emit))
+    elif op != "flush":
+        raise ValueError(f"unknown shard control operation {op!r}")
+    return None
 
 
 def _run_batch(
@@ -249,11 +203,10 @@ def _run_batch(
 ) -> "tuple[float, Optional[float]]":
     """Process one queued batch; returns ``(busy_seconds, queue_wait)``.
 
-    Shared by both executors so thread and process shards measure and
-    trace identically.  ``meta`` is the telemetry stamp the producer
-    attached at enqueue time — ``(enqueue_monotonic, trace_context)`` —
-    or ``None`` when telemetry is off, in which case this is exactly the
-    old hot path plus one ``is None`` check.
+    ``meta`` is the telemetry stamp the producer attached at enqueue time
+    — ``(enqueue_monotonic, trace_context)`` — or ``None`` when telemetry
+    is off, in which case this is the bare ``push_many`` plus one
+    ``is None`` check.
     """
     queue_wait: Optional[float] = None
     trace: Optional[TraceContext] = None
@@ -280,19 +233,13 @@ def _run_batch(
             stream=stream,
             tuples=len(records),
         )
-    if meta is not None:
-        _batch_meta.enqueued_at = enqueued_at
     started = perf_clock()
-    try:
-        if span is not None:
-            with use_context(span.context):
-                engine.push_many(stream, records, batch_size=batch_size)
-        else:
+    if span is not None:
+        with use_context(span.context):
             engine.push_many(stream, records, batch_size=batch_size)
-    finally:
-        busy = perf_clock() - started
-        if meta is not None:
-            _batch_meta.enqueued_at = None
+    else:
+        engine.push_many(stream, records, batch_size=batch_size)
+    busy = perf_clock() - started
     if span is not None:
         span.close()
     if telemetry is not None:
@@ -302,34 +249,166 @@ def _run_batch(
     return busy, queue_wait
 
 
-class _Control:
-    """A control message with a completion event (thread-side handle)."""
+def worker_loop(
+    shard_id: int,
+    spec: ShardEngineSpec,
+    receive: Callable[[], Message],
+    send: Callable[[Message], None],
+    telemetry: Optional[Telemetry] = None,
+    on_engine: Optional[Callable[[CEPEngine], None]] = None,
+) -> None:
+    """Service one shard: build its engine, then answer messages until ``stop``.
 
-    __slots__ = ("op", "payload", "done", "result", "error")
+    ``receive()`` blocks for the next inbox message and ``send(message)``
+    delivers one to the parent-side :class:`Shard`; the loop talks to
+    nothing else, so it runs unchanged on a thread or in a child process.
 
-    def __init__(self, op: str, payload: Any = None) -> None:
-        self.op = op
-        self.payload = payload
-        self.done = threading.Event()
-        self.result: Any = None
-        self.error: Optional[BaseException] = None
+    ``telemetry`` and ``on_engine`` only make sense for a worker sharing
+    the parent's memory: the first is the parent's live bundle (spans and
+    profiler samples then land where the parent reads them, and there is
+    nothing to collect), the second receives the built engine for live
+    introspection.  A worker given no bundle builds its own from the spec
+    and ships it on ``telemetry`` controls.
+    """
+    owned: Optional[Telemetry] = None
+    try:
+        engine = spec.build()
+        if telemetry is None:
+            telemetry = owned = spec.build_telemetry()
+        engine.telemetry = telemetry
+    except Exception as error:  # noqa: BLE001 — a dead shard must report, not raise
+        send(("failed", error, traceback.format_exc()))
+        send(("bye",))
+        return
+    if on_engine is not None:
+        on_engine(engine)
+    # A worker-owned profiler samples this process's threads; its counts
+    # are drained (like spans) on every collection, so the parent folds
+    # increments and never re-counts.
+    profiler = owned.profiler if owned is not None else None
+    if profiler is not None:
+        profiler.start()
 
-    def resolve(self, result: Any = None, error: Optional[BaseException] = None) -> None:
-        self.result = result
-        self.error = error
-        self.done.set()
+    # Ingest stamp of the batch being processed: detections emitted
+    # synchronously under its push read their ingest→detection latency
+    # here, where the stamp is live, with one clock call.  Delivery to the
+    # parent is excluded by design (it is dispatch, not pipeline time).
+    enqueued_at: Optional[float] = None
+
+    def emit(detection: Detection) -> None:
+        latency = None if enqueued_at is None else max(0.0, monotonic_time() - enqueued_at)
+        send(("det", detection, latency))
+
+    def collect_owned() -> Optional[Dict[str, Any]]:
+        """Drain the worker-owned spans and profile; never re-sent."""
+        if owned is None:
+            return None
+        payload: Dict[str, Any] = {"spans": owned.tracer.drain()}
+        if profiler is not None:
+            payload["profile"] = profiler.to_state()
+            profiler.clear()
+        return payload
+
+    while True:
+        message = receive()
+        kind = message[0]
+        if kind == "stop":
+            break
+        try:
+            if kind == "tuples":
+                _tag, stream, records, batch_size, meta = message
+                enqueued_at = meta[0] if meta is not None else None
+                busy, queue_wait = _run_batch(
+                    engine, telemetry, shard_id, stream, records, batch_size, meta
+                )
+                enqueued_at = None
+                send(("done", len(records), busy, queue_wait))
+            elif kind == "control":
+                _tag, token, op, payload = message
+                try:
+                    # ``telemetry`` is answered here: it needs the worker's
+                    # tracer and profiler, which ``_apply_control`` cannot see.
+                    if op == "telemetry":
+                        result = collect_owned()
+                    else:
+                        result = _apply_control(engine, op, payload, emit)
+                except Exception as error:  # noqa: BLE001 — report to the caller, shard lives
+                    send(("nack", token, error, traceback.format_exc()))
+                else:
+                    send(("ack", token, result))
+        except Exception as error:  # noqa: BLE001 — data-path failure kills the shard
+            send(("failed", error, traceback.format_exc()))
+            break
+    if profiler is not None:
+        profiler.stop()
+    send(("bye",))
 
 
-class _ShardBase:
-    """Lifecycle/failure bookkeeping shared by both shard executors."""
+# ---------------------------------------------------------------------------
+# Parent side
+# ---------------------------------------------------------------------------
 
-    def __init__(self, shard_id: int, metrics: ShardMetrics) -> None:
+
+class Shard:
+    """Parent-side handle of one worker: producer API plus message handler.
+
+    Owns everything that is the same whichever transport carries the
+    messages: failure bookkeeping, chunked tuple enqueue, the token-keyed
+    control round-trip, and the handler for what the worker sends back.
+    """
+
+    def __init__(
+        self,
+        shard_id: int,
+        metrics: ShardMetrics,
+        on_detection: DetectionCallback,
+        transport: "Transport",
+        telemetry: Optional[Telemetry] = None,
+    ) -> None:
         self.shard_id = shard_id
         self.metrics = metrics
+        self.transport = transport
+        #: The parent-side bundle.  A local worker writes into it directly;
+        #: a remote worker's spans and profile are absorbed into it by
+        #: :meth:`collect_telemetry`.
+        self.telemetry = telemetry
+        self._on_detection = on_detection
         self._failure: Optional[ShardFailure] = None
         self._failure_lock = threading.Lock()
+        #: Control round-trips awaiting their ``ack``/``nack``, by token.
+        self._pending: Dict[int, "futures.Future[Any]"] = {}
+        self._pending_lock = threading.Lock()
+        self._tokens = itertools.count(1)
         self._started = False
         self._stopped = False
+
+    # -- lifecycle ---------------------------------------------------------------------
+
+    def start(self) -> None:
+        if self._started:
+            raise RuntimeStateError(f"shard {self.shard_id} is already started")
+        self._started = True
+        self.transport.start(self.handle, self.telemetry)
+
+    def stop(self, drain: bool = True, timeout: Optional[float] = None) -> None:
+        """Ask the worker to exit; with ``drain`` queued work finishes first.
+
+        Best-effort on shutdown: if the drain fails or times out the
+        transport is closed anyway.
+        """
+        if not self._started or self._stopped:
+            return
+        self._stopped = True
+        if drain and not self.failed:
+            with contextlib.suppress(Exception):
+                self.control("flush", timeout=timeout)
+        self.transport.close()
+
+    def join(self, timeout: Optional[float] = None) -> None:
+        if self._started:
+            self.transport.join(timeout)
+
+    # -- failure bookkeeping -----------------------------------------------------------
 
     @property
     def failure(self) -> Optional[ShardFailure]:
@@ -340,86 +419,24 @@ class _ShardBase:
     def failed(self) -> bool:
         return self.failure is not None
 
-    def _record_failure(
-        self, error: BaseException, traceback_text: str = ""
-    ) -> ShardFailure:
-        with self._failure_lock:
-            if self._failure is None:
-                self._failure = ShardFailure(self.shard_id, error, traceback_text)
-                self.metrics.add_error()
-            return self._failure
-
     def raise_if_failed(self) -> None:
         failure = self.failure
         if failure is not None:
             failure.raise_()
 
-
-# ---------------------------------------------------------------------------
-# Thread executor
-# ---------------------------------------------------------------------------
-
-
-class EngineShard(_ShardBase):
-    """One engine serviced by a worker thread from a bounded queue."""
-
-    def __init__(
-        self,
-        shard_id: int,
-        spec: ShardEngineSpec,
-        metrics: ShardMetrics,
-        on_detection: DetectionCallback,
-        queue_capacity: int = 2048,
-        backpressure: str = BackpressurePolicy.BLOCK,
-        engine_factory: Optional[Callable[[int], CEPEngine]] = None,
-        telemetry: Optional[Telemetry] = None,
-    ) -> None:
-        super().__init__(shard_id, metrics)
-        self.spec = spec
-        self._engine_factory = engine_factory
-        self._on_detection = on_detection
-        #: Shared with the owning runtime: thread shards record spans and
-        #: histograms straight into the parent's structures, so there is
-        #: nothing to collect later (unlike process shards).
-        self.telemetry = telemetry
-        self.queue = ShardQueue(queue_capacity, policy=backpressure, metrics=metrics)
-        self._thread: Optional[threading.Thread] = None
-        #: Shard-local deployed queries, for live introspection (progress).
-        self.deployed: Dict[str, DeployedQuery] = {}
-        self.engine: Optional[CEPEngine] = None
-        self._engine_ready = threading.Event()
-
-    # -- lifecycle ---------------------------------------------------------------------
-
-    def start(self) -> None:
-        if self._started:
-            raise RuntimeStateError(f"shard {self.shard_id} is already started")
-        self._started = True
-        self._thread = threading.Thread(
-            target=self._run, name=f"repro-shard-{self.shard_id}", daemon=True
-        )
-        self._thread.start()
-
-    def stop(self, drain: bool = True, timeout: Optional[float] = None) -> None:
-        """Stop the worker; with ``drain`` every queued item is processed first.
-
-        Best-effort on shutdown: if the drain times out, the queue is
-        closed anyway (mirroring :meth:`ProcessShard.stop`).
-        """
-        if not self._started or self._stopped:
-            return
-        self._stopped = True
-        if drain and not self.failed:
-            self.queue.join(timeout=timeout)
-        self.queue.close()
-
-    def join(self, timeout: Optional[float] = None) -> None:
-        if self._thread is not None:
-            self._thread.join(timeout=timeout)
-
-    @property
-    def alive(self) -> bool:
-        return self._thread is not None and self._thread.is_alive()
+    def _fail(self, error: BaseException, traceback_text: str = "") -> None:
+        """Record the (first) failure and release everyone waiting on the shard."""
+        with self._failure_lock:
+            if self._failure is None:
+                self._failure = ShardFailure(self.shard_id, error, traceback_text)
+                self.metrics.add_error()
+            failure = self._failure
+        with self._pending_lock:
+            pending = list(self._pending.values())
+            self._pending.clear()
+        for reply in pending:
+            reply.set_exception(failure.as_error())
+        self.transport.abort()
 
     # -- producer API ------------------------------------------------------------------
 
@@ -438,559 +455,131 @@ class EngineShard(_ShardBase):
         ``push_many(batch_size=…)`` would produce.
 
         With telemetry on, each chunk carries ``(enqueue_time, trace)`` so
-        the worker can close the queue-wait histogram and continue the
-        caller's trace; with telemetry off the stamp is ``None`` and the
-        worker takes the unmeasured path.
+        the worker can measure queue wait and detection latency and
+        continue the caller's trace; with telemetry off the stamp is
+        ``None`` and the worker takes the unmeasured path.  The stamp is
+        parent-clock monotonic time: on the platforms the process
+        transport targets the monotonic clock is system-wide, so a child's
+        readings share its epoch.
         """
         self.raise_if_failed()
         meta = (monotonic_time(), trace) if self.telemetry is not None else None
-        limit = self.queue.capacity
+        limit = self.transport.queue_capacity
         if batch_size is not None:
             limit = min(limit, batch_size)
-        total = len(records)
-        for start in range(0, total, limit):
+        for start in range(0, len(records), limit):
             chunk = records[start : start + limit]
+            # A plain list crosses any transport, whatever Sequence came in.
+            chunk = chunk if isinstance(chunk, list) else list(chunk)
             try:
-                self.queue.put(
-                    ("tuples", stream, chunk, batch_size, meta), weight=len(chunk)
+                self.transport.put_tuples(
+                    ("tuples", stream, chunk, batch_size, meta), len(chunk)
                 )
             except RuntimeStateError:
-                # The queue closes when the worker dies; surface the cause.
+                # The transport closes when the worker dies; surface the cause.
                 self.raise_if_failed()
                 raise
             self.metrics.add_enqueued(len(chunk))
 
     def control(self, op: str, payload: Any = None, timeout: Optional[float] = None) -> Any:
-        """Run a control operation on the worker and wait for its result."""
+        """Run a control operation on the worker and wait for its result.
+
+        A failing control raises its error here and leaves the shard
+        alive; a shard that fails (or whose worker vanishes) while the
+        control is pending raises :class:`~repro.errors.ShardFailedError`.
+        """
         self.raise_if_failed()
-        handle = _Control(op, payload)
+        reply: "futures.Future[Any]" = futures.Future()
+        with self._pending_lock:
+            token = next(self._tokens)
+            self._pending[token] = reply
         try:
-            self.queue.put(handle, weight=0)
+            self.transport.put_control(("control", token, op, payload))
+            deadline = None if timeout is None else time.monotonic() + timeout
+            while not futures.wait([reply], timeout=0.5).done:
+                if not self.transport.alive and not reply.done():
+                    self._fail(
+                        RemoteShardError(f"shard {self.shard_id} worker exited unexpectedly")
+                    )
+                elif deadline is not None and time.monotonic() > deadline:
+                    raise RuntimeStateError(
+                        f"shard {self.shard_id} control {op!r} timed out"
+                    )
         except RuntimeStateError:
             self.raise_if_failed()
             raise
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while not handle.done.wait(timeout=0.5):
-            self.raise_if_failed()
-            if deadline is not None and time.monotonic() > deadline:
-                raise RuntimeStateError(
-                    f"shard {self.shard_id} control {op!r} timed out"
-                )
-        if handle.error is not None:
-            raise handle.error
-        return handle.result
+        finally:
+            # A resolved reply is already gone; this forgets one that was
+            # refused, or timed out and may still be acked late.
+            with self._pending_lock:
+                self._pending.pop(token, None)
+        return reply.result()
 
     def drain(self, timeout: Optional[float] = None) -> None:
         """Block until everything enqueued so far has been processed.
 
-        Raises :class:`~repro.errors.RuntimeStateError` if ``timeout``
-        expires with work still pending — returning normally would let the
+        A ``flush`` round-trip: the inbox is FIFO, so the ack proves all
+        earlier work finished.  Raises :class:`~repro.errors.RuntimeStateError`
+        if ``timeout`` expires first — returning normally would let the
         caller read incomplete results believing them complete.
         """
-        self.raise_if_failed()
-        completed = self.queue.join(timeout=timeout)
-        self.raise_if_failed()
-        if not completed:
-            raise RuntimeStateError(
-                f"shard {self.shard_id} drain timed out with work still queued"
-            )
-
-    def collect_telemetry(self, timeout: Optional[float] = None) -> None:
-        """No-op: thread shards write shared histograms/spans directly."""
-
-    # -- worker ------------------------------------------------------------------------
-
-    def _emit(self, detection: Detection) -> None:
-        self._on_detection(self.shard_id, detection)
-
-    def _run(self) -> None:
-        try:
-            if self._engine_factory is not None:
-                engine = self._engine_factory(self.shard_id)
-            else:
-                engine = self.spec.build()
-            engine.telemetry = self.telemetry
-            self.engine = engine
-            self._engine_ready.set()
-        except Exception as error:  # noqa: BLE001 — a dead shard must report, not raise
-            self._record_failure(error, traceback.format_exc())
-            self._engine_ready.set()
-            self._fail_pending()
-            return
-        while True:
-            got = self.queue.get(timeout=0.5)
-            if got is None:
-                if self.queue.closed:
-                    break
-                continue
-            item, _weight = got
-            try:
-                if isinstance(item, _Control):
-                    try:
-                        result = _apply_control(engine, item.op, item.payload, self._emit)
-                    except Exception as error:  # noqa: BLE001 — report to the caller
-                        item.resolve(error=error)
-                    else:
-                        if item.op == "deploy" and isinstance(result, DeployedQuery):
-                            self.deployed[result.name] = result
-                        elif item.op == "undeploy":
-                            self.deployed.pop(item.payload, None)
-                        elif item.op == "restore_state" and isinstance(result, list):
-                            for restored in result:
-                                if isinstance(restored, DeployedQuery):
-                                    self.deployed[restored.name] = restored
-                        item.resolve(result=result)
-                else:
-                    _tag, stream, records, batch_size, meta = item
-                    busy, queue_wait = _run_batch(
-                        engine,
-                        self.telemetry,
-                        self.shard_id,
-                        stream,
-                        records,
-                        batch_size,
-                        meta,
-                    )
-                    if queue_wait is not None:
-                        self.metrics.record_queue_wait(queue_wait)
-                        self.metrics.record_batch_seconds(busy)
-                    self.metrics.add_processed(len(records), busy)
-            except Exception as error:  # noqa: BLE001 — data-path failure kills the shard
-                self._record_failure(error, traceback.format_exc())
-                self.queue.task_done()
-                self._fail_pending()
-                return
-            self.queue.task_done()
-
-    def _fail_pending(self) -> None:
-        """After a failure: release every queued control and drain waiter."""
-        failure = self.failure
-        while True:
-            got = self.queue.get(timeout=0)
-            if got is None:
-                break
-            item, _weight = got
-            if isinstance(item, _Control):
-                item.resolve(
-                    error=ShardFailedError(
-                        self.shard_id, failure.error, detail=failure.traceback_text
-                    )
-                )
-            self.queue.task_done()
-        self.queue.close()
-        self.queue.abandon()
-
-
-# ---------------------------------------------------------------------------
-# Process executor
-# ---------------------------------------------------------------------------
-
-
-def _process_context():
-    """The safest available multiprocessing start method.
-
-    Never plain ``fork``: the parent already runs listener threads (and
-    arbitrary application threads), and forking a multi-threaded process is
-    a documented deadlock hazard.  ``forkserver`` (POSIX) forks workers
-    from a clean single-threaded server and does not re-execute
-    ``__main__``; ``spawn`` is the portable fallback.  Everything that
-    crosses the boundary (the spec, query text, tuples, detections) is
-    picklable by design.
-    """
-    if "forkserver" in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("forkserver")
-    return multiprocessing.get_context("spawn")
-
-
-def _process_shard_main(shard_id: int, spec: ShardEngineSpec, in_queue, out_queue) -> None:
-    """Entry point of a shard worker process."""
-    try:
-        engine = spec.build()
-        telemetry = spec.build_telemetry()
-        engine.telemetry = telemetry
-    except Exception:  # noqa: BLE001 — report construction failures too
-        out_queue.put(("failed", "engine construction failed", traceback.format_exc()))
-        out_queue.put(("bye",))
-        return
-
-    # Child-local latency histograms.  Cumulative over the shard's life;
-    # the parent *replaces* its copies on every ``telemetry`` collection,
-    # so nothing is double-counted and nothing rides the per-batch path.
-    queue_wait_histogram = LatencyHistogram()
-    batch_histogram = LatencyHistogram()
-
-    # Child-side continuous profiler: samples this process's threads and
-    # ships counts to the parent on ``telemetry`` collections (drained,
-    # like spans, so the parent folds increments, never re-counts).
-    profiler = telemetry.profiler if telemetry is not None else None
-    if profiler is not None:
-        profiler.start()
-
-    def emit(detection: Detection) -> None:
-        # The e2e latency is measured here, child-side, where the ingest
-        # stamp is still live — the pipe crossing is excluded by design
-        # (it is parent dispatch, not pipeline processing).
-        out_queue.put(("det", detection, current_detection_latency()))
-
-    def telemetry_snapshot() -> Dict[str, Any]:
-        """Picklable telemetry payload; spans are drained, never re-sent."""
-        snapshot = {
-            "histograms": {
-                "queue_wait": queue_wait_histogram.to_state(),
-                "batch_processing": batch_histogram.to_state(),
-            },
-            "spans": telemetry.tracer.drain() if telemetry is not None else [],
-            "query_stats": engine.query_stats(),
-        }
-        if profiler is not None:
-            # Drain semantics: ship the accumulated counts and reset, so
-            # the parent's absorb() is a pure increment.
-            snapshot["profile"] = profiler.to_state()
-            profiler.clear()
-        return snapshot
-
-    while True:
-        message = in_queue.get()
-        kind = message[0]
-        if kind == "stop":
-            break
-        try:
-            if kind == "tuples":
-                _tag, stream, records, batch_size, meta = message
-                busy, queue_wait = _run_batch(
-                    engine, telemetry, shard_id, stream, records, batch_size, meta
-                )
-                if queue_wait is not None:
-                    queue_wait_histogram.record(queue_wait)
-                    batch_histogram.record(busy)
-                out_queue.put(("done", len(records), busy))
-            elif kind == "control":
-                _tag, token, op, payload = message
-                try:
-                    if op == "telemetry":
-                        result = telemetry_snapshot()
-                    else:
-                        result = _apply_control(engine, op, payload, emit)
-                except Exception as error:  # noqa: BLE001 — report to the caller
-                    out_queue.put(("nack", token, repr(error), traceback.format_exc()))
-                else:
-                    if op not in _PICKLABLE_CONTROL_RESULTS:
-                        result = None
-                    out_queue.put(("ack", token, result))
-        except Exception as error:  # noqa: BLE001 — data-path failure kills the shard
-            out_queue.put(("failed", repr(error), traceback.format_exc()))
-            break
-    if profiler is not None:
-        profiler.stop()
-    out_queue.put(("bye",))
-
-
-class _Credits:
-    """Parent-side tuple-in-flight accounting for a process shard."""
-
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self._in_flight = 0
-        self._lock = threading.Lock()
-        self._released = threading.Condition(self._lock)
-        self._broken = False
-
-    def acquire(self, count: int, block: bool) -> bool:
-        with self._lock:
-            if block:
-                while (
-                    self._in_flight > 0
-                    and self._in_flight + count > self.capacity
-                    and not self._broken
-                ):
-                    self._released.wait()
-                if self._broken:
-                    return False
-            elif self._in_flight + count > self.capacity:
-                return False
-            self._in_flight += count
-            return True
-
-    def release(self, count: int) -> None:
-        with self._lock:
-            self._in_flight = max(0, self._in_flight - count)
-            self._released.notify_all()
-
-    def break_(self) -> None:
-        """Wake and refuse all waiters (shard failed)."""
-        with self._lock:
-            self._broken = True
-            self._released.notify_all()
-
-    @property
-    def in_flight(self) -> int:
-        with self._lock:
-            return self._in_flight
-
-
-class ProcessShard(_ShardBase):
-    """One engine serviced by a worker *process*; same protocol as
-    :class:`EngineShard`.
-
-    Restrictions compared to the thread executor: ``drop_oldest`` is not
-    supported (the queued data lives in the child; ``drop_newest`` works —
-    an offered chunk that finds no credits is dropped parent-side before
-    it ever crosses the pipe), control payloads must
-    be picklable, there is no live matcher introspection (progress
-    feedback reads zero), and — as with any ``spawn``/``forkserver``
-    multiprocessing program — the application's ``__main__`` module must
-    be importable (guard entry points with ``if __name__ == "__main__":``).
-    """
-
-    def __init__(
-        self,
-        shard_id: int,
-        spec: ShardEngineSpec,
-        metrics: ShardMetrics,
-        on_detection: DetectionCallback,
-        queue_capacity: int = 2048,
-        backpressure: str = BackpressurePolicy.BLOCK,
-        telemetry: Optional[Telemetry] = None,
-    ) -> None:
-        super().__init__(shard_id, metrics)
-        BackpressurePolicy.validate(backpressure)
-        if backpressure == BackpressurePolicy.DROP_OLDEST:
-            raise ValueError(
-                "the process executor cannot drop queued tuples (they live in "
-                "the worker process); use backpressure='block' or 'error', or "
-                "the thread executor"
-            )
-        self.spec = spec
-        #: Parent-side bundle: absorbed spans from the child land in this
-        #: tracer on :meth:`collect_telemetry`.  The child builds its own
-        #: from ``spec.telemetry``.
-        self.telemetry = telemetry
-        self._telemetry_enabled = spec.telemetry is not None and spec.telemetry.enabled
-        self._on_detection = on_detection
-        self._backpressure = backpressure
-        self._credits = _Credits(queue_capacity)
-        self.queue_capacity = queue_capacity
-        context = _process_context()
-        self._in_queue = context.Queue()
-        self._out_queue = context.Queue()
-        self._process = context.Process(
-            target=_process_shard_main,
-            args=(shard_id, spec, self._in_queue, self._out_queue),
-            name=f"repro-shard-{shard_id}",
-            daemon=True,
-        )
-        self._listener: Optional[threading.Thread] = None
-        self._pending: Dict[int, _Control] = {}
-        self._pending_lock = threading.Lock()
-        self._token_counter = 0
-        self._listener_done = threading.Event()
-        self.deployed: Dict[str, DeployedQuery] = {}  # always empty; API parity
-        self.engine = None  # no parent-side engine; API parity
-
-    # -- lifecycle ---------------------------------------------------------------------
-
-    def start(self) -> None:
-        if self._started:
-            raise RuntimeStateError(f"shard {self.shard_id} is already started")
-        self._started = True
-        self._process.start()
-        self._listener = threading.Thread(
-            target=self._listen, name=f"repro-shard-{self.shard_id}-listener", daemon=True
-        )
-        self._listener.start()
-
-    def stop(self, drain: bool = True, timeout: Optional[float] = None) -> None:
-        if not self._started or self._stopped:
-            return
-        self._stopped = True
-        if drain and not self.failed:
-            # Best-effort drain on shutdown.
-            with contextlib.suppress(Exception):
-                self.control("flush", timeout=timeout)
-        # The child may already be gone.
-        with contextlib.suppress(Exception):
-            self._in_queue.put(("stop",))
-
-    def join(self, timeout: Optional[float] = None) -> None:
-        if not self._started:
-            return
-        self._process.join(timeout=timeout)
-        if self._process.is_alive():
-            self._process.terminate()
-            self._process.join(timeout=1.0)
-        self._listener_done.wait(timeout=timeout or 5.0)
-        # Unblock any producer still waiting on credits.
-        self._credits.break_()
-
-    @property
-    def alive(self) -> bool:
-        return self._process.is_alive()
-
-    # -- producer API ------------------------------------------------------------------
-
-    def enqueue_tuples(
-        self,
-        stream: str,
-        records: Sequence[Mapping[str, Any]],
-        batch_size: Optional[int] = None,
-        trace: Optional[TraceContext] = None,
-    ) -> None:
-        self.raise_if_failed()
-        # The stamp is parent-clock monotonic time: on the platforms the
-        # process executor targets the monotonic clock is system-wide, so
-        # the child's dequeue reading shares its epoch.
-        meta = (monotonic_time(), trace) if self._telemetry_enabled else None
-        limit = self.queue_capacity
-        if batch_size is not None:
-            limit = min(limit, batch_size)
-        total = len(records)
-        for start in range(0, total, limit):
-            chunk = records[start : start + limit]
-            chunk = chunk if isinstance(chunk, list) else list(chunk)
-            ok = self._credits.acquire(
-                len(chunk), block=self._backpressure == BackpressurePolicy.BLOCK
-            )
-            if not ok:
-                self.raise_if_failed()
-                if self._backpressure == BackpressurePolicy.DROP_NEWEST:
-                    # No credits: the offered chunk is rejected whole,
-                    # parent-side, before it crosses the pipe.
-                    self.metrics.add_dropped(len(chunk))
-                    continue
-                raise BackpressureError(
-                    f"shard {self.shard_id} queue is full "
-                    f"({self._credits.in_flight}/{self.queue_capacity} tuples in flight)"
-                )
-            self._in_queue.put(("tuples", stream, chunk, batch_size, meta))
-            self.metrics.add_enqueued(len(chunk))
-            self.metrics.record_queue_depth(self._credits.in_flight)
-
-    def control(self, op: str, payload: Any = None, timeout: Optional[float] = None) -> Any:
-        self.raise_if_failed()
-        handle = _Control(op, payload)
-        with self._pending_lock:
-            self._token_counter += 1
-            token = self._token_counter
-            self._pending[token] = handle
-        self._in_queue.put(("control", token, op, payload))
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while not handle.done.wait(timeout=0.5):
-            self.raise_if_failed()
-            if not self._process.is_alive() and not handle.done.is_set():
-                failure = self._record_failure(
-                    RemoteShardError(f"shard process {self.shard_id} died unexpectedly")
-                )
-                self._release_pending(failure)
-            if deadline is not None and time.monotonic() > deadline:
-                raise RuntimeStateError(
-                    f"shard {self.shard_id} control {op!r} timed out"
-                )
-        if handle.error is not None:
-            raise handle.error
-        return handle.result
-
-    def drain(self, timeout: Optional[float] = None) -> None:
-        """A flush round-trip: acked only after all earlier work finished."""
         self.control("flush", timeout=timeout)
 
     def collect_telemetry(self, timeout: Optional[float] = None) -> None:
-        """Pull the child's histograms and spans across the pipe.
+        """Pull a remote worker's spans and profile into the parent bundle.
 
-        Histogram states are cumulative, so the parent-side copies are
-        replaced; spans are drained child-side, so each is absorbed into
-        the parent tracer exactly once.  Quietly does nothing when
-        telemetry is off or the shard is not in a collectable state.
+        Both are drained worker-side, so each is absorbed exactly once.
+        Nothing to do for a local worker (it writes the parent's bundle
+        directly) or with telemetry off.
         """
-        if (
-            not self._telemetry_enabled
-            or not self._started
-            or self._stopped
-            or self.failed
-        ):
+        if self.telemetry is None or not self.transport.remote:
             return
-        payload = self.control("telemetry", timeout=timeout)
-        if not isinstance(payload, Mapping):
-            return
-        histograms = payload.get("histograms")
-        if isinstance(histograms, Mapping):
-            self.metrics.replace_histogram_states(histograms)
-        spans = payload.get("spans")
-        if spans and self.telemetry is not None:
-            self.telemetry.tracer.absorb(spans)
-        profile = payload.get("profile")
-        if (
-            isinstance(profile, Mapping)
-            and self.telemetry is not None
-            and self.telemetry.profiler is not None
-        ):
-            # Child counts are drained on collection, so this is a pure
-            # increment on the parent profiler.
-            self.telemetry.profiler.absorb(profile)
+        # ``None`` from a worker that was configured without telemetry.
+        payload = self.control("telemetry", timeout=timeout) or {}
+        if payload.get("spans"):
+            self.telemetry.tracer.absorb(payload["spans"])
+        if "profile" in payload and self.telemetry.profiler is not None:
+            self.telemetry.profiler.absorb(payload["profile"])
 
-    # -- listener ----------------------------------------------------------------------
+    def deployed(self, name: str) -> Optional[DeployedQuery]:
+        """The live shard-local query, for progress introspection.
 
-    def _listen(self) -> None:
-        while True:
-            try:
-                message = self._out_queue.get(timeout=0.5)
-            except Exception:  # noqa: BLE001 — queue.Empty, or a dead child's pipe
-                if not self._process.is_alive() and self._out_queue.empty():
-                    if not self._stopped and not self.failed:
-                        failure = self._record_failure(
-                            RemoteShardError(
-                                f"shard process {self.shard_id} died unexpectedly"
-                            )
-                        )
-                        self._release_pending(failure)
-                        self._credits.break_()
-                    break
-                continue
-            kind = message[0]
-            if kind == "det":
-                latency = message[2] if len(message) > 2 else None
-                if latency is not None:
-                    _batch_meta.override = latency
-                    try:
-                        self._on_detection(self.shard_id, message[1])
-                    finally:
-                        _batch_meta.override = None
-                else:
-                    self._on_detection(self.shard_id, message[1])
-            elif kind == "done":
-                _tag, count, busy = message
-                self.metrics.add_processed(count, busy)
-                self._credits.release(count)
-            elif kind == "ack":
-                self._resolve(
-                    message[1], None, result=message[2] if len(message) > 2 else None
-                )
-            elif kind == "nack":
-                _tag, token, error_repr, tb = message
-                self._resolve(token, RemoteShardError(error_repr, tb))
-            elif kind == "failed":
-                _tag, error_repr, tb = message
-                failure = self._record_failure(RemoteShardError(error_repr, tb), tb)
-                self._release_pending(failure)
-                self._credits.break_()
-            elif kind == "bye":
-                break
-        self._listener_done.set()
+        ``None`` when the worker's engine is not in this process (or the
+        query is not deployed).  Reads race the worker by design.
+        """
+        engine = self.transport.engine
+        if engine is not None:
+            with contextlib.suppress(UnknownQueryError):
+                return engine.get_query(name)
+        return None
 
-    def _resolve(
-        self, token: int, error: Optional[BaseException], result: Any = None
-    ) -> None:
-        with self._pending_lock:
-            handle = self._pending.pop(token, None)
-        if handle is not None:
-            handle.resolve(result=result, error=error)
+    # -- worker → parent ---------------------------------------------------------------
 
-    def _release_pending(self, failure: ShardFailure) -> None:
-        with self._pending_lock:
-            pending = list(self._pending.values())
-            self._pending.clear()
-        for handle in pending:
-            handle.resolve(
-                error=ShardFailedError(
-                    self.shard_id, failure.error, detail=failure.traceback_text
-                )
-            )
+    def handle(self, message: Message) -> None:
+        """Apply one message from the worker.
+
+        Runs on the transport's delivery thread (the worker thread itself,
+        or a process transport's listener).
+        """
+        kind = message[0]
+        if kind == "det":
+            self._on_detection(self.shard_id, message[1], message[2])
+        elif kind == "done":
+            _tag, count, busy, queue_wait = message
+            if queue_wait is not None:
+                self.metrics.record_queue_wait(queue_wait)
+                self.metrics.record_batch_seconds(busy)
+            self.metrics.add_processed(count, busy)
+            self.transport.release(count)
+        elif kind in ("ack", "nack"):
+            with self._pending_lock:
+                reply = self._pending.pop(message[1], None)
+            if reply is None:
+                return  # the caller timed out and went away
+            if kind == "ack":
+                reply.set_result(message[2])
+            else:
+                reply.set_exception(message[2])
+        elif kind == "failed":
+            self._fail(message[1], message[2])
+        # "bye" carries nothing: the transport ends its own delivery on it.

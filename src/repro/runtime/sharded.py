@@ -1,31 +1,12 @@
 """The sharded concurrent runtime: N engines behind one engine-shaped API.
 
-:class:`ShardedRuntime` executes the existing single-threaded
-:class:`~repro.cep.engine.CEPEngine` across N worker shards without
-touching matcher semantics.  The contract that makes this correct is PR 2's
-partitioning: all matcher and transformer state is keyed strictly per
-player, so as long as every tuple of one player reaches the same shard in
-order (:class:`~repro.runtime.router.HashPartitionRouter`), each shard is
-an exact replica of "an inline engine that only ever saw these players".
-Per-partition detection sequences are therefore byte-identical to the
-inline path — the B4 benchmark asserts it on the interpreted, compiled and
-batched paths.
-
-The runtime deliberately *duck-types the engine surface* used by
-:class:`~repro.detection.detector.GestureDetector` and
-:class:`~repro.api.session.GestureSession` (``register_query`` /
-``push_many`` / ``detections`` / ``reset_matchers`` / …), so the whole
-detection stack runs sharded unchanged: deployment fans out to every shard
-through the same text/compiled-predicate-cache path, feeds are routed by
-partition hash, and reads drain the queues first so callers observe
-everything they fed (the inline semantics).
-
-Choose the executor to match the hardware:
-
-* ``executor="thread"`` (default) — cheap, shared-memory, introspectable;
-  on GIL-bound CPython the shards time-slice one core.
-* ``executor="process"`` — real parallelism on multi-core machines at the
-  price of pickling tuples and detections across a pipe.
+:class:`ShardedRuntime` runs the single-threaded
+:class:`~repro.cep.engine.CEPEngine` on N worker shards, routed by
+partition hash, and duck-types the engine surface the detector and the
+session use, so the whole detection stack runs sharded unchanged.
+``docs/runtime.md`` explains why per-partition detections stay
+byte-identical to the inline path, the shard protocol, and what the
+``"thread"`` and ``"process"`` executors each can do and cost.
 
 Example
 -------
@@ -50,7 +31,7 @@ import threading
 from collections import deque
 from typing import Any, Callable, Deque, Dict, Iterable, List, Mapping, Optional, Union
 
-from repro.cep.engine import CEPEngine, IngestTap, coerce_query
+from repro.cep.engine import IngestTap, coerce_query
 from repro.cep.matcher import Detection, MatcherConfig
 from repro.cep.query import Query
 from repro.cep.sinks import FanOutSink, Sink
@@ -68,13 +49,8 @@ from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.queues import BackpressurePolicy
 from repro.runtime.results import DetectionLog
 from repro.runtime.router import HashPartitionRouter
-from repro.runtime.shard import (
-    EngineShard,
-    ProcessShard,
-    ShardEngineSpec,
-    ShardFailure,
-    current_detection_latency,
-)
+from repro.runtime.shard import Shard, ShardEngineSpec, ShardFailure
+from repro.runtime.transport import TRANSPORTS
 from repro.streams.clock import Clock, SimulatedClock
 
 __all__ = ["ShardedRuntime", "ShardedQuery"]
@@ -82,17 +58,14 @@ __all__ = ["ShardedRuntime", "ShardedQuery"]
 #: Sentinel distinguishing "parameter not given" from an explicit ``None``.
 _UNSET: Any = object()
 
-#: The executors a runtime can run its shards on.
-_EXECUTORS = ("thread", "process")
-
 
 class _ShardedMatcherView:
     """Aggregate, best-effort view over the per-shard matchers.
 
-    Thread shards expose their live matcher state (reads are lock-free and
-    may be slightly stale); process shards expose nothing, so their
-    contribution reads as zero.  Only used for Fig. 5 style progress
-    feedback, never for correctness.
+    Shards whose worker shares this process expose their live matcher
+    state (reads are lock-free and may be slightly stale); the others
+    expose nothing, so their contribution reads as zero.  Only used for
+    Fig. 5 style progress feedback, never for correctness.
     """
 
     def __init__(self, runtime: "ShardedRuntime", name: str) -> None:
@@ -101,7 +74,7 @@ class _ShardedMatcherView:
 
     def _shard_matchers(self):
         for shard in self._runtime._shards:
-            deployed = shard.deployed.get(self._name)
+            deployed = shard.deployed(self._name)
             if deployed is not None:
                 yield deployed.matcher
 
@@ -182,7 +155,7 @@ class ShardedRuntime:
         Per-shard engine recipe (matcher/transform configuration, stream
         names).  Every shard builds an identical engine from it.
     executor:
-        ``"thread"`` (default) or ``"process"`` — see the module docstring.
+        ``"thread"`` (default) or ``"process"`` — see ``docs/runtime.md``.
     backpressure:
         Queue policy when a producer outruns a shard: ``"block"`` (default),
         ``"drop_oldest"`` (thread executor only), ``"drop_newest"`` or
@@ -193,9 +166,6 @@ class ShardedRuntime:
         Tuple field the router hashes (default: the spec's matcher
         partition field).  Deployed queries must partition on the same
         field; ``register_query`` enforces it.
-    engine_factory:
-        Optional ``shard_id -> CEPEngine`` override for custom stacks
-        (thread executor only — a factory cannot cross a process boundary).
     metrics:
         Optional shared :class:`MetricsRegistry`; a private one is created
         by default.
@@ -212,19 +182,15 @@ class ShardedRuntime:
         backpressure: str = BackpressurePolicy.BLOCK,
         queue_capacity: int = 2048,
         partition_field: Optional[str] = None,
-        engine_factory: Optional[Callable[[int], CEPEngine]] = None,
         metrics: Optional[MetricsRegistry] = None,
         clock: Optional[Clock] = None,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         if shard_count < 1:
             raise ValueError("shard_count must be at least 1")
-        if executor not in _EXECUTORS:
-            raise ValueError(f"unknown executor {executor!r}; expected one of {_EXECUTORS}")
-        if executor == "process" and engine_factory is not None:
+        if executor not in TRANSPORTS:
             raise ValueError(
-                "engine_factory requires executor='thread'; a factory cannot "
-                "cross a process boundary"
+                f"unknown executor {executor!r}; expected one of {tuple(TRANSPORTS)}"
             )
         BackpressurePolicy.validate(backpressure)
         self.spec = spec or ShardEngineSpec()
@@ -242,8 +208,7 @@ class ShardedRuntime:
         self.metrics = metrics or MetricsRegistry()
         self.clock = clock or SimulatedClock()
         self.tuples_processed = 0
-        self._engine_factory = engine_factory
-        self._shards: List[Union[EngineShard, ProcessShard]] = []
+        self._shards: List[Shard] = []
         self._queries: Dict[str, ShardedQuery] = {}
         self._log = DetectionLog()
         self._dispatch_lock = threading.Lock()
@@ -256,8 +221,8 @@ class ShardedRuntime:
         self._stopped = False
         self._worker_idents: set = set()
         self._failure_handled = False
-        #: The parent-side telemetry bundle: thread shards write into it
-        #: directly, process shards are collected into it.  Built from the
+        #: The parent-side telemetry bundle: local workers write into it
+        #: directly, remote ones are collected into it.  Built from the
         #: spec unless the caller hands in a shared instance (the session
         #: does, so gateway and runtime spans land in one tracer).
         self.telemetry = telemetry if telemetry is not None else self.spec.build_telemetry()
@@ -281,39 +246,18 @@ class ShardedRuntime:
         if self._stopped:
             raise RuntimeStateError("the runtime has been stopped")
         self._started = True
+        transport_type = TRANSPORTS[self.executor]
         for shard_id in range(self.shard_count):
             shard_metrics = self.metrics.shard(shard_id)
-            if self.executor == "process":
-                shard: Union[EngineShard, ProcessShard] = ProcessShard(
-                    shard_id,
-                    self.spec,
-                    shard_metrics,
-                    self._on_detection,
-                    queue_capacity=self.queue_capacity,
-                    backpressure=self.backpressure,
-                    telemetry=self.telemetry,
-                )
-            else:
-                shard = EngineShard(
-                    shard_id,
-                    self.spec,
-                    shard_metrics,
-                    self._on_detection,
-                    queue_capacity=self.queue_capacity,
-                    backpressure=self.backpressure,
-                    engine_factory=self._engine_factory,
-                    telemetry=self.telemetry,
-                )
-            self._shards.append(shard)
+            transport = transport_type(
+                shard_id, self.spec, self.queue_capacity, self.backpressure, shard_metrics
+            )
+            self._shards.append(
+                Shard(shard_id, shard_metrics, self._on_detection, transport, self.telemetry)
+            )
         for shard in self._shards:
             shard.start()
-        for shard in self._shards:
-            thread = getattr(shard, "_thread", None)
-            if thread is not None:
-                self._worker_idents.add(thread.ident)
-            listener = getattr(shard, "_listener", None)
-            if listener is not None:
-                self._worker_idents.add(listener.ident)
+            self._worker_idents |= shard.transport.worker_idents
         return self
 
     def stop(self, drain: bool = True, timeout: Optional[float] = None) -> None:
@@ -511,7 +455,8 @@ class ShardedRuntime:
 
         With the process executor the function must be picklable (a
         module-level function); closures and lambdas only work on the
-        thread executor.
+        thread executor, and raise
+        :class:`~repro.errors.SerializationError` here otherwise.
         """
         self._ensure_running()
         self._broadcast("register_function", (name, function, arity))
@@ -732,14 +677,17 @@ class ShardedRuntime:
 
     # -- detections --------------------------------------------------------------------
 
-    def _on_detection(self, shard_id: int, detection: Detection) -> None:
+    def _on_detection(
+        self, shard_id: int, detection: Detection, latency: Optional[float]
+    ) -> None:
         """Serialisation point: every shard's detections pass through here.
 
         Runs on shard worker/listener threads, so it must never raise: a
         raising sink is isolated by :class:`FanOutSink`, and a raising
         listener is recorded in :attr:`listener_errors` — either would
         otherwise kill the emitting shard (or wedge a process shard's
-        credit stream).
+        credit stream).  ``latency`` is the ingest→detection time the
+        worker measured at emit (``None`` with telemetry off).
 
         The global dispatch lock covers only the bookkeeping (metrics,
         log, handle lookup); sinks and listeners run *outside* it.  They
@@ -748,10 +696,9 @@ class ShardedRuntime:
         shard's detections — in the worst case a handler feeding a full
         ``block``-policy queue would deadlock the whole runtime.
         """
-        latency = current_detection_latency() if self._e2e_histogram is not None else None
         with self._dispatch_lock:
             self.metrics.shard(shard_id).add_detections()
-            if latency is not None:
+            if latency is not None and self._e2e_histogram is not None:
                 self._e2e_histogram.record(latency)
             self._log.record(detection)
             handle = self._queries.get(detection.query_name)
@@ -813,12 +760,7 @@ class ShardedRuntime:
         is stopped or failed — the cached counters are returned instead:
         broadcasting from a worker would deadlock on its own queue.
         """
-        if (
-            not self._started
-            or self._stopped
-            or self.failed
-            or threading.get_ident() in self._worker_idents
-        ):
+        if not self._can_broadcast():
             return {name: dict(stats) for name, stats in self._query_stats_cache.items()}
         per_shard = self._broadcast("query_stats", None)
         merged: Dict[str, Dict[str, int]] = {}
@@ -833,20 +775,11 @@ class ShardedRuntime:
         return {name: dict(stats) for name, stats in merged.items()}
 
     def collect_telemetry(self, timeout: Optional[float] = None) -> None:
-        """Pull process-shard histograms and spans parent-side.
-
-        Thread shards share the parent's structures, so their
-        ``collect_telemetry`` is a no-op; process shards answer the
-        ``telemetry`` control with cumulative histogram states (replaced
-        parent-side) and drained spans (absorbed exactly once).  Safe to
-        call any time; quietly skips when there is nothing to collect.
+        """Pull remote workers' spans and profiles parent-side
+        (:meth:`Shard.collect_telemetry`).  Safe to call any time; quietly
+        skips when there is nothing to collect.
         """
-        if (
-            not self._started
-            or self._stopped
-            or self.failed
-            or threading.get_ident() in self._worker_idents
-        ):
+        if not self._can_broadcast():
             return
         for shard in self._shards:
             with contextlib.suppress(Exception):
@@ -870,16 +803,10 @@ class ShardedRuntime:
         rows: List[Dict[str, float]] = []
         for shard in self._shards:
             snapshot = shard.metrics.snapshot()
-            queue = getattr(shard, "queue", None)
-            if queue is not None:  # thread shard
-                depth, capacity = queue.depth, queue.capacity
-            else:  # process shard: parent-side credit accounting
-                depth = shard._credits.in_flight
-                capacity = shard.queue_capacity
             rows.append(
                 {
                     "shard_id": shard.shard_id,
-                    "alive": bool(shard.alive),
+                    "alive": bool(shard.transport.alive),
                     "failed": bool(shard.failed),
                     "backlog": max(
                         0.0,
@@ -888,8 +815,8 @@ class ShardedRuntime:
                         - snapshot["tuples_dropped"],
                     ),
                     "tuples_processed": snapshot["tuples_processed"],
-                    "queue_depth": float(depth),
-                    "queue_capacity": float(capacity),
+                    "queue_depth": float(shard.transport.queue_depth),
+                    "queue_capacity": float(shard.transport.queue_capacity),
                 }
             )
         return rows
@@ -897,7 +824,7 @@ class ShardedRuntime:
     def export_trace(self) -> Dict[str, Any]:
         """The collected spans as a Chrome trace-event document.
 
-        Collects process shards first, so an export after a drain holds the
+        Collects remote workers first, so an export after a drain holds the
         full gateway → queue → shard → matcher span tree.  Empty (but
         valid) when tracing is off.
         """
@@ -923,6 +850,19 @@ class ShardedRuntime:
         if self._stopped:
             raise RuntimeStateError("the runtime has been stopped")
 
+    def _can_broadcast(self) -> bool:
+        """Running, healthy, and not on a thread that a shard waits on.
+
+        A control broadcast from a worker/listener thread would deadlock
+        behind the very message that thread is delivering.
+        """
+        return (
+            self._started
+            and not self._stopped
+            and not self.failed
+            and threading.get_ident() not in self._worker_idents
+        )
+
     def _drain_for_read(self) -> None:
         """Drain before a read — unless called *from* a worker context.
 
@@ -935,9 +875,7 @@ class ShardedRuntime:
         :meth:`push_many` / :meth:`drain`) the detections collected so far
         stay readable, exactly like results stay readable after ``stop``.
         """
-        if threading.get_ident() in self._worker_idents:
-            return
-        if self._started and not self._stopped and not self.failed:
+        if self._can_broadcast():
             # The failure surfaces on feed/drain; reads stay usable.
             with contextlib.suppress(ShardFailedError):
                 self.drain()

@@ -3,7 +3,7 @@
 The acceptance-level properties: a sampled feed produces one trace whose
 spans connect ingest → queue → shard worker → matcher (and gateway →
 … when fed over the wire), with consistent trace ids across the
-``ProcessShard`` pickle boundary; ``/metrics`` serves the histogram
+process-shard pickle boundary; ``/metrics`` serves the histogram
 families and per-query matcher series; telemetry off means no registry
 and no spans.
 """

@@ -21,6 +21,7 @@ from repro.cep.matcher import MatcherConfig
 from repro.errors import (
     BackpressureError,
     QueryRegistrationError,
+    SerializationError,
     SessionStateError,
     ShardFailedError,
 )
@@ -28,6 +29,7 @@ from repro.runtime import (
     BackpressurePolicy,
     HashPartitionRouter,
     MetricsRegistry,
+    RemoteShardError,
     ShardQueue,
     ShardedRuntime,
     stable_partition_hash,
@@ -222,19 +224,14 @@ class TestShardQueue:
         assert done.wait(timeout=2.0)
         assert queue.get()[0] == "second"
 
-    def test_join_is_a_processing_barrier_not_an_empty_check(self):
-        queue = ShardQueue(capacity=10)
-        queue.put("a", weight=1)
-        item, _ = queue.get()
-        # Dequeued but not processed: join must still wait.
-        assert not queue.join(timeout=0.05)
-        queue.task_done()
-        assert queue.join(timeout=0.05)
-
 
 # ---------------------------------------------------------------------------
-# ShardedRuntime (thread executor)
+# ShardedRuntime: one contract, run over both transports
 # ---------------------------------------------------------------------------
+#
+# Each class below states the contract on the default thread executor and
+# is subclassed once with ``EXECUTOR = "process"``, so every case runs over
+# both transports (and keeps its historical test id on the thread one).
 
 
 @pytest.fixture
@@ -243,12 +240,17 @@ def spec():
 
 
 class TestShardedRuntime:
+    EXECUTOR = "thread"
+
+    def runtime(self, spec, shards=2):
+        return ShardedRuntime(shard_count=shards, spec=spec, executor=self.EXECUTOR)
+
     @pytest.mark.parametrize("shards", [1, 2, 3])
     def test_per_partition_equivalence_with_inline_engine(self, spec, shards):
         frames = make_frames()
         baseline = per_partition(inline_detections(frames))
         assert baseline, "vacuous workload"
-        with ShardedRuntime(shard_count=shards, spec=spec) as runtime:
+        with self.runtime(spec, shards) as runtime:
             runtime.register_query(UPDOWN)
             runtime.register_query(HIGH)
             runtime.push_many("kinect_t", frames)
@@ -262,12 +264,12 @@ class TestShardedRuntime:
             matcher=MatcherConfig(compile_predicates=False),
         )
         baseline = per_partition(inline_detections(frames, compile_predicates=False))
-        with ShardedRuntime(shard_count=2, spec=interpreted_spec) as runtime:
+        with self.runtime(interpreted_spec) as runtime:
             runtime.register_query(UPDOWN)
             runtime.register_query(HIGH)
             runtime.push_many("kinect_t", frames)
             assert per_partition(runtime.detections()) == baseline
-        with ShardedRuntime(shard_count=2, spec=spec) as runtime:
+        with self.runtime(spec) as runtime:
             runtime.register_query(UPDOWN)
             runtime.register_query(HIGH)
             runtime.push_many("kinect_t", frames, batch_size=16)
@@ -275,7 +277,7 @@ class TestShardedRuntime:
 
     def test_detections_merge_is_globally_timestamp_ordered(self, spec):
         frames = make_frames()
-        with ShardedRuntime(shard_count=3, spec=spec) as runtime:
+        with self.runtime(spec, 3) as runtime:
             runtime.register_query(HIGH)
             runtime.push_many("kinect_t", frames)
             detections = runtime.detections()
@@ -284,7 +286,7 @@ class TestShardedRuntime:
 
     def test_per_partition_filter(self, spec):
         frames = make_frames(players=4)
-        with ShardedRuntime(shard_count=2, spec=spec) as runtime:
+        with self.runtime(spec) as runtime:
             runtime.register_query(HIGH)
             runtime.push_many("kinect_t", frames)
             for player in (1, 2, 3, 4):
@@ -295,7 +297,7 @@ class TestShardedRuntime:
     def test_deploy_after_feed_observes_prior_tuples(self, spec):
         # The queue is FIFO: a deploy control lands after already-queued
         # tuples, so the new query sees only later tuples — like inline.
-        with ShardedRuntime(shard_count=2, spec=spec) as runtime:
+        with self.runtime(spec) as runtime:
             runtime.register_query(HIGH)
             runtime.push_many(
                 "kinect_t",
@@ -310,7 +312,7 @@ class TestShardedRuntime:
             assert len(runtime.detections("late")) == 2
 
     def test_duplicate_and_mismatched_partition_registration(self, spec):
-        with ShardedRuntime(shard_count=2, spec=spec) as runtime:
+        with self.runtime(spec) as runtime:
             runtime.register_query(HIGH)
             with pytest.raises(QueryRegistrationError, match="already registered"):
                 runtime.register_query(HIGH)
@@ -327,13 +329,13 @@ class TestShardedRuntime:
         frames = make_frames(players=3)
         chain = Q.stream("kinect_t").where(F("rhand_y") > 450).named("high")
         baseline = per_partition(inline_detections(frames, queries=(HIGH,)))
-        with ShardedRuntime(shard_count=2, spec=spec) as runtime:
+        with self.runtime(spec) as runtime:
             runtime.register_query(chain)
             runtime.push_many("kinect_t", frames)
             assert per_partition(runtime.detections()) == baseline
 
     def test_unregister_and_enable(self, spec):
-        with ShardedRuntime(shard_count=2, spec=spec) as runtime:
+        with self.runtime(spec) as runtime:
             runtime.register_query(HIGH)
             runtime.enable_query("high", False)
             runtime.push_many(
@@ -349,7 +351,7 @@ class TestShardedRuntime:
             assert runtime.query_names() == []
 
     def test_clear_detections(self, spec):
-        with ShardedRuntime(shard_count=2, spec=spec) as runtime:
+        with self.runtime(spec) as runtime:
             runtime.register_query(HIGH)
             runtime.push_many(
                 "kinect_t", [{"ts": 0.0, "player": 1, "rhand_y": 500.0}]
@@ -360,7 +362,7 @@ class TestShardedRuntime:
 
     def test_metrics_account_for_everything(self, spec):
         frames = make_frames(players=4, rounds=20)
-        with ShardedRuntime(shard_count=2, spec=spec) as runtime:
+        with self.runtime(spec) as runtime:
             runtime.register_query(HIGH)
             runtime.push_many("kinect_t", frames)
             expected = len(runtime.detections())
@@ -375,7 +377,7 @@ class TestShardedRuntime:
 
     def test_raising_listener_is_isolated_and_recorded(self, spec):
         frames = make_frames(players=2, rounds=5)
-        with ShardedRuntime(shard_count=2, spec=spec) as runtime:
+        with self.runtime(spec) as runtime:
             runtime.register_query(HIGH)
             runtime.add_listener(lambda detection: 1 / 0)
             runtime.push_many("kinect_t", frames)
@@ -387,7 +389,7 @@ class TestShardedRuntime:
     def test_sinks_receive_detections_from_all_shards(self, spec):
         sink = CollectingSink()
         frames = make_frames(players=4)
-        with ShardedRuntime(shard_count=2, spec=spec) as runtime:
+        with self.runtime(spec) as runtime:
             handle = runtime.register_query(HIGH, sink=sink)
             runtime.push_many("kinect_t", frames)
             runtime.drain()
@@ -395,7 +397,7 @@ class TestShardedRuntime:
             assert {d.partition for d in sink.detections} == {1, 2, 3, 4}
 
     def test_lifecycle_guards(self, spec):
-        runtime = ShardedRuntime(shard_count=2, spec=spec)
+        runtime = self.runtime(spec)
         runtime.start()
         with pytest.raises(Exception, match="already started"):
             runtime.start()
@@ -405,11 +407,34 @@ class TestShardedRuntime:
             runtime.push_many("kinect_t", [{"ts": 0.0, "player": 1}])
 
 
+class TestShardedRuntimeOnProcesses(TestShardedRuntime):
+    EXECUTOR = "process"
+
+
+# Module-level so they pickle by reference into a worker process.
+def boom(value):
+    return 1 / 0
+
+
+def explode_on(value, target):
+    return 1 / 0 if value == target else 1.0
+
+
 class TestShardFailure:
+    EXECUTOR = "thread"
+
+    def runtime(self, spec):
+        return ShardedRuntime(shard_count=2, spec=spec, executor=self.EXECUTOR)
+
+    def assert_cause_is_zero_division(self, error):
+        # A local worker hands over the original exception object.
+        assert isinstance(error.cause, ZeroDivisionError)
+        assert isinstance(error.__cause__, ZeroDivisionError)
+
     def _failing_runtime(self, spec):
-        runtime = ShardedRuntime(shard_count=2, spec=spec)
+        runtime = self.runtime(spec)
         runtime.start()
-        runtime.register_function("boom", lambda value: 1 / 0, 1)
+        runtime.register_function("boom", boom, 1)
         runtime.register_query(
             'SELECT "b" MATCHING kinect_t(boom(rhand_y) > 0);'
         )
@@ -422,8 +447,7 @@ class TestShardFailure:
         )
         with pytest.raises(ShardFailedError) as excinfo:
             runtime.drain()
-        assert isinstance(excinfo.value.cause, ZeroDivisionError)
-        assert isinstance(excinfo.value.__cause__, ZeroDivisionError)
+        self.assert_cause_is_zero_division(excinfo.value)
 
     def test_failure_stops_the_runtime_and_later_feeds_raise(self, spec):
         runtime = self._failing_runtime(spec)
@@ -452,11 +476,9 @@ class TestShardFailure:
                 for p in range(2, 20)
                 if router.shard_for_key(p) != router.shard_for_key(p_bad)
             )
-        runtime = ShardedRuntime(shard_count=2, spec=spec)
+        runtime = self.runtime(spec)
         runtime.start()
-        runtime.register_function(
-            "explode_on", lambda value, target: 1 / 0 if value == target else 1.0, 2
-        )
+        runtime.register_function("explode_on", explode_on, 2)
         runtime.register_query(
             'SELECT "b" MATCHING kinect_t(explode_on(player, 1) > 0);'
         )
@@ -472,6 +494,16 @@ class TestShardFailure:
         assert excinfo.value.shard_id == router.shard_for_key(p_bad)
         # The healthy shard's detection survived.
         assert [d.partition for d in runtime.detections()] == [p_good]
+
+
+class TestShardFailureOnProcesses(TestShardFailure):
+    EXECUTOR = "process"
+
+    def assert_cause_is_zero_division(self, error):
+        # The object stays in the child; its repr and traceback cross.
+        assert isinstance(error.cause, RemoteShardError)
+        assert "ZeroDivisionError" in str(error.cause)
+        assert "boom" in error.cause.remote_traceback
 
 
 class TestProcessExecutor:
@@ -513,6 +545,32 @@ class TestProcessExecutor:
                 totals["tuples_processed"] + totals["tuples_dropped"]
                 == len(frames)
             )
+
+    def test_unpicklable_control_raises_instead_of_hanging(self, spec):
+        # multiprocessing pickles on a feeder thread, where a failure is
+        # printed and the message lost: the caller used to wait forever on
+        # an ack that could not come.
+        outcome = []
+
+        def register():
+            try:
+                runtime.register_function("f", lambda value: value, 1)
+            except Exception as error:  # noqa: BLE001 — inspected below
+                outcome.append(error)
+
+        with ShardedRuntime(shard_count=2, spec=spec, executor="process") as runtime:
+            caller = threading.Thread(target=register, daemon=True)
+            caller.start()
+            caller.join(timeout=10.0)
+            assert not caller.is_alive(), "register_function() hung"
+            (error,) = outcome
+            assert isinstance(error, SerializationError)
+            assert "register_function" in str(error)
+            # The refusal cost nothing: the shards still serve.
+            runtime.register_query(HIGH)
+            runtime.push_many("kinect_t", [{"ts": 0.0, "player": 1, "rhand_y": 500.0}])
+            assert len(runtime.detections()) == 1
+        assert not runtime.failed
 
 
 # ---------------------------------------------------------------------------

@@ -215,3 +215,9 @@ class TestShardedRoundTrip:
         assert round_tripped["engine"]["kind"] == "sharded-runtime"
         assert round_tripped["engine"]["router"]["shard_count"] == 4
         session.close()
+
+
+class TestShardedRoundTripOnProcesses(TestShardedRoundTrip):
+    """Snapshot → crash → recover is transport-independent."""
+
+    CONFIG = SessionConfig(shards=4, shard_executor="process")
