@@ -64,9 +64,27 @@ class View:
         self.output.push(self.function(record))
 
     def _on_batch(self, records: Sequence[Mapping[str, Any]]) -> None:
-        """Batch delivery: transform the chunk and forward it as one chunk."""
+        """Batch delivery: transform the chunk and forward it as one chunk.
+
+        A record the function rejects (a frame without torso fields) must
+        not cost the chunk's other records their delivery — per-tuple
+        feeding would lose only that one.  The rest are forwarded in order
+        and the first error is re-raised afterwards, the rule
+        :meth:`Stream.push_batch` applies to a raising subscriber.
+        """
         self.tuples_processed += len(records)
-        self.output.push_batch([self.function(record) for record in records])
+        function = self.function
+        outputs = []
+        first_error: Optional[Exception] = None
+        for record in records:
+            try:
+                outputs.append(function(record))
+            except Exception as error:  # noqa: BLE001 — isolate, forward the rest
+                if first_error is None:
+                    first_error = error
+        self.output.push_batch(outputs)
+        if first_error is not None:
+            raise first_error
 
     def __repr__(self) -> str:
         return (

@@ -7,6 +7,10 @@ Implements the two per-frame normalisations of paper Sec. 3.2:
   re-expressed in "reference millimetres" so transformed coordinates remain
   in a familiar range (the paper's Fig. 1 windows such as ``(800, 150, -120)``
   with width 50 are in this range).
+
+:func:`shift_to_torso` and :func:`scale_coordinates` are the executable
+reference of these steps: :class:`~repro.transform.pipeline.KinectTransformer`
+fuses them into one pass and is tested bit for bit against their composition.
 """
 
 from __future__ import annotations
@@ -25,6 +29,14 @@ REFERENCE_FOREARM_MM = 243.0
 #: Minimum plausible forearm length; measurements below this are treated as
 #: tracking glitches and replaced by the last valid value (or the reference).
 _MIN_FOREARM_MM = 40.0
+
+#: Hand and elbow field names per side, resolved once (this runs per frame).
+_RIGHT_FOREARM_FIELDS = tuple(
+    joint_field(joint, axis) for joint in ("rhand", "relbow") for axis in TRACKED_AXES
+)
+_LEFT_FOREARM_FIELDS = tuple(
+    joint_field(joint, axis) for joint in ("lhand", "lelbow") for axis in TRACKED_AXES
+)
 
 
 def forearm_scale(
@@ -46,17 +58,23 @@ def forearm_scale(
         ``"right"`` (paper default) or ``"left"``.
     fallback:
         Value returned when the required joints are missing or the measured
-        distance is implausibly small (lost tracking).
+        distance is implausibly small (lost tracking) or not finite (a
+        ``NaN``/``inf`` coordinate, which the gateway's JSON decoder accepts).
     """
-    prefix = "r" if side == "right" else "l"
+    hand_x, hand_y, hand_z, elbow_x, elbow_y, elbow_z = (
+        _RIGHT_FOREARM_FIELDS if side == "right" else _LEFT_FOREARM_FIELDS
+    )
     try:
-        dx = frame[f"{prefix}hand_x"] - frame[f"{prefix}elbow_x"]
-        dy = frame[f"{prefix}hand_y"] - frame[f"{prefix}elbow_y"]
-        dz = frame[f"{prefix}hand_z"] - frame[f"{prefix}elbow_z"]
+        dx = frame[hand_x] - frame[elbow_x]
+        dy = frame[hand_y] - frame[elbow_y]
+        dz = frame[hand_z] - frame[elbow_z]
     except KeyError:
         return fallback
     length = math.sqrt(dx * dx + dy * dy + dz * dz)
-    if length < _MIN_FOREARM_MM:
+    # A NaN or inf coordinate gives a NaN or inf length; ``length < minimum``
+    # is false for both, and a NaN smoothed into a player's scale never
+    # leaves it.  Only a finite plausible length passes this test.
+    if not _MIN_FOREARM_MM <= length < math.inf:
         return fallback
     return length
 

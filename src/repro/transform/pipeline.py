@@ -18,25 +18,92 @@ players that left the scene is evicted after
 memory and so a player who steps back in starts from a fresh measurement
 (the eviction decision only looks at that player's own timestamps, which
 keeps multi-user streams frame-for-frame identical to isolated ones).
+
+One pass per frame
+------------------
+:meth:`KinectTransformer.transform` is a single fused pass: one output
+dictionary, written once, driven by a **layout plan**.  A plan is derived
+from nothing but the frame's key sequence (``tuple(frame)``): which keys
+pass through unchanged (in frame order), the ``(x, y, z)`` key triples of
+the joints that carry all three axes (in ``JOINTS`` order — a joint with an
+axis missing is dropped from the output), and whether both shoulders are
+complete (otherwise the yaw estimate falls back to 0°).  Sensor streams
+repeat the same layout on every frame, so the plan is built once per
+layout and kept in one module-level table shared by every transformer.
+
+The table is **bounded** (an ``lru_cache`` of :data:`_MAX_LAYOUT_PLANS`
+entries): the gateway hands us frames whose key sets a client chooses, so
+an unbounded table would be a memory leak an outsider controls.  A client
+churning through layouts evicts only the least recently used plans, and a
+rebuild costs about what one frame used to.  Plans are pure functions of
+the layout — not transformer state, never captured or restored — so tenant
+threads racing on the table can at worst build the same plan twice.
+
+**Bit-identity.**  The kernel keeps the arithmetic of the step-by-step
+formulation in its association order, so its output equals ::
+
+    scale_coordinates(rotate_about_y(shift_to_torso(f), -estimate_yaw_deg(...)), ...)
+
+plus the trailing ``scale`` field — same keys, same key order, same float
+bits, same ``KeyError`` on a torso-less frame and ``ValueError`` on a
+non-positive scale.  :func:`~repro.transform.coordinate.shift_to_torso`,
+:func:`~repro.transform.rotation.estimate_yaw_deg`,
+:func:`~repro.transform.rotation.rotate_about_y` and
+:func:`~repro.transform.coordinate.scale_coordinates` are no longer on the
+data path; they stay public as the executable reference the property test
+in ``tests/test_transform.py`` compares the kernel against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Mapping, Optional
+from functools import lru_cache
+from typing import Any, Dict, Mapping, NamedTuple, Optional, Tuple
 
-from repro.transform.coordinate import (
-    REFERENCE_FOREARM_MM,
-    forearm_scale,
-    scale_coordinates,
-    shift_to_torso,
-)
-from repro.transform.rotation import estimate_yaw_deg, rotate_about_y
+from repro.kinect.skeleton import JOINTS, TRACKED_AXES, all_joint_fields, joint_field
+from repro.transform.coordinate import REFERENCE_FOREARM_MM, forearm_scale
 
 #: How many frames pass between sweeps that evict idle partitions' smoothing
 #: state.  Output-neutral: a partition idle past the TTL is reset on its next
 #: own frame anyway; the sweep only reclaims memory earlier.
 _EVICTION_SWEEP_FRAMES = 256
+
+#: Upper bound of the layout-plan table.  A deployment sees a handful of
+#: layouts (full skeleton, with/without ``player``, a few partial-tracking
+#: shapes); the bound only matters against a client inventing key sets.
+_MAX_LAYOUT_PLANS = 64
+
+
+class _LayoutPlan(NamedTuple):
+    """Everything :meth:`KinectTransformer.transform` derives from key names."""
+
+    passthrough: Tuple[str, ...]
+    triples: Tuple[Tuple[str, str, str], ...]
+    shoulders_complete: bool
+
+
+#: The ``(x, y, z)`` field names of every tracked joint, in ``JOINTS`` order.
+_JOINT_TRIPLES: Tuple[Tuple[str, str, str], ...] = tuple(
+    (joint_field(joint, "x"), joint_field(joint, "y"), joint_field(joint, "z"))
+    for joint in JOINTS
+)
+_JOINT_FIELDS = frozenset(all_joint_fields())
+#: The yaw estimate needs both shoulders, and a joint missing an axis is dropped.
+_SHOULDER_FIELDS = frozenset(
+    joint_field(joint, axis) for joint in ("lshoulder", "rshoulder") for axis in TRACKED_AXES
+)
+
+
+@lru_cache(maxsize=_MAX_LAYOUT_PLANS)
+def _layout_plan(layout: Tuple[str, ...]) -> _LayoutPlan:
+    """The plan of one key sequence (``tuple(frame)``), built once and remembered."""
+    present = set(layout)
+    return _LayoutPlan(
+        passthrough=tuple(key for key in layout if key not in _JOINT_FIELDS),
+        triples=tuple(triple for triple in _JOINT_TRIPLES if present.issuperset(triple)),
+        shoulders_complete=present.issuperset(_SHOULDER_FIELDS),
+    )
 
 
 @dataclass(frozen=True)
@@ -201,15 +268,43 @@ class KinectTransformer:
             self._last_seen.pop(key, None)
 
     def transform(self, frame: Mapping[str, float]) -> Dict[str, float]:
-        """Transform one raw sensor frame into the ``kinect_t`` frame."""
+        """Transform one raw sensor frame into the ``kinect_t`` frame.
+
+        Raises ``KeyError`` when the frame has no torso coordinates and
+        ``ValueError`` when the scale factor is not positive.
+        """
         scale = self._current_scale(frame)
-        shifted = shift_to_torso(frame)
+        passthrough, triples, shoulders_complete = _layout_plan(tuple(frame))
+        tx = frame["torso_x"]
+        ty = frame["torso_y"]
+        tz = frame["torso_z"]
+        if scale <= 0:
+            raise ValueError("scale factor must be positive")
+        factor = self.config.scale_reference_mm / scale
+        transformed: Dict[str, float] = {key: frame[key] for key in passthrough}
         if self.config.align_orientation:
-            yaw = estimate_yaw_deg(shifted)
-            shifted = rotate_about_y(shifted, -yaw)
-        transformed = scale_coordinates(
-            shifted, scale=scale, reference=self.config.scale_reference_mm
-        )
+            yaw = 0.0
+            if shoulders_complete:
+                dx = (frame["rshoulder_x"] - tx) - (frame["lshoulder_x"] - tx)
+                dz = (frame["rshoulder_z"] - tz) - (frame["lshoulder_z"] - tz)
+                if not (abs(dx) < 1e-9 and abs(dz) < 1e-9):
+                    yaw = math.degrees(math.atan2(-dz, dx))
+            # Rotate by ``-yaw`` even when it is 0: ``x + -0.0 * z`` is not
+            # always the bit pattern of ``x``.
+            angle = math.radians(-yaw)
+            cos_a, sin_a = math.cos(angle), math.sin(angle)
+            neg_sin_a = -sin_a
+            for x_key, y_key, z_key in triples:
+                x = frame[x_key] - tx
+                z = frame[z_key] - tz
+                transformed[x_key] = (cos_a * x + sin_a * z) * factor
+                transformed[y_key] = (frame[y_key] - ty) * factor
+                transformed[z_key] = (neg_sin_a * x + cos_a * z) * factor
+        else:
+            for x_key, y_key, z_key in triples:
+                transformed[x_key] = (frame[x_key] - tx) * factor
+                transformed[y_key] = (frame[y_key] - ty) * factor
+                transformed[z_key] = (frame[z_key] - tz) * factor
         transformed["scale"] = scale
         self.frames_transformed += 1
         return transformed

@@ -11,6 +11,10 @@ vector from the left to the right shoulder is perpendicular to the viewing
 direction — and all torso-relative coordinates are rotated about the
 vertical axis so that a user turned away from the camera produces the same
 numbers as one facing it.
+
+:func:`estimate_yaw_deg` and :func:`rotate_about_y` are the executable
+reference of this step: :class:`~repro.transform.pipeline.KinectTransformer`
+fuses it with the shift and the scaling and is tested bit for bit against them.
 """
 
 from __future__ import annotations

@@ -341,6 +341,23 @@ class TestViews:
         engine.push("raw", {"x": 4})
         assert received == [{"x": 8}]
 
+    def test_rejected_record_does_not_drop_the_rest_of_its_batch(self):
+        # A record the view function raises on costs only itself, as on the
+        # per-tuple path; the first error still reaches the producer.
+        engine = CEPEngine()
+        engine.create_stream("raw")
+        view = engine.register_view("doubled", "raw", lambda r: {"x": r["x"] * 2})
+        received = []
+        engine.get_stream("doubled").subscribe(received.append)
+        records = [{"x": 1}, {"y": 0}, {"x": 2}, {}, {"x": 3}]
+        with pytest.raises(KeyError, match="x"):
+            engine.push_many("raw", records, batch_size=8)
+        assert received == [{"x": 2}, {"x": 4}, {"x": 6}]
+        assert view.tuples_processed == len(records)
+        assert [failure.subscriber for failure in engine.get_stream("raw").delivery_errors] == [
+            "doubled"
+        ]
+
 
 class TestOperators:
     def test_filter_operator(self):

@@ -365,3 +365,46 @@ class TestEngineEndToEnd:
         assert sorted(interleaved) == sorted(expected)
         batched = run(recording.frames, batch_size=32)
         assert sorted(batched) == sorted(expected)
+
+    def test_torsoless_frames_cost_the_same_per_tuple_and_batched(self, swipe_description):
+        # Malformed input must not make the execution modes diverge: a
+        # frame without torso fields is lost (and reported) on both paths,
+        # its 63 chunk neighbours on neither.
+        recording = generate_multiuser_recording(
+            {"swipe_right": SwipeTrajectory("right")},
+            users=[user_by_name("child"), user_by_name("adult")],
+            gestures_per_user=3,
+            seed=33,
+        )
+        frames = [dict(frame) for frame in recording.frames]
+        for index in range(10, len(frames), len(frames) // 5):
+            for axis in "xyz":
+                del frames[index][f"torso_{axis}"]
+
+        def run(chunk_size):
+            engine = CEPEngine(clock=SimulatedClock())
+            install_kinect_view(engine)
+            detector = GestureDetector(engine=engine)
+            detector.deploy(swipe_description)
+            errors = 0
+            for start in range(0, len(frames), chunk_size or 1):
+                try:
+                    if chunk_size is None:
+                        engine.push("kinect", frames[start])
+                    else:
+                        engine.push_many(
+                            "kinect", frames[start : start + chunk_size], batch_size=chunk_size
+                        )
+                except KeyError:
+                    errors += 1
+            detections = sorted(
+                (d.partition, d.output, d.timestamp, d.step_timestamps)
+                for d in detector.detections()
+            )
+            return detections, errors
+
+        per_tuple, per_tuple_errors = run(None)
+        batched, batched_errors = run(64)
+        assert len({partition for partition, *_ in per_tuple}) == 2
+        assert batched == per_tuple
+        assert per_tuple_errors == 5 and 1 <= batched_errors <= 5

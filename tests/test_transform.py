@@ -1,10 +1,16 @@
 """Unit tests for repro.transform (coordinate, rotation, pipeline)."""
 
+import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.kinect import KinectSimulator, NoNoise, SwipeTrajectory, user_by_name
+from repro.kinect.skeleton import TRACKED_AXES, all_joint_fields, joint_field
 from repro.streams import SimulatedClock
+from repro.transform import pipeline
 from repro.transform.coordinate import (
     REFERENCE_FOREARM_MM,
     forearm_scale,
@@ -77,6 +83,16 @@ class TestForearmScale:
         frame = {f"rhand_{a}": 0.0 for a in "xyz"}
         frame.update({f"relbow_{a}": 0.0 for a in "xyz"})
         assert forearm_scale(frame) == REFERENCE_FOREARM_MM
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_measurement_falls_back(self, bad):
+        # ``nan < minimum`` is false, so a plain lower-bound test lets a
+        # NaN length through as the player's scale.
+        for field in ("rhand_x", "relbow_z"):
+            frame = _rest_frame()
+            frame[field] = bad
+            assert forearm_scale(frame) == REFERENCE_FOREARM_MM
+            assert forearm_scale(frame, fallback=100.0) == 100.0
 
     def test_left_side_option(self):
         assert forearm_scale(_rest_frame(), side="left") == pytest.approx(
@@ -307,3 +323,174 @@ class TestPipeline:
     def test_transform_frame_is_stateless_convenience(self):
         frame = _rest_frame()
         assert transform_frame(frame)["torso_x"] == pytest.approx(0.0)
+
+    def test_nan_coordinate_does_not_poison_the_players_scale(self):
+        # The gateway's JSON decoder accepts NaN.  One such frame must cost
+        # that frame only: smoothed into the scale, a NaN would stay there
+        # for as long as the player keeps streaming (idle eviction never
+        # reaches an active player).
+        def stream(user, player):
+            frames = [_rest_frame(user=user) for _ in range(24)]
+            for i, frame in enumerate(frames):
+                frame.update(player=player, ts=i / 30.0)
+            return frames
+
+        child, adult = stream("child", 1), stream("tall_adult", 2)
+        child[5]["rhand_x"] = math.nan
+        shared = KinectTransformer()
+        interleaved = [shared.transform(f) for pair in zip(child, adult) for f in pair]
+        child_out, adult_out = interleaved[0::2], interleaved[1::2]
+
+        assert math.isnan(child_out[5]["rhand_x"])  # the bad frame itself
+        expected_scale = REFERENCE_FOREARM_MM * user_by_name("child").scale
+        # The bad frame measures as a tracking glitch does (the reference
+        # forearm), which the smoothing then forgets at its usual rate.
+        for transformed in child_out[6:]:
+            assert all(math.isfinite(value) for value in transformed.values())
+            assert transformed["scale"] == pytest.approx(expected_scale, rel=0.1)
+        assert child_out[6]["lhand_y"] == pytest.approx(child_out[4]["lhand_y"], rel=0.1)
+        assert child_out[-1]["scale"] == pytest.approx(expected_scale, rel=0.01)
+
+        alone = KinectTransformer()
+        assert _bits_of(adult_out) == _bits_of([alone.transform(f) for f in adult])
+
+
+# -- the fused kernel against its step-by-step reference -------------------------------
+
+
+class ReferenceTransformer(KinectTransformer):
+    """The step-by-step formulation the fused kernel must reproduce bit for bit."""
+
+    def transform(self, frame):
+        scale = self._current_scale(frame)
+        shifted = shift_to_torso(frame)
+        if self.config.align_orientation:
+            shifted = rotate_about_y(shifted, -estimate_yaw_deg(shifted))
+        transformed = scale_coordinates(
+            shifted, scale=scale, reference=self.config.scale_reference_mm
+        )
+        transformed["scale"] = scale
+        self.frames_transformed += 1
+        return transformed
+
+
+def _bits(transformed):
+    """Keys, key order and float bit patterns (``==`` equates 0.0 and -0.0)."""
+    return [
+        (key, value.hex() if isinstance(value, float) else value)
+        for key, value in transformed.items()
+    ]
+
+
+def _bits_of(frames):
+    return [_bits(frame) for frame in frames]
+
+
+_JOINT_FIELDS = all_joint_fields()
+_REMOVABLE_FIELDS = [key for key in _JOINT_FIELDS if not key.startswith("torso_")]
+#: Names that look like joint fields but are not, and one the kernel writes.
+_EXTRA_FIELDS = ["ts", "confidence", "scale", "rhand", "rhand_w", "tail_x", "_x", "torso"]
+
+
+@st.composite
+def _frames(draw):
+    coordinate = st.floats(-5000.0, 5000.0) | st.sampled_from([0.0, -0.0, 1e-12])
+    frame = {key: draw(coordinate) for key in _JOINT_FIELDS}
+    if draw(st.booleans()):  # coincident shoulders: the yaw guard's branch
+        for axis in TRACKED_AXES:
+            frame[joint_field("rshoulder", axis)] = frame[joint_field("lshoulder", axis)]
+    for key in draw(st.sets(st.sampled_from(_REMOVABLE_FIELDS), max_size=8)):
+        del frame[key]
+    for key in draw(st.sets(st.sampled_from(_EXTRA_FIELDS), max_size=4)):
+        frame[key] = draw(st.floats(0.0, 100.0))
+    player = draw(st.sampled_from(["absent", None, 1, 2]))
+    if player != "absent":
+        frame["player"] = player
+    return {key: frame[key] for key in draw(st.permutations(list(frame)))}
+
+
+_configs = st.builds(
+    TransformConfig,
+    align_orientation=st.booleans(),
+    scale_reference_mm=st.sampled_from([REFERENCE_FOREARM_MM, 1.0]),
+    scale_side=st.sampled_from(["right", "left"]),
+    smooth_scale=st.sampled_from([0.0, 0.8]),
+)
+
+
+class TestFusedKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(config=_configs, frames=st.lists(_frames(), min_size=1, max_size=4))
+    def test_output_is_bit_identical_to_the_reference(self, config, frames):
+        fused, reference = KinectTransformer(config), ReferenceTransformer(config)
+        for frame in frames:
+            assert _bits(fused.transform(frame)) == _bits(reference.transform(frame))
+        assert fused.capture_state() == reference.capture_state()
+
+    def test_simulated_stream_is_bit_identical_to_the_reference(self, simulator, swipe):
+        frames = simulator.perform(swipe)
+        fused, reference = KinectTransformer(), ReferenceTransformer()
+        assert _bits_of(map(fused.transform, frames)) == _bits_of(
+            map(reference.transform, frames)
+        )
+
+    def test_errors_match_the_reference(self):
+        torsoless = _rest_frame()
+        del torsoless["torso_y"]
+        for transformer in (KinectTransformer(), ReferenceTransformer()):
+            with pytest.raises(KeyError, match="torso_y"):
+                transformer.transform(torsoless)
+            assert transformer.frames_transformed == 0
+            # A restored snapshot is the one way a non-positive scale gets in.
+            state = transformer.capture_state()
+            state["scales"] = [[1, -1e6]]
+            transformer.restore_state(state)
+            with pytest.raises(ValueError, match="scale factor must be positive"):
+                transformer.transform(_rest_frame())
+
+    def test_plan_table_is_bounded_under_layout_churn(self):
+        # The gateway forwards client-chosen key sets: 10 000 distinct
+        # layouts must not grow the table past its constant bound.
+        config = TransformConfig(smooth_scale=0.0)
+        fused, reference = KinectTransformer(config), ReferenceTransformer(config)
+        base = _rest_frame(yaw=20.0)
+        for index in range(10_000):
+            frame = {f"client_field_{index}": 1.0, **base}
+            assert _bits(fused.transform(frame)) == _bits(reference.transform(frame))
+        table = pipeline._layout_plan.cache_info()
+        assert table.currsize == table.maxsize == pipeline._MAX_LAYOUT_PLANS
+
+    def test_transformers_share_plans_but_not_smoothing_state(self):
+        child = [_rest_frame(user="child") for _ in range(10)]
+        adult = [_rest_frame(user="tall_adult") for _ in range(10)]
+        assert tuple(child[0]) == tuple(adult[0])  # one layout, one plan
+        first, second = KinectTransformer(), KinectTransformer()
+        first.transform(child[0])
+        built = pipeline._layout_plan.cache_info().misses
+        interleaved = [
+            (first.transform(c), second.transform(a)) for c, a in zip(child[1:], adult[1:])
+        ]
+        assert pipeline._layout_plan.cache_info().misses == built
+        alone_child, alone_adult = ReferenceTransformer(), ReferenceTransformer()
+        alone_child.transform(child[0])
+        assert _bits_of(out for out, _ in interleaved) == _bits_of(
+            map(alone_child.transform, child[1:])
+        )
+        assert _bits_of(out for _, out in interleaved) == _bits_of(
+            map(alone_adult.transform, adult[1:])
+        )
+
+    def test_restored_transformer_continues_bit_identically(self, simulator, swipe):
+        frames = simulator.perform(swipe)
+        for index, frame in enumerate(frames):
+            frame["player"] = index % 2
+        half = len(frames) // 2
+        original = KinectTransformer()
+        for frame in frames[:half]:
+            original.transform(frame)
+        restored = KinectTransformer()
+        restored.restore_state(json.loads(json.dumps(original.capture_state())))
+        assert _bits_of(map(restored.transform, frames[half:])) == _bits_of(
+            map(original.transform, frames[half:])
+        )
+        assert restored.capture_state() == original.capture_state()
