@@ -39,8 +39,8 @@ multi-user stream is embarrassingly parallel — and
 to N worker shards by a stable hash of their ``player`` id, deployments
 fan out to every shard, and bounded per-shard queues apply an explicit
 backpressure policy (``block`` / ``drop_oldest`` / ``error``).  Per player
-the detections are byte-identical to the inline engine's (benchmark B4
-asserts it), ``session.metrics`` reports per-shard throughput / queue
+the detections are byte-identical to the inline engine's
+(``tests/test_execution_modes.py`` asserts it), ``session.metrics`` reports per-shard throughput / queue
 depth / drops, and ``shard_executor="process"`` turns the shards into
 worker processes for true multi-core parallelism:
 

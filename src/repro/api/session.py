@@ -39,8 +39,9 @@ shards by a stable hash of their ``player`` id, every ``deploy`` fans out
 to all shards, and ``detections`` / ``events`` / ``on`` behave exactly as
 inline — reads drain the shard queues first, so a ``feed`` is always fully
 observed, and restricted to one player the detection sequence is
-byte-identical to the inline engine's (the B4 benchmark asserts it).
-``shards=1`` (the default) keeps today's inline engine path untouched.
+byte-identical to the inline engine's (``tests/test_execution_modes.py``
+asserts it).  ``shards=1`` (the default) keeps today's inline engine path
+untouched.
 ``backpressure`` / ``queue_capacity`` bound the per-shard queues, and
 ``shard_executor`` picks worker threads (default) or worker processes
 (true multi-core parallelism).  :attr:`GestureSession.metrics` exposes the

@@ -37,7 +37,7 @@ Fast path
 Step predicates are lowered to plain Python closures at construction time
 (``Expression.compile``); set ``MatcherConfig.compile_predicates=False`` to
 fall back to the interpreted ``Expression.evaluate`` walk (the two paths
-produce identical detections — the benchmark suite asserts it).  Run
+produce identical detections — the test suite asserts it).  Run
 bookkeeping is O(1): runs are removed by *identity* with a swap-pop on the
 run table, never by value equality.  Tuples from streams that appear
 nowhere in the pattern short-circuit before any predicate is evaluated.
@@ -124,7 +124,7 @@ class MatcherConfig:
     compile_predicates:
         Lower step predicates to closures at deploy time (default).  When
         false the matcher interprets the expression AST per tuple — slower,
-        but byte-identical in behaviour; kept for A/B benchmarking.
+        but byte-identical in behaviour; the tests' reference path.
     partition_field:
         Tuple field that keys the run table (default ``"player"``, the
         Kinect player id).  Runs advance, prune and consume strictly within
@@ -592,8 +592,8 @@ class NFAMatcher:
         ``run_ttl_seconds`` is set) pruning falls back to per tuple, and
         reaching the run cap mid-batch lazily evicts expired runs before
         suppressing a new one — so with monotone timestamps this produces
-        the same detections as calling :meth:`process` per tuple (the
-        batched benchmarks assert it, single- and multi-user).
+        the same detections as calling :meth:`process` per tuple
+        (``tests/test_execution_modes.py`` asserts it at a binding cap).
 
         Parameters
         ----------

@@ -11,10 +11,6 @@ Two families of experiments cover the paper's claims:
 * :func:`measure_throughput` — stream synthetic frames through an engine
   with a configurable number of deployed gesture queries and measure
   per-tuple latency and sustained throughput against the Kinect's 30 Hz.
-  The measurement can A/B the interpreted vs compiled predicate paths
-  (``compile_predicates``) and the per-tuple vs batched delivery paths
-  (``batch_size``); the result carries the engine's detections so callers
-  can assert the fast paths detect exactly what the slow path does.
 """
 
 from __future__ import annotations
@@ -24,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.cep.engine import CEPEngine
-from repro.cep.matcher import Detection, MatcherConfig
 from repro.cep.query import Query
 from repro.cep.views import RAW_STREAM_NAME, install_kinect_view
 from repro.core.description import GestureDescription
@@ -206,7 +201,6 @@ class ThroughputResult:
     frames_processed: int
     elapsed_seconds: float
     per_tuple_latency: LatencyStats
-    detections: List[Detection] = field(default_factory=list)
 
     @property
     def tuples_per_second(self) -> float:
@@ -234,28 +228,14 @@ def measure_throughput(
     queries: Sequence[Query],
     frames: Sequence[Mapping[str, float]],
     repeat: int = 1,
-    batch_size: Optional[int] = None,
-    compile_predicates: bool = True,
 ) -> ThroughputResult:
     """Measure engine throughput with ``queries`` deployed over ``frames``.
 
-    The frames are raw sensor frames; they pass through the ``kinect_t``
-    view and every deployed query, which is the paper's runtime data path.
-
-    Parameters
-    ----------
-    batch_size:
-        When given, frames are pushed through the engine's batched delivery
-        path in chunks of this size (each chunk's latency is attributed
-        evenly to its tuples); ``None`` pushes frame by frame.
-    compile_predicates:
-        Deploy matchers with compiled predicate closures (the default) or
-        the interpreted ``Expression.evaluate`` walk, for A/B benchmarks.
+    The frames are raw sensor frames; they pass frame by frame through the
+    ``kinect_t`` view and every deployed query, which is the paper's
+    runtime data path.
     """
-    engine = CEPEngine(
-        clock=SimulatedClock(),
-        matcher_config=MatcherConfig(compile_predicates=compile_predicates),
-    )
+    engine = CEPEngine(clock=SimulatedClock())
     install_kinect_view(engine)
     for query in queries:
         engine.register_query(query, create_missing_streams=True)
@@ -265,26 +245,15 @@ def measure_throughput(
     processed = 0
     start = time.perf_counter()
     for _ in range(max(1, repeat)):
-        if batch_size is None:
-            for frame in frames:
-                tuple_start = time.perf_counter()
-                engine.push(RAW_STREAM_NAME, frame)
-                latency.add(time.perf_counter() - tuple_start)
-                processed += 1
-        else:
-            for first in range(0, len(frames), batch_size):
-                chunk = frames[first : first + batch_size]
-                chunk_start = time.perf_counter()
-                engine.push_many(RAW_STREAM_NAME, chunk, batch_size=batch_size)
-                share = (time.perf_counter() - chunk_start) / len(chunk)
-                for _ in chunk:
-                    latency.add(share)
-                processed += len(chunk)
+        for frame in frames:
+            tuple_start = time.perf_counter()
+            engine.push(RAW_STREAM_NAME, frame)
+            latency.add(time.perf_counter() - tuple_start)
+            processed += 1
     elapsed = time.perf_counter() - start
     return ThroughputResult(
         queries_deployed=len(queries),
         frames_processed=processed,
         elapsed_seconds=elapsed,
         per_tuple_latency=latency,
-        detections=engine.detections(),
     )

@@ -10,7 +10,7 @@ detections pushed in order.  ``GET /healthz`` and ``GET /metrics``
 
 See ``docs/gateway.md`` for the wire protocol and the tenancy model,
 ``repro.gateway.cli`` for the server entry point, and
-``benchmarks/bench_gateway_load.py`` (B6) for the load generator.
+``benchmarks/e2e/gateway.py`` for the load generator.
 """
 
 from repro.gateway.client import GatewayClient

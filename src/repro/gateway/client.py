@@ -1,7 +1,7 @@
 """An asyncio client for the gateway protocol.
 
-Used by the protocol test-suite, the B6 load benchmark and the example
-script — and small enough to crib for a real integration.  One
+Used by the gateway test-suites, the ``benchmarks/e2e`` load generator and
+the example script — and small enough to crib for a real integration.  One
 :class:`GatewayClient` owns one websocket connection and a background
 reader task that demultiplexes the channel: direct responses resolve the
 pending request future matching their ``id``, ``event`` pushes land in

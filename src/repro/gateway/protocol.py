@@ -223,7 +223,7 @@ def detection_to_wire(detection: Detection) -> Dict[str, Any]:
 
     Uses the snapshot format (:meth:`Detection.to_state`) so gateway
     reads are byte-compatible with snapshots, replay and the in-process
-    API — the B6 benchmark asserts exactly this.
+    API — ``tests/test_gateway_server.py`` asserts exactly this.
     """
     return detection.to_state()
 

@@ -134,8 +134,8 @@ class GatewayServer:
             self._handle_connection,
             self.config.host,
             self.config.port,
-            # Load spikes of the B6 benchmark (1000 clients connecting at
-            # once) overflow the default backlog of 100.
+            # A burst of clients connecting at once (1000 was measured)
+            # overflows the default backlog of 100.
             backlog=1024,
         )
         self._lag_monitor.start()

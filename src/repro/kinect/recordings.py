@@ -15,7 +15,7 @@ body profiles perform their own gesture scripts concurrently, each stamped
 with a distinct ``player`` id, and the per-player frame sequences are merged
 into one timestamp-ordered stream.  The per-player ground-truth recordings
 are kept alongside the merged stream, which is what lets the multi-user
-benchmarks assert that detections on the interleaved stream equal the
+tests assert that detections on the interleaved stream equal the
 isolated single-user runs, player by player.
 """
 

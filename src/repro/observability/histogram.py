@@ -100,7 +100,7 @@ class LatencyHistogram:
         return self._max  # unreachable; keeps the checker honest
 
     def summary(self) -> Dict[str, float]:
-        """Plain-number digest for ``BENCH_*.json`` and log lines."""
+        """Plain-number digest for JSON snapshots and log lines."""
         total = sum(self._counts)
         return {
             "count": total,

@@ -35,8 +35,7 @@ class TelemetryConfig:
     ----------
     enabled:
         Master switch.  Off means no histograms are recorded, no tracer
-        exists on the hot path, and no slow-batch checks run — the
-        telemetry-off leg of the B7 overhead benchmark.
+        exists on the hot path, and no slow-batch checks run.
     trace_sample_rate:
         Head-sampling fraction in ``[0, 1]``; 0.0 (default) disables
         tracing entirely.

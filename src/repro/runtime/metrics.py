@@ -9,7 +9,8 @@ their shard thread (or the result-listener thread of a process shard), and
 readers may snapshot at any time.
 
 Snapshots are plain dictionaries of plain numbers so they serialise
-directly into the benchmark-results JSON (``BENCH_*.json``).
+directly to JSON (the gateway's ``/metrics?format=json``, the
+``benchmarks/e2e`` result documents).
 """
 
 from __future__ import annotations
@@ -315,10 +316,6 @@ class ShardMetrics:
                 "errors": self._errors,
             }
 
-    def to_json(self, indent: Optional[int] = None) -> str:
-        """The :meth:`snapshot` counters rendered as a JSON document."""
-        return json.dumps(self.snapshot(), indent=indent)
-
     def __repr__(self) -> str:
         snap = self.snapshot()
         return (
@@ -418,10 +415,6 @@ class DurabilityMetrics:
                 "recoveries": self._recoveries,
             }
 
-    def to_json(self, indent: Optional[int] = None) -> str:
-        """The :meth:`snapshot` counters rendered as a JSON document."""
-        return json.dumps(self.snapshot(), indent=indent)
-
     def __repr__(self) -> str:
         snap = self.snapshot()
         return (
@@ -500,8 +493,8 @@ class MetricsRegistry:
         """Counters summed over every shard (gauges take the max, not the sum).
 
         The key set is derived from ``_SHARD_FAMILIES`` so a counter family
-        added there can never silently drop out of totals or the
-        ``BENCH_*.json`` snapshots.
+        added there can never silently drop out of totals or the JSON
+        snapshots.
         """
         snapshots = [self.shard(shard_id).snapshot() for shard_id in self.shard_ids()]
         totals: Dict[str, float] = {
@@ -532,14 +525,6 @@ class MetricsRegistry:
         for key, histogram in extra.items():
             merged[key] = LatencyHistogram.merged([histogram])
         return merged
-
-    def histogram_summaries(self) -> Dict[str, Dict[str, float]]:
-        """Plain-number digests of every family, for ``BENCH_*.json``."""
-        self.collect()
-        return {
-            key: histogram.summary()
-            for key, histogram in sorted(self.merged_histograms().items())
-        }
 
     def snapshot(self) -> Dict[str, object]:
         """Full JSON-serialisable view: per-shard, totals and durability."""

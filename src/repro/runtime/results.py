@@ -15,7 +15,7 @@ restores a deterministic global view:
 
 Restricted to a single partition the merged view is byte-for-byte the
 sequence a single inline engine would have produced, which is the
-equivalence the B4 benchmark asserts.
+equivalence ``tests/test_execution_modes.py`` asserts.
 """
 
 from __future__ import annotations

@@ -164,6 +164,97 @@ class TestHappyPath:
 
         run(scenario())
 
+    def test_sixty_concurrent_clients_match_direct_feed_while_http_answers(self):
+        tenants, players, rounds, chunk_size = ("t0", "t1", "t2"), 20, 3, 4
+
+        def player_frames(player):
+            return [
+                {
+                    "ts": (step + 1) * 0.033,
+                    "player": player,
+                    "rhand_y": 500.0 if step % 2 == 0 else 50.0,
+                }
+                for step in range(rounds * chunk_size)
+            ]
+
+        def canonical(states):
+            """Per-player detection sequences as byte-comparable JSON text."""
+            grouped = {}
+            for state in states:
+                grouped.setdefault(state["partition"], []).append(
+                    json.dumps(state, sort_keys=True)
+                )
+            return grouped
+
+        # Every tenant runs the same workload, so one direct feed is the
+        # reference for all three.
+        with GestureSession(SessionConfig()) as direct:
+            direct.deploy_vocabulary({"high": HIGH, "updown": UPDOWN})
+            for player in range(1, players + 1):
+                direct.feed(player_frames(player), stream="kinect_t")
+            expected = canonical(d.to_state() for d in direct.detections())
+        assert len(expected) == players
+
+        async def stream_one_player(server, tenant, player, barrier):
+            client = await connect(server, tenant)
+            try:
+                await barrier.wait()  # stream only once everyone is attached
+                frames = player_frames(player)
+                for index in range(rounds):
+                    chunk = frames[index * chunk_size : (index + 1) * chunk_size]
+                    ack = await client.send_tuples(chunk, stream="kinect_t", seq=index)
+                    assert (ack["accepted"], ack["dropped"]) == (len(chunk), 0), ack
+            finally:
+                await client.close()
+
+        async def poll_http(server, clients, statuses):
+            while True:
+                for target in statuses:
+                    status, _ = await http_get(server, target)
+                    statuses[target].append(status)
+                if clients.done():
+                    return
+                await asyncio.sleep(0.01)
+
+        async def scenario():
+            async with serve() as server:
+                admins = {}
+                for tenant in tenants:
+                    admins[tenant] = await connect(server, tenant)
+                    deployed = await admins[tenant].deploy_vocabulary(
+                        {"high": HIGH, "updown": UPDOWN}
+                    )
+                    assert sorted(deployed) == ["high", "updown"]
+
+                barrier = asyncio.Barrier(len(tenants) * players + 1)
+                clients = asyncio.gather(
+                    *(
+                        stream_one_player(server, tenant, player, barrier)
+                        for tenant in tenants
+                        for player in range(1, players + 1)
+                    )
+                )
+                await barrier.wait()
+                # A concurrency test, not a ramp: all sixty (plus the three
+                # admins) are attached before the first tuple is sent.
+                assert server.metrics.connections_active >= len(tenants) * (players + 1)
+                statuses = {"/healthz": [], "/metrics": []}
+                await asyncio.gather(clients, poll_http(server, clients, statuses))
+                for target, seen in statuses.items():
+                    assert seen and set(seen) == {200}, (target, seen)
+
+                for tenant, admin in admins.items():
+                    await admin.drain()
+                    assert canonical(await admin.detections()) == expected, tenant
+                    await admin.bye()
+
+                total = len(tenants) * players * rounds * chunk_size
+                edge = server.metrics.snapshot()
+                assert edge["tuples_in"] == edge["tuples_accepted"] == total
+                assert edge["tuples_dropped"] == 0
+
+        run(scenario())
+
 
 class TestProtocolRobustness:
     def test_deploy_before_hello_is_refused_but_recoverable(self):

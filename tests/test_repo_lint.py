@@ -75,6 +75,18 @@ class TestRL001BuiltinHash:
         )
         assert [v.code for v in lint_file(path, root=tmp_path)] == ["RL001"]
 
+    def test_repository_walk_reaches_benchmarks(self, tmp_path):
+        # F5 once seeded its training data with hash(name) % 1000.
+        write_module(
+            tmp_path,
+            "benchmarks/bench_bad.py",
+            "def seed_for(name):\n    return hash(name) % 1000\n",
+        )
+        violations = lint_repository(root=tmp_path)
+        assert [(v.path, v.line, v.code) for v in violations] == [
+            ("benchmarks/bench_bad.py", 2, "RL001")
+        ]
+
     def test_hash_call_elsewhere_allowed(self, tmp_path):
         path = write_module(
             tmp_path, "src/repro/core/ok.py", "value = hash('x')\n"

@@ -3,15 +3,17 @@
 
 Four rules, all born from real failure modes of this codebase:
 
-``RL001`` — no builtin ``hash()`` on routing/persistence code paths
+``RL001`` — no builtin ``hash()`` on routing/persistence code paths or in benchmarks
     CPython salts ``hash()`` per process (PYTHONHASHSEED), so a shard
     router or a persisted artifact keyed on it changes meaning across
     restarts and across processes — precisely the places that must be
     deterministic.  Those paths use the CRC-32 based
-    ``stable_partition_hash`` instead.  Scoped to ``src/repro/runtime``,
-    ``src/repro/persistence`` and ``src/repro/storage``; ``__hash__``
-    *method definitions* (in-process identity) are fine, *calling* the
-    builtin is not.
+    ``stable_partition_hash`` instead.  A benchmark that derives a random
+    seed from it (F5 did) trains on different samples every run.  Scoped
+    to ``src/repro/runtime``, ``src/repro/persistence``,
+    ``src/repro/storage`` and ``benchmarks``; ``__hash__`` *method
+    definitions* (in-process identity) are fine, *calling* the builtin is
+    not.
 
 ``RL002`` — no silently-swallowed broad exceptions in ``src/repro``
     An ``except Exception:`` (or bare ``except:``) whose body is only
@@ -59,7 +61,11 @@ HASH_FORBIDDEN_PATHS = (
     "src/repro/runtime",
     "src/repro/persistence",
     "src/repro/storage",
+    "benchmarks",
 )
+
+#: Trees :func:`lint_repository` walks: every prefix above lies under one.
+LINTED_ROOTS = ("src/repro", "benchmarks")
 
 #: Directory tree where silent broad excepts are forbidden (RL002).
 SWALLOW_FORBIDDEN_PATH = "src/repro"
@@ -121,10 +127,10 @@ def _lint_hash_calls(path: Path, tree: ast.AST, relative: str) -> Iterable[Viola
                 relative,
                 node.lineno,
                 "RL001",
-                "builtin hash() is process-salted and must not be used on "
-                "routing/persistence paths; use "
+                "builtin hash() is process-salted and must not pick a route, "
+                "a persisted key or a benchmark seed; use "
                 "repro.runtime.router.stable_partition_hash (or another "
-                "explicit, stable hash)",
+                "explicit, stable hash, or a literal seed)",
             )
 
 
@@ -223,11 +229,12 @@ def lint_file(path: Path, root: Optional[Path] = None) -> List[Violation]:
 
 
 def lint_repository(root: Optional[Path] = None) -> List[Violation]:
-    """Lint every Python file under ``src/repro``; returns all violations."""
+    """Lint every Python file under ``LINTED_ROOTS``; returns all violations."""
     root = root or REPO_ROOT
     violations: List[Violation] = []
-    for path in sorted((root / "src" / "repro").rglob("*.py")):
-        violations.extend(lint_file(path, root=root))
+    for tree in LINTED_ROOTS:
+        for path in sorted((root / tree).rglob("*.py")):
+            violations.extend(lint_file(path, root=root))
     return violations
 
 
