@@ -121,18 +121,21 @@ def coerce_query(query: Union[str, Query, Any]) -> Query:
 
 @dataclass
 class DeployedQuery:
-    """A query running inside the engine."""
+    """A query running inside the engine.
 
+    ``name`` is the name the query is registered under — the key of
+    :meth:`CEPEngine.get_query`, ``query_stats()`` and the matcher spans —
+    which is the query's own output value unless ``register_query`` was
+    given another.
+    """
+
+    name: str
     query: Query
     matcher: NFAMatcher
     sink: FanOutSink
     collector: CollectingSink
     subscriptions: List[Subscription] = field(default_factory=list)
     enabled: bool = True
-
-    @property
-    def name(self) -> str:
-        return self.query.registration_name
 
     def detections(self, partition: Any = _UNSET) -> List[Detection]:
         """All detections collected so far for this query.
@@ -430,7 +433,11 @@ class CEPEngine:
             fan_out.add(sink)
 
         deployed = DeployedQuery(
-            query=query, matcher=matcher, sink=fan_out, collector=collector
+            name=registration_name,
+            query=query,
+            matcher=matcher,
+            sink=fan_out,
+            collector=collector,
         )
 
         for stream_name in referenced:
@@ -449,6 +456,8 @@ class CEPEngine:
         self, deployed: DeployedQuery, stream_name: str
     ) -> Callable[[Mapping[str, Any]], None]:
         matcher = deployed.matcher
+        name = deployed.name
+        span_name = f"matcher:{name}"
         timestamp_field = matcher.config.timestamp_field
         sink = deployed.sink
 
@@ -458,11 +467,9 @@ class CEPEngine:
             span = None
             telemetry = self.telemetry
             if telemetry is not None and telemetry.tracing_active:
-                span = telemetry.tracer.span(
-                    f"matcher:{deployed.name}", "matcher", current_context()
-                )
+                span = telemetry.tracer.span(span_name, "matcher", current_context())
             timestamp = record.get(timestamp_field)
-            tag_query(deployed.name)
+            tag_query(name)
             try:
                 detections = matcher.process(
                     record,
@@ -482,6 +489,8 @@ class CEPEngine:
         self, deployed: DeployedQuery, stream_name: str
     ) -> Callable[[Sequence[Mapping[str, Any]]], None]:
         matcher = deployed.matcher
+        name = deployed.name
+        span_name = f"matcher:{name}"
         timestamp_field = matcher.config.timestamp_field
         sink = deployed.sink
 
@@ -491,14 +500,12 @@ class CEPEngine:
             span = None
             telemetry = self.telemetry
             if telemetry is not None and telemetry.tracing_active:
-                span = telemetry.tracer.span(
-                    f"matcher:{deployed.name}", "matcher", current_context()
-                )
+                span = telemetry.tracer.span(span_name, "matcher", current_context())
             timestamps = []
             for record in records:
                 value = record.get(timestamp_field)
                 timestamps.append(float(value) if value is not None else self.clock.now())
-            tag_query(deployed.name)
+            tag_query(name)
             try:
                 detections = matcher.process_batch(
                     records, stream_name, timestamps=timestamps

@@ -30,6 +30,7 @@ identical predicates, keyed by their canonical ``to_query()`` text.
 
 from __future__ import annotations
 
+import operator as _operator
 from abc import ABC, abstractmethod
 from typing import (
     Any,
@@ -267,14 +268,36 @@ class BinaryOp(Expression):
         return (self.left, self.right)
 
 
-_COMPARISON_OPS = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
+_COMPARISON_OPS: Dict[str, Callable[[Any, Any], Any]] = {
+    "<": _operator.lt,
+    "<=": _operator.le,
+    ">": _operator.gt,
+    ">=": _operator.ge,
+    "==": _operator.eq,
+    "!=": _operator.ne,
 }
+
+#: The learner's pose-window atom ``abs(field - centre) <op> bound``, taken
+#: apart: (field, centre, comparison, bound).
+_WindowAtom = Tuple[str, Any, Callable[[Any, Any], Any], Any]
+
+
+def _compile_windows(atoms: Tuple[_WindowAtom, ...]) -> CompiledExpression:
+    """One closure for a conjunction of pose-window atoms, tested in order."""
+
+    def inside_windows(record: EvaluationContext) -> bool:
+        try:
+            for name, center, operation, bound in atoms:
+                if not operation(abs(record[name] - center), bound):
+                    return False
+        except KeyError:
+            raise ExpressionError(
+                f"tuple has no field '{name}' "
+                f"(available: {sorted(record)[:8]}…)"
+            ) from None
+        return True
+
+    return inside_windows
 
 
 class Comparison(Expression):
@@ -309,10 +332,8 @@ class Comparison(Expression):
         """Collapse the two predicate shapes that dominate generated queries.
 
         ``abs(field ± c) <op> w`` (the learner's pose-window template from
-        Sec. 3.3.4) and ``field <op> literal`` each become a single flat
-        closure instead of a chain of nested calls.  The ``abs`` shape is
-        only taken when the registry resolves ``abs`` to the Python builtin,
-        so a user-supplied override keeps the generic path.
+        Sec. 3.3.4, see :meth:`_window_atom`) and ``field <op> literal`` each
+        become a single flat closure instead of a chain of nested calls.
         """
         if not isinstance(self.right, Literal):
             return None
@@ -333,41 +354,36 @@ class Comparison(Expression):
 
             return compare_field
 
-        if (
-            isinstance(self.left, FunctionCall)
-            and self.left.name == "abs"
-            and len(self.left.arguments) == 1
+        atom = self._window_atom(functions)
+        return None if atom is None else _compile_windows((atom,))
+
+    def _window_atom(self, functions: Optional["FunctionRegistry"]) -> Optional[_WindowAtom]:
+        """The parts of ``abs(field ± c) <op> w``, or ``None`` for any other shape.
+
+        Also ``None`` when the registry resolves ``abs`` to anything but the
+        Python builtin, so a user-supplied override keeps the generic path.
+        """
+        call = self.left
+        inner: Optional[Expression] = None
+        if isinstance(call, FunctionCall) and call.name == "abs" and len(call.arguments) == 1:
+            inner = call.arguments[0]
+        if not (
+            isinstance(self.right, Literal)
+            and isinstance(inner, BinaryOp)
+            and inner.operator in ("+", "-")
+            and isinstance(inner.left, FieldRef)
+            and isinstance(inner.right, Literal)
         ):
-            from repro.cep.udf import default_functions
+            return None
+        from repro.cep.udf import default_functions
 
-            registry = functions
-            if registry is None or not registry.has("abs"):
-                registry = default_functions()
-            if registry.resolve("abs", arity=1) is not abs:
-                return None
-            inner = self.left.arguments[0]
-            if not (
-                isinstance(inner, BinaryOp)
-                and inner.operator in ("+", "-")
-                and isinstance(inner.left, FieldRef)
-                and isinstance(inner.right, Literal)
-            ):
-                return None
-            name = inner.left.name
-            center = inner.right.value if inner.operator == "-" else -inner.right.value
-
-            def compare_window(record: EvaluationContext) -> bool:
-                try:
-                    return bool(operation(abs(record[name] - center), bound))
-                except KeyError:
-                    raise ExpressionError(
-                        f"tuple has no field '{name}' "
-                        f"(available: {sorted(record)[:8]}…)"
-                    ) from None
-
-            return compare_window
-
-        return None
+        registry = functions
+        if registry is None or not registry.has("abs"):
+            registry = default_functions()
+        if registry.resolve("abs", arity=1) is not abs:
+            return None
+        center = inner.right.value if inner.operator == "-" else -inner.right.value
+        return inner.left.name, center, _COMPARISON_OPS[self.operator], self.right.value
 
     def to_query(self) -> str:
         return f"{self.left.to_query()} {self.operator} {self.right.to_query()}"
@@ -399,6 +415,17 @@ class BooleanOp(Expression):
         return any(op.evaluate(record, functions) for op in self.operands)
 
     def compile(self, functions: Optional["FunctionRegistry"] = None) -> CompiledExpression:
+        if self.operator == "and":
+            # A generated pose is a conjunction of window atoms only: test
+            # them in one loop instead of one nested closure per atom.
+            atoms: List[_WindowAtom] = []
+            for operand in self.operands:
+                atom = operand._window_atom(functions) if isinstance(operand, Comparison) else None
+                if atom is None:
+                    break
+                atoms.append(atom)
+            else:
+                return _compile_windows(tuple(atoms))
         compiled = tuple(op.compile(functions) for op in self.operands)
         if self.operator == "and":
 

@@ -37,32 +37,56 @@ Fast path
 Step predicates are lowered to plain Python closures at construction time
 (``Expression.compile``); set ``MatcherConfig.compile_predicates=False`` to
 fall back to the interpreted ``Expression.evaluate`` walk (the two paths
-produce identical detections — the test suite asserts it).  Run
-bookkeeping is O(1): runs are removed by *identity* with a swap-pop on the
-run table, never by value equality.  Tuples from streams that appear
-nowhere in the pattern short-circuit before any predicate is evaluated.
+produce identical detections — the test suite asserts it, and only the
+per-step callable differs between them).
+
+Whether a tuple lies inside step *i*'s pose window depends on the tuple and
+the step, never on the run asking, so each partition keeps **one bucket of
+runs per step** (``waiting[i]`` holds the runs whose next step is *i*) and a
+tuple evaluates step *i*'s predicate at most once, and only while
+``waiting[i]`` is non-empty.  A rejected bucket is skipped whole; an
+accepted bucket moves whole to ``waiting[i + 1]`` (or completes), each run
+still checked on its own against the ``within`` constraints that end at
+step *i*.  Buckets are visited last step first, so a run that just moved is
+not looked at again and every run advances by at most one step per tuple.
+Tuples from streams that appear nowhere in the pattern short-circuit before
+any predicate is evaluated.  ``MatcherStats.predicate_evaluations`` counts
+the atoms actually evaluated: at most once per tuple and step.
+
+Expiry is checked only when something can expire.  Each partition keeps a
+lower bound ``oldest`` on every timestamp its runs hold, and pruning returns
+before touching a run while ``now - oldest`` is within the shortest window
+(``within`` or TTL) that can expire one.  The shortcut is exact, not
+approximate: a run is expired when ``now - anchor > seconds`` for one of its
+own timestamps ``anchor >= oldest``, and floating-point subtraction is
+monotone in the anchor, so ``now - anchor <= now - oldest <= seconds`` — the
+full scan would have removed nothing.  Recording a timestamp may only lower
+the bound; it is raised only by a scan that looked at every surviving run.
 
 Batched path
 ------------
 :meth:`NFAMatcher.process_batch` feeds a whole chunk of tuples (sharing one
-prune window) through the matcher: expired runs are pruned once at the
-batch boundary instead of per tuple, while ``within`` constraints are still
-enforced exactly on every advancement.  Expired runs that linger mid-batch
-cannot change the outcome: advancement past an expired constraint is
-rejected when the constraint's span ends, TTL-governed patterns fall back
-to per-tuple pruning, and hitting the run cap lazily evicts expired runs
-before suppressing a new one — so with monotone timestamps the batched
-detections are identical to the per-tuple path's.
+prune window) through the same buckets: expired runs are pruned once per
+partition at the batch boundary instead of per tuple, while ``within``
+constraints are still enforced exactly on every advancement.  Expired runs
+that linger mid-batch cannot change the outcome: advancement past an
+expired constraint is rejected when the constraint's span ends,
+TTL-governed patterns fall back to per-tuple pruning, and hitting the run
+cap lazily evicts expired runs before suppressing a new one — so with
+monotone timestamps the batched detections are identical to the per-tuple
+path's.
 
 Run-cap semantics
 -----------------
-``max_active_runs`` bounds *partial* matches only.  A tuple completing an
-existing run always reports, and a single-step pattern — whose matches
-never occupy a run slot — fires even when the table is full; only the start
-of a new multi-step run is suppressed at the cap.  ``select``/``consume``
-policies apply to the completions of one tuple as usual: ``select first``
-reports the oldest completed run, and ``consume all`` clears the completing
-partition's run table, including runs started by that same tuple.
+``max_active_runs`` bounds *partial* matches only, counted per partition
+over all of its buckets.  A tuple completing an existing run always
+reports, and a single-step pattern — whose matches never occupy a run slot
+— fires even when the table is full; only the start of a new multi-step run
+is suppressed at the cap.  ``select``/``consume`` policies apply to the
+completions of one tuple as usual: ``select first`` reports the oldest
+completed run (lowest ``sequence_number``), and ``consume all`` clears the
+completing partition's buckets, including a run started by that same
+tuple.
 
 The matcher also exposes the live progress information (how far the best
 partial match has advanced) that the paper's testing phase visualises to
@@ -71,18 +95,20 @@ help users understand why a movement was not detected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+import math
+from dataclasses import dataclass, fields
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cep.expressions import (
     CompiledExpression,
     CompiledPredicateCache,
     Expression,
 )
-from repro.cep.nfa import CompiledPattern
+from repro.cep.nfa import CompiledPattern, TimeConstraint
 from repro.cep.query import ConsumePolicy, SelectPolicy
 from repro.cep.tuples import DEFAULT_PARTITION_FIELD
 from repro.cep.udf import FunctionRegistry, default_functions
+from repro.errors import SerializationError
 
 #: Run-table key used when ``partition_field`` is ``None``: all tuples share
 #: one partition, which is exactly the pre-partitioning behaviour.
@@ -218,38 +244,59 @@ class Detection:
         )
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class _Run:
     """One partial match.
 
     ``eq=False`` keeps identity comparison/hashing: two runs started by
-    different users in the same frame carry identical field values, and run
-    removal must never confuse them.  ``index`` is the run's slot in the
-    matcher's run table, maintained by the swap-pop removal.
+    different users in the same frame carry identical field values and must
+    never be confused.  The step a run waits for is not stored here — it is
+    the index of the bucket holding the run, and always equals
+    ``len(step_timestamps)``.
     """
 
-    next_step: int
     start_timestamp: float
-    step_timestamps: List[float] = field(default_factory=list)
-    matched: List[Mapping[str, Any]] = field(default_factory=list)
-    sequence_number: int = 0
-    index: int = -1
+    step_timestamps: List[float]
+    matched: List[Mapping[str, Any]]
+    sequence_number: int
 
-    def progress(self, total_steps: int) -> float:
-        return self.next_step / total_steps
+
+@dataclass(eq=False, slots=True)
+class _Partition:
+    """One partition's partial matches, bucketed by the step they wait for.
+
+    ``waiting[i]`` holds the runs whose next step is ``i`` (slot 0 stays
+    empty: a run exists only once step 0 matched), ``count`` is the number
+    of runs over all buckets, and ``oldest`` is a lower bound on every
+    timestamp those runs hold (``inf`` while there are none).
+    """
+
+    waiting: List[List[_Run]]
+    count: int = 0
+    oldest: float = math.inf
+
+    def clear(self) -> None:
+        for bucket in self.waiting:
+            bucket.clear()
+        self.count = 0
+        self.oldest = math.inf
 
 
 @dataclass
 class MatcherStats:
     """Counters exposed for the optimisation / throughput benchmarks.
 
-    ``runs_evicted`` counts idle-partition sweep reclamations only; those
-    runs are *also* counted in ``runs_pruned`` (the historical aggregate),
-    so ``runs_pruned`` keeps its old meaning of "runs discarded for any
-    expiry reason".  ``gate_rejections`` counts tuples that arrived on the
-    pattern's first stream but failed the first-step predicate — they
-    never touched run state, which is exactly what the vectorized-kernel
-    work needs to size its gating win.
+    ``predicate_evaluations`` counts the atomic comparisons the matcher
+    evaluated (a step's atom count per evaluation of that step, at most
+    once per tuple and step).  ``runs_evicted`` counts idle-partition sweep
+    reclamations only; those runs are *also* counted in ``runs_pruned``
+    (the historical aggregate), so ``runs_pruned`` keeps its old meaning of
+    "runs discarded for any expiry reason".  ``gate_rejections`` counts
+    tuples that arrived on the pattern's first stream but failed the
+    first-step predicate — they never touched run state.
+
+    Every field is an integer counter: ``reset``, ``as_dict`` and the
+    matcher's snapshot format are all derived from the field list.
     """
 
     tuples_processed: int = 0
@@ -264,31 +311,32 @@ class MatcherStats:
     detections: int = 0
 
     def reset(self) -> None:
-        self.tuples_processed = 0
-        self.predicate_evaluations = 0
-        self.gate_rejections = 0
-        self.runs_started = 0
-        self.runs_advanced = 0
-        self.runs_completed = 0
-        self.runs_pruned = 0
-        self.runs_evicted = 0
-        self.runs_suppressed = 0
-        self.detections = 0
+        self.restore({})
 
     def as_dict(self) -> Dict[str, int]:
         """Plain-number copy, keyed like the ``/metrics`` query families."""
-        return {
-            "tuples_processed": self.tuples_processed,
-            "predicate_evaluations": self.predicate_evaluations,
-            "gate_rejections": self.gate_rejections,
-            "runs_started": self.runs_started,
-            "runs_advanced": self.runs_advanced,
-            "runs_completed": self.runs_completed,
-            "runs_pruned": self.runs_pruned,
-            "runs_evicted": self.runs_evicted,
-            "runs_suppressed": self.runs_suppressed,
-            "detections": self.detections,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def restore(self, state: Mapping[str, Any]) -> None:
+        """Load an :meth:`as_dict` copy; counters it lacks restart at zero
+        (snapshots written before a counter existed still load)."""
+        for f in fields(self):
+            setattr(self, f.name, int(state.get(f.name, 0)))
+
+
+def _tightest(constraints: Iterable[TimeConstraint]) -> Tuple[Tuple[int, float], ...]:
+    """Per anchor step, the shortest of ``constraints``' windows.
+
+    Windows measured from the same step's timestamp expire in order of
+    length, so only the shortest can bind — the generated queries nest one
+    ``within`` per step, all anchored at step 0.
+    """
+    windows: Dict[int, float] = {}
+    for constraint in constraints:
+        windows[constraint.first] = min(
+            constraint.seconds, windows.get(constraint.first, math.inf)
+        )
+    return tuple(windows.items())
 
 
 class NFAMatcher:
@@ -324,16 +372,15 @@ class NFAMatcher:
         self.functions = functions or default_functions()
         self.config = config or MatcherConfig()
         self.stats = MatcherStats()
-        # Run tables keyed by partition value (player id).  Entries exist
+        # Run buckets keyed by partition value (player id).  Entries exist
         # only while a partition has live runs, so idle players cost nothing.
-        self._partitions: Dict[Any, List[_Run]] = {}
+        self._partitions: Dict[Any, _Partition] = {}
         self._partition_field = self.config.partition_field
         self._run_counter = 0
         self._tuples_since_sweep = 0
 
         steps = pattern.steps
         self._length = len(steps)
-        self._step_streams: Tuple[str, ...] = tuple(step.stream for step in steps)
         self._step_costs: Tuple[int, ...] = tuple(
             step.predicate.predicate_count() or 1 for step in steps
         )
@@ -345,30 +392,47 @@ class NFAMatcher:
         else:
             predicates = tuple(self._interpreted(step.predicate) for step in steps)
         self._step_predicates: Tuple[CompiledExpression, ...] = predicates
-        self._first_stream = self._step_streams[0]
-        self._first_predicate = predicates[0]
-        self._relevant_streams = frozenset(self._step_streams)
-        # Per-step constraint tables so the hot path never rebuilds lists.
-        self._constraints_ending: Tuple[Tuple[Any, ...], ...] = tuple(
-            tuple(pattern.constraints_ending_at(i)) for i in range(self._length)
+        self._first_stream = steps[0].stream
+        # Per stream, the steps a run can be waiting for on it, last step
+        # first: a bucket that moves lands in one already visited, so no run
+        # advances twice on one tuple.
+        self._advance_order: Dict[str, Tuple[int, ...]] = {
+            stream: tuple(
+                index
+                for index in range(self._length - 1, 0, -1)
+                if steps[index].stream == stream
+            )
+            for stream in pattern.streams()
+        }
+        # Per-step (anchor step, seconds) tables so the hot path never
+        # rebuilds lists.  A within around a single event spans no time:
+        # there is nothing to check when it ends (and no timestamp of that
+        # step to check yet).
+        self._constraints_ending: Tuple[Tuple[Tuple[int, float], ...], ...] = tuple(
+            _tightest(c for c in pattern.constraints_ending_at(i) if c.first < i)
+            for i in range(self._length)
         )
-        self._constraints_covering: Tuple[Tuple[Any, ...], ...] = tuple(
-            tuple(pattern.constraints_covering(i)) for i in range(self._length)
+        self._constraints_covering: Tuple[Tuple[Tuple[int, float], ...], ...] = tuple(
+            _tightest(pattern.constraints_covering(i)) for i in range(self._length)
         )
-        self._has_constraints = bool(pattern.constraints)
         # Active runs sit at positions 0..length-2; when any of those is not
         # covered by a constraint, the TTL can govern and batch processing
         # must prune per tuple to stay equivalent to the per-tuple path.
-        self._ttl_can_apply = any(
-            not self._constraints_covering[i] for i in range(max(self._length - 1, 0))
-        )
+        uncovered = any(not self._constraints_covering[i] for i in range(self._length - 1))
+        self._ttl: Optional[float] = self.config.run_ttl_seconds if uncovered else None
+        # The shortest span after which pruning can remove a run at all; see
+        # "Fast path" in the module docstring for why _prune may trust it.
+        windows = [constraint.seconds for constraint in pattern.constraints]
+        if self._ttl is not None:
+            windows.append(self._ttl)
+        self._shortest_window: float = min(windows, default=math.inf)
 
     # -- introspection -------------------------------------------------------------
 
     @property
     def active_runs(self) -> int:
         """Number of partial matches currently tracked, over all partitions."""
-        return sum(len(runs) for runs in self._partitions.values())
+        return sum(part.count for part in self._partitions.values())
 
     @property
     def active_partitions(self) -> int:
@@ -391,17 +455,15 @@ class NFAMatcher:
         looks across all partitions.
         """
         if partition is _UNPARTITIONED and self._partition_field is not None:
-            tables: Sequence[List[_Run]] = list(self._partitions.values())
+            parts: Sequence[_Partition] = list(self._partitions.values())
         else:
             key = partition if self._partition_field is not None else _UNPARTITIONED
-            runs = self._partitions.get(key)
-            tables = [runs] if runs else []
-        best = 0
-        for runs in tables:
-            for run in runs:
-                if run.next_step > best:
-                    best = run.next_step
-        return best
+            part = self._partitions.get(key)
+            parts = [part] if part is not None else []
+        for index in range(self._length - 1, 0, -1):
+            if any(part.waiting[index] for part in parts):
+                return index
+        return 0
 
     def progress(self, partition: Any = _UNPARTITIONED) -> float:
         """Furthest progress as a fraction of the pattern length."""
@@ -417,14 +479,16 @@ class NFAMatcher:
         """Snapshot the full run state as a JSON-serialisable dictionary.
 
         Everything the matcher would need to continue *exactly* where it
-        is: the per-partition run tables (step positions, timestamps and
-        matched tuples by value, never by object identity), the run
-        sequence counter (detection ordering under ``select first/last``
-        depends on it), the idle-sweep phase, and the stats counters.
-        Restoring the captured state into a matcher compiled from the same
-        query text makes every subsequent detection byte-identical to an
-        uninterrupted run — the recovery tests assert it on the
-        interpreted, compiled and batched paths.
+        is: each partition's runs (step positions, timestamps and matched
+        tuples by value, never by object identity) in ``sequence_number``
+        order — so captures of the same stream taken on the per-tuple,
+        batched and sharded paths converge —, the run sequence counter
+        (detection ordering under ``select first/last`` depends on it), the
+        idle-sweep phase, and the stats counters.  Restoring the captured
+        state into a matcher compiled from the same query text makes every
+        subsequent detection byte-identical to an uninterrupted run — the
+        recovery tests assert it on the interpreted, compiled and batched
+        paths.
 
         Raises
         ------
@@ -433,52 +497,36 @@ class NFAMatcher:
             ids — ints, floats, strings — always are).
         """
         partitions = []
-        for key, runs in self._partitions.items():
+        for key, part in self._partitions.items():
             if key is _UNPARTITIONED:
                 encoded_key: Dict[str, Any] = {"unpartitioned": True}
             else:
                 if key is not None and not isinstance(key, (str, int, float, bool)):
-                    from repro.errors import SerializationError
-
                     raise SerializationError(
                         f"partition key {key!r} of query "
                         f"'{self.query_name}' is not JSON-serialisable; "
                         f"snapshots require scalar partition values"
                     )
                 encoded_key = {"value": key}
-            partitions.append(
+            runs = [
                 {
-                    "key": encoded_key,
-                    "runs": [
-                        {
-                            "next_step": run.next_step,
-                            "start_timestamp": run.start_timestamp,
-                            "step_timestamps": list(run.step_timestamps),
-                            "matched": [dict(record) for record in run.matched],
-                            "sequence_number": run.sequence_number,
-                        }
-                        for run in runs
-                    ],
+                    "next_step": next_step,
+                    "start_timestamp": run.start_timestamp,
+                    "step_timestamps": list(run.step_timestamps),
+                    "matched": [dict(record) for record in run.matched],
+                    "sequence_number": run.sequence_number,
                 }
-            )
-        stats = self.stats
+                for next_step, bucket in enumerate(part.waiting)
+                for run in bucket
+            ]
+            runs.sort(key=lambda run_state: run_state["sequence_number"])
+            partitions.append({"key": encoded_key, "runs": runs})
         return {
             "kind": "nfa-matcher",
             "query_name": self.query_name,
             "run_counter": self._run_counter,
             "tuples_since_sweep": self._tuples_since_sweep,
-            "stats": {
-                "tuples_processed": stats.tuples_processed,
-                "predicate_evaluations": stats.predicate_evaluations,
-                "gate_rejections": stats.gate_rejections,
-                "runs_started": stats.runs_started,
-                "runs_advanced": stats.runs_advanced,
-                "runs_completed": stats.runs_completed,
-                "runs_pruned": stats.runs_pruned,
-                "runs_evicted": stats.runs_evicted,
-                "runs_suppressed": stats.runs_suppressed,
-                "detections": stats.detections,
-            },
+            "stats": self.stats.as_dict(),
             "partitions": partitions,
         }
 
@@ -488,49 +536,59 @@ class NFAMatcher:
         The matcher must have been built from the same pattern the
         snapshot was taken from (recovery redeploys the captured query
         text before restoring); predicates, constraints and configuration
-        are *not* part of the state.
+        are *not* part of the state.  Runs may come in any order.
+
+        Raises
+        ------
+        repro.errors.SerializationError
+            If ``state`` is not a matcher snapshot, or holds a run this
+            pattern cannot hold (a step outside ``1 .. length - 1``, or a
+            timestamp / matched-tuple history that is not one entry per
+            matched step).  Every run is checked before anything is
+            replaced, so the matcher keeps its old state on failure.
         """
         if state.get("kind") != "nfa-matcher":
-            from repro.errors import SerializationError
-
             raise SerializationError(
                 f"cannot restore query '{self.query_name}' from a "
                 f"{state.get('kind')!r} state blob"
             )
-        partitions: Dict[Any, List[_Run]] = {}
+        store_tuples = self.config.store_matched_tuples
+        partitions: Dict[Any, _Partition] = {}
         for entry in state["partitions"]:
             encoded_key = entry["key"]
             key = _UNPARTITIONED if encoded_key.get("unpartitioned") else encoded_key["value"]
-            runs: List[_Run] = []
+            part = self._new_partition()
             for run_state in entry["runs"]:
+                next_step = int(run_state["next_step"])
                 run = _Run(
-                    next_step=int(run_state["next_step"]),
                     start_timestamp=float(run_state["start_timestamp"]),
                     step_timestamps=[float(t) for t in run_state["step_timestamps"]],
                     matched=[dict(record) for record in run_state["matched"]],
                     sequence_number=int(run_state["sequence_number"]),
-                    index=len(runs),
                 )
-                runs.append(run)
-            if runs:
-                partitions[key] = runs
+                if (
+                    not 1 <= next_step < self._length
+                    or len(run.step_timestamps) != next_step
+                    or (store_tuples and len(run.matched) != next_step)
+                ):
+                    raise SerializationError(
+                        f"cannot restore query '{self.query_name}': run "
+                        f"{run.sequence_number} of partition {encoded_key} waits "
+                        f"for step {next_step} with {len(run.step_timestamps)} "
+                        f"timestamps and {len(run.matched)} matched tuples, but "
+                        f"the pattern has {self._length} steps"
+                    )
+                part.waiting[next_step].append(run)
+                part.count += 1
+                part.oldest = min(part.oldest, *run.step_timestamps)
+            if part.count:
+                partitions[key] = part
         self._partitions = partitions
         self._run_counter = int(state["run_counter"])
         self._tuples_since_sweep = int(state["tuples_since_sweep"])
         stats_state = state.get("stats")
         if stats_state:
-            self.stats.tuples_processed = int(stats_state["tuples_processed"])
-            self.stats.predicate_evaluations = int(stats_state["predicate_evaluations"])
-            self.stats.runs_started = int(stats_state["runs_started"])
-            self.stats.runs_pruned = int(stats_state["runs_pruned"])
-            self.stats.runs_suppressed = int(stats_state["runs_suppressed"])
-            self.stats.detections = int(stats_state["detections"])
-            # Counters added after PR 5's snapshot format: default to zero
-            # so snapshots written by older builds still restore.
-            self.stats.gate_rejections = int(stats_state.get("gate_rejections", 0))
-            self.stats.runs_advanced = int(stats_state.get("runs_advanced", 0))
-            self.stats.runs_completed = int(stats_state.get("runs_completed", 0))
-            self.stats.runs_evicted = int(stats_state.get("runs_evicted", 0))
+            self.stats.restore(stats_state)
 
     # -- matching -----------------------------------------------------------------------
 
@@ -553,16 +611,17 @@ class NFAMatcher:
             Event time; defaults to the tuple's timestamp field.
         """
         self.stats.tuples_processed += 1
-        if stream not in self._relevant_streams:
+        if stream not in self._advance_order:
             return []
         if timestamp is None:
             timestamp = float(record.get(self.config.timestamp_field, 0.0))
-        key = self._partition_key(record)
-        runs = self._partitions.get(key)
-        if runs:
-            self._prune(runs, timestamp)
+        field = self._partition_field
+        key = record.get(field) if field is not None else _UNPARTITIONED
+        part = self._partitions.get(key)
+        if part is not None:
+            self._prune(part, timestamp)
         detections: List[Detection] = []
-        self._process_tuple(record, stream, timestamp, key, detections)
+        self._process_tuple(record, stream, timestamp, key, part, detections)
         self._maybe_sweep(1, timestamp)
         return detections
 
@@ -606,32 +665,26 @@ class NFAMatcher:
             defaults to each tuple's timestamp field.
         """
         self.stats.tuples_processed += len(records)
-        if not records or stream not in self._relevant_streams:
+        if not records or stream not in self._advance_order:
             return []
         if timestamps is None:
             timestamp_field = self.config.timestamp_field
             timestamps = [float(r.get(timestamp_field, 0.0)) for r in records]
         detections: List[Detection] = []
-        if self._ttl_can_apply and self.config.run_ttl_seconds is not None:
-            # TTL expiry is not re-checked on advancement (unlike within
-            # constraints), so only per-tuple pruning keeps equivalence.
-            for record, timestamp in zip(records, timestamps):
-                key = self._partition_key(record)
-                runs = self._partitions.get(key)
-                if runs:
-                    self._prune(runs, timestamp)
-                self._process_tuple(record, stream, timestamp, key, detections)
-            self._maybe_sweep(len(records), timestamps[-1])
-            return detections
+        partitions = self._partitions
+        field = self._partition_field
+        # TTL expiry is not re-checked on advancement (unlike within
+        # constraints), so under a TTL only per-tuple pruning keeps equivalence.
+        prune_every_tuple = self._ttl is not None
         pruned: set = set()
         for record, timestamp in zip(records, timestamps):
-            key = self._partition_key(record)
-            if key not in pruned:
+            key = record.get(field) if field is not None else _UNPARTITIONED
+            part = partitions.get(key)
+            if prune_every_tuple or key not in pruned:
                 pruned.add(key)
-                runs = self._partitions.get(key)
-                if runs:
-                    self._prune(runs, timestamp)
-            self._process_tuple(record, stream, timestamp, key, detections)
+                if part is not None:
+                    self._prune(part, timestamp)
+            self._process_tuple(record, stream, timestamp, key, part, detections)
         self._maybe_sweep(len(records), timestamps[-1])
         return detections
 
@@ -646,11 +699,8 @@ class NFAMatcher:
 
         return evaluate
 
-    def _partition_key(self, record: Mapping[str, Any]) -> Any:
-        """Run-table key of a tuple (``_UNPARTITIONED`` when partitioning is off)."""
-        if self._partition_field is None:
-            return _UNPARTITIONED
-        return record.get(self._partition_field)
+    def _new_partition(self) -> _Partition:
+        return _Partition([[] for _ in range(self._length)])
 
     def _process_tuple(
         self,
@@ -658,77 +708,87 @@ class NFAMatcher:
         stream: str,
         timestamp: float,
         key: Any,
+        part: Optional[_Partition],
         detections: List[Detection],
     ) -> None:
-        """Advance runs / start a run for one tuple; append its detections.
+        """Advance buckets / start a run for one tuple; append its detections.
 
-        Only the tuple's own partition is touched: other players' runs are
-        invisible to this tuple.
+        ``part`` is the tuple's own partition (``None`` while it holds no
+        runs); other players' runs are invisible to this tuple.
         """
         stats = self.stats
-        partitions = self._partitions
-        runs = partitions.get(key)
+        length = self._length
+        store_tuples = self.config.store_matched_tuples
         completed: List[_Run] = []
 
-        # Advance existing runs (each run by at most one step per tuple).
-        if runs:
-            step_streams = self._step_streams
-            step_predicates = self._step_predicates
-            step_costs = self._step_costs
-            store_tuples = self.config.store_matched_tuples
-            for run in list(runs):
-                index = run.next_step
-                if step_streams[index] != stream:
+        # One verdict per step: a rejected bucket stays put, an accepted one
+        # moves whole (each run by at most one step — see _advance_order).
+        if part is not None:
+            waiting = part.waiting
+            for index in self._advance_order[stream]:
+                bucket = waiting[index]
+                if not bucket:
                     continue
-                stats.predicate_evaluations += step_costs[index]
-                if not step_predicates[index](record):
+                stats.predicate_evaluations += self._step_costs[index]
+                if not self._step_predicates[index](record):
                     continue
-                if not self._satisfies_constraints(run, timestamp):
-                    self._remove_run(runs, run)
-                    stats.runs_pruned += 1
-                    continue
-                run.next_step = index + 1
-                run.step_timestamps.append(timestamp)
-                stats.runs_advanced += 1
-                if store_tuples:
-                    run.matched.append(dict(record))
-                if run.next_step >= self._length:
-                    completed.append(run)
-                    self._remove_run(runs, run)
+                waiting[index] = []
+                # The within constraints ending here are each run's own.
+                accepted = len(bucket)
+                for first, seconds in self._constraints_ending[index]:
+                    bucket = [
+                        run
+                        for run in bucket
+                        if not timestamp - run.step_timestamps[first] > seconds
+                    ]
+                if len(bucket) != accepted:
+                    stats.runs_pruned += accepted - len(bucket)
+                    part.count -= accepted - len(bucket)
+                for run in bucket:
+                    run.step_timestamps.append(timestamp)
+                    if store_tuples:
+                        run.matched.append(dict(record))
+                stats.runs_advanced += len(bucket)
+                if timestamp < part.oldest:
+                    part.oldest = timestamp
+                if index + 1 == length:
+                    completed = bucket
+                    part.count -= len(bucket)
+                else:
+                    waiting[index + 1].extend(bucket)
 
         # Possibly start a new run from this tuple.
         if stream == self._first_stream:
             stats.predicate_evaluations += self._step_costs[0]
-            if not self._first_predicate(record):
+            if not self._step_predicates[0](record):
                 stats.gate_rejections += 1
+            elif length == 1:
+                # A single-step match never occupies a run slot, so the
+                # run cap must not suppress it.
+                completed.append(self._new_run(record, timestamp))
             else:
-                if self._length == 1:
-                    # A single-step match never occupies a run slot, so the
-                    # run cap must not suppress it.
-                    completed.append(self._new_run(record, timestamp))
+                if part is None:
+                    part = self._partitions[key] = self._new_partition()
+                if (
+                    part.count >= self.config.max_active_runs
+                    and not self._evict_expired(part, timestamp)
+                ):
+                    stats.runs_suppressed += 1
                 else:
-                    if runs is None:
-                        runs = partitions.setdefault(key, [])
-                    if (
-                        len(runs) >= self.config.max_active_runs
-                        and not self._evict_expired(runs, timestamp)
-                    ):
-                        stats.runs_suppressed += 1
-                    else:
-                        run = self._new_run(record, timestamp)
-                        run.index = len(runs)
-                        runs.append(run)
+                    part.waiting[1].append(self._new_run(record, timestamp))
+                    part.count += 1
+                    if timestamp < part.oldest:
+                        part.oldest = timestamp
 
         if completed:
             stats.runs_completed += len(completed)
-            detections.extend(self._report(key, completed, timestamp))
+            detections.extend(self._report(key, part, completed, timestamp))
         # Drop emptied partitions so the table only tracks live players.
-        if runs is not None and not runs:
-            partitions.pop(key, None)
+        if part is not None and not part.count:
+            self._partitions.pop(key, None)
 
     def _new_run(self, record: Mapping[str, Any], timestamp: float) -> _Run:
         run = _Run(
-            next_step=1,
             start_timestamp=timestamp,
             step_timestamps=[timestamp],
             matched=[dict(record)] if self.config.store_matched_tuples else [],
@@ -757,34 +817,30 @@ class NFAMatcher:
             return
         stale = [
             key
-            for key, runs in self._partitions.items()
-            if now - max(run.step_timestamps[-1] for run in runs) > idle
+            for key, part in self._partitions.items()
+            if now
+            - max(run.step_timestamps[-1] for bucket in part.waiting for run in bucket)
+            > idle
         ]
         for key in stale:
-            reclaimed = len(self._partitions.pop(key))
+            reclaimed = self._partitions.pop(key).count
             self.stats.runs_pruned += reclaimed
             self.stats.runs_evicted += reclaimed
 
-    def _evict_expired(self, runs: List[_Run], timestamp: float) -> bool:
+    def _evict_expired(self, part: _Partition, timestamp: float) -> bool:
         """At the run cap, prune expired runs; return whether a slot freed up.
 
         The batched path prunes once per chunk, so expired runs may still
         occupy slots mid-batch; evicting them lazily here keeps cap
         behaviour identical to the per-tuple path (which prunes before
-        every tuple).  On the per-tuple path this re-prune is a no-op.
+        every tuple).  On the per-tuple path this re-prune finds nothing,
+        except a run this very tuple moved from a step a ``within`` covers
+        to one only the TTL governs.
         """
-        self._prune(runs, timestamp)
-        return len(runs) < self.config.max_active_runs
+        self._prune(part, timestamp)
+        return part.count < self.config.max_active_runs
 
-    def _satisfies_constraints(self, run: _Run, timestamp: float) -> bool:
-        """Check the ``within`` constraints that end at the step being entered."""
-        # Explicit loop, not all(...): runs once per candidate tuple per run.
-        for constraint in self._constraints_ending[run.next_step]:  # noqa: SIM110
-            if timestamp - run.step_timestamps[constraint.first] > constraint.seconds:
-                return False
-        return True
-
-    def _prune(self, runs: List[_Run], timestamp: float) -> None:
+    def _prune(self, part: _Partition, timestamp: float) -> None:
         """Drop one partition's runs that can no longer complete in time.
 
         A run inside a ``within`` constraint window is pruned by that
@@ -794,45 +850,43 @@ class NFAMatcher:
         steps still cannot accumulate forever.  Pruning happens with the
         partition's own event time, never another player's, so interleaving
         cannot change when a run expires.
-        """
-        ttl = self.config.run_ttl_seconds
-        if not self._has_constraints and ttl is None:
-            return
-        covering = self._constraints_covering
-        expired: List[_Run] = []
-        for run in runs:
-            constraints = covering[run.next_step - 1]
-            for constraint in constraints:
-                if timestamp - run.step_timestamps[constraint.first] > constraint.seconds:
-                    expired.append(run)
-                    break
-            else:
-                if (
-                    not constraints
-                    and ttl is not None
-                    and timestamp - run.start_timestamp > ttl
-                ):
-                    expired.append(run)
-        # Emptied partitions are dropped by _process_tuple's cleanup (pruning
-        # is always followed by processing a tuple of the same partition);
-        # popping here would orphan the list _process_tuple still appends to.
-        for run in expired:
-            self._remove_run(runs, run)
-        self.stats.runs_pruned += len(expired)
 
-    def _remove_run(self, runs: List[_Run], run: _Run) -> None:
-        """O(1) removal by identity: swap the last run into the freed slot."""
-        index = run.index
-        if index < 0 or index >= len(runs) or runs[index] is not run:
-            return  # already removed (e.g. cleared by consume all)
-        last = runs.pop()
-        if last is not run:
-            runs[index] = last
-            last.index = index
-        run.index = -1
+        Returns without looking at a run while nothing can have expired
+        (``oldest`` bound, exact — see "Fast path" in the module docstring).
+        An emptied partition is left for ``_process_tuple`` to drop: pruning
+        is always followed by processing a tuple of the same partition.
+        """
+        if timestamp - part.oldest <= self._shortest_window:
+            return
+        ttl = self._ttl
+        waiting = part.waiting
+        oldest = math.inf
+        for index in range(1, self._length):
+            bucket = waiting[index]
+            if not bucket:
+                continue
+            kept = bucket
+            constraints = self._constraints_covering[index - 1]
+            for first, seconds in constraints:
+                kept = [
+                    run for run in kept if not timestamp - run.step_timestamps[first] > seconds
+                ]
+            if not constraints and ttl is not None:
+                kept = [run for run in bucket if not timestamp - run.start_timestamp > ttl]
+            if len(kept) != len(bucket):
+                self.stats.runs_pruned += len(bucket) - len(kept)
+                part.count -= len(bucket) - len(kept)
+                waiting[index] = kept
+            if kept:
+                oldest = min(oldest, min(map(min, [run.step_timestamps for run in kept])))
+        part.oldest = oldest
 
     def _report(
-        self, key: Any, completed: List[_Run], timestamp: float
+        self,
+        key: Any,
+        part: Optional[_Partition],
+        completed: List[_Run],
+        timestamp: float,
     ) -> List[Detection]:
         completed.sort(key=lambda run: run.sequence_number)
         if self.pattern.select is SelectPolicy.FIRST:
@@ -857,12 +911,8 @@ class NFAMatcher:
         ]
         self.stats.detections += len(detections)
 
-        if self.pattern.consume is ConsumePolicy.ALL:
+        if part is not None and self.pattern.consume is ConsumePolicy.ALL:
             # Consumption is per player: only the completing partition's
             # partial matches are discarded.
-            runs = self._partitions.get(key)
-            if runs:
-                for run in runs:
-                    run.index = -1
-                runs.clear()
+            part.clear()
         return detections

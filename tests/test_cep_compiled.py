@@ -141,6 +141,16 @@ class TestCompiledEquivalence:
             with pytest.raises(ExpressionError):
                 expression.compile()({"other": 1.0})
 
+    def test_window_conjunction_tests_atoms_in_order_and_names_the_missing_field(self):
+        expression = parse_expression("abs(x - 40) < 50 and abs(y - 1) < 2")
+        compiled = expression.compile()
+        assert compiled({"x": 500.0}) is False  # x decides; y is never read
+        assert expression.evaluate({"x": 500.0}) is False
+        with pytest.raises(ExpressionError, match="no field 'y'"):
+            compiled({"x": 40.0})
+        with pytest.raises(ExpressionError, match="no field 'y'"):
+            expression.evaluate({"x": 40.0})
+
     def test_unknown_function_raises_at_compile_time(self):
         expression = parse_expression("mystery(x) < 5")
         with pytest.raises(UnknownFunctionError):
@@ -163,11 +173,12 @@ class TestCompiledEquivalence:
         # A user-registered 'abs' must win over the builtin shortcut.
         functions = default_functions()
         functions.register("abs", lambda value: 0.0, arity=1)
-        expression = parse_expression("abs(x - 400) < 50")
-        compiled = expression.compile(functions)
-        for record in ({"x": 0.0}, {"x": 1000.0}):
-            assert compiled(record) == expression.evaluate(record, functions)
-            assert compiled(record) is True  # overridden abs returns 0 < 50
+        for text in ("abs(x - 400) < 50", "abs(x - 400) < 50 and abs(x + 7) < 1"):
+            expression = parse_expression(text)
+            compiled = expression.compile(functions)
+            for record in ({"x": 0.0}, {"x": 1000.0}):
+                assert compiled(record) == expression.evaluate(record, functions)
+                assert compiled(record) is True  # overridden abs returns 0 < 50
 
     def test_base_class_fallback_interprets_custom_nodes(self):
         class Always7(Expression):

@@ -169,6 +169,16 @@ class TestEngineBasics:
         with pytest.raises(QueryRegistrationError):
             engine.get_query("missing")
 
+    def test_deployed_name_is_the_registration_name(self):
+        engine = CEPEngine()
+        engine.create_stream("s")
+        deployed = engine.register_query(SIMPLE_QUERY, name="up_v2")
+        assert deployed.name == "up_v2"
+        assert engine.get_query(deployed.name) is deployed
+        assert "up_v2" in repr(deployed)
+        engine.unregister_query(deployed.name)
+        assert engine.query_names() == []
+
     def test_tuples_without_timestamp_use_engine_clock(self):
         clock = SimulatedClock(start=3.0)
         engine = CEPEngine(clock=clock)

@@ -6,6 +6,7 @@ from repro.cep.expressions import Comparison, FieldRef, Literal
 from repro.cep.matcher import MatcherConfig, NFAMatcher
 from repro.cep.nfa import compile_pattern
 from repro.cep.query import ConsumePolicy, EventPattern, SelectPolicy, sequence
+from repro.errors import SerializationError
 
 
 def _step(low: float, high: float) -> EventPattern:
@@ -83,6 +84,12 @@ class TestTimeConstraints:
     def test_within_satisfied_detects(self):
         matcher = _matcher(within=1.0)
         assert len(matcher.process_many(_tuples([10, 110, 210], dt=0.4), "s")) == 1
+
+    def test_within_around_a_single_event_constrains_nothing(self):
+        # `a -> (b within 1 seconds)` parses; the group spans no time.
+        pattern = sequence([_step(0, 50), sequence([_step(100, 150)], within_seconds=1.0)])
+        matcher = NFAMatcher(compile_pattern(pattern), output="g")
+        assert len(matcher.process_many(_tuples([10, 110], dt=5.0), "s")) == 1
 
     def test_expired_runs_are_pruned(self):
         matcher = _matcher(within=0.5)
@@ -208,26 +215,39 @@ class TestRunManagement:
         assert matcher.process({"ts": 0.0}, "s") == []
         assert len(matcher.process({"ts": 0.1}, "s")) == 1
 
-    def test_remove_run_uses_identity_not_value_equality(self):
-        # Two users starting the same pose in the same frame produce runs
-        # with identical field values; removal must evict the right object.
-        from repro.cep.matcher import _Run
+    def test_identical_runs_complete_or_expire_on_their_own(self):
+        # Two users starting the same pose in the same frame — and one user
+        # sending the same frame twice — produce runs with identical field
+        # values; each must still complete or expire by itself.
+        matcher = _matcher(
+            within=1.0, select=SelectPolicy.ALL, consume=ConsumePolicy.NONE
+        )
 
-        matcher = _matcher()
-        twin_a = _Run(next_step=1, start_timestamp=0.0, step_timestamps=[0.0])
-        twin_b = _Run(next_step=1, start_timestamp=0.0, step_timestamps=[0.0])
-        twin_a.index = 0
-        twin_b.index = 1
-        runs = [twin_a, twin_b]
-        matcher._remove_run(runs, twin_b)
-        assert len(runs) == 1
-        assert runs[0] is twin_a
-        # Removing the survivor (now possibly swapped) also works.
-        matcher._remove_run(runs, twin_a)
-        assert runs == []
-        # Double removal is a no-op, not an error or a wrong eviction.
-        matcher._remove_run(runs, twin_a)
-        assert runs == []
+        def feed(player, x, ts):
+            return matcher.process({"x": x, "ts": ts, "player": player}, "s")
+
+        for player in (1, 1, 2):
+            assert feed(player, 10, 0.0) == []
+        assert matcher.active_runs == 3
+        assert feed(1, 110, 0.2) == []
+        # Player 1's twins complete together, as two separate detections ...
+        finished = feed(1, 210, 0.4)
+        assert [d.partition for d in finished] == [1, 1]
+        assert [d.step_timestamps for d in finished] == [(0.0, 0.2, 0.4)] * 2
+        assert finished[0].matched is not finished[1].matched
+        # ... while player 2's identical run is still waiting, and expires alone.
+        assert matcher.active_runs == 1
+        assert matcher.partition_keys() == [2]
+        assert feed(2, 110, 5.0) == []
+        assert matcher.active_runs == 0
+        assert matcher.stats.runs_pruned == 1
+        # One user's twins expire individually too.
+        assert feed(1, 10, 6.0) == [] and feed(1, 10, 6.0) == []
+        assert matcher.active_runs == 2
+        assert feed(1, 999, 9.0) == []
+        assert matcher.active_runs == 0
+        assert matcher.stats.runs_pruned == 3
+        assert matcher.stats.detections == 2
 
     def test_single_step_pattern_detects_even_at_run_cap(self):
         # A single-step match never occupies a run slot; the cap must not
@@ -320,3 +340,68 @@ class TestBatchProcessing:
         matcher = _matcher()
         assert matcher.process_batch([], "s") == []
         assert matcher.stats.tuples_processed == 0
+
+
+class TestRestoreState:
+    @staticmethod
+    def _captured(*values):
+        matcher = _matcher()
+        matcher.process_many(_tuples(values), "s")
+        return matcher.capture_state()
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            {"next_step": 9},
+            {"next_step": 3},
+            {"next_step": 0},
+            {"step_timestamps": [0.0, 0.1, 0.2]},
+            {"matched": []},
+        ],
+    )
+    def test_runs_the_pattern_cannot_hold_are_refused(self, damage):
+        state = self._captured(10, 110)
+        (run_state,) = state["partitions"][0]["runs"]
+        assert run_state["next_step"] == 2
+        run_state.update(damage)
+        matcher = _matcher()
+        with pytest.raises(SerializationError, match=r"query 'g'.*run 0 "):
+            matcher.restore_state(state)
+        assert matcher.furthest_step() == 0
+
+    def test_unstored_tuples_need_no_matched_history(self):
+        state = self._captured(10, 110)
+        state["partitions"][0]["runs"][0]["matched"] = []
+        matcher = _matcher(config=MatcherConfig(store_matched_tuples=False))
+        matcher.restore_state(state)
+        assert len(matcher.process({"x": 210, "ts": 0.2}, "s")) == 1
+
+    def test_a_refused_restore_leaves_the_old_state_in_place(self):
+        matcher = _matcher()
+        matcher.process_many(_tuples([10, 110]), "s")
+        before = matcher.capture_state()
+        state = self._captured(10)
+        good = state["partitions"][0]
+        bad = {"key": {"value": 7}, "runs": [dict(good["runs"][0], next_step=9)]}
+        state["partitions"] = [good, bad]
+        state["run_counter"] = 99
+        with pytest.raises(SerializationError):
+            matcher.restore_state(state)
+        assert matcher.capture_state() == before
+        assert len(matcher.process({"x": 210, "ts": 0.2}, "s")) == 1
+
+    def test_engine_restore_surfaces_the_error_not_an_index_error_later(self):
+        from repro.cep.engine import CEPEngine
+
+        text = 'SELECT "g" MATCHING s(x > 0) -> s(x > 10) -> s(x > 20);'
+        engine = CEPEngine()
+        engine.create_stream("s")
+        engine.register_query(text)
+        engine.push("s", {"ts": 0.0, "x": 5})
+        state = engine.capture_state()
+        state["queries"][0]["matcher"]["partitions"][0]["runs"][0]["next_step"] = 9
+        with pytest.raises(SerializationError):
+            engine.restore_state(state)
+        engine.push("s", {"ts": 0.1, "x": 15})
+        engine.push("s", {"ts": 0.2, "x": 25})
+        assert len(engine.detections("g")) == 1

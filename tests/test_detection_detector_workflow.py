@@ -77,6 +77,14 @@ class TestGestureDetector:
         with pytest.raises(GestureNotFoundError):
             detector.undeploy("swipe_right")
 
+    def test_undeploy_by_the_name_it_was_deployed_under(self):
+        detector = GestureDetector()
+        detector.deploy('SELECT "up" MATCHING kinect_t(rhand_y > 10000);', name="up_v2")
+        assert detector.deployed_gestures() == ["up_v2"]
+        detector.undeploy("up_v2")
+        assert detector.deployed_gestures() == []
+        assert detector.engine.query_names() == []
+
     def test_handlers_per_gesture_and_global(self, swipe_description, simulator, swipe):
         detector = GestureDetector()
         detector.deploy(swipe_description)

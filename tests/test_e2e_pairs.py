@@ -1,0 +1,76 @@
+"""The verdict rule of ``tools/e2e_pairs.py`` (the pure part of the pairs protocol)."""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+
+from e2e_pairs import render, summarise  # noqa: E402 — path set up above
+
+SPECS = [
+    {"name": "tuples_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+    {"name": "cpu_us_per_tuple", "unit": "us", "better": "lower", "bound": 0.25},
+]
+
+
+def run(tuples_per_s, cpu_us, correct=True, failed=0):
+    return {
+        "correct": correct,
+        "failed": failed,
+        "metrics": {
+            "tuples_per_s": {"value": tuples_per_s, "unit": "1/s"},
+            "cpu_us_per_tuple": {"value": cpu_us, "unit": "us"},
+        },
+    }
+
+
+def verdicts(pairs):
+    return {row.metric: row for row in summarise(SPECS, pairs)}
+
+
+PARENT = [run(20_000 + 100 * i, 45.0 + 0.1 * i) for i in range(10)]
+
+
+def test_a_gain_needs_the_wins_and_medians_apart_by_more_than_the_parents_spread():
+    rows = verdicts([(p, run(40_000 + 100 * i, 25.0)) for i, p in enumerate(PARENT)])
+    assert rows["tuples_per_s"].verdict == "gain"
+    assert rows["tuples_per_s"].wins == rows["tuples_per_s"].pairs == 10
+    assert rows["cpu_us_per_tuple"].verdict == "gain"  # lower is better there
+    # Ten wins by less than the parent's own inter-quartile range are noise.
+    rows = verdicts([(p, run(p["metrics"]["tuples_per_s"]["value"] + 50, 45.0)) for p in PARENT])
+    assert rows["tuples_per_s"].wins == 10
+    assert rows["tuples_per_s"].verdict == "within noise"
+    # ... and so are eight wins of ten, however large.
+    change = [run(40_000, 25.0)] * 8 + [run(19_000, 60.0)] * 2
+    assert verdicts(list(zip(PARENT, change)))["tuples_per_s"].verdict == "within noise"
+
+
+def test_a_tie_counts_for_neither_side():
+    rows = verdicts([(p, p) for p in PARENT])
+    assert rows["tuples_per_s"].wins == 0
+    assert rows["tuples_per_s"].verdict == "within noise"
+    assert rows["tuples_per_s"].parent_median == rows["tuples_per_s"].change_median
+
+
+def test_a_loss_is_a_regression_only_beyond_the_bound():
+    inside = verdicts([(p, run(17_000, 52.0)) for p in PARENT])
+    assert inside["tuples_per_s"].verdict == "within noise"  # -16 % of a 25 % bound
+    assert inside["cpu_us_per_tuple"].verdict == "within noise"
+    beyond = verdicts([(p, run(14_000, 60.0)) for p in PARENT])
+    assert beyond["tuples_per_s"].verdict == "regression"
+    assert beyond["cpu_us_per_tuple"].verdict == "regression"
+    assert "regression" in render(list(beyond.values()))
+
+
+@pytest.mark.parametrize("broken", [run(40_000, 25.0, correct=False), run(40_000, 25.0, failed=3)])
+def test_a_failed_run_is_refused(broken):
+    pairs = [(p, run(40_000, 25.0)) for p in PARENT]
+    pairs[4] = (PARENT[4], broken)
+    with pytest.raises(ValueError, match="pair 5: the change run"):
+        summarise(SPECS, pairs)
+    with pytest.raises(ValueError):
+        summarise(SPECS, [])

@@ -1,0 +1,149 @@
+"""``NFAMatcher`` against the naive reference, on generated patterns and streams.
+
+Every execution shape of the matcher — per tuple, batched under any
+chunking, compiled or interpreted predicates, snapshot-restored midway —
+must report what ``reference_matcher.ReferenceMatcher`` reports, as
+``Detection.to_state()`` JSON.  Patterns draw their steps from a handful of
+predicates over two small-valued fields, so many runs wait for the same
+step and see the same verdict: the case the step buckets exist for.
+"""
+
+import json
+
+from hypothesis import given, settings, strategies as st
+
+from reference_matcher import ReferenceMatcher
+from repro.cep.expressions import (
+    BooleanOp,
+    Comparison,
+    FieldRef,
+    Literal,
+    abs_diff_predicate,
+)
+from repro.cep.matcher import MatcherConfig, NFAMatcher
+from repro.cep.nfa import CompiledPattern, Step, TimeConstraint
+from repro.cep.query import ConsumePolicy, SelectPolicy
+
+PREDICATES = (
+    abs_diff_predicate("x", 0.0, 6.0),
+    abs_diff_predicate("x", 10.0, 6.0),
+    BooleanOp("and", [abs_diff_predicate("x", 5.0, 8.0), abs_diff_predicate("y", 0.0, 5.0)]),
+    Comparison(">", FieldRef("x"), Literal(4.0)),
+    BooleanOp("or", [Comparison("<", FieldRef("y"), Literal(2.0)), abs_diff_predicate("x", 15.0, 3.0)]),
+)
+
+
+@st.composite
+def patterns(draw):
+    chosen = draw(st.lists(st.sampled_from(PREDICATES), min_size=1, max_size=5))
+    last_step = len(chosen) - 1
+    groups = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, last_step),
+                st.integers(0, last_step),
+                st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+            ),
+            max_size=3,
+        )
+    )
+    return CompiledPattern(
+        steps=tuple(Step(index, "s", predicate) for index, predicate in enumerate(chosen)),
+        constraints=tuple(
+            TimeConstraint(min(a, b), max(a, b), seconds) for a, b, seconds in groups
+        ),
+        select=draw(st.sampled_from(list(SelectPolicy))),
+        consume=draw(st.sampled_from(list(ConsumePolicy))),
+    )
+
+
+configs = st.builds(
+    MatcherConfig,
+    max_active_runs=st.sampled_from([1, 3, 256]),
+    run_ttl_seconds=st.sampled_from([None, 0.4]),
+    store_matched_tuples=st.booleans(),
+    partition_field=st.sampled_from(["player", None]),
+    partition_idle_seconds=st.none(),
+)
+
+
+@st.composite
+def streams(draw, jitter):
+    """Tuples of 1–3 players; ``jitter`` is what a tuple's clock may run behind."""
+    players = draw(st.integers(1, 3))
+    frames = draw(
+        st.lists(
+            st.tuples(
+                st.integers(1, players),
+                st.sampled_from([-5.0, 0.0, 5.0, 10.0, 15.0]),
+                st.sampled_from([0.0, 3.0, 8.0]),
+                st.sampled_from([0.0, 0.05, 0.1, 0.3, 0.7]),
+                st.sampled_from(jitter),
+            ),
+            min_size=20,  # long enough for runs to pile up in a bucket and expire
+            max_size=80,
+        )
+    )
+    now, records = 0.0, []
+    for player, x, y, step, behind in frames:
+        now += step
+        records.append({"ts": now - behind, "player": player, "x": x, "y": y})
+    return records
+
+
+def _states(detections):
+    return [json.dumps(detection.to_state(), sort_keys=True) for detection in detections]
+
+
+def _counters(matcher):
+    stats = matcher.stats
+    return stats.runs_started, stats.runs_completed, stats.detections
+
+
+@settings(max_examples=150, deadline=None)
+@given(patterns(), configs, streams(jitter=[0.0]), st.data())
+def test_every_execution_shape_matches_the_reference(pattern, config, records, data):
+    reference = ReferenceMatcher(pattern, "g", config)
+    expected = _states([d for record in records for d in reference.process(record, "s")])
+    expected_counters = (reference.started, reference.completed, reference.detections)
+
+    per_tuple = NFAMatcher(pattern, "g", config=config)
+    assert _states(per_tuple.process_many(records, "s")) == expected
+    assert _counters(per_tuple) == expected_counters
+
+    batched = NFAMatcher(pattern, "g", config=config)
+    detections, position = [], 0
+    while position < len(records):
+        size = data.draw(st.integers(1, 12), label="chunk")
+        detections += batched.process_batch(records[position : position + size], "s")
+        position += size
+    assert _states(detections) == expected
+    assert _counters(batched) == expected_counters
+
+    interpreted_config = MatcherConfig(**{**vars(config), "compile_predicates": False})
+    interpreted = NFAMatcher(pattern, "g", config=interpreted_config)
+    assert _states(interpreted.process_many(records, "s")) == expected
+    assert interpreted.stats == per_tuple.stats
+
+    midpoint = data.draw(st.integers(0, len(records)), label="midpoint")
+    first_half = NFAMatcher(pattern, "g", config=config)
+    detections = first_half.process_many(records[:midpoint], "s")
+    resumed = NFAMatcher(pattern, "g", config=config)
+    resumed.restore_state(json.loads(json.dumps(first_half.capture_state())))
+    detections += resumed.process_many(records[midpoint:], "s")
+    assert _states(detections) == expected
+    assert resumed.stats == per_tuple.stats
+
+
+@settings(max_examples=150, deadline=None)
+@given(patterns(), configs, streams(jitter=[0.0, 0.0, 0.0, 0.45, 1.3]))
+def test_per_tuple_path_matches_the_reference_on_disordered_time(pattern, config, records):
+    # Only the per-tuple path promises anything once time runs backwards; it
+    # must prune exactly the runs the reference's unconditional scan prunes,
+    # tuple by tuple — which is what holds the `oldest` bound to "exact".
+    reference = ReferenceMatcher(pattern, "g", config)
+    matcher = NFAMatcher(pattern, "g", config=config)
+    for record in records:
+        assert _states(matcher.process(record, "s")) == _states(reference.process(record, "s"))
+        assert matcher.active_runs == reference.active_runs
+        assert matcher.stats.runs_pruned == reference.pruned

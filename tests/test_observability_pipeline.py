@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import threading
 
 import pytest
 
@@ -78,6 +79,35 @@ class TestInlineSession:
             categories = {event["cat"] for event in events}
             assert {"ingest", "matcher"} <= categories
             assert len({event["args"]["trace_id"] for event in events}) == 1
+
+    def test_aliased_query_is_one_name_in_spans_profile_and_stats(self):
+        # profile_hz this low never samples by itself; the predicate's UDF
+        # takes the sample, from a second thread, while the matcher runs.
+        config = SessionConfig(trace_sample_rate=1.0, profile_hz=0.001)
+        with GestureSession(config) as session:
+            profiler = session.telemetry.profiler
+
+            def sampled(value):
+                sampler = threading.Thread(target=profiler.sample_once, name="repro-test-sampler")
+                sampler.start()
+                sampler.join(timeout=30)
+                return value
+
+            session.engine.register_function("sampled", sampled, arity=1)
+            session.deploy(
+                'SELECT "high" MATCHING kinect_t(sampled(rhand_y) > 450);', name="high_v2"
+            )
+            session.feed(make_frames(players=1, rounds=4), stream="kinect_t")
+            spans = {
+                event["name"]
+                for event in session.export_trace()["traceEvents"]
+                if event["cat"] == "matcher"
+            }
+            assert spans == {"matcher:high_v2"}
+            rows = session.profile()["queries"]
+            assert set(rows) == {"high_v2"}
+            assert rows["high_v2"]["samples"] >= 1
+            assert rows["high_v2"]["stats"]["tuples_processed"] == 4
 
     def test_export_trace_writes_file(self, tmp_path):
         config = SessionConfig(trace_sample_rate=1.0)

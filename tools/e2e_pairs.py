@@ -1,0 +1,155 @@
+#!/usr/bin/env python
+"""Alternating parent/change pairs of ``benchmarks/e2e`` — the claim protocol as a command.
+
+    python tools/e2e_pairs.py --parent <rev> --workload <name> --pairs 10 [--seconds 24]
+
+Checks ``<rev>`` out into a temporary directory (``git archive``: committed
+files only, in a new directory — what the driver measures — and nothing is
+left behind in ``.git``), then runs the command ``BENCHMARK.json`` declares
+in that copy and in the working tree alternately: pair *n* uses seed *n*,
+and who goes first alternates, so a slow minute on this shared box hits both
+sides.  Per end-to-end metric it prints the parent's median and quartiles,
+the change's median, how many pairs the change won (ties count for neither)
+and a verdict from the metric's ``better`` / ``bound``:
+
+``gain``          the change won at least nine tenths of the pairs and the
+                  medians are further apart than the parent's own
+                  inter-quartile range;
+``regression``    the change's median is worse than the parent's by more
+                  than the bound;
+``within noise``  neither.
+
+A run that reports ``correct: false`` or failed operations is refused, not
+summarised.  The tool reads ``BENCHMARK.json`` and calls the benchmark; it
+edits neither.  ``summarise`` is the pure part (``tests/test_e2e_pairs.py``).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import Any, Dict, List, Mapping, NamedTuple, Sequence, Tuple
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: One run: the JSON object the benchmark prints last.
+Run = Mapping[str, Any]
+
+
+class Row(NamedTuple):
+    metric: str
+    unit: str
+    parent_median: float
+    parent_q1: float
+    parent_q3: float
+    change_median: float
+    wins: int
+    pairs: int
+    verdict: str
+
+
+def _quartiles(values: Sequence[float]) -> Tuple[float, float]:
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
+def summarise(end_to_end: Sequence[Mapping[str, Any]], pairs: Sequence[Tuple[Run, Run]]) -> List[Row]:
+    """One :class:`Row` per metric of ``BENCHMARK.json``'s ``end_to_end`` list.
+
+    ``pairs`` holds (parent run, change run) per pair.  Raises ``ValueError``
+    on an empty list and on any run that was incorrect or failed operations:
+    a timing of wrong answers is not a measurement.
+    """
+    if not pairs:
+        raise ValueError("no pairs to summarise")
+    for number, pair in enumerate(pairs, start=1):
+        for side, run in zip(("parent", "change"), pair):
+            if not run.get("correct") or run.get("failed"):
+                raise ValueError(
+                    f"pair {number}: the {side} run reports correct={run.get('correct')!r}, "
+                    f"failed={run.get('failed')!r}; refusing to summarise"
+                )
+    rows = []
+    for spec in end_to_end:
+        name, higher = spec["name"], spec["better"] == "higher"
+        sign = 1.0 if higher else -1.0  # sign * value: larger is better
+        parent = [float(p["metrics"][name]["value"]) for p, _ in pairs]
+        change = [float(c["metrics"][name]["value"]) for _, c in pairs]
+        wins = sum(sign * c > sign * p for p, c in zip(parent, change))
+        parent_median, change_median = statistics.median(parent), statistics.median(change)
+        q1, q3 = _quartiles(parent)
+        improvement = sign * (change_median - parent_median)
+        if wins >= 0.9 * len(pairs) and improvement > q3 - q1:
+            verdict = "gain"
+        elif -improvement > spec["bound"] * abs(parent_median):
+            verdict = "regression"
+        else:
+            verdict = "within noise"
+        rows.append(
+            Row(name, spec["unit"], parent_median, q1, q3, change_median, wins, len(pairs), verdict)
+        )
+    return rows
+
+
+def render(rows: Sequence[Row]) -> str:
+    lines = [f"{'metric':<24}{'parent median [q1 - q3]':>38}{'change median':>16}{'wins':>8}  verdict"]
+    for row in rows:
+        parent = f"{row.parent_median:.5g} [{row.parent_q1:.5g} - {row.parent_q3:.5g}]"
+        lines.append(
+            f"{row.metric + ' (' + row.unit + ')':<24}{parent:>38}{row.change_median:>16.5g}"
+            f"{f'{row.wins}/{row.pairs}':>8}  {row.verdict}"
+        )
+    return "\n".join(lines)
+
+
+def _run_once(command: Sequence[str], tree: Path) -> Dict[str, Any]:
+    done = subprocess.run(command, cwd=tree, stdout=subprocess.PIPE, text=True, check=False)
+    lines = done.stdout.strip().splitlines()
+    if not lines:
+        raise SystemExit(f"{' '.join(command)} in {tree} printed nothing (exit {done.returncode})")
+    return json.loads(lines[-1])
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    manifest = json.loads((REPO_ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="git revision to compare the working tree against")
+    parser.add_argument("--workload", required=True, choices=[w["name"] for w in manifest["workloads"]])
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=manifest["run_seconds"])
+    args = parser.parse_args(argv)
+
+    with tempfile.TemporaryDirectory(prefix="e2e-parent-") as scratch:
+        archive = subprocess.run(
+            ["git", "archive", "--format=tar", args.parent], cwd=REPO_ROOT, stdout=subprocess.PIPE, check=True
+        )
+        subprocess.run(["tar", "-x", "-C", scratch], input=archive.stdout, check=True)
+        trees = {"parent": Path(scratch), "change": REPO_ROOT}
+        pairs: List[Tuple[Run, Run]] = []
+        for seed in range(1, args.pairs + 1):
+            command = [*manifest["command"], "--workload", args.workload]
+            command += ["--seed", str(seed), "--seconds", f"{args.seconds:g}"]
+            runs = {}
+            for side in ("parent", "change") if seed % 2 else ("change", "parent"):
+                runs[side] = _run_once(command, trees[side])
+                print(json.dumps({"pair": seed, "side": side, **runs[side]}), flush=True)
+            pairs.append((runs["parent"], runs["change"]))
+    try:
+        rows = summarise(manifest["end_to_end"], pairs)
+    except ValueError as error:
+        print(f"e2e_pairs: {error}", file=sys.stderr)
+        return 1
+    print(f"\n{args.workload}: {args.pairs} pairs of {args.seconds:g} s, parent {args.parent}")
+    print(render(rows))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
