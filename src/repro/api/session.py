@@ -972,9 +972,10 @@ class GestureSession:
             span.close(tuples=count)
         if self._metrics is not None:
             shard_metrics = self._metrics.shard(0)
-            shard_metrics.record_batch_seconds(busy)
-            shard_metrics.add_processed(count, busy)
-            shard_metrics.add_enqueued(count)
+            shard_metrics.observe("batch_processing", busy)
+            shard_metrics.add(
+                tuples_enqueued=count, tuples_processed=count, batches_processed=1, busy_seconds=busy
+            )
             self._metrics.histogram("ingest_to_detection").record(busy)
         telemetry.maybe_log_slow_batch(busy, stream_name, count, context=trace)
         return count

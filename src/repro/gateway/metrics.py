@@ -1,12 +1,9 @@
 """Gateway edge counters and the asyncio loop-lag monitor.
 
-:class:`GatewayMetrics` is the edge-side sibling of the runtime's
-:class:`~repro.runtime.metrics.ShardMetrics`: connections, frames in and
-out, tuples admitted and dropped, detections pushed, typed errors sent,
-and how far behind the event loop is running.  Everything snapshots to
-plain numbers (the ``/metrics`` JSON document) and renders to the
-Prometheus text exposition format via the same helpers the
-:class:`~repro.runtime.metrics.MetricsRegistry` uses.
+:class:`GatewayMetrics` is the edge-side sibling of the runtime's shard
+sets: one :class:`~repro.observability.registry.MetricSet` of
+:data:`GATEWAY_FAMILIES`.  Everything snapshots to plain numbers (the
+``/metrics`` JSON document) and renders through the one exposition writer.
 
 Loop lag — the time between when a timer *should* fire and when the loop
 actually ran it — is the single most honest saturation signal an asyncio
@@ -18,165 +15,62 @@ samples it on a fixed interval with an EWMA and a high-water mark.
 from __future__ import annotations
 
 import asyncio
-import threading
 from typing import Dict, Optional
 
-from repro.observability.histogram import LatencyHistogram
-from repro.runtime.metrics import histogram_exposition, prometheus_sample
+from repro.observability.registry import Family, MetricSet, exposition
 
-__all__ = ["GatewayMetrics", "LoopLagMonitor"]
+__all__ = ["GATEWAY_FAMILIES", "GatewayMetrics", "LoopLagMonitor"]
+
+#: What the gateway edge counts.  ``request_latency`` is the wall time of
+#: one ``tuples`` frame from receipt to ack — admission wait included, so
+#: backpressure stalls are visible; the event loop is its single writer.
+GATEWAY_FAMILIES = (
+    Family("connections_opened", "repro_gateway_connections_opened_total", "counter", "Websocket connections accepted."),
+    Family("connections_closed", "repro_gateway_connections_closed_total", "counter", "Websocket connections ended."),
+    Family("connections_active", "repro_gateway_connections_active", "gauge", "Currently open websocket connections."),
+    Family("connections_rejected", "repro_gateway_connections_rejected_total", "counter", "Connections refused by admission control."),
+    Family("frames_in", "repro_gateway_frames_in_total", "counter", "Protocol frames received."),
+    Family("frames_out", "repro_gateway_frames_out_total", "counter", "Protocol frames sent."),
+    Family("tuples_in", "repro_gateway_tuples_in_total", "counter", "Tuples offered by clients."),
+    Family("tuples_accepted", "repro_gateway_tuples_accepted_total", "counter", "Tuples admitted past edge admission control."),
+    Family("tuples_dropped", "repro_gateway_tuples_dropped_total", "counter", "Tuples dropped at the edge (admission policies)."),
+    Family("detections_pushed", "repro_gateway_detections_pushed_total", "counter", "Detection events pushed to subscribers."),
+    Family("errors_sent", "repro_gateway_errors_sent_total", "counter", "Typed error frames sent."),
+    Family("loop_lag_ewma_seconds", "repro_gateway_loop_lag_ewma_seconds", "gauge", "Exponentially weighted mean asyncio loop lag.", 0.0),
+    Family("loop_lag_max_seconds", "repro_gateway_loop_lag_max_seconds", "gauge", "High-water mark of the asyncio loop lag.", 0.0),
+    Family("request_latency", "repro_gateway_request_seconds", "histogram", "Wall time of one tuples frame from receipt to ack."),
+)
 
 
-class GatewayMetrics:
-    """Edge counters of one gateway server.  All methods are thread-safe
-    (feeds run on executor threads; everything else on the loop)."""
+class GatewayMetrics(MetricSet):
+    """Edge counters of one gateway server.  Thread-safe (feeds run on
+    executor threads; everything else on the loop)."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._connections_opened = 0
-        self._connections_closed = 0
-        self._connections_rejected = 0
-        self._frames_in = 0
-        self._frames_out = 0
-        self._tuples_in = 0
-        self._tuples_accepted = 0
-        self._tuples_dropped = 0
-        self._detections_pushed = 0
-        self._errors_sent = 0
-        self._loop_lag_ewma = 0.0
-        self._loop_lag_max = 0.0
-        #: Wall time of one ``tuples`` frame from receipt to ack —
-        #: admission wait included, so backpressure stalls are visible.
-        self.request_latency = LatencyHistogram()
-
-    # -- writers -----------------------------------------------------------------------
-
-    def connection_opened(self) -> None:
-        with self._lock:
-            self._connections_opened += 1
-
-    def connection_closed(self) -> None:
-        with self._lock:
-            self._connections_closed += 1
-
-    def connection_rejected(self) -> None:
-        with self._lock:
-            self._connections_rejected += 1
-
-    def add_frame_in(self, count: int = 1) -> None:
-        with self._lock:
-            self._frames_in += count
-
-    def add_frame_out(self, count: int = 1) -> None:
-        with self._lock:
-            self._frames_out += count
-
-    def add_tuples(self, offered: int, accepted: int, dropped: int) -> None:
-        with self._lock:
-            self._tuples_in += offered
-            self._tuples_accepted += accepted
-            self._tuples_dropped += dropped
-
-    def add_detections_pushed(self, count: int = 1) -> None:
-        with self._lock:
-            self._detections_pushed += count
-
-    def add_error_sent(self) -> None:
-        with self._lock:
-            self._errors_sent += 1
-
-    def record_request_seconds(self, seconds: float) -> None:
-        with self._lock:
-            self.request_latency.record(seconds)
+        super().__init__(GATEWAY_FAMILIES)
 
     def record_loop_lag(self, lag_seconds: float) -> None:
         with self._lock:
+            values = self._values
             # EWMA with a ~20-sample horizon; plus the all-time high-water.
-            self._loop_lag_ewma += 0.05 * (lag_seconds - self._loop_lag_ewma)
-            if lag_seconds > self._loop_lag_max:
-                self._loop_lag_max = lag_seconds
+            values["loop_lag_ewma_seconds"] += 0.05 * (lag_seconds - values["loop_lag_ewma_seconds"])
+            if lag_seconds > values["loop_lag_max_seconds"]:
+                values["loop_lag_max_seconds"] = lag_seconds
 
-    # -- readers -----------------------------------------------------------------------
-
-    @property
-    def connections_active(self) -> int:
+    def observe(self, key: str, seconds: float) -> None:
+        # Under the lock: executor threads digest this histogram in
+        # ``snapshot()`` (``/metrics``, ``/debug/vars``) while the loop records.
         with self._lock:
-            return self._connections_opened - self._connections_closed
+            super().observe(key, seconds)
 
-    @property
-    def tuples_accepted(self) -> int:
-        with self._lock:
-            return self._tuples_accepted
-
-    @property
-    def tuples_dropped(self) -> int:
-        with self._lock:
-            return self._tuples_dropped
-
-    def snapshot(self) -> Dict[str, float]:
-        """A JSON-serialisable copy of every counter."""
-        with self._lock:
-            return {
-                "connections_opened": self._connections_opened,
-                "connections_closed": self._connections_closed,
-                "connections_active": self._connections_opened - self._connections_closed,
-                "connections_rejected": self._connections_rejected,
-                "frames_in": self._frames_in,
-                "frames_out": self._frames_out,
-                "tuples_in": self._tuples_in,
-                "tuples_accepted": self._tuples_accepted,
-                "tuples_dropped": self._tuples_dropped,
-                "detections_pushed": self._detections_pushed,
-                "errors_sent": self._errors_sent,
-                "loop_lag_ewma_seconds": round(self._loop_lag_ewma, 6),
-                "loop_lag_max_seconds": round(self._loop_lag_max, 6),
-                "request_latency": self.request_latency.summary(),
-            }
-
-    #: snapshot key -> (metric name, type, help) for the exposition format.
-    _FAMILIES = (
-        ("connections_opened", "repro_gateway_connections_opened_total", "counter", "Websocket connections accepted."),
-        ("connections_closed", "repro_gateway_connections_closed_total", "counter", "Websocket connections ended."),
-        ("connections_active", "repro_gateway_connections_active", "gauge", "Currently open websocket connections."),
-        ("connections_rejected", "repro_gateway_connections_rejected_total", "counter", "Connections refused by admission control."),
-        ("frames_in", "repro_gateway_frames_in_total", "counter", "Protocol frames received."),
-        ("frames_out", "repro_gateway_frames_out_total", "counter", "Protocol frames sent."),
-        ("tuples_in", "repro_gateway_tuples_in_total", "counter", "Tuples offered by clients."),
-        ("tuples_accepted", "repro_gateway_tuples_accepted_total", "counter", "Tuples admitted past edge admission control."),
-        ("tuples_dropped", "repro_gateway_tuples_dropped_total", "counter", "Tuples dropped at the edge (admission policies)."),
-        ("detections_pushed", "repro_gateway_detections_pushed_total", "counter", "Detection events pushed to subscribers."),
-        ("errors_sent", "repro_gateway_errors_sent_total", "counter", "Typed error frames sent."),
-        ("loop_lag_ewma_seconds", "repro_gateway_loop_lag_ewma_seconds", "gauge", "Exponentially weighted mean asyncio loop lag."),
-        ("loop_lag_max_seconds", "repro_gateway_loop_lag_max_seconds", "gauge", "High-water mark of the asyncio loop lag."),
-    )
+    def snapshot(self) -> Dict[str, object]:
+        """Every counter, plus the ``request_latency`` digest."""
+        digest = self.histograms()["request_latency"].summary()
+        return {**super().snapshot(), "request_latency": digest}
 
     def to_prometheus(self) -> str:
         """Every counter in the Prometheus text exposition format."""
-        snap = self.snapshot()
-        lines = []
-        for key, metric, kind, help_text in self._FAMILIES:
-            lines.append(f"# HELP {metric} {help_text}")
-            lines.append(f"# TYPE {metric} {kind}")
-            lines.append(prometheus_sample(metric, snap[key]))
-        with self._lock:
-            request_latency = LatencyHistogram.merged([self.request_latency])
-        lines.extend(
-            histogram_exposition(
-                "repro_gateway_request_seconds",
-                "Wall time of one tuples frame from receipt to ack.",
-                request_latency,
-            )
-        )
-        return "\n".join(lines) + "\n"
-
-    def __repr__(self) -> str:
-        snap = self.snapshot()
-        return (
-            f"GatewayMetrics(active={snap['connections_active']}, "
-            f"tuples={snap['tuples_accepted']}, "
-            f"dropped={snap['tuples_dropped']}, "
-            f"pushed={snap['detections_pushed']})"
-        )
+        return exposition(self.samples())
 
 
 class LoopLagMonitor:

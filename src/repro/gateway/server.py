@@ -29,7 +29,7 @@ import asyncio
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Set
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Set
 
 from repro.detection.events import GestureEvent
 from repro.errors import (
@@ -47,10 +47,12 @@ from repro.gateway.metrics import GatewayMetrics, LoopLagMonitor
 from repro.gateway.protocol import ErrorCode
 from repro.gateway.tenants import Tenant, TenantConfig
 from repro.observability.clock import perf_clock
+from repro.observability.registry import Family, Sample, build_info_sample, exposition
 from repro.observability.tracing import TraceContext
-from repro.runtime.metrics import build_info_exposition, prometheus_sample
 
-__all__ = ["GatewayConfig", "GatewayServer"]
+__all__ = ["GATEWAY_SCRAPE_DURATION", "GatewayConfig", "GatewayServer"]
+
+GATEWAY_SCRAPE_DURATION = Family("scrape_duration", "repro_gateway_scrape_duration_seconds", "gauge", "Seconds this scrape spent collecting and rendering every tenant body.")
 
 
 @dataclass(frozen=True)
@@ -101,14 +103,14 @@ class _Connection:
 
     async def send(self, message: Mapping[str, Any]) -> None:
         await self.ws.send_text(protocol.encode_message(message))
-        self.server.metrics.add_frame_out()
+        self.server.metrics.add(frames_out=1)
 
     async def push_events(self, events: List[GestureEvent]) -> None:
         """Deliver detections; a dead subscriber unsubscribes itself."""
         try:
             for event in events:
                 await self.send(protocol.event_to_wire(event))
-            self.server.metrics.add_detections_pushed(len(events))
+            self.server.metrics.add(detections_pushed=len(events))
         except (ConnectionClosedError, WebSocketError):
             if self.tenant is not None:
                 self.tenant.subscribers.discard(self)
@@ -265,7 +267,7 @@ class GatewayServer:
             "status": status,
             "reasons": reasons,
             "tenants": len(self.tenants),
-            "connections": self.metrics.connections_active,
+            "connections": self.metrics.values()["connections_active"],
         }
 
     def _alerts_document(self) -> Dict[str, Any]:
@@ -311,41 +313,23 @@ class GatewayServer:
         }
 
     def _metrics_exposition(self) -> str:
-        """Gateway counters + per-tenant admission and session metrics."""
+        """Gateway counters + per-tenant admission and session metrics, as one
+        body: every family's header once, whatever the number of tenants."""
+        return exposition(self._metrics_samples())
+
+    def _metrics_samples(self) -> Iterator[Sample]:
         scrape_started = perf_clock()
-        parts = ["\n".join(build_info_exposition()) + "\n", self.metrics.to_prometheus()]
-        tenant_lines: List[str] = []
-        for name, tenant in sorted(self.tenants.items()):
-            labels = {"tenant": name}
-            tenant_lines.append(
-                prometheus_sample("repro_gateway_tenant_connections", len(tenant.connections), labels)
-            )
-            tenant_lines.append(
-                prometheus_sample("repro_gateway_tenant_pending_tuples", tenant.queue.depth, labels)
-            )
-            tenant_lines.append(
-                prometheus_sample("repro_gateway_tenant_tuples_fed_total", tenant.tuples_fed, labels)
-            )
-            tenant_lines.append(
-                prometheus_sample("repro_gateway_tenant_tuples_dropped_total", tenant.tuples_dropped, labels)
-            )
-        if tenant_lines:
-            parts.append("\n".join(tenant_lines) + "\n")
-        for name, tenant in sorted(self.tenants.items()):
+        yield build_info_sample({})
+        yield from self.metrics.samples()
+        tenants = sorted(self.tenants.items())
+        for _name, tenant in tenants:
+            yield from tenant.samples()
+        for name, tenant in tenants:
             session = tenant.session
             registry = session.metrics if session is not None else None
             if registry is not None:
-                parts.append(registry.to_prometheus({"tenant": name}))
-        parts.append(
-            "# HELP repro_gateway_scrape_duration_seconds Seconds this "
-            "scrape spent collecting and rendering every tenant body.\n"
-            "# TYPE repro_gateway_scrape_duration_seconds gauge\n"
-            + prometheus_sample(
-                "repro_gateway_scrape_duration_seconds", perf_clock() - scrape_started
-            )
-            + "\n"
-        )
-        return "".join(parts)
+                yield from registry.samples({"tenant": name})
+        yield GATEWAY_SCRAPE_DURATION, {}, perf_clock() - scrape_started
 
     # -- websocket ---------------------------------------------------------------------
 
@@ -379,12 +363,12 @@ class GatewayServer:
         )
         connection = _Connection(ws, self)
         self._connections.add(connection)
-        self.metrics.connection_opened()
+        self.metrics.add(connections_opened=1, connections_active=1)
         try:
             await self._run_protocol(connection)
         finally:
             self._connections.discard(connection)
-            self.metrics.connection_closed()
+            self.metrics.add(connections_closed=1, connections_active=-1)
             tenant = connection.tenant
             if tenant is not None:
                 tenant.connections.discard(connection)
@@ -399,7 +383,7 @@ class GatewayServer:
                 text = await ws.receive_text()
             except (ConnectionClosedError, WebSocketError):
                 return  # close already handled at the websocket layer
-            self.metrics.add_frame_in()
+            self.metrics.add(frames_in=1)
             request_id: Any = None
             try:
                 message = protocol.decode_message(text)
@@ -431,7 +415,7 @@ class GatewayServer:
                 )
 
     async def _send_error(self, connection: _Connection, frame: Mapping[str, Any]) -> None:
-        self.metrics.add_error_sent()
+        self.metrics.add(errors_sent=1)
         try:
             await connection.send(frame)
         except (ConnectionClosedError, WebSocketError):
@@ -492,7 +476,7 @@ class GatewayServer:
         if tenant is None:
             template = self.config.tenants.get(name)
             if template is None and not self.config.allow_dynamic_tenants:
-                self.metrics.connection_rejected()
+                self.metrics.add(connections_rejected=1)
                 raise GatewayProtocolError(
                     ErrorCode.UNKNOWN_TENANT,
                     f"tenant '{name}' is not configured",
@@ -501,7 +485,7 @@ class GatewayServer:
             tenant = Tenant(name, template or self.config.default_tenant)
             self.tenants[name] = tenant
         if not tenant.authenticate(message.get("token")):
-            self.metrics.connection_rejected()
+            self.metrics.add(connections_rejected=1)
             raise GatewayProtocolError(
                 ErrorCode.AUTH_FAILED,
                 f"authentication failed for tenant '{name}'",
@@ -510,7 +494,7 @@ class GatewayServer:
         try:
             tenant.check_connection_limit()
         except AdmissionError as error:
-            self.metrics.connection_rejected()
+            self.metrics.add(connections_rejected=1)
             raise GatewayProtocolError(
                 ErrorCode.TOO_MANY_CONNECTIONS, str(error), fatal=True
             ) from error
@@ -551,16 +535,16 @@ class GatewayServer:
                     trace=span.context if span is not None else None,
                 )
             except AdmissionError as error:
-                self.metrics.add_tuples(offered, 0, offered)
+                self.metrics.add(tuples_in=offered, tuples_dropped=offered)
                 raise GatewayProtocolError(
                     ErrorCode.RATE_LIMITED, str(error), fatal=True
                 ) from error
             except BackpressureError as error:
-                self.metrics.add_tuples(offered, 0, offered)
+                self.metrics.add(tuples_in=offered, tuples_dropped=offered)
                 raise GatewayProtocolError(
                     ErrorCode.BACKPRESSURE, str(error), fatal=True
                 ) from error
-            self.metrics.add_tuples(offered, accepted, dropped)
+            self.metrics.add(tuples_in=offered, tuples_accepted=accepted, tuples_dropped=dropped)
             if message.get("ack", True):
                 ack: Dict[str, Any] = {
                     "type": "ack",
@@ -575,7 +559,7 @@ class GatewayServer:
         finally:
             # Receipt to ack, admission wait included — a block-policy
             # stall shows up here, exactly where the client feels it.
-            self.metrics.record_request_seconds(perf_clock() - started)
+            self.metrics.observe("request_latency", perf_clock() - started)
             if span is not None:
                 span.close()
 

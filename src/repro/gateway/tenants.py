@@ -46,10 +46,20 @@ from typing import Any, Callable, Deque, Dict, List, Mapping, Optional, Sequence
 from repro.api.session import GestureSession, SessionConfig
 from repro.detection.events import GestureEvent
 from repro.errors import AdmissionError, BackpressureError, GatewayError
+from repro.observability.registry import Family, Sample, scalar_samples
 from repro.observability.tracing import TraceContext
 from repro.runtime.queues import BackpressurePolicy
 
-__all__ = ["TenantConfig", "Tenant", "TokenBucket", "AsyncIngestQueue"]
+__all__ = ["TENANT_FAMILIES", "TenantConfig", "Tenant", "TokenBucket", "AsyncIngestQueue"]
+
+#: Per-tenant admission series of the gateway's ``/metrics`` (label
+#: ``tenant``); the keys are those of :meth:`Tenant.snapshot`.
+TENANT_FAMILIES = (
+    Family("connections", "repro_gateway_tenant_connections", "gauge", "Websocket connections attached to the tenant."),
+    Family("pending_tuples", "repro_gateway_tenant_pending_tuples", "gauge", "Tuples waiting in the tenant's ingest queue."),
+    Family("tuples_fed", "repro_gateway_tenant_tuples_fed_total", "counter", "Tuples fed to the tenant's session."),
+    Family("tuples_dropped", "repro_gateway_tenant_tuples_dropped_total", "counter", "Tuples the tenant's admission policy dropped."),
+)
 
 
 @dataclass(frozen=True)
@@ -549,6 +559,16 @@ class Tenant:
             "failed": self.failure is not None,
             "session_metrics": registry.snapshot() if registry is not None else None,
         }
+
+    def samples(self) -> List[Sample]:
+        """The :data:`TENANT_FAMILIES` samples for the ``/metrics`` exposition."""
+        values = {
+            "connections": len(self.connections),
+            "pending_tuples": self.queue.depth,
+            "tuples_fed": self.tuples_fed,
+            "tuples_dropped": self.tuples_dropped,
+        }
+        return scalar_samples(TENANT_FAMILIES, values, {"tenant": self.name})
 
     def __repr__(self) -> str:
         return (

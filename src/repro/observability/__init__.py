@@ -3,8 +3,12 @@
 The package is stdlib-only and sits *below* the runtime in the import
 graph: :mod:`repro.runtime.metrics`, the shard executors, the gateway and
 the persistence layer all import from here, never the other way around.
-Three building blocks:
+Its building blocks:
 
+* :class:`Family` / :class:`MetricSet` / :func:`exposition` — a metric is
+  declared once as a family row; a set holds the live values of one tuple
+  of rows behind one lock; one writer renders every Prometheus body (see
+  :mod:`repro.observability.registry`);
 * :class:`LatencyHistogram` — mergeable log-linear latency histograms
   with fixed bucket boundaries, so per-thread and per-process shard
   histograms combine losslessly (see :mod:`repro.observability.histogram`);
@@ -51,6 +55,7 @@ from repro.observability.profiling import (
     tag_query,
     untag_query,
 )
+from repro.observability.registry import Family, MetricSet, exposition
 from repro.observability.slo import (
     DEFAULT_RULES,
     Alert,
@@ -76,11 +81,13 @@ __all__ = [
     "Alert",
     "BurnRateRule",
     "DEFAULT_RULES",
+    "Family",
     "HealthReason",
     "HealthReport",
     "HealthWatchdog",
     "JsonFormatter",
     "LatencyHistogram",
+    "MetricSet",
     "MetricsSampler",
     "SLO",
     "SLOEvaluator",
@@ -95,6 +102,7 @@ __all__ = [
     "WatchdogConfig",
     "configure_json_logging",
     "current_context",
+    "exposition",
     "flatten_registry",
     "monotonic_time",
     "perf_clock",

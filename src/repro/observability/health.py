@@ -122,9 +122,9 @@ class HealthWatchdog:
       ``shard_id``, ``alive``, ``backlog``, ``tuples_processed`` and
       (optionally) ``queue_depth`` / ``queue_capacity`` — the shape
       ``ShardedRuntime.shard_liveness()`` produces;
-    * a *durability* source yields one mapping with append and ``fsyncs``
-      counters — ``DurabilityMetrics.snapshot()`` (``entries_appended``)
-      or any hand-rolled ``{"appended": ..., "fsyncs": ...}`` mapping;
+    * a *durability* source yields one mapping with the
+      ``entries_appended`` and ``fsyncs`` counters — the shape
+      ``session.metrics.durability.snapshot()`` produces;
     * a *probe* yields ready-made :class:`HealthReason` rows for
       conditions only the caller can see (e.g. a gateway counting slow
       detection consumers).
@@ -304,11 +304,7 @@ class HealthWatchdog:
     def _check_fsync(
         self, subject: str, counters: Mapping[str, float], stamp: float
     ) -> Optional[HealthReason]:
-        # DurabilityMetrics.snapshot() spells it "entries_appended"; plain
-        # "appended" is accepted for hand-rolled sources.
-        appended = float(
-            counters.get("entries_appended", counters.get("appended", 0)) or 0
-        )
+        appended = float(counters.get("entries_appended", 0) or 0)
         fsyncs = float(counters.get("fsyncs", 0) or 0)
         mark = self._fsync_marks.get(subject)
         # The mark moves whenever fsyncs advance or appends stop arriving.

@@ -4,9 +4,10 @@
 it rides inside ``ShardEngineSpec`` into process-shard children, so every
 process builds an identical :class:`Telemetry` from the same knobs.
 :class:`Telemetry` owns the :class:`~repro.observability.tracing.Tracer`
-and the slow-batch logger; histograms live with the metric objects that
-record them (:class:`~repro.runtime.metrics.ShardMetrics` and friends)
-because their lifecycle follows the metrics registry, not the tracer.
+and the slow-batch logger; histograms live in the
+:class:`~repro.observability.registry.MetricSet` that records them (one
+per shard, one for durability, one at the gateway edge) because their
+lifecycle follows the metrics registry, not the tracer.
 
 The defaults are the ≤5 %-overhead contract: histograms on (a bisect per
 *batch*, not per tuple), tracing off (``sample_rate=0.0`` → the hot path

@@ -7,15 +7,11 @@ adds the windowed layer:
 
 * :class:`TimeSeries` — a fixed-capacity ring buffer of
   ``(monotonic_seconds, value)`` points with windowed ``rate()`` /
-  ``delta()`` / ``mean()`` queries.  Like
-  :class:`~repro.observability.histogram.LatencyHistogram` it is
-  mergeable: ``to_state()`` round-trips through JSON/pickle and
-  :meth:`TimeSeries.merge` interleaves two buffers by timestamp, so
-  series recorded in a process shard can be folded into the parent's.
+  ``delta()`` / ``mean()`` queries.
 * :class:`MetricsSampler` — a named daemon thread polling every
   registered source (a :class:`MetricsRegistry` — shard totals,
-  durability counters, merged histogram digests — gateway counters, or
-  any callable returning a flat ``{name: number}`` mapping) into one
+  durability counters, merged histogram digests — or any callable
+  returning a flat ``{name: number}`` mapping) into one
   series per metric, then handing the fresh window to an optional
   :class:`~repro.observability.slo.SLOEvaluator`.
 
@@ -30,7 +26,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left, bisect_right
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.observability.clock import monotonic_time
 
@@ -47,22 +43,18 @@ _HISTOGRAM_DIGEST_KEYS = ("count", "sum_seconds", "p50_seconds", "p99_seconds", 
 class TimeSeries:
     """A bounded series of ``(timestamp, value)`` points.  Thread-safe.
 
-    ``kind`` documents how to read the values: a ``"counter"`` series
-    holds monotonically increasing totals (query with :meth:`rate` /
-    :meth:`delta`), a ``"gauge"`` series holds point-in-time levels
-    (query with :meth:`mean` / :meth:`latest`).  The kind does not change
-    storage behaviour; both are capacity-bounded ring buffers.
+    A series of monotonically increasing totals is queried with
+    :meth:`rate` / :meth:`delta`, one of point-in-time levels with
+    :meth:`mean` / :meth:`max` / :meth:`latest`; storage is the same
+    capacity-bounded ring buffer either way.
     """
 
-    __slots__ = ("name", "kind", "capacity", "_times", "_values", "_lock")
+    __slots__ = ("name", "capacity", "_times", "_values", "_lock")
 
-    def __init__(self, name: str, capacity: int = DEFAULT_CAPACITY, kind: str = "gauge") -> None:
+    def __init__(self, name: str, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity < 2:
             raise ValueError("a TimeSeries needs capacity >= 2 to answer windowed queries")
-        if kind not in ("counter", "gauge"):
-            raise ValueError(f"kind must be 'counter' or 'gauge', not {kind!r}")
         self.name = name
-        self.kind = kind
         self.capacity = capacity
         # Parallel lists kept sorted by time; cheaper than a deque of
         # tuples for the bisect-based window queries below.
@@ -75,7 +67,7 @@ class TimeSeries:
         stamp = monotonic_time() if timestamp is None else float(timestamp)
         with self._lock:
             if self._times and stamp < self._times[-1]:
-                # Out-of-order insert (merged shards): keep the buffer sorted.
+                # Out-of-order insert: keep the buffer sorted.
                 index = bisect_right(self._times, stamp)
                 self._times.insert(index, stamp)
                 self._values.insert(index, float(value))
@@ -132,17 +124,6 @@ class TimeSeries:
             increase = window[-1][1]
         return increase / elapsed
 
-    def derivative(self, window_seconds: float, now: Optional[float] = None) -> float:
-        """Per-second slope over the window; unlike :meth:`rate`, may be
-        negative (gauge going down)."""
-        window = self.points(window_seconds, now=now)
-        if len(window) < 2:
-            return 0.0
-        elapsed = window[-1][0] - window[0][0]
-        if elapsed <= 0:
-            return 0.0
-        return (window[-1][1] - window[0][1]) / elapsed
-
     def mean(self, window_seconds: float, now: Optional[float] = None) -> float:
         window = self.points(window_seconds, now=now)
         if not window:
@@ -155,49 +136,8 @@ class TimeSeries:
             return 0.0
         return max(value for _, value in window)
 
-    # -- merge / serialisation -----------------------------------------------------------
-
-    def to_state(self) -> Dict[str, object]:
-        """A JSON-/pickle-safe snapshot (same idiom as the histograms)."""
-        with self._lock:
-            return {
-                "name": self.name,
-                "kind": self.kind,
-                "capacity": self.capacity,
-                "times": list(self._times),
-                "values": list(self._values),
-            }
-
-    @classmethod
-    def from_state(cls, state: Mapping[str, object]) -> "TimeSeries":
-        series = cls(
-            str(state["name"]),
-            capacity=int(state.get("capacity", DEFAULT_CAPACITY)),  # type: ignore[arg-type]
-            kind=str(state.get("kind", "gauge")),
-        )
-        times = state.get("times") or []
-        values = state.get("values") or []
-        if not isinstance(times, Sequence) or not isinstance(values, Sequence):
-            raise ValueError("TimeSeries state requires 'times' and 'values' sequences")
-        if len(times) != len(values):
-            raise ValueError("TimeSeries state has mismatched times/values lengths")
-        series._times = [float(t) for t in times]
-        series._values = [float(v) for v in values]
-        return series
-
-    def merge(self, other: "TimeSeries") -> "TimeSeries":
-        """Interleave another series' points into this one by timestamp.
-
-        Series from different shards of one run share the monotonic epoch
-        (same boot), so the merged buffer reads chronologically; the
-        capacity bound keeps the newest points.  Returns ``self``.
-        """
-        for stamp, value in other.points():
-            self.append(value, timestamp=stamp)
-        return self
-
     def __repr__(self) -> str:
-        return f"TimeSeries({self.name!r}, kind={self.kind}, points={len(self)}/{self.capacity})"
+        return f"TimeSeries({self.name!r}, points={len(self)}/{self.capacity})"
 
 
 def flatten_registry(registry) -> Dict[str, float]:
@@ -218,18 +158,6 @@ def flatten_registry(registry) -> Dict[str, float]:
         for key in _HISTOGRAM_DIGEST_KEYS:
             reading[f"hist.{family}.{key}"] = float(digest[key])
     return reading
-
-
-#: Series whose flattened name ends with one of these behaves as a counter.
-_COUNTER_SUFFIXES = (
-    "_total", "enqueued", "processed", "dropped", "detections", "errors",
-    "busy_seconds", "appended", "fsyncs", "rotated", "taken", "replayed",
-    "recoveries", ".count", "sum_seconds", "snapshot_seconds",
-)
-
-
-def _series_kind(name: str) -> str:
-    return "counter" if name.endswith(_COUNTER_SUFFIXES) else "gauge"
 
 
 class MetricsSampler:
@@ -277,17 +205,6 @@ class MetricsSampler:
         """Poll every counter and histogram family of a metrics registry."""
         self.add_source(prefix, lambda: flatten_registry(registry))
 
-    def add_gateway_metrics(self, gateway_metrics, prefix: str = "gateway.") -> None:
-        """Poll a :class:`~repro.gateway.metrics.GatewayMetrics` snapshot."""
-        self.add_source(
-            prefix,
-            lambda: {
-                key: float(value)
-                for key, value in gateway_metrics.snapshot().items()
-                if isinstance(value, (int, float))
-            },
-        )
-
     # -- sampling ------------------------------------------------------------------------
 
     def sample_once(self, now: Optional[float] = None) -> None:
@@ -317,9 +234,7 @@ class MetricsSampler:
         with self._lock:
             series = self._series.get(name)
             if series is None:
-                series = self._series[name] = TimeSeries(
-                    name, capacity=self.capacity, kind=_series_kind(name)
-                )
+                series = self._series[name] = TimeSeries(name, capacity=self.capacity)
             return series
 
     def get(self, name: str) -> Optional[TimeSeries]:
@@ -344,17 +259,6 @@ class MetricsSampler:
     def rate(self, name: str, window_seconds: float) -> float:
         series = self.get(name)
         return 0.0 if series is None else series.rate(window_seconds)
-
-    # -- merge / serialisation -----------------------------------------------------------
-
-    def to_state(self) -> Dict[str, object]:
-        with self._lock:
-            return {name: series.to_state() for name, series in self._series.items()}
-
-    def absorb(self, state: Mapping[str, Mapping[str, object]]) -> None:
-        """Fold series states from another sampler (e.g. a process shard)."""
-        for name, series_state in state.items():
-            self.series(name).merge(TimeSeries.from_state(series_state))
 
     # -- lifecycle -----------------------------------------------------------------------
 

@@ -38,9 +38,11 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Union
 
 from repro.errors import EventLogError
 from repro.observability.clock import perf_clock
+from repro.observability.registry import Family, MetricSet
 from repro.storage.serialization import FORMAT_VERSION, dump_envelope, load_envelope
 
 __all__ = [
+    "DURABILITY_FAMILIES",
     "FSYNC_POLICIES",
     "BATCH_FSYNC_EVERY",
     "LogEntry",
@@ -53,6 +55,23 @@ FSYNC_POLICIES = ("always", "batch", "rotate")
 
 #: With ``fsync="batch"``: sync after this many appends (and on rotate/close).
 BATCH_FSYNC_EVERY = 64
+
+#: What the durability subsystem counts: the event log writes the first four
+#: and the ``fsync`` histogram (it is single-writer), the
+#: :class:`~repro.persistence.manager.DurabilityManager` the rest.  A
+#: session's registry holds the set (``session.metrics.durability``), so one
+#: snapshot covers the whole stack.
+DURABILITY_FAMILIES = (
+    Family("entries_appended", "repro_durability_entries_appended_total", "counter", "Entries appended to the event log."),
+    Family("bytes_appended", "repro_durability_bytes_appended_total", "counter", "Bytes appended to the event log."),
+    Family("fsyncs", "repro_durability_fsyncs_total", "counter", "fsync calls issued by the event log."),
+    Family("segments_rotated", "repro_durability_segments_rotated_total", "counter", "Event-log segment rotations."),
+    Family("snapshots_taken", "repro_durability_snapshots_total", "counter", "State snapshots persisted."),
+    Family("snapshot_seconds", "repro_durability_snapshot_seconds_total", "counter", "Seconds spent capturing snapshots.", 0.0),
+    Family("entries_replayed", "repro_durability_entries_replayed_total", "counter", "Log entries replayed during recovery."),
+    Family("recoveries", "repro_durability_recoveries_total", "counter", "Completed recoveries."),
+    Family("fsync", "repro_fsync_seconds", "histogram", "Seconds spent in event-log fsync calls."),
+)
 
 _SEGMENT_PREFIX = "events-"
 _SEGMENT_SUFFIX = ".jsonl"
@@ -147,8 +166,9 @@ class EventLog:
         Disk-durability policy: ``"always"``, ``"batch"`` or ``"rotate"``
         (see the module docstring).
     metrics:
-        Optional :class:`~repro.runtime.metrics.DurabilityMetrics` to
-        record appended bytes, fsyncs and rotations on.
+        Optional :class:`~repro.observability.registry.MetricSet` of
+        :data:`DURABILITY_FAMILIES` to record appended bytes, fsyncs and
+        rotations on.
     """
 
     def __init__(
@@ -157,7 +177,7 @@ class EventLog:
         segment_max_bytes: Optional[int] = 4 * 1024 * 1024,
         segment_max_entries: Optional[int] = None,
         fsync: str = "rotate",
-        metrics: Optional[Any] = None,
+        metrics: Optional[MetricSet] = None,
     ) -> None:
         if fsync not in FSYNC_POLICIES:
             raise ValueError(
@@ -251,7 +271,7 @@ class EventLog:
         self._segment_entries += 1
         self._segment_bytes += len(data)
         if self.metrics is not None:
-            self.metrics.add_append(len(data))
+            self.metrics.add(entries_appended=1, bytes_appended=len(data))
         self._appends_since_fsync += 1
         if self.fsync_policy == "always":
             self._fsync()
@@ -287,7 +307,7 @@ class EventLog:
         self._open_segment()
         self._write_manifest()
         if self.metrics is not None:
-            self.metrics.add_rotation()
+            self.metrics.add(segments_rotated=1)
 
     def flush(self, sync: bool = True) -> None:
         """Flush buffered data; with ``sync`` also fsync to disk."""
@@ -336,7 +356,8 @@ class EventLog:
             raise EventLogError(f"cannot fsync event log: {exc}") from exc
         self._appends_since_fsync = 0
         if self.metrics is not None:
-            self.metrics.add_fsync(duration_seconds=perf_clock() - started)
+            self.metrics.add(fsyncs=1)
+            self.metrics.observe("fsync", perf_clock() - started)
 
     def _write_manifest(self) -> None:
         segments = []

@@ -31,9 +31,9 @@ from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Union
 
 from repro.errors import RecoveryError
 from repro.observability.clock import perf_clock
-from repro.persistence.log import FSYNC_POLICIES, EventLog, LogEntry, read_log
+from repro.observability.registry import MetricSet
+from repro.persistence.log import DURABILITY_FAMILIES, FSYNC_POLICIES, EventLog, LogEntry, read_log
 from repro.persistence.snapshots import SnapshotStore
-from repro.runtime.metrics import DurabilityMetrics
 
 __all__ = ["DurabilityConfig", "DurabilityManager", "RecoveryResult"]
 
@@ -103,8 +103,9 @@ class DurabilityManager:
         Zero-argument callable returning the JSON-serialisable state to
         snapshot (the owner decides what "state" spans).
     metrics:
-        :class:`~repro.runtime.metrics.DurabilityMetrics` to record on; a
-        private instance is created when omitted.
+        The :class:`~repro.observability.registry.MetricSet` of
+        :data:`~repro.persistence.log.DURABILITY_FAMILIES` to record on; a
+        private one is created when omitted.
     """
 
     def __init__(
@@ -112,10 +113,10 @@ class DurabilityManager:
         target: Any,
         config: DurabilityConfig,
         capture: Callable[[], Mapping[str, Any]],
-        metrics: Optional[DurabilityMetrics] = None,
+        metrics: Optional[MetricSet] = None,
     ) -> None:
         self.config = config
-        self.metrics = metrics if metrics is not None else DurabilityMetrics()
+        self.metrics = metrics if metrics is not None else MetricSet(DURABILITY_FAMILIES)
         self.log = EventLog(
             config.directory,
             segment_max_bytes=config.segment_max_bytes,
@@ -180,7 +181,7 @@ class DurabilityManager:
         offset = self.log.last_offset
         self.snapshots.save(state, offset)
         self.log.append_snapshot_marker({"log_offset": offset})
-        self.metrics.add_snapshot(perf_clock() - started)
+        self.metrics.add(snapshots_taken=1, snapshot_seconds=perf_clock() - started)
         self._tuples_since_snapshot = 0
         return offset
 
@@ -241,8 +242,7 @@ class DurabilityManager:
                 replayed += 1
                 if entry.op == "tuples" and entry.records:
                     tuples += len(entry.records)
-        self.metrics.add_replayed(replayed)
-        self.metrics.add_recovery()
+        self.metrics.add(entries_replayed=replayed, recoveries=1)
         return RecoveryResult(
             snapshot_offset=snapshot_offset,
             replayed_entries=replayed,

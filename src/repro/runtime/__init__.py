@@ -19,7 +19,8 @@ side by side:
 ``repro.runtime.results``
     merging per-shard detections into one timestamp-ordered view.
 ``repro.runtime.metrics``
-    per-shard throughput / queue-depth / drop / detection counters.
+    the per-shard counter families (throughput / queue depth / drops /
+    detections) and the registry that aggregates them.
 ``repro.runtime.sharded``
     :class:`ShardedRuntime`, the engine-shaped façade over all of it.
 
@@ -35,7 +36,7 @@ from repro.errors import (
     ShardedRuntimeError,
     ShardFailedError,
 )
-from repro.runtime.metrics import MetricsRegistry, ShardMetrics
+from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.queues import BackpressurePolicy, ShardQueue
 from repro.runtime.results import DetectionLog, merge_detections
 from repro.runtime.router import HashPartitionRouter, stable_partition_hash
@@ -53,7 +54,6 @@ __all__ = [
     "ShardEngineSpec",
     "ShardFailure",
     "ShardFailedError",
-    "ShardMetrics",
     "ShardQueue",
     "ShardedQuery",
     "ShardedRuntime",

@@ -34,7 +34,7 @@ from collections import deque
 from typing import Any, List, Optional, Tuple
 
 from repro.errors import BackpressureError, RuntimeStateError
-from repro.runtime.metrics import ShardMetrics
+from repro.observability.registry import MetricSet
 
 __all__ = ["BackpressurePolicy", "ShardQueue"]
 
@@ -72,7 +72,7 @@ class ShardQueue:
         self,
         capacity: int,
         policy: str = BackpressurePolicy.BLOCK,
-        metrics: Optional[ShardMetrics] = None,
+        metrics: Optional[MetricSet] = None,
     ) -> None:
         if capacity < 1:
             raise ValueError("queue capacity must be at least 1")
@@ -111,7 +111,7 @@ class ShardQueue:
                         # Reject the offered chunk whole; the backlog keeps
                         # its service guarantee.
                         if self.metrics is not None:
-                            self.metrics.add_dropped(weight)
+                            self.metrics.add(tuples_dropped=weight)
                         return weight
                     # Oversized chunk against an empty queue: admit it (the
                     # producer could otherwise never make progress).
@@ -132,8 +132,8 @@ class ShardQueue:
             self._weight += weight
             if self.metrics is not None:
                 if dropped:
-                    self.metrics.add_dropped(dropped)
-                self.metrics.record_queue_depth(self._weight)
+                    self.metrics.add(tuples_dropped=dropped)
+                self.metrics.raise_to("queue_depth_hwm", self._weight)
             self._not_empty.notify()
             return dropped
 

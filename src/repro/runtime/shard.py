@@ -30,9 +30,9 @@ from repro.cep.sinks import CallbackSink
 from repro.cep.views import RAW_STREAM_NAME, TRANSFORMED_STREAM_NAME, install_kinect_view
 from repro.errors import RuntimeStateError, ShardFailedError, UnknownQueryError
 from repro.observability.clock import monotonic_time, perf_clock
+from repro.observability.registry import MetricSet
 from repro.observability.telemetry import Telemetry, TelemetryConfig
 from repro.observability.tracing import TraceContext, use_context
-from repro.runtime.metrics import ShardMetrics
 from repro.streams.clock import SimulatedClock
 from repro.transform.pipeline import KinectTransformer, TransformConfig
 
@@ -360,7 +360,7 @@ class Shard:
     def __init__(
         self,
         shard_id: int,
-        metrics: ShardMetrics,
+        metrics: MetricSet,
         on_detection: DetectionCallback,
         transport: "Transport",
         telemetry: Optional[Telemetry] = None,
@@ -429,7 +429,7 @@ class Shard:
         with self._failure_lock:
             if self._failure is None:
                 self._failure = ShardFailure(self.shard_id, error, traceback_text)
-                self.metrics.add_error()
+                self.metrics.add(errors=1)
             failure = self._failure
         with self._pending_lock:
             pending = list(self._pending.values())
@@ -479,7 +479,7 @@ class Shard:
                 # The transport closes when the worker dies; surface the cause.
                 self.raise_if_failed()
                 raise
-            self.metrics.add_enqueued(len(chunk))
+            self.metrics.add(tuples_enqueued=len(chunk))
 
     def control(self, op: str, payload: Any = None, timeout: Optional[float] = None) -> Any:
         """Run a control operation on the worker and wait for its result.
@@ -567,9 +567,9 @@ class Shard:
         elif kind == "done":
             _tag, count, busy, queue_wait = message
             if queue_wait is not None:
-                self.metrics.record_queue_wait(queue_wait)
-                self.metrics.record_batch_seconds(busy)
-            self.metrics.add_processed(count, busy)
+                self.metrics.observe("queue_wait", queue_wait)
+                self.metrics.observe("batch_processing", busy)
+            self.metrics.add(tuples_processed=count, batches_processed=1, busy_seconds=busy)
             self.transport.release(count)
         elif kind in ("ack", "nack"):
             with self._pending_lock:

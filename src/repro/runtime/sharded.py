@@ -697,7 +697,7 @@ class ShardedRuntime:
         ``block``-policy queue would deadlock the whole runtime.
         """
         with self._dispatch_lock:
-            self.metrics.shard(shard_id).add_detections()
+            self.metrics.shard(shard_id).add(detections=1)
             if latency is not None and self._e2e_histogram is not None:
                 self._e2e_histogram.record(latency)
             self._log.record(detection)

@@ -20,8 +20,8 @@ from typing import Callable, FrozenSet, Optional, Protocol
 
 from repro.cep.engine import CEPEngine
 from repro.errors import BackpressureError, RuntimeStateError, SerializationError
+from repro.observability.registry import MetricSet
 from repro.observability.telemetry import Telemetry
-from repro.runtime.metrics import ShardMetrics
 from repro.runtime.queues import BackpressurePolicy, ShardQueue
 from repro.runtime.shard import Message, RemoteShardError, ShardEngineSpec, worker_loop
 
@@ -87,7 +87,7 @@ class MemoryTransport:
         spec: ShardEngineSpec,
         capacity: int,
         policy: str,
-        metrics: ShardMetrics,
+        metrics: MetricSet,
     ) -> None:
         self._shard_id = shard_id
         self._spec = spec
@@ -245,7 +245,7 @@ class ProcessTransport:
         spec: ShardEngineSpec,
         capacity: int,
         policy: str,
-        metrics: ShardMetrics,
+        metrics: MetricSet,
     ) -> None:
         BackpressurePolicy.validate(policy)
         if policy == BackpressurePolicy.DROP_OLDEST:
@@ -311,14 +311,14 @@ class ProcessTransport:
             if self._policy == BackpressurePolicy.DROP_NEWEST:
                 # No credits: the offered chunk is rejected whole,
                 # parent-side, before it crosses the pipe.
-                self._metrics.add_dropped(weight)
+                self._metrics.add(tuples_dropped=weight)
                 return
             raise BackpressureError(
                 f"shard {self._shard_id} queue is full "
                 f"({self._credits.in_flight}/{self._credits.capacity} tuples in flight)"
             )
         self._in_queue.put(message)
-        self._metrics.record_queue_depth(self._credits.in_flight)
+        self._metrics.raise_to("queue_depth_hwm", self._credits.in_flight)
 
     def put_control(self, message: Message) -> None:
         # ``Queue.put`` pickles on a feeder thread, where a failure is

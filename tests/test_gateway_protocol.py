@@ -25,11 +25,8 @@ from repro.errors import (
 )
 from repro.gateway import http, protocol, websocket
 from repro.gateway.tenants import AsyncIngestQueue, TenantConfig, TokenBucket
-from repro.runtime.metrics import (
-    MetricsRegistry,
-    escape_label_value,
-    prometheus_sample,
-)
+from repro.observability.registry import Family, exposition
+from repro.runtime.metrics import MetricsRegistry
 
 
 def run(coroutine):
@@ -287,21 +284,22 @@ class TestApplicationProtocol:
 
 
 class TestPrometheusExposition:
-    def test_escape_label_value(self):
-        assert escape_label_value('a"b\\c\nd') == 'a\\"b\\\\c\\nd'
+    FAMILY = Family("test", "repro_test_total", "counter", "A test counter.")
+
+    def test_label_values_are_escaped(self):
+        text = exposition([(self.FAMILY, {"path": 'a"b\\c\nd'}, 1)])
+        assert text.splitlines()[-1] == 'repro_test_total{path="a\\"b\\\\c\\nd"} 1'
 
     def test_sample_with_labels_is_sorted_and_escaped(self):
-        line = prometheus_sample(
-            "repro_test_total", 3, {"tenant": 'say "hi"\n', "shard": "0"}
-        )
-        assert line == (
+        text = exposition([(self.FAMILY, {"tenant": 'say "hi"\n', "shard": "0"}, 3)])
+        assert text.splitlines()[-1] == (
             'repro_test_total{shard="0",tenant="say \\"hi\\"\\n"} 3'
         )
 
     def test_registry_exposition_has_families_and_tenant_label(self):
         registry = MetricsRegistry()
-        registry.shard(0).add_enqueued(5)
-        registry.shard(1).add_processed(3, 0.5)
+        registry.shard(0).add(tuples_enqueued=5)
+        registry.shard(1).add(tuples_processed=3, batches_processed=1, busy_seconds=0.5)
         text = registry.to_prometheus({"tenant": "arcade"})
         assert text.endswith("\n")
         assert "# TYPE repro_shard_tuples_enqueued_total counter" in text

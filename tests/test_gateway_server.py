@@ -237,7 +237,7 @@ class TestHappyPath:
                 await barrier.wait()
                 # A concurrency test, not a ramp: all sixty (plus the three
                 # admins) are attached before the first tuple is sent.
-                assert server.metrics.connections_active >= len(tenants) * (players + 1)
+                assert server.metrics.snapshot()["connections_active"] >= len(tenants) * (players + 1)
                 statuses = {"/healthz": [], "/metrics": []}
                 await asyncio.gather(clients, poll_http(server, clients, statuses))
                 for target, seen in statuses.items():
@@ -447,7 +447,7 @@ class TestProtocolRobustness:
                 ack = await client.send_tuples(frames, stream="kinect_t")
                 assert ack["accepted"] == 0
                 assert ack["dropped"] == 50
-                assert server.metrics.tuples_dropped == 50
+                assert server.metrics.snapshot()["tuples_dropped"] == 50
                 assert server.tenants["lossy"].rate_dropped == 50
 
         run(scenario())
@@ -528,6 +528,65 @@ class TestHttpEndpoints:
                 assert 'repro_shard_tuples_processed_total{shard="1",tenant="sharded"}' in body
 
         run(scenario())
+
+    def test_two_tenant_scrape_is_valid_exposition_text(self):
+        # Each tenant's registry used to be rendered separately and the bodies
+        # concatenated: every shared family's header was repeated per tenant
+        # and the per-tenant gauges had none — a body Prometheus rejects.
+        tenants = {"solo": TenantConfig(), "duo": TenantConfig(session=SessionConfig(shards=2))}
+
+        async def scenario():
+            async with serve(tenants=tenants) as server:
+                solo = await connect(server, "solo")
+                await solo.deploy(HIGH)  # so the repro_query_* families render
+                await solo.send_tuples(make_frames(players=1, rounds=4), stream="kinect_t")
+                await solo.drain()
+                duo = await connect(server, "duo")
+                await duo.send_tuples(make_frames(players=2, rounds=4), stream="kinect_t")
+                await duo.drain()
+                _, body = await http_get(server, "/metrics")
+                return body
+
+        body = run(scenario())
+        assert body.endswith("\n")
+        declared, order = {}, []
+        for line in body.splitlines():
+            assert line, "blank line inside the exposition"
+            if line.startswith("#"):
+                _, marker, name, _rest = line.split(" ", 3)
+                assert marker in ("HELP", "TYPE")
+                seen = declared.setdefault(name, [])
+                assert marker not in seen, f"second # {marker} for {name}"
+                seen.append(marker)
+                owner = name
+            else:
+                sample = line.split("{", 1)[0].split(" ", 1)[0]
+                owner = next(
+                    (
+                        name
+                        for name in (sample, *(sample.removesuffix(s) for s in ("_bucket", "_sum", "_count")))
+                        if name in declared
+                    ),
+                    None,
+                )
+                assert owner is not None, f"sample of an undeclared family: {line}"
+            if not order or order[-1] != owner:
+                order.append(owner)
+        assert all(markers == ["HELP", "TYPE"] for markers in declared.values())
+        assert len(order) == len(set(order)), "a family's samples are not contiguous"
+        for family in (
+            "repro_build_info",
+            "repro_gateway_tenant_connections",
+            "repro_shard_tuples_processed_total",
+            "repro_durability_fsyncs_total",
+            "repro_fsync_seconds",
+            "repro_query_detections_total",
+            "repro_scrape_duration_seconds",
+            "repro_gateway_scrape_duration_seconds",
+        ):
+            assert family in declared
+        assert 'repro_shard_tuples_processed_total{shard="1",tenant="duo"}' in body
+        assert 'repro_build_info{python=' in body and 'tenant="solo",version=' in body
 
     def test_malformed_http_gets_400(self):
         async def scenario():

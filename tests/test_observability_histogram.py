@@ -18,7 +18,8 @@ from bisect import bisect_left
 import pytest
 
 from repro.observability.histogram import BUCKET_BOUNDS, LatencyHistogram
-from repro.runtime.metrics import MetricsRegistry, histogram_exposition
+from repro.observability.registry import Family, exposition
+from repro.runtime.metrics import MetricsRegistry
 
 
 def sample_batches(seed: int, batches: int = 4, size: int = 200):
@@ -170,9 +171,8 @@ class TestPrometheusRendering:
 
     def test_exposition_parses_and_reconciles(self):
         histogram = recorded(sample_batches(29)[0])
-        lines = histogram_exposition(
-            "repro_test_seconds", "A test histogram.", histogram, {"shard": "0"}
-        )
+        family = Family("test", "repro_test_seconds", "histogram", "A test histogram.")
+        lines = exposition([(family, {"shard": "0"}, histogram)]).splitlines()
         assert "# TYPE repro_test_seconds histogram" in lines
         buckets, total_sum, count = parse_exposition(lines)
         assert buckets[-1][0] == "+Inf"
@@ -185,10 +185,10 @@ class TestPrometheusRendering:
 
     def test_registry_renders_all_pipeline_families(self):
         registry = MetricsRegistry()
-        registry.shard(0).record_queue_wait(0.002)
-        registry.shard(0).record_batch_seconds(0.004)
+        registry.shard(0).observe("queue_wait", 0.002)
+        registry.shard(0).observe("batch_processing", 0.004)
         registry.histogram("ingest_to_detection").record(0.006)
-        registry.durability.add_fsync(duration_seconds=0.001)
+        registry.durability.observe("fsync", 0.001)
         text = registry.to_prometheus()
         for family in (
             "repro_queue_wait_seconds",
@@ -203,6 +203,6 @@ class TestPrometheusRendering:
 
     def test_snapshot_histograms_survive_json(self):
         registry = MetricsRegistry()
-        registry.shard(0).record_queue_wait(0.002)
+        registry.shard(0).observe("queue_wait", 0.002)
         snapshot = json.loads(json.dumps(registry.snapshot()))
         assert snapshot["histograms"]["queue_wait"]["count"] == 1

@@ -183,7 +183,7 @@ class TestDurabilityManager:
         manager.close()
         got = entries(tmp_path)
         assert len(got) == 1 and got[0].records[0]["ts"] == 0.0
-        assert manager.metrics.entries_appended == 1
+        assert manager.metrics.snapshot()["entries_appended"] == 1
 
     def test_snapshot_anchor_and_tail_replay(self, tmp_path):
         engine = _engine_with_query()

@@ -17,6 +17,8 @@ TOOLS = Path(__file__).resolve().parent.parent / "tools"
 sys.path.insert(0, str(TOOLS))
 
 from repo_lint import (  # noqa: E402 — path set up above
+    BELOW_RUNTIME_PATHS,
+    EXPOSITION_WRITER,
     HASH_FORBIDDEN_PATHS,
     WALL_CLOCK_FORBIDDEN_PATHS,
     lint_file,
@@ -44,7 +46,8 @@ class TestRepositoryIsClean:
     def test_cli_list_catalogue(self, capsys):
         assert main(["--list"]) == 0
         out = capsys.readouterr().out
-        assert "RL001" in out and "RL002" in out and "RL003" in out and "RL004" in out
+        for code in ("RL001", "RL002", "RL003", "RL004", "RL005"):
+            assert code in out
 
     def test_script_runs_standalone(self):
         result = subprocess.run(
@@ -258,3 +261,74 @@ class TestRL004UnnamedThreads:
             "import threading\nworker = threading.Thread(target=print)\n",
         )
         assert lint_file(path, root=tmp_path) == []
+
+
+class TestRL005OneExpositionWriter:
+    def test_plain_header_literal_flagged(self, tmp_path):
+        path = write_module(
+            tmp_path,
+            "src/repro/gateway/bad_render.py",
+            "lines = []\nlines.append('# TYPE repro_x_total counter')\n",
+        )
+        violations = lint_file(path, root=tmp_path)
+        assert [v.code for v in violations] == ["RL005"]
+        assert violations[0].line == 2
+        assert "exposition()" in violations[0].message
+
+    def test_header_inside_f_string_flagged(self, tmp_path):
+        path = write_module(
+            tmp_path,
+            "src/repro/runtime/bad_render.py",
+            "def header(name, text):\n    return f'# HELP {name} {text}'\n",
+        )
+        assert [v.code for v in lint_file(path, root=tmp_path)] == ["RL005"]
+
+    def test_registry_module_is_the_sanctioned_writer(self, tmp_path):
+        path = write_module(
+            tmp_path,
+            EXPOSITION_WRITER,
+            "def header(name, kind):\n    return f'# TYPE {name} {kind}'\n",
+        )
+        assert lint_file(path, root=tmp_path) == []
+
+    def test_other_comment_like_strings_and_other_trees_allowed(self, tmp_path):
+        inside = write_module(
+            tmp_path, "src/repro/gateway/ok.py", "banner = '# help wanted; # types vary'\n"
+        )
+        outside = write_module(
+            tmp_path, "benchmarks/parse.py", "wanted = line.startswith('# TYPE')\n"
+        )
+        assert lint_file(inside, root=tmp_path) == []
+        assert lint_file(outside, root=tmp_path) == []
+
+    @pytest.mark.parametrize("prefix", BELOW_RUNTIME_PATHS)
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            "from repro.runtime.metrics import MetricsRegistry",
+            "import repro.runtime.queues",
+            "from repro import runtime",
+            "def late():\n    from repro.runtime import ShardedRuntime",
+        ],
+    )
+    def test_runtime_import_below_the_runtime_flagged(self, tmp_path, prefix, statement):
+        path = write_module(tmp_path, f"{prefix}/bad.py", statement + "\n")
+        violations = lint_file(path, root=tmp_path)
+        assert [v.code for v in violations] == ["RL005"]
+        assert "below repro.runtime" in violations[0].message
+
+    def test_runtime_import_above_and_lookalikes_allowed(self, tmp_path):
+        above = write_module(
+            tmp_path,
+            "src/repro/gateway/ok.py",
+            "from repro.runtime.queues import BackpressurePolicy\n",
+        )
+        lookalike = write_module(
+            tmp_path,
+            "src/repro/persistence/ok.py",
+            "from repro.observability.registry import MetricSet\n"
+            "from repro import runtime_notes\n"
+            "from . import runtime\n",
+        )
+        assert lint_file(above, root=tmp_path) == []
+        assert lint_file(lookalike, root=tmp_path) == []

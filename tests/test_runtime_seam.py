@@ -275,8 +275,8 @@ class TestShardHandle:
         snapshot = shard.metrics.snapshot()
         assert snapshot["tuples_processed"] == 5
         assert snapshot["batches_processed"] == 2
-        assert shard.metrics.queue_wait.count == 1
-        assert shard.metrics.batch_processing.count == 1
+        assert shard.metrics.histograms()["queue_wait"].count == 1
+        assert shard.metrics.histograms()["batch_processing"].count == 1
 
     def test_enqueue_chunks_to_capacity_and_batch_size(self):
         transport = _DeafTransport()

@@ -162,7 +162,7 @@ class TestShardQueue:
         queue.put("old", weight=3)
         queue.put("ctrl", weight=0)
         queue.put("new", weight=3)  # evicts "old", keeps the control
-        assert metrics.tuples_dropped == 3
+        assert metrics.snapshot()["tuples_dropped"] == 3
         items = [queue.get()[0], queue.get()[0]]
         assert items == ["ctrl", "new"]
 
@@ -173,7 +173,7 @@ class TestShardQueue:
         )
         queue.put("old", weight=3)
         assert queue.put("new", weight=3) == 3  # rejected, counted
-        assert metrics.tuples_dropped == 3
+        assert metrics.snapshot()["tuples_dropped"] == 3
         assert queue.depth == 3  # the backlog kept its service guarantee
         assert queue.get()[0] == "old"
 

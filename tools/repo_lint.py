@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repository-specific lint rules that generic linters do not cover.
 
-Four rules, all born from real failure modes of this codebase:
+Five rules, all born from real failure modes of this codebase:
 
 ``RL001`` — no builtin ``hash()`` on routing/persistence code paths or in benchmarks
     CPython salts ``hash()`` per process (PYTHONHASHSEED), so a shard
@@ -39,6 +39,17 @@ Four rules, all born from real failure modes of this codebase:
     debugged — an anonymous ``Thread-7`` is unattributable in all three.
     Every ``threading.Thread(...)`` constructed under ``src/repro`` must
     pass a ``name=`` keyword (``repro-<role>`` by convention).
+
+``RL005`` — one exposition writer, and nothing below the runtime imports it
+    Three hand-written Prometheus renderers once repeated every family's
+    ``# HELP`` / ``# TYPE`` header per tenant (a body no parser accepts)
+    and left four families without one.  A string literal containing
+    either header marker — plain or inside an f-string — may appear only
+    in ``src/repro/observability/registry.py``, whose ``exposition()``
+    writes each header once.  The same refactor took the counter classes
+    out of ``repro.runtime``; to keep them out, ``repro.persistence``,
+    ``repro.observability``, ``repro.cep`` and ``repro.storage`` — the
+    layers the runtime is built on — may not import ``repro.runtime``.
 
 Run as a script (CI) or through ``tests/test_repo_lint.py``::
 
@@ -83,6 +94,20 @@ WALL_CLOCK_SANCTIONED = "src/repro/observability/clock.py"
 
 #: Directory tree where anonymous threads are forbidden (RL004).
 THREAD_NAME_REQUIRED_PATH = "src/repro"
+
+#: The one module allowed to spell exposition header markers (RL005).
+EXPOSITION_WRITER = "src/repro/observability/registry.py"
+
+#: Header markers of the Prometheus text format; written by one module only.
+EXPOSITION_HEADERS = ("# HELP", "# TYPE")
+
+#: Packages below the runtime: they may not import ``repro.runtime`` (RL005).
+BELOW_RUNTIME_PATHS = (
+    "src/repro/persistence",
+    "src/repro/observability",
+    "src/repro/cep",
+    "src/repro/storage",
+)
 
 
 class Violation(NamedTuple):
@@ -207,6 +232,47 @@ def _lint_silent_excepts(path: Path, tree: ast.AST, relative: str) -> Iterable[V
             )
 
 
+def _lint_exposition_headers(path: Path, tree: ast.AST, relative: str) -> Iterable[Violation]:
+    for node in ast.walk(tree):  # f-string parts are Constant nodes too
+        if (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and any(marker in node.value for marker in EXPOSITION_HEADERS)
+        ):
+            yield Violation(
+                relative,
+                node.lineno,
+                "RL005",
+                "exposition header text outside the one writer; declare a "
+                "Family row and hand its samples to "
+                "repro.observability.registry.exposition()",
+            )
+
+
+def _imports_runtime(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        modules = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.level == 0:
+        modules = [node.module or ""]
+        if node.module == "repro":
+            modules += [f"repro.{alias.name}" for alias in node.names]
+    else:
+        return False
+    return any(m == "repro.runtime" or m.startswith("repro.runtime.") for m in modules)
+
+
+def _lint_runtime_imports(path: Path, tree: ast.AST, relative: str) -> Iterable[Violation]:
+    for node in ast.walk(tree):
+        if _imports_runtime(node):
+            yield Violation(
+                relative,
+                node.lineno,
+                "RL005",
+                "this package sits below repro.runtime and may not import it; "
+                "metric families and sets live in repro.observability.registry",
+            )
+
+
 def lint_file(path: Path, root: Optional[Path] = None) -> List[Violation]:
     """Lint one Python file; returns its violations."""
     root = root or REPO_ROOT
@@ -225,6 +291,10 @@ def lint_file(path: Path, root: Optional[Path] = None) -> List[Violation]:
         and posix != WALL_CLOCK_SANCTIONED
     ):
         violations.extend(_lint_wall_clock_calls(path, tree, relative))
+    if posix.startswith("src/repro") and posix != EXPOSITION_WRITER:
+        violations.extend(_lint_exposition_headers(path, tree, relative))
+    if any(posix.startswith(prefix) for prefix in BELOW_RUNTIME_PATHS):
+        violations.extend(_lint_runtime_imports(path, tree, relative))
     return violations
 
 
@@ -256,6 +326,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "RL004  every threading.Thread under",
             THREAD_NAME_REQUIRED_PATH,
             "must pass name=",
+        )
+        print(
+            "RL005  '# HELP' / '# TYPE' literals only in",
+            EXPOSITION_WRITER + ";",
+            "no 'import repro.runtime' under",
+            ", ".join(BELOW_RUNTIME_PATHS),
         )
         return 0
     violations = lint_repository()
