@@ -117,8 +117,7 @@ class GatewayClient:
     async def _read_loop(self) -> None:
         try:
             while True:
-                text = await self.ws.receive_text()
-                self._on_frame(protocol.decode_server_message(text))
+                self._on_frame(protocol.decode_server_message(await self.ws.receive()))
         except (ConnectionClosedError, WebSocketError) as error:
             for future in self._pending.values():
                 if not future.done():
@@ -151,20 +150,17 @@ class GatewayClient:
                         )
                 self._pending.clear()
 
-    async def request(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        """Send one request and await its id-correlated response.
-
-        An ``error`` response raises
-        :class:`~repro.errors.GatewayProtocolError` carrying the typed
-        code; every other response is returned as a dictionary.
-        """
-        request_id = str(next(self._ids))
-        message = dict(message, id=request_id)
+    def _expect_response(self, message: Dict[str, Any]) -> "asyncio.Future[Dict[str, Any]]":
+        """Give ``message`` a fresh ``id``; the future its response resolves."""
+        request_id = message["id"] = str(next(self._ids))
         future: "asyncio.Future[Dict[str, Any]]" = (
             asyncio.get_running_loop().create_future()
         )
         self._pending[request_id] = future
-        await self.ws.send_text(protocol.encode_message(message))
+        return future
+
+    @staticmethod
+    async def _response(future: "asyncio.Future[Dict[str, Any]]") -> Dict[str, Any]:
         response = await future
         if response.get("type") == "error":
             raise GatewayProtocolError(
@@ -178,6 +174,18 @@ class GatewayClient:
                 },
             )
         return response
+
+    async def request(self, message: Dict[str, Any]) -> Dict[str, Any]:
+        """Send one request as JSON text and await its id-correlated response.
+
+        An ``error`` response raises
+        :class:`~repro.errors.GatewayProtocolError` carrying the typed
+        code; every other response is returned as a dictionary.
+        """
+        message = dict(message)
+        future = self._expect_response(message)
+        await self.ws.send_text(protocol.encode_message(message))
+        return await self._response(future)
 
     # -- protocol verbs ----------------------------------------------------------------
 
@@ -227,19 +235,33 @@ class GatewayClient:
         seq: Optional[int] = None,
         ack: bool = True,
     ) -> Optional[Dict[str, Any]]:
-        """Send one tuples frame; returns the ``ack`` (or ``None``)."""
-        message: Dict[str, Any] = {"type": "tuples", "records": list(records)}
+        """Send one tuples frame; returns the ``ack`` (or ``None``).
+
+        Records that :func:`~repro.gateway.protocol.pack_tuples` can pack —
+        uniform rows of ``float`` / ``int`` values, which is what a sensor
+        produces — travel as a packed binary frame, any others as JSON
+        text; the server sees the same message either way.
+        """
+        message: Dict[str, Any] = {"type": "tuples"}
         if stream is not None:
             message["stream"] = stream
         if batch is not None:
             message["batch"] = batch
         if seq is not None:
             message["seq"] = seq
-        if not ack:
+        future = None
+        if ack:
+            future = self._expect_response(message)
+        else:
             message["ack"] = False
+        records = list(records)
+        packed = protocol.pack_tuples(message, records)
+        if packed is not None:
+            await self.ws.send_binary(packed)
+        else:
+            message["records"] = records
             await self.ws.send_text(protocol.encode_message(message))
-            return None
-        return await self.request(message)
+        return await self._response(future) if future is not None else None
 
     async def drain(self) -> Dict[str, Any]:
         return await self.request({"type": "drain"})

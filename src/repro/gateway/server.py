@@ -380,13 +380,13 @@ class GatewayServer:
         ws = connection.ws
         while True:
             try:
-                text = await ws.receive_text()
+                frame = await ws.receive()
             except (ConnectionClosedError, WebSocketError):
                 return  # close already handled at the websocket layer
             self.metrics.add(frames_in=1)
             request_id: Any = None
             try:
-                message = protocol.decode_message(text)
+                message = protocol.decode_message(frame)
                 request_id = message.get("id")
                 done = await self._dispatch(connection, message, request_id)
                 if done:

@@ -74,7 +74,9 @@ class TenantConfig:
     session:
         The tenant's :class:`~repro.api.session.SessionConfig` — shards,
         matcher partitioning, analyzer gate (``session.analyze`` is what
-        strict-mode deployment rejection uses), batch size.
+        strict-mode deployment rejection uses), batch size (how many of a
+        ``tuples`` frame's records go to the engine at once when the frame
+        names no ``batch``; unset, a frame is one batch).
     policy:
         Edge admission policy (any
         :class:`~repro.runtime.queues.BackpressurePolicy` name); also the
@@ -497,6 +499,10 @@ class Tenant:
         batch_size: Optional[int],
         trace: Optional[TraceContext] = None,
     ) -> None:
+        # The frame's tuples arrived together and its detections are pushed
+        # only after all of them are fed, so feeding the frame as one batch
+        # delays nothing; a smaller batch is the frame's or tenant's choice.
+        batch_size = batch_size or self.config.session.batch_size or len(records)
         session.feed(records, batch_size=batch_size, stream=stream, trace=trace)
         self.tuples_fed += len(records)
 

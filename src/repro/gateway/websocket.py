@@ -22,7 +22,7 @@ import base64
 import hashlib
 import os
 import struct
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 from repro.errors import (
     ConnectionClosedError,
@@ -287,9 +287,12 @@ class WebSocketConnection:
                 assert message_opcode is not None
                 return message_opcode, b"".join(parts)
 
-    async def receive_text(self) -> str:
-        """The next data message decoded as UTF-8 (1007 on invalid bytes)."""
+    async def receive(self) -> Union[str, bytes]:
+        """The next data message, typed by its opcode: a text message as
+        ``str`` (UTF-8, 1007 on invalid bytes), a binary one as ``bytes``."""
         opcode, payload = await self.receive_message()
+        if opcode == OP_BINARY:
+            return payload
         try:
             return payload.decode("utf-8")
         except UnicodeDecodeError:

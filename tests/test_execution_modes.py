@@ -9,6 +9,7 @@ must reproduce its ``Detection.to_state()`` sequences per (player, query).
 
 from __future__ import annotations
 
+import asyncio
 import dataclasses
 import json
 
@@ -19,6 +20,7 @@ from repro.api import DurabilityConfig, GestureSession, SessionConfig
 from repro.cep import CEPEngine, install_kinect_view
 from repro.cep.matcher import MatcherConfig
 from repro.core import GestureLearner, LearnerConfig, QueryGenerator
+from repro.gateway.tenants import Tenant, TenantConfig
 from repro.kinect import (
     CircleTrajectory,
     GaussianNoise,
@@ -149,3 +151,43 @@ def test_recovery_and_replay_after_a_midpoint_snapshot_detect_the_same(
     finally:
         for session in (live, recovered, replay.target):
             session.close()
+
+
+#: Tuples per gateway frame: not a configured batch size by accident.
+GATEWAY_FRAME = 100
+
+
+@pytest.mark.parametrize(
+    "tenant_batch, frame_batch, expected_batch",
+    [(64, None, 64), (64, 8, 8), (None, None, None)],
+    ids=["tenant-batch-size", "frame-batch-wins", "frame-is-the-batch"],
+)
+def test_gateway_tenant_feeds_in_the_batches_it_was_told_to(
+    tenant_batch, frame_batch, expected_batch, queries, frames, baseline, monkeypatch
+):
+    """A ``tuples`` frame reaches the engine in batches of the frame's
+    ``batch``, else the tenant's ``session.batch_size``, else the frame."""
+    seen = []
+    push_many = CEPEngine.push_many
+
+    def spy(self, stream, tuples, batch_size=None):
+        seen.append((len(tuples), batch_size))
+        return push_many(self, stream, tuples, batch_size=batch_size)
+
+    monkeypatch.setattr(CEPEngine, "push_many", spy)
+    chunks = [frames[i : i + GATEWAY_FRAME] for i in range(0, len(frames), GATEWAY_FRAME)]
+
+    async def scenario():
+        tenant = Tenant("t", TenantConfig(session=config(batch_size=tenant_batch)))
+        try:
+            await tenant.ensure_started()
+            for query in queries:
+                await tenant.control("call", lambda session, query=query: session.deploy(query))
+            for chunk in chunks:
+                assert await tenant.ingest(chunk, None, frame_batch) == (len(chunk), 0)
+            return await tenant.control("call", lambda session: per_player(session.detections()))
+        finally:
+            await tenant.close()
+
+    assert asyncio.run(asyncio.wait_for(scenario(), timeout=60)) == baseline
+    assert seen == [(len(chunk), expected_batch or len(chunk)) for chunk in chunks]

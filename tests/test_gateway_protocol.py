@@ -2,7 +2,9 @@
 
 Covers the RFC 6455 codec (masking, length encodings, fragmentation,
 protocol violations), the small HTTP reader, the JSON application
-protocol, the Prometheus exposition helpers (including label escaping),
+protocol and its packed ``tuples`` frames (round trip against the JSON
+spelling, what the packer refuses, hostile bytes), the Prometheus
+exposition helpers (including label escaping),
 the token bucket and the per-tenant async ingest queue's policy matrix.
 The end-to-end server behaviour lives in ``test_gateway_server.py``.
 """
@@ -11,8 +13,10 @@ from __future__ import annotations
 
 import asyncio
 import json
+import struct
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.api.session import SessionConfig
 from repro.errors import (
@@ -23,7 +27,7 @@ from repro.errors import (
     MessageTooBigError,
     WebSocketError,
 )
-from repro.gateway import http, protocol, websocket
+from repro.gateway import GatewayClient, GatewayConfig, GatewayServer, http, protocol, websocket
 from repro.gateway.tenants import AsyncIngestQueue, TenantConfig, TokenBucket
 from repro.observability.registry import Family, exposition
 from repro.runtime.metrics import MetricsRegistry
@@ -106,7 +110,7 @@ class TestWebSocketCodec:
             + client_frame(websocket.OP_CONTINUATION, b"lo ", fin=False)
             + client_frame(websocket.OP_CONTINUATION, b"world", fin=True)
         )
-        text, _ = run_ws(wire, lambda c: c.receive_text())
+        text, _ = run_ws(wire, lambda c: c.receive())
         assert text == "hello world"
 
     def test_ping_is_answered_between_fragments(self):
@@ -115,7 +119,7 @@ class TestWebSocketCodec:
             + client_frame(websocket.OP_PING, b"k")
             + client_frame(websocket.OP_CONTINUATION, b"b", fin=True)
         )
-        text, connection = run_ws(wire, lambda c: c.receive_text())
+        text, connection = run_ws(wire, lambda c: c.receive())
         assert text == "ab"
         # The pong went out on the writer, unmasked (server role).
         data = bytes(connection._writer.data)
@@ -178,9 +182,18 @@ class TestWebSocketCodec:
         outcome, _ = run_ws(b"", lambda c: c.receive_message())
         assert isinstance(outcome, ConnectionClosedError)
 
+    def test_receive_types_a_message_by_its_opcode(self):
+        wire = client_frame(websocket.OP_BINARY, b"{}") + client_frame(websocket.OP_TEXT, b"{}")
+
+        async def both(connection):
+            return await connection.receive(), await connection.receive()
+
+        outcome, _ = run_ws(wire, both)
+        assert outcome == (b"{}", "{}")
+
     def test_invalid_utf8_text_fails_with_websocket_error(self):
         wire = client_frame(websocket.OP_TEXT, b"\xff\xfe")
-        outcome, _ = run_ws(wire, lambda c: c.receive_text())
+        outcome, _ = run_ws(wire, lambda c: c.receive())
         assert isinstance(outcome, WebSocketError)
 
 
@@ -281,6 +294,202 @@ class TestApplicationProtocol:
 
     def test_encode_is_compact_and_stable(self):
         assert protocol.encode_message({"b": 1, "a": 2}) == '{"a":2,"b":1}'
+
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+
+@st.composite
+def packable_records(draw):
+    """Record lists :func:`protocol.pack_tuples` accepts: one key order, one
+    of ``float`` / ``int`` per field, every float there is, ints to the limits."""
+    names = draw(st.lists(st.text(max_size=6), min_size=1, max_size=6, unique=True))
+    columns = [
+        st.floats() if draw(st.booleans()) else st.integers(INT64_MIN, INT64_MAX)
+        for _ in names
+    ]
+    rows = draw(st.lists(st.tuples(*columns), min_size=1, max_size=5))
+    return [dict(zip(names, row)) for row in rows]
+
+
+def exact(message):
+    """``message`` with every record value as (type, exact text): ``-0.0`` is
+    not ``0.0``, ``1`` is not ``1.0``; key order does not count (JSON sorts)."""
+    records = [
+        {key: (type(value).__name__, value.hex() if isinstance(value, float) else value)
+         for key, value in record.items()}
+        for record in message["records"]
+    ]
+    return dict(message, records=records)
+
+
+def packed_frame(header, rows=b"", header_length=None):
+    """A binary frame from its parts; ``header`` is bytes or a JSON-able object."""
+    if not isinstance(header, bytes):
+        header = json.dumps(header).encode("utf-8")
+    length = len(header) if header_length is None else header_length
+    return struct.pack(">I", length) + header + rows
+
+
+def assert_bad_message(frame):
+    with pytest.raises(GatewayProtocolError) as info:
+        protocol.decode_message(frame)
+    assert info.value.code == protocol.ErrorCode.BAD_MESSAGE
+    assert not info.value.fatal
+
+
+ONE_ROW = struct.pack("<dq", 1.5, 7)
+
+
+class TestPackedTuplesFrames:
+    ENVELOPE = {"type": "tuples", "stream": "kinect_t", "batch": 8, "seq": 3, "id": "9"}
+
+    @settings(max_examples=200, deadline=None)
+    @given(packable_records())
+    @example([{"f": -0.0, "i": INT64_MIN}, {"f": 5e-324, "i": INT64_MAX}])
+    @example([{"f": float("nan")}, {"f": float("inf")}, {"f": float("-inf")}])
+    def test_packed_and_json_spellings_decode_to_the_same_message(self, records):
+        packed = protocol.pack_tuples(self.ENVELOPE, records)
+        assert isinstance(packed, bytes)
+        text = protocol.encode_message(dict(self.ENVELOPE, records=records))
+        assert exact(protocol.decode_message(packed)) == exact(protocol.decode_message(text))
+        assert protocol.require_records(protocol.decode_message(packed))
+
+    def test_doubles_travel_bit_for_bit_and_keys_keep_their_order(self):
+        # JSON cannot carry a NaN's payload; the packed frame does.
+        (quiet_nan_with_payload,) = struct.unpack("<d", bytes.fromhex("efbeadde0000f87f"))
+        records = [{"ts": 0.1 + 0.2, "player": 3, "x": quiet_nan_with_payload}]
+        (decoded,) = protocol.decode_message(protocol.pack_tuples({"type": "tuples"}, records))[
+            "records"
+        ]
+        assert list(decoded) == ["ts", "player", "x"]
+        assert [type(value) for value in decoded.values()] == [float, int, float]
+        assert struct.pack("<dqd", *decoded.values()) == struct.pack("<dqd", *records[0].values())
+
+    REFUSED = {
+        "ragged key order": [{"a": 1.0, "b": 2.0}, {"b": 2.0, "a": 1.0}],
+        "a missing key": [{"a": 1.0, "b": 2.0}, {"a": 1.0}],
+        "a str value": [{"a": 1.0, "b": "two"}],
+        "a bool value": [{"a": 1.0, "b": True}],
+        "a None value": [{"a": 1.0, "b": None}],
+        "an int beyond 64 bits": [{"a": 1.0, "b": 1}, {"a": 1.0, "b": INT64_MAX + 1}],
+        "a field that is int here and float there": [{"a": 1.0, "b": 1}, {"a": 1.0, "b": 1.0}],
+        "a nested value": [{"a": 1.0, "b": [1.0]}],
+        "no fields": [{}],
+        "too many fields": [{f"f{n}": 0.0 for n in range(protocol.MAX_PACKED_FIELDS + 1)}],
+    }
+
+    @pytest.mark.parametrize("case", REFUSED)
+    def test_records_the_packer_refuses_travel_as_json_text(self, case):
+        records = self.REFUSED[case]
+        assert protocol.pack_tuples({"type": "tuples"}, records) is None
+
+        async def scenario():
+            server = await GatewayServer(GatewayConfig(port=0, max_message_bytes=1 << 22)).start()
+            try:
+                client = await GatewayClient.connect("127.0.0.1", server.port)
+                await client.hello("t")
+                client.ws.send_binary = None  # a packed frame would fail the test
+                ack = await client.send_tuples(records, stream="kinect_t")
+                await client.drain()
+                await client.close()
+                return ack, server.tenants["t"].tuples_fed
+            finally:
+                await server.close()
+
+        ack, fed = run(scenario())
+        assert (ack["accepted"], ack["dropped"], fed) == (len(records), 0, len(records))
+
+    def test_empty_records_are_refused_by_the_packer_and_by_the_server_as_before(self):
+        assert protocol.pack_tuples({"type": "tuples"}, []) is None
+        with pytest.raises(GatewayProtocolError):
+            protocol.require_records(
+                protocol.decode_message(packed_frame({"type": "tuples", "fields": ["a"], "formats": "d"}))
+            )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=256))
+    def test_arbitrary_bytes_are_a_bad_message(self, frame):
+        assert_bad_message(frame)
+
+    MALFORMED = {
+        "shorter than the length prefix": b"\x00\x00",
+        "header length past the end": packed_frame(
+            {"type": "tuples", "fields": ["a", "b"], "formats": "dq"}, ONE_ROW, header_length=4096
+        ),
+        "header length of 4 GiB": packed_frame(b"{}", header_length=2**32 - 1),
+        "fewer formats than fields": packed_frame(
+            {"type": "tuples", "fields": ["a", "b"], "formats": "d"}, ONE_ROW
+        ),
+        "duplicate field names": packed_frame(
+            {"type": "tuples", "fields": ["a", "a"], "formats": "dq"}, ONE_ROW
+        ),
+        "a field name that is not a string": packed_frame(
+            {"type": "tuples", "fields": ["a", 7], "formats": "dq"}, ONE_ROW
+        ),
+        "an unhashable field name": packed_frame(
+            {"type": "tuples", "fields": ["a", ["b"]], "formats": "dq"}, ONE_ROW
+        ),
+        "an unknown format code": packed_frame(
+            {"type": "tuples", "fields": ["a", "b"], "formats": "ds"}, ONE_ROW
+        ),
+        "a repeat count in formats": packed_frame(
+            {"type": "tuples", "fields": ["a", "b"], "formats": "2d"}, ONE_ROW
+        ),
+        "formats as a list": packed_frame(
+            {"type": "tuples", "fields": ["a", "b"], "formats": ["d", "q"]}, ONE_ROW
+        ),
+        "fields missing": packed_frame({"type": "tuples", "formats": "dq"}, ONE_ROW),
+        "no fields at all": packed_frame({"type": "tuples", "fields": [], "formats": ""}, b""),
+        "more fields than allowed": packed_frame(
+            {
+                "type": "tuples",
+                "fields": [str(n) for n in range(protocol.MAX_PACKED_FIELDS + 1)],
+                "formats": "d" * (protocol.MAX_PACKED_FIELDS + 1),
+            }
+        ),
+        "rows that are not whole": packed_frame(
+            {"type": "tuples", "fields": ["a", "b"], "formats": "dq"}, ONE_ROW + b"\x00"
+        ),
+        "a header that is not UTF-8": packed_frame(b"\xff\xfe{}", ONE_ROW),
+        "a header in UTF-16": packed_frame(
+            json.dumps({"type": "tuples", "fields": ["a", "b"], "formats": "dq"}).encode("utf-16"),
+            ONE_ROW,
+        ),
+        "a header that is not JSON": packed_frame(b"{type: tuples}", ONE_ROW),
+        "a header nested beyond the parser": packed_frame(b"[" * 100_000, ONE_ROW),
+        "a header that is not an object": packed_frame([1, 2], ONE_ROW),
+        "a message that is not tuples": packed_frame(
+            {"type": "hello", "tenant": "t", "fields": ["a", "b"], "formats": "dq"}, ONE_ROW
+        ),
+        "plain JSON sent as a binary message": b'{"type":"ping"}',
+    }
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_malformed_packed_frames_are_a_bad_message(self, case):
+        assert_bad_message(self.MALFORMED[case])
+
+    @settings(max_examples=300, deadline=None)
+    @given(packable_records(), st.data())
+    def test_a_damaged_frame_decodes_or_is_a_bad_message(self, records, data):
+        frame = bytearray(protocol.pack_tuples({"type": "tuples"}, records))
+        if data.draw(st.booleans()):
+            del frame[data.draw(st.integers(0, len(frame) - 1)) :]
+        else:
+            frame[data.draw(st.integers(0, len(frame) - 1))] = data.draw(st.integers(0, 255))
+        try:
+            message = protocol.decode_message(bytes(frame))
+        except GatewayProtocolError as error:
+            assert error.code == protocol.ErrorCode.BAD_MESSAGE
+        else:
+            assert message["type"] == "tuples"
+            assert all(isinstance(record, dict) for record in message["records"])
+
+    def test_server_messages_decode_from_either_spelling_too(self):
+        packed = protocol.pack_tuples({"type": "tuples"}, [{"a": 1.0}])
+        assert protocol.decode_server_message(packed)["records"] == [{"a": 1.0}]
+        with pytest.raises(GatewayProtocolError):
+            protocol.decode_server_message(b"\x00")
 
 
 class TestPrometheusExposition:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import struct
 import threading
 
 import pytest
@@ -164,6 +165,78 @@ class TestHappyPath:
 
         run(scenario())
 
+    def test_json_and_packed_frames_are_one_message_to_the_tenant(self):
+        frames = make_frames(players=3, rounds=20)
+        chunks = [frames[start : start + 7] for start in range(0, len(frames), 7)]
+
+        def send_json(client, chunk, seq):
+            return client.request(
+                {"type": "tuples", "records": chunk, "stream": "kinect_t", "seq": seq}
+            )
+
+        def send_packed(client, chunk, seq):
+            return client.send_tuples(chunk, stream="kinect_t", seq=seq)
+
+        async def leg(server, name, send):
+            """Everything a tenant and its client saw of the stream, sent by ``send``."""
+            client = await connect(server, name, subscribe=True)
+            await client.deploy_vocabulary({"high": HIGH, "updown": UPDOWN})
+            binary_messages = []
+            send_binary = client.ws.send_binary
+            client.ws.send_binary = lambda payload: (
+                binary_messages.append(len(payload)),
+                send_binary(payload),
+            )[1]
+            tenant = server.tenants[name]
+            # Hold the tenant's feed thread: every ack then reports all the
+            # tuples admitted so far as pending, whatever the machine's pace.
+            release = threading.Event()
+            held = tenant.control("call", lambda session: release.wait(30))
+            before = server.metrics.snapshot()
+            acks = [await send(client, chunk, seq) for seq, chunk in enumerate(chunks)]
+            after = server.metrics.snapshot()
+            queued = tenant.snapshot()["pending_tuples"]
+            release.set()
+            assert await held
+            await client.drain()
+            events = []
+            while not client.events.empty():
+                events.append(client.events.get_nowait())
+            seen = {
+                "acks": [{k: v for k, v in ack.items() if k != "id"} for ack in acks],
+                "edge": {
+                    key: after[key] - before[key]
+                    for key in ("frames_in", "tuples_in", "tuples_accepted", "tuples_dropped")
+                },
+                "queued": queued,
+                "fed": tenant.snapshot()["tuples_fed"],
+                "events": events,
+                "detections": await client.detections(),
+            }
+            await client.bye()
+            return seen, len(binary_messages)
+
+        async def scenario():
+            async with serve() as server:
+                return await leg(server, "json", send_json), await leg(server, "packed", send_packed)
+
+        (as_json, json_binaries), (as_packed, packed_binaries) = run(scenario())
+        assert (json_binaries, packed_binaries) == (0, len(chunks))
+        assert as_packed == as_json
+        # ... and what they agree on is the whole stream, counted in tuples.
+        assert [ack["pending"] for ack in as_json["acks"]] == [
+            sum(len(chunk) for chunk in chunks[: index + 1]) for index in range(len(chunks))
+        ]
+        assert as_json["edge"] == {
+            "frames_in": len(chunks),
+            "tuples_in": len(frames),
+            "tuples_accepted": len(frames),
+            "tuples_dropped": 0,
+        }
+        assert as_json["queued"] == as_json["fed"] == len(frames)
+        assert {event["gesture"] for event in as_json["events"]} == {"high", "updown"}
+        assert len(as_json["events"]) == len(as_json["detections"])
+
     def test_sixty_concurrent_clients_match_direct_feed_while_http_answers(self):
         tenants, players, rounds, chunk_size = ("t0", "t1", "t2"), 20, 3, 4
 
@@ -283,6 +356,37 @@ class TestProtocolRobustness:
                 assert codes == ["bad_message", "unsupported_type", "bad_message"]
                 # Still alive:
                 assert (await client.ping())["type"] == "pong"
+
+        run(scenario())
+
+    def test_binary_message_is_a_packed_frame_or_a_bad_message(self):
+        async def scenario():
+            async with serve() as server:
+                client = await connect(server, "t1")
+                # JSON in a binary message is not JSON text; nor are these frames.
+                await client.ws.send_binary(b'{"type":"ping"}')
+                await client.ws.send_binary(b"\x00\x00\x00\x02{}")
+                await client.ws.send_binary(bytes(range(256)))
+                assert (await client.ping())["type"] == "pong"  # still alive, in order
+                assert [(e["code"], e["fatal"]) for e in client.errors] == [
+                    ("bad_message", False)
+                ] * 3
+                # A frame laid out by hand from docs/gateway.md is taken.
+                header = json.dumps(
+                    {
+                        "type": "tuples",
+                        "stream": "kinect_t",
+                        "ack": False,
+                        "fields": ["ts", "player", "rhand_y"],
+                        "formats": "dqd",
+                    }
+                ).encode("utf-8")
+                rows = struct.pack("<dqd", 0.1, 1, 500.0) + struct.pack("<dqd", 0.2, 1, 20.0)
+                await client.deploy(HIGH)
+                await client.ws.send_binary(struct.pack(">I", len(header)) + header + rows)
+                (detection,) = await client.detections()
+                assert (detection["query_name"], detection["partition"]) == ("high", 1)
+                assert server.tenants["t1"].tuples_fed == 2
 
         run(scenario())
 

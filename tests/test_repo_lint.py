@@ -20,6 +20,7 @@ from repo_lint import (  # noqa: E402 — path set up above
     BELOW_RUNTIME_PATHS,
     EXPOSITION_WRITER,
     HASH_FORBIDDEN_PATHS,
+    STRUCT_CODEC_MODULES,
     WALL_CLOCK_FORBIDDEN_PATHS,
     lint_file,
     lint_repository,
@@ -46,7 +47,7 @@ class TestRepositoryIsClean:
     def test_cli_list_catalogue(self, capsys):
         assert main(["--list"]) == 0
         out = capsys.readouterr().out
-        for code in ("RL001", "RL002", "RL003", "RL004", "RL005"):
+        for code in ("RL001", "RL002", "RL003", "RL004", "RL005", "RL006"):
             assert code in out
 
     def test_script_runs_standalone(self):
@@ -332,3 +333,38 @@ class TestRL005OneExpositionWriter:
         )
         assert lint_file(above, root=tmp_path) == []
         assert lint_file(lookalike, root=tmp_path) == []
+
+
+class TestRL006OnePackedCodec:
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            "import struct",
+            "import json, struct as s",
+            "from struct import Struct",
+            "def late():\n    import struct",
+        ],
+    )
+    @pytest.mark.parametrize(
+        "relative", ["src/repro/gateway/client.py", "src/repro/runtime/transport.py"]
+    )
+    def test_struct_import_outside_the_codec_modules_flagged(self, tmp_path, relative, statement):
+        path = write_module(tmp_path, relative, statement + "\n")
+        violations = lint_file(path, root=tmp_path)
+        assert [v.code for v in violations] == ["RL006"]
+        assert "repro.gateway.protocol" in violations[0].message
+
+    @pytest.mark.parametrize("relative", STRUCT_CODEC_MODULES)
+    def test_codec_modules_may_import_struct(self, tmp_path, relative):
+        path = write_module(tmp_path, relative, "import struct\nHEAD = struct.Struct('>I')\n")
+        assert lint_file(path, root=tmp_path) == []
+
+    def test_lookalikes_and_other_trees_allowed(self, tmp_path):
+        lookalike = write_module(
+            tmp_path,
+            "src/repro/gateway/ok.py",
+            "import structlog\nfrom . import struct\nfrom repro.struct import Layout\n",
+        )
+        outside = write_module(tmp_path, "benchmarks/wire.py", "import struct\n")
+        assert lint_file(lookalike, root=tmp_path) == []
+        assert lint_file(outside, root=tmp_path) == []

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repository-specific lint rules that generic linters do not cover.
 
-Five rules, all born from real failure modes of this codebase:
+Six rules, all born from real failure modes of this codebase:
 
 ``RL001`` — no builtin ``hash()`` on routing/persistence code paths or in benchmarks
     CPython salts ``hash()`` per process (PYTHONHASHSEED), so a shard
@@ -50,6 +50,16 @@ Five rules, all born from real failure modes of this codebase:
     out of ``repro.runtime``; to keep them out, ``repro.persistence``,
     ``repro.observability``, ``repro.cep`` and ``repro.storage`` — the
     layers the runtime is built on — may not import ``repro.runtime``.
+
+``RL006`` — byte layouts are written in the gateway's two codec modules only
+    A tuple crossing the socket has exactly two spellings, JSON text and
+    the packed binary frame of ``repro/gateway/protocol.py``; the decoder
+    of the second is fuzzed as one unit and a client, the server and the
+    docs agree on one layout.  A ``struct`` format built anywhere else in
+    ``src/repro`` is a second packed codec growing beside it.  Importing
+    :mod:`struct` is allowed in ``src/repro/gateway/protocol.py`` (the
+    packed ``tuples`` frame) and ``src/repro/gateway/websocket.py`` (RFC
+    6455 framing) and nowhere else under ``src/repro``.
 
 Run as a script (CI) or through ``tests/test_repo_lint.py``::
 
@@ -108,6 +118,14 @@ BELOW_RUNTIME_PATHS = (
     "src/repro/cep",
     "src/repro/storage",
 )
+
+
+#: The modules allowed to import ``struct`` (RL006); the tree it guards.
+STRUCT_CODEC_MODULES = (
+    "src/repro/gateway/protocol.py",
+    "src/repro/gateway/websocket.py",
+)
+STRUCT_FORBIDDEN_PATH = "src/repro"
 
 
 class Violation(NamedTuple):
@@ -273,6 +291,26 @@ def _lint_runtime_imports(path: Path, tree: ast.AST, relative: str) -> Iterable[
             )
 
 
+def _imports_struct(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name == "struct" for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "struct"
+
+
+def _lint_struct_imports(path: Path, tree: ast.AST, relative: str) -> Iterable[Violation]:
+    for node in ast.walk(tree):
+        if _imports_struct(node):
+            yield Violation(
+                relative,
+                node.lineno,
+                "RL006",
+                "struct imported outside the gateway's codec modules; the one "
+                "packed record layout is repro.gateway.protocol's (pack_tuples / "
+                "decode_message) — use it, or move it, rather than writing a "
+                "second byte layout",
+            )
+
+
 def lint_file(path: Path, root: Optional[Path] = None) -> List[Violation]:
     """Lint one Python file; returns its violations."""
     root = root or REPO_ROOT
@@ -295,6 +333,8 @@ def lint_file(path: Path, root: Optional[Path] = None) -> List[Violation]:
         violations.extend(_lint_exposition_headers(path, tree, relative))
     if any(posix.startswith(prefix) for prefix in BELOW_RUNTIME_PATHS):
         violations.extend(_lint_runtime_imports(path, tree, relative))
+    if posix.startswith(STRUCT_FORBIDDEN_PATH) and posix not in STRUCT_CODEC_MODULES:
+        violations.extend(_lint_struct_imports(path, tree, relative))
     return violations
 
 
@@ -332,6 +372,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             EXPOSITION_WRITER + ";",
             "no 'import repro.runtime' under",
             ", ".join(BELOW_RUNTIME_PATHS),
+        )
+        print(
+            "RL006  'import struct' under",
+            STRUCT_FORBIDDEN_PATH,
+            "only in",
+            ", ".join(STRUCT_CODEC_MODULES),
         )
         return 0
     violations = lint_repository()
