@@ -25,7 +25,8 @@ Entry points:
 * deploy-time gating via ``analyze="off" | "warn" | "strict"`` on
   :meth:`repro.cep.engine.CEPEngine.register_query`,
   :meth:`repro.api.GestureSession.deploy` and
-  :meth:`~repro.api.GestureSession.deploy_vocabulary`,
+  :meth:`~repro.api.GestureSession.deploy_vocabulary` — every route, on
+  either engine, goes through :func:`gate_deployment`,
 * ``python -m repro.analysis`` — lint vocabulary manifests or gesture
   databases from the command line.
 
@@ -42,7 +43,7 @@ from repro.analysis.diagnostics import (
 )
 from repro.analysis.intervals import Interval, IntervalSet
 from repro.analysis.rules import AnalysisContext, analyze_query
-from repro.analysis.vocabulary import VocabularyReport, analyze_vocabulary
+from repro.analysis.vocabulary import VocabularyReport, analyze_vocabulary, gate_deployment
 from repro.errors import QueryAnalysisError
 
 __all__ = [
@@ -57,6 +58,7 @@ __all__ = [
     "VocabularyReport",
     "analyze_query",
     "analyze_vocabulary",
+    "gate_deployment",
     "gate_diagnostics",
     "validate_analyze_mode",
 ]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
-from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Mapping, Optional, Tuple, Union
 
 from repro.analysis.diagnostics import Diagnostic, Severity, sort_diagnostics
 from repro.analysis.intervals import Interval, IntervalSet
@@ -37,6 +37,10 @@ from repro.cep.expressions import (
 from repro.cep.nfa import CompiledPattern, compile_pattern
 from repro.cep.query import ConsumePolicy, Query, SelectPolicy, SequencePattern
 from repro.cep.tuples import DEFAULT_PARTITION_FIELD
+
+if TYPE_CHECKING:
+    from repro.cep.engine import Engine
+    from repro.cep.matcher import MatcherConfig
 
 __all__ = [
     "AnalysisContext",
@@ -77,27 +81,16 @@ class AnalysisContext:
     )
 
     @staticmethod
-    def for_engine(engine: Any, partition_field: Any = "__unset__") -> "AnalysisContext":
-        """Build a context from a live engine (duck-typed, no import cycle).
-
-        ``engine`` needs a ``matcher_config`` and a ``streams`` registry;
-        ``partition_field`` overrides the config's value (pass ``None``
-        explicitly for an unpartitioned deployment).
-        """
-        config = getattr(engine, "matcher_config", None)
-        effective = getattr(config, "partition_field", None)
-        if partition_field != "__unset__":
-            effective = partition_field
-        stream_fields: Dict[str, Optional[FrozenSet[str]]] = {}
-        streams = getattr(engine, "streams", None)
-        if streams is not None:
-            for name in streams.names():
-                declared = streams.get(name).fields
-                stream_fields[name] = frozenset(declared) if declared else None
+    def for_engine(
+        engine: "Engine", config: Optional["MatcherConfig"] = None
+    ) -> "AnalysisContext":
+        """The facts a deployment on ``engine`` runs under; ``config`` is the
+        query's effective matcher configuration (default: the engine's)."""
+        config = config or engine.matcher_config
         return AnalysisContext(
-            partition_field=effective,
-            run_ttl_seconds=getattr(config, "run_ttl_seconds", None),
-            stream_fields=stream_fields,
+            partition_field=config.partition_field,
+            run_ttl_seconds=config.run_ttl_seconds,
+            stream_fields=engine.stream_fields(),
         )
 
 

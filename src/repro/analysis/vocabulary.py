@@ -9,14 +9,16 @@ summaries of :mod:`repro.analysis.rules` — and builds the
 shared-predicate factoring report that the multi-query optimisation layer
 (ROADMAP item 1) consumes: predicate → queries that evaluate it.
 
-Entry point: :func:`analyze_vocabulary`, returning a
-:class:`VocabularyReport`.
+Entry points: :func:`analyze_vocabulary`, returning a
+:class:`VocabularyReport`, and :func:`gate_deployment`, the ``analyze=``
+gate every deployment route calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
+    TYPE_CHECKING,
     Any,
     Dict,
     Iterable,
@@ -28,7 +30,13 @@ from typing import (
     Union,
 )
 
-from repro.analysis.diagnostics import Diagnostic, Severity, sort_diagnostics
+from repro.analysis.diagnostics import (
+    Diagnostic,
+    Severity,
+    gate_diagnostics,
+    sort_diagnostics,
+    validate_analyze_mode,
+)
 from repro.analysis.intervals import IntervalSet
 from repro.analysis.rules import (
     AnalysisContext,
@@ -41,7 +49,11 @@ from repro.cep.expressions import BooleanOp, Expression
 from repro.cep.nfa import CompiledPattern, compile_pattern
 from repro.cep.query import Query
 
-__all__ = ["VocabularyReport", "analyze_vocabulary"]
+if TYPE_CHECKING:
+    from repro.cep.engine import Engine
+    from repro.cep.matcher import MatcherConfig
+
+__all__ = ["VocabularyReport", "analyze_vocabulary", "gate_deployment"]
 
 
 @dataclass(frozen=True)
@@ -350,3 +362,22 @@ def analyze_vocabulary(
         diagnostics=sort_diagnostics(findings),
         shared_predicates=shared,
     )
+
+
+def gate_deployment(
+    engine: "Engine",
+    queries: Mapping[str, Any],
+    mode: str,
+    config: Optional["MatcherConfig"] = None,
+    subject: str = "vocabulary",
+) -> Tuple[Diagnostic, ...]:
+    """The deploy-time ``analyze=`` gate of every deployment route.
+
+    Analyses ``queries`` (name → query-like) as one vocabulary under
+    :meth:`AnalysisContext.for_engine`, gates the findings and returns them;
+    callers run it before deploying anything.
+    """
+    validate_analyze_mode(mode)
+    report = analyze_vocabulary(queries, context=AnalysisContext.for_engine(engine, config))
+    gate_diagnostics(report.diagnostics, mode, subject=subject)
+    return report.diagnostics

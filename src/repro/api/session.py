@@ -33,22 +33,9 @@ observers).
 
 Scaling out
 -----------
-``SessionConfig(shards=N)`` with ``N > 1`` runs the whole session on a
-:class:`~repro.runtime.ShardedRuntime`: frames are routed to N worker
-shards by a stable hash of their ``player`` id, every ``deploy`` fans out
-to all shards, and ``detections`` / ``events`` / ``on`` behave exactly as
-inline — reads drain the shard queues first, so a ``feed`` is always fully
-observed, and restricted to one player the detection sequence is
-byte-identical to the inline engine's (``tests/test_execution_modes.py``
-asserts it).  ``shards=1`` (the default) keeps today's inline engine path
-untouched.
-``backpressure`` / ``queue_capacity`` bound the per-shard queues, and
-``shard_executor`` picks worker threads (default) or worker processes
-(true multi-core parallelism).  :attr:`GestureSession.metrics` exposes the
-per-shard counters.  The interactive learning workflow and direct
-``session.engine`` / ``session.view`` access require an inline session; a
-failed shard surfaces its original exception on the next feed or read as
-a :class:`~repro.errors.ShardFailedError`.
+``SessionConfig(shards=N)`` with ``N > 1`` runs the session on a
+:class:`~repro.runtime.ShardedRuntime`, an :class:`~repro.cep.engine.Engine`
+like the inline one; see ``docs/runtime.md``.
 
 Durability
 ----------
@@ -79,6 +66,7 @@ recovery refuses a directory recorded under a different topology::
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -96,7 +84,7 @@ from typing import (
 )
 
 from repro.api.dsl import Expr, QueryBuilder
-from repro.cep.engine import CEPEngine, DeployedQuery
+from repro.cep.engine import _UNSET, CEPEngine, Engine, QueryHandle
 from repro.cep.matcher import Detection, MatcherConfig
 from repro.cep.query import Query
 from repro.cep.sinks import Sink
@@ -116,6 +104,7 @@ from repro.errors import (
     RecoveryError,
     SessionClosedError,
     SessionStateError,
+    ShardFailedError,
 )
 from repro.observability.clock import perf_clock
 from repro.observability.health import HealthReport, HealthWatchdog, WatchdogConfig
@@ -135,9 +124,6 @@ from repro.runtime.metrics import MetricsRegistry
 from repro.storage.database import GestureDatabase
 from repro.streams.clock import Clock, SimulatedClock
 from repro.transform.pipeline import KinectTransformer, TransformConfig
-
-#: Sentinel distinguishing "parameter not given" from an explicit ``None``.
-_UNSET: Any = object()
 
 
 @dataclass(frozen=True)
@@ -357,7 +343,7 @@ class GestureSession:
     ) -> None:
         self.config = config or SessionConfig()
         self._clock = clock
-        self._engine = engine
+        self._engine: Optional[Engine] = engine
         self._runtime = None  # type: Optional[Any]  # ShardedRuntime when shards > 1
         self._database = database
         self._owns_database = database is None
@@ -389,9 +375,24 @@ class GestureSession:
                 "the session is already started; create a new GestureSession "
                 "for a fresh stack"
             )
+        self._engine = self._build_engine()
+        if self._database is None:
+            self._database = GestureDatabase(self.config.database_path)
+        self._detector = GestureDetector(
+            engine=self._engine, querygen_config=self.config.workflow.querygen
+        )
+        self._init_durability()
+        self._start_control_plane()
+        self._started = True
+        return self
+
+    def _build_engine(self) -> Engine:
+        """Build the engine, telemetry and registry: inline, or sharded."""
+        telemetry_config = self.config.telemetry_config()
+        if telemetry_config is not None:
+            self._telemetry = Telemetry(telemetry_config)
         if self.config.shards > 1:
-            self._start_sharded()
-            return self
+            return self._build_runtime(telemetry_config)
         if self._engine is not None:
             # An injected engine was built with its own matcher config and
             # clock; silently dropping the session's would mislead callers.
@@ -406,48 +407,36 @@ class GestureSession:
                     "cannot apply a clock to an externally created engine; "
                     "the engine already owns one"
                 )
-        if self._engine is None:
-            self._engine = CEPEngine(
-                clock=self._clock or SimulatedClock(),
-                matcher_config=self.config.matcher,
-            )
-        if self.config.view_stream in self._engine.views:
+        engine = self._engine or CEPEngine(
+            clock=self._clock or SimulatedClock(),
+            matcher_config=self.config.matcher,
+        )
+        if self.config.view_stream in engine.views:
             if self.config.transform != TransformConfig():
                 raise SessionStateError(
                     "cannot apply a non-default SessionConfig.transform: the "
                     "engine already has the view installed; configure the "
                     "view's transformer instead"
                 )
-            self._view = self._engine.get_view(self.config.view_stream)
+            self._view = engine.get_view(self.config.view_stream)
         else:
             self._view = install_kinect_view(
-                self._engine,
+                engine,
                 transform_config=self.config.transform,
                 raw_name=self.config.raw_stream,
                 view_name=self.config.view_stream,
             )
-        if self._database is None:
-            self._database = GestureDatabase(self.config.database_path)
-        self._detector = GestureDetector(
-            engine=self._engine, querygen_config=self.config.workflow.querygen
-        )
-        self._init_durability(self._engine)
-        telemetry_config = self.config.telemetry_config()
-        if telemetry_config is not None:
-            # Inline sessions get a registry of their own (shard 0 holds
-            # the feed histograms), so ``session.metrics`` — and a gateway
-            # ``/metrics`` scrape — works with or without sharding.
-            self._telemetry = Telemetry(telemetry_config)
-            self._engine.telemetry = self._telemetry
-            if self._metrics is None:
-                self._metrics = MetricsRegistry()
-            self._metrics.set_query_stats_provider(self._engine.query_stats)
-        self._start_control_plane()
-        self._started = True
-        return self
+        if self._telemetry is not None or self._durability_config is not None:
+            # Shard 0 of an inline registry holds the feed histograms, so
+            # ``session.metrics`` (and a gateway scrape) works either way.
+            self._metrics = MetricsRegistry()
+        if self._telemetry is not None:
+            engine.telemetry = self._telemetry
+            self._metrics.set_query_stats_provider(engine.query_stats)
+        return engine
 
-    def _start_sharded(self) -> None:
-        """Build the session on a :class:`~repro.runtime.ShardedRuntime`."""
+    def _build_runtime(self, telemetry_config: Optional[TelemetryConfig]) -> Engine:
+        """Build and start the :class:`~repro.runtime.ShardedRuntime`."""
         from repro.runtime import ShardedRuntime
         from repro.runtime.shard import ShardEngineSpec
 
@@ -467,7 +456,6 @@ class GestureSession:
                 "own timestamps; use an inline (shards=1) session for "
                 "clock-stamped feeding"
             )
-        telemetry_config = self.config.telemetry_config()
         spec = ShardEngineSpec(
             matcher=self.config.matcher,
             transform=self.config.transform,
@@ -475,8 +463,6 @@ class GestureSession:
             view_stream=self.config.view_stream,
             telemetry=telemetry_config,
         )
-        if telemetry_config is not None:
-            self._telemetry = Telemetry(telemetry_config)
         runtime = ShardedRuntime(
             shard_count=self.config.shards,
             spec=spec,
@@ -487,18 +473,8 @@ class GestureSession:
         )
         runtime.start()
         self._runtime = runtime
-        # The runtime duck-types the engine surface the detector (and the
-        # session's own data path) uses, so everything below runs sharded
-        # without special cases.
-        self._engine = runtime
-        if self._database is None:
-            self._database = GestureDatabase(self.config.database_path)
-        self._detector = GestureDetector(
-            engine=runtime, querygen_config=self.config.workflow.querygen
-        )
-        self._init_durability(runtime)
-        self._start_control_plane()
-        self._started = True
+        self._metrics = runtime.metrics
+        return runtime
 
     def _start_control_plane(self) -> None:
         """Start the opted-in observability threads: sampler, SLO
@@ -519,17 +495,13 @@ class GestureSession:
                 interval_seconds=config.sample_interval_seconds or 0.5,
                 evaluator=self._slo_evaluator,
             )
-            registry = self._runtime.metrics if self._runtime is not None else self._metrics
-            if registry is not None:
-                self._sampler.add_registry(registry)
+            self._sampler.add_registry(self._metrics)
             self._sampler.start()
         if config.watchdog is not None:
             self._watchdog = HealthWatchdog(config.watchdog)
             if self._runtime is not None:
                 self._watchdog.add_liveness_source(self._runtime.shard_liveness)
-            registry = self._runtime.metrics if self._runtime is not None else self._metrics
-            if registry is not None:
-                self._watchdog.add_durability_source(registry.durability.snapshot)
+            self._watchdog.add_durability_source(self._metrics.durability.snapshot)
             self._watchdog.start()
         if self._telemetry.profiler is not None:
             # Parent-side sampling: covers the inline engine and thread
@@ -537,22 +509,15 @@ class GestureSession:
             # profiler whose counts are folded in on telemetry collection.
             self._telemetry.profiler.start()
 
-    def _init_durability(self, target: Any) -> None:
+    def _init_durability(self) -> None:
         """Open the event log and install the write-ahead ingest tap."""
         if self._durability_config is None:
             return
-        # Sharded sessions record durability counters in the runtime's
-        # registry; inline sessions create one, so ``session.metrics``
-        # covers durability either way.
-        if self._runtime is not None:
-            registry = self._runtime.metrics
-        else:
-            self._metrics = registry = MetricsRegistry()
         self._durability = DurabilityManager(
-            target,
+            self._engine,
             self._durability_config,
             capture=self._capture_session_state,
-            metrics=registry.durability,
+            metrics=self._metrics.durability,
         )
         self._durability.attach()
 
@@ -632,17 +597,15 @@ class GestureSession:
         return self._runtime
 
     @property
-    def metrics(self):
+    def metrics(self) -> Optional[MetricsRegistry]:
         """The session's :class:`~repro.runtime.MetricsRegistry`.
 
         Sharded sessions expose the runtime's registry (per-shard counters,
         latency histograms, durability); an inline session has one whenever
         telemetry (the default) or durability is enabled — its shard 0
-        carries the feed-path histograms.  ``None`` only with both off.
+        carries the feed-path histograms.  ``None`` only with both off, or
+        before the session started.
         """
-        runtime = self.runtime
-        if runtime is not None:
-            return runtime.metrics
         return self._metrics
 
     @property
@@ -779,7 +742,7 @@ class GestureSession:
         name: Optional[str] = None,
         sink: Optional[Sink] = None,
         analyze: Optional[str] = None,
-    ) -> DeployedQuery:
+    ) -> QueryHandle:
         """Deploy a gesture description, query, query text, or builder chain.
 
         All deployments go through the session's detector, so detections are
@@ -856,23 +819,14 @@ class GestureSession:
             prepared.append((name, entry))
 
         if mode != "off":
-            from repro.analysis import (
-                AnalysisContext,
-                analyze_vocabulary,
-                gate_diagnostics,
-                validate_analyze_mode,
-            )
+            from repro.analysis import gate_deployment
 
-            validate_analyze_mode(mode)
             analyzable = {
                 name: entry
                 for name, entry in prepared
                 if isinstance(entry, (GestureDescription, Query, str))
             }
-            report = analyze_vocabulary(
-                analyzable, context=AnalysisContext.for_engine(self._engine)
-            )
-            gate_diagnostics(report.diagnostics, mode, subject="vocabulary")
+            gate_deployment(self._engine, analyzable, mode)
 
         deployed: List[str] = []
         for name, entry in prepared:
@@ -931,14 +885,13 @@ class GestureSession:
         stream_name = stream or self.config.raw_stream
         if self._runtime is None and self._telemetry is not None:
             count = self._feed_inline_measured(stream_name, frames, batch_size, trace)
-        elif self._runtime is not None:
-            # The sharded runtime instruments its own ingest path (trace
+        elif trace is None:
+            # A sharded runtime instruments its own ingest path (trace
             # origination, queue-wait and batch histograms per shard).
-            count = self._runtime.push_many(
-                stream_name, frames, batch_size=batch_size, trace=trace
-            )
-        else:
             count = self._engine.push_many(stream_name, frames, batch_size=batch_size)
+        else:
+            with use_context(trace):
+                count = self._engine.push_many(stream_name, frames, batch_size=batch_size)
         if self._durability is not None:
             self._durability.maybe_snapshot()
         return count
@@ -1048,8 +1001,9 @@ class GestureSession:
         """
         if self._detector is None:
             return []
-        if self._runtime is not None:
-            self._runtime._drain_for_read()
+        # Reads never raise: a failed shard surfaces on the next feed or drain.
+        with contextlib.suppress(ShardFailedError):
+            self._engine.drain()
         return list(self._detector.events)
 
     def detections(
@@ -1063,8 +1017,6 @@ class GestureSession:
         """
         if self._engine is None:
             self._ensure_started()
-        if partition is _UNSET:
-            return self._engine.detections(name)
         return self._engine.detections(name, partition=partition)
 
     def feedback(self) -> DetectionFeedback:
@@ -1084,8 +1036,7 @@ class GestureSession:
         :class:`~repro.errors.ShardFailedError` if a worker shard died.
         """
         self._ensure_started()
-        if self._runtime is not None:
-            self._runtime.drain()
+        self._engine.drain()
 
     # -- telemetry ---------------------------------------------------------------------
 
@@ -1096,8 +1047,6 @@ class GestureSession:
         On a sharded session the counters are summed across shards; they
         stay readable after :meth:`close` (last collected values).
         """
-        if self._runtime is not None:
-            return self._runtime.query_stats()
         if self._engine is None:
             return {}
         return self._engine.query_stats()
@@ -1110,12 +1059,9 @@ class GestureSession:
         additionally writes the JSON document there.  Empty (but valid)
         unless ``SessionConfig.trace_sample_rate`` > 0.
         """
-        if self._telemetry is None:
-            document: Dict[str, Any] = {"traceEvents": [], "displayTimeUnit": "ms"}
-        elif self._runtime is not None:
-            document = self._runtime.export_trace()
-        else:
-            document = self._telemetry.tracer.export()
+        if self._engine is None:
+            self._ensure_started()
+        document = self._engine.export_trace()
         if path is not None:
             Path(path).write_text(json.dumps(document, indent=2), encoding="utf-8")
         return document
@@ -1172,8 +1118,7 @@ class GestureSession:
         profiler = self._telemetry.profiler if self._telemetry is not None else None
         if profiler is None:
             return {"enabled": False, "samples": 0, "queries": {}}
-        if self._runtime is not None:
-            self._runtime.collect_telemetry()
+        self._engine.collect_telemetry()
         snapshot = profiler.snapshot()
         stats = self.query_stats()
         share: Mapping[str, float] = snapshot["query_share"]  # type: ignore[assignment]
@@ -1199,18 +1144,13 @@ class GestureSession:
         profiler = self._telemetry.profiler if self._telemetry is not None else None
         if profiler is None:
             return []
-        if self._runtime is not None:
-            self._runtime.collect_telemetry()
+        self._engine.collect_telemetry()
         return profiler.collapsed()
 
     def clear(self) -> None:
         """Reset for a fresh scene: events, detections, runs, transform state."""
         self._ensure_started()
         self.detector.clear()
-        if self._runtime is not None:
-            # Shard-local transformers are not reachable through the
-            # detector's view list; reset them through the runtime.
-            self._runtime.reset_transformers()
         self.handler_errors.clear()
         if self._durability is not None:
             self._durability.log_control("clear", {})
@@ -1318,17 +1258,27 @@ class GestureSession:
         recovered session keeps appending to the same directory, so
         repeated crash/recover cycles compose; what was replayed is
         reported in :attr:`last_recovery`.
+
+        Raises :class:`~repro.errors.RecoveryError` — on either engine —
+        when the snapshot or any replayed entry fails, including a tail
+        that kills a shard; the half-built session is closed first.
         """
         session = cls(
             config=config, clock=clock, database=database, durability=durability
         )
-        session.start()
-        manager = session._require_durability()
-        result = manager.recover_into(
-            restore=session._restore_session_state,
-            apply_entry=session._apply_log_entry,
-        )
-        session._rebuild_events()
+        try:
+            session.start()
+            # recover_into ends with a raising drain, so the rebuild's read
+            # takes no barrier of its own.
+            result = session._require_durability().recover_into(
+                restore=session._restore_session_state,
+                apply_entry=session._apply_log_entry,
+            )
+            session._rebuild_events()
+        except BaseException:
+            # No worker thread, process or open log outlives a failed recovery.
+            session.close()
+            raise
         session.last_recovery = result
         return session
 
@@ -1367,14 +1317,11 @@ class GestureSession:
             target._restore_session_state(state)
             target._rebuild_events()
 
-        def apply_control(target: "GestureSession", control: str, payload: Any) -> None:
-            target._apply_logged_control(control, payload)
-
         return ReplayController(
             directory.directory,
             factory,
             restore=restore,
-            apply_control=apply_control,
+            apply_control=GestureSession._apply_logged_control,
             speed=speed,
         )
 

@@ -51,7 +51,7 @@ from repro.cep.sinks import (
     SinkFailure,
 )
 from repro.cep.views import install_kinect_view
-from repro.cep.engine import CEPEngine, DeployedQuery
+from repro.cep.engine import CEPEngine, DeployedQuery, Engine, QueryHandle
 
 __all__ = [
     "DEFAULT_PARTITION_FIELD",
@@ -91,4 +91,6 @@ __all__ = [
     "install_kinect_view",
     "CEPEngine",
     "DeployedQuery",
+    "Engine",
+    "QueryHandle",
 ]

@@ -60,7 +60,9 @@ snapshot, so detections can be read while a worker thread is emitting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import (
+    Any, Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Protocol, Sequence, Union
+)
 
 from repro.cep.expressions import CompiledPredicateCache
 from repro.cep.matcher import Detection, MatcherConfig, NFAMatcher
@@ -70,6 +72,7 @@ from repro.cep.query import Query
 from repro.cep.sinks import CollectingSink, FanOutSink, Sink
 from repro.cep.udf import default_functions
 from repro.cep.views import View
+from repro.transform.pipeline import KinectTransformer
 from repro.observability.profiling import tag_query, untag_query
 from repro.observability.telemetry import Telemetry
 from repro.observability.tracing import current_context
@@ -83,8 +86,8 @@ from repro.errors import (
 from repro.streams.clock import Clock, SimulatedClock
 from repro.streams.stream import Stream, StreamRegistry, Subscription
 
-#: Sentinel distinguishing "parameter not given" from an explicit ``None``
-#: (``partition_field=None`` meaningfully disables partitioning).
+#: "Not given", as opposed to an explicit ``None`` (``partition_field=None``
+#: disables partitioning) — one object for every :class:`Engine`.
 _UNSET: Any = object()
 
 #: An ingest tap observes every externally pushed tuple *before* delivery:
@@ -163,6 +166,79 @@ class DeployedQuery:
             f"DeployedQuery(name={self.name!r}, events={self.query.event_count()}, "
             f"detections={len(self.collector)})"
         )
+
+
+class QueryHandle(Protocol):
+    """One deployed query, as every :class:`Engine` hands it out; ``matcher``
+    offers ``progress()`` and ``active_runs`` (Fig. 5 style feedback)."""
+
+    name: str
+    query: Query
+    sink: FanOutSink
+    enabled: bool
+    matcher: Any
+
+    def detections(self, partition: Any = _UNSET) -> List[Detection]: ...
+    def clear_detections(self) -> None: ...
+    def progress(self) -> float: ...
+
+
+class Engine(Protocol):
+    """The engine surface: :class:`CEPEngine` inline, ``ShardedRuntime`` on shards.
+
+    Everything above the engine — detector, session, durability, replay
+    and the analyzer — calls only these members, so a deploy, a feed or a
+    recovery means the same on both (``tests/test_engine_conformance.py``).
+    Reads observe every tuple pushed before them; ``drain`` is the
+    explicit, raising barrier.
+    """
+
+    clock: Clock
+    matcher_config: MatcherConfig
+
+    @property
+    def views(self) -> Dict[str, View]: ...
+    @property
+    def queries(self) -> Dict[str, QueryHandle]: ...
+    def get_query(self, name: str) -> QueryHandle: ...
+    def query_names(self) -> List[str]: ...
+    def stream_fields(self) -> Dict[str, Optional[FrozenSet[str]]]: ...
+    def register_query(
+        self,
+        query: Union[str, Query, Any],
+        name: Optional[str] = None,
+        sink: Optional[Sink] = None,
+        matcher_config: Optional[MatcherConfig] = None,
+        create_missing_streams: bool = False,
+        partition_field: Optional[str] = _UNSET,
+        analyze: str = "off",
+    ) -> QueryHandle: ...
+    def unregister_query(self, name: str) -> None: ...
+    def enable_query(self, name: str, enabled: bool = True) -> None: ...
+    def register_function(
+        self, name: str, function: Callable[..., Any], arity: Optional[int] = None
+    ) -> None: ...
+    def push(self, stream_name: str, record: Mapping[str, Any]) -> None: ...
+    def push_many(
+        self,
+        stream_name: str,
+        records: Iterable[Mapping[str, Any]],
+        batch_size: Optional[int] = None,
+    ) -> int: ...
+    def add_ingest_tap(self, tap: IngestTap) -> None: ...
+    def remove_ingest_tap(self, tap: IngestTap) -> None: ...
+    def detections(
+        self, name: Optional[str] = None, partition: Any = _UNSET
+    ) -> List[Detection]: ...
+    def clear_detections(self) -> None: ...
+    def reset_matchers(self) -> None: ...
+    def reset_transformers(self) -> None: ...
+    def capture_state(self) -> Dict[str, Any]: ...
+    def restore_state(self, state: Mapping[str, Any]) -> Any: ...
+    def query_stats(self) -> Dict[str, Dict[str, int]]: ...
+    def drain(self, timeout: Optional[float] = None) -> None: ...
+    def collect_telemetry(self, timeout: Optional[float] = None) -> None: ...
+    def export_trace(self) -> Dict[str, Any]: ...
 
 
 class CEPEngine:
@@ -247,13 +323,14 @@ class CEPEngine:
         ordering across those streams and should be fed per tuple (see the
         module docstring).
         """
+        # Both checks precede the taps: a rejected call must not be journalled.
+        if batch_size is not None and batch_size < 1:
+            raise ValueError("batch_size must be at least 1 when given")
         stream = self.streams.get(stream_name)
         if self._ingest_taps:
             records = records if isinstance(records, list) else list(records)
             for tap in self._ingest_taps:
                 tap(stream_name, records, batch_size)
-        if batch_size is not None and batch_size < 1:
-            raise ValueError("batch_size must be at least 1 when given")
         if batch_size is None:
             count = stream.push_many(records)
         else:
@@ -311,6 +388,16 @@ class CEPEngine:
     @property
     def views(self) -> Dict[str, View]:
         return dict(self._views)
+
+    def reset_transformers(self) -> None:
+        """Reset every view's Kinect smoothing state ("a new user steps in")."""
+        for view in self._views.values():
+            if isinstance(view.function, KinectTransformer):
+                view.function.reset()
+
+    def stream_fields(self) -> Dict[str, Optional[FrozenSet[str]]]:
+        """Declared schema per stream name (``None``: undeclared)."""
+        return {name: self.streams.get(name).fields for name in self.streams.names()}
 
     # -- UDFs --------------------------------------------------------------------------
 
@@ -383,25 +470,16 @@ class CEPEngine:
                 f"a query named '{registration_name}' is already registered"
             )
 
+        config = matcher_config or self.matcher_config
+        if partition_field is not _UNSET:
+            config = replace(config, partition_field=partition_field)
         if analyze != "off":
             # Imported lazily: analysis depends on the cep package, and the
             # default "off" path must stay import- and overhead-free.
-            from repro.analysis import (
-                AnalysisContext,
-                analyze_query,
-                gate_diagnostics,
-                validate_analyze_mode,
-            )
+            from repro.analysis import gate_deployment
 
-            validate_analyze_mode(analyze)
-            context = AnalysisContext.for_engine(
-                self,
-                partition_field=partition_field if partition_field is not _UNSET else "__unset__",
-            )
-            gate_diagnostics(
-                analyze_query(query, context=context, name=registration_name),
-                analyze,
-                subject=f"query '{registration_name}'",
+            gate_deployment(
+                self, {registration_name: query}, analyze, config, f"query '{registration_name}'"
             )
 
         referenced = sorted(query.streams())
@@ -415,9 +493,6 @@ class CEPEngine:
                         f"'{stream_name}'; create it or pass create_missing_streams=True"
                     )
 
-        config = matcher_config or self.matcher_config
-        if partition_field is not _UNSET:
-            config = replace(config, partition_field=partition_field)
         compiled = compile_pattern(query.pattern)
         matcher = NFAMatcher(
             pattern=compiled,
@@ -521,12 +596,8 @@ class CEPEngine:
 
     def unregister_query(self, name: str) -> None:
         """Remove a deployed query and detach it from its streams."""
-        deployed = self._queries.pop(name, None)
-        if deployed is None:
-            raise UnknownQueryError(
-                f"no query named '{name}' is registered; "
-                f"deployed queries: {self.query_names()}"
-            )
+        deployed = self.get_query(name)
+        del self._queries[name]
         for subscription in deployed.subscriptions:
             subscription.cancel()
         deployed.subscriptions.clear()
@@ -589,6 +660,18 @@ class CEPEngine:
         for deployed in self._queries.values():
             deployed.matcher.reset()
 
+    def drain(self, timeout: Optional[float] = None) -> None:
+        """No-op: every pushed tuple is processed before ``push`` returns."""
+
+    def collect_telemetry(self, timeout: Optional[float] = None) -> None:
+        """No-op: matcher spans already land in :attr:`telemetry`."""
+
+    def export_trace(self) -> Dict[str, Any]:
+        """The collected spans as a Chrome trace-event document."""
+        if self.telemetry is None:
+            return {"traceEvents": [], "displayTimeUnit": "ms"}
+        return self.telemetry.tracer.export()
+
     # -- state capture / restore ----------------------------------------------------------
 
     def capture_state(self) -> Dict[str, Any]:
@@ -634,20 +717,15 @@ class CEPEngine:
             "transformers": transformers,
         }
 
-    def restore_state(
-        self,
-        state: Mapping[str, Any],
-        sink_factory: Optional[Callable[[], Sink]] = None,
-    ) -> List[DeployedQuery]:
+    def restore_state(self, state: Mapping[str, Any]) -> List[DeployedQuery]:
         """Restore a :meth:`capture_state` snapshot into this engine.
 
         Queries present in the snapshot but not yet deployed are registered
-        from their captured text (``sink_factory``, when given, supplies an
-        extra sink per re-registered query — the sharded runtime uses it to
-        re-attach its detection callback); queries already deployed — the
-        session recovery path deploys them first so detector wiring exists —
-        only have their matcher, detections and enabled flag overwritten.
-        Returns the queries this call registered itself.
+        from their captured text; queries already deployed — the session
+        recovery path deploys them first so detector wiring exists — only
+        have their matcher, detections and enabled flag overwritten.
+        Returns the queries this call registered itself, so a caller can
+        attach sinks to them (a shard attaches its detection callback).
 
         Raises
         ------
@@ -678,7 +756,6 @@ class CEPEngine:
                 deployed = self.register_query(
                     entry["text"],
                     name=name,
-                    sink=sink_factory() if sink_factory is not None else None,
                     create_missing_streams=True,
                     partition_field=entry.get("partition_field"),
                 )

@@ -14,7 +14,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
 
-from repro.cep.engine import CEPEngine, DeployedQuery
+from repro.cep.engine import CEPEngine, Engine, QueryHandle
 from repro.cep.matcher import Detection
 from repro.cep.query import Query
 from repro.cep.sinks import CallbackSink
@@ -36,8 +36,8 @@ class GestureDetector:
     Parameters
     ----------
     engine:
-        An existing engine to deploy on; a new one (with the Kinect view
-        installed) is created when omitted.
+        An existing :class:`~repro.cep.engine.Engine` (inline or sharded);
+        a new inline one with the Kinect view is created when omitted.
     clock:
         Time source for a newly created engine.
     querygen_config:
@@ -62,18 +62,18 @@ class GestureDetector:
 
     def __init__(
         self,
-        engine: Optional[CEPEngine] = None,
+        engine: Optional[Engine] = None,
         clock: Optional[Clock] = None,
         querygen_config: Optional[QueryGenConfig] = None,
     ) -> None:
         if engine is None:
             engine = CEPEngine(clock=clock or SimulatedClock())
             install_kinect_view(engine)
-        self.engine = engine
+        self.engine: Engine = engine
         self.generator = QueryGenerator(querygen_config)
         self._handlers: Dict[str, List[GestureHandler]] = {}
         self._global_handlers: List[GestureHandler] = []
-        self._deployed: Dict[str, DeployedQuery] = {}
+        self._deployed: Dict[str, QueryHandle] = {}
         self.events: List[GestureEvent] = []
         # Serialises event dispatch: on a sharded runtime detections arrive
         # from several worker threads at once, and handlers plus the events
@@ -88,7 +88,7 @@ class GestureDetector:
         gesture: Union[GestureDescription, Query, str, Any],
         name: Optional[str] = None,
         analyze: str = "off",
-    ) -> DeployedQuery:
+    ) -> QueryHandle:
         """Deploy a gesture description, a query object, query text, or a
         fluent builder chain (anything with a ``build() -> Query`` method).
 
@@ -126,24 +126,15 @@ class GestureDetector:
         deployments skip re-analysis.
         """
         if analyze != "off":
-            from repro.analysis import (
-                AnalysisContext,
-                analyze_vocabulary,
-                gate_diagnostics,
-                validate_analyze_mode,
-            )
+            from repro.analysis import gate_deployment
 
-            validate_analyze_mode(analyze)
             # Analyse exactly the queries the loop below will deploy: same
             # enabled filter, same generator configuration.
             queries = {
                 record.name: self.generator.generate(record.description)
                 for record in database.all_gestures(enabled_only=enabled_only)
             }
-            report = analyze_vocabulary(
-                queries, context=AnalysisContext.for_engine(self.engine)
-            )
-            gate_diagnostics(report.diagnostics, analyze, subject="vocabulary")
+            gate_deployment(self.engine, queries, analyze)
         deployed: List[str] = []
         for record in database.all_gestures(enabled_only=enabled_only):
             self.deploy(record.description)
@@ -260,8 +251,7 @@ class GestureDetector:
         self.events.clear()
         self.engine.clear_detections()
         self.engine.reset_matchers()
-        for transformer in self.transformers:
-            transformer.reset()
+        self.engine.reset_transformers()
 
     def __repr__(self) -> str:
         return (

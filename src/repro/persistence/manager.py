@@ -1,9 +1,7 @@
 """Durability orchestration: one manager owning the log and the snapshots.
 
-:class:`DurabilityManager` is the glue between a live stack (an inline
-:class:`~repro.cep.engine.CEPEngine` or a
-:class:`~repro.runtime.ShardedRuntime` — anything exposing
-``add_ingest_tap`` and ``capture_state``) and the on-disk formats of
+:class:`DurabilityManager` is the glue between a live stack (any
+:class:`~repro.cep.engine.Engine`: inline or sharded) and the on-disk formats of
 :mod:`repro.persistence.log` / :mod:`repro.persistence.snapshots`:
 
 * :meth:`attach` installs the write-ahead ingest tap, so every externally
@@ -27,13 +25,16 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, Mapping, Optional, Union
 
 from repro.errors import RecoveryError
 from repro.observability.clock import perf_clock
 from repro.observability.registry import MetricSet
 from repro.persistence.log import DURABILITY_FAMILIES, FSYNC_POLICIES, EventLog, LogEntry, read_log
 from repro.persistence.snapshots import SnapshotStore
+
+if TYPE_CHECKING:
+    from repro.cep.engine import Engine
 
 __all__ = ["DurabilityConfig", "DurabilityManager", "RecoveryResult"]
 
@@ -95,8 +96,7 @@ class DurabilityManager:
     Parameters
     ----------
     target:
-        The live stack: must expose ``add_ingest_tap`` /
-        ``remove_ingest_tap`` (engine or sharded runtime).
+        The live :class:`~repro.cep.engine.Engine` whose ingest is journalled.
     config:
         The :class:`DurabilityConfig`.
     capture:
@@ -110,7 +110,7 @@ class DurabilityManager:
 
     def __init__(
         self,
-        target: Any,
+        target: "Engine",
         config: DurabilityConfig,
         capture: Callable[[], Mapping[str, Any]],
         metrics: Optional[MetricSet] = None,
@@ -206,13 +206,14 @@ class DurabilityManager:
         ``restore`` receives the snapshot state (skipped when no snapshot
         exists — recovery then replays the whole log from offset 0);
         ``apply_entry`` receives every tuple/control entry after the
-        snapshot anchor, in order.  Logging is suspended throughout, so
-        replayed work is not appended again.
+        snapshot anchor, in order; a raising ``drain`` of the target ends
+        the replay.  Logging is suspended throughout, so replayed work is
+        not appended again.
 
         Raises
         ------
         repro.errors.RecoveryError
-            If restoring or replaying fails (chains the original error).
+            If restoring, replaying or the final drain fails (chained).
         """
         record = self.snapshots.latest()
         start_offset = 0
@@ -242,6 +243,11 @@ class DurabilityManager:
                 replayed += 1
                 if entry.op == "tuples" and entry.records:
                     tuples += len(entry.records)
+            try:
+                # Replayed tuples a shard died on fail here, not on a later read.
+                self._target.drain()
+            except Exception as exc:
+                raise RecoveryError(f"replaying the log tail failed: {exc}") from exc
         self.metrics.add(entries_replayed=replayed, recoveries=1)
         return RecoveryResult(
             snapshot_offset=snapshot_offset,

@@ -19,19 +19,21 @@ controls:
 The controller is policy-free about target semantics: ``restore`` maps a
 snapshot state into a fresh target and ``apply_control`` applies one
 logged control operation; the session façade supplies both
-(``session.replay()``), and the defaults work for any target exposing the
-engine surface (``push_many`` / ``restore_state`` / ``register_query`` /
-…).
+(``session.replay()``), and the defaults work for any
+:class:`~repro.cep.engine.Engine` — an inline engine or a sharded runtime.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Union
 
 from repro.errors import RecoveryError, ReplayStateError
 from repro.persistence.log import LogEntry, read_log
 from repro.persistence.snapshots import SnapshotStore
+
+if TYPE_CHECKING:
+    from repro.cep.engine import Engine
 
 __all__ = ["ReplayController", "apply_engine_control", "restore_engine_state"]
 
@@ -39,36 +41,28 @@ __all__ = ["ReplayController", "apply_engine_control", "restore_engine_state"]
 _UNSET: Any = object()
 
 
-def apply_engine_control(target: Any, control: str, payload: Any) -> None:
-    """Apply one logged control to a bare engine / sharded runtime.
+def apply_engine_control(target: "Engine", control: str, payload: Any) -> None:
+    """Apply one logged control (``deploy`` / ``undeploy`` / ``clear``) to an engine.
 
     The default ``apply_control`` of :class:`ReplayController`; the session
     façade substitutes its own (which routes deploys through the detector).
     """
     if control == "deploy":
-        if payload["name"] not in getattr(target, "queries", {}):
+        if payload["name"] not in target.queries:
             target.register_query(
                 payload["text"], name=payload["name"], create_missing_streams=True
             )
     elif control == "undeploy":
         target.unregister_query(payload["name"])
-    elif control == "enable":
-        target.enable_query(payload["name"], bool(payload["enabled"]))
     elif control == "clear":
         target.clear_detections()
         target.reset_matchers()
-        reset_transformers = getattr(target, "reset_transformers", None)
-        if callable(reset_transformers):
-            reset_transformers()
-    elif control == "clear_detections":
-        target.clear_detections()
-    elif control == "reset_matchers":
-        target.reset_matchers()
+        target.reset_transformers()
     else:
         raise RecoveryError(f"unknown logged control operation {control!r}")
 
 
-def restore_engine_state(target: Any, state: Dict[str, Any]) -> None:
+def restore_engine_state(target: "Engine", state: Dict[str, Any]) -> None:
     """Default snapshot restorer: ``target.restore_state(state)``, with the
     session façade's ``{"kind": "session", "engine": …}`` wrapper unwrapped
     so a bare engine target can replay a session-recorded directory."""

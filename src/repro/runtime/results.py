@@ -23,13 +23,10 @@ from __future__ import annotations
 import threading
 from typing import Any, Iterable, List, Optional, Tuple
 
+from repro.cep.engine import _UNSET
 from repro.cep.matcher import Detection
 
 __all__ = ["DetectionLog", "merge_detections", "partition_sort_key"]
-
-#: Sentinel distinguishing "parameter not given" from an explicit ``None``
-#: (``partition=None`` meaningfully selects the unpartitioned bucket).
-_UNSET: Any = object()
 
 
 def partition_sort_key(partition: Any) -> Tuple[str, str]:

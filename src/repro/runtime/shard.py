@@ -34,7 +34,7 @@ from repro.observability.registry import MetricSet
 from repro.observability.telemetry import Telemetry, TelemetryConfig
 from repro.observability.tracing import TraceContext, use_context
 from repro.streams.clock import SimulatedClock
-from repro.transform.pipeline import KinectTransformer, TransformConfig
+from repro.transform.pipeline import TransformConfig
 
 if TYPE_CHECKING:
     from repro.runtime.transport import Transport
@@ -178,15 +178,14 @@ def _apply_control(
     elif op == "reset_matchers":
         engine.reset_matchers()
     elif op == "reset_transformers":
-        for view in engine.views.values():
-            if isinstance(view.function, KinectTransformer):
-                view.function.reset()
+        engine.reset_transformers()
     elif op == "register_function":
         engine.register_function(*payload)
     elif op == "restore_state":
         # Re-registered queries need the shard's detection callback attached,
         # exactly as a live "deploy" would wire it.
-        engine.restore_state(payload, sink_factory=lambda: CallbackSink(emit))
+        for deployed in engine.restore_state(payload):
+            deployed.sink.add(CallbackSink(emit))
     elif op != "flush":
         raise ValueError(f"unknown shard control operation {op!r}")
     return None

@@ -1,9 +1,9 @@
-"""The sharded concurrent runtime: N engines behind one engine-shaped API.
+"""The sharded concurrent runtime: N engines behind one engine surface.
 
 :class:`ShardedRuntime` runs the single-threaded
 :class:`~repro.cep.engine.CEPEngine` on N worker shards, routed by
-partition hash, and duck-types the engine surface the detector and the
-session use, so the whole detection stack runs sharded unchanged.
+partition hash, and implements the same :class:`~repro.cep.engine.Engine`
+protocol, so the whole detection stack runs sharded unchanged.
 ``docs/runtime.md`` explains why per-partition detections stay
 byte-identical to the inline path, the shard protocol, and what the
 ``"thread"`` and ``"process"`` executors each can do and cost.
@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import contextlib
 import threading
-from collections import deque
-from typing import Any, Callable, Deque, Dict, Iterable, List, Mapping, Optional, Union
+from dataclasses import replace
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Union
 
-from repro.cep.engine import IngestTap, coerce_query
+from repro.cep.engine import _UNSET, IngestTap, coerce_query
 from repro.cep.matcher import Detection, MatcherConfig
 from repro.cep.query import Query
 from repro.cep.sinks import FanOutSink, Sink
@@ -42,9 +42,10 @@ from repro.errors import (
     ShardFailedError,
     SnapshotError,
     UnknownQueryError,
+    UnknownStreamError,
 )
 from repro.observability.telemetry import Telemetry
-from repro.observability.tracing import TraceContext
+from repro.observability.tracing import TraceContext, current_context
 from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.queues import BackpressurePolicy
 from repro.runtime.results import DetectionLog
@@ -54,9 +55,6 @@ from repro.runtime.transport import TRANSPORTS
 from repro.streams.clock import Clock, SimulatedClock
 
 __all__ = ["ShardedRuntime", "ShardedQuery"]
-
-#: Sentinel distinguishing "parameter not given" from an explicit ``None``.
-_UNSET: Any = object()
 
 
 class _ShardedMatcherView:
@@ -101,10 +99,9 @@ class _ShardedMatcherView:
 class ShardedQuery:
     """A query deployed on every shard of a :class:`ShardedRuntime`.
 
-    The engine-side analogue is :class:`~repro.cep.engine.DeployedQuery`;
-    this handle exposes the same reading surface (``name`` / ``sink`` /
-    ``detections`` / ``clear_detections`` / ``progress``), backed by the
-    runtime's merged detection log instead of a single collector.
+    Like :class:`~repro.cep.engine.DeployedQuery` it is a
+    :class:`~repro.cep.engine.QueryHandle`, backed by the runtime's merged
+    detection log instead of a single collector.
     """
 
     def __init__(self, runtime: "ShardedRuntime", query: Query, name: str) -> None:
@@ -120,8 +117,6 @@ class ShardedQuery:
     def detections(self, partition: Any = _UNSET) -> List[Detection]:
         """Merged, timestamp-ordered detections of this query so far."""
         self._runtime._drain_for_read()
-        if partition is _UNSET:
-            return self._runtime._log.snapshot(query_name=self.name)
         return self._runtime._log.snapshot(query_name=self.name, partition=partition)
 
     def clear_detections(self) -> None:
@@ -212,11 +207,13 @@ class ShardedRuntime:
         self._queries: Dict[str, ShardedQuery] = {}
         self._log = DetectionLog()
         self._dispatch_lock = threading.Lock()
-        self._listeners: List[Callable[[Detection], None]] = []
         self._ingest_taps: List[IngestTap] = []
-        #: Exceptions raised by ``add_listener`` callbacks, as
-        #: ``(detection, error)`` pairs (bounded; oldest dropped).
-        self.listener_errors: Deque[tuple] = deque(maxlen=256)
+        #: Every stream the shard engines have: the spec's and the queries'.
+        self._streams = {self.spec.raw_stream}
+        if self.spec.install_view:
+            self._streams.add(self.spec.view_stream)
+        #: Tuples were enqueued since the last :meth:`drain` (reads drain then).
+        self._unflushed = False
         self._started = False
         self._stopped = False
         self._worker_idents: set = set()
@@ -288,14 +285,24 @@ class ShardedRuntime:
             shard.join(timeout=timeout)
 
     def drain(self, timeout: Optional[float] = None) -> None:
-        """Barrier: block until every tuple fed so far has been processed."""
+        """Barrier: block until every tuple fed so far has been processed.
+
+        Raises the first shard failure.  A no-op on a shard's own worker or
+        listener thread (a sink or ``on()`` handler), which the barrier
+        would wait on forever.
+        """
+        if threading.get_ident() in self._worker_idents:
+            return
         self._raise_if_failed()
         if not self._started or self._stopped:
             return
+        # Cleared before the flushes: a push racing this drain sets it again.
+        self._unflushed = False
         try:
             for shard in self._shards:
                 shard.drain(timeout=timeout)
-        except ShardFailedError:
+        except BaseException:
+            self._unflushed = True
             self._raise_if_failed()  # graceful shutdown of healthy shards
             raise
         self._raise_if_failed()
@@ -376,14 +383,13 @@ class ShardedRuntime:
             raise QueryRegistrationError(
                 f"a query named '{registration_name}' is already registered"
             )
-        base_config = matcher_config or self.spec.matcher
-        effective_field = (
-            partition_field if partition_field is not _UNSET else base_config.partition_field
-        )
-        if effective_field != self.router.partition_field:
+        config = matcher_config or self.spec.matcher
+        if partition_field is not _UNSET:
+            config = replace(config, partition_field=partition_field)
+        if config.partition_field != self.router.partition_field:
             raise QueryRegistrationError(
                 f"query '{registration_name}' partitions on "
-                f"{effective_field!r} but the runtime routes on "
+                f"{config.partition_field!r} but the runtime routes on "
                 f"{self.router.partition_field!r}; a shard would only see a "
                 f"hash-arbitrary subset of its partitions. Deploy with a "
                 f"matching partition_field, or run this query on an inline "
@@ -392,22 +398,10 @@ class ShardedRuntime:
         if analyze != "off":
             # Gate coordinator-side, before the deploy broadcast: a rejected
             # query must never reach any shard.
-            from repro.analysis import (
-                AnalysisContext,
-                analyze_query,
-                gate_diagnostics,
-                validate_analyze_mode,
-            )
+            from repro.analysis import gate_deployment
 
-            validate_analyze_mode(analyze)
-            context = AnalysisContext(
-                partition_field=effective_field,
-                run_ttl_seconds=base_config.run_ttl_seconds,
-            )
-            gate_diagnostics(
-                analyze_query(query, context=context, name=registration_name),
-                analyze,
-                subject=f"query '{registration_name}'",
+            gate_deployment(
+                self, {registration_name: query}, analyze, config, f"query '{registration_name}'"
             )
         override = None if partition_field is _UNSET else (partition_field,)
         handle = ShardedQuery(self, query, registration_name)
@@ -416,15 +410,12 @@ class ShardedRuntime:
         payload = (registration_name, query.to_query(), matcher_config, override)
         self._broadcast("deploy", payload)
         self._queries[registration_name] = handle
+        self._streams |= query.streams()
         return handle
 
     def unregister_query(self, name: str) -> None:
         """Remove a deployed query from every shard."""
-        if name not in self._queries:
-            raise UnknownQueryError(
-                f"no query named '{name}' is registered; "
-                f"deployed queries: {self.query_names()}"
-            )
+        self.get_query(name)  # unknown names raise before any shard is asked
         self._broadcast("undeploy", name)
         del self._queries[name]
 
@@ -463,50 +454,37 @@ class ShardedRuntime:
 
     @property
     def views(self) -> Dict[str, Any]:
-        """Always empty: views live inside the shards.
-
-        Shard-local transformer state is managed through
-        :meth:`reset_transformers`, never by direct mutation from outside
-        the worker.
-        """
+        """Always empty: views live in the shards (see :meth:`reset_transformers`)."""
         return {}
+
+    @property
+    def matcher_config(self) -> MatcherConfig:
+        """The matcher defaults every shard engine is built with."""
+        return self.spec.matcher
+
+    def stream_fields(self) -> Dict[str, Optional[FrozenSet[str]]]:
+        """Every stream of the shard engines; none declares a schema."""
+        return dict.fromkeys(sorted(self._streams))
 
     # -- data path ---------------------------------------------------------------------
 
-    def _originate_trace(self, trace: Optional[TraceContext]) -> Optional[TraceContext]:
-        """Continue a caller's trace, or make the head sampling decision."""
-        if trace is not None:
-            return trace
+    def _originate_trace(self) -> Optional[TraceContext]:
+        """Continue the caller's ambient trace, or make the head sampling decision."""
         telemetry = self.telemetry
-        if telemetry is not None and telemetry.tracing_active:
-            return telemetry.tracer.sample("ingest")
-        return None
+        if telemetry is None or not telemetry.tracing_active:
+            return None
+        context = current_context()
+        return context if context is not None else telemetry.tracer.sample("ingest")
 
-    def push(
-        self,
-        stream_name: str,
-        record: Mapping[str, Any],
-        trace: Optional[TraceContext] = None,
-    ) -> None:
-        """Route one tuple to its partition's shard."""
-        self._raise_if_failed()
-        self._ensure_running()
-        for tap in self._ingest_taps:
-            tap(stream_name, (record,), None)
-        shard = self._shards[self.router.shard_for(record)]
-        try:
-            shard.enqueue_tuples(stream_name, [record], None, trace=self._originate_trace(trace))
-        except ShardFailedError:
-            self._raise_if_failed()
-            raise
-        self.tuples_processed += 1
+    def push(self, stream_name: str, record: Mapping[str, Any]) -> None:
+        """Route one tuple to its partition's shard: :meth:`push_many` of one."""
+        self.push_many(stream_name, [record])
 
     def push_many(
         self,
         stream_name: str,
         records: Iterable[Mapping[str, Any]],
         batch_size: Optional[int] = None,
-        trace: Optional[TraceContext] = None,
     ) -> int:
         """Route many tuples; returns the number accepted for routing.
 
@@ -517,10 +495,11 @@ class ShardedRuntime:
         *enqueued* (subject to backpressure); use :meth:`drain` — or any
         read, which drains implicitly — to wait for processing.
 
-        ``trace`` continues a caller-started trace context (the gateway
-        passes its request trace here); without one, a sampled tracer makes
-        its head decision per call.  The routing/enqueue work is recorded
-        as an ``ingest.route`` span and the chosen context rides each
+        The caller's ambient trace context (``use_context``; the session
+        installs the gateway's request trace there) is continued; without
+        one, a sampled tracer makes its head decision per call.  The
+        routing/enqueue work is recorded as an ``ingest.route`` span and
+        the chosen context rides each
         shard's queue, so downstream queue/shard/matcher spans share the
         trace id across thread *and* process executors.
         """
@@ -528,13 +507,17 @@ class ShardedRuntime:
             raise ValueError("batch_size must be at least 1 when given")
         self._raise_if_failed()
         self._ensure_running()
+        if stream_name not in self._streams:  # before any tap logs it: a shard would die
+            raise UnknownStreamError(
+                f"unknown stream '{stream_name}'; registered streams: {sorted(self._streams)}"
+            )
         if self._ingest_taps:
             records = records if isinstance(records, list) else list(records)
             for tap in self._ingest_taps:
                 tap(stream_name, records, batch_size)
-        trace = self._originate_trace(trace)
+        trace = self._originate_trace()
         span = None
-        if trace is not None and self.telemetry is not None and self.telemetry.tracing_active:
+        if trace is not None:
             span = self.telemetry.tracer.span(
                 "ingest.route", "ingest", trace, stream=stream_name
             )
@@ -550,19 +533,11 @@ class ShardedRuntime:
             self._raise_if_failed()
             raise
         finally:
+            self._unflushed = True
             if span is not None:
                 span.close(tuples=count)
         self.tuples_processed += count
         return count
-
-    def feed(
-        self,
-        records: Iterable[Mapping[str, Any]],
-        batch_size: Optional[int] = None,
-        stream: Optional[str] = None,
-    ) -> int:
-        """Convenience: :meth:`push_many` into the spec's raw sensor stream."""
-        return self.push_many(stream or self.spec.raw_stream, records, batch_size)
 
     # -- ingest taps -------------------------------------------------------------------
 
@@ -663,6 +638,7 @@ class ShardedRuntime:
             shard_state = state.get("shards", {}).get(str(shard_id))
             if shard_state is not None:
                 shard.control("restore_state", shard_state)
+                self._streams.update(shard_state.get("streams", {}))
         self._log.restore(
             [Detection.from_state(d) for d in state.get("detections", [])]
         )
@@ -683,15 +659,15 @@ class ShardedRuntime:
         """Serialisation point: every shard's detections pass through here.
 
         Runs on shard worker/listener threads, so it must never raise: a
-        raising sink is isolated by :class:`FanOutSink`, and a raising
-        listener is recorded in :attr:`listener_errors` — either would
-        otherwise kill the emitting shard (or wedge a process shard's
-        credit stream).  ``latency`` is the ingest→detection time the
-        worker measured at emit (``None`` with telemetry off).
+        raising sink would otherwise kill the emitting shard (or wedge a
+        process shard's credit stream); :class:`FanOutSink` has already
+        recorded the failure in ``handle.sink.failures``.  ``latency`` is
+        the ingest→detection time the worker measured at emit (``None``
+        with telemetry off).
 
-        The global dispatch lock covers only the bookkeeping (metrics,
-        log, handle lookup); sinks and listeners run *outside* it.  They
-        are internally thread-safe, and holding the lock across user code
+        The global dispatch lock covers only the bookkeeping (metrics, log,
+        handle lookup); sinks run *outside* it.  They are internally
+        thread-safe, and holding the lock across user code
         would let one slow (or blocking) handler stall every other
         shard's detections — in the worst case a handler feeding a full
         ``block``-policy queue would deadlock the whole runtime.
@@ -702,25 +678,9 @@ class ShardedRuntime:
                 self._e2e_histogram.record(latency)
             self._log.record(detection)
             handle = self._queries.get(detection.query_name)
-            listeners = list(self._listeners)
         if handle is not None and handle.enabled:
-            try:
+            with contextlib.suppress(Exception):  # recorded in handle.sink.failures
                 handle.sink.emit(detection)
-            except Exception as error:  # noqa: BLE001 — a sink must not kill a shard
-                self.listener_errors.append((detection, error))
-        for listener in listeners:
-            try:
-                listener(detection)
-            except Exception as error:  # noqa: BLE001 — isolation is the point
-                self.listener_errors.append((detection, error))
-
-    def add_listener(self, listener: Callable[[Detection], None]) -> None:
-        """Observe every detection of every query (called serialised).
-
-        Exceptions raised by a listener are isolated and recorded in
-        :attr:`listener_errors` — they never break a shard's data path.
-        """
-        self._listeners.append(listener)
 
     def detections(
         self, name: Optional[str] = None, partition: Any = _UNSET
@@ -732,14 +692,9 @@ class ShardedRuntime:
         single partition the sequence is identical to what an inline
         engine would have produced.
         """
-        if name is not None and name not in self._queries:
-            raise UnknownQueryError(
-                f"no query named '{name}' is registered; "
-                f"deployed queries: {self.query_names()}"
-            )
+        if name is not None:
+            self.get_query(name)  # unknown names raise
         self._drain_for_read()
-        if partition is _UNSET:
-            return self._log.snapshot(query_name=name)
         return self._log.snapshot(query_name=name, partition=partition)
 
     def clear_detections(self) -> None:
@@ -864,7 +819,8 @@ class ShardedRuntime:
         )
 
     def _drain_for_read(self) -> None:
-        """Drain before a read — unless called *from* a worker context.
+        """Drain before a read — if anything was fed since the last drain,
+        and unless called *from* a worker context.
 
         A sink or ``on()`` handler runs on a shard's worker (or listener)
         thread; draining from there would deadlock on the very queue the
@@ -875,7 +831,7 @@ class ShardedRuntime:
         :meth:`push_many` / :meth:`drain`) the detections collected so far
         stay readable, exactly like results stay readable after ``stop``.
         """
-        if self._can_broadcast():
+        if self._unflushed and self._can_broadcast():
             # The failure surfaces on feed/drain; reads stay usable.
             with contextlib.suppress(ShardFailedError):
                 self.drain()

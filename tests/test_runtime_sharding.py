@@ -16,7 +16,7 @@ import zlib
 import pytest
 
 from repro.api import F, GestureSession, Q, SessionConfig
-from repro.cep import CEPEngine, CollectingSink, FanOutSink
+from repro.cep import CallbackSink, CEPEngine, CollectingSink, FanOutSink
 from repro.cep.matcher import MatcherConfig
 from repro.errors import (
     BackpressureError,
@@ -375,15 +375,18 @@ class TestShardedRuntime:
         snapshot = runtime.metrics.snapshot()
         assert len(snapshot["shards"]) == 2
 
-    def test_raising_listener_is_isolated_and_recorded(self, spec):
+    def test_raising_sink_is_isolated_and_recorded(self, spec):
         frames = make_frames(players=2, rounds=5)
         with self.runtime(spec) as runtime:
-            runtime.register_query(HIGH)
-            runtime.add_listener(lambda detection: 1 / 0)
+            handle = runtime.register_query(HIGH, sink=CallbackSink(lambda detection: 1 / 0))
             runtime.push_many("kinect_t", frames)
             detections = runtime.detections()
-            assert detections  # the raising listener never killed a shard
-            assert len(runtime.listener_errors) == len(detections)
+            assert detections  # the raising sink never killed a shard
+            assert len(handle.sink.failures) == len(detections)
+            assert all(
+                isinstance(failure.error, ZeroDivisionError)
+                for failure in handle.sink.failures
+            )
         assert not runtime.failed
 
     def test_sinks_receive_detections_from_all_shards(self, spec):
