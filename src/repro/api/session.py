@@ -40,9 +40,10 @@ like the inline one; see ``docs/runtime.md``.
 Durability
 ----------
 ``GestureSession(durability=DurabilityConfig("./run1"))`` puts the session
-on a write-ahead event log: every fed tuple and every state-changing
-operation (deploy / undeploy / clear) is appended *before* it takes
-effect, and :meth:`GestureSession.snapshot` (or the automatic
+on a write-ahead event log: every fed tuple is appended *before* it is
+delivered, and every state change the engine accepts (deploy / undeploy /
+enable / clear, whichever door it came through) right after, and
+:meth:`GestureSession.snapshot` (or the automatic
 ``snapshot_every_tuples`` policy) persists the whole stack's state —
 matcher run tables, detections, transformer smoothing state, stream
 counters, the simulated clock — anchored to a log offset.  After a crash,
@@ -96,7 +97,7 @@ from repro.cep.views import (
 )
 from repro.core.description import GestureDescription
 from repro.core.learner import GestureLearner
-from repro.detection.detector import GestureDetector, GestureHandler
+from repro.detection.detector import CONTROL_QUERY_PREFIX, GestureDetector, GestureHandler
 from repro.detection.events import DetectionFeedback, GestureEvent
 from repro.detection.workflow import LearningWorkflow, WorkflowConfig
 from repro.errors import (
@@ -119,6 +120,8 @@ from repro.persistence import (
     LogEntry,
     RecoveryResult,
     ReplayController,
+    apply_engine_control,
+    restore_engine_state,
 )
 from repro.runtime.metrics import MetricsRegistry
 from repro.storage.database import GestureDatabase
@@ -759,10 +762,6 @@ class GestureSession:
         self._ensure_started()
         mode = self.config.analyze if analyze is None else analyze
         deployed = self.detector.deploy(gesture, name=name, analyze=mode)
-        if self._durability is not None:
-            self._durability.log_control(
-                "deploy", {"name": deployed.name, "text": deployed.query.to_query()}
-            )
         if sink is not None:
             deployed.sink.add(sink)
         return deployed
@@ -842,8 +841,6 @@ class GestureSession:
     def undeploy(self, name: str) -> None:
         """Remove one deployed gesture."""
         self.detector.undeploy(name)
-        if self._durability is not None:
-            self._durability.log_control("undeploy", {"name": name})
 
     def deployed_gestures(self) -> List[str]:
         """Names of the deployed gestures (readable even after close)."""
@@ -1152,8 +1149,6 @@ class GestureSession:
         self._ensure_started()
         self.detector.clear()
         self.handler_errors.clear()
-        if self._durability is not None:
-            self._durability.log_control("clear", {})
 
     # -- durability: snapshot, recover, replay -------------------------------------------
 
@@ -1191,19 +1186,12 @@ class GestureSession:
     def _restore_session_state(self, state: Mapping[str, Any]) -> None:
         """Load a snapshot into this (freshly started) session.
 
-        Captured queries are deployed through the detector *first*, so
-        their detections dispatch into :attr:`events` and :meth:`on`
-        handlers; ``restore_state`` then overwrites each matcher's runs,
-        detections and counters in place.
+        The engine re-registers the captured queries itself; its control
+        tap wires each to the detector, so their detections dispatch into
+        :attr:`events` and :meth:`on` handlers.
         """
         self._ensure_started()
-        engine_state = state["engine"] if state.get("kind") == "session" else state
-        deployed = set(self.deployed_gestures())
-        for entry in engine_state.get("queries", []):
-            if entry["name"] not in deployed:
-                self.deploy(entry["text"], name=entry["name"])
-        assert self._engine is not None
-        self._engine.restore_state(engine_state)
+        restore_engine_state(self._engine, state)
 
     def _rebuild_events(self) -> None:
         """Recompute :attr:`events` from the restored detection history.
@@ -1211,12 +1199,15 @@ class GestureSession:
         Snapshot-restored detections never went through live dispatch, and
         replayed-tail detections were appended to whatever the list held —
         rebuilding from the merged engine history yields the same sequence
-        the uninterrupted run dispatched.
+        the uninterrupted run dispatched.  The workflow's control queries
+        never dispatch there, so their detections are left out.
         """
         assert self._detector is not None and self._engine is not None
         history = self._engine.detections()
         self._detector.events[:] = [
-            GestureEvent.from_detection(detection) for detection in history
+            GestureEvent.from_detection(detection)
+            for detection in history
+            if not detection.query_name.startswith(CONTROL_QUERY_PREFIX)
         ]
 
     def _apply_log_entry(self, entry: LogEntry) -> None:
@@ -1224,21 +1215,12 @@ class GestureSession:
         if entry.op == "tuples":
             self.push_many(entry.stream, entry.records or [], batch_size=entry.batch_size)
         elif entry.op == "control":
-            self._apply_logged_control(entry.control, entry.payload)
+            self._apply_control(entry.control, entry.payload)
         else:
             raise RecoveryError(f"unknown logged operation {entry.op!r}")
 
-    def _apply_logged_control(self, control: Optional[str], payload: Any) -> None:
-        payload = payload or {}
-        if control == "deploy":
-            if payload["name"] not in set(self.deployed_gestures()):
-                self.deploy(payload["text"], name=payload["name"])
-        elif control == "undeploy":
-            self.undeploy(payload["name"])
-        elif control == "clear":
-            self.clear()
-        else:
-            raise RecoveryError(f"unknown logged control operation {control!r}")
+    def _apply_control(self, control: Optional[str], payload: Any) -> None:
+        apply_engine_control(self._engine, control, payload)
 
     @classmethod
     def recover(
@@ -1321,7 +1303,7 @@ class GestureSession:
             directory.directory,
             factory,
             restore=restore,
-            apply_control=GestureSession._apply_logged_control,
+            apply_control=GestureSession._apply_control,
             speed=speed,
         )
 

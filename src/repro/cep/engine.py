@@ -96,6 +96,12 @@ _UNSET: Any = object()
 #: not pass through taps, so a tap sees exactly the external ingest.
 IngestTap = Callable[[str, Sequence[Mapping[str, Any]], Optional[int]], None]
 
+#: A control tap sees every state change *after* it succeeded, whoever made
+#: it: ``tap(op, payload)`` with ``deploy {name, text}``, ``undeploy {name}``,
+#: ``enable {name, enabled}`` or ``clear {}``; the inverse is
+#: :func:`repro.persistence.replay.apply_engine_control`.
+ControlTap = Callable[[str, Dict[str, Any]], None]
+
 
 def coerce_query(query: Union[str, Query, Any]) -> Query:
     """Normalise anything deployable into a :class:`Query`.
@@ -227,12 +233,13 @@ class Engine(Protocol):
     ) -> int: ...
     def add_ingest_tap(self, tap: IngestTap) -> None: ...
     def remove_ingest_tap(self, tap: IngestTap) -> None: ...
+    def add_control_tap(self, tap: ControlTap) -> None: ...
+    def remove_control_tap(self, tap: ControlTap) -> None: ...
     def detections(
         self, name: Optional[str] = None, partition: Any = _UNSET
     ) -> List[Detection]: ...
     def clear_detections(self) -> None: ...
-    def reset_matchers(self) -> None: ...
-    def reset_transformers(self) -> None: ...
+    def reset_scene(self) -> None: ...
     def capture_state(self) -> Dict[str, Any]: ...
     def restore_state(self, state: Mapping[str, Any]) -> Any: ...
     def query_stats(self) -> Dict[str, Dict[str, int]]: ...
@@ -241,7 +248,46 @@ class Engine(Protocol):
     def export_trace(self) -> Dict[str, Any]: ...
 
 
-class CEPEngine:
+class Taps:
+    """The taps of an :class:`Engine`.  A raising tap fails the call it
+    observes — durability errors must not pass silently.  A sharded runtime
+    runs them parent-side: ingest taps before routing, control taps once
+    after the shard broadcast."""
+
+    _ingest_taps: tuple[IngestTap, ...] = ()
+    _control_taps: tuple[ControlTap, ...] = ()
+
+    def add_ingest_tap(self, tap: IngestTap) -> None:
+        """Observe every externally pushed tuple *before* it is delivered.
+
+        Write-ahead hook of the durability subsystem: the tap runs before
+        any subscriber sees the tuples, so a crash mid-processing can
+        always be replayed from the log.  Taps only see external ingest
+        (``push`` / ``push_many``); tuples emitted internally by views into
+        their derived streams are not re-reported.
+        """
+        self._ingest_taps += (tap,)
+
+    def remove_ingest_tap(self, tap: IngestTap) -> None:
+        """Detach a previously added ingest tap (missing taps are ignored)."""
+        self._ingest_taps = tuple(t for t in self._ingest_taps if t is not tap)
+
+    def add_control_tap(self, tap: ControlTap) -> None:
+        """Observe every deploy / undeploy / enable / ``reset_scene`` *after*
+        it succeeded (see :data:`ControlTap`): a rejected control is never
+        reported."""
+        self._control_taps += (tap,)
+
+    def remove_control_tap(self, tap: ControlTap) -> None:
+        """Detach a previously added control tap (missing taps are ignored)."""
+        self._control_taps = tuple(t for t in self._control_taps if t is not tap)
+
+    def _notify_control(self, op: str, payload: Dict[str, Any]) -> None:
+        for tap in self._control_taps:
+            tap(op, payload)
+
+
+class CEPEngine(Taps):
     """A single-node complex event processing engine.
 
     Parameters
@@ -275,7 +321,6 @@ class CEPEngine:
         self.compile_cache = CompiledPredicateCache(self.functions)
         self._queries: Dict[str, DeployedQuery] = {}
         self._views: Dict[str, View] = {}
-        self._ingest_taps: List[IngestTap] = []
         self.tuples_processed = 0
         #: Optional :class:`repro.observability.Telemetry`; when set and
         #: tracing is active, matcher invocations record spans under the
@@ -341,22 +386,6 @@ class CEPEngine:
         self.tuples_processed += count
         return count
 
-    def add_ingest_tap(self, tap: IngestTap) -> None:
-        """Observe every externally pushed tuple *before* it is delivered.
-
-        Write-ahead hook of the durability subsystem: the tap runs before
-        any subscriber sees the tuples, so a crash mid-processing can
-        always be replayed from the log.  Taps only see external ingest
-        (:meth:`push` / :meth:`push_many`); tuples emitted internally by
-        views into their derived streams are not re-reported.  A raising
-        tap fails the push — durability errors must not pass silently.
-        """
-        self._ingest_taps.append(tap)
-
-    def remove_ingest_tap(self, tap: IngestTap) -> None:
-        """Detach a previously added ingest tap (missing taps are ignored)."""
-        self._ingest_taps = [t for t in self._ingest_taps if t is not tap]
-
     # -- views ----------------------------------------------------------------------
 
     def register_view(
@@ -388,12 +417,6 @@ class CEPEngine:
     @property
     def views(self) -> Dict[str, View]:
         return dict(self._views)
-
-    def reset_transformers(self) -> None:
-        """Reset every view's Kinect smoothing state ("a new user steps in")."""
-        for view in self._views.values():
-            if isinstance(view.function, KinectTransformer):
-                view.function.reset()
 
     def stream_fields(self) -> Dict[str, Optional[FrozenSet[str]]]:
         """Declared schema per stream name (``None``: undeclared)."""
@@ -525,6 +548,7 @@ class CEPEngine:
             deployed.subscriptions.append(subscription)
 
         self._queries[registration_name] = deployed
+        self._notify_control("deploy", {"name": registration_name, "text": query.to_query()})
         return deployed
 
     def _make_handler(
@@ -601,6 +625,7 @@ class CEPEngine:
         for subscription in deployed.subscriptions:
             subscription.cancel()
         deployed.subscriptions.clear()
+        self._notify_control("undeploy", {"name": name})
 
     def get_query(self, name: str) -> DeployedQuery:
         try:
@@ -632,6 +657,7 @@ class CEPEngine:
     def enable_query(self, name: str, enabled: bool = True) -> None:
         """Pause or resume a deployed query without removing it."""
         self.get_query(name).enabled = enabled
+        self._notify_control("enable", {"name": name, "enabled": enabled})
 
     # -- detections -----------------------------------------------------------------------
 
@@ -655,10 +681,17 @@ class CEPEngine:
         for deployed in self._queries.values():
             deployed.clear_detections()
 
-    def reset_matchers(self) -> None:
-        """Discard all partial matches of every deployed query."""
+    def reset_scene(self) -> None:
+        """Start a fresh scene ("a new user steps in"): drop collected
+        detections and partial matches, and reset every view's Kinect
+        smoothing state."""
         for deployed in self._queries.values():
+            deployed.clear_detections()
             deployed.matcher.reset()
+        for view in self._views.values():
+            if isinstance(view.function, KinectTransformer):
+                view.function.reset()
+        self._notify_control("clear", {})
 
     def drain(self, timeout: Optional[float] = None) -> None:
         """No-op: every pushed tuple is processed before ``push`` returns."""
@@ -717,15 +750,14 @@ class CEPEngine:
             "transformers": transformers,
         }
 
-    def restore_state(self, state: Mapping[str, Any]) -> List[DeployedQuery]:
+    def restore_state(self, state: Mapping[str, Any]) -> None:
         """Restore a :meth:`capture_state` snapshot into this engine.
 
         Queries present in the snapshot but not yet deployed are registered
-        from their captured text; queries already deployed — the session
-        recovery path deploys them first so detector wiring exists — only
-        have their matcher, detections and enabled flag overwritten.
-        Returns the queries this call registered itself, so a caller can
-        attach sinks to them (a shard attaches its detection callback).
+        from their captured text — a ``deploy`` control-tap subscriber (the
+        detector, a shard) wires them as for any deploy; queries already
+        deployed only have their matcher, detections and enabled flag
+        overwritten.
 
         Raises
         ------
@@ -747,7 +779,6 @@ class CEPEngine:
             and clock_now > self.clock.now()
         ):
             self.clock.set(clock_now)
-        registered: List[DeployedQuery] = []
         for entry in state.get("queries", []):
             name = entry["name"]
             if name in self._queries:
@@ -759,7 +790,6 @@ class CEPEngine:
                     create_missing_streams=True,
                     partition_field=entry.get("partition_field"),
                 )
-                registered.append(deployed)
             deployed.matcher.restore_state(entry["matcher"])
             deployed.collector.restore(
                 [Detection.from_state(d) for d in entry.get("detections", [])]
@@ -773,7 +803,6 @@ class CEPEngine:
             if callable(restore):
                 restore(transformer_state)
         self.tuples_processed = int(state.get("tuples_processed", 0))
-        return registered
 
     def __repr__(self) -> str:
         return (

@@ -6,7 +6,8 @@ done.  It owns (or is handed) a CEP engine with the ``kinect`` /
 query generator, deploys them, and converts engine detections into
 :class:`~repro.detection.events.GestureEvent` objects delivered to
 registered handlers — exactly the "Controller / Application" interface of
-the paper's Fig. 2.
+the paper's Fig. 2.  It subscribes to its engine's control taps, so every
+query the engine deploys dispatches here, whoever deployed it.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ from repro.storage.database import GestureDatabase
 from repro.streams.clock import Clock, SimulatedClock
 
 GestureHandler = Callable[[GestureEvent], None]
+
+#: Prefix of the workflow's control queries: they steer the tool, not gestures.
+CONTROL_QUERY_PREFIX = "__control_"
 
 
 class GestureDetector:
@@ -80,6 +84,20 @@ class GestureDetector:
         # list must observe them one at a time.  Reentrant because a handler
         # may feed another frame whose detection dispatches recursively.
         self._dispatch_lock = threading.RLock()
+        engine.add_control_tap(self._on_control)
+
+    def _on_control(self, op: str, payload: Dict[str, Any]) -> None:
+        """Follow the engine: wire each deployed gesture to :meth:`_dispatch`."""
+        if payload.get("name", "").startswith(CONTROL_QUERY_PREFIX):
+            return
+        if op == "deploy":
+            deployed = self.engine.get_query(payload["name"])
+            deployed.sink.add(CallbackSink(self._dispatch))
+            self._deployed[deployed.name] = deployed
+        elif op == "undeploy":
+            self._deployed.pop(payload["name"], None)
+        elif op == "clear":
+            self.events.clear()
 
     # -- deployment ------------------------------------------------------------------
 
@@ -103,17 +121,9 @@ class GestureDetector:
         else:
             query = gesture
             registration = name
-
-        sink = CallbackSink(self._dispatch)
-        deployed = self.engine.register_query(
-            query,
-            name=registration,
-            sink=sink,
-            create_missing_streams=True,
-            analyze=analyze,
+        return self.engine.register_query(
+            query, name=registration, create_missing_streams=True, analyze=analyze
         )
-        self._deployed[deployed.name] = deployed
-        return deployed
 
     def deploy_from_database(
         self, database: GestureDatabase, enabled_only: bool = True, analyze: str = "off"
@@ -146,7 +156,6 @@ class GestureDetector:
         if name not in self._deployed:
             raise GestureNotFoundError(f"gesture '{name}' is not deployed")
         self.engine.unregister_query(name)
-        del self._deployed[name]
 
     def deployed_gestures(self) -> List[str]:
         return sorted(self._deployed)
@@ -248,10 +257,7 @@ class GestureDetector:
         exactly the "new user steps in" hook, and skipping it would let a
         previous user's smoothed scale skew the next user's first seconds.
         """
-        self.events.clear()
-        self.engine.clear_detections()
-        self.engine.reset_matchers()
-        self.engine.reset_transformers()
+        self.engine.reset_scene()
 
     def __repr__(self) -> str:
         return (

@@ -35,7 +35,7 @@ from repro.core.merging import MergeResult
 from repro.core.querygen import QueryGenConfig, QueryGenerator
 from repro.core.validation import OverlapReport, PatternValidator
 from repro.detection.controller import ControllerConfig, RecordingController, RecordingPhase
-from repro.detection.detector import GestureDetector
+from repro.detection.detector import CONTROL_QUERY_PREFIX, GestureDetector
 from repro.detection.events import DetectionFeedback, GestureEvent
 from repro.errors import InvalidWorkflowStateError, RecordingError
 from repro.storage.database import GestureDatabase
@@ -68,8 +68,8 @@ within 2 seconds select first consume all;
 """
 
 #: Registration names of the control queries.
-CONTROL_RECORD = "__control_record"
-CONTROL_FINALIZE = "__control_finalize"
+CONTROL_RECORD = CONTROL_QUERY_PREFIX + "record"
+CONTROL_FINALIZE = CONTROL_QUERY_PREFIX + "finalize"
 
 
 class WorkflowPhase(str, Enum):
@@ -162,14 +162,14 @@ class LearningWorkflow:
     # -- control-gesture wiring --------------------------------------------------------
 
     def _deploy_control_gestures(self) -> None:
-        record_sink = CallbackSink(self._on_record_control)
-        finalize_sink = CallbackSink(self._on_finalize_control)
-        self.engine.register_query(
-            WAVE_CONTROL_QUERY, name=CONTROL_RECORD, sink=record_sink
-        )
-        self.engine.register_query(
-            FINALIZE_CONTROL_QUERY, name=CONTROL_FINALIZE, sink=finalize_sink
-        )
+        """Register the control queries, or adopt the ones recovery re-registered."""
+        for text, name, handler in (
+            (WAVE_CONTROL_QUERY, CONTROL_RECORD, self._on_record_control),
+            (FINALIZE_CONTROL_QUERY, CONTROL_FINALIZE, self._on_finalize_control),
+        ):
+            if name not in self.engine.query_names():
+                self.engine.register_query(text, name=name)
+            self.engine.get_query(name).sink.add(CallbackSink(handler))
 
     def _on_record_control(self, detection: Detection) -> None:
         if self.phase is WorkflowPhase.COLLECTING:

@@ -5,9 +5,9 @@
 :mod:`repro.persistence.log` / :mod:`repro.persistence.snapshots`:
 
 * :meth:`attach` installs the write-ahead ingest tap, so every externally
-  fed tuple is logged *before* delivery;
-* :meth:`log_control` records state-changing operations (deploy /
-  undeploy / clear / …) in the same ordered log;
+  fed tuple is logged *before* delivery, and the control tap, so every
+  deploy / undeploy / enable / clear is logged in the same ordered log
+  *after* the engine accepted it — whichever caller made it;
 * :meth:`snapshot` captures the target's state at a quiesced point and
   anchors it to the current log offset; :meth:`maybe_snapshot` does so
   automatically every ``snapshot_every_tuples`` ingested tuples;
@@ -135,14 +135,16 @@ class DurabilityManager:
     # -- wiring ------------------------------------------------------------------------
 
     def attach(self) -> None:
-        """Install the write-ahead ingest tap on the target."""
+        """Install the ingest and control taps on the target."""
         if not self._attached:
             self._target.add_ingest_tap(self._tap)
+            self._target.add_control_tap(self._control_tap)
             self._attached = True
 
     def detach(self) -> None:
         if self._attached:
             self._target.remove_ingest_tap(self._tap)
+            self._target.remove_control_tap(self._control_tap)
             self._attached = False
 
     def _tap(self, stream: str, records: Any, batch_size: Optional[int]) -> None:
@@ -150,6 +152,10 @@ class DurabilityManager:
             return
         self.log.append_tuples(stream, records, batch_size)
         self._tuples_since_snapshot += len(records)
+
+    def _control_tap(self, op: str, payload: Dict[str, Any]) -> None:
+        if not (self._suspended or self._closed):
+            self.log.append_control(op, payload)
 
     @contextmanager
     def suspended(self) -> Iterator[None]:
@@ -160,13 +166,7 @@ class DurabilityManager:
         finally:
             self._suspended -= 1
 
-    # -- control + snapshot ------------------------------------------------------------
-
-    def log_control(self, control: str, payload: Any = None) -> Optional[int]:
-        """Record a state-changing operation; no-op while suspended."""
-        if self._suspended or self._closed:
-            return None
-        return self.log.append_control(control, payload)
+    # -- snapshot ----------------------------------------------------------------------
 
     def snapshot(self) -> int:
         """Capture and persist the target's state; returns the anchor offset.

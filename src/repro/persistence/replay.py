@@ -42,10 +42,11 @@ _UNSET: Any = object()
 
 
 def apply_engine_control(target: "Engine", control: str, payload: Any) -> None:
-    """Apply one logged control (``deploy`` / ``undeploy`` / ``clear``) to an engine.
+    """Apply one logged control to an engine: the inverse of its control tap
+    (:data:`repro.cep.engine.ControlTap`), and the only control replay.
 
-    The default ``apply_control`` of :class:`ReplayController`; the session
-    façade substitutes its own (which routes deploys through the detector).
+    Recovery, :class:`ReplayController` and ``session.replay()`` all map
+    ``deploy`` / ``undeploy`` / ``enable`` / ``clear`` back through here.
     """
     if control == "deploy":
         if payload["name"] not in target.queries:
@@ -54,10 +55,10 @@ def apply_engine_control(target: "Engine", control: str, payload: Any) -> None:
             )
     elif control == "undeploy":
         target.unregister_query(payload["name"])
+    elif control == "enable":
+        target.enable_query(payload["name"], payload["enabled"])
     elif control == "clear":
-        target.clear_detections()
-        target.reset_matchers()
-        target.reset_transformers()
+        target.reset_scene()
     else:
         raise RecoveryError(f"unknown logged control operation {control!r}")
 

@@ -138,17 +138,14 @@ class ShardEngineSpec:
 # ---------------------------------------------------------------------------
 
 
-def _apply_control(
-    engine: CEPEngine,
-    op: str,
-    payload: Any,
-    emit: Callable[[Detection], None],
-) -> Any:
+def _apply_control(engine: CEPEngine, op: str, payload: Any) -> Any:
     """Execute one control operation against a shard-local engine.
 
     Only plain data is returned (it rides the ``ack`` to the parent); live
     objects such as a deployed query stay with the worker, because they
     could not cross a process boundary and nothing parent-side wants one.
+    The worker's control tap attaches the detection callback to every
+    query the engine deploys, here or in ``restore_state``.
     """
     if op == "capture_state":
         return engine.capture_state()
@@ -162,7 +159,6 @@ def _apply_control(
         engine.register_query(
             query_text,
             name=name,
-            sink=CallbackSink(emit),
             matcher_config=matcher_config,
             create_missing_streams=True,
             **kwargs,
@@ -171,21 +167,14 @@ def _apply_control(
         engine.unregister_query(payload)
     elif op == "enable":
         engine.enable_query(*payload)
-    elif op == "clear_detections":
-        engine.clear_detections()
-    elif op == "clear_query_detections":
-        engine.get_query(payload).clear_detections()
-    elif op == "reset_matchers":
-        engine.reset_matchers()
-    elif op == "reset_transformers":
-        engine.reset_transformers()
+    elif op == "clear_detections":  # payload: one query's name, or None for all
+        (engine if payload is None else engine.get_query(payload)).clear_detections()
+    elif op == "reset_scene":
+        engine.reset_scene()
     elif op == "register_function":
         engine.register_function(*payload)
     elif op == "restore_state":
-        # Re-registered queries need the shard's detection callback attached,
-        # exactly as a live "deploy" would wire it.
-        for deployed in engine.restore_state(payload):
-            deployed.sink.add(CallbackSink(emit))
+        engine.restore_state(payload)
     elif op != "flush":
         raise ValueError(f"unknown shard control operation {op!r}")
     return None
@@ -298,6 +287,12 @@ def worker_loop(
         latency = None if enqueued_at is None else max(0.0, monotonic_time() - enqueued_at)
         send(("det", detection, latency))
 
+    def wire(op: str, payload: Dict[str, Any]) -> None:
+        if op == "deploy":
+            engine.get_query(payload["name"]).sink.add(CallbackSink(emit))
+
+    engine.add_control_tap(wire)
+
     def collect_owned() -> Optional[Dict[str, Any]]:
         """Drain the worker-owned spans and profile; never re-sent."""
         if owned is None:
@@ -330,7 +325,7 @@ def worker_loop(
                     if op == "telemetry":
                         result = collect_owned()
                     else:
-                        result = _apply_control(engine, op, payload, emit)
+                        result = _apply_control(engine, op, payload)
                 except Exception as error:  # noqa: BLE001 — report to the caller, shard lives
                     send(("nack", token, error, traceback.format_exc()))
                 else:

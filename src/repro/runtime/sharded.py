@@ -31,7 +31,7 @@ import threading
 from dataclasses import replace
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Union
 
-from repro.cep.engine import _UNSET, IngestTap, coerce_query
+from repro.cep.engine import _UNSET, Taps, coerce_query
 from repro.cep.matcher import Detection, MatcherConfig
 from repro.cep.query import Query
 from repro.cep.sinks import FanOutSink, Sink
@@ -122,7 +122,7 @@ class ShardedQuery:
     def clear_detections(self) -> None:
         self._runtime._drain_for_read()
         if self._runtime.started and not self._runtime.stopped:
-            self._runtime._broadcast("clear_query_detections", self.name)
+            self._runtime._broadcast("clear_detections", self.name)
         self._runtime._log.clear_query(self.name)
 
     def progress(self) -> float:
@@ -136,7 +136,7 @@ class ShardedQuery:
         )
 
 
-class ShardedRuntime:
+class ShardedRuntime(Taps):
     """Owns N engine shards, a partition-hash router and a metrics registry.
 
     Parameters
@@ -207,7 +207,6 @@ class ShardedRuntime:
         self._queries: Dict[str, ShardedQuery] = {}
         self._log = DetectionLog()
         self._dispatch_lock = threading.Lock()
-        self._ingest_taps: List[IngestTap] = []
         #: Every stream the shard engines have: the spec's and the queries'.
         self._streams = {self.spec.raw_stream}
         if self.spec.install_view:
@@ -407,10 +406,11 @@ class ShardedRuntime:
         handle = ShardedQuery(self, query, registration_name)
         if sink is not None:
             handle.sink.add(sink)
-        payload = (registration_name, query.to_query(), matcher_config, override)
-        self._broadcast("deploy", payload)
+        text = query.to_query()
+        self._broadcast("deploy", (registration_name, text, matcher_config, override))
         self._queries[registration_name] = handle
         self._streams |= query.streams()
+        self._notify_control("deploy", {"name": registration_name, "text": text})
         return handle
 
     def unregister_query(self, name: str) -> None:
@@ -418,6 +418,7 @@ class ShardedRuntime:
         self.get_query(name)  # unknown names raise before any shard is asked
         self._broadcast("undeploy", name)
         del self._queries[name]
+        self._notify_control("undeploy", {"name": name})
 
     def get_query(self, name: str) -> ShardedQuery:
         try:
@@ -440,6 +441,7 @@ class ShardedRuntime:
         handle = self.get_query(name)
         self._broadcast("enable", (name, enabled))
         handle.enabled = enabled
+        self._notify_control("enable", {"name": name, "enabled": enabled})
 
     def register_function(self, name: str, function: Callable[..., Any], arity: Optional[int] = None) -> None:
         """Register a UDF on every shard.
@@ -454,7 +456,7 @@ class ShardedRuntime:
 
     @property
     def views(self) -> Dict[str, Any]:
-        """Always empty: views live in the shards (see :meth:`reset_transformers`)."""
+        """Always empty: views live in the shards (see :meth:`reset_scene`)."""
         return {}
 
     @property
@@ -538,21 +540,6 @@ class ShardedRuntime:
                 span.close(tuples=count)
         self.tuples_processed += count
         return count
-
-    # -- ingest taps -------------------------------------------------------------------
-
-    def add_ingest_tap(self, tap: IngestTap) -> None:
-        """Observe every externally pushed tuple *before* it is routed.
-
-        Parent-side analogue of :meth:`CEPEngine.add_ingest_tap` — the
-        durability subsystem's write-ahead hook.  Taps run on the feeding
-        thread, before any shard queue sees the tuples.
-        """
-        self._ingest_taps.append(tap)
-
-    def remove_ingest_tap(self, tap: IngestTap) -> None:
-        """Detach a previously added ingest tap (missing taps are ignored)."""
-        self._ingest_taps = [t for t in self._ingest_taps if t is not tap]
 
     # -- state capture / restore -------------------------------------------------------
 
@@ -704,6 +691,13 @@ class ShardedRuntime:
             self._broadcast("clear_detections", None)
         self._log.clear()
 
+    def reset_scene(self) -> None:
+        """:meth:`CEPEngine.reset_scene` on every shard, and clear the merged log."""
+        self._drain_for_read()
+        self._broadcast("reset_scene", None)
+        self._log.clear()
+        self._notify_control("clear", {})
+
     # -- telemetry ---------------------------------------------------------------------
 
     def query_stats(self) -> Dict[str, Dict[str, int]]:
@@ -787,14 +781,6 @@ class ShardedRuntime:
             return {"traceEvents": [], "displayTimeUnit": "ms"}
         self.collect_telemetry()
         return self.telemetry.tracer.export()
-
-    def reset_matchers(self) -> None:
-        """Discard all partial matches on every shard."""
-        self._broadcast("reset_matchers", None)
-
-    def reset_transformers(self) -> None:
-        """Reset shard-local transformer smoothing state ("new scene")."""
-        self._broadcast("reset_transformers", None)
 
     # -- internals ---------------------------------------------------------------------
 

@@ -4,28 +4,56 @@ The protocol is checked member by member (presence, and each method's
 parameters by name and kind), and the behaviours that used to differ
 between the inline and the sharded engine are pinned on both: the
 deploy-time analyzer's verdict, what a rejected feed leaves in the
-journal, how an unknown stream is refused, and how a recovery whose log
-tail kills a shard fails.
+journal, how an unknown stream is refused, how a recovery whose log
+tail kills a shard fails, and that every way of changing the deployed
+vocabulary recovers from the journal alone.
 """
 
 from __future__ import annotations
 
 import inspect
+import json
 import multiprocessing
+import shutil
 import threading
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import QueryAnalysisWarning, gate_deployment
 from repro.api import DurabilityConfig, GestureSession, SessionConfig
-from repro.cep import CEPEngine, Engine, QueryHandle
-from repro.core import GestureDescription, PoseWindow, Window
-from repro.errors import RecoveryError, UnknownStreamError
-from repro.persistence import EventLog, read_log
+from repro.cep import CEPEngine, Engine, QueryHandle, parse_query
+from repro.core import (
+    GestureDescription,
+    GestureLearner,
+    LearnerConfig,
+    PoseWindow,
+    QueryGenerator,
+    Window,
+)
+from repro.detection.workflow import CONTROL_RECORD
+from repro.errors import (
+    QueryRegistrationError,
+    RecoveryError,
+    UnknownQueryError,
+    UnknownStreamError,
+)
+from repro.kinect import (
+    CircleTrajectory,
+    GaussianNoise,
+    KinectSimulator,
+    PushTrajectory,
+    generate_multiuser_recording,
+)
+from repro.persistence import EventLog, apply_engine_control, read_log
 from repro.runtime import ShardedRuntime
 from repro.runtime.sharded import ShardedQuery
 from repro.storage.database import GestureDatabase
+from repro.streams import SimulatedClock
+from repro.transform.pipeline import KinectTransformer
 
 HIGH = 'SELECT "high" MATCHING kinect_t(rhand_y > 450);'
 #: Spans two streams: the partition co-location check (QA031) applies.
@@ -89,9 +117,16 @@ def assert_implements(protocol, instance):
 
 class TestProtocol:
     def test_protocol_names_the_whole_surface(self):
-        assert {"matcher_config", "reset_transformers", "drain", "export_trace"} <= set(
-            members(Engine)
-        )
+        surface = set(members(Engine))
+        assert {
+            "matcher_config",
+            "drain",
+            "export_trace",
+            "add_control_tap",
+            "remove_control_tap",
+            "reset_scene",
+        } <= surface
+        assert not {"reset_matchers", "reset_transformers"} & surface
         assert {"detections", "sink", "progress"} <= set(members(QueryHandle))
 
     def test_cep_engine_implements_engine(self):
@@ -243,3 +278,398 @@ class TestFailedRecovery:
         with pytest.raises(RecoveryError):
             GestureSession.recover(DurabilityConfig(tmp_path), session_config(engine))
         assert shard_workers() == before
+
+
+# ---------------------------------------------------------------------------
+# Control taps: after success, and a raising tap fails the call
+# ---------------------------------------------------------------------------
+
+
+def make_engine(engine: str):
+    """A bare engine of each kind (the caller stops a runtime)."""
+    if engine == "inline":
+        inline = CEPEngine()
+        inline.create_stream("kinect_t")
+        return inline
+    return ShardedRuntime(shard_count=2).start()
+
+
+def stop(target):
+    if isinstance(target, ShardedRuntime):
+        target.stop()
+
+
+class TestControlTaps:
+    @pytest.mark.parametrize("engine", ["inline", "thread2"])
+    def test_taps_see_each_control_after_it_succeeded(self, engine):
+        target = make_engine(engine)
+        seen = []
+        target.add_control_tap(lambda op, payload: seen.append((op, payload)))
+        try:
+            target.register_query(HIGH)
+            with pytest.raises(QueryRegistrationError):
+                target.register_query(HIGH)
+            with pytest.raises(UnknownQueryError):
+                target.enable_query("nope", False)
+            target.enable_query("high", False)
+            target.reset_scene()
+            target.unregister_query("high")
+        finally:
+            stop(target)
+        assert seen == [
+            ("deploy", {"name": "high", "text": parse_query(HIGH).to_query()}),
+            ("enable", {"name": "high", "enabled": False}),
+            ("clear", {}),
+            ("undeploy", {"name": "high"}),
+        ]
+
+    @pytest.mark.parametrize("engine", ["inline", "thread2"])
+    def test_a_raising_control_tap_fails_the_call_after_the_change(self, engine):
+        target = make_engine(engine)
+
+        def refuse(op, payload):
+            raise OSError("journal full")
+
+        target.add_control_tap(refuse)
+        try:
+            with pytest.raises(OSError, match="journal full"):
+                target.register_query(HIGH)
+            assert target.query_names() == ["high"]
+            target.remove_control_tap(refuse)
+            target.unregister_query("high")
+            assert target.query_names() == []
+        finally:
+            stop(target)
+
+
+# ---------------------------------------------------------------------------
+# Every route into the engine recovers from the journal alone
+# ---------------------------------------------------------------------------
+
+GESTURES = {"circle": CircleTrajectory(), "push": PushTrajectory()}
+
+
+def samples_of(name, count=4, seed=500):
+    trajectory = GESTURES[name]
+    simulator = KinectSimulator(
+        clock=SimulatedClock(),
+        noise=GaussianNoise(sigma_mm=6.0, rng=np.random.default_rng(seed)),
+        rng=np.random.default_rng(seed + 1),
+    )
+    return [
+        simulator.perform_variation(trajectory, hold_start_s=0.3, hold_end_s=0.3)
+        for _ in range(count)
+    ]
+
+
+@pytest.fixture(scope="module")
+def vocabulary():
+    """Gesture name -> (raw samples, learned description)."""
+    learned = {}
+    for seed, name in enumerate(GESTURES, start=500):
+        samples = samples_of(name, seed=seed * 2)
+        config = LearnerConfig(joints=(GESTURES[name].hand,))
+        learned[name] = (samples, GestureLearner(name, config=config).learn(samples))
+    return learned
+
+
+@pytest.fixture(scope="module")
+def recording():
+    """Raw two-player frames, split into the run before and after the crash."""
+    frames = generate_multiuser_recording(
+        GESTURES, user_count=2, gestures_per_user=4, seed=77
+    ).frames
+    middle = len(frames) // 2
+    return frames[:middle], frames[middle:]
+
+
+def route_deploy(session, vocabulary, feed):
+    session.deploy(vocabulary["circle"][1])
+    feed()
+
+
+def route_manifest(session, vocabulary, feed):
+    session.deploy_vocabulary({name: description for name, (_, description) in vocabulary.items()})
+    feed()
+
+
+def route_database(session, vocabulary, feed):
+    database = GestureDatabase(":memory:")
+    for _, description in vocabulary.values():
+        database.save_gesture(description)
+    session.deploy_vocabulary(database)
+    database.close()
+    feed()
+
+
+def route_learn(session, vocabulary, feed):
+    session.learn("push", vocabulary["push"][0], joints=("rhand",), deploy=True)
+    feed()
+
+
+def route_undeploy(session, vocabulary, feed):
+    route_manifest(session, vocabulary, feed)
+    session.undeploy("push")
+
+
+def route_clear(session, vocabulary, feed):
+    route_manifest(session, vocabulary, feed)
+    session.clear()
+
+
+def route_set_enabled(session, vocabulary, feed):
+    route_manifest(session, vocabulary, feed)
+    session.detector.set_enabled("circle", False)
+
+
+def route_finalize(session, vocabulary, feed):
+    # Pre-transformed samples: recording raw ones would advance the live
+    # view's smoothing state, which is session state no journal entry holds.
+    transformer = KinectTransformer()
+    session.begin_gesture("circle")
+    for sample in vocabulary["circle"][0]:
+        session.record_sample([transformer(frame) for frame in sample], raw=False)
+    session.finalize()
+    feed()
+
+
+ROUTES = {
+    "deploy": route_deploy,
+    "manifest": route_manifest,
+    "database": route_database,
+    "learn": route_learn,
+    "undeploy": route_undeploy,
+    "clear": route_clear,
+    "set_enabled": route_set_enabled,
+    "finalize": route_finalize,
+}
+
+#: The interactive workflow refuses sharded sessions.
+MATRIX = [
+    (route, engine)
+    for route in ROUTES
+    for engine in sorted(ENGINES)
+    if route != "finalize" or engine == "inline"
+]
+
+
+def per_player(session):
+    grouped = {}
+    for detection in session.detections():
+        grouped.setdefault(f"{detection.partition}/{detection.query_name}", []).append(
+            json.dumps(detection.to_state(), sort_keys=True)
+        )
+    return grouped
+
+
+def observed(session):
+    engine = session.runtime or session.engine
+    return {
+        "deployed": session.deployed_gestures(),
+        "queries": {
+            name: (handle.query.to_query(), handle.enabled)
+            for name, handle in sorted(engine.queries.items())
+        },
+        "detections": per_player(session),
+    }
+
+
+def continue_with(session, frames):
+    """Feed the continuation; returns what ``on_any`` handlers saw."""
+    seen = []
+    session.on_any(seen.append)
+    session.feed(frames)
+    session.drain()
+    return sorted((event.gesture, event.partition, event.timestamp) for event in seen)
+
+
+class TestEveryRouteRecovers:
+    """Each route changes the deployed vocabulary, the live run is abandoned
+    without a snapshot (its directory is copied mid-run: a crash image), and
+    the recovered session must match the live one on a continuation stream.
+
+    Gateway tenants run non-durable sessions, so the gateway's deploy routes
+    (``deploy``, ``deploy_database``) are covered here only through the
+    session and detector calls they end in.
+    """
+
+    @pytest.mark.parametrize("route, engine", MATRIX)
+    def test_recovered_session_equals_the_live_one(
+        self, route, engine, vocabulary, recording, tmp_path
+    ):
+        before, after = recording
+        live_dir, crash_dir = tmp_path / "live", tmp_path / "crash"
+        live = GestureSession(session_config(engine), durability=DurabilityConfig(live_dir))
+        try:
+            ROUTES[route](live, vocabulary, lambda: live.feed(before))
+            live.drain()
+            live.durability.log.flush(sync=False)
+            shutil.copytree(live_dir, crash_dir)
+            live_events = continue_with(live, after)
+            expected = observed(live)
+        finally:
+            live.close()
+        assert expected["detections"] and live_events, "the route must detect something"
+
+        recovered = GestureSession.recover(DurabilityConfig(crash_dir), session_config(engine))
+        try:
+            assert recovered.last_recovery.snapshot_offset is None
+            recovered_events = continue_with(recovered, after)
+            assert observed(recovered) == expected
+            assert recovered_events == live_events
+        finally:
+            recovered.close()
+
+
+def wave(base, start):
+    """A wave on the transformed stream: the workflow's record control fires."""
+    return [
+        dict(base, ts=start + offset, player=1, rhand_x=x, rhand_y=450.0)
+        for offset, x in ((0.0, 400.0), (0.5, 100.0), (1.0, 400.0))
+    ]
+
+
+class TestControlGesturesStayInternal:
+    """The workflow's control queries go through the same engine door as any
+    gesture, but they steer the tool: they are journalled and recovered, yet
+    never enter the gesture vocabulary, its events or ``on_any`` handlers."""
+
+    def test_recovered_control_queries_are_adopted_by_the_workflow(
+        self, vocabulary, tmp_path
+    ):
+        config = SessionConfig(deploy_control_gestures=True)
+        base = KinectTransformer()(vocabulary["circle"][0][0][0])
+        live_dir, crash_dir = tmp_path / "live", tmp_path / "crash"
+        live = GestureSession(config, durability=DurabilityConfig(live_dir))
+        try:
+            seen = []
+            live.on_any(seen.append)
+            route_finalize(live, vocabulary, lambda: live.push_many("kinect_t", wave(base, 0.0)))
+            assert any(d.query_name == CONTROL_RECORD for d in live.detections())
+            assert live.deployed_gestures() == ["circle"]
+            assert not [e for e in live.events if e.gesture.startswith("__control_")]
+            assert not [e for e in seen if e.gesture.startswith("__control_")]
+            live.durability.log.flush(sync=False)
+            shutil.copytree(live_dir, crash_dir)
+        finally:
+            live.close()
+
+        recovered = GestureSession.recover(DurabilityConfig(crash_dir), config)
+        try:
+            assert recovered.last_recovery.snapshot_offset is None
+            assert CONTROL_RECORD in recovered.engine.query_names()
+            assert recovered.deployed_gestures() == ["circle"]
+            assert not [e for e in recovered.events if e.gesture.startswith("__control_")]
+            armed = []
+            recovered.workflow.controller.arm = lambda: armed.append(True)
+            recovered.begin_gesture("push")
+            recovered.push_many("kinect_t", wave(base, 60.0))
+            assert armed, "the recovered wave query must reach the new workflow"
+            assert recovered.deployed_gestures() == ["circle"]
+        finally:
+            recovered.close()
+
+
+class TestJournalFormat:
+    @pytest.mark.parametrize("engine", ["inline", "thread2"])
+    def test_a_journal_written_before_control_taps_still_recovers(self, engine, tmp_path):
+        """deploy / undeploy / clear keep their payloads, so older directories load."""
+        low = 'SELECT "low" MATCHING kinect_t(rhand_y < 100);'
+        log = EventLog(tmp_path)
+        log.append_control("deploy", {"name": "high", "text": HIGH})
+        log.append_control("deploy", {"name": "low", "text": low})
+        log.append_tuples("kinect_t", rows(), None)
+        log.append_control("clear", {})
+        log.append_control("undeploy", {"name": "low"})
+        log.append_tuples("kinect_t", rows(4), None)
+        log.close()
+        recovered = GestureSession.recover(DurabilityConfig(tmp_path), session_config(engine))
+        try:
+            assert recovered.deployed_gestures() == ["high"]
+            assert len(recovered.detections()) == 4
+            assert len(recovered.events) == 4
+        finally:
+            recovered.close()
+
+
+# ---------------------------------------------------------------------------
+# apply_engine_control is the inverse of the control tap
+# ---------------------------------------------------------------------------
+
+NAMES = ("g0", "g1", "g2")
+
+
+@st.composite
+def query_texts(draw):
+    """One generator-produced query text per name."""
+    texts = {}
+    for name in NAMES:
+        centers = draw(st.lists(st.floats(-500.0, 500.0), min_size=1, max_size=3))
+        description = GestureDescription(
+            name=name,
+            poses=[
+                PoseWindow(index, Window({"rhand_y": center}, {"rhand_y": 50.0}))
+                for index, center in enumerate(centers)
+            ],
+            joints=["rhand"],
+            max_duration_s=1.0,
+        )
+        texts[name] = QueryGenerator().generate(description).to_query()
+    return texts
+
+
+controls = st.lists(
+    st.one_of(
+        st.tuples(st.just("deploy"), st.sampled_from(NAMES)),
+        st.tuples(st.just("undeploy"), st.sampled_from(NAMES)),
+        st.tuples(st.just("enable"), st.sampled_from(NAMES), st.booleans()),
+        st.tuples(st.just("reset")),
+    ),
+    max_size=12,
+)
+
+
+def run_controls(target, texts, steps):
+    """Apply every step; rejected ones (unknown or duplicate names) raise."""
+    for op, *arguments in steps:
+        try:
+            if op == "deploy":
+                name = arguments[0]
+                target.register_query(texts[name], name=name, create_missing_streams=True)
+            elif op == "undeploy":
+                target.unregister_query(*arguments)
+            elif op == "enable":
+                target.enable_query(*arguments)
+            else:
+                target.reset_scene()
+        except (QueryRegistrationError, UnknownQueryError):
+            pass
+
+
+def vocabulary_of(target):
+    return target.query_names(), {
+        name: (handle.query.to_query(), handle.enabled)
+        for name, handle in target.queries.items()
+    }
+
+
+class TestApplyIsTheInverseOfTheTap:
+    @pytest.mark.parametrize("engine", ["inline", "thread2"])
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(texts=query_texts(), steps=controls)
+    def test_replaying_the_tap_rebuilds_the_vocabulary(self, engine, texts, steps):
+        recorded, rebuilt = make_engine(engine), make_engine(engine)
+        taped = []
+        recorded.add_control_tap(lambda op, payload: taped.append((op, payload)))
+        try:
+            run_controls(recorded, texts, steps)
+            for op, payload in json.loads(json.dumps(taped)):  # what the journal keeps
+                apply_engine_control(rebuilt, op, payload)
+            assert vocabulary_of(rebuilt) == vocabulary_of(recorded)
+        finally:
+            stop(recorded)
+            stop(rebuilt)

@@ -18,6 +18,7 @@ sys.path.insert(0, str(TOOLS))
 
 from repo_lint import (  # noqa: E402 — path set up above
     BELOW_RUNTIME_PATHS,
+    CONTROL_JOURNAL_WRITER,
     EXPOSITION_WRITER,
     HASH_FORBIDDEN_PATHS,
     STRUCT_CODEC_MODULES,
@@ -47,7 +48,7 @@ class TestRepositoryIsClean:
     def test_cli_list_catalogue(self, capsys):
         assert main(["--list"]) == 0
         out = capsys.readouterr().out
-        for code in ("RL001", "RL002", "RL003", "RL004", "RL005", "RL006"):
+        for code in ("RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007"):
             assert code in out
 
     def test_script_runs_standalone(self):
@@ -368,3 +369,36 @@ class TestRL006OnePackedCodec:
         outside = write_module(tmp_path, "benchmarks/wire.py", "import struct\n")
         assert lint_file(lookalike, root=tmp_path) == []
         assert lint_file(outside, root=tmp_path) == []
+
+
+class TestRL007ControlsJournalledAtTheEngine:
+    @pytest.mark.parametrize(
+        "relative",
+        ["src/repro/api/session.py", "src/repro/detection/detector.py", "benchmarks/e2e/x.py"],
+    )
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "self._durability.log.append_control('deploy', {})",
+            "append_control('clear', {})",
+        ],
+    )
+    def test_append_control_outside_the_manager_flagged(self, tmp_path, relative, call):
+        path = write_module(tmp_path, relative, f"def f(self):\n    {call}\n")
+        violations = lint_file(path, root=tmp_path)
+        assert [v.code for v in violations] == ["RL007"]
+        assert "control tap" in violations[0].message
+
+    def test_the_manager_and_the_definition_allowed(self, tmp_path):
+        manager = write_module(
+            tmp_path,
+            CONTROL_JOURNAL_WRITER,
+            "def tap(self, op, p):\n    self.log.append_control(op, p)\n",
+        )
+        definition = write_module(
+            tmp_path,
+            "src/repro/persistence/log.py",
+            "def append_control(self, op, p):\n    return 0\n",
+        )
+        assert lint_file(manager, root=tmp_path) == []
+        assert lint_file(definition, root=tmp_path) == []

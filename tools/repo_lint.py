@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repository-specific lint rules that generic linters do not cover.
 
-Six rules, all born from real failure modes of this codebase:
+Seven rules, all born from real failure modes of this codebase:
 
 ``RL001`` — no builtin ``hash()`` on routing/persistence code paths or in benchmarks
     CPython salts ``hash()`` per process (PYTHONHASHSEED), so a shard
@@ -60,6 +60,14 @@ Six rules, all born from real failure modes of this codebase:
     :mod:`struct` is allowed in ``src/repro/gateway/protocol.py`` (the
     packed ``tuples`` frame) and ``src/repro/gateway/websocket.py`` (RFC
     6455 framing) and nowhere else under ``src/repro``.
+
+``RL007`` — controls are journalled at the engine, by the durability manager
+    Deploys once reached the journal from three hand-placed calls in the
+    session, so a deploy through any other door (a gesture database, the
+    interactive workflow, ``set_enabled``) was lost on recovery.  The
+    journal now subscribes to the engine's control taps; a call to
+    ``append_control(`` anywhere but ``src/repro/persistence/manager.py``
+    is a second, front-door journal growing back.
 
 Run as a script (CI) or through ``tests/test_repo_lint.py``::
 
@@ -126,6 +134,9 @@ STRUCT_CODEC_MODULES = (
     "src/repro/gateway/websocket.py",
 )
 STRUCT_FORBIDDEN_PATH = "src/repro"
+
+#: The one module allowed to call ``append_control`` (RL007).
+CONTROL_JOURNAL_WRITER = "src/repro/persistence/manager.py"
 
 
 class Violation(NamedTuple):
@@ -311,6 +322,27 @@ def _lint_struct_imports(path: Path, tree: ast.AST, relative: str) -> Iterable[V
             )
 
 
+def _is_append_control_call(node: ast.AST) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    return name == "append_control"
+
+
+def _lint_append_control_calls(path: Path, tree: ast.AST, relative: str) -> Iterable[Violation]:
+    for node in ast.walk(tree):
+        if _is_append_control_call(node):
+            yield Violation(
+                relative,
+                node.lineno,
+                "RL007",
+                "append_control() called outside the durability manager; "
+                "controls reach the journal through the engine's control tap "
+                "(DurabilityManager.attach), whichever caller made them",
+            )
+
+
 def lint_file(path: Path, root: Optional[Path] = None) -> List[Violation]:
     """Lint one Python file; returns its violations."""
     root = root or REPO_ROOT
@@ -335,6 +367,8 @@ def lint_file(path: Path, root: Optional[Path] = None) -> List[Violation]:
         violations.extend(_lint_runtime_imports(path, tree, relative))
     if posix.startswith(STRUCT_FORBIDDEN_PATH) and posix not in STRUCT_CODEC_MODULES:
         violations.extend(_lint_struct_imports(path, tree, relative))
+    if posix != CONTROL_JOURNAL_WRITER:
+        violations.extend(_lint_append_control_calls(path, tree, relative))
     return violations
 
 
@@ -379,6 +413,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "only in",
             ", ".join(STRUCT_CODEC_MODULES),
         )
+        print("RL007  append_control( called only in", CONTROL_JOURNAL_WRITER)
         return 0
     violations = lint_repository()
     for violation in violations:
