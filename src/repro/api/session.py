@@ -35,7 +35,9 @@ Scaling out
 -----------
 ``SessionConfig(shards=N)`` with ``N > 1`` runs the session on a
 :class:`~repro.runtime.ShardedRuntime`, an :class:`~repro.cep.engine.Engine`
-like the inline one; see ``docs/runtime.md``.
+like the inline one; see ``docs/runtime.md``.  The session does no engine
+work of its own: ``feed`` is one ``push_many`` on either engine, and each
+engine measures its own ingest into ``session.metrics``.
 
 Durability
 ----------
@@ -51,7 +53,10 @@ counters, the simulated clock — anchored to a log offset.  After a crash,
 snapshot plus the log tail, with per-partition detections identical to an
 uninterrupted run; :meth:`GestureSession.replay` re-drives the recorded
 log into fresh sessions with VCR controls (faster-than-realtime, pause,
-seek-to-offset).  Works on inline and sharded sessions alike — a sharded
+seek-to-offset).  Both drive the session's engine through one log
+applier, :func:`~repro.persistence.replay.apply_log_entry`, and the
+detector resyncs :attr:`GestureSession.events` after a snapshot restore.
+Works on inline and sharded sessions alike — a sharded
 snapshot captures every shard's engine keyed by the router topology, and
 recovery refuses a directory recorded under a different topology::
 
@@ -97,17 +102,15 @@ from repro.cep.views import (
 )
 from repro.core.description import GestureDescription
 from repro.core.learner import GestureLearner
-from repro.detection.detector import CONTROL_QUERY_PREFIX, GestureDetector, GestureHandler
+from repro.detection.detector import GestureDetector, GestureHandler
 from repro.detection.events import DetectionFeedback, GestureEvent
 from repro.detection.workflow import LearningWorkflow, WorkflowConfig
 from repro.errors import (
     QueryBuilderError,
-    RecoveryError,
     SessionClosedError,
     SessionStateError,
     ShardFailedError,
 )
-from repro.observability.clock import perf_clock
 from repro.observability.health import HealthReport, HealthWatchdog, WatchdogConfig
 from repro.observability.profiling import UNTAGGED
 from repro.observability.slo import SLO, Alert, SLOEvaluator
@@ -117,15 +120,11 @@ from repro.observability.tracing import TraceContext, use_context
 from repro.persistence import (
     DurabilityConfig,
     DurabilityManager,
-    LogEntry,
     RecoveryResult,
     ReplayController,
-    apply_engine_control,
-    restore_engine_state,
 )
 from repro.runtime.metrics import MetricsRegistry
 from repro.storage.database import GestureDatabase
-from repro.streams.clock import Clock, SimulatedClock
 from repro.transform.pipeline import KinectTransformer, TransformConfig
 
 
@@ -242,7 +241,6 @@ class SessionConfig:
         if not self.telemetry:
             return None
         return TelemetryConfig(
-            enabled=True,
             trace_sample_rate=self.trace_sample_rate,
             trace_buffer_size=self.trace_buffer_size,
             slow_batch_seconds=self.slow_batch_seconds,
@@ -311,15 +309,6 @@ class GestureSession:
         a write-ahead event log with snapshot/recover/replay support (see
         "Durability" in the module docstring).  ``None`` (default) keeps
         the session fully in-memory.
-    clock:
-        Time source of a newly created engine (a fresh
-        :class:`~repro.streams.clock.SimulatedClock` by default).
-    engine:
-        An existing engine to run on.  The session installs its transform
-        view only if the configured view stream is missing; the engine
-        keeps its own matcher config and clock (combining an external
-        engine with a non-default ``config.matcher`` or a ``clock`` is
-        rejected rather than silently ignored).
     database:
         An existing gesture database; the session will not close it.
 
@@ -339,14 +328,11 @@ class GestureSession:
     def __init__(
         self,
         config: Optional[SessionConfig] = None,
-        clock: Optional[Clock] = None,
-        engine: Optional[CEPEngine] = None,
         database: Optional[GestureDatabase] = None,
         durability: Optional[DurabilityConfig] = None,
     ) -> None:
         self.config = config or SessionConfig()
-        self._clock = clock
-        self._engine: Optional[Engine] = engine
+        self._engine: Optional[Engine] = None
         self._runtime = None  # type: Optional[Any]  # ShardedRuntime when shards > 1
         self._database = database
         self._owns_database = database is None
@@ -396,45 +382,21 @@ class GestureSession:
             self._telemetry = Telemetry(telemetry_config)
         if self.config.shards > 1:
             return self._build_runtime(telemetry_config)
-        if self._engine is not None:
-            # An injected engine was built with its own matcher config and
-            # clock; silently dropping the session's would mislead callers.
-            if self.config.matcher != MatcherConfig():
-                raise SessionStateError(
-                    "cannot apply a non-default SessionConfig.matcher to an "
-                    "externally created engine; configure the engine's "
-                    "matcher_config instead"
-                )
-            if self._clock is not None and self._clock is not self._engine.clock:
-                raise SessionStateError(
-                    "cannot apply a clock to an externally created engine; "
-                    "the engine already owns one"
-                )
-        engine = self._engine or CEPEngine(
-            clock=self._clock or SimulatedClock(),
-            matcher_config=self.config.matcher,
+        engine = CEPEngine(matcher_config=self.config.matcher)
+        self._view = install_kinect_view(
+            engine,
+            transform_config=self.config.transform,
+            raw_name=self.config.raw_stream,
+            view_name=self.config.view_stream,
         )
-        if self.config.view_stream in engine.views:
-            if self.config.transform != TransformConfig():
-                raise SessionStateError(
-                    "cannot apply a non-default SessionConfig.transform: the "
-                    "engine already has the view installed; configure the "
-                    "view's transformer instead"
-                )
-            self._view = engine.get_view(self.config.view_stream)
-        else:
-            self._view = install_kinect_view(
-                engine,
-                transform_config=self.config.transform,
-                raw_name=self.config.raw_stream,
-                view_name=self.config.view_stream,
-            )
         if self._telemetry is not None or self._durability_config is not None:
             # Shard 0 of an inline registry holds the feed histograms, so
             # ``session.metrics`` (and a gateway scrape) works either way.
             self._metrics = MetricsRegistry()
         if self._telemetry is not None:
+            # The engine measures its own ingest, as a runtime's shards do.
             engine.telemetry = self._telemetry
+            engine.metrics = self._metrics
             self._metrics.set_query_stats_provider(engine.query_stats)
         return engine
 
@@ -443,22 +405,6 @@ class GestureSession:
         from repro.runtime import ShardedRuntime
         from repro.runtime.shard import ShardEngineSpec
 
-        if self._engine is not None:
-            raise SessionStateError(
-                "cannot shard an externally created engine; a sharded session "
-                "builds one engine per shard from SessionConfig"
-            )
-        if self._clock is not None:
-            # Each shard engine owns a private clock that only stamps
-            # tuples missing the timestamp field; silently substituting N
-            # diverging copies for an injected clock would corrupt 'within'
-            # windows.  Sharded feeding expects timestamped tuples.
-            raise SessionStateError(
-                "cannot apply a clock to a sharded session: each shard owns "
-                "its own engine clock, and routed frames must carry their "
-                "own timestamps; use an inline (shards=1) session for "
-                "clock-stamped feeding"
-            )
         spec = ShardEngineSpec(
             matcher=self.config.matcher,
             transform=self.config.transform,
@@ -517,10 +463,7 @@ class GestureSession:
         if self._durability_config is None:
             return
         self._durability = DurabilityManager(
-            self._engine,
-            self._durability_config,
-            capture=self._capture_session_state,
-            metrics=self._metrics.durability,
+            self._engine, self._durability_config, metrics=self._metrics.durability
         )
         self._durability.attach()
 
@@ -874,17 +817,14 @@ class GestureSession:
         target stream (the raw sensor stream by default).  ``trace``
         continues a caller-originated trace context (the gateway passes
         its request span here); when omitted and sampling is on, the
-        session makes its own head decision.
+        engine makes its own head decision.
         """
         self._ensure_started()
         if batch_size is _UNSET:
             batch_size = self.config.batch_size
         stream_name = stream or self.config.raw_stream
-        if self._runtime is None and self._telemetry is not None:
-            count = self._feed_inline_measured(stream_name, frames, batch_size, trace)
-        elif trace is None:
-            # A sharded runtime instruments its own ingest path (trace
-            # origination, queue-wait and batch histograms per shard).
+        # Either engine measures its own ingest and originates its trace.
+        if trace is None:
             count = self._engine.push_many(stream_name, frames, batch_size=batch_size)
         else:
             with use_context(trace):
@@ -893,63 +833,12 @@ class GestureSession:
             self._durability.maybe_snapshot()
         return count
 
-    def _feed_inline_measured(
-        self,
-        stream_name: str,
-        frames: Iterable[Mapping[str, float]],
-        batch_size: Optional[int],
-        trace: Optional[TraceContext] = None,
-    ) -> int:
-        """Inline feed with telemetry: one histogram sample per feed call.
-
-        Feeding is synchronous here, so the feed duration *is* both the
-        batch-processing time and the ingest→detection ceiling; there is no
-        queue to wait in.  With sampling on, the feed span carries the
-        matcher spans the engine nests under the ambient context.
-        """
-        telemetry = self._telemetry
-        if trace is None and telemetry.tracing_active:
-            trace = telemetry.tracer.sample("ingest")
-        span = telemetry.tracer.span("session.feed", "ingest", trace, stream=stream_name)
-        started = perf_clock()
-        if span is not None:
-            with use_context(span.context):
-                count = self._engine.push_many(stream_name, frames, batch_size=batch_size)
-        else:
-            count = self._engine.push_many(stream_name, frames, batch_size=batch_size)
-        busy = perf_clock() - started
-        if span is not None:
-            span.close(tuples=count)
-        if self._metrics is not None:
-            shard_metrics = self._metrics.shard(0)
-            shard_metrics.observe("batch_processing", busy)
-            shard_metrics.add(
-                tuples_enqueued=count, tuples_processed=count, batches_processed=1, busy_seconds=busy
-            )
-            self._metrics.histogram("ingest_to_detection").record(busy)
-        telemetry.maybe_log_slow_batch(busy, stream_name, count, context=trace)
-        return count
-
     def feed_frame(self, frame: Mapping[str, float], stream: Optional[str] = None) -> None:
         """Push a single sensor frame (interactive / live sources)."""
         self._ensure_started()
         self._engine.push(stream or self.config.raw_stream, frame)
         if self._durability is not None:
             self._durability.maybe_snapshot()
-
-    def push_many(
-        self,
-        stream_name: str,
-        records: Iterable[Mapping[str, Any]],
-        batch_size: Optional[int] = None,
-    ) -> int:
-        """Engine-protocol ingest: explicit stream, explicit batch size.
-
-        Unlike :meth:`feed`, the session's default ``batch_size`` is *not*
-        applied — recovery and replay use this to reproduce recorded
-        deliveries exactly.
-        """
-        return self.feed(records, batch_size=batch_size, stream=stream_name)
 
     # -- events and handlers --------------------------------------------------------------
 
@@ -1019,10 +908,6 @@ class GestureSession:
     def feedback(self) -> DetectionFeedback:
         """Partial-match progress of every deployed gesture (Fig. 5 style)."""
         return self.detector.feedback()
-
-    def progress(self) -> Dict[str, float]:
-        """Gesture name → fraction of its pattern already matched."""
-        return self.feedback().progress
 
     def drain(self) -> None:
         """Block until every fed frame has been fully processed.
@@ -1178,56 +1063,11 @@ class GestureSession:
             )
         return self._durability
 
-    def _capture_session_state(self) -> Dict[str, Any]:
-        """The snapshot payload: the engine (or sharded runtime) state."""
-        assert self._engine is not None
-        return {"kind": "session", "engine": self._engine.capture_state()}
-
-    def _restore_session_state(self, state: Mapping[str, Any]) -> None:
-        """Load a snapshot into this (freshly started) session.
-
-        The engine re-registers the captured queries itself; its control
-        tap wires each to the detector, so their detections dispatch into
-        :attr:`events` and :meth:`on` handlers.
-        """
-        self._ensure_started()
-        restore_engine_state(self._engine, state)
-
-    def _rebuild_events(self) -> None:
-        """Recompute :attr:`events` from the restored detection history.
-
-        Snapshot-restored detections never went through live dispatch, and
-        replayed-tail detections were appended to whatever the list held —
-        rebuilding from the merged engine history yields the same sequence
-        the uninterrupted run dispatched.  The workflow's control queries
-        never dispatch there, so their detections are left out.
-        """
-        assert self._detector is not None and self._engine is not None
-        history = self._engine.detections()
-        self._detector.events[:] = [
-            GestureEvent.from_detection(detection)
-            for detection in history
-            if not detection.query_name.startswith(CONTROL_QUERY_PREFIX)
-        ]
-
-    def _apply_log_entry(self, entry: LogEntry) -> None:
-        """Replay one recorded log entry (recovery path; logging suspended)."""
-        if entry.op == "tuples":
-            self.push_many(entry.stream, entry.records or [], batch_size=entry.batch_size)
-        elif entry.op == "control":
-            self._apply_control(entry.control, entry.payload)
-        else:
-            raise RecoveryError(f"unknown logged operation {entry.op!r}")
-
-    def _apply_control(self, control: Optional[str], payload: Any) -> None:
-        apply_engine_control(self._engine, control, payload)
-
     @classmethod
     def recover(
         cls,
         durability: DurabilityConfig,
         config: Optional[SessionConfig] = None,
-        clock: Optional[Clock] = None,
         database: Optional[GestureDatabase] = None,
     ) -> "GestureSession":
         """Rebuild a session from its durability directory after a crash.
@@ -1239,24 +1079,18 @@ class GestureSession:
         run (a sharded directory refuses a different shard topology).  The
         recovered session keeps appending to the same directory, so
         repeated crash/recover cycles compose; what was replayed is
-        reported in :attr:`last_recovery`.
+        reported in :attr:`last_recovery`.  The snapshot and the log tail
+        go straight into the session's engine; its detector keeps
+        :attr:`events` in step.
 
         Raises :class:`~repro.errors.RecoveryError` — on either engine —
         when the snapshot or any replayed entry fails, including a tail
         that kills a shard; the half-built session is closed first.
         """
-        session = cls(
-            config=config, clock=clock, database=database, durability=durability
-        )
+        session = cls(config=config, database=database, durability=durability)
         try:
             session.start()
-            # recover_into ends with a raising drain, so the rebuild's read
-            # takes no barrier of its own.
-            result = session._require_durability().recover_into(
-                restore=session._restore_session_state,
-                apply_entry=session._apply_log_entry,
-            )
-            session._rebuild_events()
+            result = session._require_durability().recover_into()
         except BaseException:
             # No worker thread, process or open log outlives a failed recovery.
             session.close()
@@ -1289,21 +1123,9 @@ class GestureSession:
             # Make everything appended so far visible to the reader.
             self._durability.log.flush(sync=False)
         target_config = config or self.config
-
-        def factory() -> "GestureSession":
-            target = GestureSession(config=target_config)
-            target.start()
-            return target
-
-        def restore(target: "GestureSession", state: Dict[str, Any]) -> None:
-            target._restore_session_state(state)
-            target._rebuild_events()
-
         return ReplayController(
             directory.directory,
-            factory,
-            restore=restore,
-            apply_control=GestureSession._apply_control,
+            lambda: GestureSession(config=target_config).start(),
             speed=speed,
         )
 

@@ -73,9 +73,10 @@ from repro.cep.sinks import CollectingSink, FanOutSink, Sink
 from repro.cep.udf import default_functions
 from repro.cep.views import View
 from repro.transform.pipeline import KinectTransformer
+from repro.observability.clock import perf_clock
 from repro.observability.profiling import tag_query, untag_query
 from repro.observability.telemetry import Telemetry
-from repro.observability.tracing import current_context
+from repro.observability.tracing import current_context, use_context
 from repro.errors import (
     QueryRegistrationError,
     SerializationError,
@@ -99,7 +100,9 @@ IngestTap = Callable[[str, Sequence[Mapping[str, Any]], Optional[int]], None]
 #: A control tap sees every state change *after* it succeeded, whoever made
 #: it: ``tap(op, payload)`` with ``deploy {name, text}``, ``undeploy {name}``,
 #: ``enable {name, enabled}`` or ``clear {}``; the inverse is
-#: :func:`repro.persistence.replay.apply_engine_control`.
+#: :func:`repro.persistence.replay.apply_engine_control`.  ``restore {}``
+#: follows a successful ``restore_state``: a resync signal for readers of
+#: the detection history, which the journal does not record.
 ControlTap = Callable[[str, Dict[str, Any]], None]
 
 
@@ -327,6 +330,10 @@ class CEPEngine(Taps):
         #: thread's ambient trace context.  ``None`` (the default) keeps
         #: the hot path at a single attribute check per handler call.
         self.telemetry: Optional["Telemetry"] = None
+        #: Optional ``repro.runtime.MetricsRegistry``, set together with
+        #: :attr:`telemetry`: every :meth:`push_many` is then measured into
+        #: shard 0, as a sharded runtime's workers measure their batches.
+        self.metrics: Optional[Any] = None
 
     # -- stream management ---------------------------------------------------------
 
@@ -367,7 +374,44 @@ class CEPEngine(Taps):
         queries whose pattern spans several streams see chunk-granularity
         ordering across those streams and should be fed per tuple (see the
         module docstring).
+
+        With :attr:`metrics` set the call is measured as one batch of shard
+        0.  Delivery is synchronous, so its duration is both the batch
+        processing time and the ingest→detection ceiling; there is no queue
+        to wait in.  The caller's ambient trace is continued, or the head
+        sampling decision made; the matcher spans nest under the feed span.
         """
+        if self.metrics is None:
+            return self._push_many(stream_name, records, batch_size)
+        telemetry = self.telemetry
+        trace = current_context()
+        if trace is None and telemetry.tracing_active:
+            trace = telemetry.tracer.sample("ingest")
+        span = telemetry.tracer.span("session.feed", "ingest", trace, stream=stream_name)
+        started = perf_clock()
+        if span is not None:
+            with use_context(span.context):
+                count = self._push_many(stream_name, records, batch_size)
+        else:
+            count = self._push_many(stream_name, records, batch_size)
+        busy = perf_clock() - started
+        if span is not None:
+            span.close(tuples=count)
+        shard_metrics = self.metrics.shard(0)
+        shard_metrics.observe("batch_processing", busy)
+        shard_metrics.add(
+            tuples_enqueued=count, tuples_processed=count, batches_processed=1, busy_seconds=busy
+        )
+        self.metrics.histogram("ingest_to_detection").record(busy)
+        telemetry.maybe_log_slow_batch(busy, stream_name, count, context=trace)
+        return count
+
+    def _push_many(
+        self,
+        stream_name: str,
+        records: Iterable[Mapping[str, Any]],
+        batch_size: Optional[int],
+    ) -> int:
         # Both checks precede the taps: a rejected call must not be journalled.
         if batch_size is not None and batch_size < 1:
             raise ValueError("batch_size must be at least 1 when given")
@@ -757,7 +801,7 @@ class CEPEngine(Taps):
         from their captured text — a ``deploy`` control-tap subscriber (the
         detector, a shard) wires them as for any deploy; queries already
         deployed only have their matcher, detections and enabled flag
-        overwritten.
+        overwritten.  Control taps see ``restore`` once it succeeded.
 
         Raises
         ------
@@ -803,6 +847,7 @@ class CEPEngine(Taps):
             if callable(restore):
                 restore(transformer_state)
         self.tuples_processed = int(state.get("tuples_processed", 0))
+        self._notify_control("restore", {})
 
     def __repr__(self) -> str:
         return (

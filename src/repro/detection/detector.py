@@ -87,7 +87,8 @@ class GestureDetector:
         engine.add_control_tap(self._on_control)
 
     def _on_control(self, op: str, payload: Dict[str, Any]) -> None:
-        """Follow the engine: wire each deployed gesture to :meth:`_dispatch`."""
+        """Follow the engine: wire each deployed gesture to :meth:`_dispatch`,
+        and keep :attr:`events` in step with a cleared or restored history."""
         if payload.get("name", "").startswith(CONTROL_QUERY_PREFIX):
             return
         if op == "deploy":
@@ -98,6 +99,14 @@ class GestureDetector:
             self._deployed.pop(payload["name"], None)
         elif op == "clear":
             self.events.clear()
+        elif op == "restore":
+            # Restored detections never went through dispatch: the events
+            # become the merged history, as the recorded run dispatched it.
+            self.events[:] = [
+                GestureEvent.from_detection(detection)
+                for detection in self.engine.detections()
+                if not detection.query_name.startswith(CONTROL_QUERY_PREFIX)
+            ]
 
     # -- deployment ------------------------------------------------------------------
 

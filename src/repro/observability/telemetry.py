@@ -34,9 +34,6 @@ class TelemetryConfig:
 
     Attributes
     ----------
-    enabled:
-        Master switch.  Off means no histograms are recorded, no tracer
-        exists on the hot path, and no slow-batch checks run.
     trace_sample_rate:
         Head-sampling fraction in ``[0, 1]``; 0.0 (default) disables
         tracing entirely.
@@ -52,7 +49,6 @@ class TelemetryConfig:
         tagging in the engine stays a single integer test.
     """
 
-    enabled: bool = True
     trace_sample_rate: float = 0.0
     trace_buffer_size: int = 4096
     slow_batch_seconds: Optional[float] = None

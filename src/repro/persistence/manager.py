@@ -11,13 +11,14 @@
 * :meth:`snapshot` captures the target's state at a quiesced point and
   anchors it to the current log offset; :meth:`maybe_snapshot` does so
   automatically every ``snapshot_every_tuples`` ingested tuples;
-* :meth:`recover_into` drives recovery: restore the newest snapshot, then
-  replay the log tail — with logging *suspended*, so replayed work is not
-  re-appended.
+* :meth:`recover_into` drives recovery: restore the newest snapshot into
+  the target, then replay the log tail through
+  :func:`~repro.persistence.replay.apply_log_entry` — with logging
+  *suspended*, so replayed work is not re-appended.
 
-The manager is deliberately policy-free about *what* state means: capture
-and restore are callables supplied by the owner (the session façade wires
-its own), which keeps this module free of engine imports.
+The target is the only state there is: a snapshot is its
+``capture_state()`` in a ``{"kind": "session", "engine": …}`` envelope,
+and recovery loads it back with ``restore_state``.
 """
 
 from __future__ import annotations
@@ -25,12 +26,13 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterator, Optional, Union
 
 from repro.errors import RecoveryError
 from repro.observability.clock import perf_clock
 from repro.observability.registry import MetricSet
-from repro.persistence.log import DURABILITY_FAMILIES, FSYNC_POLICIES, EventLog, LogEntry, read_log
+from repro.persistence.log import DURABILITY_FAMILIES, FSYNC_POLICIES, EventLog, read_log
+from repro.persistence.replay import apply_log_entry, restore_engine_state
 from repro.persistence.snapshots import SnapshotStore
 
 if TYPE_CHECKING:
@@ -96,12 +98,11 @@ class DurabilityManager:
     Parameters
     ----------
     target:
-        The live :class:`~repro.cep.engine.Engine` whose ingest is journalled.
+        The live :class:`~repro.cep.engine.Engine` whose ingest and controls
+        are journalled, whose state is snapshotted, and which recovery
+        rebuilds.
     config:
         The :class:`DurabilityConfig`.
-    capture:
-        Zero-argument callable returning the JSON-serialisable state to
-        snapshot (the owner decides what "state" spans).
     metrics:
         The :class:`~repro.observability.registry.MetricSet` of
         :data:`~repro.persistence.log.DURABILITY_FAMILIES` to record on; a
@@ -112,7 +113,6 @@ class DurabilityManager:
         self,
         target: "Engine",
         config: DurabilityConfig,
-        capture: Callable[[], Mapping[str, Any]],
         metrics: Optional[MetricSet] = None,
     ) -> None:
         self.config = config
@@ -126,7 +126,6 @@ class DurabilityManager:
         )
         self.snapshots = SnapshotStore(config.directory, keep_last=config.keep_snapshots)
         self._target = target
-        self._capture = capture
         self._suspended = 0
         self._tuples_since_snapshot = 0
         self._attached = False
@@ -154,7 +153,8 @@ class DurabilityManager:
         self._tuples_since_snapshot += len(records)
 
     def _control_tap(self, op: str, payload: Dict[str, Any]) -> None:
-        if not (self._suspended or self._closed):
+        # ``restore`` only resyncs readers; the snapshot is the record of it.
+        if op != "restore" and not (self._suspended or self._closed):
             self.log.append_control(op, payload)
 
     @contextmanager
@@ -177,7 +177,7 @@ class DurabilityManager:
         last offset: recovery replays strictly after it.
         """
         started = perf_clock()
-        state = self._capture()
+        state = {"kind": "session", "engine": self._target.capture_state()}
         offset = self.log.last_offset
         self.snapshots.save(state, offset)
         self.log.append_snapshot_marker({"log_offset": offset})
@@ -196,19 +196,14 @@ class DurabilityManager:
 
     # -- recovery ----------------------------------------------------------------------
 
-    def recover_into(
-        self,
-        restore: Callable[[Dict[str, Any]], None],
-        apply_entry: Callable[[LogEntry], None],
-    ) -> RecoveryResult:
-        """Restore the newest snapshot, then replay the log tail.
+    def recover_into(self) -> RecoveryResult:
+        """Restore the newest snapshot into the target, then replay the log tail.
 
-        ``restore`` receives the snapshot state (skipped when no snapshot
-        exists — recovery then replays the whole log from offset 0);
-        ``apply_entry`` receives every tuple/control entry after the
-        snapshot anchor, in order; a raising ``drain`` of the target ends
-        the replay.  Logging is suspended throughout, so replayed work is
-        not appended again.
+        Without a snapshot the whole log is replayed from offset 0.  Every
+        tuple/control entry after the snapshot anchor goes through
+        :func:`~repro.persistence.replay.apply_log_entry`, in order; a
+        raising ``drain`` of the target ends the replay.  Logging is
+        suspended throughout, so replayed work is not appended again.
 
         Raises
         ------
@@ -223,7 +218,7 @@ class DurabilityManager:
         with self.suspended():
             if record is not None:
                 try:
-                    restore(record.state)
+                    restore_engine_state(self._target, record.state)
                 except Exception as exc:
                     raise RecoveryError(
                         f"cannot restore snapshot {record.path.name}: {exc}"
@@ -234,7 +229,7 @@ class DurabilityManager:
                 if entry.op == "snapshot":
                     continue
                 try:
-                    apply_entry(entry)
+                    apply_log_entry(self._target, entry)
                 except Exception as exc:
                     raise RecoveryError(
                         f"cannot replay log entry {entry.offset} "

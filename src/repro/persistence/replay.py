@@ -16,11 +16,11 @@ controls:
   is exactly the state the live run had there — determinism is what makes
   seeking *meaningful*.
 
-The controller is policy-free about target semantics: ``restore`` maps a
-snapshot state into a fresh target and ``apply_control`` applies one
-logged control operation; the session façade supplies both
-(``session.replay()``), and the defaults work for any
-:class:`~repro.cep.engine.Engine` — an inline engine or a sharded runtime.
+A target is an :class:`~repro.cep.engine.Engine` (an inline engine or a
+sharded runtime) or a session running on one (``session.replay()``).
+Either way the controller drives the engine, through the same
+:func:`apply_log_entry` recovery uses; a session's detector keeps its
+events in step on its own.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from repro.persistence.snapshots import SnapshotStore
 if TYPE_CHECKING:
     from repro.cep.engine import Engine
 
-__all__ = ["ReplayController", "apply_engine_control", "restore_engine_state"]
+__all__ = ["ReplayController", "apply_engine_control", "apply_log_entry", "restore_engine_state"]
 
 #: Sentinel distinguishing "parameter not given" from an explicit ``None``.
 _UNSET: Any = object()
@@ -45,8 +45,8 @@ def apply_engine_control(target: "Engine", control: str, payload: Any) -> None:
     """Apply one logged control to an engine: the inverse of its control tap
     (:data:`repro.cep.engine.ControlTap`), and the only control replay.
 
-    Recovery, :class:`ReplayController` and ``session.replay()`` all map
-    ``deploy`` / ``undeploy`` / ``enable`` / ``clear`` back through here.
+    :func:`apply_log_entry` maps every journalled ``deploy`` / ``undeploy`` /
+    ``enable`` / ``clear`` back through here.
     """
     if control == "deploy":
         if payload["name"] not in target.queries:
@@ -63,13 +63,39 @@ def apply_engine_control(target: "Engine", control: str, payload: Any) -> None:
         raise RecoveryError(f"unknown logged control operation {control!r}")
 
 
+def apply_log_entry(target: "Engine", entry: LogEntry) -> None:
+    """Re-apply one journalled tuple or control entry to an engine, as it was
+    delivered live: the only replay, for recovery and :class:`ReplayController`."""
+    if entry.op == "tuples":
+        target.push_many(entry.stream, entry.records or [], batch_size=entry.batch_size)
+    elif entry.op == "control":
+        apply_engine_control(target, entry.control, entry.payload)
+    else:
+        raise RecoveryError(f"unknown logged operation {entry.op!r}")
+
+
 def restore_engine_state(target: "Engine", state: Dict[str, Any]) -> None:
-    """Default snapshot restorer: ``target.restore_state(state)``, with the
-    session façade's ``{"kind": "session", "engine": …}`` wrapper unwrapped
-    so a bare engine target can replay a session-recorded directory."""
+    """Load a snapshot into an engine: ``target.restore_state(state)``, with
+    the ``{"kind": "session", "engine": …}`` envelope of a snapshot file
+    unwrapped."""
     if state.get("kind") == "session":
         state = state["engine"]
     target.restore_state(state)
+
+
+def _engine_of(target: Any) -> "Engine":
+    """The engine a replay target runs on: a session's (its detector's,
+    inline or sharded), or the target itself."""
+    detector = getattr(target, "detector", None)
+    return target if detector is None else detector.engine
+
+
+def _close(target: Any) -> None:
+    """Release a replaced target: a session closes, a sharded runtime stops
+    its workers; an inline engine holds nothing."""
+    close = getattr(target, "close", None) or getattr(target, "stop", None)
+    if close is not None:
+        close()
 
 
 class ReplayController:
@@ -80,14 +106,9 @@ class ReplayController:
     directory:
         A durability directory (event-log segments + snapshots).
     target_factory:
-        Builds a fresh, empty target.  Called once up front and again on
-        every backward :meth:`seek`.
-    restore:
-        ``(target, snapshot_state) -> None`` — map a snapshot into a fresh
-        target (default :func:`restore_engine_state`).
-    apply_control:
-        ``(target, control, payload) -> None`` — apply one logged control
-        (default :func:`apply_engine_control`).
+        Builds a fresh, empty target: an engine, or a session.  Called once
+        up front and again on every backward :meth:`seek`, which closes the
+        target it replaces.
     speed:
         Default pacing of :meth:`play`: ``None`` replays as fast as
         possible, a positive float paces tuple entries at that multiple of
@@ -100,8 +121,6 @@ class ReplayController:
         self,
         directory: Union[str, Any],
         target_factory: Callable[[], Any],
-        restore: Callable[[Any, Dict[str, Any]], None] = restore_engine_state,
-        apply_control: Callable[[Any, str, Any], None] = apply_engine_control,
         speed: Optional[float] = None,
         timestamp_field: str = "ts",
     ) -> None:
@@ -111,8 +130,6 @@ class ReplayController:
         self.speed = speed
         self.timestamp_field = timestamp_field
         self._factory = target_factory
-        self._restore = restore
-        self._apply_control = apply_control
         self._snapshots = SnapshotStore(directory)
         self._entries: List[LogEntry] = [
             entry for entry in read_log(directory) if entry.op != "snapshot"
@@ -200,10 +217,11 @@ class ReplayController:
             )
         if offset < self.position:
             record = self._snapshots.best_for(offset)
+            _close(self.target)
             self.target = self._factory()
             self._last_event_time = None
             if record is not None:
-                self._restore(self.target, record.state)
+                restore_engine_state(_engine_of(self.target), record.state)
                 self.position = record.log_offset
             else:
                 self.position = -1
@@ -220,12 +238,7 @@ class ReplayController:
                 yield entry
 
     def _apply(self, entry: LogEntry) -> None:
-        if entry.op == "tuples":
-            self.target.push_many(
-                entry.stream, entry.records or [], batch_size=entry.batch_size
-            )
-        elif entry.op == "control":
-            self._apply_control(self.target, entry.control, entry.payload)
+        apply_log_entry(_engine_of(self.target), entry)
         self.position = entry.offset
 
     def _pace(self, entry: LogEntry, speed: float) -> None:

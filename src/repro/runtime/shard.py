@@ -128,7 +128,7 @@ class ShardEngineSpec:
 
     def build_telemetry(self) -> Optional[Telemetry]:
         """The live telemetry bundle this spec describes (``None`` when off)."""
-        if self.telemetry is None or not self.telemetry.enabled:
+        if self.telemetry is None:
             return None
         return Telemetry(self.telemetry)
 

@@ -585,7 +585,8 @@ class ShardedRuntime(Taps):
         Queries missing parent-side are re-deployed from their captured
         text (which broadcasts the standard ``deploy`` to every shard);
         each shard then restores its own engine state in place.  The
-        parent's merged detection log is restored from the snapshot.
+        parent's merged detection log is restored from the snapshot, then
+        control taps see ``restore``.
 
         Raises
         ------
@@ -637,6 +638,7 @@ class ShardedRuntime(Taps):
         ):
             self.clock.set(clock_now)
         self.tuples_processed = int(state.get("tuples_processed", 0))
+        self._notify_control("restore", {})
 
     # -- detections --------------------------------------------------------------------
 

@@ -326,31 +326,6 @@ class TestLearning:
             assert any("learned" in message for message in session.messages)
             session.accept()
 
-    def test_external_engine_is_reused(self):
-        engine = CEPEngine(clock=SimulatedClock())
-        install_kinect_view(engine)
-        with GestureSession(engine=engine) as session:
-            assert session.engine is engine
-            session.deploy(HANDS_UP)
-            engine.push("kinect_t", _frame())
-            assert [event.gesture for event in session.events] == ["hands_up"]
-
-    def test_external_engine_rejects_conflicting_config(self):
-        from repro.cep import MatcherConfig
-
-        engine = CEPEngine(clock=SimulatedClock())
-        install_kinect_view(engine)
-        # A non-default matcher config cannot retrofit an existing engine.
-        session = GestureSession(
-            SessionConfig(matcher=MatcherConfig(partition_field=None)), engine=engine
-        )
-        with pytest.raises(SessionStateError, match="matcher"):
-            session.start()
-        # Neither can a clock the engine does not already own.
-        session = GestureSession(clock=SimulatedClock(), engine=engine)
-        with pytest.raises(SessionStateError, match="clock"):
-            session.start()
-
     def test_manifest_rejects_bare_predicates_with_typed_error(self):
         from repro.errors import QueryBuilderError
 

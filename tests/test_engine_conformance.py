@@ -281,6 +281,34 @@ class TestFailedRecovery:
 
 
 # ---------------------------------------------------------------------------
+# Replayed tuples are counted in the session's metrics on every engine
+# ---------------------------------------------------------------------------
+
+
+def ingest_counters(session):
+    totals = session.metrics.totals()
+    return totals["tuples_enqueued"], totals["tuples_processed"]
+
+
+class TestRecoveryKeepsIngestCounters:
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_a_recovered_session_counts_what_the_live_one_did(self, engine, tmp_path):
+        durability = DurabilityConfig(tmp_path)
+        with GestureSession(session_config(engine), durability=durability) as live:
+            live.deploy(HIGH)
+            live.feed(rows(40), stream="kinect_t")
+            live.drain()
+            expected = ingest_counters(live)
+        recovered = GestureSession.recover(durability, session_config(engine))
+        try:
+            recovered.drain()
+            assert recovered.last_recovery.replayed_tuples == 40
+            assert ingest_counters(recovered) == expected == (40, 40)
+        finally:
+            recovered.close()
+
+
+# ---------------------------------------------------------------------------
 # Control taps: after success, and a raising tap fails the call
 # ---------------------------------------------------------------------------
 
@@ -544,7 +572,7 @@ class TestControlGesturesStayInternal:
         try:
             seen = []
             live.on_any(seen.append)
-            route_finalize(live, vocabulary, lambda: live.push_many("kinect_t", wave(base, 0.0)))
+            route_finalize(live, vocabulary, lambda: live.feed(wave(base, 0.0), stream="kinect_t"))
             assert any(d.query_name == CONTROL_RECORD for d in live.detections())
             assert live.deployed_gestures() == ["circle"]
             assert not [e for e in live.events if e.gesture.startswith("__control_")]
@@ -563,7 +591,7 @@ class TestControlGesturesStayInternal:
             armed = []
             recovered.workflow.controller.arm = lambda: armed.append(True)
             recovered.begin_gesture("push")
-            recovered.push_many("kinect_t", wave(base, 60.0))
+            recovered.feed(wave(base, 60.0), stream="kinect_t")
             assert armed, "the recovered wave query must reach the new workflow"
             assert recovered.deployed_gestures() == ["circle"]
         finally:

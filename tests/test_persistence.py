@@ -9,16 +9,18 @@ reference run exactly.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
 import pytest
 
-from repro.api import DurabilityConfig, F, GestureSession, Q
+from repro.api import DurabilityConfig, F, GestureSession, Q, SessionConfig
 from repro.cep import CEPEngine
 from repro.errors import (
     EventLogError,
@@ -173,9 +175,7 @@ def _engine_with_query():
 class TestDurabilityManager:
     def test_tap_logs_before_delivery_and_suspend_suppresses(self, tmp_path):
         engine = _engine_with_query()
-        manager = DurabilityManager(
-            engine, DurabilityConfig(tmp_path), capture=engine.capture_state
-        )
+        manager = DurabilityManager(engine, DurabilityConfig(tmp_path))
         manager.attach()
         engine.push("kinect_t", {"ts": 0.0, "rhand_y": 500.0})
         with manager.suspended():
@@ -187,37 +187,30 @@ class TestDurabilityManager:
 
     def test_snapshot_anchor_and_tail_replay(self, tmp_path):
         engine = _engine_with_query()
-        manager = DurabilityManager(
-            engine, DurabilityConfig(tmp_path), capture=engine.capture_state
-        )
+        manager = DurabilityManager(engine, DurabilityConfig(tmp_path))
         manager.attach()
         engine.push("kinect_t", {"ts": 0.0, "rhand_y": 500.0})
         anchor = manager.snapshot()
         engine.push("kinect_t", {"ts": 1.0, "rhand_y": 500.0})
         manager.close()
+        # The snapshot file holds the engine state in the session envelope.
+        assert manager.snapshots.latest().state["kind"] == "session"
 
         restored = CEPEngine(clock=SimulatedClock())
-        replayed = []
-        manager2 = DurabilityManager(
-            restored, DurabilityConfig(tmp_path), capture=restored.capture_state
-        )
-        result = manager2.recover_into(
-            restore=restored.restore_state, apply_entry=replayed.append
-        )
+        manager2 = DurabilityManager(restored, DurabilityConfig(tmp_path))
+        manager2.attach()
+        result = manager2.recover_into()
         manager2.close()
         assert result.snapshot_offset == anchor == 0
         assert result.replayed_entries == 1 and result.replayed_tuples == 1
-        assert [e.records[0]["ts"] for e in replayed] == [1.0]
-        # the snapshot itself restored the first detection
-        assert len(restored.detections("hands_up")) == 1
+        # the snapshot restored the first detection, the tail the second
+        assert [d.timestamp for d in restored.detections("hands_up")] == [0.0, 1.0]
+        # and recovery appended nothing: the log still ends at the live tail
+        assert [e.op for e in entries(tmp_path)] == ["tuples", "snapshot", "tuples"]
 
     def test_maybe_snapshot_threshold(self, tmp_path):
         engine = _engine_with_query()
-        manager = DurabilityManager(
-            engine,
-            DurabilityConfig(tmp_path, snapshot_every_tuples=3),
-            capture=engine.capture_state,
-        )
+        manager = DurabilityManager(engine, DurabilityConfig(tmp_path, snapshot_every_tuples=3))
         manager.attach()
         for i in range(2):
             engine.push("kinect_t", {"ts": float(i), "rhand_y": 0.0})
@@ -229,14 +222,10 @@ class TestDurabilityManager:
 
     def test_recovery_error_wraps_bad_snapshot(self, tmp_path):
         engine = _engine_with_query()
-        manager = DurabilityManager(
-            engine, DurabilityConfig(tmp_path), capture=lambda: {"kind": "bogus"}
-        )
-        manager.snapshot()
+        manager = DurabilityManager(engine, DurabilityConfig(tmp_path))
+        manager.snapshots.save({"kind": "bogus"}, log_offset=0)
         with pytest.raises(RecoveryError):
-            manager.recover_into(
-                restore=engine.restore_state, apply_entry=lambda entry: None
-            )
+            manager.recover_into()
         manager.close()
 
 
@@ -317,11 +306,38 @@ class TestReplayController:
             with pytest.raises(SessionStateError):
                 session.replay()
 
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_backward_seek_closes_the_target_it_replaces(self, tmp_path, executor):
+        def workers():
+            threads = {t.name for t in threading.enumerate() if t.name.startswith("repro-shard")}
+            return threads, {child.pid for child in multiprocessing.active_children()}
+
+        before = workers()
+        config = SessionConfig(shards=2, shard_executor=executor)
+        rows = [{"ts": float(i), "player": i % 3, "rhand_y": 500.0} for i in range(6)]
+        with GestureSession(config, durability=DurabilityConfig(tmp_path)) as session:
+            session.deploy(HANDS_UP)
+            session.feed(rows[:3], stream="kinect_t")
+            session.snapshot()
+            session.feed(rows[3:], stream="kinect_t")
+            controller = session.replay()
+            replaced = []
+            try:
+                for _ in range(3):
+                    controller.play()
+                    replaced.append(controller.target)
+                    controller.seek(1)  # behind the play head: a rebuild
+                assert [target.runtime.stopped for target in replaced] == [True] * 3
+                assert not controller.target.runtime.stopped
+            finally:
+                controller.target.close()
+        assert workers() == before
+
 
 CRASH_WRITER = textwrap.dedent(
     """
     import os, signal, sys
-    from repro.api import DurabilityConfig, F, GestureSession, Q
+    from repro.api import DurabilityConfig, F, GestureSession, Q, SessionConfig
 
     directory = sys.argv[1]
     session = GestureSession(

@@ -18,6 +18,7 @@ sys.path.insert(0, str(TOOLS))
 
 from repo_lint import (  # noqa: E402 — path set up above
     BELOW_RUNTIME_PATHS,
+    CONTROL_JOURNAL_READER,
     CONTROL_JOURNAL_WRITER,
     EXPOSITION_WRITER,
     HASH_FORBIDDEN_PATHS,
@@ -48,7 +49,7 @@ class TestRepositoryIsClean:
     def test_cli_list_catalogue(self, capsys):
         assert main(["--list"]) == 0
         out = capsys.readouterr().out
-        for code in ("RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007"):
+        for code in ("RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007", "RL008"):
             assert code in out
 
     def test_script_runs_standalone(self):
@@ -402,3 +403,49 @@ class TestRL007ControlsJournalledAtTheEngine:
         )
         assert lint_file(manager, root=tmp_path) == []
         assert lint_file(definition, root=tmp_path) == []
+
+
+class TestRL008OneLogApplier:
+    @pytest.mark.parametrize(
+        "relative",
+        [
+            "src/repro/api/session.py",
+            "src/repro/persistence/manager.py",
+            "src/repro/gateway/tenants.py",
+        ],
+    )
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "apply_engine_control(self._engine, control, payload)",
+            "replay.apply_engine_control(engine, 'clear', {})",
+        ],
+    )
+    def test_apply_engine_control_outside_the_replay_module_flagged(self, tmp_path, relative, call):
+        path = write_module(tmp_path, relative, f"def f(self, engine, control, payload):\n    {call}\n")
+        violations = lint_file(path, root=tmp_path)
+        assert [v.code for v in violations] == ["RL008"]
+        assert "apply_log_entry" in violations[0].message
+
+    def test_the_replay_module_tests_and_imports_allowed(self, tmp_path):
+        reader = write_module(
+            tmp_path,
+            CONTROL_JOURNAL_READER,
+            "def apply_engine_control(target, control, payload):\n    return None\n\n"
+            "def apply_log_entry(target, entry):\n"
+            "    apply_engine_control(target, entry.control, entry.payload)\n",
+        )
+        test = write_module(
+            tmp_path,
+            "tests/test_x.py",
+            "from repro.persistence import apply_engine_control\n"
+            "def test(engine):\n    apply_engine_control(engine, 'clear', {})\n",
+        )
+        reexport = write_module(
+            tmp_path,
+            "src/repro/persistence/__init__.py",
+            "from repro.persistence.replay import apply_engine_control\n",
+        )
+        assert lint_file(reader, root=tmp_path) == []
+        assert lint_file(test, root=tmp_path) == []
+        assert lint_file(reexport, root=tmp_path) == []

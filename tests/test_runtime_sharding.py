@@ -743,13 +743,6 @@ class TestShardedSession:
             )
             assert len(session.events) == 2
 
-    def test_sharded_session_rejects_an_injected_clock(self):
-        from repro.streams import SimulatedClock
-
-        session = GestureSession(session_config(2), clock=SimulatedClock())
-        with pytest.raises(SessionStateError, match="clock"):
-            session.start()
-
     def test_clear_resets_sharded_state(self):
         frames = make_frames(players=2, rounds=5)
         with GestureSession(session_config(2)) as session:
@@ -761,12 +754,6 @@ class TestShardedSession:
             assert session.events == []
             session.feed(frames, stream="kinect_t")
             assert session.detections()
-
-    def test_external_engine_cannot_be_sharded(self):
-        engine = CEPEngine()
-        session = GestureSession(session_config(2), engine=engine)
-        with pytest.raises(SessionStateError, match="shard"):
-            session.start()
 
 
 # ---------------------------------------------------------------------------

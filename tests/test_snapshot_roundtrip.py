@@ -210,7 +210,8 @@ class TestShardedRoundTrip:
         session.start()
         session.deploy(UP_DOWN)
         session.feed(frames(9), stream="kinect_t")
-        state = session._capture_session_state()
+        session.snapshot()
+        state = session.durability.snapshots.latest().state
         round_tripped = json.loads(json.dumps(state))
         assert round_tripped["engine"]["kind"] == "sharded-runtime"
         assert round_tripped["engine"]["router"]["shard_count"] == 4

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repository-specific lint rules that generic linters do not cover.
 
-Seven rules, all born from real failure modes of this codebase:
+Eight rules, all born from real failure modes of this codebase:
 
 ``RL001`` — no builtin ``hash()`` on routing/persistence code paths or in benchmarks
     CPython salts ``hash()`` per process (PYTHONHASHSEED), so a shard
@@ -68,6 +68,14 @@ Seven rules, all born from real failure modes of this codebase:
     journal now subscribes to the engine's control taps; a call to
     ``append_control(`` anywhere but ``src/repro/persistence/manager.py``
     is a second, front-door journal growing back.
+
+``RL008`` — journalled controls are replayed by the one log applier
+    The reader-side twin of RL007.  Recovery and replay once each re-applied
+    journal entries through their own session hooks, so a control could
+    replay one way on recovery and another on ``seek``.  Both now drive the
+    engine through ``apply_log_entry`` in ``src/repro/persistence/replay.py``;
+    a call to ``apply_engine_control(`` anywhere else under ``src/repro`` is
+    a second replay path growing back.
 
 Run as a script (CI) or through ``tests/test_repo_lint.py``::
 
@@ -137,6 +145,10 @@ STRUCT_FORBIDDEN_PATH = "src/repro"
 
 #: The one module allowed to call ``append_control`` (RL007).
 CONTROL_JOURNAL_WRITER = "src/repro/persistence/manager.py"
+
+#: The one module allowed to call ``apply_engine_control`` (RL008); the tree it guards.
+CONTROL_JOURNAL_READER = "src/repro/persistence/replay.py"
+CONTROL_REPLAY_GUARDED_PATH = "src/repro"
 
 
 class Violation(NamedTuple):
@@ -322,17 +334,18 @@ def _lint_struct_imports(path: Path, tree: ast.AST, relative: str) -> Iterable[V
             )
 
 
-def _is_append_control_call(node: ast.AST) -> bool:
+def _is_call_to(node: ast.AST, name: str) -> bool:
+    """Match ``name(...)`` and ``<anything>.name(...)`` calls."""
     if not isinstance(node, ast.Call):
         return False
     func = node.func
-    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-    return name == "append_control"
+    called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    return called == name
 
 
 def _lint_append_control_calls(path: Path, tree: ast.AST, relative: str) -> Iterable[Violation]:
     for node in ast.walk(tree):
-        if _is_append_control_call(node):
+        if _is_call_to(node, "append_control"):
             yield Violation(
                 relative,
                 node.lineno,
@@ -340,6 +353,19 @@ def _lint_append_control_calls(path: Path, tree: ast.AST, relative: str) -> Iter
                 "append_control() called outside the durability manager; "
                 "controls reach the journal through the engine's control tap "
                 "(DurabilityManager.attach), whichever caller made them",
+            )
+
+
+def _lint_apply_control_calls(path: Path, tree: ast.AST, relative: str) -> Iterable[Violation]:
+    for node in ast.walk(tree):
+        if _is_call_to(node, "apply_engine_control"):
+            yield Violation(
+                relative,
+                node.lineno,
+                "RL008",
+                "apply_engine_control() called outside the replay module; "
+                "recovery and replay re-apply journal entries through "
+                "repro.persistence.replay.apply_log_entry, the one log applier",
             )
 
 
@@ -369,6 +395,8 @@ def lint_file(path: Path, root: Optional[Path] = None) -> List[Violation]:
         violations.extend(_lint_struct_imports(path, tree, relative))
     if posix != CONTROL_JOURNAL_WRITER:
         violations.extend(_lint_append_control_calls(path, tree, relative))
+    if posix.startswith(CONTROL_REPLAY_GUARDED_PATH) and posix != CONTROL_JOURNAL_READER:
+        violations.extend(_lint_apply_control_calls(path, tree, relative))
     return violations
 
 
@@ -414,6 +442,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             ", ".join(STRUCT_CODEC_MODULES),
         )
         print("RL007  append_control( called only in", CONTROL_JOURNAL_WRITER)
+        print(
+            "RL008  apply_engine_control( under",
+            CONTROL_REPLAY_GUARDED_PATH,
+            "called only in",
+            CONTROL_JOURNAL_READER,
+        )
         return 0
     violations = lint_repository()
     for violation in violations:
