@@ -54,7 +54,7 @@ worker processes for true multi-core parallelism:
 untouched.  The execution layer lives in :mod:`repro.runtime` and can be
 driven directly (``ShardedRuntime``) when the session façade is too much.
 
-The package is organised by subsystem (see ``DESIGN.md`` for the full map):
+The package is organised by subsystem:
 
 ``repro.api``
     the public façade: fluent query DSL + ``GestureSession``.

@@ -111,13 +111,20 @@ from repro.errors import (
     SessionStateError,
     ShardFailedError,
 )
-from repro.observability.health import HealthReport, HealthWatchdog, WatchdogConfig
+from repro.observability.health import (
+    LIVENESS_PREFIX,
+    HealthReport,
+    HealthWatchdog,
+    WatchdogConfig,
+    liveness_reading,
+)
 from repro.observability.profiling import UNTAGGED
 from repro.observability.slo import SLO, Alert, SLOEvaluator
 from repro.observability.telemetry import Telemetry, TelemetryConfig
 from repro.observability.timeseries import MetricsSampler
 from repro.observability.tracing import TraceContext, use_context
 from repro.persistence import (
+    FSYNC_OWED_AFTER,
     DurabilityConfig,
     DurabilityManager,
     RecoveryResult,
@@ -204,11 +211,12 @@ class SessionConfig:
         is unset).  Fired alerts land on ``session.alerts``, the
         structured alert log and the gateway's ``/alerts``.
     watchdog:
-        A :class:`~repro.observability.health.WatchdogConfig` starts the
-        health watchdog thread: per-shard progress heartbeats, stall /
+        A :class:`~repro.observability.health.WatchdogConfig` adds the
+        health rules to the sampler's beat (implying a sampler like
+        ``slos``): per-shard progress heartbeats, stall /
         queue-saturation / fsync-stall detection, read via
         ``session.health()`` and the gateway's ``/healthz``.  ``None``
-        (default) starts no watchdog.
+        (default) evaluates no health rules.
     profile_hz:
         Sampling rate of the continuous per-query profiler; 0.0 (default)
         constructs no profiler at all.  Results via ``session.profile()``.
@@ -426,8 +434,9 @@ class GestureSession:
         return runtime
 
     def _start_control_plane(self) -> None:
-        """Start the opted-in observability threads: sampler, SLO
-        evaluation, watchdog and the parent-side profiler.
+        """Start the opted-in observability threads: the sampler, whose
+        tick runs SLO evaluation and the health rules, and the
+        parent-side profiler.
 
         Everything here is off-by-default — with none of the knobs set
         this method does nothing, and the hot path is untouched either
@@ -437,21 +446,23 @@ class GestureSession:
         if self._telemetry is None:
             return
         config = self.config
-        if config.slos or config.sample_interval_seconds is not None:
-            if config.slos:
-                self._slo_evaluator = SLOEvaluator(config.slos)
+        if config.slos:
+            self._slo_evaluator = SLOEvaluator(config.slos)
+        if config.watchdog is not None:
+            fsync = self._durability_config.fsync if self._durability_config else None
+            self._watchdog = HealthWatchdog(config.watchdog, FSYNC_OWED_AFTER.get(fsync))
+        evaluators = tuple(filter(None, (self._slo_evaluator, self._watchdog)))
+        if evaluators or config.sample_interval_seconds is not None:
             self._sampler = MetricsSampler(
                 interval_seconds=config.sample_interval_seconds or 0.5,
-                evaluator=self._slo_evaluator,
+                evaluators=evaluators,
             )
             self._sampler.add_registry(self._metrics)
+            if self._watchdog is not None and self._runtime is not None:
+                self._sampler.add_source(
+                    LIVENESS_PREFIX, lambda: liveness_reading(self._runtime.shard_liveness())
+                )
             self._sampler.start()
-        if config.watchdog is not None:
-            self._watchdog = HealthWatchdog(config.watchdog)
-            if self._runtime is not None:
-                self._watchdog.add_liveness_source(self._runtime.shard_liveness)
-            self._watchdog.add_durability_source(self._metrics.durability.snapshot)
-            self._watchdog.start()
         if self._telemetry.profiler is not None:
             # Parent-side sampling: covers the inline engine and thread
             # shards directly; process shards run their own child-side
@@ -478,12 +489,10 @@ class GestureSession:
             return
         self._closed = True
         self._started = False
-        # Control-plane threads first: their final reads observe the live
+        # The control-plane beat first: its final read observes the live
         # runtime, and nothing may outlive the session.
         if self._sampler is not None:
             self._sampler.stop()
-        if self._watchdog is not None:
-            self._watchdog.stop()
         if self._runtime is not None:
             # Finish queued work, stop the workers, keep results readable.
             # (This final collection also folds child profiler counts in.)
@@ -971,21 +980,21 @@ class GestureSession:
 
     @property
     def watchdog(self) -> Optional[HealthWatchdog]:
-        """The health watchdog, or ``None`` when not configured."""
+        """The health rules on the sampler's beat, or ``None`` when not
+        configured."""
         return self._watchdog
 
     def health(self) -> Optional[HealthReport]:
-        """The watchdog's latest report (``None`` without a watchdog).
+        """The latest health report (``None`` without a watchdog).
 
-        Runs one synchronous check when the background thread has not
-        published yet, so the first read after :meth:`start` is real.
+        Takes one synchronous sample when the sampler has not ticked yet,
+        so the first read after :meth:`start` is real.
         """
         if self._watchdog is None:
             return None
-        report = self._watchdog.report()
-        if report.checks == 0:
-            report = self._watchdog.check()
-        return report
+        if self._watchdog.report().checks == 0:
+            self._sampler.sample_once()
+        return self._watchdog.report()
 
     def profile(self) -> Dict[str, Any]:
         """The continuous profiler's per-query CPU attribution.

@@ -2,9 +2,8 @@
 
 Every error raised by the library derives from :class:`ReproError` so that
 applications embedding the gesture-detection stack can catch a single base
-class.  Sub-hierarchies mirror the subsystems described in ``DESIGN.md``:
-the CEP engine, the learning pipeline, storage, and the interactive
-workflow controller.
+class.  Sub-hierarchies mirror the library's subsystems: the CEP engine,
+the learning pipeline, storage, and the interactive workflow controller.
 """
 
 from __future__ import annotations

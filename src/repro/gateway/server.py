@@ -248,7 +248,7 @@ class GatewayServer:
         The overall status is the worst across every tenant session that
         runs a health watchdog (sessions without one contribute ``ok``),
         with each contributing reason tagged by tenant — machine-readable
-        input for load balancers and the future autoscaler.
+        input for load balancers.
         """
         rank = {"ok": 0, "degraded": 1, "unhealthy": 2}
         status = "ok"

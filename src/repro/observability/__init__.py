@@ -20,14 +20,14 @@ Its building blocks:
   JSON object per line with trace-id correlation (see
   :mod:`repro.observability.jsonlog`);
 * :class:`TimeSeries` / :class:`MetricsSampler` — ring-buffered metric
-  history with windowed rate/delta queries, fed by a background sampler
-  polling the metric registries (see :mod:`repro.observability.timeseries`);
+  history with windowed rate/delta queries, fed by the one background
+  sampler polling the metric registries (see :mod:`repro.observability.timeseries`);
 * :class:`SLO` / :class:`SLOEvaluator` — declarative objectives checked
   by multi-window burn-rate rules, producing typed :class:`Alert` events
   (see :mod:`repro.observability.slo`);
-* :class:`HealthWatchdog` — a supervisor thread turning shard liveness
-  and durability progress into a machine-readable health report (see
-  :mod:`repro.observability.health`);
+* :class:`HealthWatchdog` — health rules on the sampler's tick turning
+  shard liveness and durability progress into a machine-readable health
+  report (see :mod:`repro.observability.health`);
 * :class:`SamplingProfiler` — a stdlib sampling profiler with per-query
   CPU attribution and collapsed-stack output (see
   :mod:`repro.observability.profiling`).

@@ -1,7 +1,7 @@
-"""Liveness watchdog: progress heartbeats, stall and saturation detection.
+"""Health rules on the sampler's beat: stall, saturation and fsync stalls.
 
-The counters say what the pipeline *has done*; the watchdog answers the
-harder operational question — is it *still making progress*?  Three
+The counters say what the pipeline *has done*; the health rules answer
+the harder operational question — is it *still making progress*?  Three
 failure shapes dominate long-running streaming deployments and all three
 are invisible to cumulative counters:
 
@@ -9,21 +9,25 @@ are invisible to cumulative counters:
   backlog positive while ``tuples_processed`` freezes;
 * a **saturated queue** sits at capacity for a sustained window, meaning
   producers are blocking (or dropping) and latency is compounding;
-* a **stalled fsync** (a dying disk, an NFS hiccup) lets the durability
-  log accept appends whose ``fsyncs`` counter stops advancing.
+* a **stalled fsync** (a dying disk, an NFS hiccup) leaves the durability
+  log owing an fsync that its ``fsyncs`` counter never records.
 
-:class:`HealthWatchdog` polls cheap parent-visible liveness snapshots on
-a named background thread, tracks per-shard progress heartbeats, and
-condenses what it sees into a :class:`HealthReport` — ``ok`` /
+:class:`HealthWatchdog` is an evaluator on the
+:class:`~repro.observability.timeseries.MetricsSampler` tick, beside the
+SLO evaluator: it owns no thread and no sources.  Each tick it reads the
+sampler's fresh reading — the runtime's per-shard liveness rows (a
+sampler source under :data:`LIVENESS_PREFIX`, see :func:`liveness_reading`)
+and the registry's ``durability.*`` counters — moves its per-subject
+progress marks, and publishes a :class:`HealthReport`: ``ok`` /
 ``degraded`` / ``unhealthy`` plus machine-readable :class:`HealthReason`
 rows naming the misbehaving shard.  The gateway maps the report straight
-onto ``/healthz`` (503 when unhealthy), and the admission controller and
-the future autoscaler (ROADMAP item 3) read the same reasons.
+onto ``/healthz`` (503 when unhealthy).
 
 **No false positives on idle:** a stall requires *backlog with no
 progress*.  A paused replay (``ReplayController.pause()``) stops feeding,
 the queues drain to zero backlog, and an idle pipeline reports ``ok`` —
-quiet is not stuck.
+quiet is not stuck.  Likewise an fsync stall requires an fsync the log
+*owes* under its policy, not merely appends without one.
 """
 
 from __future__ import annotations
@@ -31,25 +35,64 @@ from __future__ import annotations
 import logging
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.observability.clock import monotonic_time
 
-__all__ = ["WatchdogConfig", "HealthReason", "HealthReport", "HealthWatchdog"]
+__all__ = [
+    "LIVENESS_PREFIX",
+    "WatchdogConfig",
+    "HealthReason",
+    "HealthReport",
+    "HealthWatchdog",
+    "liveness_reading",
+]
 
 _logger = logging.getLogger("repro.observability.health")
 
 #: Ranking used to pick the overall status from individual reasons.
 _STATUS_RANK = {"ok": 0, "degraded": 1, "unhealthy": 2}
 
+#: Sampler prefix of the per-shard liveness series the shard rules read.
+LIVENESS_PREFIX = "liveness."
+
+#: The registry series (``MetricsSampler.add_registry``) the fsync rule reads.
+_APPENDED = "durability.entries_appended"
+_FSYNCS = "durability.fsyncs"
+
+
+def liveness_reading(rows: Iterable[Mapping[str, object]]) -> Dict[str, float]:
+    """Flatten liveness rows into one sampler reading.
+
+    ``rows`` has the shape ``ShardedRuntime.shard_liveness()`` produces:
+    one mapping per shard with ``shard_id``, ``alive``, ``backlog``,
+    ``tuples_processed`` and optionally ``queue_depth`` /
+    ``queue_capacity``.  The result maps ``"<shard_id>.<field>"`` to a
+    float; register it with ``sampler.add_source(LIVENESS_PREFIX, ...)``.
+    """
+    return {
+        f"{row['shard_id']}.{key}": float(value)  # type: ignore[arg-type]
+        for row in rows
+        for key, value in row.items()
+        if key != "shard_id"
+    }
+
+
+def _shard_rows(reading: Mapping[str, float]) -> Dict[str, Dict[str, float]]:
+    """Regroup a tick's liveness series into one row per shard id."""
+    rows: Dict[str, Dict[str, float]] = {}
+    for name, value in reading.items():
+        if name.startswith(LIVENESS_PREFIX):
+            shard_id, _, key = name[len(LIVENESS_PREFIX) :].partition(".")
+            rows.setdefault(shard_id, {})[key] = value
+    return rows
+
 
 @dataclass(frozen=True)
 class WatchdogConfig:
-    """Thresholds for the watchdog.  Frozen and picklable like the other
-    observability configs."""
+    """Thresholds of the health rules.  Frozen and picklable like the
+    other observability configs; the beat is the sampler's interval."""
 
-    #: Seconds between background checks.
-    interval_seconds: float = 0.5
     #: A shard with backlog whose processed count has not advanced for
     #: this long is stalled (degraded; 3x this is unhealthy).
     stall_after_seconds: float = 5.0
@@ -57,12 +100,11 @@ class WatchdogConfig:
     saturation_ratio: float = 0.9
     #: …sustained for this long marks the queue saturated.
     saturation_after_seconds: float = 5.0
-    #: Appends advancing while fsyncs do not for this long is an fsync stall.
+    #: An fsync owed under the log's policy but not issued for this long
+    #: is an fsync stall.
     fsync_stall_seconds: float = 5.0
 
     def __post_init__(self) -> None:
-        if self.interval_seconds <= 0:
-            raise ValueError("interval_seconds must be positive")
         if self.stall_after_seconds <= 0 or self.fsync_stall_seconds <= 0:
             raise ValueError("stall windows must be positive")
         if not 0.0 < self.saturation_ratio <= 1.0:
@@ -75,7 +117,7 @@ class WatchdogConfig:
 class HealthReason:
     """One machine-readable cause for a non-``ok`` report."""
 
-    code: str  # "shard-stalled" | "shard-dead" | "queue-saturated" | "fsync-stalled" | ...
+    code: str  # "shard-stalled" | "shard-dead" | "queue-saturated" | "fsync-stalled"
     severity: str  # "degraded" | "unhealthy"
     subject: str  # e.g. "shard-0", "durability"
     detail: str
@@ -93,7 +135,7 @@ class HealthReason:
 
 @dataclass(frozen=True)
 class HealthReport:
-    """The watchdog's verdict at one instant."""
+    """The rules' verdict at one tick."""
 
     status: str  # "ok" | "degraded" | "unhealthy"
     reasons: Tuple[HealthReason, ...]
@@ -114,100 +156,53 @@ class HealthReport:
 
 
 class HealthWatchdog:
-    """Tracks progress heartbeats from liveness snapshots; reports health.
+    """Turns each sampler tick into a health report.
 
-    Sources are callables returning rows of parent-visible state:
+    Install it as one of ``MetricsSampler(evaluators=...)``; every
+    :meth:`MetricsSampler.sample_once` then calls :meth:`evaluate`, which
+    reads ``sampler.reading`` — so tests drive the rules through the one
+    clock, ``sampler.sample_once(now=...)``.  The progress marks (when
+    each subject last advanced) are evaluator state, so a stall is timed
+    exactly however long it outlives the sampler's series capacity.
 
-    * a *liveness* source yields one mapping per shard with at least
-      ``shard_id``, ``alive``, ``backlog``, ``tuples_processed`` and
-      (optionally) ``queue_depth`` / ``queue_capacity`` — the shape
-      ``ShardedRuntime.shard_liveness()`` produces;
-    * a *durability* source yields one mapping with the
-      ``entries_appended`` and ``fsyncs`` counters — the shape
-      ``session.metrics.durability.snapshot()`` produces;
-    * a *probe* yields ready-made :class:`HealthReason` rows for
-      conditions only the caller can see (e.g. a gateway counting slow
-      detection consumers).
-
-    :meth:`check` is public and takes an explicit ``now`` so tests drive
-    the clock; :meth:`start` runs it on a named daemon thread.
+    ``fsync_owed_after`` is how many appends past its last fsync the event
+    log may go before it owes one (``FSYNC_OWED_AFTER[policy]`` in
+    :mod:`repro.persistence.log`); ``None`` — no durable log, or a policy
+    whose owed fsync the counters cannot show — turns the fsync rule off.
     """
 
-    def __init__(self, config: Optional[WatchdogConfig] = None) -> None:
+    def __init__(
+        self,
+        config: Optional[WatchdogConfig] = None,
+        fsync_owed_after: Optional[int] = None,
+    ) -> None:
         self.config = config or WatchdogConfig()
-        self._liveness_sources: List[Callable[[], Iterable[Mapping[str, object]]]] = []
-        self._durability_sources: List[Tuple[str, Callable[[], Mapping[str, float]]]] = []
-        self._probes: List[Callable[[], Iterable[HealthReason]]] = []
+        self.fsync_owed_after = fsync_owed_after
         self._lock = threading.Lock()
         # Heartbeats: subject -> (last value that counted as progress,
         # monotonic time that value was first seen).
         self._progress: Dict[str, Tuple[float, float]] = {}
         self._saturated_since: Dict[str, float] = {}
-        self._fsync_marks: Dict[str, Tuple[float, float, float]] = {}  # appended, fsyncs, since
+        # (appended, fsyncs) when fsyncs last advanced; when the debt fell due.
+        self._fsync_mark: Optional[Tuple[float, float]] = None
+        self._fsync_owed_since: Optional[float] = None
         self._report = HealthReport(status="ok", reasons=(), checked_at=monotonic_time())
         self._checks = 0
-        self.source_errors = 0
-        self._thread: Optional[threading.Thread] = None
-        self._stop = threading.Event()
 
-    # -- sources -------------------------------------------------------------------------
+    # -- the rules -----------------------------------------------------------------------
 
-    def add_liveness_source(
-        self, reader: Callable[[], Iterable[Mapping[str, object]]]
-    ) -> None:
-        with self._lock:
-            self._liveness_sources.append(reader)
-
-    def add_durability_source(
-        self, reader: Callable[[], Mapping[str, float]], subject: str = "durability"
-    ) -> None:
-        with self._lock:
-            self._durability_sources.append((subject, reader))
-
-    def add_probe(self, probe: Callable[[], Iterable[HealthReason]]) -> None:
-        with self._lock:
-            self._probes.append(probe)
-
-    # -- the check -----------------------------------------------------------------------
-
-    def check(self, now: Optional[float] = None) -> HealthReport:
-        """Run every source once and publish a fresh report."""
+    def evaluate(self, sampler, now: Optional[float] = None) -> HealthReport:
+        """Apply every rule to the sampler's latest reading; publish the report."""
         stamp = monotonic_time() if now is None else now
+        reading: Mapping[str, float] = sampler.reading
         reasons: List[HealthReason] = []
-        with self._lock:
-            liveness = list(self._liveness_sources)
-            durability = list(self._durability_sources)
-            probes = list(self._probes)
+        for shard_id, row in _shard_rows(reading).items():
+            reasons.extend(self._check_shard(f"shard-{shard_id}", row, stamp))
+        reason = self._check_fsync(reading, stamp)
+        if reason is not None:
+            reasons.append(reason)
 
-        for reader in liveness:
-            try:
-                rows = list(reader())
-            except Exception:  # noqa: BLE001 — a winding-down runtime must not kill the beat
-                self.source_errors += 1
-                continue
-            for row in rows:
-                reasons.extend(self._check_shard(row, stamp))
-
-        for subject, reader in durability:
-            try:
-                counters = dict(reader())
-            except Exception:  # noqa: BLE001
-                self.source_errors += 1
-                continue
-            reason = self._check_fsync(subject, counters, stamp)
-            if reason is not None:
-                reasons.append(reason)
-
-        for probe in probes:
-            try:
-                reasons.extend(probe())
-            except Exception:  # noqa: BLE001
-                self.source_errors += 1
-
-        status = "ok"
-        for reason in reasons:
-            if _STATUS_RANK.get(reason.severity, 1) > _STATUS_RANK[status]:
-                status = reason.severity
+        status = max((r.severity for r in reasons), key=_STATUS_RANK.__getitem__, default="ok")
         with self._lock:
             self._checks += 1
             previous = self._report.status
@@ -228,14 +223,12 @@ class HealthWatchdog:
         return self._report
 
     def _check_shard(
-        self, row: Mapping[str, object], stamp: float
+        self, subject: str, row: Mapping[str, float], stamp: float
     ) -> List[HealthReason]:
         config = self.config
-        shard_id = row.get("shard_id", "?")
-        subject = f"shard-{shard_id}"
         alive = bool(row.get("alive", True))
-        backlog = float(row.get("backlog", 0) or 0)
-        processed = float(row.get("tuples_processed", 0) or 0)
+        backlog = row.get("backlog", 0.0)
+        processed = row.get("tuples_processed", 0.0)
         reasons: List[HealthReason] = []
 
         if not alive and backlog > 0:
@@ -277,7 +270,7 @@ class HealthWatchdog:
         depth = row.get("queue_depth")
         capacity = row.get("queue_capacity")
         if depth is not None and capacity:
-            occupancy = float(depth) / float(capacity)  # type: ignore[arg-type]
+            occupancy = depth / capacity
             if occupancy >= config.saturation_ratio:
                 since = self._saturated_since.setdefault(subject, stamp)
                 saturated_for = stamp - since
@@ -302,71 +295,50 @@ class HealthWatchdog:
         return reasons
 
     def _check_fsync(
-        self, subject: str, counters: Mapping[str, float], stamp: float
+        self, reading: Mapping[str, float], stamp: float
     ) -> Optional[HealthReason]:
-        appended = float(counters.get("entries_appended", 0) or 0)
-        fsyncs = float(counters.get("fsyncs", 0) or 0)
-        mark = self._fsync_marks.get(subject)
-        # The mark moves whenever fsyncs advance or appends stop arriving.
-        if mark is None or fsyncs > mark[1] or appended <= mark[0]:
-            self._fsync_marks[subject] = (appended, fsyncs, stamp)
+        owed_after = self.fsync_owed_after
+        appended = reading.get(_APPENDED)
+        fsyncs = reading.get(_FSYNCS)
+        if owed_after is None or appended is None or fsyncs is None:
             return None
-        stuck_for = stamp - mark[2]
+        mark = self._fsync_mark
+        if mark is None or fsyncs != mark[1]:
+            # An fsync landed: nothing is owed.
+            self._fsync_mark = (appended, fsyncs)
+            self._fsync_owed_since = None
+            return None
+        # Appends counted since the tick that saw the last fsync: a lower
+        # bound on the log's debt, so a healthy log never trips it.
+        pending = appended - mark[0]
+        if pending < owed_after:
+            return None
+        if self._fsync_owed_since is None:
+            self._fsync_owed_since = stamp
+        stuck_for = stamp - self._fsync_owed_since
         if stuck_for < self.config.fsync_stall_seconds:
             return None
         return HealthReason(
             code="fsync-stalled",
             severity="degraded",
-            subject=subject,
+            subject="durability",
             detail=(
-                f"{subject} appended {appended - mark[0]:.0f} records with no fsync "
-                f"for {stuck_for:.1f}s"
+                f"durability has owed an fsync for {stuck_for:.1f}s "
+                f"({pending:.0f} appends since the last one)"
             ),
-            data={"stuck_seconds": round(stuck_for, 3), "appends_pending": appended - mark[0]},
+            data={"stuck_seconds": round(stuck_for, 3), "appends_pending": pending},
         )
 
     # -- readers -------------------------------------------------------------------------
 
     def report(self) -> HealthReport:
-        """The latest published report (never blocks on sources)."""
+        """The latest published report (never waits on a tick)."""
         with self._lock:
             return self._report
-
-    @property
-    def status(self) -> str:
-        return self.report().status
-
-    # -- lifecycle -----------------------------------------------------------------------
-
-    @property
-    def running(self) -> bool:
-        return self._thread is not None and self._thread.is_alive()
-
-    def start(self) -> "HealthWatchdog":
-        """Start the background beat (idempotent)."""
-        if self.running:
-            return self
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._run, name="repro-health-watchdog", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def stop(self, timeout: Optional[float] = 5.0) -> None:
-        thread = self._thread
-        self._stop.set()
-        if thread is not None:
-            thread.join(timeout=timeout)
-            self._thread = None
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.config.interval_seconds):
-            self.check()
 
     def __repr__(self) -> str:
         report = self.report()
         return (
             f"HealthWatchdog(status={report.status!r}, reasons={len(report.reasons)}, "
-            f"checks={report.checks}, running={self.running})"
+            f"checks={report.checks})"
         )

@@ -15,8 +15,7 @@ matcher work.  Tagging is a single dict store gated on a module-level
 counter of active profilers, so with no profiler running a tag call is
 one integer truth-test.  Samples landing on a tagged thread are charged
 to that query; the resulting share joins ``session.query_stats()`` in
-``session.profile()`` to answer *"which query is eating the CPU"* — the
-input ROADMAP item 1 (kernel tuning) and item 3 (autoscaling) both need.
+``session.profile()`` to answer *"which query is eating the CPU"*.
 
 Process shards run their own :class:`SamplingProfiler` in the child
 (configured by ``TelemetryConfig.profile_hz`` riding the shard spec) and
@@ -30,8 +29,6 @@ import sys
 import threading
 from collections import Counter
 from typing import Dict, List, Mapping, Optional
-
-from repro.observability.clock import monotonic_time
 
 __all__ = [
     "SamplingProfiler",
@@ -101,7 +98,6 @@ class SamplingProfiler:
         self._stacks: Counter = Counter()
         self._query_samples: Counter = Counter()
         self.samples = 0
-        self.started_at: Optional[float] = None
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
 
@@ -208,7 +204,6 @@ class SamplingProfiler:
             return self
         with _active_lock:
             _ACTIVE_PROFILERS += 1
-        self.started_at = monotonic_time()
         self._stop.clear()
         self._thread = threading.Thread(target=self._run, name="repro-profiler", daemon=True)
         self._thread.start()

@@ -2,18 +2,19 @@
 
 The counters and histograms of :class:`~repro.runtime.metrics.MetricsRegistry`
 answer *"how much so far"*; the control plane (SLO burn rates, the health
-watchdog, a future autoscaler) needs *"how fast right now"*.  This module
+rules) needs *"how fast right now"* and *"still moving?"*.  This module
 adds the windowed layer:
 
 * :class:`TimeSeries` — a fixed-capacity ring buffer of
   ``(monotonic_seconds, value)`` points with windowed ``rate()`` /
-  ``delta()`` / ``mean()`` queries.
-* :class:`MetricsSampler` — a named daemon thread polling every
-  registered source (a :class:`MetricsRegistry` — shard totals,
-  durability counters, merged histogram digests — or any callable
-  returning a flat ``{name: number}`` mapping) into one
-  series per metric, then handing the fresh window to an optional
-  :class:`~repro.observability.slo.SLOEvaluator`.
+  ``delta()`` queries.
+* :class:`MetricsSampler` — the control plane's one polling thread: it
+  reads every registered source (a :class:`MetricsRegistry` — shard
+  totals, durability counters, merged histogram digests — or any
+  callable returning a flat ``{name: number}`` mapping) into one series
+  per metric, then hands the tick to its evaluators
+  (:class:`~repro.observability.slo.SLOEvaluator`,
+  :class:`~repro.observability.health.HealthWatchdog`).
 
 The sampler reads only parent-visible state (``totals()``,
 ``merged_histograms()``, plain snapshots); it never broadcasts controls
@@ -45,8 +46,8 @@ class TimeSeries:
 
     A series of monotonically increasing totals is queried with
     :meth:`rate` / :meth:`delta`, one of point-in-time levels with
-    :meth:`mean` / :meth:`max` / :meth:`latest`; storage is the same
-    capacity-bounded ring buffer either way.
+    :meth:`latest`; storage is the same capacity-bounded ring buffer
+    either way.
     """
 
     __slots__ = ("name", "capacity", "_times", "_values", "_lock")
@@ -124,18 +125,6 @@ class TimeSeries:
             increase = window[-1][1]
         return increase / elapsed
 
-    def mean(self, window_seconds: float, now: Optional[float] = None) -> float:
-        window = self.points(window_seconds, now=now)
-        if not window:
-            return 0.0
-        return sum(value for _, value in window) / len(window)
-
-    def max(self, window_seconds: float, now: Optional[float] = None) -> float:
-        window = self.points(window_seconds, now=now)
-        if not window:
-            return 0.0
-        return max(value for _, value in window)
-
     def __repr__(self) -> str:
         return f"TimeSeries({self.name!r}, points={len(self)}/{self.capacity})"
 
@@ -170,28 +159,35 @@ class MetricsSampler:
     background thread — constructed with a ``name=`` as repo-lint RL004
     demands — simply calls it every ``interval_seconds``.
 
-    An optional evaluator (duck-typed: ``evaluate(sampler, now)``) runs
-    after every tick; the session installs an
-    :class:`~repro.observability.slo.SLOEvaluator` there so burn-rate
-    alerting shares the sampler's thread instead of adding another.
+    ``evaluators`` (duck-typed: ``evaluate(sampler, now)``) run after
+    every tick, in order, and read the tick's flat :attr:`reading` or the
+    windowed series.  The session installs its
+    :class:`~repro.observability.slo.SLOEvaluator` and
+    :class:`~repro.observability.health.HealthWatchdog` here, so burn-rate
+    alerting and health share this thread instead of adding their own.
     """
 
     def __init__(
         self,
         interval_seconds: float = 0.5,
         capacity: int = DEFAULT_CAPACITY,
-        evaluator: Optional[object] = None,
+        evaluators: Tuple[object, ...] = (),
     ) -> None:
         if interval_seconds <= 0:
             raise ValueError("interval_seconds must be positive")
         self.interval_seconds = interval_seconds
         self.capacity = capacity
-        self.evaluator = evaluator
+        self.evaluators = tuple(evaluators)
         self._sources: List[Tuple[str, Callable[[], Mapping[str, float]]]] = []
         self._series: Dict[str, TimeSeries] = {}
         self._lock = threading.Lock()
+        # One tick at a time: the background beat and a caller's
+        # sample_once() never interleave their readings or evaluations.
+        self._tick_lock = threading.Lock()
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
+        #: The newest tick's flat reading, ``{prefix + name: value}``.
+        self.reading: Dict[str, float] = {}
         self.ticks = 0
         self.source_errors = 0
 
@@ -208,7 +204,7 @@ class MetricsSampler:
     # -- sampling ------------------------------------------------------------------------
 
     def sample_once(self, now: Optional[float] = None) -> None:
-        """Poll every source once; then run the evaluator (if any).
+        """Poll every source once; then run the evaluators.
 
         A raising source is counted and skipped — sampling must keep
         working while the pipeline it observes winds down.
@@ -216,18 +212,22 @@ class MetricsSampler:
         stamp = monotonic_time() if now is None else now
         with self._lock:
             sources = list(self._sources)
-        for prefix, reader in sources:
-            try:
-                reading = reader()
-            except Exception:  # noqa: BLE001 — a dying source must not kill the beat
-                self.source_errors += 1
-                continue
+        with self._tick_lock:
+            reading: Dict[str, float] = {}
+            for prefix, reader in sources:
+                try:
+                    values = reader()
+                except Exception:  # noqa: BLE001 — a dying source must not kill the beat
+                    self.source_errors += 1
+                    continue
+                for name, value in values.items():
+                    reading[prefix + name] = float(value)
             for name, value in reading.items():
-                self.series(prefix + name).append(float(value), timestamp=stamp)
-        self.ticks += 1
-        evaluator = self.evaluator
-        if evaluator is not None:
-            evaluator.evaluate(self, now=stamp)  # type: ignore[attr-defined]
+                self.series(name).append(value, timestamp=stamp)
+            self.reading = reading
+            self.ticks += 1
+            for evaluator in self.evaluators:
+                evaluator.evaluate(self, now=stamp)  # type: ignore[attr-defined]
 
     def series(self, name: str) -> TimeSeries:
         """The series for ``name`` (created on first use)."""
@@ -255,10 +255,6 @@ class MetricsSampler:
             if value is not None:
                 reading[name] = value
         return reading
-
-    def rate(self, name: str, window_seconds: float) -> float:
-        series = self.get(name)
-        return 0.0 if series is None else series.rate(window_seconds)
 
     # -- lifecycle -----------------------------------------------------------------------
 

@@ -25,6 +25,7 @@ The session façade wires everything together::
 
 from repro.persistence.log import (
     BATCH_FSYNC_EVERY,
+    FSYNC_OWED_AFTER,
     FSYNC_POLICIES,
     EventLog,
     LogEntry,
@@ -44,6 +45,7 @@ from repro.persistence.snapshots import SnapshotRecord, SnapshotStore
 
 __all__ = [
     "BATCH_FSYNC_EVERY",
+    "FSYNC_OWED_AFTER",
     "FSYNC_POLICIES",
     "EventLog",
     "LogEntry",

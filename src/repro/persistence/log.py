@@ -45,6 +45,7 @@ __all__ = [
     "DURABILITY_FAMILIES",
     "FSYNC_POLICIES",
     "BATCH_FSYNC_EVERY",
+    "FSYNC_OWED_AFTER",
     "LogEntry",
     "EventLog",
     "read_log",
@@ -55,6 +56,17 @@ FSYNC_POLICIES = ("always", "batch", "rotate")
 
 #: With ``fsync="batch"``: sync after this many appends (and on rotate/close).
 BATCH_FSYNC_EVERY = 64
+
+#: Per policy, the appends past its last fsync after which the log owes
+#: one: the debt the health rules' fsync-stall check looks for.
+#: ``"rotate"`` owes none that the counters can show.  It syncs when a
+#: segment fills, and that fsync blocks the appender, so appends cannot
+#: advance past a hung one.
+FSYNC_OWED_AFTER: Dict[str, Optional[int]] = {
+    "always": 1,
+    "batch": BATCH_FSYNC_EVERY,
+    "rotate": None,
+}
 
 #: What the durability subsystem counts: the event log writes the first four
 #: and the ``fsync`` histogram (it is single-writer), the

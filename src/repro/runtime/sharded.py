@@ -745,9 +745,10 @@ class ShardedRuntime(Taps):
     def shard_liveness(self) -> List[Dict[str, float]]:
         """One cheap parent-visible liveness row per shard.
 
-        The health watchdog's input: worker aliveness, current backlog
-        (enqueued − processed − dropped), processed count (the progress
-        heartbeat), and live queue occupancy.  Reads only parent-side
+        The shard health rules' input, read on the sampler's tick through
+        ``repro.observability.health.liveness_reading``: worker aliveness,
+        current backlog (enqueued − processed − dropped), processed count
+        (the progress heartbeat), and live queue occupancy.  Reads only parent-side
         counters and thread/process flags — no control broadcast, so it
         never blocks behind queued work and is safe from any thread.
         """

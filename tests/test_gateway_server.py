@@ -826,15 +826,13 @@ class TestControlPlaneEndpoints:
             threshold_seconds=1e-12,  # every sampled p99 violates
             rules=(BurnRateRule(5.0, 0.5, 2.0),),
         )
+        # An hour-long beat: the sampler thread never ticks mid-test, so
+        # each test drives the control plane with sampler.sample_once().
         return TenantConfig(
             session=SessionConfig(
-                sample_interval_seconds=0.02,
+                sample_interval_seconds=3600.0,
                 slos=(slo,),
-                watchdog=WatchdogConfig(
-                    interval_seconds=0.05,
-                    stall_after_seconds=0.3,
-                    saturation_after_seconds=0.3,
-                ),
+                watchdog=WatchdogConfig(),
                 profile_hz=100.0,
             )
         )
@@ -904,30 +902,31 @@ class TestControlPlaneEndpoints:
         run(scenario())
 
     def test_forced_stall_degrades_healthz_naming_the_shard(self):
+        from repro.observability.health import LIVENESS_PREFIX, liveness_reading
+
         tenants = {"ctl": self.control_tenant()}
 
         async def scenario():
             async with serve(tenants=tenants) as server:
                 await connect(server, "ctl")
                 session = server.tenants["ctl"].session
-                session.watchdog.add_liveness_source(
-                    lambda: [
-                        {
-                            "shard_id": 9,
-                            "alive": True,
-                            "backlog": 9,
-                            "tuples_processed": 42,
-                        }
-                    ]
+                session.sampler.add_source(
+                    LIVENESS_PREFIX,
+                    lambda: liveness_reading(
+                        [{"shard_id": 9, "alive": True, "backlog": 9, "tuples_processed": 42}]
+                    ),
                 )
-                deadline = asyncio.get_running_loop().time() + 10.0
-                while True:
-                    status, body = await http_get(server, "/healthz")
-                    document = json.loads(body)
-                    if document["status"] == "degraded":
-                        break
-                    assert asyncio.get_running_loop().time() < deadline
-                    await asyncio.sleep(0.05)
+
+                def stall_past_the_window():
+                    session.sampler.sample_once(now=0.0)
+                    session.sampler.sample_once(now=6.0)
+
+                await asyncio.get_running_loop().run_in_executor(
+                    None, stall_past_the_window
+                )
+                status, body = await http_get(server, "/healthz")
+                document = json.loads(body)
+                assert document["status"] == "degraded"
                 # Degraded serves 200 (load balancers keep routing); only
                 # unhealthy turns 503.
                 assert status == 200

@@ -1,10 +1,11 @@
-"""Health watchdog: stall, saturation and fsync detection without false
-positives on idle (the ``ReplayController.pause()`` case in particular).
+"""Health rules: stall, saturation and fsync detection without false
+positives on idle (the ``ReplayController.pause()`` case in particular)
+or on a healthy log that is not due an fsync.
 
-Unit tests drive :meth:`HealthWatchdog.check` with an explicit clock and
-a scripted liveness source; the integration tests exercise real sessions
-— a forced stall must flip health to ``degraded`` naming the shard, and
-a paused replay must not.
+Everything runs on one clock, ``sampler.sample_once(now=...)``: the unit
+tests put :class:`HealthWatchdog` on a bare sampler fed by scripted
+sources; the session tests give the session's sampler an hour-long beat
+so its thread never ticks mid-test, and drive that same sampler by hand.
 """
 
 from __future__ import annotations
@@ -16,31 +17,24 @@ import pytest
 
 from repro.api.session import GestureSession, SessionConfig
 from repro.observability.health import (
-    HealthReason,
+    LIVENESS_PREFIX,
     HealthReport,
     HealthWatchdog,
     WatchdogConfig,
+    liveness_reading,
 )
+from repro.observability.slo import SLO
+from repro.observability.timeseries import MetricsSampler
+from repro.persistence import FSYNC_OWED_AFTER, DurabilityConfig, EventLog
 
 HIGH = 'SELECT "high" MATCHING kinect_t(rhand_y > 450);'
 
 CONFIG = WatchdogConfig(
-    interval_seconds=0.05,
     stall_after_seconds=1.0,
     saturation_ratio=0.9,
     saturation_after_seconds=1.0,
     fsync_stall_seconds=1.0,
 )
-
-
-class ScriptedShards:
-    """A liveness source whose rows the test mutates between checks."""
-
-    def __init__(self, *rows):
-        self.rows = list(rows)
-
-    def __call__(self):
-        return [dict(row) for row in self.rows]
 
 
 def shard_row(shard_id=0, alive=True, backlog=0, processed=0, depth=None, capacity=None):
@@ -56,11 +50,34 @@ def shard_row(shard_id=0, alive=True, backlog=0, processed=0, depth=None, capaci
     return row
 
 
+class Rig:
+    """A sampler carrying the health rules, over scripted sources the test
+    mutates between ticks: liveness ``rows`` and durability ``counters``."""
+
+    def __init__(self, *rows, fsync_owed_after=None, capacity=512):
+        self.rows = [dict(row) for row in rows]
+        self.counters = {"entries_appended": 0.0, "fsyncs": 0.0}
+        self.watchdog = HealthWatchdog(CONFIG, fsync_owed_after=fsync_owed_after)
+        self.sampler = MetricsSampler(capacity=capacity, evaluators=(self.watchdog,))
+        self.sampler.add_source(LIVENESS_PREFIX, lambda: liveness_reading(self.rows))
+        self.sampler.add_source("durability.", lambda: dict(self.counters))
+
+    def at(self, now):
+        self.sampler.sample_once(now=now)
+        return self.watchdog.report()
+
+
+def make_frames(count=60):
+    return [
+        {"ts": index * 0.01, "player": 1 + index % 3, "rhand_y": 500.0}
+        for index in range(count)
+    ]
+
+
 class TestWatchdogConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"interval_seconds": 0.0},
             {"stall_after_seconds": 0.0},
             {"saturation_ratio": 0.0},
             {"saturation_ratio": 1.5},
@@ -73,25 +90,29 @@ class TestWatchdogConfig:
             WatchdogConfig(**kwargs)
 
 
-class TestShardChecks:
-    def make(self, *rows):
-        watchdog = HealthWatchdog(CONFIG)
-        source = ScriptedShards(*rows)
-        watchdog.add_liveness_source(source)
-        return watchdog, source
+class TestLivenessReading:
+    def test_rows_flatten_under_their_shard_id(self):
+        reading = liveness_reading([shard_row(shard_id=3, backlog=2, processed=7)])
+        assert reading == {
+            "3.alive": 1.0,
+            "3.backlog": 2.0,
+            "3.tuples_processed": 7.0,
+        }
 
+
+class TestShardChecks:
     def test_progressing_shard_is_ok(self):
-        watchdog, source = self.make(shard_row(backlog=5, processed=10))
-        assert watchdog.check(now=0.0).ok
-        source.rows[0]["tuples_processed"] = 20
+        rig = Rig(shard_row(backlog=5, processed=10))
+        assert rig.at(0.0).ok
+        rig.rows[0]["tuples_processed"] = 20
         for now in (1.0, 2.0, 3.0):
-            source.rows[0]["tuples_processed"] += 10
-            assert watchdog.check(now=now).ok
+            rig.rows[0]["tuples_processed"] += 10
+            assert rig.at(now).ok
 
     def test_stalled_shard_degrades_then_goes_unhealthy(self):
-        watchdog, _ = self.make(shard_row(shard_id=2, backlog=7, processed=10))
-        assert watchdog.check(now=0.0).ok
-        report = watchdog.check(now=1.5)
+        rig = Rig(shard_row(shard_id=2, backlog=7, processed=10))
+        assert rig.at(0.0).ok
+        report = rig.at(1.5)
         assert report.status == "degraded"
         (reason,) = report.reasons
         assert reason.code == "shard-stalled"
@@ -99,28 +120,28 @@ class TestShardChecks:
         assert "shard-2" in reason.detail
         assert reason.data["backlog"] == 7
         # 3x the stall window with still no progress: unhealthy.
-        report = watchdog.check(now=3.5)
+        report = rig.at(3.5)
         assert report.status == "unhealthy"
 
     def test_progress_resets_the_stall_clock(self):
-        watchdog, source = self.make(shard_row(backlog=7, processed=10))
-        watchdog.check(now=0.0)
-        source.rows[0]["tuples_processed"] = 11
-        assert watchdog.check(now=1.5).ok
+        rig = Rig(shard_row(backlog=7, processed=10))
+        rig.at(0.0)
+        rig.rows[0]["tuples_processed"] = 11
+        assert rig.at(1.5).ok
         # Frozen again, but the mark was refreshed at 1.5.
-        assert watchdog.check(now=2.0).ok
-        assert watchdog.check(now=2.7).status == "degraded"
+        assert rig.at(2.0).ok
+        assert rig.at(2.7).status == "degraded"
 
     def test_idle_shard_never_stalls(self):
         # Backlog zero with a frozen processed counter is idle, not stuck —
         # exactly what a paused replay looks like.
-        watchdog, _ = self.make(shard_row(backlog=0, processed=1000))
+        rig = Rig(shard_row(backlog=0, processed=1000))
         for now in (0.0, 5.0, 50.0, 500.0):
-            assert watchdog.check(now=now).ok
+            assert rig.at(now).ok
 
     def test_dead_shard_with_backlog_is_unhealthy(self):
-        watchdog, _ = self.make(shard_row(shard_id=1, alive=False, backlog=3))
-        report = watchdog.check(now=0.0)
+        rig = Rig(shard_row(shard_id=1, alive=False, backlog=3))
+        report = rig.at(0.0)
         assert report.status == "unhealthy"
         (reason,) = report.reasons
         assert reason.code == "shard-dead"
@@ -128,194 +149,245 @@ class TestShardChecks:
 
     def test_dead_drained_shard_is_ok(self):
         # A worker that exited with nothing pending (clean shutdown).
-        watchdog, _ = self.make(shard_row(alive=False, backlog=0))
-        assert watchdog.check(now=0.0).ok
+        rig = Rig(shard_row(alive=False, backlog=0))
+        assert rig.at(0.0).ok
 
     def test_saturated_queue_degrades_after_sustained_window(self):
-        row = shard_row(backlog=90, processed=10, depth=95, capacity=100)
-        watchdog, source = self.make(row)
-        watchdog.check(now=0.0)
-        source.rows[0]["tuples_processed"] = 50  # progressing, just full
-        report = watchdog.check(now=1.5)
+        rig = Rig(shard_row(backlog=90, processed=10, depth=95, capacity=100))
+        rig.at(0.0)
+        rig.rows[0]["tuples_processed"] = 50  # progressing, just full
+        report = rig.at(1.5)
         codes = {reason.code for reason in report.reasons}
         assert "queue-saturated" in codes
         assert report.status == "degraded"
         # Queue drains: the saturation clock resets.
-        source.rows[0]["queue_depth"] = 10
-        source.rows[0]["tuples_processed"] = 90
-        assert watchdog.check(now=2.0).ok
-        source.rows[0]["queue_depth"] = 95
-        source.rows[0]["tuples_processed"] = 130
-        assert watchdog.check(now=2.5).ok  # newly saturated, not sustained
+        rig.rows[0]["queue_depth"] = 10
+        rig.rows[0]["tuples_processed"] = 90
+        assert rig.at(2.0).ok
+        rig.rows[0]["queue_depth"] = 95
+        rig.rows[0]["tuples_processed"] = 130
+        assert rig.at(2.5).ok  # newly saturated, not sustained
+
+    def test_a_stall_outliving_the_series_is_timed_in_full(self):
+        # Four points of history, thirty seconds of stall: the progress
+        # mark is evaluator state, so the stuck time is not capped.
+        rig = Rig(shard_row(backlog=7, processed=10), capacity=4)
+        for now in range(31):
+            report = rig.at(float(now))
+        (reason,) = report.reasons
+        assert reason.data["stuck_seconds"] == 30.0
+        assert len(rig.sampler.get(LIVENESS_PREFIX + "0.backlog")) == 4
 
     def test_raising_source_counts_not_crashes(self):
-        watchdog = HealthWatchdog(CONFIG)
-        watchdog.add_liveness_source(lambda: (_ for _ in ()).throw(RuntimeError()))
-        assert watchdog.check(now=0.0).ok
-        assert watchdog.source_errors == 1
+        rig = Rig()
+        rig.sampler.add_source(
+            LIVENESS_PREFIX, lambda: (_ for _ in ()).throw(RuntimeError())
+        )
+        assert rig.at(0.0).ok
+        assert rig.sampler.source_errors == 1
 
 
 class TestFsyncChecks:
     def test_appends_without_fsyncs_degrade(self):
-        counters = {"entries_appended": 0, "fsyncs": 0}
-        watchdog = HealthWatchdog(CONFIG)
-        watchdog.add_durability_source(lambda: dict(counters))
-        assert watchdog.check(now=0.0).ok
-        counters["entries_appended"] = 50  # appends flowing, fsync frozen
-        assert watchdog.check(now=0.5).ok  # mark set at 0.5
-        report = watchdog.check(now=2.0)
+        # fsync="always": one append past the last fsync is already owed.
+        rig = Rig(fsync_owed_after=FSYNC_OWED_AFTER["always"])
+        assert rig.at(0.0).ok
+        rig.counters["entries_appended"] = 50  # appends flowing, fsync frozen
+        assert rig.at(0.5).ok  # owed from 0.5, not yet overdue
+        report = rig.at(2.0)
         assert report.status == "degraded"
         (reason,) = report.reasons
         assert reason.code == "fsync-stalled"
         assert reason.subject == "durability"
+        assert reason.data["appends_pending"] == 50
 
     def test_advancing_fsyncs_stay_ok(self):
-        counters = {"entries_appended": 0, "fsyncs": 0}
-        watchdog = HealthWatchdog(CONFIG)
-        watchdog.add_durability_source(lambda: dict(counters))
+        rig = Rig(fsync_owed_after=FSYNC_OWED_AFTER["always"])
         for now in (0.0, 1.0, 2.0, 3.0):
-            counters["entries_appended"] += 10
-            counters["fsyncs"] += 1
-            assert watchdog.check(now=now).ok
+            rig.counters["entries_appended"] += 10
+            rig.counters["fsyncs"] += 1
+            assert rig.at(now).ok
 
     def test_no_appends_is_idle_not_stalled(self):
-        counters = {"entries_appended": 100, "fsyncs": 7}
-        watchdog = HealthWatchdog(CONFIG)
-        watchdog.add_durability_source(lambda: dict(counters))
+        rig = Rig(fsync_owed_after=FSYNC_OWED_AFTER["always"])
+        rig.counters.update(entries_appended=100, fsyncs=7)
         for now in (0.0, 5.0, 50.0):
-            assert watchdog.check(now=now).ok
+            assert rig.at(now).ok
+
+    def test_batch_policy_owes_only_after_a_full_batch(self):
+        owed_after = FSYNC_OWED_AFTER["batch"]
+        rig = Rig(fsync_owed_after=owed_after)
+        for now in range(owed_after):  # one append a second, no fsync due
+            rig.counters["entries_appended"] = float(now)
+            assert rig.at(float(now)).ok
+        rig.counters["entries_appended"] = float(owed_after)  # now one is due
+        assert rig.at(100.0).ok
+        assert rig.at(101.5).status == "degraded"
+
+    def test_rotate_policy_owes_nothing_the_counters_show(self):
+        rig = Rig(fsync_owed_after=FSYNC_OWED_AFTER["rotate"])
+        rig.at(0.0)
+        rig.counters["entries_appended"] = 10_000
+        for now in (1.0, 10.0, 100.0):
+            assert rig.at(now).ok
 
 
-class TestProbesAndReport:
-    def test_probe_reasons_fold_into_status(self):
-        watchdog = HealthWatchdog(CONFIG)
-        watchdog.add_probe(
-            lambda: [
-                HealthReason(
-                    code="consumer-slow",
-                    severity="degraded",
-                    subject="gateway",
-                    detail="2 slow detection consumers",
-                )
-            ]
-        )
-        report = watchdog.check(now=0.0)
-        assert report.status == "degraded"
-        assert report.reasons[0].code == "consumer-slow"
-
+class TestReport:
     def test_worst_severity_wins(self):
-        watchdog = HealthWatchdog(CONFIG)
-        watchdog.add_probe(
-            lambda: [
-                HealthReason("a", "degraded", "x", ""),
-                HealthReason("b", "unhealthy", "y", ""),
-            ]
+        rig = Rig(
+            shard_row(shard_id=0, backlog=7, processed=10),
+            shard_row(shard_id=1, alive=False, backlog=3),
         )
-        assert watchdog.check(now=0.0).status == "unhealthy"
+        rig.at(0.0)
+        report = rig.at(1.5)
+        assert {reason.severity for reason in report.reasons} == {"degraded", "unhealthy"}
+        assert report.status == "unhealthy"
 
     def test_report_to_dict_shape(self):
-        watchdog = HealthWatchdog(CONFIG)
-        body = watchdog.check(now=0.0).to_dict()
+        body = Rig().at(0.0).to_dict()
         assert body["status"] == "ok"
         assert body["reasons"] == []
         assert body["checks"] == 1
 
     def test_report_never_blocks_on_sources(self):
-        gate = threading.Event()
+        rig = Rig()
+        entered, gate = threading.Event(), threading.Event()
 
         def slow_source():
+            entered.set()
             gate.wait(5.0)
-            return []
+            return {}
 
-        watchdog = HealthWatchdog(CONFIG)
-        watchdog.add_liveness_source(slow_source)
-        started = time.perf_counter()
-        report = watchdog.report()  # cached, must not call the source
-        assert time.perf_counter() - started < 1.0
-        assert isinstance(report, HealthReport)
-        gate.set()
-
-    def test_background_thread_is_named(self):
-        watchdog = HealthWatchdog(CONFIG)
-        watchdog.start()
+        rig.sampler.add_source("slow.", slow_source)
+        ticker = threading.Thread(
+            target=rig.sampler.sample_once, kwargs={"now": 0.0}, name="test-ticker"
+        )
+        ticker.start()
         try:
-            assert watchdog.running
-            assert "repro-health-watchdog" in {
-                thread.name for thread in threading.enumerate()
-            }
+            assert entered.wait(5.0)
+            started = time.perf_counter()
+            report = rig.watchdog.report()  # published, must not join the tick
+            assert time.perf_counter() - started < 1.0
+            assert isinstance(report, HealthReport)
         finally:
-            watchdog.stop()
-        assert not watchdog.running
+            gate.set()
+            ticker.join(timeout=5.0)
+        assert not ticker.is_alive()
 
 
 class TestSessionIntegration:
-    def watchdog_config(self):
-        return WatchdogConfig(
-            interval_seconds=0.05,
-            stall_after_seconds=0.3,
-            saturation_after_seconds=0.3,
-            fsync_stall_seconds=5.0,
+    def config(self, **kwargs):
+        # An hour-long beat: the sampler thread never ticks mid-test, so
+        # sample_once(now=...) is the only clock the rules see.
+        return SessionConfig(
+            sample_interval_seconds=3600.0, watchdog=WatchdogConfig(), **kwargs
         )
 
-    def test_forced_stall_degrades_naming_the_shard(self):
-        config = SessionConfig(shards=2, watchdog=self.watchdog_config())
+    def test_a_watched_session_runs_one_polling_thread(self):
+        def named(name):
+            return sum(thread.name == name for thread in threading.enumerate())
+
+        slo = SLO.latency("p99", "hist.ingest_to_detection.p99_seconds", 0.25)
+        before = named("repro-metrics-sampler")
+        config = SessionConfig(shards=2, slos=(slo,), watchdog=WatchdogConfig())
         with GestureSession(config) as session:
+            assert named("repro-metrics-sampler") == before + 1
+            assert named("repro-health-watchdog") == 0
+            assert session.sampler.interval_seconds == 0.5
+            assert session.sampler.evaluators == (session.slo_evaluator, session.watchdog)
+        assert named("repro-metrics-sampler") == before
+
+    def test_watchdog_alone_implies_the_default_beat(self):
+        with GestureSession(SessionConfig(watchdog=WatchdogConfig())) as session:
+            assert session.sampler.running
+            assert session.sampler.interval_seconds == 0.5
+            assert session.sampler.evaluators == (session.watchdog,)
+            assert session.health().checks == 1  # first read takes a real tick
+
+    def test_forced_stall_degrades_naming_the_shard(self):
+        with GestureSession(self.config(shards=2)) as session:
             session.deploy(HIGH)
-            # Forced stall: a poisoned liveness reading reports shard 9
-            # (a subject the real source does not refresh) with backlog
-            # and a frozen processed counter.
-            session.watchdog.add_liveness_source(
-                lambda: [shard_row(shard_id=9, backlog=9, processed=42)]
+            # Forced stall: an extra liveness source reports shard 9 (a
+            # subject the real rows never refresh) with backlog and a
+            # frozen processed counter.
+            session.sampler.add_source(
+                LIVENESS_PREFIX,
+                lambda: liveness_reading([shard_row(shard_id=9, backlog=9, processed=42)]),
             )
-            deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline:
-                report = session.health()
-                if report.status == "degraded":
-                    break
-                time.sleep(0.05)
+            session.sampler.sample_once(now=0.0)
+            assert session.health().ok
+            session.sampler.sample_once(now=6.0)
+            report = session.health()
             assert report.status == "degraded"
-            subjects = {reason.subject for reason in report.reasons}
-            assert "shard-9" in subjects
+            assert {reason.subject for reason in report.reasons} == {"shard-9"}
+            session.sampler.sample_once(now=16.0)
+            assert session.health().status == "unhealthy"
 
     def test_live_session_reports_ok(self):
-        config = SessionConfig(shards=2, watchdog=self.watchdog_config())
-        with GestureSession(config) as session:
+        with GestureSession(self.config(shards=2)) as session:
             session.deploy(HIGH)
-            frames = [
-                {"ts": index * 0.01, "player": 1 + index % 3, "rhand_y": 500.0}
-                for index in range(60)
-            ]
-            session.feed(frames, stream="kinect_t")
+            session.feed(make_frames(), stream="kinect_t")
             session.drain()
-            time.sleep(0.5)  # several watchdog beats over the idle pipeline
-            report = session.health()
-            assert report.ok, report.to_dict()
+            for now in (0.0, 6.0, 20.0):  # beats over the idle pipeline
+                session.sampler.sample_once(now=now)
+                report = session.health()
+                assert report.ok, report.to_dict()
+            assert session.sampler.get(LIVENESS_PREFIX + "1.tuples_processed").latest() > 0
 
     def test_paused_replay_is_not_a_stall(self, tmp_path):
         # A watched durable session records a feed, then replays its own
         # log with the controller paused mid-stream: the watched pipeline
         # idles and must stay ok well beyond the stall window (the
         # ReplayController.pause() case).
-        from repro.persistence import DurabilityConfig
-
-        config = SessionConfig(watchdog=self.watchdog_config())
         durability = DurabilityConfig(tmp_path / "log")
-        with GestureSession(config, durability=durability) as session:
+        with GestureSession(self.config(shards=2), durability=durability) as session:
             session.deploy(HIGH)
-            frames = [
-                {"ts": index * 0.01, "player": 1 + index % 3, "rhand_y": 500.0}
-                for index in range(60)
-            ]
+            frames = make_frames()
             # Feed in chunks: each chunk is one log entry, so the replay
             # below can pause with entries still pending.
-            for start in range(0, len(frames), 6):
+            for second, start in enumerate(range(0, len(frames), 6)):
                 session.feed(frames[start : start + 6], stream="kinect_t")
+                session.drain()
+                session.sampler.sample_once(now=float(second))
             controller = session.replay(config=SessionConfig())
             applied = controller.step(3)
             assert applied > 0
             controller.pause()
             assert not controller.finished
-            time.sleep(1.2)  # 4x the stall window while paused
-            report = session.health()
-            assert report.ok, report.to_dict()
+            for now in (10.0, 20.0, 30.0):  # 4x the stall window while paused
+                session.sampler.sample_once(now=now)
+                report = session.health()
+                assert report.ok, report.to_dict()
             controller.target.close()
+
+    @pytest.mark.parametrize("fsync", ["rotate", "batch"])
+    def test_healthy_log_fed_once_a_second_stays_ok(self, tmp_path, fsync):
+        durability = DurabilityConfig(tmp_path / "log", fsync=fsync)
+        frames = make_frames()
+        with GestureSession(self.config(), durability=durability) as session:
+            session.deploy(HIGH)
+            for second in range(11):
+                session.feed(frames[second * 5 : second * 5 + 5], stream="kinect_t")
+                session.sampler.sample_once(now=float(second))
+                report = session.health()
+                assert report.ok, report.to_dict()
+            # Appends ran ahead of fsyncs all along, as both policies allow.
+            counters = session.metrics.durability.snapshot()
+            assert counters["entries_appended"] >= 11
+            assert counters["fsyncs"] == 0
+
+    def test_always_log_whose_fsyncs_freeze_degrades(self, tmp_path, monkeypatch):
+        durability = DurabilityConfig(tmp_path / "log", fsync="always")
+        with GestureSession(self.config(), durability=durability) as session:
+            session.deploy(HIGH)
+            session.sampler.sample_once(now=0.0)
+            monkeypatch.setattr(EventLog, "_fsync", lambda self: None)
+            session.feed(make_frames(6), stream="kinect_t")  # owes an fsync it never issues
+            session.sampler.sample_once(now=1.0)
+            assert session.health().ok  # owed, not yet overdue
+            session.sampler.sample_once(now=7.0)
+            report = session.health()
+            assert report.status == "degraded"
+            (reason,) = report.reasons
+            assert reason.code == "fsync-stalled"
+            assert reason.subject == "durability"

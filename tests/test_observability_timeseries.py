@@ -78,19 +78,10 @@ class TestTimeSeries:
         assert series.delta(10.0, now=1.0) == 7.0
         assert series.rate(10.0, now=1.0) == pytest.approx(7.0)
 
-    def test_mean_and_max(self):
-        series = TimeSeries("g")
-        for step, value in enumerate((1.0, 3.0, 5.0)):
-            series.append(value, timestamp=float(step))
-        assert series.mean(10.0, now=2.0) == pytest.approx(3.0)
-        assert series.max(10.0, now=2.0) == 5.0
-
     def test_empty_window_queries_are_zero(self):
         series = TimeSeries("s")
         assert series.delta(5.0) == 0.0
         assert series.rate(5.0) == 0.0
-        assert series.mean(5.0) == 0.0
-        assert series.max(5.0) == 0.0
 
     @pytest.mark.parametrize("kwargs", [{"capacity": 1}, {"capacity": 0}])
     def test_invalid_construction_rejected(self, kwargs):
@@ -136,13 +127,18 @@ class TestMetricsSampler:
         seen = []
 
         class Recorder:
-            def evaluate(self, sampler, now=None):
-                seen.append((sampler, now))
+            def __init__(self, label):
+                self.label = label
 
-        sampler = MetricsSampler(interval_seconds=0.1, evaluator=Recorder())
-        sampler.add_source("", lambda: {"v": 1.0})
+            def evaluate(self, sampler, now=None):
+                seen.append((self.label, dict(sampler.reading), now))
+
+        sampler = MetricsSampler(
+            interval_seconds=0.1, evaluators=(Recorder("a"), Recorder("b"))
+        )
+        sampler.add_source("x.", lambda: {"v": 1.0})
         sampler.sample_once(now=5.0)
-        assert seen == [(sampler, 5.0)]
+        assert seen == [("a", {"x.v": 1.0}, 5.0), ("b", {"x.v": 1.0}, 5.0)]
 
     def test_background_thread_is_named_and_stops(self):
         sampler = MetricsSampler(interval_seconds=0.02)

@@ -34,8 +34,8 @@ Eight rules, all born from real failure modes of this codebase:
 
 ``RL004`` — every background thread is constructed with ``name=``
     The sampling profiler uses the thread name as the root of every
-    collapsed stack, the watchdog and sampler name themselves in health
-    reports, and ``threading.enumerate()`` dumps are how stalls get
+    collapsed stack, tests count a session's control-plane threads by
+    name, and ``threading.enumerate()`` dumps are how stalls get
     debugged — an anonymous ``Thread-7`` is unattributable in all three.
     Every ``threading.Thread(...)`` constructed under ``src/repro`` must
     pass a ``name=`` keyword (``repro-<role>`` by convention).
