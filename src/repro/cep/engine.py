@@ -16,7 +16,19 @@ Data path
 Predicates of deployed queries are compiled to closures through an
 engine-wide :class:`~repro.cep.expressions.CompiledPredicateCache`, so
 identical predicates generated by the learner are lowered once and shared
-across queries.  Tuples reach matchers on one of two paths:
+across queries.  Each stream that deployed queries read has **one**
+subscription, and one :class:`~repro.cep.index.StepIndex` over the steps of
+every query on it, built on the first tuple after a deploy, undeploy or
+``restore_state``.  Per tuple (or per chunk) the subscription computes the
+index verdicts and event times once, then visits the queries in deploy
+order: each keeps its own matcher, ``MatcherStats``, ``matcher:<name>``
+span, profiler tag and sinks, and a query whose gate bit is clear and whose
+player holds no runs is only counted (:meth:`NFAMatcher.skip`).  A tuple
+the index cannot read (a missing or non-numeric field) falls back to every
+query's closures, and so does a stream where the index would answer no
+query's gate: there a lookup per tuple would buy nothing.  A query that raises costs only itself, as a separate
+subscription would: the rest still get the tuple, the producer sees the
+first error.  Tuples reach matchers on one of two paths:
 
 * per-tuple (:meth:`CEPEngine.push`, and :meth:`CEPEngine.push_many`
   without a ``batch_size``): every tuple fans out to all subscribers
@@ -59,12 +71,14 @@ snapshot, so detections can be read while a worker thread is emitting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import (
-    Any, Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Protocol, Sequence, Union
+    Any, Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Protocol, Sequence, Tuple,
+    Union,
 )
 
 from repro.cep.expressions import CompiledPredicateCache
+from repro.cep.index import ALWAYS, StepIndex
 from repro.cep.matcher import Detection, MatcherConfig, NFAMatcher
 from repro.cep.nfa import compile_pattern
 from repro.cep.parser import parse_query
@@ -146,8 +160,9 @@ class DeployedQuery:
     matcher: NFAMatcher
     sink: FanOutSink
     collector: CollectingSink
-    subscriptions: List[Subscription] = field(default_factory=list)
     enabled: bool = True
+    #: False once undeployed, so a delivery already under way skips it.
+    active: bool = True
 
     def detections(self, partition: Any = _UNSET) -> List[Detection]:
         """All detections collected so far for this query.
@@ -290,6 +305,23 @@ class Taps:
             tap(op, payload)
 
 
+#: One query as a stream's fan-out visits it: the query, its matcher, its gate
+#: bit, partition field, run table and timestamp field.
+_Member = Tuple[DeployedQuery, NFAMatcher, int, Optional[str], Dict[Any, Any], str]
+
+
+class _Fanout:
+    """A stream's one subscription: the queries reading it, in deploy order,
+    and the index over their steps (``members`` is ``None`` until the first
+    tuple after they changed)."""
+
+    def __init__(self) -> None:
+        self.queries: List[DeployedQuery] = []
+        self.subscription: Optional[Subscription] = None
+        self.members: Optional[Tuple[_Member, ...]] = None
+        self.index = StepIndex(())
+
+
 class CEPEngine(Taps):
     """A single-node complex event processing engine.
 
@@ -323,6 +355,8 @@ class CEPEngine(Taps):
         self.functions = default_functions()
         self.compile_cache = CompiledPredicateCache(self.functions)
         self._queries: Dict[str, DeployedQuery] = {}
+        #: One subscription per stream the deployed queries read.
+        self._fanouts: Dict[str, _Fanout] = {}
         self._views: Dict[str, View] = {}
         self.tuples_processed = 0
         #: Optional :class:`repro.observability.Telemetry`; when set and
@@ -583,82 +617,152 @@ class CEPEngine(Taps):
         )
 
         for stream_name in referenced:
-            stream = self.streams.get(stream_name)
-            subscription = stream.subscribe(
-                self._make_handler(deployed, stream_name),
-                name=f"query:{registration_name}",
-                batch_callback=self._make_batch_handler(deployed, stream_name),
-            )
-            deployed.subscriptions.append(subscription)
+            fanout = self._fanouts.get(stream_name)
+            if fanout is None:
+                fanout = self._fanouts[stream_name] = _Fanout()
+                fanout.subscription = self.streams.get(stream_name).subscribe(
+                    self._make_handler(stream_name, fanout),
+                    name=f"queries:{stream_name}",
+                    batch_callback=self._make_batch_handler(stream_name, fanout),
+                )
+            fanout.queries.append(deployed)
+            fanout.members = None
 
         self._queries[registration_name] = deployed
         self._notify_control("deploy", {"name": registration_name, "text": query.to_query()})
         return deployed
 
-    def _make_handler(
-        self, deployed: DeployedQuery, stream_name: str
-    ) -> Callable[[Mapping[str, Any]], None]:
-        matcher = deployed.matcher
-        name = deployed.name
-        span_name = f"matcher:{name}"
-        timestamp_field = matcher.config.timestamp_field
-        sink = deployed.sink
+    def _bind(self, stream_name: str, fanout: _Fanout) -> Tuple[_Member, ...]:
+        """(Re)build ``fanout``'s index and bind every query on it."""
+        matchers = [deployed.matcher for deployed in fanout.queries]
+        index = StepIndex(atoms for matcher in matchers for atoms in matcher.indexable_steps(stream_name))
+        gates = [matcher.bind_index(stream_name, index) for matcher in matchers]
+        if all(gate in (0, ALWAYS) for gate in gates):
+            # The lookup costs every tuple and pays off by answering gates;
+            # with none to answer, the few later-step verdicts stay closures.
+            index = StepIndex(())
+            gates = [matcher.bind_index(stream_name, index) for matcher in matchers]
+        fanout.index = index
+        fanout.members = tuple(
+            (
+                deployed,
+                deployed.matcher,
+                gate,
+                deployed.matcher.config.partition_field,
+                deployed.matcher._partitions,  # read in place, never replaced
+                deployed.matcher.config.timestamp_field,
+            )
+            for deployed, gate in zip(fanout.queries, gates)
+        )
+        return fanout.members
 
+    def _failed(
+        self,
+        stream_name: str,
+        deployed: DeployedQuery,
+        error: Exception,
+        first: Optional[Exception],
+    ) -> Exception:
+        """Record a query's failure as its own subscription's would be, and
+        return the error to raise once every query had the delivery."""
+        self.streams.get(stream_name).record_failure(f"query:{deployed.name}", error)
+        return first or error
+
+    def _make_handler(
+        self, stream_name: str, fanout: _Fanout
+    ) -> Callable[[Mapping[str, Any]], None]:
         def handle(record: Mapping[str, Any]) -> None:
-            if not deployed.enabled:
-                return
-            span = None
+            members = fanout.members or self._bind(stream_name, fanout)
+            index = fanout.index
+            verdicts = index.lookup(record) if index.fields else None
+            probe = -1 if verdicts is None else verdicts
             telemetry = self.telemetry
-            if telemetry is not None and telemetry.tracing_active:
-                span = telemetry.tracer.span(span_name, "matcher", current_context())
-            timestamp = record.get(timestamp_field)
-            tag_query(name)
-            try:
-                detections = matcher.process(
-                    record,
-                    stream_name,
-                    timestamp=float(timestamp) if timestamp is not None else self.clock.now(),
-                )
-            finally:
-                untag_query()
-            if span is not None:
-                span.close(tuples=1, detections=len(detections))
-            for detection in detections:
-                sink.emit(detection)
+            context = (
+                current_context() if telemetry is not None and telemetry.tracing_active else None
+            )
+            times: Dict[str, float] = {}
+            first: Optional[Exception] = None
+            for deployed, matcher, gate, field, partitions, timestamp_field in members:
+                if not (deployed.enabled and deployed.active):
+                    continue
+                try:
+                    timestamp = times.get(timestamp_field)
+                    if timestamp is None:
+                        value = record.get(timestamp_field)
+                        timestamp = times[timestamp_field] = (
+                            float(value) if value is not None else self.clock.now()
+                        )
+                    # A traced tuple keeps one span per query: no skipping then.
+                    if not (
+                        probe & gate
+                        or context is not None
+                        or (record.get(field) in partitions if field is not None else partitions)
+                    ):
+                        matcher.skip(stream_name, timestamp)
+                        continue
+                    span = None
+                    if context is not None:
+                        span = telemetry.tracer.span(f"matcher:{deployed.name}", "matcher", context)
+                    tag_query(deployed.name)
+                    try:
+                        detections = matcher.process(record, stream_name, timestamp, verdicts)
+                    finally:
+                        untag_query()
+                    if span is not None:
+                        span.close(tuples=1, detections=len(detections))
+                    for detection in detections:
+                        deployed.sink.emit(detection)
+                except Exception as error:  # noqa: BLE001 — isolate, deliver to the rest
+                    first = self._failed(stream_name, deployed, error, first)
+            if first is not None:
+                raise first
 
         return handle
 
     def _make_batch_handler(
-        self, deployed: DeployedQuery, stream_name: str
+        self, stream_name: str, fanout: _Fanout
     ) -> Callable[[Sequence[Mapping[str, Any]]], None]:
-        matcher = deployed.matcher
-        name = deployed.name
-        span_name = f"matcher:{name}"
-        timestamp_field = matcher.config.timestamp_field
-        sink = deployed.sink
-
         def handle_batch(records: Sequence[Mapping[str, Any]]) -> None:
-            if not deployed.enabled:
-                return
-            span = None
+            members = fanout.members or self._bind(stream_name, fanout)
+            lookup = fanout.index.lookup
+            verdicts = [lookup(record) for record in records] if fanout.index.fields else None
             telemetry = self.telemetry
-            if telemetry is not None and telemetry.tracing_active:
-                span = telemetry.tracer.span(span_name, "matcher", current_context())
-            timestamps = []
-            for record in records:
-                value = record.get(timestamp_field)
-                timestamps.append(float(value) if value is not None else self.clock.now())
-            tag_query(name)
-            try:
-                detections = matcher.process_batch(
-                    records, stream_name, timestamps=timestamps
-                )
-            finally:
-                untag_query()
-            if span is not None:
-                span.close(tuples=len(records), detections=len(detections))
-            for detection in detections:
-                sink.emit(detection)
+            context = (
+                current_context() if telemetry is not None and telemetry.tracing_active else None
+            )
+            times: Dict[str, List[float]] = {}
+            first: Optional[Exception] = None
+            for deployed, matcher, _, _, _, timestamp_field in members:
+                if not (deployed.enabled and deployed.active):
+                    continue
+                try:
+                    timestamps = times.get(timestamp_field)
+                    if timestamps is None:
+                        timestamps = []
+                        for record in records:
+                            value = record.get(timestamp_field)
+                            timestamps.append(
+                                float(value) if value is not None else self.clock.now()
+                            )
+                        times[timestamp_field] = timestamps
+                    span = None
+                    if context is not None:
+                        span = telemetry.tracer.span(f"matcher:{deployed.name}", "matcher", context)
+                    tag_query(deployed.name)
+                    try:
+                        detections = matcher.process_batch(
+                            records, stream_name, timestamps, verdicts
+                        )
+                    finally:
+                        untag_query()
+                    if span is not None:
+                        span.close(tuples=len(records), detections=len(detections))
+                    for detection in detections:
+                        deployed.sink.emit(detection)
+                except Exception as error:  # noqa: BLE001 — isolate, deliver to the rest
+                    first = self._failed(stream_name, deployed, error, first)
+            if first is not None:
+                raise first
 
         return handle_batch
 
@@ -666,9 +770,14 @@ class CEPEngine(Taps):
         """Remove a deployed query and detach it from its streams."""
         deployed = self.get_query(name)
         del self._queries[name]
-        for subscription in deployed.subscriptions:
-            subscription.cancel()
-        deployed.subscriptions.clear()
+        deployed.active = False
+        for stream_name in deployed.query.streams():
+            fanout = self._fanouts[stream_name]
+            fanout.queries.remove(deployed)
+            fanout.members = None
+            if not fanout.queries:
+                fanout.subscription.cancel()
+                del self._fanouts[stream_name]
         self._notify_control("undeploy", {"name": name})
 
     def get_query(self, name: str) -> DeployedQuery:
@@ -847,6 +956,8 @@ class CEPEngine(Taps):
             if callable(restore):
                 restore(transformer_state)
         self.tuples_processed = int(state.get("tuples_processed", 0))
+        for fanout in self._fanouts.values():
+            fanout.members = None
         self._notify_control("restore", {})
 
     def __repr__(self) -> str:

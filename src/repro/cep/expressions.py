@@ -281,6 +281,9 @@ _COMPARISON_OPS: Dict[str, Callable[[Any, Any], Any]] = {
 #: apart: (field, centre, comparison, bound).
 _WindowAtom = Tuple[str, Any, Callable[[Any, Any], Any], Any]
 
+#: A window atom, or ``field <op> literal`` with centre ``None``.
+_IntervalAtom = Tuple[str, Optional[Any], Callable[[Any, Any], Any], Any]
+
 
 def _compile_windows(atoms: Tuple[_WindowAtom, ...]) -> CompiledExpression:
     """One closure for a conjunction of pose-window atoms, tested in order."""
@@ -384,6 +387,16 @@ class Comparison(Expression):
             return None
         center = inner.right.value if inner.operator == "-" else -inner.right.value
         return inner.left.name, center, _COMPARISON_OPS[self.operator], self.right.value
+
+    def interval_atom(self, functions: Optional["FunctionRegistry"]) -> Optional[_IntervalAtom]:
+        """``(field, centre, comparison, bound)`` for the two shapes whose
+        compiled closure is ``comparison(abs(record[field] - centre), bound)``
+        (the pose window, :meth:`_window_atom`) or ``comparison(record[field],
+        bound)`` (centre ``None``); ``None`` for every other shape.  These are
+        the atoms :mod:`repro.cep.index` answers by bisection."""
+        if isinstance(self.left, FieldRef) and isinstance(self.right, Literal):
+            return self.left.name, None, _COMPARISON_OPS[self.operator], self.right.value
+        return self._window_atom(functions)
 
     def to_query(self) -> str:
         return f"{self.left.to_query()} {self.operator} {self.right.to_query()}"
@@ -567,21 +580,33 @@ class CompiledPredicateCache:
 
     def __init__(self, functions: Optional["FunctionRegistry"] = None) -> None:
         self.functions = functions
-        self._compiled: Dict[str, CompiledExpression] = {}
+        self._compiled: Dict[str, Tuple[CompiledExpression, Optional[Tuple[Any, ...]]]] = {}
         self.hits = 0
         self.misses = 0
 
     def compile(self, expression: Expression) -> CompiledExpression:
         """Return the (possibly shared) compiled form of ``expression``."""
+        return self.compile_step(expression)[0]
+
+    def compile_step(
+        self, expression: Expression
+    ) -> Tuple[CompiledExpression, Optional[Tuple[Any, ...]]]:
+        """The compiled closure of ``expression`` and the atoms a step index
+        may answer it with (:func:`repro.cep.index.step_atoms`), resolved
+        together, once per text, against the same registry."""
         key = expression.to_query()
         cached = self._compiled.get(key)
         if cached is not None:
             self.hits += 1
             return cached
+        from repro.cep.index import step_atoms
+
         self.misses += 1
-        compiled = expression.compile(self.functions)
-        self._compiled[key] = compiled
-        return compiled
+        cached = self._compiled[key] = (
+            expression.compile(self.functions),
+            step_atoms(expression, self.functions),
+        )
+        return cached
 
     def clear(self) -> None:
         """Drop all cached closures (e.g. after a UDF was re-registered)."""

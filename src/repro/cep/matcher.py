@@ -35,10 +35,16 @@ hold state only while they have live runs, so idle players cost nothing.
 Fast path
 ---------
 Step predicates are lowered to plain Python closures at construction time
-(``Expression.compile``); set ``MatcherConfig.compile_predicates=False`` to
-fall back to the interpreted ``Expression.evaluate`` walk (the two paths
-produce identical detections — the test suite asserts it, and only the
-per-step callable differs between them).
+(``Expression.compile``).  A matcher deployed on a
+:class:`~repro.cep.engine.CEPEngine` is also handed each tuple's *verdicts*:
+one :class:`~repro.cep.index.StepIndex` per stream answers every indexable
+step of every query on it with one ``bisect`` per field, and the step's bit
+in that mask replaces its closure (:meth:`NFAMatcher.bind_index`).  Steps
+without a bit — UDFs, disjunctions, multi-field arithmetic — and tuples the
+index cannot read (``verdicts`` is ``None``: a missing or non-numeric
+field) evaluate the closures, so errors and verdicts are the closure's
+either way.  An indexed verdict counts in ``predicate_evaluations`` exactly
+like the closure it replaces.
 
 Whether a tuple lies inside step *i*'s pose window depends on the tuple and
 the step, never on the run asking, so each partition keeps **one bucket of
@@ -51,7 +57,12 @@ step *i*.  Buckets are visited last step first, so a run that just moved is
 not looked at again and every run advances by at most one step per tuple.
 Tuples from streams that appear nowhere in the pattern short-circuit before
 any predicate is evaluated.  ``MatcherStats.predicate_evaluations`` counts
-the atoms actually evaluated: at most once per tuple and step.
+the atoms actually evaluated: at most once per tuple and step.  With
+verdicts, a tuple whose partition holds no runs and whose gate bit is clear
+can change nothing but counters: the engine calls :meth:`NFAMatcher.skip`
+for it instead of :meth:`~NFAMatcher.process`, and
+:meth:`~NFAMatcher.process_batch` passes over it after one bit test and one
+dict lookup — counting it as the gate rejection it is.
 
 Expiry is checked only when something can expire.  Each partition keeps a
 lower bound ``oldest`` on every timestamp its runs hold, and pruning returns
@@ -97,13 +108,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from itertools import repeat
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.cep.expressions import (
-    CompiledExpression,
-    CompiledPredicateCache,
-    Expression,
-)
+from repro.cep.expressions import CompiledExpression, CompiledPredicateCache
+from repro.cep.index import ALWAYS, Atom, StepIndex, step_atoms
 from repro.cep.nfa import CompiledPattern, TimeConstraint
 from repro.cep.query import ConsumePolicy, SelectPolicy
 from repro.cep.tuples import DEFAULT_PARTITION_FIELD
@@ -147,10 +156,6 @@ class MatcherConfig:
         debugging and the Fig. 5 style visual feedback) or only timestamps.
     timestamp_field:
         Tuple field carrying the event time in seconds.
-    compile_predicates:
-        Lower step predicates to closures at deploy time (default).  When
-        false the matcher interprets the expression AST per tuple — slower,
-        but byte-identical in behaviour; the tests' reference path.
     partition_field:
         Tuple field that keys the run table (default ``"player"``, the
         Kinect player id).  Runs advance, prune and consume strictly within
@@ -178,7 +183,6 @@ class MatcherConfig:
     run_ttl_seconds: Optional[float] = 10.0
     store_matched_tuples: bool = True
     timestamp_field: str = "ts"
-    compile_predicates: bool = True
     partition_field: Optional[str] = DEFAULT_PARTITION_FIELD
     partition_idle_seconds: Optional[float] = 30.0
 
@@ -384,14 +388,19 @@ class NFAMatcher:
         self._step_costs: Tuple[int, ...] = tuple(
             step.predicate.predicate_count() or 1 for step in steps
         )
-        if self.config.compile_predicates:
-            if compile_cache is not None:
-                predicates = tuple(compile_cache.compile(step.predicate) for step in steps)
-            else:
-                predicates = tuple(step.predicate.compile(self.functions) for step in steps)
+        # Per step, its closure and what a StepIndex may answer it with
+        # (None: the closure only), resolved together.
+        if compile_cache is not None:
+            compiled = [compile_cache.compile_step(step.predicate) for step in steps]
         else:
-            predicates = tuple(self._interpreted(step.predicate) for step in steps)
-        self._step_predicates: Tuple[CompiledExpression, ...] = predicates
+            compiled = [
+                (step.predicate.compile(self.functions), step_atoms(step.predicate, self.functions))
+                for step in steps
+            ]
+        self._step_predicates: Tuple[CompiledExpression, ...] = tuple(c for c, _ in compiled)
+        self._step_atoms = tuple(atoms for _, atoms in compiled)
+        self._step_bits: List[int] = [0] * len(steps)
+        self._no_bits: Tuple[int, ...] = (0,) * len(steps)
         self._first_stream = steps[0].stream
         # Per stream, the steps a run can be waiting for on it, last step
         # first: a bucket that moves lands in one already visited, so no run
@@ -487,8 +496,7 @@ class NFAMatcher:
         idle-sweep phase, and the stats counters.  Restoring the captured
         state into a matcher compiled from the same query text makes every
         subsequent detection byte-identical to an uninterrupted run — the
-        recovery tests assert it on the interpreted, compiled and batched
-        paths.
+        recovery tests assert it on the per-tuple and batched paths.
 
         Raises
         ------
@@ -583,7 +591,9 @@ class NFAMatcher:
                 part.oldest = min(part.oldest, *run.step_timestamps)
             if part.count:
                 partitions[key] = part
-        self._partitions = partitions
+        # In place: the engine's fan-out holds on to this dict.
+        self._partitions.clear()
+        self._partitions.update(partitions)
         self._run_counter = int(state["run_counter"])
         self._tuples_since_sweep = int(state["tuples_since_sweep"])
         stats_state = state.get("stats")
@@ -592,11 +602,37 @@ class NFAMatcher:
 
     # -- matching -----------------------------------------------------------------------
 
+    def indexable_steps(self, stream: str) -> List[Tuple[Atom, ...]]:
+        """The atoms of each step on ``stream`` a StepIndex can answer."""
+        return [
+            atoms
+            for step, atoms in zip(self.pattern.steps, self._step_atoms)
+            if step.stream == stream and atoms is not None
+        ]
+
+    def bind_index(self, stream: str, index: StepIndex) -> int:
+        """Answer this pattern's steps on ``stream`` from ``index``'s bits
+        from now on; return :meth:`gate`."""
+        for position, step in enumerate(self.pattern.steps):
+            if step.stream == stream:
+                atoms = self._step_atoms[position]
+                self._step_bits[position] = 0 if atoms is None else index.bits.get(atoms, 0)
+        return self.gate(stream)
+
+    def gate(self, stream: str) -> int:
+        """The bit a tuple's verdicts must carry to start a run from ``stream``:
+        0 when the pattern does not start there, and
+        :data:`~repro.cep.index.ALWAYS` when its first step has no bit."""
+        if stream != self._first_stream:
+            return 0
+        return self._step_bits[0] or ALWAYS
+
     def process(
         self,
         record: Mapping[str, Any],
         stream: str,
         timestamp: Optional[float] = None,
+        verdicts: Optional[int] = None,
     ) -> List[Detection]:
         """Feed one tuple; return the detections it completed (possibly none).
 
@@ -609,6 +645,10 @@ class NFAMatcher:
             that appear nowhere in the pattern short-circuit immediately.
         timestamp:
             Event time; defaults to the tuple's timestamp field.
+        verdicts:
+            The tuple's mask from the :class:`~repro.cep.index.StepIndex`
+            this matcher was bound to on ``stream``; ``None`` evaluates
+            every step's closure.
         """
         self.stats.tuples_processed += 1
         if stream not in self._advance_order:
@@ -621,9 +661,20 @@ class NFAMatcher:
         if part is not None:
             self._prune(part, timestamp)
         detections: List[Detection] = []
-        self._process_tuple(record, stream, timestamp, key, part, detections)
+        self._process_tuple(record, stream, timestamp, key, part, detections, verdicts)
         self._maybe_sweep(1, timestamp)
         return detections
+
+    def skip(self, stream: str, timestamp: float) -> None:
+        """Count a tuple whose verdicts lack :meth:`gate` and whose partition
+        holds no runs, exactly as :meth:`process` would have: it can change
+        nothing else."""
+        stats = self.stats
+        stats.tuples_processed += 1
+        if stream == self._first_stream:
+            stats.predicate_evaluations += self._step_costs[0]
+            stats.gate_rejections += 1
+        self._maybe_sweep(1, timestamp)
 
     def process_many(
         self,
@@ -641,6 +692,7 @@ class NFAMatcher:
         records: Sequence[Mapping[str, Any]],
         stream: str,
         timestamps: Optional[Sequence[float]] = None,
+        verdicts: Optional[Sequence[Optional[int]]] = None,
     ) -> List[Detection]:
         """Feed a chunk of tuples sharing one prune window.
 
@@ -663,6 +715,10 @@ class NFAMatcher:
         timestamps:
             Optional pre-extracted event times, parallel to ``records``;
             defaults to each tuple's timestamp field.
+        verdicts:
+            Optional index masks, parallel to ``records`` (see
+            :meth:`process`).  A tuple whose mask lacks :meth:`gate` and
+            whose partition holds no runs is only counted.
         """
         self.stats.tuples_processed += len(records)
         if not records or stream not in self._advance_order:
@@ -677,27 +733,29 @@ class NFAMatcher:
         # constraints), so under a TTL only per-tuple pruning keeps equivalence.
         prune_every_tuple = self._ttl is not None
         pruned: set = set()
-        for record, timestamp in zip(records, timestamps):
+        gate = self.gate(stream)
+        rejected = 0
+        masks = repeat(None) if verdicts is None else verdicts
+        for record, timestamp, mask in zip(records, timestamps, masks):
             key = record.get(field) if field is not None else _UNPARTITIONED
             part = partitions.get(key)
+            if part is None and mask is not None and not mask & gate:
+                # Marking ``key`` pruned is moot: pruning a partition that
+                # does not exist yet is a no-op either way.
+                rejected += 1
+                continue
             if prune_every_tuple or key not in pruned:
                 pruned.add(key)
                 if part is not None:
                     self._prune(part, timestamp)
-            self._process_tuple(record, stream, timestamp, key, part, detections)
+            self._process_tuple(record, stream, timestamp, key, part, detections, mask)
+        if stream == self._first_stream:
+            self.stats.predicate_evaluations += rejected * self._step_costs[0]
+            self.stats.gate_rejections += rejected
         self._maybe_sweep(len(records), timestamps[-1])
         return detections
 
     # -- internals -----------------------------------------------------------------------
-
-    def _interpreted(self, predicate: Expression) -> CompiledExpression:
-        """Wrap ``predicate`` in the interpreted evaluation path."""
-        functions = self.functions
-
-        def evaluate(record: Mapping[str, Any]) -> bool:
-            return bool(predicate.evaluate(record, functions))
-
-        return evaluate
 
     def _new_partition(self) -> _Partition:
         return _Partition([[] for _ in range(self._length)])
@@ -710,15 +768,19 @@ class NFAMatcher:
         key: Any,
         part: Optional[_Partition],
         detections: List[Detection],
+        verdicts: Optional[int],
     ) -> None:
         """Advance buckets / start a run for one tuple; append its detections.
 
         ``part`` is the tuple's own partition (``None`` while it holds no
-        runs); other players' runs are invisible to this tuple.
+        runs); other players' runs are invisible to this tuple.  A step with
+        a bit takes its verdict from ``verdicts``; without verdicts every
+        bit reads as absent and each step runs its closure.
         """
         stats = self.stats
         length = self._length
         store_tuples = self.config.store_matched_tuples
+        bits = self._no_bits if verdicts is None else self._step_bits
         completed: List[_Run] = []
 
         # One verdict per step: a rejected bucket stays put, an accepted one
@@ -730,7 +792,8 @@ class NFAMatcher:
                 if not bucket:
                     continue
                 stats.predicate_evaluations += self._step_costs[index]
-                if not self._step_predicates[index](record):
+                bit = bits[index]
+                if not (verdicts & bit if bit else self._step_predicates[index](record)):
                     continue
                 waiting[index] = []
                 # The within constraints ending here are each run's own.
@@ -760,7 +823,8 @@ class NFAMatcher:
         # Possibly start a new run from this tuple.
         if stream == self._first_stream:
             stats.predicate_evaluations += self._step_costs[0]
-            if not self._step_predicates[0](record):
+            bit = bits[0]
+            if not (verdicts & bit if bit else self._step_predicates[0](record)):
                 stats.gate_rejections += 1
             elif length == 1:
                 # A single-step match never occupies a run slot, so the

@@ -59,34 +59,28 @@ class StreamStats:
     ----------
     pushed:
         Number of tuples pushed into the stream.
-    delivered:
-        Number of tuple deliveries to subscribers (``pushed`` multiplied by
-        the number of subscribers active at push time).
     dropped:
         Number of tuples pushed while the stream was paused.
     """
 
     pushed: int = 0
-    delivered: int = 0
     dropped: int = 0
 
     def reset(self) -> None:
         self.pushed = 0
-        self.delivered = 0
         self.dropped = 0
 
     def snapshot(self) -> Dict[str, int]:
         """A JSON-serialisable copy of the counters (snapshot format)."""
         return {
             "pushed": self.pushed,
-            "delivered": self.delivered,
             "dropped": self.dropped,
         }
 
     def restore(self, state: Mapping[str, int]) -> None:
-        """Overwrite the counters from a :meth:`snapshot` copy."""
+        """Overwrite the counters from a :meth:`snapshot` copy (keys of
+        counters that no longer exist, such as ``delivered``, are ignored)."""
         self.pushed = int(state.get("pushed", 0))
-        self.delivered = int(state.get("delivered", 0))
         self.dropped = int(state.get("dropped", 0))
 
 
@@ -235,8 +229,6 @@ class Stream:
                     self._record_failure(subscription, error)
                     if first_error is None:
                         first_error = error
-                else:
-                    self.stats.delivered += 1
         if first_error is not None:
             raise first_error
 
@@ -276,13 +268,11 @@ class Stream:
             try:
                 if subscription.batch_callback is not None:
                     subscription.batch_callback(items)
-                    self.stats.delivered += len(items)
                 else:
                     for item in items:
                         if not subscription.active:
                             break
                         subscription.callback(item)
-                        self.stats.delivered += 1
             except Exception as error:  # noqa: BLE001 — isolate, deliver to the rest
                 self._record_failure(subscription, error)
                 if first_error is None:
@@ -292,12 +282,17 @@ class Stream:
         return len(items)
 
     def _record_failure(self, subscription: Subscription, error: BaseException) -> None:
+        self.record_failure(subscription.name or repr(subscription.callback), error)
+
+    def record_failure(self, subscriber: str, error: BaseException) -> None:
+        """Remember a delivery failure.  A subscriber fanning out to several
+        consumers (the engine's per-stream query fan-out) records each
+        consumer's failure under the consumer's name before re-raising the
+        first, which is then not recorded twice."""
+        if any(failure.error is error for failure in self.delivery_errors):
+            return
         self.delivery_errors.append(
-            DeliveryFailure(
-                stream=self.name,
-                subscriber=subscription.name or repr(subscription.callback),
-                error=error,
-            )
+            DeliveryFailure(stream=self.name, subscriber=subscriber, error=error)
         )
 
     def _check_schema(self, item: Mapping[str, Any]) -> None:

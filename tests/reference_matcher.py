@@ -90,3 +90,19 @@ class ReferenceMatcher:
             )
             for run in done
         ]
+
+
+def reference_detections(queries, stream, records, config=None):
+    """What one ``ReferenceMatcher`` per query reports on ``records``, in
+    arrival order: the interpreted oracle engine-level tests compare with."""
+    from repro.cep.engine import coerce_query
+    from repro.cep.matcher import MatcherConfig
+    from repro.cep.nfa import compile_pattern
+
+    matchers = []
+    for query in queries:
+        query = coerce_query(query)
+        matchers.append(
+            ReferenceMatcher(compile_pattern(query.pattern), query.output, config or MatcherConfig())
+        )
+    return [d for record in records for matcher in matchers for d in matcher.process(record, stream)]

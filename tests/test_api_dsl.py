@@ -5,8 +5,8 @@ parser produces), the builder layer (chains produce the existing ``Query``
 dataclass), and the round-trip guarantees the compiled-predicate cache
 relies on: ``parse_query(q.to_query())`` equals the original query, the
 re-rendered text is byte-identical, and builder-produced queries detect
-exactly what their hand-written text forms detect on the interpreted,
-compiled and batched engine paths.
+exactly what their hand-written text forms detect on the per-tuple and
+batched engine paths, and what the interpreted reference matcher detects.
 """
 
 from __future__ import annotations
@@ -15,12 +15,12 @@ import random
 
 import pytest
 
+from reference_matcher import reference_detections
 from repro.api import Expr, F, Q, QueryBuilder, lit, udf
 from repro.cep import (
     CEPEngine,
     ConsumePolicy,
     EventPattern,
-    MatcherConfig,
     Query,
     SelectPolicy,
     SequencePattern,
@@ -319,17 +319,18 @@ def test_generated_query_corpus_round_trips(seed, nested):
 # ---------------------------------------------------------------------------
 
 
-def _drive(query, records, *, compile_predicates=True, batch_size=None):
-    engine = CEPEngine(
-        clock=SimulatedClock(),
-        matcher_config=MatcherConfig(compile_predicates=compile_predicates),
-    )
+def _drive(query, records, *, batch_size=None):
+    engine = CEPEngine(clock=SimulatedClock())
     engine.create_stream("kinect_t")
     deployed = engine.register_query(query, create_missing_streams=True)
     engine.push_many("kinect_t", records, batch_size=batch_size)
+    return _summary(deployed.detections())
+
+
+def _summary(detections):
     return [
         (d.output, d.timestamp, d.start_timestamp, d.step_timestamps, d.partition)
-        for d in deployed.detections()
+        for d in detections
     ]
 
 
@@ -357,13 +358,9 @@ def test_builder_and_text_detect_identically_on_all_paths(seed):
     text = query.to_query()
     records = _synthetic_records(random.Random(4000 + seed))
 
-    baseline = _drive(query, records, compile_predicates=False)
+    baseline = _summary(reference_detections([query], "kinect_t", records))
     for deployable in (query, text):
-        for kwargs in (
-            {"compile_predicates": False},
-            {"compile_predicates": True},
-            {"compile_predicates": True, "batch_size": 32},
-        ):
+        for kwargs in ({}, {"batch_size": 32}):
             assert _drive(deployable, records, **kwargs) == baseline, (
                 f"mismatch for {type(deployable).__name__} with {kwargs}"
             )

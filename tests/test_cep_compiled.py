@@ -10,6 +10,7 @@ two specialized comparison shapes (``field <op> literal`` and the learner's
 
 import pytest
 
+from reference_matcher import ReferenceMatcher
 from repro.cep.expressions import (
     Comparison,
     CompiledPredicateCache,
@@ -221,26 +222,19 @@ class TestCompiledPredicateCache:
 
 
 class TestMatcherPathEquivalence:
-    def _matchers(self):
+    def test_compiled_and_interpreted_matchers_agree(self):
+        # The interpreted matcher is the test oracle, ``ReferenceMatcher``.
         events = [
             EventPattern(stream="s", predicate=parse_expression(f"abs(x - {i * 100}) < 25"))
             for i in range(3)
         ]
         pattern = compile_pattern(sequence(events, within_seconds=1.0))
         compiled = NFAMatcher(pattern, output="g", config=MatcherConfig())
-        interpreted = NFAMatcher(
-            pattern, output="g", config=MatcherConfig(compile_predicates=False)
-        )
-        return compiled, interpreted
-
-    def test_compiled_and_interpreted_matchers_agree(self):
-        compiled, interpreted = self._matchers()
+        interpreted = ReferenceMatcher(pattern, "g", MatcherConfig())
         values = [0, 310, 100, 90, 210, 0, 120, 95, 200, 205, 0, 100, 200]
         tuples = [{"x": float(v), "ts": i * 0.1} for i, v in enumerate(values)]
-        assert compiled.process_many(tuples, "s") == interpreted.process_many(tuples, "s")
-        assert (
-            compiled.stats.predicate_evaluations
-            == interpreted.stats.predicate_evaluations
-        )
-        assert compiled.stats.runs_started == interpreted.stats.runs_started
-        assert compiled.stats.runs_pruned == interpreted.stats.runs_pruned
+        expected = [d for record in tuples for d in interpreted.process(record, "s")]
+        assert compiled.process_many(tuples, "s") == expected
+        assert expected
+        assert compiled.stats.runs_started == interpreted.started
+        assert compiled.stats.runs_pruned == interpreted.pruned

@@ -2,6 +2,7 @@
 
 import pytest
 
+from reference_matcher import reference_detections
 from repro.cep.engine import CEPEngine
 from repro.cep.expressions import Comparison, FieldRef, Literal
 from repro.cep.matcher import Detection, MatcherConfig
@@ -15,6 +16,7 @@ from repro.cep.operators import (
 from repro.cep.sinks import CallbackSink, CollectingSink, FanOutSink, NullSink
 from repro.cep.views import RAW_STREAM_NAME, TRANSFORMED_STREAM_NAME, install_kinect_view
 from repro.errors import (
+    ExpressionError,
     QueryRegistrationError,
     QuerySyntaxError,
     UnknownStreamError,
@@ -295,23 +297,17 @@ class TestCompileCache:
         engine.register_function("triple", lambda value: value * 3, arity=1)
         assert len(engine.compile_cache) == 0
 
-    def test_interpreted_engine_matches_compiled_engine(self):
+    def test_engine_matches_the_interpreted_reference(self):
         records = [
             {"ts": index * 0.1, "x": 150.0 if index % 2 else 250.0}
             for index in range(12)
         ]
-        compiled_engine = CEPEngine()
-        compiled_engine.create_stream("s")
-        compiled = compiled_engine.register_query(SEQ_QUERY)
-        interpreted_engine = CEPEngine(
-            matcher_config=MatcherConfig(compile_predicates=False)
-        )
-        interpreted_engine.create_stream("s")
-        interpreted = interpreted_engine.register_query(SEQ_QUERY)
-        compiled_engine.push_many("s", records)
-        interpreted_engine.push_many("s", records)
-        assert compiled.detections() == interpreted.detections()
-        assert compiled.detections()
+        engine = CEPEngine()
+        engine.create_stream("s")
+        deployed = engine.register_query(SEQ_QUERY)
+        engine.push_many("s", records)
+        assert deployed.detections() == reference_detections([SEQ_QUERY], "s", records)
+        assert deployed.detections()
 
 
 class TestViews:
@@ -435,3 +431,92 @@ class TestOperators:
         assert received == [{"x": 8}]
         source.push({"x": 10})
         assert len(received) == 1
+
+
+class TestQueriesSharingAStreamStayIsolated:
+    """A tuple one query cannot read costs only the queries that read the bad
+    field: the rest of the stream's queries still match it, the producer sees
+    the first error, and the next push reaches every query again."""
+
+    QUERIES = (
+        'SELECT "a" MATCHING s(abs(y - 5) < 3 and abs(x - 5) < 3);',
+        'SELECT "c" MATCHING s(abs(z - 5) < 3);',
+        'SELECT "b" MATCHING s(abs(x - 5) < 3);',
+    )
+
+    def _engine(self):
+        engine = CEPEngine(clock=SimulatedClock())
+        engine.create_stream("s")
+        for text in self.QUERIES:
+            engine.register_query(text)
+        return engine
+
+    @staticmethod
+    def _counts(engine):
+        return {name: len(engine.detections(name)) for name in engine.query_names()}
+
+    @staticmethod
+    def _good(ts):
+        return {"ts": ts, "player": 1, "x": 5.0, "y": 5.0, "z": 5.0}
+
+    BAD = [
+        pytest.param({}, ExpressionError, "no field 'y'", id="missing-field"),
+        pytest.param({"y": "five", "z": "five"}, TypeError, "unsupported operand", id="string-value"),
+    ]
+
+    @pytest.mark.parametrize("extra, error, message", BAD)
+    def test_per_tuple(self, extra, error, message):
+        engine = self._engine()
+        with pytest.raises(error, match=message):
+            engine.push("s", {"ts": 0.0, "player": 1, "x": 5.0, **extra})
+        assert self._counts(engine) == {"a": 0, "b": 1, "c": 0}
+        failures = engine.get_stream("s").delivery_errors
+        assert [failure.subscriber for failure in failures] == ["query:a", "query:c"]
+        engine.push("s", self._good(1.0))
+        assert self._counts(engine) == {"a": 1, "b": 2, "c": 1}
+
+    @pytest.mark.parametrize("extra, error, message", BAD)
+    def test_batched(self, extra, error, message):
+        engine = self._engine()
+        chunk = [{"ts": 0.0, "player": 1, "x": 5.0, **extra}, self._good(1.0), self._good(2.0)]
+        with pytest.raises(error, match=message):
+            engine.push_many("s", chunk, batch_size=8)
+        # A query that raised gets none of the rest of its chunk; the others all of it.
+        assert self._counts(engine) == {"a": 0, "b": 3, "c": 0}
+        engine.push_many("s", [self._good(3.0)], batch_size=8)
+        assert self._counts(engine) == {"a": 1, "b": 4, "c": 1}
+
+    @pytest.mark.parametrize("batch_size", [None, 4])
+    def test_non_finite_coordinates_match_nothing_and_raise_nothing(self, batch_size):
+        engine = self._engine()
+        nan, inf = float("nan"), float("inf")
+        frames = [
+            {"ts": float(index), "player": 1, "x": x, "y": y, "z": z}
+            for index, (x, y, z) in enumerate(
+                [(nan, nan, nan), (inf, inf, inf), (-inf, -inf, -inf), (nan, 5.0, -inf)]
+            )
+        ]
+        engine.push_many("s", frames, batch_size=batch_size)
+        assert self._counts(engine) == {"a": 0, "b": 0, "c": 0}
+        assert engine.query_stats()["b"]["tuples_processed"] == len(frames)
+
+
+class TestStepIndexWiring:
+    def test_the_index_is_built_lazily_and_only_where_it_answers_a_gate(self):
+        engine = CEPEngine(clock=SimulatedClock())
+        engine.create_stream("s")
+        # Only the second step is indexable: a lookup per tuple would buy no gate.
+        engine.register_query('SELECT "ud" MATCHING s(x > 400) -> s(x < 100) within 5 seconds;')
+        fanout = engine._fanouts["s"]
+        assert fanout.members is None
+        engine.push("s", {"ts": 0.0, "x": 500.0})
+        assert fanout.index.fields == ()
+        engine.register_query('SELECT "w" MATCHING s(abs(x - 5) < 3);')
+        assert fanout.members is None
+        engine.push("s", {"ts": 1.0, "x": 50.0})
+        assert [name for name, _, _ in fanout.index.fields] == ["x"]
+        assert [len(engine.detections(name)) for name in ("ud", "w")] == [1, 0]
+        engine.unregister_query("ud")
+        engine.unregister_query("w")
+        assert "s" not in engine._fanouts
+        assert engine.get_stream("s").subscriber_count == 0

@@ -10,12 +10,12 @@ must reproduce its ``Detection.to_state()`` sequences per (player, query).
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from reference_matcher import reference_detections
 from repro.api import DurabilityConfig, GestureSession, SessionConfig
 from repro.cep import CEPEngine, install_kinect_view
 from repro.cep.matcher import MatcherConfig
@@ -54,7 +54,6 @@ MODES = {
     "session-per-tuple": (config(), None),
     "session-batch64": (config(batch_size=64), None),
     "session-one-batch": (config(batch_size=1 << 20), None),
-    "interpreted": (config(dataclasses.replace(MATCHER, compile_predicates=False)), None),
     "thread-shards-4": (config(shards=4, batch_size=64), None),
     "thread-shards-8": (config(shards=8), None),
     "process-shards-2": (config(shards=2, shard_executor="process"), None),
@@ -113,6 +112,20 @@ def baseline(queries, frames):
     expected = per_player(engine.detections())
     assert {player for player, _ in expected} == {1, 2, 3, 4}
     return expected
+
+
+def test_reference_matcher_detects_what_the_hand_wired_engine_detects(
+    queries, frames, baseline
+):
+    """The interpreted oracle, fed the view's ``kinect_t`` tuples, agrees."""
+    engine = CEPEngine(clock=SimulatedClock(), matcher_config=MATCHER)
+    install_kinect_view(engine)
+    transformed = []
+    engine.get_stream("kinect_t").subscribe(transformed.append)
+    for frame in frames:
+        engine.push("kinect", frame)
+    detections = reference_detections(queries, "kinect_t", transformed, MATCHER)
+    assert per_player(detections) == baseline
 
 
 @pytest.mark.parametrize("mode", MODES)

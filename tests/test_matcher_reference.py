@@ -1,8 +1,9 @@
 """``NFAMatcher`` against the naive reference, on generated patterns and streams.
 
 Every execution shape of the matcher — per tuple, batched under any
-chunking, compiled or interpreted predicates, snapshot-restored midway —
-must report what ``reference_matcher.ReferenceMatcher`` reports, as
+chunking, snapshot-restored midway, and deployed beside other queries on
+one engine stream, where a shared step index answers the predicates — must
+report what ``reference_matcher.ReferenceMatcher`` reports, as
 ``Detection.to_state()`` JSON.  Patterns draw their steps from a handful of
 predicates over two small-valued fields, so many runs wait for the same
 step and see the same verdict: the case the step buckets exist for.
@@ -20,9 +21,12 @@ from repro.cep.expressions import (
     Literal,
     abs_diff_predicate,
 )
+from repro.cep.engine import CEPEngine
 from repro.cep.matcher import MatcherConfig, NFAMatcher
-from repro.cep.nfa import CompiledPattern, Step, TimeConstraint
-from repro.cep.query import ConsumePolicy, SelectPolicy
+from repro.cep.nfa import CompiledPattern, Step, TimeConstraint, compile_pattern
+from repro.cep.parser import parse_expression
+from repro.cep.query import ConsumePolicy, EventPattern, Query, SelectPolicy, sequence
+from repro.streams import SimulatedClock
 
 PREDICATES = (
     abs_diff_predicate("x", 0.0, 6.0),
@@ -120,11 +124,6 @@ def test_every_execution_shape_matches_the_reference(pattern, config, records, d
     assert _states(detections) == expected
     assert _counters(batched) == expected_counters
 
-    interpreted_config = MatcherConfig(**{**vars(config), "compile_predicates": False})
-    interpreted = NFAMatcher(pattern, "g", config=interpreted_config)
-    assert _states(interpreted.process_many(records, "s")) == expected
-    assert interpreted.stats == per_tuple.stats
-
     midpoint = data.draw(st.integers(0, len(records)), label="midpoint")
     first_half = NFAMatcher(pattern, "g", config=config)
     detections = first_half.process_many(records[:midpoint], "s")
@@ -147,3 +146,67 @@ def test_per_tuple_path_matches_the_reference_on_disordered_time(pattern, config
         assert _states(matcher.process(record, "s")) == _states(reference.process(record, "s"))
         assert matcher.active_runs == reference.active_runs
         assert matcher.stats.runs_pruned == reference.pruned
+
+
+#: Indexed (windows, ``field <op> literal`` false at +inf) and unindexed
+#: (``x > 4``, the disjunction) steps side by side, boundaries on the grid.
+ENGINE_PREDICATES = PREDICATES + (
+    BooleanOp("and", [parse_expression("abs(x - 5) <= 5"), parse_expression("y < 8")]),
+    parse_expression("abs(y + -3) == 5 and abs(x - 5.0) < 10"),
+)
+
+
+@st.composite
+def queries(draw, output):
+    """A query of 1–5 steps, optionally opening with a nested ``within`` group."""
+    chosen = draw(st.lists(st.sampled_from(ENGINE_PREDICATES), min_size=1, max_size=5))
+    events = [EventPattern("s", predicate) for predicate in chosen]
+    within = st.none() | st.sampled_from([0.25, 0.5, 1.0, 2.0])
+    split = draw(st.integers(0, len(events)))
+    if split >= 2 and split < len(events):
+        events = [sequence(events[:split], within_seconds=draw(within))] + events[split:]
+    return Query(
+        output=output,
+        pattern=sequence(
+            events,
+            within_seconds=draw(within),
+            select=draw(st.sampled_from(list(SelectPolicy))),
+            consume=draw(st.sampled_from(list(ConsumePolicy))),
+        ),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 6), configs, streams(jitter=[0.0]), st.booleans(), st.data())
+def test_queries_sharing_an_engine_stream_match_the_reference(
+    count, config, records, batched, data
+):
+    # One engine stream, one step index over every query's steps: per query,
+    # the detections are the reference's and the run state is what a
+    # standalone matcher fed the same tuples holds.
+    deployed = [data.draw(queries(f"g{number}"), label="query") for number in range(count)]
+    engine = CEPEngine(clock=SimulatedClock(), matcher_config=config)
+    engine.create_stream("s")
+    for query in deployed:
+        engine.register_query(query)
+    chunks, position = [], 0
+    while batched and position < len(records):
+        size = data.draw(st.integers(1, 12), label="chunk")
+        chunks.append(records[position : position + size])
+        position += size
+    for chunk in chunks:
+        engine.push_many("s", chunk, batch_size=len(chunk))
+    if not batched:
+        engine.push_many("s", records)
+    for query in deployed:
+        pattern = compile_pattern(query.pattern)
+        reference = ReferenceMatcher(pattern, query.output, config)
+        expected = [d for record in records for d in reference.process(record, "s")]
+        assert _states(engine.detections(query.output)) == _states(expected)
+        standalone = NFAMatcher(pattern, query.output, config=config)
+        for chunk in chunks:
+            standalone.process_batch(chunk, "s")
+        if not batched:
+            standalone.process_many(records, "s")
+        matcher = engine.get_query(query.output).matcher
+        assert matcher.capture_state() == standalone.capture_state()

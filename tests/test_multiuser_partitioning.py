@@ -2,7 +2,8 @@
 
 The shared-sensor-space contract: any interleaving of K single-user streams
 must yield, per player, exactly the detections each player's isolated stream
-yields — on the interpreted, compiled and batched matching paths.  These
+yields — on the per-tuple and batched matching paths, against the
+interpreted reference matcher of ``tests/reference_matcher.py``.  These
 tests exercise the contract property-style on synthetic tuple streams, pin
 down the per-partition semantics (run caps, ``consume all``, cross-player
 isolation), and cover the end-to-end path from two simulators through one
@@ -13,6 +14,7 @@ import random
 
 import pytest
 
+from reference_matcher import ReferenceMatcher
 from repro.cep.engine import CEPEngine
 from repro.cep.expressions import BooleanOp, Comparison, FieldRef, Literal
 from repro.cep.matcher import MatcherConfig, NFAMatcher
@@ -79,7 +81,7 @@ def _riffle(rng: random.Random, streams):
 
 
 class TestInterleavingEquivalence:
-    @pytest.mark.parametrize("compile_predicates", [True, False])
+    @pytest.mark.parametrize("store_matched_tuples", [True, False])
     @pytest.mark.parametrize(
         "select,consume",
         [
@@ -88,11 +90,11 @@ class TestInterleavingEquivalence:
         ],
     )
     def test_any_riffle_detects_the_union_of_isolated_runs(
-        self, compile_predicates, select, consume
+        self, store_matched_tuples, select, consume
     ):
         # Property-style: many random single-user streams, many random
         # interleavings; the merged stream must detect, per player, exactly
-        # what each isolated stream detects.
+        # what the interpreted reference detects on each isolated stream.
         for seed in range(12):
             rng = random.Random(seed)
             players = list(range(1, 2 + rng.randrange(3)))
@@ -107,16 +109,17 @@ class TestInterleavingEquivalence:
                 isolated = _matcher(
                     select=select,
                     consume=consume,
-                    compile_predicates=compile_predicates,
+                    store_matched_tuples=store_matched_tuples,
                 )
-                expected[player] = isolated.process_many(stream, "s")
+                reference = ReferenceMatcher(isolated.pattern, "g", isolated.config)
+                expected[player] = [d for r in stream for d in reference.process(r, "s")]
                 total += len(expected[player])
 
             merged = _riffle(rng, streams.values())
             interleaved = _matcher(
                 select=select,
                 consume=consume,
-                compile_predicates=compile_predicates,
+                store_matched_tuples=store_matched_tuples,
             )
             detections = interleaved.process_many(merged, "s")
             grouped = {player: [] for player in players}

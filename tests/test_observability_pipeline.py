@@ -80,6 +80,23 @@ class TestInlineSession:
             assert {"ingest", "matcher"} <= categories
             assert len({event["args"]["trace_id"] for event in events}) == 1
 
+    def test_traced_tuples_keep_one_matcher_span_per_query(self):
+        # The step index lets an untraced tuple skip queries whose gate it
+        # fails; a traced one still opens every query's span.
+        frames = make_frames()
+        with GestureSession(SessionConfig(trace_sample_rate=1.0)) as session:
+            session.deploy('SELECT "low" MATCHING kinect_t(abs(rhand_y - 50) < 1);')
+            session.deploy('SELECT "never" MATCHING kinect_t(abs(rhand_y - 900) < 1);')
+            session.feed(frames, stream="kinect_t")
+            spans = [
+                event["name"]
+                for event in session.export_trace()["traceEvents"]
+                if event["cat"] == "matcher"
+            ]
+            assert sorted(set(spans)) == ["matcher:low", "matcher:never"]
+            assert spans.count("matcher:never") == spans.count("matcher:low") == len(frames)
+            assert session.detections("low")
+
     def test_aliased_query_is_one_name_in_spans_profile_and_stats(self):
         # profile_hz this low never samples by itself; the predicate's UDF
         # takes the sample, from a second thread, while the matcher runs.

@@ -15,6 +15,7 @@ import zlib
 
 import pytest
 
+from reference_matcher import reference_detections
 from repro.api import F, GestureSession, Q, SessionConfig
 from repro.cep import CallbackSink, CEPEngine, CollectingSink, FanOutSink
 from repro.cep.matcher import MatcherConfig
@@ -61,10 +62,8 @@ def make_frames(players=8, rounds=60):
     return frames
 
 
-def inline_detections(frames, queries=(UPDOWN, HIGH), compile_predicates=True):
-    engine = CEPEngine(
-        matcher_config=MatcherConfig(compile_predicates=compile_predicates)
-    )
+def inline_detections(frames, queries=(UPDOWN, HIGH)):
+    engine = CEPEngine()
     engine.create_stream("kinect_t")
     for query in queries:
         engine.register_query(query)
@@ -257,14 +256,11 @@ class TestShardedRuntime:
             assert per_partition(runtime.detections()) == baseline
 
     def test_interpreted_and_batched_paths_are_equivalent_too(self, spec):
+        # The interpreted path is the test oracle, ``ReferenceMatcher``.
         frames = make_frames()
-        interpreted_spec = ShardEngineSpec(
-            install_view=False,
-            raw_stream="kinect_t",
-            matcher=MatcherConfig(compile_predicates=False),
-        )
-        baseline = per_partition(inline_detections(frames, compile_predicates=False))
-        with self.runtime(interpreted_spec) as runtime:
+        baseline = per_partition(reference_detections([UPDOWN, HIGH], "kinect_t", frames))
+        assert baseline == per_partition(inline_detections(frames))
+        with self.runtime(spec) as runtime:
             runtime.register_query(UPDOWN)
             runtime.register_query(HIGH)
             runtime.push_many("kinect_t", frames)

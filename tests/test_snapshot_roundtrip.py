@@ -1,7 +1,7 @@
 """Snapshot round-trips: capture → JSON → restore → identical behaviour.
 
-The matrix covers the matcher execution paths (interpreted vs compiled
-predicates, per-tuple vs batched delivery) and both partitioning modes
+The matrix covers the matcher execution paths (per-tuple vs batched
+delivery), with and without matched tuples in the runs, and both partitioning modes
 (per-player and global run tables).  "Identical" is asserted the strong
 way: after restoring into a fresh engine, feeding the *same subsequent
 tuples* to the original and the restored stack must produce byte-identical
@@ -51,14 +51,14 @@ def detection_states(engine, name=None):
 
 
 class TestEngineRoundTrip:
-    @pytest.mark.parametrize("compile_predicates", [True, False])
+    @pytest.mark.parametrize("store_matched_tuples", [True, False])
     @pytest.mark.parametrize("partition_field", ["player", None])
     @pytest.mark.parametrize("batch_size", [None, 4])
     def test_round_trip_preserves_subsequent_detections(
-        self, compile_predicates, partition_field, batch_size
+        self, store_matched_tuples, partition_field, batch_size
     ):
         config = MatcherConfig(
-            compile_predicates=compile_predicates, partition_field=partition_field
+            store_matched_tuples=store_matched_tuples, partition_field=partition_field
         )
         original = CEPEngine(clock=SimulatedClock(), matcher_config=config)
         original.register_query(UP_DOWN, name="up_down", create_missing_streams=True)
