@@ -118,7 +118,6 @@ from repro.observability.health import (
     WatchdogConfig,
     liveness_reading,
 )
-from repro.observability.profiling import UNTAGGED
 from repro.observability.slo import SLO, Alert, SLOEvaluator
 from repro.observability.telemetry import Telemetry, TelemetryConfig
 from repro.observability.timeseries import MetricsSampler
@@ -217,9 +216,6 @@ class SessionConfig:
         queue-saturation / fsync-stall detection, read via
         ``session.health()`` and the gateway's ``/healthz``.  ``None``
         (default) evaluates no health rules.
-    profile_hz:
-        Sampling rate of the continuous per-query profiler; 0.0 (default)
-        constructs no profiler at all.  Results via ``session.profile()``.
     """
 
     matcher: MatcherConfig = field(default_factory=MatcherConfig)
@@ -242,7 +238,6 @@ class SessionConfig:
     sample_interval_seconds: Optional[float] = None
     slos: Tuple[SLO, ...] = ()
     watchdog: Optional[WatchdogConfig] = None
-    profile_hz: float = 0.0
 
     def telemetry_config(self) -> Optional[TelemetryConfig]:
         """The flat telemetry knobs as one config (``None`` when off)."""
@@ -252,7 +247,6 @@ class SessionConfig:
             trace_sample_rate=self.trace_sample_rate,
             trace_buffer_size=self.trace_buffer_size,
             slow_batch_seconds=self.slow_batch_seconds,
-            profile_hz=self.profile_hz,
         )
 
     def __post_init__(self) -> None:
@@ -281,10 +275,9 @@ class SessionConfig:
             self.sample_interval_seconds is not None
             or self.slos
             or self.watchdog is not None
-            or self.profile_hz
         ):
             raise ValueError(
-                "sample_interval_seconds / slos / watchdog / profile_hz need "
+                "sample_interval_seconds / slos / watchdog need "
                 "telemetry=True: the control plane observes the telemetry layer"
             )
         # TelemetryConfig validates rates/bounds/threshold in its own
@@ -434,9 +427,8 @@ class GestureSession:
         return runtime
 
     def _start_control_plane(self) -> None:
-        """Start the opted-in observability threads: the sampler, whose
-        tick runs SLO evaluation and the health rules, and the
-        parent-side profiler.
+        """Start the opted-in control-plane thread: the sampler, whose
+        tick runs SLO evaluation and the health rules.
 
         Everything here is off-by-default — with none of the knobs set
         this method does nothing, and the hot path is untouched either
@@ -463,11 +455,6 @@ class GestureSession:
                     LIVENESS_PREFIX, lambda: liveness_reading(self._runtime.shard_liveness())
                 )
             self._sampler.start()
-        if self._telemetry.profiler is not None:
-            # Parent-side sampling: covers the inline engine and thread
-            # shards directly; process shards run their own child-side
-            # profiler whose counts are folded in on telemetry collection.
-            self._telemetry.profiler.start()
 
     def _init_durability(self) -> None:
         """Open the event log and install the write-ahead ingest tap."""
@@ -495,11 +482,8 @@ class GestureSession:
             self._sampler.stop()
         if self._runtime is not None:
             # Finish queued work, stop the workers, keep results readable.
-            # (This final collection also folds child profiler counts in.)
             self._runtime.stop(drain=True)
             self._runtime.join()
-        if self._telemetry is not None and self._telemetry.profiler is not None:
-            self._telemetry.profiler.stop()
         if self._durability is not None:
             self._durability.close()
         if self._database is not None and self._owns_database:
@@ -997,46 +981,37 @@ class GestureSession:
         return self._watchdog.report()
 
     def profile(self) -> Dict[str, Any]:
-        """The continuous profiler's per-query CPU attribution.
+        """Per-query attribution of matcher time, from the traced spans.
 
-        Joins the sampling profiler's tagged stack samples with
-        :meth:`query_stats`, so each deployed query reports its share of
-        sampled matcher CPU next to its matcher counters.  With
-        ``profile_hz=0`` (the default) returns ``{"enabled": False}``.
-        On a sharded session, child-shard samples are collected first so
-        the attribution spans every pid.
+        Sums the durations of the ``matcher:<name>`` spans in the tracer's
+        ring buffer — a process shard's spans are collected first — and
+        joins each query's share with :meth:`query_stats`.  A traced tuple
+        is offered to every query, so the share is of *traced* matcher
+        work.  With ``trace_sample_rate=0`` (the default) returns
+        ``{"enabled": False}``.
         """
-        profiler = self._telemetry.profiler if self._telemetry is not None else None
-        if profiler is None:
-            return {"enabled": False, "samples": 0, "queries": {}}
+        tracer = self._telemetry.tracer if self._telemetry is not None else None
+        if tracer is None or not tracer.active:
+            return {"enabled": False, "spans": 0, "queries": {}}
         self._engine.collect_telemetry()
-        snapshot = profiler.snapshot()
+        seconds: Dict[str, float] = {}
+        spans: Dict[str, int] = {}
+        for event in tracer.spans():
+            if event["cat"] == "matcher":
+                name = event["name"].partition(":")[2]
+                seconds[name] = seconds.get(name, 0.0) + event["dur"] / 1e6
+                spans[name] = spans.get(name, 0) + 1
+        total = sum(seconds.values())
         stats = self.query_stats()
-        share: Mapping[str, float] = snapshot["query_share"]  # type: ignore[assignment]
-        samples: Mapping[str, int] = snapshot["query_samples"]  # type: ignore[assignment]
         queries: Dict[str, Dict[str, Any]] = {}
-        for name in sorted(set(share) | set(stats)):
+        for name in sorted(set(seconds) | set(stats)):
             queries[name] = {
-                "cpu_share": round(float(share.get(name, 0.0)), 4),
-                "samples": int(samples.get(name, 0)),
+                "cpu_share": round(seconds.get(name, 0.0) / total, 4) if total else 0.0,
+                "seconds": round(seconds.get(name, 0.0), 6),
+                "spans": spans.get(name, 0),
                 "stats": dict(stats.get(name, {})),
             }
-        return {
-            "enabled": True,
-            "hz": profiler.hz,
-            "samples": snapshot["samples"],
-            "untagged_samples": int(samples.get(UNTAGGED, 0)),
-            "queries": queries,
-            "top_stacks": snapshot["top_stacks"],
-        }
-
-    def collapsed_profile(self) -> List[str]:
-        """Folded-stack lines (``stack count``) for flamegraph tooling."""
-        profiler = self._telemetry.profiler if self._telemetry is not None else None
-        if profiler is None:
-            return []
-        self._engine.collect_telemetry()
-        return profiler.collapsed()
+        return {"enabled": True, "spans": sum(spans.values()), "queries": queries}
 
     def clear(self) -> None:
         """Reset for a fresh scene: events, detections, runs, transform state."""

@@ -22,7 +22,7 @@ every query on it, built on the first tuple after a deploy, undeploy or
 ``restore_state``.  Per tuple (or per chunk) the subscription computes the
 index verdicts and event times once, then visits the queries in deploy
 order: each keeps its own matcher, ``MatcherStats``, ``matcher:<name>``
-span, profiler tag and sinks, and a query whose gate bit is clear and whose
+span and sinks, and a query whose gate bit is clear and whose
 player holds no runs is only counted (:meth:`NFAMatcher.skip`).  A tuple
 the index cannot read (a missing or non-numeric field) falls back to every
 query's closures, and so does a stream where the index would answer no
@@ -88,7 +88,6 @@ from repro.cep.udf import default_functions
 from repro.cep.views import View
 from repro.transform.pipeline import KinectTransformer
 from repro.observability.clock import perf_clock
-from repro.observability.profiling import tag_query, untag_query
 from repro.observability.telemetry import Telemetry
 from repro.observability.tracing import current_context, use_context
 from repro.errors import (
@@ -703,11 +702,7 @@ class CEPEngine(Taps):
                     span = None
                     if context is not None:
                         span = telemetry.tracer.span(f"matcher:{deployed.name}", "matcher", context)
-                    tag_query(deployed.name)
-                    try:
-                        detections = matcher.process(record, stream_name, timestamp, verdicts)
-                    finally:
-                        untag_query()
+                    detections = matcher.process(record, stream_name, timestamp, verdicts)
                     if span is not None:
                         span.close(tuples=1, detections=len(detections))
                     for detection in detections:
@@ -748,13 +743,7 @@ class CEPEngine(Taps):
                     span = None
                     if context is not None:
                         span = telemetry.tracer.span(f"matcher:{deployed.name}", "matcher", context)
-                    tag_query(deployed.name)
-                    try:
-                        detections = matcher.process_batch(
-                            records, stream_name, timestamps, verdicts
-                        )
-                    finally:
-                        untag_query()
+                    detections = matcher.process_batch(records, stream_name, timestamps, verdicts)
                     if span is not None:
                         span.close(tuples=len(records), detections=len(detections))
                     for detection in detections:

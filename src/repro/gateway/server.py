@@ -219,7 +219,7 @@ class GatewayServer:
             body = json.dumps(self._alerts_document(), sort_keys=True).encode("utf-8")
             response = http.render_response(200, body + b"\n", "application/json")
         elif request.path == "/debug/vars":
-            # The profiler join may broadcast a telemetry collection to
+            # session.profile() may broadcast a telemetry collection to
             # process shards; keep that off the event loop.
             document = await asyncio.to_thread(self._debug_vars_document)
             body = json.dumps(document, sort_keys=True).encode("utf-8")

@@ -27,15 +27,12 @@ Its building blocks:
   (see :mod:`repro.observability.slo`);
 * :class:`HealthWatchdog` — health rules on the sampler's tick turning
   shard liveness and durability progress into a machine-readable health
-  report (see :mod:`repro.observability.health`);
-* :class:`SamplingProfiler` — a stdlib sampling profiler with per-query
-  CPU attribution and collapsed-stack output (see
-  :mod:`repro.observability.profiling`).
+  report (see :mod:`repro.observability.health`).
 
 ``python -m repro.observability summarize trace.json`` renders a
 per-stage latency table and critical-path breakdown for an exported
 trace file; ``python -m repro.observability top`` is a live per-query
-CPU dashboard over a gateway's ``/debug/vars``.
+matcher-time dashboard over a gateway's ``/debug/vars``.
 ``docs/observability.md`` documents the semantics.
 """
 
@@ -48,13 +45,6 @@ from repro.observability.health import (
 )
 from repro.observability.histogram import LatencyHistogram
 from repro.observability.jsonlog import JsonFormatter, configure_json_logging
-from repro.observability.profiling import (
-    UNTAGGED,
-    SamplingProfiler,
-    render_top,
-    tag_query,
-    untag_query,
-)
 from repro.observability.registry import Family, MetricSet, exposition
 from repro.observability.slo import (
     DEFAULT_RULES,
@@ -91,14 +81,12 @@ __all__ = [
     "MetricsSampler",
     "SLO",
     "SLOEvaluator",
-    "SamplingProfiler",
     "SpanHandle",
     "Telemetry",
     "TelemetryConfig",
     "TimeSeries",
     "TraceContext",
     "Tracer",
-    "UNTAGGED",
     "WatchdogConfig",
     "configure_json_logging",
     "current_context",
@@ -106,9 +94,6 @@ __all__ = [
     "flatten_registry",
     "monotonic_time",
     "perf_clock",
-    "render_top",
-    "tag_query",
-    "untag_query",
     "use_context",
     "wall_clock",
 ]

@@ -13,9 +13,10 @@
 nothing sampled) is not an error: the summary says so and the command
 exits 0, so an untraced CI run does not fail its reporting step.
 
-``top`` polls a gateway's ``/debug/vars`` endpoint and renders the
-continuous profiler's per-query CPU attribution as a terminal dashboard
-(``--once`` prints a single frame for scripts and CI).
+``top`` polls a gateway's ``/debug/vars`` endpoint and renders each
+tenant's per-query share of traced matcher time (``session.profile()``)
+and health as a terminal dashboard (``--once`` prints a single frame for
+scripts and CI).
 
 The commands exit 0 on success, 2 on a missing/invalid file or an
 unreachable gateway, so they slot into CI pipelines.
@@ -31,8 +32,6 @@ import urllib.error
 import urllib.request
 from collections import defaultdict
 from typing import Any, Dict, List, Mapping, Optional, Sequence
-
-from repro.observability.profiling import render_top
 
 __all__ = ["main", "summarize_trace", "summarize_trace_json"]
 
@@ -206,23 +205,20 @@ def _render_top_frame(document: Mapping[str, Any]) -> str:
         profile = entry.get("profile") or {}
         frames.append(f"tenant: {name}")
         if not profile.get("enabled"):
-            frames.append("  profiler off (SessionConfig.profile_hz = 0)")
+            frames.append("  attribution off (SessionConfig.trace_sample_rate = 0)")
         else:
-            snapshot = {
-                "hz": profile.get("hz", 0),
-                "running": True,
-                "samples": profile.get("samples", 0),
-                "query_samples": {
-                    query: info.get("samples", 0)
-                    for query, info in (profile.get("queries") or {}).items()
-                },
-                "query_share": {
-                    query: info.get("cpu_share", 0.0)
-                    for query, info in (profile.get("queries") or {}).items()
-                },
-                "top_stacks": profile.get("top_stacks") or [],
-            }
-            frames.append(render_top(snapshot))
+            frames.append(f"  matcher spans: {profile.get('spans', 0)}")
+            frames.append(f"  {'QUERY':<32} {'SPANS':>9} {'SECONDS':>10} {'SHARE':>7}")
+            rows = sorted(
+                (profile.get("queries") or {}).items(),
+                key=lambda item: item[1].get("cpu_share", 0.0),
+                reverse=True,
+            )
+            for query, row in rows:
+                frames.append(
+                    f"  {query[:32]:<32} {row.get('spans', 0):>9} "
+                    f"{row.get('seconds', 0.0):>10.4f} {row.get('cpu_share', 0.0):>7.1%}"
+                )
         health = entry.get("health")
         if health:
             frames.append(f"  health: {health.get('status', '?')}")
@@ -253,7 +249,7 @@ def _run_top(url: str, interval: float, once: bool, timeout: float) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.observability",
-        description="Analyse exported traces; watch live per-query CPU attribution.",
+        description="Analyse exported traces; watch live per-query matcher time.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
     summarize = commands.add_parser(
@@ -264,7 +260,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--json", action="store_true", help="emit the summary as a JSON document"
     )
     top = commands.add_parser(
-        "top", help="live per-query CPU dashboard from a gateway's /debug/vars"
+        "top", help="live per-query matcher-time dashboard from a gateway's /debug/vars"
     )
     top.add_argument(
         "--url",

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from math import ceil, inf
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 __all__ = ["BUCKET_BOUNDS", "LatencyHistogram"]
 
@@ -125,6 +125,29 @@ class LatencyHistogram:
         cumulative += self._counts[-1]
         pairs.append(("+Inf", cumulative))
         return pairs
+
+    def since(self, earlier: Optional["LatencyHistogram"]) -> "LatencyHistogram":
+        """The samples recorded after ``earlier``, an older reading of this
+        distribution (``None``: every sample).
+
+        Bucket counts and sum are exact differences, since the edges are
+        fixed; the max is the upper edge of the highest bucket that grew,
+        clamped to :attr:`max`.  A reading whose counts went down (its
+        source restarted) yields the whole histogram, as a counter reset
+        does.
+        """
+        recent = LatencyHistogram.merged([self])
+        if earlier is not None:
+            counts = [now - before for now, before in zip(self._counts, earlier._counts)]
+            if min(counts) >= 0:
+                recent._counts = counts
+                recent._sum -= earlier._sum
+        grown = [index for index, bucket_count in enumerate(recent._counts) if bucket_count]
+        if not grown:
+            recent._max = 0.0
+        elif grown[-1] < len(BUCKET_BOUNDS):
+            recent._max = min(BUCKET_BOUNDS[grown[-1]], self._max)
+        return recent
 
     # -- merge / serialisation ---------------------------------------------------------
 

@@ -42,17 +42,11 @@ class TelemetryConfig:
     slow_batch_seconds:
         Log a structured warning whenever one batch takes longer than
         this many seconds (``None`` disables the check).
-    profile_hz:
-        Sampling rate of the continuous profiler
-        (:class:`~repro.observability.profiling.SamplingProfiler`); 0.0
-        (default) means no profiler is constructed at all, and query
-        tagging in the engine stays a single integer test.
     """
 
     trace_sample_rate: float = 0.0
     trace_buffer_size: int = 4096
     slow_batch_seconds: Optional[float] = None
-    profile_hz: float = 0.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.trace_sample_rate <= 1.0:
@@ -63,8 +57,6 @@ class TelemetryConfig:
             raise ValueError("trace_buffer_size must be positive")
         if self.slow_batch_seconds is not None and self.slow_batch_seconds <= 0:
             raise ValueError("slow_batch_seconds must be positive when given")
-        if self.profile_hz < 0:
-            raise ValueError("profile_hz must be >= 0 (0 disables the profiler)")
 
 
 class Telemetry:
@@ -76,13 +68,6 @@ class Telemetry:
             sample_rate=self.config.trace_sample_rate,
             buffer_size=self.config.trace_buffer_size,
         )
-        #: Built only when profiling is requested — at 0 Hz the hot path
-        #: never sees a profiler object.
-        self.profiler = None
-        if self.config.profile_hz > 0:
-            from repro.observability.profiling import SamplingProfiler
-
-            self.profiler = SamplingProfiler(hz=self.config.profile_hz)
         self._slow_logger = logging.getLogger(SLOW_BATCH_LOGGER)
 
     @property

@@ -10,7 +10,7 @@ adds the windowed layer:
   ``delta()`` queries.
 * :class:`MetricsSampler` — the control plane's one polling thread: it
   reads every registered source (a :class:`MetricsRegistry` — shard
-  totals, durability counters, merged histogram digests — or any
+  totals, durability counters, per-tick histogram digests — or any
   callable returning a flat ``{name: number}`` mapping) into one series
   per metric, then hands the tick to its evaluators
   (:class:`~repro.observability.slo.SLOEvaluator`,
@@ -30,6 +30,7 @@ from bisect import bisect_left, bisect_right
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.observability.clock import monotonic_time
+from repro.observability.histogram import LatencyHistogram
 
 __all__ = ["TimeSeries", "MetricsSampler", "flatten_registry"]
 
@@ -37,8 +38,8 @@ __all__ = ["TimeSeries", "MetricsSampler", "flatten_registry"]
 #: ~4 minutes of history — enough for the widest default burn-rate window.
 DEFAULT_CAPACITY = 512
 
-#: Histogram-digest keys the sampler records as gauges per family.
-_HISTOGRAM_DIGEST_KEYS = ("count", "sum_seconds", "p50_seconds", "p99_seconds", "max_seconds")
+#: Histogram-digest keys read from the samples of one tick only.
+_RECENT_DIGEST_KEYS = ("p50_seconds", "p99_seconds", "max_seconds")
 
 
 class TimeSeries:
@@ -129,23 +130,37 @@ class TimeSeries:
         return f"TimeSeries({self.name!r}, points={len(self)}/{self.capacity})"
 
 
-def flatten_registry(registry) -> Dict[str, float]:
+def flatten_registry(
+    registry, previous: Optional[Dict[str, LatencyHistogram]] = None
+) -> Dict[str, float]:
     """One flat ``{series_name: value}`` reading of a metrics registry.
 
     Covers every shard-counter family (summed totals), every durability
-    counter, and a digest (count / sum / p50 / p99 / max) of every merged
-    histogram family.  Reads only parent-visible state — no process-shard
-    broadcast — so it is safe and cheap from a background thread.
+    counter, and a digest of every merged histogram family.  The digest's
+    ``count`` and ``sum_seconds`` are cumulative, so ratio SLOs take their
+    ``delta()``; its ``p50`` / ``p99`` / ``max`` describe only the samples
+    recorded since the histograms kept in ``previous`` (updated in place,
+    one entry per family), and are left out of a reading that has none —
+    a burst leaves a percentile gauge once it has passed.  Reads only
+    parent-visible state — no process-shard broadcast — so it is safe and
+    cheap from a background thread.
     """
     reading: Dict[str, float] = {}
     for key, value in registry.totals().items():
         reading[f"shard.{key}"] = float(value)
     for key, value in registry.durability.snapshot().items():
         reading[f"durability.{key}"] = float(value)
+    previous = {} if previous is None else previous
     for family, histogram in registry.merged_histograms().items():
+        recent = histogram.since(previous.get(family))
+        previous[family] = histogram
         digest = histogram.summary()
-        for key in _HISTOGRAM_DIGEST_KEYS:
-            reading[f"hist.{family}.{key}"] = float(digest[key])
+        reading[f"hist.{family}.count"] = float(digest["count"])
+        reading[f"hist.{family}.sum_seconds"] = float(digest["sum_seconds"])
+        if recent.count:
+            digest = recent.summary()
+            for key in _RECENT_DIGEST_KEYS:
+                reading[f"hist.{family}.{key}"] = float(digest[key])
     return reading
 
 
@@ -198,8 +213,10 @@ class MetricsSampler:
             self._sources.append((prefix, reader))
 
     def add_registry(self, registry, prefix: str = "") -> None:
-        """Poll every counter and histogram family of a metrics registry."""
-        self.add_source(prefix, lambda: flatten_registry(registry))
+        """Poll every counter and histogram family of a metrics registry;
+        percentile gauges cover the samples of each tick."""
+        previous: Dict[str, LatencyHistogram] = {}
+        self.add_source(prefix, lambda: flatten_registry(registry, previous))
 
     # -- sampling ------------------------------------------------------------------------
 

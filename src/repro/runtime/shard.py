@@ -252,9 +252,9 @@ def worker_loop(
     nothing else, so it runs unchanged on a thread or in a child process.
 
     ``telemetry`` and ``on_engine`` only make sense for a worker sharing
-    the parent's memory: the first is the parent's live bundle (spans and
-    profiler samples then land where the parent reads them, and there is
-    nothing to collect), the second receives the built engine for live
+    the parent's memory: the first is the parent's live bundle (spans
+    then land where the parent reads them, and there is nothing to
+    collect), the second receives the built engine for live
     introspection.  A worker given no bundle builds its own from the spec
     and ships it on ``telemetry`` controls.
     """
@@ -270,12 +270,6 @@ def worker_loop(
         return
     if on_engine is not None:
         on_engine(engine)
-    # A worker-owned profiler samples this process's threads; its counts
-    # are drained (like spans) on every collection, so the parent folds
-    # increments and never re-counts.
-    profiler = owned.profiler if owned is not None else None
-    if profiler is not None:
-        profiler.start()
 
     # Ingest stamp of the batch being processed: detections emitted
     # synchronously under its push read their ingest→detection latency
@@ -292,16 +286,6 @@ def worker_loop(
             engine.get_query(payload["name"]).sink.add(CallbackSink(emit))
 
     engine.add_control_tap(wire)
-
-    def collect_owned() -> Optional[Dict[str, Any]]:
-        """Drain the worker-owned spans and profile; never re-sent."""
-        if owned is None:
-            return None
-        payload: Dict[str, Any] = {"spans": owned.tracer.drain()}
-        if profiler is not None:
-            payload["profile"] = profiler.to_state()
-            profiler.clear()
-        return payload
 
     while True:
         message = receive()
@@ -320,10 +304,11 @@ def worker_loop(
             elif kind == "control":
                 _tag, token, op, payload = message
                 try:
-                    # ``telemetry`` is answered here: it needs the worker's
-                    # tracer and profiler, which ``_apply_control`` cannot see.
+                    # ``telemetry`` is answered here: it drains the worker's
+                    # own tracer (spans are never re-sent), which
+                    # ``_apply_control`` cannot see.
                     if op == "telemetry":
-                        result = collect_owned()
+                        result = None if owned is None else {"spans": owned.tracer.drain()}
                     else:
                         result = _apply_control(engine, op, payload)
                 except Exception as error:  # noqa: BLE001 — report to the caller, shard lives
@@ -333,8 +318,6 @@ def worker_loop(
         except Exception as error:  # noqa: BLE001 — data-path failure kills the shard
             send(("failed", error, traceback.format_exc()))
             break
-    if profiler is not None:
-        profiler.stop()
     send(("bye",))
 
 
@@ -363,7 +346,7 @@ class Shard:
         self.metrics = metrics
         self.transport = transport
         #: The parent-side bundle.  A local worker writes into it directly;
-        #: a remote worker's spans and profile are absorbed into it by
+        #: a remote worker's spans are absorbed into it by
         #: :meth:`collect_telemetry`.
         self.telemetry = telemetry
         self._on_detection = on_detection
@@ -520,9 +503,9 @@ class Shard:
         self.control("flush", timeout=timeout)
 
     def collect_telemetry(self, timeout: Optional[float] = None) -> None:
-        """Pull a remote worker's spans and profile into the parent bundle.
+        """Pull a remote worker's spans into the parent's tracer.
 
-        Both are drained worker-side, so each is absorbed exactly once.
+        They are drained worker-side, so each is absorbed exactly once.
         Nothing to do for a local worker (it writes the parent's bundle
         directly) or with telemetry off.
         """
@@ -532,8 +515,6 @@ class Shard:
         payload = self.control("telemetry", timeout=timeout) or {}
         if payload.get("spans"):
             self.telemetry.tracer.absorb(payload["spans"])
-        if "profile" in payload and self.telemetry.profiler is not None:
-            self.telemetry.profiler.absorb(payload["profile"])
 
     def deployed(self, name: str) -> Optional[DeployedQuery]:
         """The live shard-local query, for progress introspection.

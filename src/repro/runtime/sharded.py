@@ -726,7 +726,7 @@ class ShardedRuntime(Taps):
         return {name: dict(stats) for name, stats in merged.items()}
 
     def collect_telemetry(self, timeout: Optional[float] = None) -> None:
-        """Pull remote workers' spans and profiles parent-side
+        """Pull remote workers' spans parent-side
         (:meth:`Shard.collect_telemetry`).  Safe to call any time; quietly
         skips when there is nothing to collect.
         """

@@ -833,7 +833,7 @@ class TestControlPlaneEndpoints:
                 sample_interval_seconds=3600.0,
                 slos=(slo,),
                 watchdog=WatchdogConfig(),
-                profile_hz=100.0,
+                trace_sample_rate=1.0,
             )
         )
 
@@ -900,6 +900,35 @@ class TestControlPlaneEndpoints:
                 assert "gateway" in document
 
         run(scenario())
+
+    def test_top_renders_a_real_debug_vars_document(self):
+        from repro.observability.__main__ import _render_top_frame
+
+        tenants = {"ctl": self.control_tenant(), "plain": TenantConfig()}
+
+        async def scenario():
+            async with serve(tenants=tenants) as server:
+                traced = await connect(server, "ctl")
+                await traced.deploy(HIGH)
+                await traced.deploy('SELECT "low" MATCHING kinect_t(rhand_y < 100);')
+                await traced.send_tuples(make_frames(rounds=40), stream="kinect_t")
+                await traced.drain()
+                plain = await connect(server, "plain")
+                await plain.deploy(HIGH)
+                session = server.tenants["ctl"].session
+                await asyncio.get_running_loop().run_in_executor(
+                    None, session.sampler.sample_once
+                )
+                _, body = await http_get(server, "/debug/vars")
+                return json.loads(body)
+
+        frame = _render_top_frame(run(scenario()))
+        ctl, plain = frame.split("tenant: plain")
+        rows = [line.split() for line in ctl.splitlines() if line.rstrip().endswith("%")]
+        assert sorted(row[0] for row in rows) == ["high", "low"]
+        assert sum(float(row[-1].rstrip("%")) for row in rows) == pytest.approx(100.0, abs=0.2)
+        assert "  health: " in ctl
+        assert "trace_sample_rate" in plain and "%" not in plain
 
     def test_forced_stall_degrades_healthz_naming_the_shard(self):
         from repro.observability.health import LIVENESS_PREFIX, liveness_reading

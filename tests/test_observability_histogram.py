@@ -143,6 +143,35 @@ class TestMerge:
             LatencyHistogram.from_state(state)
 
 
+
+class TestSince:
+    def test_since_is_the_later_samples_exactly(self):
+        earlier_batch, later_batch, *_ = sample_batches(23)
+        earlier = recorded(earlier_batch)
+        total = recorded(earlier_batch + later_batch)
+        recent = total.since(earlier)
+        assert recent.to_state()["counts"] == recorded(later_batch).to_state()["counts"]
+        assert recent.sum == pytest.approx(sum(later_batch), rel=1e-9)
+        assert recent.percentile(0.99) >= recorded(later_batch).percentile(0.99)
+
+    def test_max_is_the_top_grown_edge_not_an_old_burst(self):
+        earlier = recorded([5.0])
+        total = recorded([5.0, 0.0015])
+        recent = total.since(earlier)
+        assert recent.count == 1
+        assert recent.max == 0.002
+        assert recent.percentile(0.99) == 0.002
+
+    def test_nothing_new_is_empty(self):
+        total = recorded([0.1, 0.2])
+        recent = total.since(recorded([0.1, 0.2]))
+        assert recent.count == 0 and recent.max == 0.0
+
+    def test_a_reset_source_yields_the_whole_histogram(self):
+        assert recorded([0.1]).since(recorded([0.1, 0.2])) == recorded([0.1])
+        assert recorded([0.1]).since(None) == recorded([0.1])
+
+
 def parse_exposition(lines):
     """Parse histogram exposition lines into (buckets, sum, count)."""
     buckets, total_sum, count = [], None, None

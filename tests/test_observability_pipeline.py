@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import threading
 
 import pytest
 
@@ -98,22 +97,8 @@ class TestInlineSession:
             assert session.detections("low")
 
     def test_aliased_query_is_one_name_in_spans_profile_and_stats(self):
-        # profile_hz this low never samples by itself; the predicate's UDF
-        # takes the sample, from a second thread, while the matcher runs.
-        config = SessionConfig(trace_sample_rate=1.0, profile_hz=0.001)
-        with GestureSession(config) as session:
-            profiler = session.telemetry.profiler
-
-            def sampled(value):
-                sampler = threading.Thread(target=profiler.sample_once, name="repro-test-sampler")
-                sampler.start()
-                sampler.join(timeout=30)
-                return value
-
-            session.engine.register_function("sampled", sampled, arity=1)
-            session.deploy(
-                'SELECT "high" MATCHING kinect_t(sampled(rhand_y) > 450);', name="high_v2"
-            )
+        with GestureSession(SessionConfig(trace_sample_rate=1.0)) as session:
+            session.deploy(HIGH, name="high_v2")
             session.feed(make_frames(players=1, rounds=4), stream="kinect_t")
             spans = {
                 event["name"]
@@ -123,7 +108,8 @@ class TestInlineSession:
             assert spans == {"matcher:high_v2"}
             rows = session.profile()["queries"]
             assert set(rows) == {"high_v2"}
-            assert rows["high_v2"]["samples"] >= 1
+            assert rows["high_v2"]["spans"] == 4
+            assert rows["high_v2"]["cpu_share"] == 1.0
             assert rows["high_v2"]["stats"]["tuples_processed"] == 4
 
     def test_export_trace_writes_file(self, tmp_path):
@@ -321,7 +307,7 @@ class TestTelemetryUnderFailure:
         spec = ShardEngineSpec(
             install_view=False,
             raw_stream="kinect_t",
-            telemetry=TelemetryConfig(trace_sample_rate=1.0, profile_hz=100.0),
+            telemetry=TelemetryConfig(trace_sample_rate=1.0),
         )
         router = HashPartitionRouter(2)
         p_bad = 1

@@ -22,6 +22,7 @@ from repro.observability.slo import (
     SLOEvaluator,
 )
 from repro.observability.timeseries import MetricsSampler
+from repro.runtime.metrics import MetricsRegistry
 
 HIGH = 'SELECT "high" MATCHING kinect_t(rhand_y > 450);'
 
@@ -199,6 +200,31 @@ class TestEvaluatorStateMachine:
         evaluator.evaluate(sampler, now=3.0)
         evaluator.clear()
         assert evaluator.alerts() == [] and evaluator.active() == []
+
+
+
+class TestPercentileGaugesArePerTick:
+    def test_a_passed_burst_stops_burning_the_budget(self):
+        # 1 000 detections/s: 10 s at 200 ms, then 600 s at 1 ms.  A p99
+        # over every sample so far would still read 200 ms at 610 s (the
+        # burst is 1.6 % of them) and keep both alerts active.
+        registry = MetricsRegistry()
+        histogram = registry.histogram("ingest_to_detection")
+        evaluator = SLOEvaluator(
+            (SLO.latency("p99", "hist.ingest_to_detection.p99_seconds", 0.050),)
+        )
+        sampler = MetricsSampler(interval_seconds=1.0, evaluators=(evaluator,))
+        sampler.add_registry(registry)
+        for second in range(1, 611):
+            latency = 0.200 if second <= 10 else 0.001
+            for _ in range(1000):
+                histogram.record(latency)
+            sampler.sample_once(now=float(second))
+            if second == 10:
+                assert evaluator.active() == [("p99", "page"), ("p99", "warn")]
+        assert sampler.get("hist.ingest_to_detection.p99_seconds").latest() == 0.001
+        assert evaluator.active() == []
+        assert [alert.severity for alert in evaluator.alerts()] == ["page", "warn"]
 
 
 class TestSessionIntegration:

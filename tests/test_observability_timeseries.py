@@ -18,6 +18,7 @@ from repro.observability.timeseries import (
     TimeSeries,
     flatten_registry,
 )
+from repro.runtime.metrics import MetricsRegistry
 
 HIGH = 'SELECT "high" MATCHING kinect_t(rhand_y > 450);'
 
@@ -100,6 +101,23 @@ class TestFlattenRegistry:
         assert reading["hist.batch_processing.count"] >= 1
         assert reading["hist.ingest_to_detection.p99_seconds"] >= 0.0
         assert all(isinstance(value, float) for value in reading.values())
+
+    def test_percentiles_cover_one_tick_and_counts_stay_cumulative(self):
+        registry = MetricsRegistry()
+        histogram = registry.histogram("ingest_to_detection")
+        previous = {}
+        histogram.record(0.2)
+        first = flatten_registry(registry, previous)
+        assert first["hist.ingest_to_detection.p99_seconds"] == 0.2
+        idle = flatten_registry(registry, previous)
+        assert "hist.ingest_to_detection.p99_seconds" not in idle
+        assert idle["hist.ingest_to_detection.count"] == 1.0
+        histogram.record(0.001)
+        later = flatten_registry(registry, previous)
+        assert later["hist.ingest_to_detection.p99_seconds"] == 0.001
+        assert later["hist.ingest_to_detection.max_seconds"] == 0.001
+        assert later["hist.ingest_to_detection.count"] == 2.0
+        assert later["hist.ingest_to_detection.sum_seconds"] == pytest.approx(0.201)
 
 
 class TestMetricsSampler:

@@ -33,8 +33,8 @@ Eight rules, all born from real failure modes of this codebase:
     the one sanctioned caller of ``time.time()``.
 
 ``RL004`` — every background thread is constructed with ``name=``
-    The sampling profiler uses the thread name as the root of every
-    collapsed stack, tests count a session's control-plane threads by
+    A span's ``tid`` and a health report's subject are read back to a
+    thread by its name, tests count a session's control-plane threads by
     name, and ``threading.enumerate()`` dumps are how stalls get
     debugged — an anonymous ``Thread-7`` is unattributable in all three.
     Every ``threading.Thread(...)`` constructed under ``src/repro`` must
@@ -255,8 +255,8 @@ def _lint_unnamed_threads(path: Path, tree: ast.AST, relative: str) -> Iterable[
                 node.lineno,
                 "RL004",
                 "threading.Thread(...) without name=; anonymous threads are "
-                "unattributable in profiler collapsed stacks, health reports "
-                "and threading.enumerate() dumps — pass name='repro-<role>'",
+                "unattributable in span tids, health reports and "
+                "threading.enumerate() dumps — pass name='repro-<role>'",
             )
 
 
