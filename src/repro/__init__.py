@@ -28,8 +28,8 @@ the gesture database behind one object:
 ...     session.detections(partition=1)      # per-player filtering
 
 Learned queries render to the paper's Fig. 1 text via ``to_query()`` and
-round-trip through :func:`repro.cep.parse_query`; ``quick_learn_and_detect``
-below runs the whole loop on simulated data.
+round-trip through :func:`repro.cep.parse_query`; ``examples/quickstart.py``
+runs the whole learn-deploy-detect loop on simulated data.
 
 Scaling out
 -----------
@@ -59,7 +59,7 @@ The package is organised by subsystem:
 ``repro.api``
     the public façade: fluent query DSL + ``GestureSession``.
 ``repro.streams``
-    push-based streams, simulated clocks, sources.
+    push-based streams and the simulated clock.
 ``repro.kinect``
     the Kinect skeleton-stream simulator (trajectories, users, noise).
 ``repro.transform``
@@ -84,12 +84,11 @@ The package is organised by subsystem:
 
 from repro.errors import ReproError
 
-__version__ = "1.1.0"
+__version__ = "1.2.0"
 
 __all__ = [
     "ReproError",
     "__version__",
-    "quick_learn_and_detect",
     # Lazily re-exported from repro.api (PEP 562):
     "GestureSession",
     "SessionConfig",
@@ -123,34 +122,3 @@ def __getattr__(name: str):
 
         return getattr(api, name)
     raise AttributeError(f"module 'repro' has no attribute '{name}'")
-
-
-def quick_learn_and_detect(samples: int = 4, test_performances: int = 3):
-    """Minimal end-to-end demo used by the README quickstart.
-
-    Learns the ``swipe_right`` gesture from a few simulated samples,
-    deploys the generated CEP query, performs the gesture a few more times
-    and returns the resulting gesture events.  Thin shim over
-    :class:`repro.api.GestureSession`.
-    """
-    from repro.api import GestureSession
-    from repro.kinect import KinectSimulator, SwipeTrajectory
-    from repro.streams import SimulatedClock
-
-    simulator = KinectSimulator(clock=SimulatedClock())
-    trajectory = SwipeTrajectory(direction="right")
-
-    with GestureSession() as session:
-        session.learn(
-            "swipe_right",
-            (
-                simulator.perform_variation(trajectory, hold_start_s=0.3, hold_end_s=0.3)
-                for _ in range(samples)
-            ),
-            deploy=True,
-        )
-        for _ in range(test_performances):
-            session.feed(
-                simulator.perform_variation(trajectory, hold_start_s=0.2, hold_end_s=0.2)
-            )
-        return list(session.events)

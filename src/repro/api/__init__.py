@@ -3,7 +3,7 @@
 This package is the one import an application needs:
 
 * :mod:`repro.api.dsl` — ``F`` (field expressions), ``Q`` (fluent query
-  builder), ``lit`` / ``udf`` helpers.  Builder chains produce the same
+  builder), the ``udf`` helper.  Builder chains produce the same
   frozen :class:`~repro.cep.query.Query` objects the parser and the
   learning pipeline produce, and round-trip byte-identically through
   ``to_query()`` / :func:`~repro.cep.parser.parse_query`.
@@ -22,7 +22,7 @@ This package is the one import an application needs:
 ['hands_up']
 """
 
-from repro.api.dsl import Expr, F, Q, QueryBuilder, lit, udf
+from repro.api.dsl import Expr, F, Q, QueryBuilder, udf
 from repro.api.session import (
     GestureSession,
     HandlerFailure,
@@ -35,7 +35,6 @@ __all__ = [
     "F",
     "Q",
     "QueryBuilder",
-    "lit",
     "udf",
     "GestureSession",
     "HandlerFailure",

@@ -232,11 +232,6 @@ class _FieldFactory:
 F = _FieldFactory()
 
 
-def lit(value: Any) -> Expr:
-    """Wrap a Python constant as a query literal."""
-    return Expr(Literal(value))
-
-
 def udf(name: str, *arguments: ExprLike) -> Expr:
     """Call a registered (or built-in) function, e.g. ``udf("dist", a, b)``."""
     return Expr(FunctionCall(name, [_to_expression(arg) for arg in arguments]))

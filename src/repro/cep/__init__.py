@@ -4,7 +4,7 @@ This package is the reproduction's stand-in for *AnduIN*, the data stream
 management system the paper deploys its generated gesture queries on.  It
 provides everything those queries need:
 
-* a tuple/schema model (:mod:`repro.cep.tuples`),
+* the partition key of sensor streams (:mod:`repro.cep.tuples`),
 * an expression language with user-defined functions
   (:mod:`repro.cep.expressions`, :mod:`repro.cep.udf`),
 * a parser for the paper's query dialect —
@@ -17,7 +17,7 @@ provides everything those queries need:
   (:mod:`repro.cep.engine`).
 """
 
-from repro.cep.tuples import DEFAULT_PARTITION_FIELD, Field, Schema
+from repro.cep.tuples import DEFAULT_PARTITION_FIELD
 from repro.cep.expressions import (
     BinaryOp,
     BooleanOp,
@@ -46,7 +46,6 @@ from repro.cep.sinks import (
     CallbackSink,
     CollectingSink,
     FanOutSink,
-    NullSink,
     Sink,
     SinkFailure,
 )
@@ -55,8 +54,6 @@ from repro.cep.engine import CEPEngine, DeployedQuery, Engine, QueryHandle
 
 __all__ = [
     "DEFAULT_PARTITION_FIELD",
-    "Field",
-    "Schema",
     "Expression",
     "Literal",
     "FieldRef",
@@ -87,7 +84,6 @@ __all__ = [
     "CallbackSink",
     "CollectingSink",
     "FanOutSink",
-    "NullSink",
     "install_kinect_view",
     "CEPEngine",
     "DeployedQuery",

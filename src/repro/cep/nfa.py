@@ -26,7 +26,6 @@ from repro.cep.query import (
     ConsumePolicy,
     EventPattern,
     PatternNode,
-    Query,
     SelectPolicy,
     SequencePattern,
 )
@@ -148,8 +147,3 @@ def compile_pattern(pattern: SequencePattern) -> CompiledPattern:
         select=pattern.select,
         consume=pattern.consume,
     )
-
-
-def compile_query(query: Query) -> CompiledPattern:
-    """Compile the pattern of a full :class:`~repro.cep.query.Query`."""
-    return compile_pattern(query.pattern)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, List, Optional, Set, Tuple, Union
 
-from repro.cep.expressions import Expression, Literal
+from repro.cep.expressions import Expression
 
 
 class SelectPolicy(str, Enum):
@@ -232,8 +232,3 @@ def sequence(
         select=select,
         consume=consume,
     )
-
-
-def match_all(stream: str) -> EventPattern:
-    """An event pattern that matches every tuple of ``stream``."""
-    return EventPattern(stream=stream, predicate=Literal(True))

@@ -119,16 +119,6 @@ class CallbackSink(Sink):
         self.emitted += 1
 
 
-class NullSink(Sink):
-    """Counts detections but keeps nothing (benchmarking)."""
-
-    def __init__(self) -> None:
-        self.emitted = 0
-
-    def emit(self, detection: Detection) -> None:
-        self.emitted += 1
-
-
 @dataclass(frozen=True)
 class SinkFailure:
     """One exception raised by a fanned-out sink (delivery was not broken)."""

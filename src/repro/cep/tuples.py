@@ -1,175 +1,15 @@
-"""Tuple schemas for CEP streams.
+"""The partition key of CEP sensor streams.
 
 Streams in this engine carry plain dictionaries — the Kinect middleware
-produces flat records and queries reference fields by name — but a
-:class:`Schema` gives a stream a declared structure: field names, types,
-and optional required-ness.  Schemas are used for
-
-* validating tuples pushed to a stream in "strict" deployments,
-* describing the ``kinect`` and ``kinect_t`` streams in generated queries,
-* serialising gesture descriptions (the storage layer records which fields
-  a gesture constrains).
+produces flat records and queries reference fields by name.  A stream
+checks the fields it is declared with (:attr:`repro.streams.Stream.fields`);
+this module only names the field every sensor tuple is partitioned on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
-
-from repro.errors import SchemaError
-
-#: Types a schema field may declare.  ``"number"`` accepts ints and floats.
-_ALLOWED_TYPES = ("number", "int", "float", "string", "bool", "any")
-
 #: Canonical partition key of the sensor streams: the tracked player id the
-#: Kinect middleware stamps on every frame (declared in
-#: :func:`kinect_schema`).  The matcher's run table and the transformer's
-#: smoothing state are keyed by this field so concurrent users never share
-#: detection state; see :class:`repro.cep.matcher.MatcherConfig`.
+#: Kinect middleware stamps on every frame.  The matcher's run table and the
+#: transformer's smoothing state are keyed by this field so concurrent users
+#: never share detection state; see :class:`repro.cep.matcher.MatcherConfig`.
 DEFAULT_PARTITION_FIELD = "player"
-
-
-@dataclass(frozen=True)
-class Field:
-    """One field of a stream schema.
-
-    Attributes
-    ----------
-    name:
-        Field name as referenced by queries (e.g. ``rhand_x``).
-    type:
-        One of ``number``, ``int``, ``float``, ``string``, ``bool``, ``any``.
-    required:
-        Whether tuples must carry the field.
-    description:
-        Optional human-readable description (shown in query explanations).
-    """
-
-    name: str
-    type: str = "number"
-    required: bool = True
-    description: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise SchemaError("field name must be non-empty")
-        if self.type not in _ALLOWED_TYPES:
-            raise SchemaError(
-                f"field '{self.name}' has unknown type '{self.type}'; "
-                f"allowed: {_ALLOWED_TYPES}"
-            )
-
-    def accepts(self, value: Any) -> bool:
-        """Check whether ``value`` is compatible with the declared type."""
-        if self.type == "any":
-            return True
-        if self.type == "string":
-            return isinstance(value, str)
-        if self.type == "bool":
-            return isinstance(value, bool)
-        if self.type == "int":
-            return isinstance(value, int) and not isinstance(value, bool)
-        if self.type == "float":
-            return isinstance(value, float)
-        # "number"
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-class Schema:
-    """An ordered collection of :class:`Field` definitions.
-
-    Examples
-    --------
-    >>> schema = Schema("kinect", [Field("ts"), Field("rhand_x")])
-    >>> schema.validate({"ts": 0.0, "rhand_x": 1.0})
-    >>> "rhand_x" in schema
-    True
-    """
-
-    def __init__(self, name: str, fields: Iterable[Field]) -> None:
-        if not name:
-            raise SchemaError("schema name must be non-empty")
-        self.name = name
-        self._fields: Dict[str, Field] = {}
-        for f in fields:
-            if f.name in self._fields:
-                raise SchemaError(f"duplicate field '{f.name}' in schema '{name}'")
-            self._fields[f.name] = f
-
-    # -- introspection -----------------------------------------------------------
-
-    @property
-    def fields(self) -> Tuple[Field, ...]:
-        return tuple(self._fields.values())
-
-    def field_names(self) -> List[str]:
-        return list(self._fields)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._fields
-
-    def __len__(self) -> int:
-        return len(self._fields)
-
-    def get(self, name: str) -> Optional[Field]:
-        return self._fields.get(name)
-
-    # -- validation ---------------------------------------------------------------
-
-    def validate(self, record: Mapping[str, Any]) -> None:
-        """Raise :class:`~repro.errors.SchemaError` if the record is invalid."""
-        for f in self._fields.values():
-            if f.name not in record:
-                if f.required:
-                    raise SchemaError(
-                        f"tuple for schema '{self.name}' is missing required "
-                        f"field '{f.name}'"
-                    )
-                continue
-            if not f.accepts(record[f.name]):
-                raise SchemaError(
-                    f"field '{f.name}' of schema '{self.name}' expects type "
-                    f"'{f.type}' but got {type(record[f.name]).__name__}"
-                )
-
-    def conforms(self, record: Mapping[str, Any]) -> bool:
-        """Boolean variant of :meth:`validate`."""
-        try:
-            self.validate(record)
-        except SchemaError:
-            return False
-        return True
-
-    def project(self, record: Mapping[str, Any]) -> Dict[str, Any]:
-        """Return only the schema fields of ``record`` (missing ones skipped)."""
-        return {name: record[name] for name in self._fields if name in record}
-
-    def __repr__(self) -> str:
-        return f"Schema(name={self.name!r}, fields={self.field_names()})"
-
-
-def kinect_schema(joints: Optional[Sequence[str]] = None) -> Schema:
-    """Build the schema of the (raw or transformed) Kinect stream.
-
-    Parameters
-    ----------
-    joints:
-        Joints to include; defaults to the full tracked joint set.
-    """
-    from repro.kinect.skeleton import JOINTS, TRACKED_AXES, joint_field
-
-    selected = joints if joints is not None else JOINTS
-    fields: List[Field] = [
-        Field("ts", "number", description="frame timestamp in seconds"),
-        Field("player", "int", required=False, description="tracked player id"),
-    ]
-    for joint in selected:
-        for axis in TRACKED_AXES:
-            fields.append(
-                Field(
-                    joint_field(joint, axis),
-                    "number",
-                    description=f"{joint} {axis.upper()} coordinate (mm)",
-                )
-            )
-    return Schema("kinect", fields)

@@ -285,7 +285,7 @@ def align_centers(
 
 
 def _nearest_source_index(index: int, target_length: int, source_length: int) -> int:
-    """Source index closest to aligned position ``index``."""
+    """Index into the source closest to aligned position ``index``."""
     if target_length <= 1 or source_length <= 1:
         return 0
     position = index * (source_length - 1) / (target_length - 1)

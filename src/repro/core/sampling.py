@@ -51,7 +51,7 @@ class SamplingConfig:
         first and last cluster are always kept — they anchor the gesture's
         start and end pose.
     timestamp_field:
-        Field carrying the frame time.
+        Name of the field carrying the frame time.
     """
 
     fields: Tuple[str, ...] = ()

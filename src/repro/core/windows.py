@@ -24,9 +24,9 @@ class Window:
     Attributes
     ----------
     center:
-        Field → centre coordinate.
+        field name → centre coordinate.
     width:
-        Field → half-width... no: *full tolerance* in that dimension, i.e.
+        field name → *full tolerance* (not half-width) in that dimension, i.e.
         a point is inside when ``abs(point[f] - center[f]) < width[f]``,
         exactly matching the generated predicate
         ``abs(center - coord) < width`` of Sec. 3.3.4.

@@ -25,8 +25,8 @@ class CEPError(ReproError):
 
 
 class SchemaError(CEPError):
-    """A tuple does not conform to the schema of the stream it was pushed to,
-    or a schema definition itself is invalid (duplicate fields, bad types)."""
+    """A tuple lacks a field that the stream it was pushed to declares
+    (:attr:`repro.streams.Stream.fields`)."""
 
 
 class ExpressionError(CEPError):

@@ -4,20 +4,19 @@ The paper is a demo paper and reports its evaluation qualitatively ("3-5
 samples are sufficient", "overlaps reveal fast during testing", …).  To make
 those claims measurable this package provides:
 
-* :mod:`repro.evaluation.metrics` — precision / recall / F1, confusion
-  matrices and latency statistics,
+* :mod:`repro.evaluation.metrics` — precision / recall / F1 and confusion
+  matrices,
 * :mod:`repro.evaluation.workloads` — generation of labelled train/test
   splits from the simulator (per gesture, per user),
 * :mod:`repro.evaluation.harness` — experiment runners used by the
   ``benchmarks/`` directory: detection accuracy vs number of samples,
-  cross-gesture confusion, overlap vs window scaling, optimisation impact
-  and engine throughput.
+  cross-gesture confusion, overlap vs window scaling and optimisation
+  impact (throughput is ``benchmarks/e2e``'s).
 """
 
 from repro.evaluation.metrics import (
     ClassificationMetrics,
     ConfusionMatrix,
-    LatencyStats,
     f1_score,
     precision,
     recall,
@@ -27,8 +26,6 @@ from repro.evaluation.harness import (
     AccuracyResult,
     DetectionExperiment,
     ExperimentConfig,
-    ThroughputResult,
-    measure_throughput,
 )
 
 __all__ = [
@@ -37,13 +34,10 @@ __all__ = [
     "f1_score",
     "ClassificationMetrics",
     "ConfusionMatrix",
-    "LatencyStats",
     "WorkloadConfig",
     "EvaluationWorkload",
     "build_workload",
     "ExperimentConfig",
     "DetectionExperiment",
     "AccuracyResult",
-    "ThroughputResult",
-    "measure_throughput",
 ]

@@ -1,33 +1,28 @@
-"""Experiment runners used by the benchmark suite.
+"""Experiment runner used by the benchmark suite.
 
-Two families of experiments cover the paper's claims:
-
-* :class:`DetectionExperiment` — learn every workload gesture from its
-  training samples, deploy the generated queries on a fresh engine, replay
-  the (held-out) test performances and idle segments, and score detections
-  per gesture.  This powers the accuracy-vs-samples curve ("3-5 samples are
-  sufficient"), the cross-user invariance experiment, the overlap study and
-  the optimisation ablation.
-* :func:`measure_throughput` — stream synthetic frames through an engine
-  with a configurable number of deployed gesture queries and measure
-  per-tuple latency and sustained throughput against the Kinect's 30 Hz.
+:class:`DetectionExperiment` covers the paper's learning claims: learn every
+workload gesture from its training samples, deploy the generated queries on
+a fresh engine, replay the (held-out) test performances and idle segments,
+and score detections per gesture.  This powers the accuracy-vs-samples curve
+("3-5 samples are sufficient"), the cross-user invariance experiment, the
+overlap study and the optimisation ablation.  Throughput and latency are
+measured end to end by ``benchmarks/e2e``, not here.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional
 
 from repro.cep.engine import CEPEngine
 from repro.cep.query import Query
-from repro.cep.views import RAW_STREAM_NAME, install_kinect_view
+from repro.cep.views import install_kinect_view
 from repro.core.description import GestureDescription
 from repro.core.learner import GestureLearner, LearnerConfig
 from repro.core.optimization import OptimizerConfig, PatternOptimizer
 from repro.core.querygen import QueryGenConfig, QueryGenerator
 from repro.detection.detector import GestureDetector
-from repro.evaluation.metrics import ClassificationMetrics, ConfusionMatrix, LatencyStats
+from repro.evaluation.metrics import ClassificationMetrics, ConfusionMatrix
 from repro.evaluation.workloads import EvaluationWorkload
 from repro.kinect.recordings import Recording
 from repro.streams.clock import SimulatedClock
@@ -191,69 +186,3 @@ class DetectionExperiment:
         detector.clear()
         detector.process_frames(recording.frames)
         return [event.gesture for event in detector.events]
-
-
-@dataclass
-class ThroughputResult:
-    """Outcome of an engine throughput measurement."""
-
-    queries_deployed: int
-    frames_processed: int
-    elapsed_seconds: float
-    per_tuple_latency: LatencyStats
-
-    @property
-    def tuples_per_second(self) -> float:
-        if self.elapsed_seconds <= 0:
-            return 0.0
-        return self.frames_processed / self.elapsed_seconds
-
-    @property
-    def realtime_factor(self) -> float:
-        """How many times faster than the Kinect's 30 Hz the engine runs."""
-        return self.tuples_per_second / 30.0
-
-    def as_row(self) -> Dict[str, float]:
-        return {
-            "queries": self.queries_deployed,
-            "frames": self.frames_processed,
-            "tuples_per_s": round(self.tuples_per_second, 1),
-            "realtime_x": round(self.realtime_factor, 1),
-            "mean_latency_us": round(self.per_tuple_latency.mean * 1e6, 1),
-            "p95_latency_us": round(self.per_tuple_latency.p95 * 1e6, 1),
-        }
-
-
-def measure_throughput(
-    queries: Sequence[Query],
-    frames: Sequence[Mapping[str, float]],
-    repeat: int = 1,
-) -> ThroughputResult:
-    """Measure engine throughput with ``queries`` deployed over ``frames``.
-
-    The frames are raw sensor frames; they pass frame by frame through the
-    ``kinect_t`` view and every deployed query, which is the paper's
-    runtime data path.
-    """
-    engine = CEPEngine(clock=SimulatedClock())
-    install_kinect_view(engine)
-    for query in queries:
-        engine.register_query(query, create_missing_streams=True)
-
-    frames = list(frames)
-    latency = LatencyStats()
-    processed = 0
-    start = time.perf_counter()
-    for _ in range(max(1, repeat)):
-        for frame in frames:
-            tuple_start = time.perf_counter()
-            engine.push(RAW_STREAM_NAME, frame)
-            latency.add(time.perf_counter() - tuple_start)
-            processed += 1
-    elapsed = time.perf_counter() - start
-    return ThroughputResult(
-        queries_deployed=len(queries),
-        frames_processed=processed,
-        elapsed_seconds=elapsed,
-        per_tuple_latency=latency,
-    )

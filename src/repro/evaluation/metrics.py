@@ -1,10 +1,9 @@
-"""Detection quality and latency metrics."""
+"""Detection quality metrics."""
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 def precision(true_positives: int, false_positives: int) -> float:
@@ -120,75 +119,3 @@ class ConfusionMatrix:
 
     def __repr__(self) -> str:
         return f"ConfusionMatrix(accuracy={self.accuracy():.2f})"
-
-
-@dataclass
-class LatencyStats:
-    """Summary statistics over a list of latency samples (seconds)."""
-
-    samples: List[float] = field(default_factory=list)
-
-    def add(self, value: float) -> None:
-        self.samples.append(value)
-
-    def extend(self, values: Iterable[float]) -> None:
-        self.samples.extend(values)
-
-    @property
-    def count(self) -> int:
-        return len(self.samples)
-
-    @property
-    def mean(self) -> float:
-        return sum(self.samples) / len(self.samples) if self.samples else 0.0
-
-    @property
-    def minimum(self) -> float:
-        return min(self.samples) if self.samples else 0.0
-
-    @property
-    def maximum(self) -> float:
-        return max(self.samples) if self.samples else 0.0
-
-    def percentile(self, fraction: float) -> float:
-        """Linear-interpolation percentile, ``fraction`` in [0, 1]."""
-        if not self.samples:
-            return 0.0
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError("percentile fraction must be in [0, 1]")
-        ordered = sorted(self.samples)
-        position = fraction * (len(ordered) - 1)
-        low = int(math.floor(position))
-        high = int(math.ceil(position))
-        if low == high:
-            return ordered[low]
-        weight = position - low
-        return ordered[low] * (1 - weight) + ordered[high] * weight
-
-    @property
-    def p50(self) -> float:
-        return self.percentile(0.5)
-
-    @property
-    def p95(self) -> float:
-        return self.percentile(0.95)
-
-    @property
-    def p99(self) -> float:
-        return self.percentile(0.99)
-
-    def as_row(self) -> Dict[str, float]:
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "p50": self.p50,
-            "p95": self.p95,
-            "p99": self.p99,
-            "max": self.maximum,
-        }
-
-    def __repr__(self) -> str:
-        return (
-            f"LatencyStats(n={self.count}, mean={self.mean * 1000:.2f}ms, "
-            f"p95={self.p95 * 1000:.2f}ms)"
-        )

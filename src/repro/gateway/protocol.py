@@ -92,7 +92,6 @@ import json
 import struct
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
-from repro.cep.matcher import Detection
 from repro.detection.events import GestureEvent
 from repro.errors import GatewayProtocolError
 
@@ -102,7 +101,6 @@ __all__ = [
     "ErrorCode",
     "decode_message",
     "decode_server_message",
-    "detection_to_wire",
     "encode_message",
     "event_to_wire",
     "make_error",
@@ -353,16 +351,6 @@ def require_records(message: Mapping[str, Any]) -> List[Mapping[str, Any]]:
             ErrorCode.BAD_MESSAGE, "'batch' must be a positive integer when given"
         )
     return records
-
-
-def detection_to_wire(detection: Detection) -> Dict[str, Any]:
-    """One engine detection as a JSON-serialisable wire object.
-
-    Uses the snapshot format (:meth:`Detection.to_state`) so gateway
-    reads are byte-compatible with snapshots, replay and the in-process
-    API — ``tests/test_gateway_server.py`` asserts exactly this.
-    """
-    return detection.to_state()
 
 
 def event_to_wire(event: GestureEvent) -> Dict[str, Any]:

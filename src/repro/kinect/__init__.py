@@ -9,29 +9,26 @@ available here, so this package simulates it:
   adult) so scale-invariance experiments have "users" of different heights,
 * :mod:`repro.kinect.trajectories` — parametric gesture trajectories
   (swipes, circle, wave, push, …) defined in a user-relative coordinate
-  frame, plus idle/noise motion,
+  frame,
 * :mod:`repro.kinect.noise` — sensor noise and jitter models,
 * :mod:`repro.kinect.simulator` — :class:`KinectSimulator`, which renders a
   trajectory performed by a body profile standing somewhere in front of the
   camera into the same flat tuples the Kinect middleware would deliver,
-* :mod:`repro.kinect.recordings` — CSV recordings in the format shown in
-  Fig. 1 of the paper and labelled data-set generation for the benchmarks.
+* :mod:`repro.kinect.recordings` — labelled recordings of single users and
+  interleaved multi-user scenes.
 """
 
 from repro.kinect.skeleton import (
     JOINTS,
     TRACKED_AXES,
-    Joint,
     Skeleton,
     joint_field,
     rest_pose,
 )
 from repro.kinect.users import BodyProfile, STANDARD_USERS, user_by_name
-from repro.kinect.noise import GaussianNoise, NoNoise, NoiseModel, OcclusionNoise
+from repro.kinect.noise import GaussianNoise, NoNoise, NoiseModel
 from repro.kinect.trajectories import (
     CircleTrajectory,
-    CompositeTrajectory,
-    IdleTrajectory,
     PushTrajectory,
     RaiseHandTrajectory,
     SwipeTrajectory,
@@ -45,16 +42,12 @@ from repro.kinect.simulator import KinectSimulator, KINECT_FREQUENCY_HZ
 from repro.kinect.recordings import (
     MultiUserRecording,
     Recording,
-    generate_dataset,
     generate_multiuser_recording,
-    load_recording_csv,
-    save_recording_csv,
 )
 
 __all__ = [
     "JOINTS",
     "TRACKED_AXES",
-    "Joint",
     "Skeleton",
     "joint_field",
     "rest_pose",
@@ -64,7 +57,6 @@ __all__ = [
     "NoiseModel",
     "GaussianNoise",
     "NoNoise",
-    "OcclusionNoise",
     "Trajectory",
     "SwipeTrajectory",
     "CircleTrajectory",
@@ -72,16 +64,11 @@ __all__ = [
     "PushTrajectory",
     "RaiseHandTrajectory",
     "TwoHandSwipeTrajectory",
-    "IdleTrajectory",
     "WaypointTrajectory",
-    "CompositeTrajectory",
     "standard_gesture_catalog",
     "KinectSimulator",
     "KINECT_FREQUENCY_HZ",
     "MultiUserRecording",
     "Recording",
-    "generate_dataset",
     "generate_multiuser_recording",
-    "load_recording_csv",
-    "save_recording_csv",
 ]

@@ -24,9 +24,6 @@ class NoiseModel(ABC):
     def apply(self, record: Dict[str, float]) -> Dict[str, float]:
         """Return a (possibly new) record with noise applied."""
 
-    def reset(self) -> None:
-        """Reset any internal state (e.g. occlusion episodes)."""
-
 
 class NoNoise(NoiseModel):
     """The identity noise model (useful for exact-geometry tests)."""
@@ -71,88 +68,3 @@ class GaussianNoise(NoiseModel):
                 if key in noisy:
                     noisy[key] = float(noisy[key] + self.rng.normal(0.0, self.sigma_mm))
         return noisy
-
-
-class OcclusionNoise(NoiseModel):
-    """Occasionally freezes a joint at its last seen position.
-
-    Kinect skeleton tracking loses occluded joints and either repeats the
-    last estimate or jumps.  This model reproduces the "repeat last value"
-    failure mode: with probability ``dropout_probability`` per frame a joint
-    enters an occlusion episode of geometrically distributed length during
-    which its reported position stays frozen.
-
-    Parameters
-    ----------
-    dropout_probability:
-        Per-frame probability that a tracked joint becomes occluded.
-    mean_duration_frames:
-        Mean length of an occlusion episode in frames.
-    joints:
-        Joints that can be occluded (hands and elbows by default — they are
-        the ones that move in front of the body).
-    """
-
-    def __init__(
-        self,
-        dropout_probability: float = 0.01,
-        mean_duration_frames: float = 5.0,
-        rng: Optional[np.random.Generator] = None,
-        joints: Optional[Iterable[str]] = None,
-    ) -> None:
-        if not 0 <= dropout_probability <= 1:
-            raise ValueError("dropout probability must be in [0, 1]")
-        if mean_duration_frames < 1:
-            raise ValueError("mean occlusion duration must be at least one frame")
-        self.dropout_probability = dropout_probability
-        self.mean_duration_frames = mean_duration_frames
-        self.rng = rng or np.random.default_rng()
-        self.joints = tuple(joints) if joints is not None else (
-            "lhand", "rhand", "lelbow", "relbow",
-        )
-        self._frozen: Dict[str, Dict[str, float]] = {}
-        self._remaining: Dict[str, int] = {}
-
-    def reset(self) -> None:
-        self._frozen.clear()
-        self._remaining.clear()
-
-    def apply(self, record: Dict[str, float]) -> Dict[str, float]:
-        noisy = dict(record)
-        for joint in self.joints:
-            tracked = all(joint_field(joint, axis) in record for axis in TRACKED_AXES)
-            if not tracked:
-                continue
-            if joint in self._remaining:
-                # Occlusion episode in progress: repeat the frozen values.
-                for axis in TRACKED_AXES:
-                    key = joint_field(joint, axis)
-                    noisy[key] = self._frozen[joint][key]
-                self._remaining[joint] -= 1
-                if self._remaining[joint] <= 0:
-                    del self._remaining[joint]
-                    del self._frozen[joint]
-            elif self.rng.random() < self.dropout_probability:
-                duration = max(1, int(self.rng.geometric(1.0 / self.mean_duration_frames)))
-                self._remaining[joint] = duration
-                self._frozen[joint] = {
-                    joint_field(joint, axis): float(record[joint_field(joint, axis)])
-                    for axis in TRACKED_AXES
-                }
-        return noisy
-
-
-class CompositeNoise(NoiseModel):
-    """Applies several noise models in sequence."""
-
-    def __init__(self, models: Iterable[NoiseModel]) -> None:
-        self.models = list(models)
-
-    def apply(self, record: Dict[str, float]) -> Dict[str, float]:
-        for model in self.models:
-            record = model.apply(record)
-        return record
-
-    def reset(self) -> None:
-        for model in self.models:
-            model.reset()

@@ -1,14 +1,10 @@
-"""Recordings: persisted sensor traces and labelled data-set generation.
+"""Recordings: labelled sensor traces.
 
-Fig. 1 of the paper shows a raw sensor trace as a CSV-like listing of joint
-coordinates.  This module provides the same representation: a
-:class:`Recording` bundles the frames of one gesture performance with its
-label and the user who performed it, and can be saved to / loaded from CSV.
-
-:func:`generate_dataset` produces the labelled corpora used by the
-evaluation benchmarks: for each gesture in a catalogue it simulates several
-performances by several users, optionally interleaved with idle segments and
-distractor gestures to measure false-positive rates.
+Fig. 1 of the paper shows a raw sensor trace as a listing of joint
+coordinates.  A :class:`Recording` bundles the frames of one gesture
+performance with its label and the user who performed it.  The labelled
+corpora of the evaluation benchmarks are built from such recordings by
+:func:`repro.evaluation.workloads.build_workload`.
 
 :func:`generate_multiuser_recording` simulates a *shared sensor space*: K
 body profiles perform their own gesture scripts concurrently, each stamped
@@ -21,10 +17,8 @@ isolated single-user runs, player by player.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -65,124 +59,6 @@ class Recording:
         if len(self.frames) < 2:
             return 0.0
         return float(self.frames[-1]["ts"] - self.frames[0]["ts"])
-
-    def fields(self) -> List[str]:
-        """Field names present in the recording, timestamp first."""
-        if not self.frames:
-            return []
-        keys = list(self.frames[0].keys())
-        ordered = [k for k in ("ts", "player") if k in keys]
-        ordered += sorted(k for k in keys if k not in ("ts", "player"))
-        return ordered
-
-
-def save_recording_csv(recording: Recording, path: Path) -> None:
-    """Write a recording as CSV (one row per frame, Fig. 1 style)."""
-    path = Path(path)
-    fields = recording.fields()
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle, delimiter=";")
-        writer.writerow(["# gesture", recording.gesture])
-        writer.writerow(["# user", recording.user])
-        writer.writerow(["# frequency_hz", recording.frequency_hz])
-        writer.writerow(fields)
-        for frame in recording.frames:
-            writer.writerow([frame.get(name, "") for name in fields])
-
-
-def load_recording_csv(path: Path) -> Recording:
-    """Read a recording written by :func:`save_recording_csv`."""
-    path = Path(path)
-    gesture = "unknown"
-    user = "unknown"
-    frequency = KINECT_FREQUENCY_HZ
-    frames: List[Dict[str, float]] = []
-    header: Optional[List[str]] = None
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle, delimiter=";")
-        for row in reader:
-            if not row:
-                continue
-            if row[0].startswith("#"):
-                key = row[0].lstrip("# ").strip()
-                if key == "gesture":
-                    gesture = row[1]
-                elif key == "user":
-                    user = row[1]
-                elif key == "frequency_hz":
-                    frequency = float(row[1])
-                continue
-            if header is None:
-                header = row
-                continue
-            frame: Dict[str, float] = {}
-            for name, value in zip(header, row):
-                if value == "":
-                    continue
-                frame[name] = int(value) if name == "player" else float(value)
-            frames.append(frame)
-    return Recording(gesture=gesture, user=user, frames=frames, frequency_hz=frequency)
-
-
-def generate_dataset(
-    gestures: Mapping[str, Trajectory],
-    users: Optional[Sequence[BodyProfile]] = None,
-    samples_per_gesture: int = 5,
-    noise_sigma_mm: float = 6.0,
-    hold_start_s: float = 0.3,
-    hold_end_s: float = 0.3,
-    include_idle: bool = True,
-    idle_duration_s: float = 2.0,
-    seed: int = 7,
-) -> List[Recording]:
-    """Generate a labelled corpus of gesture recordings.
-
-    Parameters
-    ----------
-    gestures:
-        Gesture name → trajectory mapping (e.g. from
-        :func:`repro.kinect.trajectories.standard_gesture_catalog`).
-    users:
-        Body profiles that perform the gestures; defaults to the standard
-        user catalogue (child … tall adult).
-    samples_per_gesture:
-        Performances per (gesture, user) pair.
-    noise_sigma_mm:
-        Sensor noise level.
-    include_idle:
-        Whether to add idle recordings (negative examples) per user.
-    seed:
-        Seed for both waypoint variability and sensor noise so data sets are
-        reproducible across runs.
-
-    Returns
-    -------
-    list of :class:`Recording`
-    """
-    if samples_per_gesture < 1:
-        raise ValueError("samples_per_gesture must be at least 1")
-    users = list(users) if users is not None else list(STANDARD_USERS[:4])
-    rng = np.random.default_rng(seed)
-    recordings: List[Recording] = []
-    for user in users:
-        simulator = KinectSimulator(
-            user=user,
-            clock=SimulatedClock(),
-            noise=GaussianNoise(sigma_mm=noise_sigma_mm, rng=np.random.default_rng(rng.integers(2**31))),
-            rng=np.random.default_rng(rng.integers(2**31)),
-        )
-        for name, trajectory in gestures.items():
-            for _ in range(samples_per_gesture):
-                frames = simulator.perform_variation(
-                    trajectory, hold_start_s=hold_start_s, hold_end_s=hold_end_s
-                )
-                recordings.append(
-                    Recording(gesture=name, user=user.name, frames=frames)
-                )
-        if include_idle:
-            frames = simulator.idle_frames(idle_duration_s)
-            recordings.append(Recording(gesture="idle", user=user.name, frames=frames))
-    return recordings
 
 
 @dataclass
@@ -318,13 +194,3 @@ def generate_multiuser_recording(
     merged.sort(key=lambda frame: (frame["ts"], frame["player"]))
     result.frames = merged
     return result
-
-
-def recordings_by_gesture(
-    recordings: Iterable[Recording],
-) -> Dict[str, List[Recording]]:
-    """Group recordings by gesture label."""
-    grouped: Dict[str, List[Recording]] = {}
-    for recording in recordings:
-        grouped.setdefault(recording.gesture, []).append(recording)
-    return grouped

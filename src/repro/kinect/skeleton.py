@@ -18,9 +18,8 @@ different heights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -89,23 +88,6 @@ def joint_field(joint: str, axis: str) -> str:
 def all_joint_fields() -> List[str]:
     """Return all ``<joint>_<axis>`` field names in a deterministic order."""
     return [joint_field(j, a) for j in JOINTS for a in TRACKED_AXES]
-
-
-@dataclass(frozen=True)
-class Joint:
-    """A named joint position in millimetres."""
-
-    name: str
-    x: float
-    y: float
-    z: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
-
-    def distance_to(self, other: "Joint") -> float:
-        """Euclidean distance to another joint in millimetres."""
-        return float(np.linalg.norm(self.as_array() - other.as_array()))
 
 
 def rest_pose(scale: float = 1.0) -> Dict[str, np.ndarray]:
@@ -237,13 +219,3 @@ class Skeleton:
             f"Skeleton(scale={self.scale:.2f}, position={tuple(self.position)}, "
             f"yaw={self.yaw_deg:.1f})"
         )
-
-
-def measurement_to_joint(record: Mapping[str, float], joint: str) -> Joint:
-    """Extract one :class:`Joint` from a flat measurement dictionary."""
-    return Joint(
-        name=joint,
-        x=float(record[joint_field(joint, "x")]),
-        y=float(record[joint_field(joint, "y")]),
-        z=float(record[joint_field(joint, "z")]),
-    )

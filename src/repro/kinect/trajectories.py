@@ -362,55 +362,6 @@ class WaveTrajectory(Trajectory):
         }
 
 
-class IdleTrajectory(Trajectory):
-    """No intentional movement: every joint stays at its current rest pose.
-
-    Used to simulate the stationary phases before and after a gesture that
-    the recording controller relies on (Sec. 3.1), and as negative data in
-    the detection-accuracy benchmarks.
-    """
-
-    def __init__(self, duration_s: float = 1.0, name: str = "idle") -> None:
-        super().__init__(name, duration_s)
-
-    @property
-    def joints(self) -> Tuple[str, ...]:
-        return ()
-
-    def positions(self, phase: float) -> Dict[str, Vector]:
-        return {}
-
-
-class CompositeTrajectory(Trajectory):
-    """Concatenation of several trajectories performed back to back."""
-
-    def __init__(self, name: str, parts: Sequence[Trajectory]) -> None:
-        if not parts:
-            raise ValueError("a composite trajectory needs at least one part")
-        total = sum(part.duration_s for part in parts)
-        super().__init__(name, total)
-        self.parts = list(parts)
-
-    @property
-    def joints(self) -> Tuple[str, ...]:
-        seen: List[str] = []
-        for part in self.parts:
-            for joint in part.joints:
-                if joint not in seen:
-                    seen.append(joint)
-        return tuple(seen)
-
-    def positions(self, phase: float) -> Dict[str, Vector]:
-        phase = _clamp_phase(phase)
-        elapsed = phase * self.duration_s
-        for part in self.parts:
-            if elapsed <= part.duration_s or part is self.parts[-1]:
-                local_phase = min(1.0, elapsed / part.duration_s)
-                return part.positions(local_phase)
-            elapsed -= part.duration_s
-        return {}
-
-
 def standard_gesture_catalog() -> Dict[str, Trajectory]:
     """Return the gesture catalogue used by examples, tests and benchmarks.
 

@@ -4,17 +4,14 @@ This package provides the minimal streaming substrate on which both the
 Kinect simulator (``repro.kinect``) and the CEP engine (``repro.cep``) are
 built:
 
-* :class:`~repro.streams.clock.SimulatedClock` / ``WallClock`` — time sources
-  so the whole stack can run deterministically in tests and faster than
-  real-time in benchmarks.
+* :class:`~repro.streams.clock.SimulatedClock` — a manually advanced time
+  source, so the whole stack can run deterministically in tests and faster
+  than real-time in benchmarks.
 * :class:`~repro.streams.stream.Stream` — a named, typed, push-based stream
   with subscriber fan-out.
-* :class:`~repro.streams.source.ReplaySource` and friends — sources that feed
-  tuples into a stream from recordings, generators or callables, optionally
-  rate-controlled.
 """
 
-from repro.streams.clock import Clock, SimulatedClock, WallClock
+from repro.streams.clock import Clock, SimulatedClock
 from repro.streams.stream import (
     DeliveryFailure,
     Stream,
@@ -22,26 +19,13 @@ from repro.streams.stream import (
     StreamStats,
     Subscription,
 )
-from repro.streams.source import (
-    CallableSource,
-    GeneratorSource,
-    RateLimiter,
-    ReplaySource,
-    Source,
-)
 
 __all__ = [
     "Clock",
     "DeliveryFailure",
     "SimulatedClock",
-    "WallClock",
     "Stream",
     "StreamRegistry",
     "StreamStats",
     "Subscription",
-    "Source",
-    "ReplaySource",
-    "GeneratorSource",
-    "CallableSource",
-    "RateLimiter",
 ]

@@ -4,17 +4,14 @@ The paper's engine processes a 30 Hz sensor stream and gesture queries carry
 ``within N seconds`` constraints, so *time* is a first-class concept.  To keep
 tests deterministic and benchmarks fast we never call ``time.time()``
 directly; every component takes a :class:`Clock` and reads timestamps from
-it.  Two implementations are provided:
-
-* :class:`SimulatedClock` — a manually advanced clock.  The Kinect simulator
-  advances it by 1/30 s per emitted frame, which makes replaying an hour of
-  sensor data take milliseconds.
-* :class:`WallClock` — thin wrapper around ``time.monotonic`` for live use.
+it.  The implementation is :class:`SimulatedClock`, a manually advanced
+clock: the Kinect simulator advances it by 1/30 s per emitted frame, which
+makes replaying an hour of sensor data take milliseconds.  Latency
+measurements read :mod:`repro.observability.clock` instead.
 """
 
 from __future__ import annotations
 
-import time
 from abc import ABC, abstractmethod
 
 
@@ -82,25 +79,3 @@ class SimulatedClock(Clock):
 
     def __repr__(self) -> str:
         return f"SimulatedClock(t={self._now:.4f})"
-
-
-class WallClock(Clock):
-    """Real-time clock based on ``time.monotonic``.
-
-    The origin is shifted so that the first reading after construction is
-    close to zero, which keeps timestamps small and comparable with the
-    simulated clock.
-    """
-
-    def __init__(self) -> None:
-        self._origin = time.monotonic()
-
-    def now(self) -> float:
-        return time.monotonic() - self._origin
-
-    def sleep(self, seconds: float) -> None:
-        if seconds > 0:
-            time.sleep(seconds)
-
-    def __repr__(self) -> str:
-        return f"WallClock(t={self.now():.4f})"

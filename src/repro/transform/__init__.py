@@ -12,10 +12,9 @@ coordinate system that is
   length (hand–elbow distance), so children and adults produce comparable
   paths.
 
-The transformation is exposed both as a plain function
-(:func:`transform_frame`) and as the ``kinect_t`` view installed into the
-CEP engine (:func:`repro.cep.views.install_kinect_view`), mirroring the
-paper's on-the-fly view.
+The transformation is :class:`KinectTransformer`, installed into the CEP
+engine as the ``kinect_t`` view (:func:`repro.cep.views.install_kinect_view`),
+mirroring the paper's on-the-fly view.
 """
 
 from repro.transform.coordinate import (
@@ -29,7 +28,7 @@ from repro.transform.rotation import (
     roll_pitch_yaw,
     rotate_about_y,
 )
-from repro.transform.pipeline import KinectTransformer, TransformConfig, transform_frame
+from repro.transform.pipeline import KinectTransformer, TransformConfig
 from repro.transform.angles import (
     DEFAULT_SEGMENTS,
     JointAngleTransformer,
@@ -51,5 +50,4 @@ __all__ = [
     "roll_pitch_yaw",
     "KinectTransformer",
     "TransformConfig",
-    "transform_frame",
 ]

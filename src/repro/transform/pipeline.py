@@ -57,7 +57,7 @@ in ``tests/test_transform.py`` compares the kernel against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Dict, Mapping, NamedTuple, Optional, Tuple
 
@@ -311,18 +311,3 @@ class KinectTransformer:
 
     def __call__(self, frame: Mapping[str, float]) -> Dict[str, float]:
         return self.transform(frame)
-
-
-def transform_frame(
-    frame: Mapping[str, float],
-    config: Optional[TransformConfig] = None,
-) -> Dict[str, float]:
-    """One-shot (stateless) transformation of a single frame.
-
-    Convenience wrapper around :class:`KinectTransformer` without scale
-    smoothing, mainly for tests and interactive exploration.
-    """
-    cfg = config or TransformConfig(smooth_scale=0.0)
-    if cfg.smooth_scale != 0.0:
-        cfg = replace(cfg, smooth_scale=0.0)
-    return KinectTransformer(cfg).transform(frame)

@@ -16,7 +16,7 @@ import random
 import pytest
 
 from reference_matcher import reference_detections
-from repro.api import Expr, F, Q, QueryBuilder, lit, udf
+from repro.api import Expr, F, Q, QueryBuilder, udf
 from repro.cep import (
     CEPEngine,
     ConsumePolicy,
@@ -74,7 +74,7 @@ class TestExpressions:
         assert parse_expression(expression.to_query()) == expression.build()
 
     def test_udf_and_literals(self):
-        expression = udf("dist", F("rhand_x"), lit(0)) < 100
+        expression = udf("dist", F("rhand_x"), 0) < 100
         assert expression.to_query() == "dist(rhand_x, 0) < 100"
 
     def test_evaluates_like_the_parsed_form(self):

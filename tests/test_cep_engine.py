@@ -1,19 +1,13 @@
-"""Unit tests for the CEP engine, views, sinks and stream operators."""
+"""Unit tests for the CEP engine, views and sinks."""
+
+import json
 
 import pytest
 
 from reference_matcher import reference_detections
 from repro.cep.engine import CEPEngine
-from repro.cep.expressions import Comparison, FieldRef, Literal
 from repro.cep.matcher import Detection, MatcherConfig
-from repro.cep.operators import (
-    FilterOperator,
-    MapOperator,
-    Pipeline,
-    ProjectOperator,
-    SlidingWindowAggregate,
-)
-from repro.cep.sinks import CallbackSink, CollectingSink, FanOutSink, NullSink
+from repro.cep.sinks import CallbackSink, CollectingSink, FanOutSink
 from repro.cep.views import RAW_STREAM_NAME, TRANSFORMED_STREAM_NAME, install_kinect_view
 from repro.errors import (
     ExpressionError,
@@ -21,7 +15,7 @@ from repro.errors import (
     QuerySyntaxError,
     UnknownStreamError,
 )
-from repro.streams import SimulatedClock, Stream
+from repro.streams import SimulatedClock
 
 SIMPLE_QUERY = 'SELECT "up" MATCHING s(x > 100);'
 SEQ_QUERY = 'SELECT "seq" MATCHING s(x > 100) -> s(x > 200) within 1 seconds;'
@@ -53,21 +47,63 @@ class TestSinks:
         with pytest.raises(ValueError):
             CollectingSink(capacity=0)
 
-    def test_callback_and_null_and_fanout(self):
+    def test_callback_and_fanout(self):
         seen = []
         callback = CallbackSink(seen.append)
-        null = NullSink()
-        fan_out = FanOutSink([callback, null])
+        collecting = CollectingSink()
+        fan_out = FanOutSink([callback, collecting])
         fan_out.emit(_detection())
         assert len(seen) == 1
         assert callback.emitted == 1
-        assert null.emitted == 1
+        assert collecting.detections == seen
 
     def test_collecting_sink_clear_and_empty_last(self):
         sink = CollectingSink()
         sink.emit(_detection())
         sink.clear()
         assert sink.last() is None
+
+    def test_callback_sink_counts_only_delivered_detections(self):
+        def explode(detection):
+            raise RuntimeError("handler failed")
+
+        sink = CallbackSink(explode)
+        with pytest.raises(RuntimeError):
+            sink.emit(_detection())
+        assert sink.emitted == 0
+
+    def test_a_sink_added_to_a_fanout_receives_later_detections(self):
+        early, late = CollectingSink(), CollectingSink()
+        fan_out = FanOutSink([early])
+        fan_out.emit(_detection(ts=1.0))
+        fan_out.add(late)
+        fan_out.emit(_detection(ts=2.0))
+        assert [d.timestamp for d in early.detections] == [1.0, 2.0]
+        assert [d.timestamp for d in late.detections] == [2.0]
+
+
+class TestDetectionState:
+    def test_state_round_trips_through_json(self):
+        detection = Detection(
+            output="swipe", query_name="swipe_v2", timestamp=2.5, start_timestamp=1.0,
+            step_timestamps=(1.0, 1.75, 2.5), matched=({"x": 1.0}, {"x": 2.0}, {"x": 3.0}),
+            partition=2,
+        )
+        state = json.loads(json.dumps(detection.to_state()))
+        assert Detection.from_state(state) == detection
+
+    def test_state_without_matched_tuples(self):
+        detection = _detection(ts=4.0)
+        state = detection.to_state()
+        assert state["matched"] is None and state["partition"] is None
+        assert Detection.from_state(state) == detection
+
+    def test_duration_spans_first_to_last_event(self):
+        detection = Detection(
+            output="g", query_name="g", timestamp=3.0, start_timestamp=1.25,
+            step_timestamps=(1.25, 3.0),
+        )
+        assert detection.duration == pytest.approx(1.75)
 
 
 class TestEngineBasics:
@@ -118,6 +154,14 @@ class TestEngineBasics:
         engine.enable_query("up", True)
         engine.push("s", {"ts": 0.1, "x": 150.0})
         assert len(deployed.detections()) == 1
+
+    def test_a_true_predicate_detects_every_tuple(self):
+        engine = CEPEngine(clock=SimulatedClock())
+        engine.register_query('SELECT "any" MATCHING s(true);', create_missing_streams=True)
+        engine.push_many("s", [{"ts": 0.1 * i} for i in range(5)])
+        assert [d.timestamp for d in engine.detections()] == pytest.approx(
+            [0.0, 0.1, 0.2, 0.3, 0.4]
+        )
 
     def test_sequence_query_with_timestamps(self):
         engine = CEPEngine()
@@ -363,74 +407,6 @@ class TestViews:
         assert [failure.subscriber for failure in engine.get_stream("raw").delivery_errors] == [
             "doubled"
         ]
-
-
-class TestOperators:
-    def test_filter_operator(self):
-        source, target = Stream("in"), Stream("out")
-        received = []
-        target.subscribe(received.append)
-        op = FilterOperator(source, target, Comparison(">", FieldRef("x"), Literal(5)))
-        op.start()
-        source.push({"x": 3})
-        source.push({"x": 7})
-        assert received == [{"x": 7}]
-        assert op.passed == 1
-        op.stop()
-        source.push({"x": 9})
-        assert len(received) == 1
-
-    def test_project_operator(self):
-        source, target = Stream("in"), Stream("out")
-        received = []
-        target.subscribe(received.append)
-        ProjectOperator(source, target, ["a"]).start()
-        source.push({"a": 1, "b": 2})
-        assert received == [{"a": 1}]
-
-    def test_project_requires_fields(self):
-        with pytest.raises(ValueError):
-            ProjectOperator(Stream("in"), Stream("out"), [])
-
-    def test_map_operator(self):
-        source, target = Stream("in"), Stream("out")
-        received = []
-        target.subscribe(received.append)
-        MapOperator(source, target, lambda r: {"y": r["x"] + 1}).start()
-        source.push({"x": 1})
-        assert received == [{"y": 2}]
-
-    def test_sliding_window_aggregate_mean_and_range(self):
-        source, target = Stream("in"), Stream("out")
-        received = []
-        target.subscribe(received.append)
-        SlidingWindowAggregate(source, target, field="x", window_size=3, aggregate="mean").start()
-        for value in (1.0, 2.0, 3.0, 4.0):
-            source.push({"x": value})
-        assert len(received) == 2
-        assert received[0]["mean_x"] == pytest.approx(2.0)
-        assert received[1]["mean_x"] == pytest.approx(3.0)
-
-    def test_sliding_window_validation(self):
-        with pytest.raises(ValueError):
-            SlidingWindowAggregate(Stream("i"), Stream("o"), "x", 0)
-        with pytest.raises(ValueError):
-            SlidingWindowAggregate(Stream("i"), Stream("o"), "x", 3, aggregate="median")
-
-    def test_pipeline_context_manager(self):
-        source, middle, target = Stream("a"), Stream("b"), Stream("c")
-        received = []
-        target.subscribe(received.append)
-        pipeline = Pipeline([
-            MapOperator(source, middle, lambda r: {"x": r["x"] * 2}),
-            FilterOperator(middle, target, Comparison(">", FieldRef("x"), Literal(5))),
-        ])
-        with pipeline:
-            source.push({"x": 1})
-            source.push({"x": 4})
-        assert received == [{"x": 8}]
-        source.push({"x": 10})
-        assert len(received) == 1
 
 
 class TestQueriesSharingAStreamStayIsolated:

@@ -3,18 +3,15 @@
 import pytest
 
 from repro.cep.expressions import Comparison, FieldRef, Literal
-from repro.cep.nfa import CompiledPattern, Step, TimeConstraint, compile_pattern, compile_query
+from repro.cep.nfa import CompiledPattern, Step, TimeConstraint, compile_pattern
 from repro.cep.query import (
     ConsumePolicy,
     EventPattern,
     Query,
     SelectPolicy,
     SequencePattern,
-    match_all,
     sequence,
 )
-from repro.cep.tuples import Field, Schema, kinect_schema
-from repro.errors import SchemaError
 
 
 def _event(threshold: float, stream: str = "kinect_t") -> EventPattern:
@@ -66,47 +63,13 @@ class TestQueryModel:
         assert "MATCHING" in text
         assert "within 2 seconds" in text
 
-    def test_match_all_accepts_everything(self):
-        assert match_all("kinect").predicate.evaluate({}) is True
 
-
-class TestSchema:
-    def test_field_type_validation(self):
-        with pytest.raises(SchemaError):
-            Field("x", type="decimal")
-
-    def test_duplicate_fields_rejected(self):
-        with pytest.raises(SchemaError):
-            Schema("s", [Field("x"), Field("x")])
-
-    def test_validate_required_and_types(self):
-        schema = Schema("s", [Field("ts"), Field("name", "string", required=False)])
-        schema.validate({"ts": 1.0})
-        with pytest.raises(SchemaError):
-            schema.validate({})
-        with pytest.raises(SchemaError):
-            schema.validate({"ts": 1.0, "name": 5})
-
-    def test_conforms_and_project(self):
-        schema = Schema("s", [Field("a"), Field("b", required=False)])
-        assert schema.conforms({"a": 1.0})
-        assert not schema.conforms({"b": 1.0})
-        assert schema.project({"a": 1.0, "c": 2.0}) == {"a": 1.0}
-
-    def test_bool_is_not_a_number(self):
-        schema = Schema("s", [Field("a", "number")])
-        assert not schema.conforms({"a": True})
-
-    def test_kinect_schema_has_all_joint_fields(self):
-        schema = kinect_schema()
-        assert "rhand_x" in schema
-        assert "ts" in schema
-        assert len(schema) == 2 + 15 * 3
-
-    def test_kinect_schema_subset(self):
-        schema = kinect_schema(joints=["rhand"])
-        assert "rhand_x" in schema
-        assert "lhand_x" not in schema
+    def test_a_literal_true_event_accepts_every_tuple(self):
+        pattern = EventPattern("kinect", Literal(True))
+        assert pattern.predicate.evaluate({}) is True
+        assert pattern.predicate.evaluate({"x": -1.0}) is True
+        assert pattern.to_query().split() == ["kinect(", "true", ")"]
+        assert compile_pattern(sequence([pattern])).length == 1
 
 
 class TestCompilation:
@@ -150,9 +113,9 @@ class TestCompilation:
         with pytest.raises(ValueError):
             CompiledPattern(steps=(), constraints=())
 
-    def test_compile_query_and_describe(self):
+    def test_compile_pattern_and_describe(self):
         query = Query(output="g", pattern=sequence([_event(1), _event(2)], within_seconds=1.0))
-        compiled = compile_query(query)
+        compiled = compile_pattern(query.pattern)
         description = compiled.describe()
         assert "within 1s" in description
         assert "select first" in description

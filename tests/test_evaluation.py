@@ -8,16 +8,12 @@ from repro.evaluation import (
     ConfusionMatrix,
     DetectionExperiment,
     ExperimentConfig,
-    LatencyStats,
     WorkloadConfig,
     build_workload,
     f1_score,
-    measure_throughput,
     precision,
     recall,
 )
-from repro.kinect import KinectSimulator, SwipeTrajectory
-from repro.streams import SimulatedClock
 
 
 class TestMetrics:
@@ -55,25 +51,6 @@ class TestMetrics:
     def test_empty_confusion_matrix_accuracy(self):
         assert ConfusionMatrix(["a"]).accuracy() == 0.0
 
-    def test_latency_stats(self):
-        stats = LatencyStats()
-        stats.extend([0.001 * i for i in range(1, 101)])
-        assert stats.count == 100
-        assert stats.mean == pytest.approx(0.0505)
-        assert stats.p50 == pytest.approx(0.0505, rel=0.05)
-        assert stats.p95 >= stats.p50
-        assert stats.maximum == pytest.approx(0.1)
-        assert stats.minimum == pytest.approx(0.001)
-        assert "p95" in stats.as_row()
-
-    def test_latency_percentile_validation_and_empty(self):
-        stats = LatencyStats()
-        assert stats.p95 == 0.0
-        assert stats.mean == 0.0
-        stats.add(1.0)
-        with pytest.raises(ValueError):
-            stats.percentile(1.5)
-
 
 class TestWorkloads:
     def test_build_workload_structure(self):
@@ -105,6 +82,41 @@ class TestWorkloads:
         assert first.training["swipe_right"][0].frames[0]["rhand_x"] == pytest.approx(
             second.training["swipe_right"][0].frames[0]["rhand_x"]
         )
+
+    def test_different_seeds_give_different_recordings(self):
+        def first_frame(seed):
+            config = WorkloadConfig(gestures=("swipe_right",), training_samples=1,
+                                    test_performances=1, test_users=("adult",), seed=seed)
+            return build_workload(config).training["swipe_right"][0].frames[0]
+
+        assert first_frame(5)["rhand_x"] != pytest.approx(first_frame(6)["rhand_x"])
+
+    def test_recordings_carry_their_gesture_and_user(self):
+        config = WorkloadConfig(gestures=("swipe_right", "circle"), training_samples=1,
+                                test_performances=2, training_user="child",
+                                test_users=("adult", "tall_adult"))
+        workload = build_workload(config)
+        for name in workload.gesture_names:
+            assert [(r.gesture, r.user) for r in workload.training[name]] == [(name, "child")]
+            users = [user for user, _ in workload.test[name]]
+            assert sorted(set(users)) == ["adult", "tall_adult"]
+            assert all(users.count(user) == 2 for user in set(users))
+            assert all(r.gesture == name for _, r in workload.test[name])
+
+    def test_idle_recordings_cover_every_test_user(self):
+        config = WorkloadConfig(gestures=("circle",), training_samples=1,
+                                test_performances=1, test_users=("adult", "child"))
+        idle = build_workload(config).idle
+        assert [(r.gesture, r.user) for r in idle] == [("idle", "adult"), ("idle", "child")]
+        assert all(r.duration_s > 2.5 for r in idle)
+
+    def test_training_frames_are_the_recordings_frames(self):
+        config = WorkloadConfig(gestures=("circle",), training_samples=2,
+                                test_performances=1, test_users=("adult",))
+        workload = build_workload(config)
+        assert workload.training_frames("circle") == [
+            r.frames for r in workload.training["circle"]
+        ]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -176,16 +188,3 @@ class TestDetectionExperiment:
         empty = AccuracyResult()
         assert empty.macro_f1 == 0.0
         assert empty.rows() == []
-
-
-class TestThroughput:
-    def test_measure_throughput_reports_realtime_factor(self, swipe_query):
-        simulator = KinectSimulator(clock=SimulatedClock())
-        frames = simulator.perform(SwipeTrajectory("right"))
-        result = measure_throughput([swipe_query], frames, repeat=2)
-        assert result.frames_processed == 2 * len(frames)
-        assert result.tuples_per_second > 30.0
-        assert result.realtime_factor > 1.0
-        row = result.as_row()
-        assert row["queries"] == 1
-        assert row["mean_latency_us"] > 0

@@ -2,16 +2,10 @@
 
 import pytest
 
-from repro.kinect.recordings import (
-    Recording,
-    generate_dataset,
-    load_recording_csv,
-    recordings_by_gesture,
-    save_recording_csv,
-)
+from repro.kinect.recordings import Recording, generate_multiuser_recording
 from repro.kinect.simulator import KinectSimulator
-from repro.kinect.trajectories import SwipeTrajectory, standard_gesture_catalog
-from repro.kinect.users import user_by_name
+from repro.kinect.trajectories import CircleTrajectory, SwipeTrajectory
+from repro.kinect.users import STANDARD_USERS
 from repro.streams import SimulatedClock
 
 
@@ -30,63 +24,51 @@ class TestRecording:
     def test_duration_of_short_recording_is_zero(self):
         assert Recording("x", "adult", frames=[{"ts": 1.0}]).duration_s == 0.0
 
-    def test_fields_put_timestamp_first(self, swipe_recording):
-        fields = swipe_recording.fields()
-        assert fields[0] == "ts"
-        assert fields[1] == "player"
 
-    def test_fields_of_empty_recording(self):
-        assert Recording("x", "adult").fields() == []
+class TestMultiUserRecording:
+    CATALOG = {"swipe_right": SwipeTrajectory("right"), "circle": CircleTrajectory()}
 
+    def test_merged_stream_is_ordered_by_timestamp(self):
+        recording = generate_multiuser_recording(self.CATALOG, user_count=3, seed=2)
+        stamps = [frame["ts"] for frame in recording.frames]
+        assert stamps == sorted(stamps)
+        assert len(recording) == sum(len(r) for r in recording.players.values())
 
-class TestCsvRoundTrip:
-    def test_round_trip_preserves_metadata_and_frames(self, swipe_recording, tmp_path):
-        path = tmp_path / "swipe.csv"
-        save_recording_csv(swipe_recording, path)
-        loaded = load_recording_csv(path)
-        assert loaded.gesture == "swipe_right"
-        assert loaded.user == "adult"
-        assert len(loaded) == len(swipe_recording)
-        assert loaded.frames[0]["rhand_x"] == pytest.approx(
-            swipe_recording.frames[0]["rhand_x"], abs=1e-6
+    def test_each_player_stream_is_its_ground_truth(self):
+        recording = generate_multiuser_recording(self.CATALOG, user_count=2, seed=3)
+        assert recording.player_ids == [1, 2]
+        for player_id in recording.player_ids:
+            assert recording.frames_for(player_id) == recording.players[player_id].frames
+
+    def test_users_perform_rotated_scripts(self):
+        recording = generate_multiuser_recording(
+            self.CATALOG, user_count=2, gestures_per_user=1, seed=4
         )
+        assert [recording.players[p].gesture for p in (1, 2)] == ["swipe_right", "circle"]
 
-    def test_player_column_is_integer_after_loading(self, swipe_recording, tmp_path):
-        path = tmp_path / "swipe.csv"
-        save_recording_csv(swipe_recording, path)
-        loaded = load_recording_csv(path)
-        assert isinstance(loaded.frames[0]["player"], int)
-
-
-class TestGenerateDataset:
-    def test_dataset_covers_all_gestures_and_users(self):
-        catalog = {"swipe_right": standard_gesture_catalog()["swipe_right"]}
-        users = [user_by_name("adult"), user_by_name("child")]
-        recordings = generate_dataset(
-            catalog, users=users, samples_per_gesture=2, include_idle=True
+    def test_user_count_cycles_the_standard_profiles(self):
+        count = len(STANDARD_USERS) + 1
+        recording = generate_multiuser_recording(
+            self.CATALOG, user_count=count, gestures_per_user=1, seed=5
         )
-        grouped = recordings_by_gesture(recordings)
-        assert len(grouped["swipe_right"]) == 4  # 2 users x 2 samples
-        assert len(grouped["idle"]) == 2
+        assert recording.player_ids == list(range(1, count + 1))
+        assert recording.players[count].user == STANDARD_USERS[0].name
 
-    def test_dataset_is_reproducible_with_same_seed(self):
-        catalog = {"swipe_right": standard_gesture_catalog()["swipe_right"]}
-        users = [user_by_name("adult")]
-        first = generate_dataset(catalog, users=users, samples_per_gesture=1, seed=3)
-        second = generate_dataset(catalog, users=users, samples_per_gesture=1, seed=3)
-        assert first[0].frames[0]["rhand_x"] == pytest.approx(
-            second[0].frames[0]["rhand_x"]
-        )
+    def test_same_seed_same_stream(self):
+        first = generate_multiuser_recording(self.CATALOG, user_count=2, seed=6)
+        second = generate_multiuser_recording(self.CATALOG, user_count=2, seed=6)
+        assert first.frames == second.frames
 
-    def test_different_seeds_differ(self):
-        catalog = {"swipe_right": standard_gesture_catalog()["swipe_right"]}
-        users = [user_by_name("adult")]
-        first = generate_dataset(catalog, users=users, samples_per_gesture=1, seed=3)
-        second = generate_dataset(catalog, users=users, samples_per_gesture=1, seed=4)
-        assert first[0].frames[0]["rhand_x"] != pytest.approx(
-            second[0].frames[0]["rhand_x"]
-        )
-
-    def test_requires_positive_sample_count(self):
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"gestures": {}},
+            {"gestures_per_user": 0},
+            {"users": []},
+        ],
+        ids=["empty-catalog", "no-gestures-per-user", "no-users"],
+    )
+    def test_invalid_arguments_are_rejected(self, kwargs):
+        arguments = {"gestures": self.CATALOG, **kwargs}
         with pytest.raises(ValueError):
-            generate_dataset({}, samples_per_gesture=0)
+            generate_multiuser_recording(**arguments)

@@ -97,6 +97,25 @@ class TestFrameGeneration:
         xs = [frame["rhand_x"] for frame in frames]
         assert max(xs) - min(xs) < 1.0
 
+    def test_idle_frames_emit_at_least_one_frame(self, quiet_sim):
+        assert len(quiet_sim.idle_frames(0.0)) == 1
+
+    def test_idle_frames_return_to_rest_after_a_gesture(self, quiet_sim):
+        rest = quiet_sim.measure_rest()
+        quiet_sim.perform(SwipeTrajectory("right"))
+        idle = quiet_sim.idle_frames(0.1)
+        assert idle[0]["rhand_x"] == pytest.approx(rest["rhand_x"])
+
+    def test_consecutive_performances_continue_one_timeline(self, quiet_sim):
+        swipe = SwipeTrajectory("right")
+        first = quiet_sim.perform(swipe)
+        idle = quiet_sim.idle_frames(0.5)
+        second = quiet_sim.perform(swipe)
+        stamps = [frame["ts"] for frame in first + idle + second]
+        assert all(later > earlier for earlier, later in zip(stamps, stamps[1:]))
+        assert quiet_sim.frames_emitted == len(stamps)
+        assert second[0]["rhand_x"] == pytest.approx(first[0]["rhand_x"])
+
     def test_invalid_frequency_rejected(self):
         with pytest.raises(ValueError):
             KinectSimulator(frequency_hz=0)

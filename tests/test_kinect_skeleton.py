@@ -6,11 +6,9 @@ import pytest
 from repro.kinect.skeleton import (
     JOINTS,
     TRACKED_AXES,
-    Joint,
     Skeleton,
     all_joint_fields,
     joint_field,
-    measurement_to_joint,
     rest_pose,
 )
 
@@ -54,18 +52,6 @@ class TestRestPose:
         pose = rest_pose()
         assert pose["head"][1] > 0
         assert pose["lfoot"][1] < 0
-
-
-class TestJoint:
-    def test_distance_between_joints(self):
-        first = Joint("a", 0.0, 0.0, 0.0)
-        second = Joint("b", 3.0, 4.0, 0.0)
-        assert first.distance_to(second) == pytest.approx(5.0)
-
-    def test_measurement_to_joint_extracts_coordinates(self):
-        record = {"rhand_x": 1.0, "rhand_y": 2.0, "rhand_z": 3.0}
-        joint = measurement_to_joint(record, "rhand")
-        assert (joint.x, joint.y, joint.z) == (1.0, 2.0, 3.0)
 
 
 class TestSkeleton:
@@ -145,3 +131,21 @@ class TestSkeleton:
         assert skeleton.forearm_length("left") == pytest.approx(
             skeleton.forearm_length("right")
         )
+
+    def test_joint_fields_locate_every_joint_in_a_measurement(self):
+        skeleton = Skeleton(position=(120.0, -40.0, 2100.0), yaw_deg=20.0)
+        record = skeleton.measure()
+        for joint, position in skeleton.joint_positions().items():
+            located = [record[joint_field(joint, axis)] for axis in TRACKED_AXES]
+            assert located == pytest.approx(list(position))
+
+    def test_distance_between_two_joints_of_a_measurement(self):
+        skeleton = Skeleton(position=(0.0, 0.0, 0.0))
+        skeleton.set_joint_offset("lhand", (0.0, 0.0, 0.0))
+        skeleton.set_joint_offset("rhand", (3.0, 4.0, 0.0))
+        record = skeleton.measure()
+        delta = [
+            record[joint_field("rhand", axis)] - record[joint_field("lhand", axis)]
+            for axis in TRACKED_AXES
+        ]
+        assert float(np.linalg.norm(delta)) == pytest.approx(5.0)

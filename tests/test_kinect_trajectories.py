@@ -5,8 +5,6 @@ import pytest
 
 from repro.kinect.trajectories import (
     CircleTrajectory,
-    CompositeTrajectory,
-    IdleTrajectory,
     PushTrajectory,
     RaiseHandTrajectory,
     SwipeTrajectory,
@@ -152,31 +150,6 @@ class TestOtherTrajectories:
         end = both.positions(1.0)
         assert end["rhand"][0] > 500.0
         assert end["lhand"][0] < -500.0
-
-    def test_idle_has_no_joints(self):
-        idle = IdleTrajectory(duration_s=2.0)
-        assert idle.joints == ()
-        assert idle.positions(0.5) == {}
-
-    def test_composite_concatenates_durations_and_joints(self):
-        composite = CompositeTrajectory(
-            "combo", [SwipeTrajectory("right"), PushTrajectory()]
-        )
-        assert composite.duration_s == pytest.approx(
-            SwipeTrajectory("right").duration_s + PushTrajectory().duration_s
-        )
-        assert "rhand" in composite.joints
-
-    def test_composite_requires_parts(self):
-        with pytest.raises(ValueError):
-            CompositeTrajectory("combo", [])
-
-    def test_composite_first_part_at_phase_zero(self):
-        swipe = SwipeTrajectory("right")
-        composite = CompositeTrajectory("combo", [swipe, PushTrajectory()])
-        assert np.allclose(
-            composite.positions(0.0)["rhand"], swipe.positions(0.0)["rhand"]
-        )
 
 
 class TestCatalog:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.kinect.noise import CompositeNoise, GaussianNoise, NoNoise, OcclusionNoise
+from repro.kinect.noise import GaussianNoise, NoNoise
 from repro.kinect.skeleton import Skeleton
 from repro.kinect.users import REFERENCE_HEIGHT_MM, STANDARD_USERS, BodyProfile, user_by_name
 
@@ -81,45 +81,33 @@ class TestGaussianNoise:
         assert noisy["rhand_x"] != frame["rhand_x"]
 
 
-class TestOcclusionNoise:
-    def test_freezes_joint_during_episode(self):
-        rng = np.random.default_rng(0)
-        noise = OcclusionNoise(dropout_probability=1.0, mean_duration_frames=3.0, rng=rng)
-        first = {"rhand_x": 1.0, "rhand_y": 2.0, "rhand_z": 3.0}
-        second = {"rhand_x": 10.0, "rhand_y": 20.0, "rhand_z": 30.0}
-        noise.apply(first)
-        frozen = noise.apply(second)
-        assert frozen["rhand_x"] == 10.0 or frozen["rhand_x"] == 1.0
-        # After the first call an episode is guaranteed (probability 1.0), so
-        # the second frame must repeat the first frame's coordinates.
-        assert frozen["rhand_x"] == 1.0
+    def test_seeded_noise_is_reproducible(self):
+        frame = _rest_frame()
+        first = GaussianNoise(sigma_mm=10.0, rng=np.random.default_rng(9)).apply(frame)
+        second = GaussianNoise(sigma_mm=10.0, rng=np.random.default_rng(9)).apply(frame)
+        assert first == second
 
-    def test_reset_clears_episodes(self):
-        noise = OcclusionNoise(dropout_probability=1.0, rng=np.random.default_rng(0))
-        noise.apply({"rhand_x": 1.0, "rhand_y": 1.0, "rhand_z": 1.0})
-        noise.reset()
-        fresh = noise.apply({"rhand_x": 5.0, "rhand_y": 5.0, "rhand_z": 5.0})
-        assert fresh["rhand_x"] == 5.0
+    def test_noise_leaves_the_input_record_unchanged(self):
+        frame = _rest_frame()
+        before = dict(frame)
+        GaussianNoise(sigma_mm=10.0, rng=np.random.default_rng(4)).apply(frame)
+        assert frame == before
 
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            OcclusionNoise(dropout_probability=2.0)
-        with pytest.raises(ValueError):
-            OcclusionNoise(mean_duration_frames=0.5)
+    def test_noise_touches_joint_coordinates_only(self):
+        frame = dict(_rest_frame(), ts=1.5, player=2)
+        noisy = GaussianNoise(sigma_mm=10.0, rng=np.random.default_rng(5)).apply(frame)
+        assert (noisy["ts"], noisy["player"]) == (1.5, 2)
+        assert set(noisy) == set(frame)
 
-
-class TestCompositeAndNoNoise:
+class TestNoNoise:
     def test_no_noise_is_identity(self):
         frame = _rest_frame()
         assert NoNoise().apply(frame) is frame
 
-    def test_composite_applies_all_models(self):
+    def test_models_chain_by_applying_them_in_turn(self):
         frame = _rest_frame()
-        composite = CompositeNoise(
-            [GaussianNoise(sigma_mm=1.0, rng=np.random.default_rng(0)), NoNoise()]
+        chained = GaussianNoise(sigma_mm=10.0, rng=np.random.default_rng(6)).apply(
+            NoNoise().apply(frame)
         )
-        noisy = composite.apply(dict(frame))
-        assert noisy["rhand_x"] != frame["rhand_x"]
-
-    def test_composite_reset_does_not_fail(self):
-        CompositeNoise([OcclusionNoise(), NoNoise()]).reset()
+        alone = GaussianNoise(sigma_mm=10.0, rng=np.random.default_rng(6)).apply(frame)
+        assert chained == alone

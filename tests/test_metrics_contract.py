@@ -20,10 +20,12 @@ import json
 import re
 import sys
 import threading
+import tomllib
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.gateway.metrics import GATEWAY_FAMILIES, GatewayMetrics
 from repro.gateway.server import GATEWAY_SCRAPE_DURATION
 from repro.gateway.tenants import TENANT_FAMILIES
@@ -40,6 +42,7 @@ from repro.runtime.metrics import (
 
 GOLDEN = Path(__file__).parent / "data" / "metrics_golden"
 DOCS = Path(__file__).parent.parent / "docs" / "observability.md"
+PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
 
 TABLES = {
     "SHARD_FAMILIES": SHARD_FAMILIES,
@@ -163,6 +166,14 @@ class TestGoldenOutput:
         assert len(reading) == 8 + 8 + 20
         assert reading["shard.tuples_dropped"] == 3.0
         assert reading["hist.ingest_to_detection.p99_seconds"] == 0.3
+
+    def test_build_info_reports_the_pyproject_version(self):
+        # The suite imports the package from src/ without installing it, so
+        # there is no distribution metadata: ``__version__`` is a literal that
+        # must follow the project version by hand.
+        declared = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]["version"]
+        assert repro.__version__ == declared
+        assert f'version="{declared}"' in scripted_registry().to_prometheus()
 
 
 class TestDeclaredOnce:

@@ -10,7 +10,8 @@ from repro.core.distance import EuclideanDistance, ManhattanDistance
 from repro.core.merging import align_centers
 from repro.core.sampling import DistanceBasedSampler, SamplingConfig
 from repro.core.windows import Window
-from repro.evaluation.metrics import LatencyStats, f1_score, precision, recall
+from repro.evaluation.metrics import f1_score, precision, recall
+from repro.observability.histogram import LatencyHistogram
 from repro.transform.coordinate import scale_coordinates, shift_to_torso
 from repro.transform.rotation import rotate_about_y
 
@@ -266,15 +267,16 @@ def test_precision_recall_f1_ranges(tp, fp, fn):
 
 @given(st.lists(st.floats(min_value=0.0, max_value=10.0,
                           allow_nan=False, allow_infinity=False), min_size=1, max_size=200))
-def test_latency_percentiles_are_ordered(samples):
-    stats = LatencyStats(samples=list(samples))
-    tolerance = 1e-9
-    assert stats.minimum <= stats.p50 + tolerance
-    assert stats.p50 <= stats.p95 + tolerance
-    assert stats.p95 <= stats.p99 + tolerance
-    assert stats.p99 <= stats.maximum + tolerance
-    assert stats.minimum <= stats.mean + tolerance
-    assert stats.mean <= stats.maximum + tolerance
+def test_histogram_percentiles_are_ordered(samples):
+    histogram = LatencyHistogram()
+    for sample in samples:
+        histogram.record(sample)
+    p50, p95, p99 = (histogram.percentile(q) for q in (0.50, 0.95, 0.99))
+    assert min(samples) <= histogram.max
+    assert p50 <= p95 <= p99 <= histogram.max == max(samples)
+    assert histogram.percentile(1.0) == histogram.max
+    assert histogram.count == len(samples)
+    assert histogram.sum / histogram.count <= histogram.max + 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ vacuous).
 
 from __future__ import annotations
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -22,9 +23,12 @@ from repo_lint import (  # noqa: E402 — path set up above
     CONTROL_JOURNAL_WRITER,
     EXPOSITION_WRITER,
     HASH_FORBIDDEN_PATHS,
+    ORPHAN_CONSUMER_ROOTS,
+    ORPHAN_KEEP,
     STRUCT_CODEC_MODULES,
     WALL_CLOCK_FORBIDDEN_PATHS,
     lint_file,
+    lint_orphans,
     lint_repository,
     main,
 )
@@ -49,7 +53,9 @@ class TestRepositoryIsClean:
     def test_cli_list_catalogue(self, capsys):
         assert main(["--list"]) == 0
         out = capsys.readouterr().out
-        for code in ("RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007", "RL008"):
+        for code in (
+            "RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007", "RL008", "RL009",
+        ):
             assert code in out
 
     def test_script_runs_standalone(self):
@@ -449,3 +455,92 @@ class TestRL008OneLogApplier:
         assert lint_file(reader, root=tmp_path) == []
         assert lint_file(test, root=tmp_path) == []
         assert lint_file(reexport, root=tmp_path) == []
+
+
+class TestRL009NoPublicNameOnlyTestsReach:
+    WIDGETS = (
+        "def used():\n    return 1\n\n"
+        "def orphan():\n    return orphan\n\n"
+        "class Helper:\n    pass\n\n"
+        "def caller():\n    return Helper()\n\n"
+        "def _private():\n    return 0\n"
+    )
+
+    def plant(self, root: Path) -> None:
+        write_module(root, "src/repro/widgets.py", self.WIDGETS)
+        write_module(root, "src/repro/app.py", "from repro.widgets import caller, used\nused()\n")
+        write_module(
+            root, "tests/test_widgets.py", "from repro.widgets import orphan\nassert orphan()\n"
+        )
+
+    def test_a_name_only_tests_reach_is_flagged(self, tmp_path):
+        self.plant(tmp_path)
+        violations = lint_orphans(root=tmp_path)
+        assert [(v.path, v.line, v.code) for v in violations] == [
+            ("src/repro/widgets.py", 4, "RL009")
+        ]
+        assert "'orphan'" in violations[0].message
+        assert "ORPHAN_KEEP" in violations[0].message
+
+    def test_lint_repository_runs_the_rule(self, tmp_path):
+        self.plant(tmp_path)
+        assert [v.code for v in lint_repository(root=tmp_path)] == ["RL009"]
+
+    def test_an_init_re_export_is_not_a_use(self, tmp_path):
+        self.plant(tmp_path)
+        write_module(tmp_path, "src/repro/__init__.py", "from repro.widgets import orphan\n")
+        assert [v.path for v in lint_orphans(root=tmp_path)] == ["src/repro/widgets.py"]
+
+    @pytest.mark.parametrize("tree", ORPHAN_CONSUMER_ROOTS)
+    def test_a_consumer_tree_keeps_a_name(self, tmp_path, tree):
+        self.plant(tmp_path)
+        write_module(tmp_path, f"{tree}/uses.py", "import repro.widgets\nrepro.widgets.orphan()\n")
+        assert lint_orphans(root=tmp_path) == []
+
+    def test_another_product_module_keeps_a_name(self, tmp_path):
+        self.plant(tmp_path)
+        write_module(tmp_path, "src/repro/more.py", "from repro.widgets import orphan as o\n")
+        assert lint_orphans(root=tmp_path) == []
+
+    def test_a_mention_in_a_string_is_not_a_use(self, tmp_path):
+        self.plant(tmp_path)
+        write_module(tmp_path, "tools/report.py", 'print("orphan")\n# orphan()\n')
+        assert [v.message.split("'")[1] for v in lint_orphans(root=tmp_path)] == ["orphan"]
+
+    def test_an_async_function_is_checked(self, tmp_path):
+        self.plant(tmp_path)
+        write_module(tmp_path, "src/repro/jobs.py", "async def lonely():\n    return 1\n")
+        assert [(v.path, v.line) for v in lint_orphans(root=tmp_path)] == [
+            ("src/repro/jobs.py", 1),
+            ("src/repro/widgets.py", 4),
+        ]
+
+    def test_methods_and_nested_functions_are_not_checked(self, tmp_path):
+        write_module(
+            tmp_path,
+            "src/repro/widgets.py",
+            "class Used:\n    def unused_method(self):\n        def inner():\n"
+            "            return 1\n        return inner\n",
+        )
+        write_module(tmp_path, "examples/demo.py", "from repro.widgets import Used\nUsed()\n")
+        assert lint_orphans(root=tmp_path) == []
+
+    def test_keep_listed_names_are_not_flagged(self, tmp_path):
+        named = next(key for key in ORPHAN_KEEP if "::" in key)
+        module, name = named.split("::")
+        whole = next(key for key in ORPHAN_KEEP if "::" not in key)
+        write_module(tmp_path, module, f"def {name}():\n    return 1\n")
+        write_module(tmp_path, whole, "def anything():\n    return 1\n")
+        assert lint_orphans(root=tmp_path) == []
+        write_module(tmp_path, module, f"def {name}():\n    return 1\n\ndef unlisted():\n    pass\n")
+        assert [v.message.split("'")[1] for v in lint_orphans(root=tmp_path)] == ["unlisted"]
+
+    def test_every_keep_entry_names_code_that_exists(self):
+        root = Path(__file__).resolve().parent.parent
+        for key, reason in ORPHAN_KEEP.items():
+            module, _, name = key.partition("::")
+            assert (root / module).is_file(), key
+            assert reason.strip(), key
+            if name:
+                tree = ast.parse((root / module).read_text(encoding="utf-8"))
+                assert name in {getattr(node, "name", None) for node in tree.body}, key

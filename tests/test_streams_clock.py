@@ -1,8 +1,12 @@
-"""Unit tests for repro.streams.clock."""
+"""Unit tests for repro.streams.clock and the process clocks of
+repro.observability.clock."""
+
+import time
 
 import pytest
 
-from repro.streams.clock import SimulatedClock, WallClock
+from repro.observability.clock import monotonic_time, perf_clock, wall_clock
+from repro.streams.clock import SimulatedClock
 
 
 class TestSimulatedClock:
@@ -51,27 +55,31 @@ class TestSimulatedClock:
     def test_repr_contains_time(self):
         assert "1.50" in repr(SimulatedClock(start=1.5))
 
-
-class TestWallClock:
-    def test_starts_near_zero(self):
-        clock = WallClock()
-        assert 0.0 <= clock.now() < 0.5
-
-    def test_is_monotonic(self):
-        clock = WallClock()
-        first = clock.now()
-        second = clock.now()
-        assert second >= first
-
-    def test_sleep_advances_time(self):
-        clock = WallClock()
-        before = clock.now()
-        clock.sleep(0.01)
-        assert clock.now() - before >= 0.009
-
-    def test_sleep_with_nonpositive_duration_returns_immediately(self):
-        clock = WallClock()
-        before = clock.now()
+    def test_zero_sleep_leaves_the_time_alone(self):
+        clock = SimulatedClock(start=3.0)
         clock.sleep(0.0)
-        clock.sleep(-1.0)
-        assert clock.now() - before < 0.05
+        assert clock.now() == 3.0
+
+    def test_negative_sleep_is_rejected(self):
+        clock = SimulatedClock()
+        with pytest.raises(ValueError):
+            clock.sleep(-1.0)
+        assert clock.now() == 0.0
+
+
+class TestProcessClocks:
+    def test_monotonic_time_never_goes_backwards(self):
+        readings = [monotonic_time() for _ in range(1000)]
+        assert readings == sorted(readings)
+
+    def test_perf_clock_measures_a_sleep(self):
+        before = perf_clock()
+        time.sleep(0.01)
+        assert perf_clock() - before >= 0.009
+
+    def test_perf_clock_never_goes_backwards(self):
+        readings = [perf_clock() for _ in range(1000)]
+        assert readings == sorted(readings)
+
+    def test_wall_clock_reads_seconds_since_the_epoch(self):
+        assert abs(wall_clock() - time.time()) < 1.0

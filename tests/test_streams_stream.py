@@ -3,6 +3,9 @@
 import pytest
 
 from repro.errors import QueryRegistrationError, SchemaError, UnknownStreamError
+from repro.kinect import KinectSimulator, NoNoise
+from repro.kinect.skeleton import all_joint_fields
+from repro.streams.clock import SimulatedClock
 from repro.streams.stream import Stream, StreamRegistry
 
 
@@ -52,6 +55,43 @@ class TestStream:
         stream = Stream("s", fields=["ts"])
         stream.push({"ts": 0.0, "extra": 1})
         assert stream.stats.pushed == 1
+
+    def test_an_unchecked_stream_accepts_any_tuple(self):
+        stream = Stream("s")
+        stream.push({})
+        assert stream.stats.pushed == 1
+
+    def test_a_rejected_tuple_is_neither_counted_nor_delivered(self):
+        stream = Stream("s", fields=["ts"])
+        received = []
+        stream.subscribe(received.append)
+        with pytest.raises(SchemaError):
+            stream.push({"x": 1.0})
+        assert received == []
+        assert stream.stats.pushed == 0
+
+    def test_the_error_names_the_missing_field(self):
+        stream = Stream("s", fields=["ts", "rhand_x"])
+        with pytest.raises(SchemaError, match="rhand_x"):
+            stream.push({"ts": 0.0})
+
+    def test_joint_fields_check_a_sensor_frame(self):
+        stream = Stream("kinect", fields=["ts", "player", *all_joint_fields()])
+        simulator = KinectSimulator(clock=SimulatedClock(), noise=NoNoise())
+        frame = simulator.measure_rest()
+        stream.push(frame)
+        del frame["lhand_z"]
+        with pytest.raises(SchemaError, match="lhand_z"):
+            stream.push(frame)
+        assert stream.stats.pushed == 1
+
+    def test_push_many_stops_at_the_first_rejected_tuple(self):
+        stream = Stream("s", fields=["ts"])
+        received = []
+        stream.subscribe(received.append)
+        with pytest.raises(SchemaError):
+            stream.push_many([{"ts": 0.0}, {"ts": 1.0}, {}, {"ts": 3.0}])
+        assert received == [{"ts": 0.0}, {"ts": 1.0}]
 
     def test_pause_drops_tuples(self):
         stream = Stream("s")

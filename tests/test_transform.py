@@ -17,7 +17,7 @@ from repro.transform.coordinate import (
     scale_coordinates,
     shift_to_torso,
 )
-from repro.transform.pipeline import KinectTransformer, TransformConfig, transform_frame
+from repro.transform.pipeline import KinectTransformer, TransformConfig
 from repro.transform.rotation import (
     estimate_yaw_deg,
     joint_roll_pitch_yaw,
@@ -281,34 +281,40 @@ class TestPipeline:
         assert transformer.smoothed_scale(2) is not None
 
     def test_orientation_alignment_can_be_disabled(self):
-        config = TransformConfig(align_orientation=False)
         turned = _rest_frame(yaw=45.0)
-        aligned = transform_frame(turned, TransformConfig(align_orientation=True))
-        unaligned = transform_frame(turned, config)
+        aligned = KinectTransformer(
+            TransformConfig(align_orientation=True, smooth_scale=0.0)
+        ).transform(turned)
+        unaligned = KinectTransformer(
+            TransformConfig(align_orientation=False, smooth_scale=0.0)
+        ).transform(turned)
         assert aligned["rhand_x"] != pytest.approx(unaligned["rhand_x"], abs=5.0)
 
-    def test_transform_frame_honours_every_config_field(self):
-        # transform_frame zeroes smoothing via dataclasses.replace, so any
-        # config field (including ones added later, like the partition
-        # settings) survives instead of being silently dropped.
+    def test_non_smoothing_config_fields_take_effect(self):
         config = TransformConfig(
             align_orientation=False,
             scale_side="left",
             scale_reference_mm=100.0,
-            smooth_scale=0.5,
-            partition_field="player",
-            partition_idle_seconds=1.0,
+            smooth_scale=0.0,
         )
         frame = _rest_frame(yaw=45.0)
-        result = transform_frame(frame, config)
-        import dataclasses
-
-        manual_cfg = dataclasses.replace(config, smooth_scale=0.0)
-        expected = KinectTransformer(manual_cfg).transform(frame)
-        assert result == expected
-        # And the non-smoothing fields genuinely took effect.
-        default = transform_frame(frame)
+        result = KinectTransformer(config).transform(frame)
+        default = KinectTransformer(TransformConfig(smooth_scale=0.0)).transform(frame)
         assert result["rhand_x"] != pytest.approx(default["rhand_x"], abs=1.0)
+
+    def test_unsmoothed_transformer_is_stateless(self):
+        adult, child = _rest_frame(user="adult"), _rest_frame(user="child")
+        config = TransformConfig(smooth_scale=0.0)
+        warmed = KinectTransformer(config)
+        for _ in range(5):
+            warmed.transform(adult)
+        assert warmed.transform(child) == KinectTransformer(config).transform(child)
+
+    def test_unsmoothed_scale_is_each_frames_own_forearm(self):
+        transformer = KinectTransformer(TransformConfig(smooth_scale=0.0))
+        for user in ("adult", "child", "tall_adult"):
+            frame = _rest_frame(user=user)
+            assert transformer.transform(frame)["scale"] == pytest.approx(forearm_scale(frame))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -319,10 +325,6 @@ class TestPipeline:
             TransformConfig(smooth_scale=1.5)
         with pytest.raises(ValueError):
             TransformConfig(scale_reference_mm=0.0)
-
-    def test_transform_frame_is_stateless_convenience(self):
-        frame = _rest_frame()
-        assert transform_frame(frame)["torso_x"] == pytest.approx(0.0)
 
     def test_nan_coordinate_does_not_poison_the_players_scale(self):
         # The gateway's JSON decoder accepts NaN.  One such frame must cost

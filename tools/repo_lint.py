@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repository-specific lint rules that generic linters do not cover.
 
-Eight rules, all born from real failure modes of this codebase:
+Nine rules, all born from real failure modes of this codebase:
 
 ``RL001`` — no builtin ``hash()`` on routing/persistence code paths or in benchmarks
     CPython salts ``hash()`` per process (PYTHONHASHSEED), so a shard
@@ -77,6 +77,18 @@ Eight rules, all born from real failure modes of this codebase:
     a call to ``apply_engine_control(`` anywhere else under ``src/repro`` is
     a second replay path growing back.
 
+``RL009`` — no public name only tests reach
+    Operators, stream sources, schemas, a second corpus generator and a
+    second throughput instrument once sat in ``src/repro`` with tests of
+    their own and no caller, so they were maintained, documented and
+    re-exported for nothing.  A top-level public function or class under
+    ``src/repro`` must be referenced outside its own definition — by name,
+    attribute or import — in its own module, in another product module (an
+    ``__init__`` re-export does not count), or in ``benchmarks/``,
+    ``examples/`` or ``tools/``.  The few names kept for the paper's sake
+    sit in ``ORPHAN_KEEP``, one reason each.  Unlike the other rules this
+    one reads the whole tree, so it runs in :func:`lint_repository`.
+
 Run as a script (CI) or through ``tests/test_repo_lint.py``::
 
     python tools/repo_lint.py            # lint the repository, exit 0/1
@@ -89,7 +101,7 @@ import argparse
 import ast
 import sys
 from pathlib import Path
-from typing import Iterable, List, NamedTuple, Optional, Sequence
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Set
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -149,6 +161,42 @@ CONTROL_JOURNAL_WRITER = "src/repro/persistence/manager.py"
 #: The one module allowed to call ``apply_engine_control`` (RL008); the tree it guards.
 CONTROL_JOURNAL_READER = "src/repro/persistence/replay.py"
 CONTROL_REPLAY_GUARDED_PATH = "src/repro"
+
+#: The tree whose public names must have a caller (RL009); the trees outside
+#: it whose references count as callers.
+ORPHAN_GUARDED_PATH = "src/repro"
+ORPHAN_CONSUMER_ROOTS = ("benchmarks", "examples", "tools")
+
+#: Public names that only tests reach and stay on purpose (RL009), one reason
+#: each.  A key is a module (every top-level name in it) or ``<module>::<name>``.
+ORPHAN_KEEP = {
+    "src/repro/core/distance.py": "the distance measures of paper Sec. 3.3.1",
+    "src/repro/transform/angles.py": "the joint-angle view of the paper's Sec. 3.2 outlook",
+    "src/repro/transform/rotation.py::joint_roll_pitch_yaw": (
+        "per-limb Roll-Pitch-Yaw of the paper's Sec. 3.2 outlook"
+    ),
+    "src/repro/transform/coordinate.py::shift_to_torso": (
+        "reference step the fused kinect_t kernel is tested against"
+    ),
+    "src/repro/transform/coordinate.py::scale_coordinates": (
+        "reference step the fused kinect_t kernel is tested against"
+    ),
+    "src/repro/transform/rotation.py::estimate_yaw_deg": (
+        "reference step the fused kinect_t kernel is tested against"
+    ),
+    "src/repro/transform/rotation.py::rotate_about_y": (
+        "reference step the fused kinect_t kernel is tested against"
+    ),
+    "src/repro/detection/visualization.py": (
+        "the attempt report a near-miss explain of missed detections will render through"
+    ),
+    "src/repro/api/dsl.py::udf": "the DSL's spelling of the paper's user-defined operators",
+    "src/repro/kinect/noise.py::NoNoise": "the exact-geometry noise model for simulator users",
+    "src/repro/cep/query.py::sequence": "the documented constructor of a hand-written pattern",
+    "src/repro/observability/jsonlog.py::configure_json_logging": (
+        "the opt-in switch an application calls; the library never configures logging"
+    ),
+}
 
 
 class Violation(NamedTuple):
@@ -400,13 +448,73 @@ def lint_file(path: Path, root: Optional[Path] = None) -> List[Violation]:
     return violations
 
 
+def _referenced_names(tree: ast.AST, imports: bool = True) -> Set[str]:
+    """Every name ``tree`` reads: bare names, attribute names and (unless
+    ``imports`` is false) the last component of every imported name."""
+    names: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif imports and isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+    return names
+
+
+def lint_orphans(root: Optional[Path] = None) -> List[Violation]:
+    """RL009: public top-level names under ``src/repro`` that nothing but
+    tests references."""
+    root = root or REPO_ROOT
+    modules = {
+        path.relative_to(root).as_posix(): ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for path in sorted((root / ORPHAN_GUARDED_PATH).rglob("*.py"))
+    }
+    consumers: Set[str] = set()
+    for tree in ORPHAN_CONSUMER_ROOTS:
+        for path in sorted((root / tree).rglob("*.py")):
+            consumers |= _referenced_names(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    # An ``__init__`` import is a re-export, not a use.
+    reads = {
+        relative: _referenced_names(tree, imports=not relative.endswith("/__init__.py"))
+        for relative, tree in modules.items()
+    }
+    violations: List[Violation] = []
+    for relative, tree in modules.items():
+        elsewhere = consumers.union(*(names for other, names in reads.items() if other != relative))
+        statement_reads = [_referenced_names(statement) for statement in tree.body]
+        for index, node in enumerate(tree.body):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("_") or name in elsewhere:
+                continue
+            if relative in ORPHAN_KEEP or f"{relative}::{name}" in ORPHAN_KEEP:
+                continue
+            # Its own module counts, but not the definition's own body.
+            if any(name in names for i, names in enumerate(statement_reads) if i != index):
+                continue
+            violations.append(
+                Violation(
+                    relative,
+                    node.lineno,
+                    "RL009",
+                    f"public name {name!r} is reached only by tests; delete it with its "
+                    "tests, or list it in ORPHAN_KEEP with a reason",
+                )
+            )
+    return violations
+
+
 def lint_repository(root: Optional[Path] = None) -> List[Violation]:
-    """Lint every Python file under ``LINTED_ROOTS``; returns all violations."""
+    """Lint every Python file under ``LINTED_ROOTS``, then the cross-module
+    RL009; returns all violations."""
     root = root or REPO_ROOT
     violations: List[Violation] = []
     for tree in LINTED_ROOTS:
         for path in sorted((root / tree).rglob("*.py")):
             violations.extend(lint_file(path, root=root))
+    violations.extend(lint_orphans(root))
     return violations
 
 
@@ -447,6 +555,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             CONTROL_REPLAY_GUARDED_PATH,
             "called only in",
             CONTROL_JOURNAL_READER,
+        )
+        print(
+            "RL009  every public top-level name under",
+            ORPHAN_GUARDED_PATH,
+            "is referenced outside tests, or listed in ORPHAN_KEEP",
         )
         return 0
     violations = lint_repository()
