@@ -46,7 +46,7 @@ def main() -> None:
 
     config = SessionConfig(
         shards=4,                      # 4 worker shards, players hashed across them
-        backpressure="block",          # lossless replay; "drop_oldest" for live feeds
+        backpressure="block",          # lossless replay; "drop_newest" sheds load instead
         workflow=WorkflowConfig(learner=LearnerConfig(joints=("rhand",))),
     )
     with GestureSession(config) as session:

@@ -37,8 +37,8 @@ The matchers keep all their state per player, so detection over a shared
 multi-user stream is embarrassingly parallel — and
 ``GestureSession(SessionConfig(shards=N))`` exploits it: frames are routed
 to N worker shards by a stable hash of their ``player`` id, deployments
-fan out to every shard, and bounded per-shard queues apply an explicit
-backpressure policy (``block`` / ``drop_oldest`` / ``error``).  Per player
+fan out to every shard, and each shard bounds its tuples in flight under
+an explicit backpressure policy (``block`` / ``drop_newest`` / ``error``).  Per player
 the detections are byte-identical to the inline engine's
 (``tests/test_execution_modes.py`` asserts it), ``session.metrics`` reports per-shard throughput / queue
 depth / drops, and ``shard_executor="process"`` turns the shards into

@@ -173,11 +173,11 @@ class SessionConfig:
         ``"thread"`` (default) or ``"process"`` worker shards; only
         meaningful with ``shards > 1``.
     backpressure:
-        Per-shard queue policy when feeding outruns the workers:
-        ``"block"`` (default), ``"drop_oldest"``, ``"drop_newest"`` or
-        ``"error"``.
+        Per-shard admission policy when feeding outruns the workers:
+        ``"block"`` (default), ``"drop_newest"`` or ``"error"``
+        (:mod:`repro.runtime.queues`).
     queue_capacity:
-        Per-shard queue bound, in tuples.
+        Per-shard bound on the tuples in flight to a worker.
     analyze:
         Default static-analysis gate of :meth:`GestureSession.deploy` and
         :meth:`GestureSession.deploy_vocabulary`: ``"off"`` (default),
@@ -267,7 +267,7 @@ class SessionConfig:
         # Validate the policy eagerly (and centrally) rather than at start().
         from repro.runtime.queues import BackpressurePolicy
 
-        BackpressurePolicy.validate(self.backpressure)
+        BackpressurePolicy.validate_shard(self.backpressure)
         object.__setattr__(self, "slos", tuple(self.slos))  # accept any iterable
         if self.sample_interval_seconds is not None and self.sample_interval_seconds <= 0:
             raise ValueError("sample_interval_seconds must be positive when given")
@@ -984,7 +984,7 @@ class GestureSession:
         """Per-query attribution of matcher time, from the traced spans.
 
         Sums the durations of the ``matcher:<name>`` spans in the tracer's
-        ring buffer — a process shard's spans are collected first — and
+        ring buffer — the shards' spans are collected first — and
         joins each query's share with :meth:`query_stats`.  A traced tuple
         is offered to every query, so the share is of *traced* matcher
         work.  With ``trace_sample_rate=0`` (the default) returns

@@ -180,10 +180,6 @@ class DeployedQuery:
     def clear_detections(self) -> None:
         self.collector.clear()
 
-    def progress(self) -> float:
-        """Partial-match progress (Fig. 5 style feedback)."""
-        return self.matcher.progress()
-
     def __repr__(self) -> str:
         return (
             f"DeployedQuery(name={self.name!r}, events={self.query.event_count()}, "
@@ -192,18 +188,16 @@ class DeployedQuery:
 
 
 class QueryHandle(Protocol):
-    """One deployed query, as every :class:`Engine` hands it out; ``matcher``
-    offers ``progress()`` and ``active_runs`` (Fig. 5 style feedback)."""
+    """One deployed query, as every :class:`Engine` hands it out.  Its
+    partial-match progress is read on the engine, :meth:`Engine.query_progress`."""
 
     name: str
     query: Query
     sink: FanOutSink
     enabled: bool
-    matcher: Any
 
     def detections(self, partition: Any = _UNSET) -> List[Detection]: ...
     def clear_detections(self) -> None: ...
-    def progress(self) -> float: ...
 
 
 class Engine(Protocol):
@@ -260,6 +254,7 @@ class Engine(Protocol):
     def capture_state(self) -> Dict[str, Any]: ...
     def restore_state(self, state: Mapping[str, Any]) -> Any: ...
     def query_stats(self) -> Dict[str, Dict[str, int]]: ...
+    def query_progress(self) -> Dict[str, Tuple[float, int]]: ...
     def drain(self, timeout: Optional[float] = None) -> None: ...
     def collect_telemetry(self, timeout: Optional[float] = None) -> None: ...
     def export_trace(self) -> Dict[str, Any]: ...
@@ -790,6 +785,14 @@ class CEPEngine(Taps):
         return {
             name: deployed.matcher.stats.as_dict()
             for name, deployed in sorted(self._queries.items())
+        }
+
+    def query_progress(self) -> Dict[str, Tuple[float, int]]:
+        """Per-query ``(progress, active_runs)``: how far the best partial
+        match got and how many runs are live (Fig. 5 style feedback)."""
+        return {
+            name: (deployed.matcher.progress(), deployed.matcher.active_runs)
+            for name, deployed in self._queries.items()
         }
 
     @property

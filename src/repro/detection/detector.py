@@ -242,16 +242,12 @@ class GestureDetector:
     def feedback(self) -> DetectionFeedback:
         """Current partial-match progress of every deployed gesture."""
         timestamp = self.engine.clock.now()
-        progress = {
-            name: deployed.matcher.progress()
-            for name, deployed in self._deployed.items()
-        }
-        active = {
-            name: deployed.matcher.active_runs
-            for name, deployed in self._deployed.items()
-        }
+        read = self.engine.query_progress()
+        current = {name: read.get(name, (0.0, 0)) for name in self._deployed}
         return DetectionFeedback(
-            timestamp=timestamp, progress=progress, active_runs=active
+            timestamp=timestamp,
+            progress={name: progress for name, (progress, _runs) in current.items()},
+            active_runs={name: runs for name, (_progress, runs) in current.items()},
         )
 
     def detections(self, name: Optional[str] = None) -> List[Detection]:

@@ -14,8 +14,9 @@ has its own engine(s), matchers, detector, metrics and database (see
 backlog or failure never shows up in another tenant's detections — the
 property the whole gateway tenancy model rests on.
 
-Edge admission maps the runtime's backpressure policies to per-client
-behaviour:
+Edge admission applies a backpressure policy per client; besides the
+runtime's three it offers ``drop_oldest``, which only an edge queue can
+implement:
 
 ``block``
     The ``tuples`` frame is held (the server stops reading that client's
@@ -79,8 +80,9 @@ class TenantConfig:
         names no ``batch``; unset, a frame is one batch).
     policy:
         Edge admission policy (any
-        :class:`~repro.runtime.queues.BackpressurePolicy` name); also the
-        default ``backpressure`` of a sharded tenant session.
+        :class:`~repro.runtime.queues.BackpressurePolicy` name, including
+        ``drop_oldest``).  It governs the tenant's ingest queue only; a
+        sharded session's ``backpressure`` is ``session.backpressure``.
     pending_capacity:
         Bound on tuples admitted but not yet fed, per tenant.
     max_connections:
@@ -164,7 +166,7 @@ class _Item:
 
 
 class AsyncIngestQueue:
-    """The asyncio analogue of :class:`~repro.runtime.queues.ShardQueue`.
+    """A bounded asyncio ingest queue in front of one tenant's session.
 
     Bounded in tuples; control items weigh zero and are never dropped
     (dropping a queued ``deploy`` or ``drain`` would wedge its caller).

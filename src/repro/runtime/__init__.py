@@ -8,13 +8,13 @@ side by side:
     stable partition-hash routing — all tuples of one player reach the
     same shard, in order.
 ``repro.runtime.queues``
-    bounded per-shard queues with explicit backpressure
-    (``block`` / ``drop_oldest`` / ``drop_newest`` / ``error``).
+    the backpressure policy names: a shard admits tuples under
+    ``block`` / ``drop_newest`` / ``error``.
 ``repro.runtime.shard``
     the worker loop and its parent-side handle: one message protocol,
-    with graceful failure reporting.
+    admission by credits, and graceful failure reporting.
 ``repro.runtime.transport``
-    what carries the protocol: an in-memory queue to a worker thread, or
+    what carries the protocol: a FIFO to a worker thread, or
     ``multiprocessing`` pipes to a worker process.
 ``repro.runtime.results``
     merging per-shard detections into one timestamp-ordered view.
@@ -37,7 +37,7 @@ from repro.errors import (
     ShardFailedError,
 )
 from repro.runtime.metrics import MetricsRegistry
-from repro.runtime.queues import BackpressurePolicy, ShardQueue
+from repro.runtime.queues import BackpressurePolicy
 from repro.runtime.results import DetectionLog, merge_detections
 from repro.runtime.router import HashPartitionRouter, stable_partition_hash
 from repro.runtime.shard import RemoteShardError, ShardEngineSpec, ShardFailure
@@ -54,7 +54,6 @@ __all__ = [
     "ShardEngineSpec",
     "ShardFailure",
     "ShardFailedError",
-    "ShardQueue",
     "ShardedQuery",
     "ShardedRuntime",
     "ShardedRuntimeError",

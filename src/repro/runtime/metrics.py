@@ -136,7 +136,7 @@ class MetricsRegistry:
         self._query_stats_provider = provider
 
     def collect(self) -> None:
-        """Pull from every lazily-collected source (process shards etc.).
+        """Pull from every lazily-collected source (shard spans and counters).
 
         A hook that fails — a shard mid-shutdown, a closed queue — is
         logged and skipped rather than failing the scrape: exposition
@@ -219,7 +219,7 @@ class MetricsRegistry:
                     QUERY_FAMILIES, per_query[query_name], {**base, "query": query_name}
                 )
         # Self-timed: how long this scrape's collect + render took.  The
-        # collect() above dominates (it may broadcast to process shards),
+        # collect() above dominates (it may broadcast to the shards),
         # which is exactly what an operator watching scrape cost cares about.
         yield SCRAPE_DURATION, base, _perf_clock() - scrape_started
 

@@ -9,8 +9,11 @@ engine would.  The parent-side :class:`Shard` speaks that protocol through
 a transport (:mod:`repro.runtime.transport`) and neither it nor the loop
 knows whether the worker is a thread or a child process.
 
-The message table, what each transport can and cannot do, and the failure
-semantics are in ``docs/runtime.md``.
+The parent side owns everything that is the same on every transport:
+admission (a credit counter bounding the tuples in flight), failures, and
+the control round-trip through which progress, counters and telemetry are
+read.  The message table, what each transport can and cannot do, and the
+failure semantics are in ``docs/runtime.md``.
 """
 
 from __future__ import annotations
@@ -24,15 +27,16 @@ from concurrent import futures
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping, Optional, Sequence
 
-from repro.cep.engine import CEPEngine, DeployedQuery
+from repro.cep.engine import CEPEngine
 from repro.cep.matcher import Detection, MatcherConfig
 from repro.cep.sinks import CallbackSink
 from repro.cep.views import RAW_STREAM_NAME, TRANSFORMED_STREAM_NAME, install_kinect_view
-from repro.errors import RuntimeStateError, ShardFailedError, UnknownQueryError
+from repro.errors import BackpressureError, RuntimeStateError, ShardFailedError
 from repro.observability.clock import monotonic_time, perf_clock
 from repro.observability.registry import MetricSet
 from repro.observability.telemetry import Telemetry, TelemetryConfig
 from repro.observability.tracing import TraceContext, use_context
+from repro.runtime.queues import BackpressurePolicy
 from repro.streams.clock import SimulatedClock
 from repro.transform.pipeline import TransformConfig
 
@@ -151,6 +155,8 @@ def _apply_control(engine: CEPEngine, op: str, payload: Any) -> Any:
         return engine.capture_state()
     if op == "query_stats":
         return engine.query_stats()
+    if op == "progress":
+        return engine.query_progress()
     if op == "deploy":
         name, query_text, matcher_config, partition_override = payload
         kwargs: Dict[str, Any] = {}
@@ -242,34 +248,23 @@ def worker_loop(
     spec: ShardEngineSpec,
     receive: Callable[[], Message],
     send: Callable[[Message], None],
-    telemetry: Optional[Telemetry] = None,
-    on_engine: Optional[Callable[[CEPEngine], None]] = None,
 ) -> None:
     """Service one shard: build its engine, then answer messages until ``stop``.
 
     ``receive()`` blocks for the next inbox message and ``send(message)``
     delivers one to the parent-side :class:`Shard`; the loop talks to
     nothing else, so it runs unchanged on a thread or in a child process.
-
-    ``telemetry`` and ``on_engine`` only make sense for a worker sharing
-    the parent's memory: the first is the parent's live bundle (spans
-    then land where the parent reads them, and there is nothing to
-    collect), the second receives the built engine for live
-    introspection.  A worker given no bundle builds its own from the spec
-    and ships it on ``telemetry`` controls.
+    The worker builds its own telemetry bundle from the spec and ships
+    its spans on ``telemetry`` controls.
     """
-    owned: Optional[Telemetry] = None
     try:
         engine = spec.build()
-        if telemetry is None:
-            telemetry = owned = spec.build_telemetry()
+        telemetry = spec.build_telemetry()
         engine.telemetry = telemetry
     except Exception as error:  # noqa: BLE001 — a dead shard must report, not raise
         send(("failed", error, traceback.format_exc()))
         send(("bye",))
         return
-    if on_engine is not None:
-        on_engine(engine)
 
     # Ingest stamp of the batch being processed: detections emitted
     # synchronously under its push read their ingest→detection latency
@@ -308,7 +303,7 @@ def worker_loop(
                     # own tracer (spans are never re-sent), which
                     # ``_apply_control`` cannot see.
                     if op == "telemetry":
-                        result = None if owned is None else {"spans": owned.tracer.drain()}
+                        result = None if telemetry is None else {"spans": telemetry.tracer.drain()}
                     else:
                         result = _apply_control(engine, op, payload)
                 except Exception as error:  # noqa: BLE001 — report to the caller, shard lives
@@ -326,12 +321,64 @@ def worker_loop(
 # ---------------------------------------------------------------------------
 
 
+class _Credits:
+    """The bound on one worker's tuples in flight: admitted, not yet ``done``."""
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self._in_flight = 0
+        self._lock = threading.Lock()
+        self._released = threading.Condition(self._lock)
+        self.broken = False
+
+    def acquire(self, count: int, block: bool) -> Optional[int]:
+        """Admit ``count`` tuples; the new in-flight total, or ``None`` if refused.
+
+        A blocking caller waits while earlier work is in flight and the
+        chunk does not fit; with nothing in flight any chunk is admitted,
+        so an oversized one cannot wait forever on itself.
+        """
+        with self._lock:
+            if block:
+                while (
+                    self._in_flight > 0
+                    and self._in_flight + count > self.capacity
+                    and not self.broken
+                ):
+                    self._released.wait()
+                if self.broken:
+                    return None
+            elif self._in_flight + count > self.capacity:
+                return None
+            self._in_flight += count
+            return self._in_flight
+
+    def release(self, count: int) -> None:
+        with self._lock:
+            self._in_flight = max(0, self._in_flight - count)
+            self._released.notify_all()
+
+    def break_(self) -> None:
+        """Wake and refuse all waiters (the worker is gone)."""
+        with self._lock:
+            self.broken = True
+            self._released.notify_all()
+
+    @property
+    def in_flight(self) -> int:
+        with self._lock:
+            return self._in_flight
+
+
 class Shard:
     """Parent-side handle of one worker: producer API plus message handler.
 
     Owns everything that is the same whichever transport carries the
-    messages: failure bookkeeping, chunked tuple enqueue, the token-keyed
-    control round-trip, and the handler for what the worker sends back.
+    messages: admission under the backpressure ``policy`` (at most
+    ``capacity`` tuples in flight, refilled by the worker's ``done``
+    messages), failure bookkeeping, chunked tuple enqueue, the
+    token-keyed control round-trip, and the handler for what the worker
+    sends back.
     """
 
     def __init__(
@@ -341,14 +388,18 @@ class Shard:
         on_detection: DetectionCallback,
         transport: "Transport",
         telemetry: Optional[Telemetry] = None,
+        capacity: int = 2048,
+        policy: str = BackpressurePolicy.BLOCK,
     ) -> None:
         self.shard_id = shard_id
         self.metrics = metrics
         self.transport = transport
-        #: The parent-side bundle.  A local worker writes into it directly;
-        #: a remote worker's spans are absorbed into it by
-        #: :meth:`collect_telemetry`.
+        #: The parent-side bundle; the worker's spans are absorbed into it
+        #: by :meth:`collect_telemetry`.
         self.telemetry = telemetry
+        self.capacity = capacity
+        self.policy = policy
+        self._credits = _Credits(capacity)
         self._on_detection = on_detection
         self._failure: Optional[ShardFailure] = None
         self._failure_lock = threading.Lock()
@@ -365,7 +416,7 @@ class Shard:
         if self._started:
             raise RuntimeStateError(f"shard {self.shard_id} is already started")
         self._started = True
-        self.transport.start(self.handle, self.telemetry)
+        self.transport.start(self.handle)
 
     def stop(self, drain: bool = True, timeout: Optional[float] = None) -> None:
         """Ask the worker to exit; with ``drain`` queued work finishes first.
@@ -375,15 +426,22 @@ class Shard:
         """
         if not self._started or self._stopped:
             return
-        self._stopped = True
         if drain and not self.failed:
             with contextlib.suppress(Exception):
                 self.control("flush", timeout=timeout)
+        self._stopped = True
         self.transport.close()
 
     def join(self, timeout: Optional[float] = None) -> None:
         if self._started:
             self.transport.join(timeout)
+            # Unblock any producer still waiting on credits.
+            self._credits.break_()
+
+    @property
+    def queue_depth(self) -> int:
+        """Tuples in flight: admitted and not yet reported ``done``."""
+        return self._credits.in_flight
 
     # -- failure bookkeeping -----------------------------------------------------------
 
@@ -413,9 +471,32 @@ class Shard:
             self._pending.clear()
         for reply in pending:
             reply.set_exception(failure.as_error())
-        self.transport.abort()
+        self._credits.break_()
 
     # -- producer API ------------------------------------------------------------------
+
+    def _send(self, message: Message) -> None:
+        if self._stopped:
+            raise RuntimeStateError(f"shard {self.shard_id} is stopped")
+        self.transport.send(message)
+
+    def _admit(self, count: int) -> bool:
+        """Take ``count`` credits under the policy; ``False`` drops the chunk."""
+        in_flight = self._credits.acquire(count, block=self.policy == BackpressurePolicy.BLOCK)
+        if in_flight is not None:
+            self.metrics.raise_to("queue_depth_hwm", in_flight)
+            return True
+        if self._credits.broken:
+            raise RuntimeStateError(f"shard {self.shard_id} worker is gone")
+        if self.policy == BackpressurePolicy.DROP_NEWEST:
+            # The offered chunk is rejected whole; admitted work keeps its
+            # service guarantee.
+            self.metrics.add(tuples_dropped=count)
+            return False
+        raise BackpressureError(
+            f"shard {self.shard_id} is full ({self._credits.in_flight}/"
+            f"{self.capacity} tuples in flight, {count} more offered)"
+        )
 
     def enqueue_tuples(
         self,
@@ -426,9 +507,9 @@ class Shard:
     ) -> None:
         """Queue a chunk of tuples for this shard, respecting backpressure.
 
-        Chunks are split to at most the queue capacity so the ``block``
-        policy's bound stays meaningful, and to at most ``batch_size`` so
-        the worker's engine sees the same chunk boundaries an inline
+        Chunks are split to at most the capacity so the ``block`` policy's
+        bound stays meaningful, and to at most ``batch_size`` so the
+        worker's engine sees the same chunk boundaries an inline
         ``push_many(batch_size=…)`` would produce.
 
         With telemetry on, each chunk carries ``(enqueue_time, trace)`` so
@@ -441,19 +522,16 @@ class Shard:
         """
         self.raise_if_failed()
         meta = (monotonic_time(), trace) if self.telemetry is not None else None
-        limit = self.transport.queue_capacity
-        if batch_size is not None:
-            limit = min(limit, batch_size)
+        limit = self.capacity if batch_size is None else min(self.capacity, batch_size)
         for start in range(0, len(records), limit):
             chunk = records[start : start + limit]
             # A plain list crosses any transport, whatever Sequence came in.
             chunk = chunk if isinstance(chunk, list) else list(chunk)
             try:
-                self.transport.put_tuples(
-                    ("tuples", stream, chunk, batch_size, meta), len(chunk)
-                )
+                if self._admit(len(chunk)):
+                    self._send(("tuples", stream, chunk, batch_size, meta))
             except RuntimeStateError:
-                # The transport closes when the worker dies; surface the cause.
+                # Credits break when the worker dies; surface the cause.
                 self.raise_if_failed()
                 raise
             self.metrics.add(tuples_enqueued=len(chunk))
@@ -461,9 +539,10 @@ class Shard:
     def control(self, op: str, payload: Any = None, timeout: Optional[float] = None) -> Any:
         """Run a control operation on the worker and wait for its result.
 
-        A failing control raises its error here and leaves the shard
-        alive; a shard that fails (or whose worker vanishes) while the
-        control is pending raises :class:`~repro.errors.ShardFailedError`.
+        Controls take no credits and are never dropped.  A failing control
+        raises its error here and leaves the shard alive; a shard that
+        fails (or whose worker vanishes) while the control is pending
+        raises :class:`~repro.errors.ShardFailedError`.
         """
         self.raise_if_failed()
         reply: "futures.Future[Any]" = futures.Future()
@@ -471,7 +550,7 @@ class Shard:
             token = next(self._tokens)
             self._pending[token] = reply
         try:
-            self.transport.put_control(("control", token, op, payload))
+            self._send(("control", token, op, payload))
             deadline = None if timeout is None else time.monotonic() + timeout
             while not futures.wait([reply], timeout=0.5).done:
                 if not self.transport.alive and not reply.done():
@@ -503,30 +582,17 @@ class Shard:
         self.control("flush", timeout=timeout)
 
     def collect_telemetry(self, timeout: Optional[float] = None) -> None:
-        """Pull a remote worker's spans into the parent's tracer.
+        """Pull the worker's spans into the parent's tracer.
 
         They are drained worker-side, so each is absorbed exactly once.
-        Nothing to do for a local worker (it writes the parent's bundle
-        directly) or with telemetry off.
+        Nothing to do with telemetry off.
         """
-        if self.telemetry is None or not self.transport.remote:
+        if self.telemetry is None:
             return
         # ``None`` from a worker that was configured without telemetry.
         payload = self.control("telemetry", timeout=timeout) or {}
         if payload.get("spans"):
             self.telemetry.tracer.absorb(payload["spans"])
-
-    def deployed(self, name: str) -> Optional[DeployedQuery]:
-        """The live shard-local query, for progress introspection.
-
-        ``None`` when the worker's engine is not in this process (or the
-        query is not deployed).  Reads race the worker by design.
-        """
-        engine = self.transport.engine
-        if engine is not None:
-            with contextlib.suppress(UnknownQueryError):
-                return engine.get_query(name)
-        return None
 
     # -- worker → parent ---------------------------------------------------------------
 
@@ -545,7 +611,7 @@ class Shard:
                 self.metrics.observe("queue_wait", queue_wait)
                 self.metrics.observe("batch_processing", busy)
             self.metrics.add(tuples_processed=count, batches_processed=1, busy_seconds=busy)
-            self.transport.release(count)
+            self._credits.release(count)
         elif kind in ("ack", "nack"):
             with self._pending_lock:
                 reply = self._pending.pop(message[1], None)

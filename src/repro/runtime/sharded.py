@@ -29,7 +29,7 @@ from __future__ import annotations
 import contextlib
 import threading
 from dataclasses import replace
-from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Union
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.cep.engine import _UNSET, Taps, coerce_query
 from repro.cep.matcher import Detection, MatcherConfig
@@ -57,45 +57,6 @@ from repro.streams.clock import Clock, SimulatedClock
 __all__ = ["ShardedRuntime", "ShardedQuery"]
 
 
-class _ShardedMatcherView:
-    """Aggregate, best-effort view over the per-shard matchers.
-
-    Shards whose worker shares this process expose their live matcher
-    state (reads are lock-free and may be slightly stale); the others
-    expose nothing, so their contribution reads as zero.  Only used for
-    Fig. 5 style progress feedback, never for correctness.
-    """
-
-    def __init__(self, runtime: "ShardedRuntime", name: str) -> None:
-        self._runtime = runtime
-        self._name = name
-
-    def _shard_matchers(self):
-        for shard in self._runtime._shards:
-            deployed = shard.deployed(self._name)
-            if deployed is not None:
-                yield deployed.matcher
-
-    def progress(self) -> float:
-        best = 0.0
-        for matcher in self._shard_matchers():
-            try:
-                best = max(best, matcher.progress())
-            except RuntimeError:  # racy read of a live run table
-                continue
-        return best
-
-    @property
-    def active_runs(self) -> int:
-        total = 0
-        for matcher in self._shard_matchers():
-            try:
-                total += matcher.active_runs
-            except RuntimeError:
-                continue
-        return total
-
-
 class ShardedQuery:
     """A query deployed on every shard of a :class:`ShardedRuntime`.
 
@@ -112,7 +73,6 @@ class ShardedQuery:
         #: here, in global arrival order, from the runtime's dispatch lock.
         self.sink = FanOutSink([])
         self.enabled = True
-        self.matcher = _ShardedMatcherView(runtime, name)
 
     def detections(self, partition: Any = _UNSET) -> List[Detection]:
         """Merged, timestamp-ordered detections of this query so far."""
@@ -124,10 +84,6 @@ class ShardedQuery:
         if self._runtime.started and not self._runtime.stopped:
             self._runtime._broadcast("clear_detections", self.name)
         self._runtime._log.clear_query(self.name)
-
-    def progress(self) -> float:
-        """Partial-match progress (best shard; zero on process shards)."""
-        return self.matcher.progress()
 
     def __repr__(self) -> str:
         return (
@@ -152,11 +108,11 @@ class ShardedRuntime(Taps):
     executor:
         ``"thread"`` (default) or ``"process"`` — see ``docs/runtime.md``.
     backpressure:
-        Queue policy when a producer outruns a shard: ``"block"`` (default),
-        ``"drop_oldest"`` (thread executor only), ``"drop_newest"`` or
-        ``"error"``.
+        Admission policy when a producer outruns a shard: ``"block"``
+        (default), ``"drop_newest"`` or ``"error"``
+        (:mod:`repro.runtime.queues`).
     queue_capacity:
-        Per-shard queue bound, in tuples.
+        Per-shard bound on the tuples in flight to the worker.
     partition_field:
         Tuple field the router hashes (default: the spec's matcher
         partition field).  Deployed queries must partition on the same
@@ -187,7 +143,7 @@ class ShardedRuntime(Taps):
             raise ValueError(
                 f"unknown executor {executor!r}; expected one of {tuple(TRANSPORTS)}"
             )
-        BackpressurePolicy.validate(backpressure)
+        BackpressurePolicy.validate_shard(backpressure)
         self.spec = spec or ShardEngineSpec()
         field = partition_field or self.spec.matcher.partition_field
         if not field:
@@ -217,12 +173,13 @@ class ShardedRuntime(Taps):
         self._stopped = False
         self._worker_idents: set = set()
         self._failure_handled = False
-        #: The parent-side telemetry bundle: local workers write into it
-        #: directly, remote ones are collected into it.  Built from the
-        #: spec unless the caller hands in a shared instance (the session
-        #: does, so gateway and runtime spans land in one tracer).
+        #: The parent-side telemetry bundle the workers' spans are
+        #: collected into.  Built from the spec unless the caller hands in
+        #: a shared instance (the session does, so gateway and runtime
+        #: spans land in one tracer).
         self.telemetry = telemetry if telemetry is not None else self.spec.build_telemetry()
         self._query_stats_cache: Dict[str, Dict[str, int]] = {}
+        self._progress_cache: Dict[str, Tuple[float, int]] = {}
         if self.telemetry is not None:
             self._e2e_histogram = self.metrics.histogram("ingest_to_detection")
             self.metrics.add_refresh_hook(self._refresh_telemetry)
@@ -245,11 +202,16 @@ class ShardedRuntime(Taps):
         transport_type = TRANSPORTS[self.executor]
         for shard_id in range(self.shard_count):
             shard_metrics = self.metrics.shard(shard_id)
-            transport = transport_type(
-                shard_id, self.spec, self.queue_capacity, self.backpressure, shard_metrics
-            )
             self._shards.append(
-                Shard(shard_id, shard_metrics, self._on_detection, transport, self.telemetry)
+                Shard(
+                    shard_id,
+                    shard_metrics,
+                    self._on_detection,
+                    transport_type(shard_id, self.spec),
+                    self.telemetry,
+                    capacity=self.queue_capacity,
+                    policy=self.backpressure,
+                )
             )
         for shard in self._shards:
             shard.start()
@@ -648,8 +610,8 @@ class ShardedRuntime(Taps):
         """Serialisation point: every shard's detections pass through here.
 
         Runs on shard worker/listener threads, so it must never raise: a
-        raising sink would otherwise kill the emitting shard (or wedge a
-        process shard's credit stream); :class:`FanOutSink` has already
+        raising sink would otherwise kill the emitting shard (or wedge its
+        credit stream); :class:`FanOutSink` has already
         recorded the failure in ``handle.sink.failures``.  ``latency`` is
         the ingest→detection time the worker measured at emit (``None``
         with telemetry off).
@@ -659,7 +621,7 @@ class ShardedRuntime(Taps):
         thread-safe, and holding the lock across user code
         would let one slow (or blocking) handler stall every other
         shard's detections — in the worst case a handler feeding a full
-        ``block``-policy queue would deadlock the whole runtime.
+        ``block``-policy shard would deadlock the whole runtime.
         """
         with self._dispatch_lock:
             self.metrics.shard(shard_id).add(detections=1)
@@ -725,8 +687,28 @@ class ShardedRuntime(Taps):
         self._query_stats_cache = merged
         return {name: dict(stats) for name, stats in merged.items()}
 
+    def query_progress(self) -> Dict[str, Tuple[float, int]]:
+        """Per-query ``(progress, active_runs)``, merged across every shard.
+
+        Broadcasts the ``progress`` control (FIFO behind queued work) and
+        merges the answers: a partition lives on one shard, so the best
+        progress is the shards' maximum and the live runs are their sum.
+        From a worker/listener thread, or once the runtime is stopped or
+        failed, the last merged values are returned, as in
+        :meth:`query_stats`.
+        """
+        if not self._can_broadcast():
+            return dict(self._progress_cache)
+        merged: Dict[str, Tuple[float, int]] = {}
+        for shard_progress in self._broadcast("progress", None):
+            for name, (progress, runs) in shard_progress.items():
+                best, total = merged.get(name, (0.0, 0))
+                merged[name] = (max(best, progress), total + runs)
+        self._progress_cache = merged
+        return dict(merged)
+
     def collect_telemetry(self, timeout: Optional[float] = None) -> None:
-        """Pull remote workers' spans parent-side
+        """Pull every worker's spans parent-side
         (:meth:`Shard.collect_telemetry`).  Safe to call any time; quietly
         skips when there is nothing to collect.
         """
@@ -748,9 +730,10 @@ class ShardedRuntime(Taps):
         The shard health rules' input, read on the sampler's tick through
         ``repro.observability.health.liveness_reading``: worker aliveness,
         current backlog (enqueued − processed − dropped), processed count
-        (the progress heartbeat), and live queue occupancy.  Reads only parent-side
-        counters and thread/process flags — no control broadcast, so it
-        never blocks behind queued work and is safe from any thread.
+        (the progress heartbeat), and the tuples in flight.  Reads only
+        parent-side counters and thread/process flags — no control
+        broadcast, so it never blocks behind queued work and is safe from
+        any thread.
         """
         rows: List[Dict[str, float]] = []
         for shard in self._shards:
@@ -767,8 +750,8 @@ class ShardedRuntime(Taps):
                         - snapshot["tuples_dropped"],
                     ),
                     "tuples_processed": snapshot["tuples_processed"],
-                    "queue_depth": float(shard.transport.queue_depth),
-                    "queue_capacity": float(shard.transport.queue_capacity),
+                    "queue_depth": float(shard.queue_depth),
+                    "queue_capacity": float(shard.capacity),
                 }
             )
         return rows
@@ -776,7 +759,7 @@ class ShardedRuntime(Taps):
     def export_trace(self) -> Dict[str, Any]:
         """The collected spans as a Chrome trace-event document.
 
-        Collects remote workers first, so an export after a drain holds the
+        Collects the workers' spans first, so an export after a drain holds the
         full gateway → queue → shard → matcher span tree.  Empty (but
         valid) when tracing is off.
         """

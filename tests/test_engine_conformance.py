@@ -125,9 +125,12 @@ class TestProtocol:
             "add_control_tap",
             "remove_control_tap",
             "reset_scene",
+            "query_progress",
         } <= surface
         assert not {"reset_matchers", "reset_transformers"} & surface
-        assert {"detections", "sink", "progress"} <= set(members(QueryHandle))
+        # Progress is read on the engine, by message on a runtime.
+        assert {"detections", "sink"} <= set(members(QueryHandle))
+        assert not {"progress", "matcher"} & set(members(QueryHandle))
 
     def test_cep_engine_implements_engine(self):
         assert_implements(Engine, CEPEngine())

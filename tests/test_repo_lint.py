@@ -19,10 +19,12 @@ sys.path.insert(0, str(TOOLS))
 
 from repo_lint import (  # noqa: E402 — path set up above
     BELOW_RUNTIME_PATHS,
+    CARRIER_FORBIDDEN_IMPORTS,
     CONTROL_JOURNAL_READER,
     CONTROL_JOURNAL_WRITER,
     EXPOSITION_WRITER,
     HASH_FORBIDDEN_PATHS,
+    MESSAGE_CARRIER,
     ORPHAN_CONSUMER_ROOTS,
     ORPHAN_KEEP,
     STRUCT_CODEC_MODULES,
@@ -55,6 +57,7 @@ class TestRepositoryIsClean:
         out = capsys.readouterr().out
         for code in (
             "RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007", "RL008", "RL009",
+            "RL010",
         ):
             assert code in out
 
@@ -544,3 +547,42 @@ class TestRL009NoPublicNameOnlyTestsReach:
             if name:
                 tree = ast.parse((root / module).read_text(encoding="utf-8"))
                 assert name in {getattr(node, "name", None) for node in tree.body}, key
+
+
+class TestRL010ATransportCarriesMessages:
+    REAL = Path(__file__).resolve().parent.parent / MESSAGE_CARRIER
+
+    def test_the_real_transport_module_is_clean(self):
+        assert lint_file(self.REAL) == []
+
+    def test_a_planted_engine_import_is_flagged(self, tmp_path):
+        source = self.REAL.read_text(encoding="utf-8").replace(
+            "from repro.errors import SerializationError\n",
+            "from repro.cep.engine import CEPEngine\nfrom repro.errors import SerializationError\n",
+        )
+        path = write_module(tmp_path, MESSAGE_CARRIER, source)
+        violations = lint_file(path, root=tmp_path)
+        assert [v.code for v in violations] == ["RL010"]
+        assert "shard protocol" in violations[0].message
+
+    @pytest.mark.parametrize("package", CARRIER_FORBIDDEN_IMPORTS)
+    @pytest.mark.parametrize(
+        "statement",
+        ["import {p}", "from {p}.x import Y", "def late():\n    import {p}.x"],
+    )
+    def test_every_spelling_of_a_forbidden_import_is_flagged(self, tmp_path, package, statement):
+        path = write_module(tmp_path, MESSAGE_CARRIER, statement.format(p=package) + "\n")
+        assert [v.code for v in lint_file(path, root=tmp_path)] == ["RL010"]
+
+    def test_other_modules_and_lookalikes_allowed(self, tmp_path):
+        shard = write_module(
+            tmp_path, "src/repro/runtime/shard.py", "from repro.cep.engine import CEPEngine\n"
+        )
+        lookalike = write_module(
+            tmp_path,
+            MESSAGE_CARRIER,
+            "from repro.errors import SerializationError\nfrom repro.runtime.shard import worker_loop\n"
+            "import repro.cepx\n",
+        )
+        assert lint_file(shard, root=tmp_path) == []
+        assert lint_file(lookalike, root=tmp_path) == []

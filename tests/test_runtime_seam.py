@@ -129,57 +129,60 @@ class TestWorkerLoop:
         worker_loop(0, BrokenSpec(), queue.Queue().get, outbox.put)
         assert kinds(outbox.queue) == ["failed", "bye"]
 
-    def test_on_engine_exposes_the_live_engine(self):
-        inbox, seen = queue.Queue(), []
-        inbox.put(deploy(1))
-        inbox.put(("stop",))
-        worker_loop(0, SPEC, inbox.get, lambda message: None, on_engine=seen.append)
-        assert seen[0].query_names() == ["high"]
+    def test_progress_answers_best_progress_and_live_runs_per_query(self):
+        updown = 'SELECT "ud" MATCHING ( kinect_t(rhand_y > 450) -> kinect_t(rhand_y < 100) );'
+        sent = run_worker(
+            deploy(1, text=updown, name="ud"),
+            ("control", 2, "progress", None),
+            tuples(500.0),
+            ("control", 3, "progress", None),
+        )
+        assert sent[1] == ("ack", 2, {"ud": (0.0, 0)})
+        assert sent[-2] == ("ack", 3, {"ud": (0.5, 1)})
 
 
 class _DeafTransport:
     """Accepts everything, delivers nothing: a worker that never answers."""
 
-    remote = True
-    engine = None
     alive = True
-    queue_capacity = 8
-    queue_depth = 0
     worker_idents = frozenset()
 
     def __init__(self):
         self.sent = []
-        self.aborted = False
 
-    def start(self, deliver, telemetry):
+    def start(self, deliver):
         pass
 
-    def put_tuples(self, message, weight):
+    def send(self, message):
         self.sent.append(message)
-
-    def put_control(self, message):
-        self.sent.append(message)
-
-    def release(self, count):
-        pass
 
     def close(self):
         pass
-
-    def abort(self):
-        self.aborted = True
 
     def join(self, timeout):
         pass
 
 
-def make_shard(transport):
+class _InstantTransport(_DeafTransport):
+    """Reports every ``tuples`` chunk ``done`` as soon as it is sent."""
+
+    def start(self, deliver):
+        self.deliver = deliver
+
+    def send(self, message):
+        super().send(message)
+        if message[0] == "tuples":
+            self.deliver(("done", len(message[2]), 0.0, None))
+
+
+def make_shard(transport, capacity=8):
     detections = []
     shard = Shard(
         0,
         MetricsRegistry().shard(0),
         lambda shard_id, detection, latency: detections.append(detection),
         transport,
+        capacity=capacity,
     )
     shard.start()
     return shard, detections
@@ -221,10 +224,32 @@ class TestShardHandle:
             assert isinstance(error, ShardFailedError)
             assert isinstance(error.cause, ZeroDivisionError)
             assert "remote tb" in str(error)
-        assert transport.aborted
         assert shard.failed and shard.metrics.snapshot()["errors"] == 1
         with pytest.raises(ShardFailedError):
             shard.enqueue_tuples("kinect_t", [{"ts": 0.0, "player": 1}])
+
+    def test_failed_wakes_a_producer_blocked_on_credits(self):
+        transport = _DeafTransport()
+        shard, _ = make_shard(transport)
+        records = [{"ts": float(i), "player": 1} for i in range(8)]
+        shard.enqueue_tuples("kinect_t", records)  # every credit in flight
+        outcome = []
+
+        def produce():
+            try:
+                shard.enqueue_tuples("kinect_t", records[:1])
+            except Exception as error:  # noqa: BLE001 — inspected by the test
+                outcome.append(error)
+
+        producer = threading.Thread(target=produce, daemon=True)
+        producer.start()
+        producer.join(timeout=0.1)
+        assert producer.is_alive()  # blocked: no ``done`` came back
+        shard.handle(("failed", ZeroDivisionError("division by zero"), "remote tb"))
+        producer.join(timeout=5.0)
+        assert not producer.is_alive()
+        assert isinstance(outcome[0], ShardFailedError)
+        assert len(transport.sent) == 1
 
     def test_ack_and_nack_resolve_their_own_token(self):
         transport = _DeafTransport()
@@ -260,18 +285,19 @@ class TestShardHandle:
         shard, _ = make_shard(transport)
         with pytest.raises(ShardFailedError, match="exited unexpectedly"):
             shard.control("flush")
-        assert shard.failed and transport.aborted
+        assert shard.failed
 
     def test_done_feeds_metrics_and_releases_credits(self):
-        released = []
         transport = _DeafTransport()
-        transport.release = released.append
         shard, detections = make_shard(transport)
+        shard.enqueue_tuples("kinect_t", [{"ts": float(i), "player": 1} for i in range(5)])
+        assert shard.queue_depth == 5
         shard.handle(("det", "a-detection", 0.5))
         shard.handle(("done", 3, 0.01, 0.002))
+        assert shard.queue_depth == 2
         shard.handle(("done", 2, 0.01, None))  # unmeasured batch
         assert detections == ["a-detection"]
-        assert released == [3, 2]
+        assert shard.queue_depth == 0
         snapshot = shard.metrics.snapshot()
         assert snapshot["tuples_processed"] == 5
         assert snapshot["batches_processed"] == 2
@@ -279,7 +305,7 @@ class TestShardHandle:
         assert shard.metrics.histograms()["batch_processing"].count == 1
 
     def test_enqueue_chunks_to_capacity_and_batch_size(self):
-        transport = _DeafTransport()
+        transport = _InstantTransport()
         shard, _ = make_shard(transport)
         records = [{"ts": float(i), "player": 1} for i in range(20)]
         shard.enqueue_tuples("kinect_t", records)
@@ -296,7 +322,7 @@ class TestProcessTransportSeam:
         # Never started: the refusal happens on the caller's thread, before
         # anything is handed to multiprocessing.
         metrics = MetricsRegistry().shard(0)
-        transport = ProcessTransport(0, SPEC, 8, "block", metrics)
+        transport = ProcessTransport(0, SPEC)
         shard = Shard(0, metrics, lambda *args: None, transport)
         with pytest.raises(SerializationError, match="register_function"):
             shard.control("register_function", ("f", lambda value: value, 1))

@@ -29,9 +29,7 @@ from repro.errors import (
 from repro.runtime import (
     BackpressurePolicy,
     HashPartitionRouter,
-    MetricsRegistry,
     RemoteShardError,
-    ShardQueue,
     ShardedRuntime,
     stable_partition_hash,
 )
@@ -128,100 +126,6 @@ class TestRouter:
             HashPartitionRouter(shard_count=0)
         with pytest.raises(ValueError):
             HashPartitionRouter(shard_count=2, partition_field="")
-
-
-# ---------------------------------------------------------------------------
-# Queues and backpressure
-# ---------------------------------------------------------------------------
-
-
-class TestShardQueue:
-    def test_fifo_and_weight_accounting(self):
-        queue = ShardQueue(capacity=10)
-        queue.put("a", weight=3)
-        queue.put("b", weight=2)
-        assert queue.depth == 5
-        assert queue.get()[0] == "a"
-        assert queue.depth == 2
-        assert queue.get()[0] == "b"
-
-    def test_error_policy_raises_when_full(self):
-        queue = ShardQueue(capacity=4, policy=BackpressurePolicy.ERROR)
-        queue.put("a", weight=3)
-        with pytest.raises(BackpressureError):
-            queue.put("b", weight=2)
-        # Controls (weight 0) always get through.
-        queue.put("ctrl", weight=0)
-
-    def test_drop_oldest_drops_tuples_but_never_controls(self):
-        metrics = MetricsRegistry().shard(0)
-        queue = ShardQueue(
-            capacity=4, policy=BackpressurePolicy.DROP_OLDEST, metrics=metrics
-        )
-        queue.put("old", weight=3)
-        queue.put("ctrl", weight=0)
-        queue.put("new", weight=3)  # evicts "old", keeps the control
-        assert metrics.snapshot()["tuples_dropped"] == 3
-        items = [queue.get()[0], queue.get()[0]]
-        assert items == ["ctrl", "new"]
-
-    def test_drop_newest_rejects_the_offered_chunk_whole(self):
-        metrics = MetricsRegistry().shard(0)
-        queue = ShardQueue(
-            capacity=4, policy=BackpressurePolicy.DROP_NEWEST, metrics=metrics
-        )
-        queue.put("old", weight=3)
-        assert queue.put("new", weight=3) == 3  # rejected, counted
-        assert metrics.snapshot()["tuples_dropped"] == 3
-        assert queue.depth == 3  # the backlog kept its service guarantee
-        assert queue.get()[0] == "old"
-
-    def test_drop_newest_admits_oversized_chunk_against_empty_queue(self):
-        queue = ShardQueue(capacity=2, policy=BackpressurePolicy.DROP_NEWEST)
-        assert queue.put("big", weight=5) == 0  # progress guarantee
-        assert queue.get()[0] == "big"
-
-    def test_drop_newest_never_drops_controls(self):
-        queue = ShardQueue(capacity=2, policy=BackpressurePolicy.DROP_NEWEST)
-        queue.put("data", weight=2)
-        assert queue.put("ctrl", weight=0) == 0
-        items = [queue.get()[0], queue.get()[0]]
-        assert items == ["data", "ctrl"]
-
-    @pytest.mark.parametrize(
-        "policy, expect_backlog, expect_offered",
-        [
-            (BackpressurePolicy.DROP_OLDEST, "evicted", "kept"),
-            (BackpressurePolicy.DROP_NEWEST, "kept", "rejected"),
-        ],
-    )
-    def test_drop_policies_are_mirror_images(self, policy, expect_backlog, expect_offered):
-        queue = ShardQueue(capacity=2, policy=policy)
-        queue.put("backlog", weight=2)
-        queue.put("offered", weight=2)
-        survivors = []
-        while queue.depth:
-            survivors.append(queue.get()[0])
-        if policy == BackpressurePolicy.DROP_OLDEST:
-            assert survivors == ["offered"]
-        else:
-            assert survivors == ["backlog"]
-
-    def test_block_policy_waits_for_the_consumer(self):
-        queue = ShardQueue(capacity=2, policy=BackpressurePolicy.BLOCK)
-        queue.put("first", weight=2)
-        done = threading.Event()
-
-        def producer():
-            queue.put("second", weight=2)  # must wait until "first" leaves
-            done.set()
-
-        thread = threading.Thread(target=producer, daemon=True)
-        thread.start()
-        assert not done.wait(timeout=0.1)
-        assert queue.get()[0] == "first"
-        assert done.wait(timeout=2.0)
-        assert queue.get()[0] == "second"
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +409,104 @@ class TestShardFailureOnProcesses(TestShardFailure):
         assert "boom" in error.cause.remote_traceback
 
 
+# ---------------------------------------------------------------------------
+# Admission: each shard bounds its tuples in flight, on both executors
+# ---------------------------------------------------------------------------
+
+
+# Module-level so it pickles by reference into a worker process.
+def linger(seconds):
+    time.sleep(seconds)
+    return seconds
+
+
+@pytest.mark.parametrize("executor", ["thread", "process"])
+class TestAdmission:
+    LINGER = 0.3
+
+    def busy_runtime(self, spec, executor, policy):
+        """One shard of 3 credits, 2 of them held for ``2 * LINGER`` seconds."""
+        runtime = ShardedRuntime(
+            shard_count=1,
+            spec=spec,
+            executor=executor,
+            backpressure=policy,
+            queue_capacity=3,
+        )
+        runtime.start()
+        runtime.register_function("linger", linger, 1)
+        runtime.register_query('SELECT "slow" MATCHING kinect_t(linger(rhand_y) > 0);')
+        runtime.push_many(
+            "kinect_t",
+            [{"ts": float(i), "player": 1, "rhand_y": self.LINGER} for i in range(2)],
+        )
+        assert runtime.shard_liveness()[0]["queue_depth"] == 2
+        return runtime
+
+    #: Two more tuples: one credit is free, so the chunk does not fit.
+    LATE = [{"ts": 9.0 + i, "player": 1, "rhand_y": 0.0} for i in range(2)]
+
+    def test_block_waits_for_done(self, spec, executor):
+        runtime = self.busy_runtime(spec, executor, BackpressurePolicy.BLOCK)
+        try:
+            fed = threading.Event()
+
+            def feed():
+                runtime.push_many("kinect_t", self.LATE)
+                fed.set()
+
+            threading.Thread(target=feed, name="late-feed", daemon=True).start()
+            assert not fed.wait(timeout=self.LINGER / 2)
+            assert fed.wait(timeout=10.0)
+            runtime.drain()
+            totals = runtime.metrics.totals()
+            assert totals["tuples_processed"] == 4
+            assert totals["tuples_dropped"] == 0
+            assert totals["queue_depth_hwm"] == 2
+            assert runtime.shard_liveness()[0]["queue_depth"] == 0
+        finally:
+            runtime.stop()
+
+    def test_drop_newest_rejects_the_offered_chunk_whole_but_never_a_control(
+        self, spec, executor
+    ):
+        runtime = self.busy_runtime(spec, executor, BackpressurePolicy.DROP_NEWEST)
+        try:
+            runtime.push_many("kinect_t", self.LATE)
+            # Still full: the deploy control is admitted all the same.
+            runtime.register_query(HIGH)
+            runtime.drain()
+            totals = runtime.metrics.totals()
+            assert totals["tuples_dropped"] == 2
+            assert totals["tuples_processed"] == 2
+            assert totals["tuples_enqueued"] == 4
+            assert runtime.query_names() == ["high", "slow"]
+            assert len(runtime.detections("slow")) == 2
+        finally:
+            runtime.stop()
+
+    def test_error_raises_backpressure_error(self, spec, executor):
+        runtime = self.busy_runtime(spec, executor, BackpressurePolicy.ERROR)
+        try:
+            with pytest.raises(BackpressureError, match="in flight"):
+                runtime.push_many("kinect_t", self.LATE)
+            runtime.drain()
+            assert runtime.metrics.totals()["tuples_processed"] == 2
+        finally:
+            runtime.stop()
+
+    def test_drop_oldest_is_refused_at_configuration(self, spec, executor):
+        with pytest.raises(ValueError, match="TenantConfig.policy"):
+            ShardedRuntime(
+                shard_count=2,
+                spec=spec,
+                executor=executor,
+                backpressure=BackpressurePolicy.DROP_OLDEST,
+            )
+        with pytest.raises(ValueError, match="TenantConfig.policy"):
+            SessionConfig(shards=2, shard_executor=executor, backpressure="drop_oldest")
+
+
 class TestProcessExecutor:
     def test_process_shards_detect_like_inline(self, spec):
         frames = make_frames(players=4, rounds=20)
@@ -516,19 +518,9 @@ class TestProcessExecutor:
             assert per_partition(runtime.detections()) == baseline
         assert runtime.stopped
 
-    def test_process_executor_rejects_drop_oldest(self, spec):
-        with pytest.raises(ValueError, match="drop"):
-            ShardedRuntime(
-                shard_count=2,
-                spec=spec,
-                executor="process",
-                backpressure=BackpressurePolicy.DROP_OLDEST,
-            ).start()
-
     def test_process_executor_accepts_drop_newest(self, spec):
-        # drop_newest works parent-side (a failed credit acquire rejects
-        # the chunk before it crosses the pipe), unlike drop_oldest which
-        # would need to reach into the child's queue.
+        # drop_newest works parent-side: a failed credit acquire rejects
+        # the chunk before it crosses the pipe.
         frames = make_frames(players=2, rounds=10)
         with ShardedRuntime(
             shard_count=2,
@@ -601,6 +593,23 @@ class TestShardedSession:
         batched, batched_events = self._run_session(4, frames, batch_size=32)
         assert batched == inline
         assert len(batched_events) == len(inline_events)
+
+    def test_feedback_is_the_same_on_every_executor(self):
+        # The feed stops mid-gesture, so partial matches stay open.
+        frames = make_frames(rounds=41)
+        readings = []
+        for shards, executor in ((1, "thread"), (2, "thread"), (2, "process")):
+            config = session_config(shards, shard_executor=executor, batch_size=64)
+            with GestureSession(config) as session:
+                session.deploy(UPDOWN)
+                session.deploy(HIGH)
+                session.feed(frames, stream="kinect_t")
+                feedback = session.feedback()
+            readings.append((feedback.progress, feedback.active_runs))
+        inline = readings[0]
+        assert inline[0]["updown"] > 0 and inline[1]["updown"] > 0
+        assert readings[1] == inline
+        assert readings[2] == inline
 
     def test_drop_newest_session_is_lossless_under_capacity(self):
         # With the queue bound far above the workload the policy never

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repository-specific lint rules that generic linters do not cover.
 
-Nine rules, all born from real failure modes of this codebase:
+Ten rules, all born from real failure modes of this codebase:
 
 ``RL001`` — no builtin ``hash()`` on routing/persistence code paths or in benchmarks
     CPython salts ``hash()`` per process (PYTHONHASHSEED), so a shard
@@ -89,6 +89,16 @@ Nine rules, all born from real failure modes of this codebase:
     sit in ``ORPHAN_KEEP``, one reason each.  Unlike the other rules this
     one reads the whole tree, so it runs in :func:`lint_repository`.
 
+``RL010`` — a transport carries messages
+    The thread transport once handed the parent its worker's live engine
+    (progress was read off the matchers) and shared the parent's
+    telemetry bundle (spans skipped the ``telemetry`` control), so
+    ``feedback()`` read zero on process shards only and traces reached
+    the parent two ways.  A transport now starts a worker, carries
+    messages both ways, closes and joins; admission, progress and
+    telemetry are the shard protocol's.  ``src/repro/runtime/transport.py``
+    may not import ``repro.cep`` or ``repro.observability``.
+
 Run as a script (CI) or through ``tests/test_repo_lint.py``::
 
     python tools/repo_lint.py            # lint the repository, exit 0/1
@@ -161,6 +171,11 @@ CONTROL_JOURNAL_WRITER = "src/repro/persistence/manager.py"
 #: The one module allowed to call ``apply_engine_control`` (RL008); the tree it guards.
 CONTROL_JOURNAL_READER = "src/repro/persistence/replay.py"
 CONTROL_REPLAY_GUARDED_PATH = "src/repro"
+
+#: The module that only carries shard messages, and the packages it may not
+#: import (RL010).
+MESSAGE_CARRIER = "src/repro/runtime/transport.py"
+CARRIER_FORBIDDEN_IMPORTS = ("repro.cep", "repro.observability")
 
 #: The tree whose public names must have a caller (RL009); the trees outside
 #: it whose references count as callers.
@@ -338,7 +353,8 @@ def _lint_exposition_headers(path: Path, tree: ast.AST, relative: str) -> Iterab
             )
 
 
-def _imports_runtime(node: ast.AST) -> bool:
+def _imports_package(node: ast.AST, packages: Sequence[str]) -> bool:
+    """Match an absolute import of any of ``packages`` or their submodules."""
     if isinstance(node, ast.Import):
         modules = [alias.name for alias in node.names]
     elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -347,12 +363,12 @@ def _imports_runtime(node: ast.AST) -> bool:
             modules += [f"repro.{alias.name}" for alias in node.names]
     else:
         return False
-    return any(m == "repro.runtime" or m.startswith("repro.runtime.") for m in modules)
+    return any(m == p or m.startswith(p + ".") for m in modules for p in packages)
 
 
 def _lint_runtime_imports(path: Path, tree: ast.AST, relative: str) -> Iterable[Violation]:
     for node in ast.walk(tree):
-        if _imports_runtime(node):
+        if _imports_package(node, ("repro.runtime",)):
             yield Violation(
                 relative,
                 node.lineno,
@@ -417,6 +433,19 @@ def _lint_apply_control_calls(path: Path, tree: ast.AST, relative: str) -> Itera
             )
 
 
+def _lint_carrier_imports(path: Path, tree: ast.AST, relative: str) -> Iterable[Violation]:
+    for node in ast.walk(tree):
+        if _imports_package(node, CARRIER_FORBIDDEN_IMPORTS):
+            yield Violation(
+                relative,
+                node.lineno,
+                "RL010",
+                "a transport carries messages and may not import repro.cep or "
+                "repro.observability; engine state, progress and telemetry are "
+                "read through the shard protocol (repro.runtime.shard)",
+            )
+
+
 def lint_file(path: Path, root: Optional[Path] = None) -> List[Violation]:
     """Lint one Python file; returns its violations."""
     root = root or REPO_ROOT
@@ -445,6 +474,8 @@ def lint_file(path: Path, root: Optional[Path] = None) -> List[Violation]:
         violations.extend(_lint_append_control_calls(path, tree, relative))
     if posix.startswith(CONTROL_REPLAY_GUARDED_PATH) and posix != CONTROL_JOURNAL_READER:
         violations.extend(_lint_apply_control_calls(path, tree, relative))
+    if posix == MESSAGE_CARRIER:
+        violations.extend(_lint_carrier_imports(path, tree, relative))
     return violations
 
 
@@ -560,6 +591,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "RL009  every public top-level name under",
             ORPHAN_GUARDED_PATH,
             "is referenced outside tests, or listed in ORPHAN_KEEP",
+        )
+        print(
+            "RL010 ",
+            MESSAGE_CARRIER,
+            "imports nothing from",
+            ", ".join(CARRIER_FORBIDDEN_IMPORTS),
         )
         return 0
     violations = lint_repository()
