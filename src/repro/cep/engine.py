@@ -28,7 +28,15 @@ the index cannot read (a missing or non-numeric field) falls back to every
 query's closures, and so does a stream where the index would answer no
 query's gate: there a lookup per tuple would buy nothing.  A query that raises costs only itself, as a separate
 subscription would: the rest still get the tuple, the producer sees the
-first error.  Tuples reach matchers on one of two paths:
+first error.
+
+The subscription also declares the fields its queries read (each query's
+set is computed once, at deploy), and does so the moment the queries
+change.  That is the projection the ``kinect_t`` view pushes into its
+transform: the view computes the joints the deployed vocabulary reads,
+not all fifteen, so matcher runs, detections and snapshots carry
+projected records (see :func:`~repro.cep.views.install_kinect_view`).
+Tuples reach matchers on one of two paths:
 
 * per-tuple (:meth:`CEPEngine.push`, and :meth:`CEPEngine.push_many`
   without a ``batch_size``): every tuple fans out to all subscribers
@@ -159,6 +167,9 @@ class DeployedQuery:
     matcher: NFAMatcher
     sink: FanOutSink
     collector: CollectingSink
+    #: Per stream, the fields this query's matcher reads there (computed
+    #: once at deploy; the stream's fan-out declares their union).
+    reads: Dict[str, FrozenSet[str]]
     enabled: bool = True
     #: False once undeployed, so a delivery already under way skips it.
     active: bool = True
@@ -304,6 +315,18 @@ class Taps:
 _Member = Tuple[DeployedQuery, NFAMatcher, int, Optional[str], Dict[Any, Any], str]
 
 
+def _fields_read(query: Query, config: MatcherConfig) -> Dict[str, FrozenSet[str]]:
+    """Per stream, the fields a matcher of ``query`` under ``config`` reads:
+    its predicates', the timestamp field and the partition field."""
+    base = frozenset(
+        name for name in (config.timestamp_field, config.partition_field) if name is not None
+    )
+    reads: Dict[str, FrozenSet[str]] = {}
+    for event in query.events():
+        reads[event.stream] = reads.get(event.stream, base) | event.predicate.fields()
+    return reads
+
+
 class _Fanout:
     """A stream's one subscription: the queries reading it, in deploy order,
     and the index over their steps (``members`` is ``None`` until the first
@@ -314,6 +337,15 @@ class _Fanout:
         self.subscription: Optional[Subscription] = None
         self.members: Optional[Tuple[_Member, ...]] = None
         self.index = StepIndex(())
+
+    def changed(self, stream_name: str) -> None:
+        """The queries changed: rebind on the next tuple, and declare at
+        once the fields they read, so the view producing the stream
+        projects that very tuple."""
+        self.members = None
+        self.subscription.declare(
+            frozenset().union(*(deployed.reads[stream_name] for deployed in self.queries))
+        )
 
 
 class CEPEngine(Taps):
@@ -608,6 +640,7 @@ class CEPEngine(Taps):
             matcher=matcher,
             sink=fan_out,
             collector=collector,
+            reads=_fields_read(query, config),
         )
 
         for stream_name in referenced:
@@ -618,9 +651,10 @@ class CEPEngine(Taps):
                     self._make_handler(stream_name, fanout),
                     name=f"queries:{stream_name}",
                     batch_callback=self._make_batch_handler(stream_name, fanout),
+                    reads=(),
                 )
             fanout.queries.append(deployed)
-            fanout.members = None
+            fanout.changed(stream_name)
 
         self._queries[registration_name] = deployed
         self._notify_control("deploy", {"name": registration_name, "text": query.to_query()})
@@ -758,8 +792,9 @@ class CEPEngine(Taps):
         for stream_name in deployed.query.streams():
             fanout = self._fanouts[stream_name]
             fanout.queries.remove(deployed)
-            fanout.members = None
-            if not fanout.queries:
+            if fanout.queries:
+                fanout.changed(stream_name)
+            else:
                 fanout.subscription.cancel()
                 del self._fanouts[stream_name]
         self._notify_control("undeploy", {"name": name})

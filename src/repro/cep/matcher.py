@@ -152,8 +152,11 @@ class MatcherConfig:
         alone, so long-window patterns are never cut short by the TTL.
         ``None`` disables the TTL.
     store_matched_tuples:
-        Whether detections keep the full matched tuples (useful for
-        debugging and the Fig. 5 style visual feedback) or only timestamps.
+        Whether detections keep the matched tuples (useful for debugging
+        and the Fig. 5 style visual feedback) or only timestamps.  A tuple
+        is kept as the stream delivered it: on ``kinect_t`` that is the
+        view's projection, not the full transformed frame (see
+        :attr:`Detection.matched`).
     timestamp_field:
         Tuple field carrying the event time in seconds.
     partition_field:
@@ -195,6 +198,14 @@ class Detection:
     every tuple of the match (the player id on the default configuration);
     ``None`` when the matcher runs unpartitioned or the tuples carried no
     partition field.
+
+    ``matched`` holds the matched tuples as the stream delivered them
+    (``None`` unless ``MatcherConfig.store_matched_tuples``).  On
+    ``kinect_t`` those are projections: every non-joint field, ``scale``,
+    both hands and the joints the vocabulary deployed at that tuple reads,
+    so a detection spanning a deploy that widened the vocabulary mixes
+    widths.  The full frame is ``session.transformer.transform(frame)``,
+    or what a ``kinect_t`` subscriber that declares no ``reads`` receives.
     """
 
     output: str

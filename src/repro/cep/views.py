@@ -6,6 +6,11 @@ recorded" so that "only a single step needs to be performed on the incoming
 data stream" (Sec. 3.2).  A :class:`View` here is exactly that: a derived
 stream computed by applying a per-tuple function to a source stream.
 :func:`install_kinect_view` wires the standard transformation.
+
+A database pushes projections into its views, and so does this one: a
+view computes only the fields its output stream's subscribers read
+(:attr:`~repro.streams.stream.Stream.reads`), when its function knows how
+to compute less.
 """
 
 from __future__ import annotations
@@ -28,7 +33,16 @@ TRANSFORMED_STREAM_NAME = "kinect_t"
 
 
 class View:
-    """A derived stream: ``output = function(tuple)`` for every source tuple."""
+    """A derived stream: ``output = function(tuple)`` for every source tuple.
+
+    A function that can compute less defines ``project(reads)``: given the
+    fields the output stream's subscribers read (``None``: any field), it
+    returns the per-tuple function to apply instead.  The view asks again
+    on the first tuple after the output's read set changed — a query
+    deployed or undeployed, a subscriber added, cancelled or redeclared —
+    and never otherwise, so a projection costs one identity check per
+    tuple (or chunk).  A plain function is applied as it is.
+    """
 
     def __init__(
         self,
@@ -43,6 +57,9 @@ class View:
         self.function = function
         self.tuples_processed = 0
         self._subscription: Optional[Subscription] = None
+        #: The output read set :attr:`_apply` was projected for.
+        self._reads: Any = _UNSET
+        self._apply = function
 
     def start(self) -> None:
         if self._subscription is None:
@@ -59,9 +76,17 @@ class View:
     def active(self) -> bool:
         return self._subscription is not None
 
+    def _project(self) -> Callable[[Mapping[str, Any]], Mapping[str, Any]]:
+        """Re-derive :attr:`_apply` for the output's current read set."""
+        reads = self._reads = self.output.reads
+        project = getattr(self.function, "project", None)
+        self._apply = project(reads) if callable(project) else self.function
+        return self._apply
+
     def _on_tuple(self, record: Mapping[str, Any]) -> None:
         self.tuples_processed += 1
-        self.output.push(self.function(record))
+        apply = self._apply if self.output.reads is self._reads else self._project()
+        self.output.push(apply(record))
 
     def _on_batch(self, records: Sequence[Mapping[str, Any]]) -> None:
         """Batch delivery: transform the chunk and forward it as one chunk.
@@ -73,7 +98,7 @@ class View:
         :meth:`Stream.push_batch` applies to a raising subscriber.
         """
         self.tuples_processed += len(records)
-        function = self.function
+        function = self._apply if self.output.reads is self._reads else self._project()
         outputs = []
         first_error: Optional[Exception] = None
         for record in records:
@@ -106,6 +131,14 @@ def install_kinect_view(
     the transformation view between them.  Returns the installed view; its
     transformer is available as ``view.function`` (a
     :class:`~repro.transform.pipeline.KinectTransformer`).
+
+    The view computes only the joints its readers read
+    (:meth:`~repro.transform.pipeline.KinectTransformer.project`): the
+    engine's query fan-out declares the fields of the deployed queries, so a
+    ``kinect_t`` tuple carries every non-joint field, ``scale``, both hands
+    and the joints some deployed query reads.  A subscriber that declares
+    nothing (``stream.subscribe(callback)``) widens it to every joint;
+    ``view.function.transform(frame)`` always returns the full frame.
 
     The transformer keeps its smoothed forearm scale per tracked player
     (``transform_config.partition_field``, default ``"player"``) so

@@ -4,6 +4,7 @@
 loop the paper demonstrates:
 
 1. the Kinect stream flows through the engine and the ``kinect_t`` view,
+   and, while samples are collected, into the recording controller,
 2. pre-defined *control gestures* steer the tool itself: a wave arms the
    recording controller for a new sample, a two-hand swipe finalises the
    learning phase,
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.cep.engine import CEPEngine
 from repro.cep.matcher import Detection
@@ -40,6 +41,7 @@ from repro.detection.events import DetectionFeedback, GestureEvent
 from repro.errors import InvalidWorkflowStateError, RecordingError
 from repro.storage.database import GestureDatabase
 from repro.streams.clock import Clock, SimulatedClock
+from repro.transform.pipeline import KinectTransformer
 
 #: Query text of the pre-defined control gestures (paper Sec. 3.1).  They are
 #: deliberately generous windows so they work without per-user training; the
@@ -116,7 +118,22 @@ class WorkflowConfig:
 
 
 class LearningWorkflow:
-    """End-to-end interactive gesture learning."""
+    """End-to-end interactive gesture learning.
+
+    The recording controller reads the raw stream the ``kinect_t`` view
+    reads, not ``kinect_t`` itself: the view computes only the joints the
+    deployed queries read, while the learner needs every joint.  The
+    workflow transforms the frames it records with its own
+    :class:`~repro.transform.pipeline.KinectTransformer`, seeded from the
+    view's smoothing state at :meth:`begin_gesture` (and again when the
+    engine is cleared or restored), so a frame recorded from the stream
+    equals the full frame the view would have computed, bit for bit.
+    :meth:`record_sample` with ``raw=True`` transforms with the same
+    transformer, and so never touches the view's state, which is session
+    state no journal entry holds.  Transformed tuples pushed straight into
+    ``kinect_t`` reach the control queries but are not recorded as samples;
+    pass them to :meth:`record_sample` with ``raw=False``.
+    """
 
     def __init__(
         self,
@@ -152,9 +169,10 @@ class LearningWorkflow:
         self._current_gesture: Optional[str] = None
         self._last_report: Optional[OverlapReport] = None
 
-        # Controller listens to the transformed stream.
-        self._transformed = self.engine.get_stream(TRANSFORMED_STREAM_NAME)
-        self._transformed.subscribe(self._on_transformed_frame, name="workflow-controller")
+        self._view = self.engine.get_view(TRANSFORMED_STREAM_NAME)
+        self._transformer = KinectTransformer(self._view.function.config)
+        self._view.source.subscribe(self._on_raw_frame, name="workflow-controller")
+        self.engine.add_control_tap(self._on_control)
 
         if deploy_control_gestures:
             self._deploy_control_gestures()
@@ -192,10 +210,18 @@ class LearningWorkflow:
             self.process_frame(frame)
         return len(frames)
 
-    def _on_transformed_frame(self, frame: Mapping[str, float]) -> None:
+    def _on_control(self, op: str, payload: Dict[str, Any]) -> None:
+        if op in ("clear", "restore"):
+            self._seed_transformer()
+
+    def _seed_transformer(self) -> None:
+        """Put the workflow's transformer in the view's current state."""
+        self._transformer.restore_state(self._view.function.capture_state())
+
+    def _on_raw_frame(self, frame: Mapping[str, float]) -> None:
         if self.phase is not WorkflowPhase.COLLECTING:
             return
-        phase = self.controller.observe(frame)
+        phase = self.controller.observe(self._transformer.transform(frame))
         if phase is RecordingPhase.COMPLETE and self.controller.has_sample:
             sample = self.controller.take_sample()
             result = self._add_transformed_sample(sample)
@@ -225,6 +251,7 @@ class LearningWorkflow:
         )
         self._learner = GestureLearner(name, config=learner_config)
         self._current_gesture = name
+        self._seed_transformer()
         self.phase = WorkflowPhase.COLLECTING
         self._log(f"started learning gesture '{name}'")
 
@@ -237,16 +264,15 @@ class LearningWorkflow:
             The sample's sensor frames.
         raw:
             Whether the frames are raw camera frames (they are transformed
-            with the engine's ``kinect_t`` transformer) or already
-            transformed.
+            with the workflow's own transformer, never the view's) or
+            already transformed.
         """
         if self.phase is not WorkflowPhase.COLLECTING or self._learner is None:
             raise InvalidWorkflowStateError("call begin_gesture() before record_sample()")
         if not frames:
             raise RecordingError("cannot record an empty sample")
         if raw:
-            transformer = self.engine.get_view(TRANSFORMED_STREAM_NAME).function
-            frames = [transformer(frame) for frame in frames]
+            frames = [self._transformer.transform(frame) for frame in frames]
         return self._add_transformed_sample(frames)
 
     def _add_transformed_sample(

@@ -27,13 +27,21 @@ fan-out completes, so producers still observe the failure.  Within one
 batch, a subscriber that raised receives none of that chunk's remaining
 tuples (its state is suspect), but every other subscriber gets the full
 chunk.
+
+A subscription may declare the fields it reads (``subscribe(..., reads=)``,
+later :meth:`Subscription.declare`).  :attr:`Stream.reads` is the union over
+the current subscribers — ``None`` as soon as one of them declared nothing
+— kept up to date on every subscribe, unsubscribe and declare, so a
+producer deriving the stream (a view) can compute only what is read.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import (
+    Any, Callable, Deque, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
+)
 
 TupleCallback = Callable[[Mapping[str, Any]], None]
 BatchCallback = Callable[[Sequence[Mapping[str, Any]]], None]
@@ -90,7 +98,8 @@ class Subscription:
 
     ``batch_callback``, when set, receives whole chunks on the stream's
     batch delivery path (:meth:`Stream.push_batch`); per-tuple pushes keep
-    using ``callback``.
+    using ``callback``.  ``reads`` is the set of fields the subscriber reads
+    (``None``: it may read any field).
     """
 
     stream: "Stream"
@@ -98,11 +107,17 @@ class Subscription:
     name: str = ""
     active: bool = True
     batch_callback: Optional[BatchCallback] = None
+    reads: Optional[FrozenSet[str]] = None
 
     def cancel(self) -> None:
         """Detach this subscription from its stream."""
         if self.active:
             self.stream.unsubscribe(self)
+
+    def declare(self, reads: Optional[Iterable[str]]) -> None:
+        """Change the fields this subscriber reads (``None``: any field)."""
+        self.reads = None if reads is None else frozenset(reads)
+        self.stream._refresh_reads()
 
 
 class Stream:
@@ -139,6 +154,9 @@ class Stream:
         )
         self._subscribers: List[Subscription] = []
         self._paused = False
+        #: The fields the current subscribers read, or ``None`` when one of
+        #: them declared nothing (it may read any field).
+        self.reads: Optional[FrozenSet[str]] = frozenset()
 
     # -- subscription management -------------------------------------------------
 
@@ -147,22 +165,43 @@ class Stream:
         callback: TupleCallback,
         name: str = "",
         batch_callback: Optional[BatchCallback] = None,
+        reads: Optional[Iterable[str]] = None,
     ) -> Subscription:
         """Register ``callback`` to receive every tuple pushed to the stream.
 
         ``batch_callback``, when given, is used instead of ``callback`` for
-        whole chunks delivered through :meth:`push_batch`.
+        whole chunks delivered through :meth:`push_batch`.  ``reads`` names
+        the fields the subscriber reads; the default, ``None``, means any
+        field, so the stream's producer keeps computing every field.  A
+        subscriber that declares ``reads`` may be handed tuples holding only
+        those fields (and whatever other subscribers read).
         """
         subscription = Subscription(
-            stream=self, callback=callback, name=name, batch_callback=batch_callback
+            stream=self,
+            callback=callback,
+            name=name,
+            batch_callback=batch_callback,
+            reads=None if reads is None else frozenset(reads),
         )
         self._subscribers.append(subscription)
+        self._refresh_reads()
         return subscription
 
     def unsubscribe(self, subscription: Subscription) -> None:
         """Remove a subscription previously returned by :meth:`subscribe`."""
         subscription.active = False
         self._subscribers = [s for s in self._subscribers if s is not subscription]
+        self._refresh_reads()
+
+    def _refresh_reads(self) -> None:
+        reads: Optional[FrozenSet[str]] = frozenset()
+        for subscription in self._subscribers:
+            if subscription.reads is None:
+                reads = None
+                break
+            reads |= subscription.reads
+        if reads != self.reads:
+            self.reads = reads
 
     @property
     def subscriber_count(self) -> int:

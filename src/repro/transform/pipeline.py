@@ -23,20 +23,30 @@ One pass per frame
 ------------------
 :meth:`KinectTransformer.transform` is a single fused pass: one output
 dictionary, written once, driven by a **layout plan**.  A plan is derived
-from nothing but the frame's key sequence (``tuple(frame)``): which keys
-pass through unchanged (in frame order), the ``(x, y, z)`` key triples of
-the joints that carry all three axes (in ``JOINTS`` order — a joint with an
-axis missing is dropped from the output), and whether both shoulders are
-complete (otherwise the yaw estimate falls back to 0°).  Sensor streams
-repeat the same layout on every frame, so the plan is built once per
-layout and kept in one module-level table shared by every transformer.
+from nothing but the frame's key sequence (``tuple(frame)``) and the set of
+joints to emit (``None``: all of them): which keys pass through unchanged
+(in frame order), the ``(x, y, z)`` key triples of the emitted joints that
+carry all three axes (in ``JOINTS`` order — a joint with an axis missing is
+dropped from the output), and whether both shoulders are complete
+(otherwise the yaw estimate falls back to 0°).  Sensor streams repeat the
+same layout on every frame and a vocabulary changes only on a deploy, so
+the plan is built once per (layout, joint set) and kept in one
+module-level table shared by every transformer.
+
+The joint set is how the ``kinect_t`` view pushes a projection into the
+transform: :meth:`KinectTransformer.project` turns the fields the view's
+readers declared into the joints to compute, so a vocabulary reading only
+the hands costs two joints, not fifteen.  The smoothing state, the yaw
+estimate and the scale read the raw frame and never depend on the joint
+set, and each emitted value is computed as it is for the full frame: a
+projected frame equals the full one restricted to its keys, bit for bit.
 
 The table is **bounded** (an ``lru_cache`` of :data:`_MAX_LAYOUT_PLANS`
 entries): the gateway hands us frames whose key sets a client chooses, so
 an unbounded table would be a memory leak an outsider controls.  A client
 churning through layouts evicts only the least recently used plans, and a
 rebuild costs about what one frame used to.  Plans are pure functions of
-the layout — not transformer state, never captured or restored — so tenant
+the layout and joint set — not transformer state, never captured or restored — so tenant
 threads racing on the table can at worst build the same plan twice.
 
 **Bit-identity.**  The kernel keeps the arithmetic of the step-by-step
@@ -59,7 +69,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Dict, Mapping, NamedTuple, Optional, Tuple
+from typing import AbstractSet, Any, Callable, Dict, FrozenSet, Mapping, NamedTuple, Optional, Tuple
 
 from repro.kinect.skeleton import JOINTS, TRACKED_AXES, all_joint_fields, joint_field
 from repro.transform.coordinate import REFERENCE_FOREARM_MM, forearm_scale
@@ -83,9 +93,9 @@ class _LayoutPlan(NamedTuple):
     shoulders_complete: bool
 
 
-#: The ``(x, y, z)`` field names of every tracked joint, in ``JOINTS`` order.
-_JOINT_TRIPLES: Tuple[Tuple[str, str, str], ...] = tuple(
-    (joint_field(joint, "x"), joint_field(joint, "y"), joint_field(joint, "z"))
+#: Each tracked joint with the ``(x, y, z)`` names of its fields, in ``JOINTS`` order.
+_JOINT_TRIPLES: Tuple[Tuple[str, Tuple[str, str, str]], ...] = tuple(
+    (joint, (joint_field(joint, "x"), joint_field(joint, "y"), joint_field(joint, "z")))
     for joint in JOINTS
 )
 _JOINT_FIELDS = frozenset(all_joint_fields())
@@ -93,15 +103,23 @@ _JOINT_FIELDS = frozenset(all_joint_fields())
 _SHOULDER_FIELDS = frozenset(
     joint_field(joint, axis) for joint in ("lshoulder", "rshoulder") for axis in TRACKED_AXES
 )
+#: Joints a projected frame keeps whatever its readers read: a detection's
+#: ``GestureEvent.measures`` reports both hands of the last matched tuple.
+_ALWAYS_EMITTED = frozenset({"rhand", "lhand"})
 
 
 @lru_cache(maxsize=_MAX_LAYOUT_PLANS)
-def _layout_plan(layout: Tuple[str, ...]) -> _LayoutPlan:
-    """The plan of one key sequence (``tuple(frame)``), built once and remembered."""
+def _layout_plan(layout: Tuple[str, ...], joints: Optional[FrozenSet[str]]) -> _LayoutPlan:
+    """The plan of one key sequence (``tuple(frame)``) emitting ``joints``
+    (``None``: every joint), built once and remembered."""
     present = set(layout)
     return _LayoutPlan(
         passthrough=tuple(key for key in layout if key not in _JOINT_FIELDS),
-        triples=tuple(triple for triple in _JOINT_TRIPLES if present.issuperset(triple)),
+        triples=tuple(
+            triple
+            for joint, triple in _JOINT_TRIPLES
+            if (joints is None or joint in joints) and present.issuperset(triple)
+        ),
         shoulders_complete=present.issuperset(_SHOULDER_FIELDS),
     )
 
@@ -162,9 +180,11 @@ class KinectTransformer:
     """Stateful per-frame transformation into user-independent coordinates.
 
     The transformer is stateful only for scale smoothing — kept separately
-    per tracked player (see :class:`TransformConfig`) — and can be shared
-    between the learning pipeline and the deployed detector so both see the
-    same coordinates.
+    per tracked player (see :class:`TransformConfig`).  Two transformers
+    with the same configuration and state, fed the same frames, emit the
+    same bits, which is how the learning workflow records with a copy of
+    the view's transformer (:meth:`capture_state` / :meth:`restore_state`)
+    without ever advancing the view's own state.
 
     Examples
     --------
@@ -267,14 +287,41 @@ class KinectTransformer:
             self._scales.pop(key, None)
             self._last_seen.pop(key, None)
 
-    def transform(self, frame: Mapping[str, float]) -> Dict[str, float]:
+    def project(
+        self, reads: Optional[AbstractSet[str]]
+    ) -> Callable[[Mapping[str, float]], Dict[str, float]]:
+        """The transform a reader of the fields ``reads`` needs (``None``: all).
+
+        The ``kinect_t`` view calls this when its readers change (see
+        :class:`repro.cep.views.View`).  The returned function emits every
+        non-joint field, ``scale``, both hands and each joint one of whose
+        fields is in ``reads``, and advances this transformer's smoothing
+        state exactly as :meth:`transform` does.
+        """
+        if reads is None:
+            return self.transform
+        joints = frozenset(
+            joint
+            for joint, triple in _JOINT_TRIPLES
+            if joint in _ALWAYS_EMITTED or not reads.isdisjoint(triple)
+        )
+        if len(joints) == len(JOINTS):
+            return self.transform
+        transform = self.transform
+        return lambda frame: transform(frame, joints)
+
+    def transform(
+        self, frame: Mapping[str, float], joints: Optional[FrozenSet[str]] = None
+    ) -> Dict[str, float]:
         """Transform one raw sensor frame into the ``kinect_t`` frame.
 
-        Raises ``KeyError`` when the frame has no torso coordinates and
+        ``joints`` restricts the output to those joints' fields (plus every
+        non-joint field and ``scale``); ``None`` emits every joint.  Raises
+        ``KeyError`` when the frame has no torso coordinates and
         ``ValueError`` when the scale factor is not positive.
         """
         scale = self._current_scale(frame)
-        passthrough, triples, shoulders_complete = _layout_plan(tuple(frame))
+        passthrough, triples, shoulders_complete = _layout_plan(tuple(frame), joints)
         tx = frame["torso_x"]
         ty = frame["torso_y"]
         tz = frame["torso_z"]

@@ -24,9 +24,12 @@ from repro.errors import (
     UnknownStreamError,
     UnknownViewError,
 )
-from repro.kinect import KinectSimulator, SwipeTrajectory, user_by_name
+from repro.gateway.protocol import event_to_wire
+from repro.kinect import KinectSimulator, PushTrajectory, SwipeTrajectory, user_by_name
+from repro.kinect.skeleton import JOINTS
 from repro.storage import GestureDatabase
 from repro.streams import SimulatedClock
+from repro.transform.pipeline import KinectTransformer
 
 HANDS_UP = Q.stream("kinect_t").where(F("rhand_y") > 400).output("hands_up")
 
@@ -372,3 +375,58 @@ class TestTypedErrors:
         engine = CEPEngine(clock=SimulatedClock())
         with pytest.raises(QueryRegistrationError, match="cannot deploy"):
             engine.register_query(42)
+
+
+# ---------------------------------------------------------------------------
+# The kinect_t projection, seen from the session
+# ---------------------------------------------------------------------------
+
+HAND_FIELDS = ["rhand_x", "rhand_y", "rhand_z", "lhand_x", "lhand_y", "lhand_z"]
+
+
+class TestProjection:
+    def test_events_of_an_rhand_only_vocabulary_report_both_hands(self, noiseless_simulator):
+        with GestureSession() as session:
+            session.deploy('SELECT "right" MATCHING kinect_t(rhand_y > -100000);')
+            session.feed([noiseless_simulator.measure_rest()])
+            [event] = session.events
+            [detection] = session.detections()
+        assert sorted(event.measures) == sorted(HAND_FIELDS)
+        assert sorted(event_to_wire(event)["measures"]) == sorted(HAND_FIELDS)
+        # The matched record is the projection: no joint the vocabulary skips.
+        assert "head_x" not in detection.matched[0] and "lhand_x" in detection.matched[0]
+
+    @pytest.mark.parametrize("clear_midway", [False, True])
+    def test_the_workflow_records_full_frames_through_a_narrow_view(self, simulator, clear_midway):
+        before = simulator.perform(SwipeTrajectory(direction="right"))
+        performance = simulator.perform(PushTrajectory(), hold_start_s=1.0, hold_end_s=1.0)
+        half = len(before) // 2
+        with GestureSession(SessionConfig(batch_size=16)) as session:
+            session.deploy(HANDS_UP)
+            session.feed(before[:half])  # smoothing state the workflow is seeded from
+            session.begin_gesture("push")
+            session.feed(before[half:])
+            if clear_midway:  # a new scene resets the view's state, and the workflow's
+                session.clear()
+            workflow = session.workflow
+            recorded = []
+            take = workflow.controller.take_sample
+            workflow.controller.take_sample = lambda: recorded.append(take()) or recorded[-1]
+            workflow.controller.arm()
+            session.feed(performance)
+            assert workflow.sample_count == 1
+        # Every frame the learner got holds all 15 joints, bit for bit what
+        # an unprojected transformer fed the whole stream computes.
+        reference = KinectTransformer()
+        for frame in before:
+            reference.transform(frame)
+        if clear_midway:
+            reference.reset()
+        full = {frame["ts"]: reference.transform(frame) for frame in performance}
+        [sample] = recorded
+        assert sample
+        for frame in sample:
+            assert len([key for key in frame if key[:-2] in JOINTS]) == 3 * len(JOINTS)
+            assert [(k, repr(v)) for k, v in frame.items()] == [
+                (k, repr(v)) for k, v in full[frame["ts"]].items()
+            ]

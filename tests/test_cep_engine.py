@@ -15,6 +15,7 @@ from repro.errors import (
     QuerySyntaxError,
     UnknownStreamError,
 )
+from repro.kinect.skeleton import JOINTS
 from repro.streams import SimulatedClock
 
 SIMPLE_QUERY = 'SELECT "up" MATCHING s(x > 100);'
@@ -496,3 +497,88 @@ class TestStepIndexWiring:
         engine.unregister_query("w")
         assert "s" not in engine._fanouts
         assert engine.get_stream("s").subscriber_count == 0
+
+
+#: Reads only the right hand, and never fires.
+HANDS_ONLY = 'SELECT "hands" MATCHING kinect_t(rhand_y > 100000);'
+#: Reads the left elbow, and fires on every frame.
+ELBOW = 'SELECT "elbow" MATCHING kinect_t(lelbow_y > -100000);'
+HANDS = {"rhand", "lhand"}
+
+
+def _joints(record):
+    """The joints a ``kinect_t`` record carries."""
+    return {key[:-2] for key in record if key[:-2] in JOINTS and key[-2:] in ("_x", "_y", "_z")}
+
+
+def _probe(engine):
+    """A ``kinect_t`` subscriber that declares it reads nothing: it sees what
+    the view computes for the others, and widens nothing."""
+    seen = []
+    engine.get_stream(TRANSFORMED_STREAM_NAME).subscribe(seen.append, reads=())
+    return seen
+
+
+class TestProjection:
+    """The view computes the joints its readers read, and is current on the
+    first tuple after the readers changed."""
+
+    @pytest.mark.parametrize("batch_size", [None, 4])
+    def test_a_deploy_widens_the_view_before_the_next_frame(
+        self, noiseless_simulator, batch_size
+    ):
+        engine = CEPEngine()
+        install_kinect_view(engine)
+        seen = _probe(engine)
+        engine.register_query(HANDS_ONLY)
+
+        def push():
+            frame = noiseless_simulator.measure_rest()
+            engine.push_many(RAW_STREAM_NAME, [frame], batch_size=batch_size)
+            return _joints(seen[-1])
+
+        assert push() == HANDS
+        elbow = engine.register_query(ELBOW)
+        assert push() == HANDS | {"lelbow"}
+        [detection] = elbow.detections()
+        assert {"lelbow_x", "lelbow_y", "lelbow_z"} <= set(detection.matched[0])
+        assert "head_x" not in detection.matched[0]
+        engine.unregister_query("elbow")
+        assert push() == HANDS
+
+    def test_a_subscriber_declaring_nothing_sees_every_joint(self, noiseless_simulator):
+        engine = CEPEngine()
+        install_kinect_view(engine)
+        seen = _probe(engine)
+        engine.register_query(HANDS_ONLY)
+        everything = []
+        subscription = engine.get_stream(TRANSFORMED_STREAM_NAME).subscribe(everything.append)
+        engine.push(RAW_STREAM_NAME, noiseless_simulator.measure_rest())
+        assert _joints(everything[-1]) == _joints(seen[-1]) == set(JOINTS)
+        subscription.cancel()
+        engine.push(RAW_STREAM_NAME, noiseless_simulator.measure_rest())
+        assert _joints(seen[-1]) == HANDS
+        # The full frame is always one call away.
+        view = engine.get_view(TRANSFORMED_STREAM_NAME)
+        assert _joints(view.function.transform(noiseless_simulator.measure_rest())) == set(JOINTS)
+
+    def test_a_restored_engine_projects_like_the_live_one(self, noiseless_simulator):
+        live = CEPEngine()
+        install_kinect_view(live)
+        live.register_query(HANDS_ONLY)
+        live.register_query(ELBOW)
+        live.push(RAW_STREAM_NAME, noiseless_simulator.measure_rest())
+        fresh = CEPEngine()
+        install_kinect_view(fresh)
+        fresh.restore_state(json.loads(json.dumps(live.capture_state())))
+        frame = noiseless_simulator.measure_rest()
+        outputs = []
+        for engine in (live, fresh):
+            seen = _probe(engine)
+            engine.push(RAW_STREAM_NAME, frame)
+            outputs.append(seen[-1])
+        assert outputs[0] == outputs[1]
+        assert _joints(outputs[0]) == HANDS | {"lelbow"}
+        assert [d.to_state() for d in live.detections()] == [
+            d.to_state() for d in fresh.detections()
+        ]

@@ -9,7 +9,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
-from e2e_pairs import render, summarise  # noqa: E402 — path set up above
+from e2e_pairs import layer_table, render, summarise  # noqa: E402 — path set up above
 
 SPECS = [
     {"name": "tuples_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
@@ -74,3 +74,42 @@ def test_a_failed_run_is_refused(broken):
         summarise(SPECS, pairs)
     with pytest.raises(ValueError):
         summarise(SPECS, [])
+
+
+LAYER_SPECS = [
+    {"name": "transform.us_per_tuple", "unit": "us", "better": "lower"},
+    {"name": "cep.matcher.batch_us_per_tuple", "unit": "us", "better": "lower"},
+    {"name": "runtime.drops", "unit": "count", "better": "lower"},
+    {"name": "gateway.loop_lag_max_ms", "unit": "ms", "better": "lower"},
+]
+
+
+def traced(correct=True, failed=0, **values):
+    return {
+        "correct": correct,
+        "failed": failed,
+        "metrics": {name: {"value": value, "unit": "us"} for name, value in values.items()},
+    }
+
+
+def test_the_layer_table_prints_parent_to_change_with_the_ratio():
+    names = ("transform.us_per_tuple", "cep.matcher.batch_us_per_tuple", "runtime.drops")
+    parent = traced(**dict(zip(names, (9.5, 7.75, 0))))
+    change = traced(**dict(zip(names, (5.5, 6.67, 0))))
+    lines = layer_table(LAYER_SPECS, parent, change).splitlines()
+    assert len(lines) == 1 + len(LAYER_SPECS)
+    by_metric = {line.split()[0]: line.split()[2:] for line in lines[1:]}
+    assert by_metric["transform.us_per_tuple"] == ["9.5", "->", "5.5", "0.58"]
+    assert by_metric["cep.matcher.batch_us_per_tuple"] == ["7.75", "->", "6.67", "0.86"]
+    # A zero parent has no ratio, and a metric the workload does not report
+    # prints as missing on both sides.
+    assert by_metric["runtime.drops"] == ["0", "->", "0", "-"]
+    assert by_metric["gateway.loop_lag_max_ms"] == ["-", "->", "-", "-"]
+
+
+@pytest.mark.parametrize("broken", [traced(correct=False), traced(failed=1)])
+def test_the_layer_table_refuses_an_incorrect_traced_run(broken):
+    with pytest.raises(ValueError, match="the traced change run"):
+        layer_table(LAYER_SPECS, traced(), broken)
+    with pytest.raises(ValueError, match="the traced parent run"):
+        layer_table(LAYER_SPECS, broken, traced())

@@ -454,12 +454,24 @@ def route_set_enabled(session, vocabulary, feed):
 
 
 def route_finalize(session, vocabulary, feed):
-    # Pre-transformed samples: recording raw ones would advance the live
-    # view's smoothing state, which is session state no journal entry holds.
+    # Pre-transformed samples: the ``raw=False`` door.
     transformer = KinectTransformer()
     session.begin_gesture("circle")
     for sample in vocabulary["circle"][0]:
         session.record_sample([transformer(frame) for frame in sample], raw=False)
+    session.finalize()
+    feed()
+
+
+def route_finalize_raw(session, vocabulary, feed):
+    # Raw samples: the workflow transforms them with its own transformer.
+    # Advancing the view's smoothing state instead would change the live
+    # session's detections, and no journal entry holds that state.
+    session.begin_gesture("circle")
+    view_state = session.transformer.capture_state()
+    for sample in vocabulary["circle"][0]:
+        session.record_sample(sample)
+    assert session.transformer.capture_state() == view_state
     session.finalize()
     feed()
 
@@ -473,6 +485,7 @@ ROUTES = {
     "clear": route_clear,
     "set_enabled": route_set_enabled,
     "finalize": route_finalize,
+    "finalize-raw": route_finalize_raw,
 }
 
 #: The interactive workflow refuses sharded sessions.
@@ -480,7 +493,7 @@ MATRIX = [
     (route, engine)
     for route in ROUTES
     for engine in sorted(ENGINES)
-    if route != "finalize" or engine == "inline"
+    if not route.startswith("finalize") or engine == "inline"
 ]
 
 

@@ -121,7 +121,12 @@ def test_reference_matcher_detects_what_the_hand_wired_engine_detects(
     engine = CEPEngine(clock=SimulatedClock(), matcher_config=MATCHER)
     install_kinect_view(engine)
     transformed = []
-    engine.get_stream("kinect_t").subscribe(transformed.append)
+    # Declare what the four queries read, as the baseline's fan-out does, so
+    # the view projects the same joints for the oracle.
+    reads = {
+        field for query in queries for event in query.events() for field in event.predicate.fields()
+    }
+    engine.get_stream("kinect_t").subscribe(transformed.append, reads=reads)
     for frame in frames:
         engine.push("kinect", frame)
     detections = reference_detections(queries, "kinect_t", transformed, MATCHER)

@@ -16,7 +16,7 @@ import json
 import pytest
 
 from repro.api import DurabilityConfig, F, GestureSession, Q, SessionConfig
-from repro.cep import CEPEngine
+from repro.cep import CEPEngine, install_kinect_view
 from repro.cep.matcher import MatcherConfig
 from repro.errors import RecoveryError, SessionClosedError, SessionStateError
 from repro.streams import SimulatedClock
@@ -79,6 +79,39 @@ class TestEngineRoundTrip:
         after_b = restored.capture_state()
         assert after_a["queries"] == after_b["queries"]
         assert after_a["tuples_processed"] == after_b["tuples_processed"]
+
+    def test_runs_holding_full_frames_restore_and_complete(self, noiseless_simulator):
+        """Runs captured before ``kinect_t`` was projected hold the full
+        48-key transformed frame.  Such a snapshot restores, and a run
+        completes with its old full record next to a projected one."""
+        query = (
+            'SELECT "two" MATCHING kinect_t(rhand_y > -100000) -> kinect_t(ts > 0.5) '
+            "within 5 seconds select first consume all;"
+        )
+        first, second = (dict(noiseless_simulator.measure_rest(), ts=t) for t in (0.0, 1.0))
+        wide = CEPEngine(clock=SimulatedClock())
+        install_kinect_view(wide)
+        wide.register_query(query)
+        # A subscriber declaring nothing: every record is the full frame, as
+        # every record was before the projection.
+        wide.get_stream("kinect_t").subscribe(lambda record: None)
+        wide.push("kinect", first)
+        state = json.loads(json.dumps(wide.capture_state()))
+        [partition] = state["queries"][0]["matcher"]["partitions"]
+        assert [len(record) for run in partition["runs"] for record in run["matched"]] == [48]
+
+        narrow = CEPEngine(clock=SimulatedClock())
+        install_kinect_view(narrow)
+        narrow.restore_state(state)
+        for engine in (wide, narrow):
+            engine.push("kinect", second)
+        [old] = wide.detections()
+        [new] = narrow.detections()
+        assert len(old.matched[0]) == len(old.matched[1]) == 48
+        assert new.matched[0] == old.matched[0]  # restored as captured
+        assert set(new.matched[1]) < set(old.matched[1])
+        assert new.matched[1] == {key: old.matched[1][key] for key in new.matched[1]}
+        assert new.step_timestamps == old.step_timestamps
 
     def test_restore_rejects_wrong_kind(self):
         engine = CEPEngine(clock=SimulatedClock())

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kinect import KinectSimulator, NoNoise, SwipeTrajectory, user_by_name
-from repro.kinect.skeleton import TRACKED_AXES, all_joint_fields, joint_field
+from repro.kinect.skeleton import JOINTS, TRACKED_AXES, all_joint_fields, joint_field
 from repro.streams import SimulatedClock
 from repro.transform import pipeline
 from repro.transform.coordinate import (
@@ -496,3 +496,67 @@ class TestFusedKernel:
             map(original.transform, frames[half:])
         )
         assert restored.capture_state() == original.capture_state()
+
+
+#: Joint of each joint field (``rhand_x`` -> ``rhand``).
+_JOINT_OF = {joint_field(joint, axis): joint for joint in JOINTS for axis in TRACKED_AXES}
+
+
+@st.composite
+def _layouts(draw):
+    """A frame of `_frames`, sometimes with a torso axis dropped as well."""
+    frame = draw(_frames())
+    if draw(st.integers(0, 4)) == 0:
+        del frame[draw(st.sampled_from([joint_field("torso", axis) for axis in TRACKED_AXES]))]
+    return frame
+
+
+def _outcome(transform, frame):
+    """The output bits, or the exception's type and arguments."""
+    try:
+        return _bits(transform(frame))
+    except (KeyError, ValueError) as error:
+        return type(error), error.args
+
+
+class TestProjectedKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        config=_configs,
+        frames=st.lists(_layouts(), min_size=1, max_size=4),
+        joints=st.none() | st.frozensets(st.sampled_from(JOINTS)),
+        poisoned=st.booleans(),
+    )
+    def test_projection_is_the_full_output_restricted_to_its_keys(
+        self, config, frames, joints, poisoned
+    ):
+        full, projected = KinectTransformer(config), KinectTransformer(config)
+        if poisoned:  # a restored non-positive scale: the ValueError path
+            for transformer in (full, projected):
+                state = transformer.capture_state()
+                state["scales"] = [[1, -1e6]]
+                transformer.restore_state(state)
+        for frame in frames:
+            expected = _outcome(full.transform, frame)
+            actual = _outcome(lambda f: projected.transform(f, joints), frame)
+            if isinstance(expected, list):  # keep non-joint keys and the joints asked for
+                expected = [
+                    (key, bits)
+                    for key, bits in expected
+                    if key not in _JOINT_OF or joints is None or _JOINT_OF[key] in joints
+                ]
+            assert actual == expected
+            assert projected.capture_state() == full.capture_state()
+
+    @given(reads=st.frozensets(st.sampled_from(_JOINT_FIELDS + _EXTRA_FIELDS)))
+    def test_project_keeps_the_hands_and_every_joint_read(self, reads):
+        frame = dict(_rest_frame(), ts=1.0, player=1)
+        emitted = KinectTransformer().project(reads)(frame)
+        read = {_JOINT_OF[field] for field in reads if field in _JOINT_OF}
+        assert {_JOINT_OF[key] for key in emitted if key in _JOINT_OF} == read | {"rhand", "lhand"}
+        assert {"ts", "player", "scale"} <= set(emitted)
+
+    def test_project_without_a_declaration_is_the_full_transform(self):
+        transformer = KinectTransformer()
+        assert transformer.project(None) == transformer.transform
+        assert transformer.project(frozenset(all_joint_fields())) == transformer.transform

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Alternating parent/change pairs of ``benchmarks/e2e`` — the claim protocol as a command.
 
-    python tools/e2e_pairs.py --parent <rev> --workload <name> --pairs 10 [--seconds 24]
+    python tools/e2e_pairs.py --parent <rev> --workload <name> --pairs 10 [--seconds 24] [--trace]
 
 Checks ``<rev>`` out into a temporary directory (``git archive``: committed
 files only, in a new directory — what the driver measures — and nothing is
@@ -20,8 +20,16 @@ and a verdict from the metric's ``better`` / ``bound``:
 ``within noise``  neither.
 
 A run that reports ``correct: false`` or failed operations is refused, not
-summarised.  The tool reads ``BENCHMARK.json`` and calls the benchmark; it
-edits neither.  ``summarise`` is the pure part (``tests/test_e2e_pairs.py``).
+summarised.
+
+``--trace`` names the layer that moved: after the pairs it runs the
+benchmark once more per side with ``--trace 1 --seed 1`` and prints each
+``per_layer`` metric of ``BENCHMARK.json`` as parent → change with the
+ratio.  One traced run per side orients; the pairs are the claim.
+
+The tool reads ``BENCHMARK.json`` and calls the benchmark; it edits
+neither.  ``summarise`` and ``layer_table`` are the pure parts
+(``tests/test_e2e_pairs.py``).
 """
 
 from __future__ import annotations
@@ -60,6 +68,14 @@ def _quartiles(values: Sequence[float]) -> Tuple[float, float]:
     return q1, q3
 
 
+def _refuse_incorrect(run: Run, label: str) -> None:
+    if not run.get("correct") or run.get("failed"):
+        raise ValueError(
+            f"{label} reports correct={run.get('correct')!r}, "
+            f"failed={run.get('failed')!r}; refusing to summarise"
+        )
+
+
 def summarise(end_to_end: Sequence[Mapping[str, Any]], pairs: Sequence[Tuple[Run, Run]]) -> List[Row]:
     """One :class:`Row` per metric of ``BENCHMARK.json``'s ``end_to_end`` list.
 
@@ -71,11 +87,7 @@ def summarise(end_to_end: Sequence[Mapping[str, Any]], pairs: Sequence[Tuple[Run
         raise ValueError("no pairs to summarise")
     for number, pair in enumerate(pairs, start=1):
         for side, run in zip(("parent", "change"), pair):
-            if not run.get("correct") or run.get("failed"):
-                raise ValueError(
-                    f"pair {number}: the {side} run reports correct={run.get('correct')!r}, "
-                    f"failed={run.get('failed')!r}; refusing to summarise"
-                )
+            _refuse_incorrect(run, f"pair {number}: the {side} run")
     rows = []
     for spec in end_to_end:
         name, higher = spec["name"], spec["better"] == "higher"
@@ -109,6 +121,27 @@ def render(rows: Sequence[Row]) -> str:
     return "\n".join(lines)
 
 
+def layer_table(per_layer: Sequence[Mapping[str, Any]], parent: Run, change: Run) -> str:
+    """Each metric of ``BENCHMARK.json``'s ``per_layer`` list in two traced
+    runs, one line each: parent → change and the ratio change / parent.
+
+    A metric missing from a run prints as ``-``, and so does the ratio to a
+    parent value of 0.  Raises ``ValueError`` on an incorrect or failed run.
+    """
+    _refuse_incorrect(parent, "the traced parent run")
+    _refuse_incorrect(change, "the traced change run")
+    lines = [f"{'per-layer metric':<46}{'parent':>12}    {'change':>12}{'ratio':>8}"]
+    for spec in per_layer:
+        name = spec["name"]
+        before, after = (run["metrics"].get(name, {}).get("value") for run in (parent, change))
+        ratio = "-" if before is None or after is None or before == 0 else f"{after / before:.2f}"
+        cells = ["-" if value is None else f"{value:.4g}" for value in (before, after)]
+        lines.append(
+            f"{name + ' (' + spec['unit'] + ')':<46}{cells[0]:>12} -> {cells[1]:>12}{ratio:>8}"
+        )
+    return "\n".join(lines)
+
+
 def _run_once(command: Sequence[str], tree: Path) -> Dict[str, Any]:
     done = subprocess.run(command, cwd=tree, stdout=subprocess.PIPE, text=True, check=False)
     lines = done.stdout.strip().splitlines()
@@ -124,6 +157,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--workload", required=True, choices=[w["name"] for w in manifest["workloads"]])
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=manifest["run_seconds"])
+    parser.add_argument(
+        "--trace", action="store_true", help="then one traced seed-1 run per side: per-layer table"
+    )
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory(prefix="e2e-parent-") as scratch:
@@ -141,13 +177,26 @@ def main(argv: Sequence[str] | None = None) -> int:
                 runs[side] = _run_once(command, trees[side])
                 print(json.dumps({"pair": seed, "side": side, **runs[side]}), flush=True)
             pairs.append((runs["parent"], runs["change"]))
+        traced = {}
+        if args.trace:
+            command = [*manifest["command"], "--workload", args.workload, "--seed", "1"]
+            command += ["--seconds", f"{args.seconds:g}", "--trace", "1"]
+            for side in ("parent", "change"):
+                traced[side] = _run_once(command, trees[side])
+                print(json.dumps({"trace": 1, "side": side, **traced[side]}), flush=True)
     try:
         rows = summarise(manifest["end_to_end"], pairs)
+        layers = ""
+        if traced:
+            layers = layer_table(manifest["per_layer"], traced["parent"], traced["change"])
     except ValueError as error:
         print(f"e2e_pairs: {error}", file=sys.stderr)
         return 1
     print(f"\n{args.workload}: {args.pairs} pairs of {args.seconds:g} s, parent {args.parent}")
     print(render(rows))
+    if layers:
+        print(f"\n{args.workload}: one traced run per side, seed 1")
+        print(layers)
     return 0
 
 
