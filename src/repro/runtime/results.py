@@ -55,7 +55,7 @@ def merge_detections(detections: Iterable[Detection]) -> List[Detection]:
 class DetectionLog:
     """A thread-safe, append-only log of detections with merged reads.
 
-    Workers append concurrently via :meth:`record`; readers always get
+    Workers append concurrently via :meth:`extend`; readers always get
     snapshot copies, never live references.
     """
 
@@ -63,9 +63,10 @@ class DetectionLog:
         self._lock = threading.Lock()
         self._entries: List[Detection] = []
 
-    def record(self, detection: Detection) -> None:
+    def extend(self, detections: Iterable[Detection]) -> None:
+        """Append one batch's detections in their arrival order."""
         with self._lock:
-            self._entries.append(detection)
+            self._entries.extend(detections)
 
     def clear(self) -> None:
         with self._lock:

@@ -25,7 +25,7 @@ import time
 import traceback
 from concurrent import futures
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cep.engine import CEPEngine
 from repro.cep.matcher import Detection, MatcherConfig
@@ -51,10 +51,13 @@ __all__ = [
     "worker_loop",
 ]
 
-#: How detections leave a shard: ``callback(shard_id, detection, latency)``.
-#: ``latency`` is the ingest→detection time the worker measured at emit
-#: (``None`` when telemetry is off).
-DetectionCallback = Callable[[int, Detection, Optional[float]], None]
+#: One batch's detections in emission order, each with the ingest→detection
+#: time the worker measured at emit (``None`` when telemetry is off).
+Emitted = Sequence[Tuple[Detection, Optional[float]]]
+
+#: How detections leave a shard: ``callback(shard_id, emitted)``, once per
+#: ``done`` (or ``failed``) that carries any.
+DetectionCallback = Callable[[int, Emitted], None]
 
 #: A message of the shard protocol: a tuple whose first item is its kind.
 Message = tuple
@@ -254,15 +257,19 @@ def worker_loop(
     ``receive()`` blocks for the next inbox message and ``send(message)``
     delivers one to the parent-side :class:`Shard`; the loop talks to
     nothing else, so it runs unchanged on a thread or in a child process.
-    The worker builds its own telemetry bundle from the spec and ships
-    its spans on ``telemetry`` controls.
+    Every inbox message gets exactly one reply: a tuple batch its ``done``,
+    which carries the batch's detections in emission order, a control its
+    ``ack`` or ``nack``.  A data-path failure ends the loop with
+    ``failed``, carrying the detections emitted before it.  The worker
+    builds its own telemetry bundle from the spec and ships its spans on
+    ``telemetry`` controls.
     """
     try:
         engine = spec.build()
         telemetry = spec.build_telemetry()
         engine.telemetry = telemetry
     except Exception as error:  # noqa: BLE001 — a dead shard must report, not raise
-        send(("failed", error, traceback.format_exc()))
+        send(("failed", error, traceback.format_exc(), []))
         send(("bye",))
         return
 
@@ -271,10 +278,14 @@ def worker_loop(
     # here, where the stamp is live, with one clock call.  Delivery to the
     # parent is excluded by design (it is dispatch, not pipeline time).
     enqueued_at: Optional[float] = None
+    # ``(detection, latency)`` emitted since the last reply; they leave
+    # with the next one.  A fresh list per reply: a thread transport hands
+    # the message itself to the parent.
+    emitted: List[Tuple[Detection, Optional[float]]] = []
 
     def emit(detection: Detection) -> None:
         latency = None if enqueued_at is None else max(0.0, monotonic_time() - enqueued_at)
-        send(("det", detection, latency))
+        emitted.append((detection, latency))
 
     def wire(op: str, payload: Dict[str, Any]) -> None:
         if op == "deploy":
@@ -295,7 +306,9 @@ def worker_loop(
                     engine, telemetry, shard_id, stream, records, batch_size, meta
                 )
                 enqueued_at = None
-                send(("done", len(records), busy, queue_wait))
+                reply = ("done", len(records), busy, queue_wait, emitted)
+                emitted = []
+                send(reply)
             elif kind == "control":
                 _tag, token, op, payload = message
                 try:
@@ -307,11 +320,19 @@ def worker_loop(
                     else:
                         result = _apply_control(engine, op, payload)
                 except Exception as error:  # noqa: BLE001 — report to the caller, shard lives
-                    send(("nack", token, error, traceback.format_exc()))
+                    reply = ("nack", token, error, traceback.format_exc())
                 else:
-                    send(("ack", token, result))
+                    reply = ("ack", token, result)
+                if emitted:
+                    # No control emits today; one that did would have no
+                    # reply to carry its detections, so it fails the shard
+                    # and they leave with ``failed`` below.
+                    raise RuntimeError(
+                        f"shard {shard_id} control {op!r} emitted detections outside a tuple batch"
+                    )
+                send(reply)
         except Exception as error:  # noqa: BLE001 — data-path failure kills the shard
-            send(("failed", error, traceback.format_exc()))
+            send(("failed", error, traceback.format_exc(), emitted))
             break
     send(("bye",))
 
@@ -385,7 +406,7 @@ class Shard:
         self,
         shard_id: int,
         metrics: MetricSet,
-        on_detection: DetectionCallback,
+        on_detections: DetectionCallback,
         transport: "Transport",
         telemetry: Optional[Telemetry] = None,
         capacity: int = 2048,
@@ -400,7 +421,7 @@ class Shard:
         self.capacity = capacity
         self.policy = policy
         self._credits = _Credits(capacity)
-        self._on_detection = on_detection
+        self._on_detections = on_detections
         self._failure: Optional[ShardFailure] = None
         self._failure_lock = threading.Lock()
         #: Control round-trips awaiting their ``ack``/``nack``, by token.
@@ -544,12 +565,15 @@ class Shard:
         fails (or whose worker vanishes) while the control is pending
         raises :class:`~repro.errors.ShardFailedError`.
         """
-        self.raise_if_failed()
         reply: "futures.Future[Any]" = futures.Future()
         with self._pending_lock:
             token = next(self._tokens)
             self._pending[token] = reply
         try:
+            # Checked once ``reply`` is registered: a failure recorded from
+            # here on fails it too, even one the transport reports from
+            # another thread while the worker still answers.
+            self.raise_if_failed()
             self._send(("control", token, op, payload))
             deadline = None if timeout is None else time.monotonic() + timeout
             while not futures.wait([reply], timeout=0.5).done:
@@ -600,13 +624,17 @@ class Shard:
         """Apply one message from the worker.
 
         Runs on the transport's delivery thread (the worker thread itself,
-        or a process transport's listener).
+        or a process transport's listener).  A ``done`` dispatches its
+        batch's detections before it refills the batch's credits, so a
+        ``drain()`` that returns has seen every detection fed before it; a
+        ``failed`` dispatches the detections emitted before the failure,
+        then fails the shard.
         """
         kind = message[0]
-        if kind == "det":
-            self._on_detection(self.shard_id, message[1], message[2])
-        elif kind == "done":
-            _tag, count, busy, queue_wait = message
+        if kind == "done":
+            _tag, count, busy, queue_wait, emitted = message
+            if emitted:
+                self._on_detections(self.shard_id, emitted)
             if queue_wait is not None:
                 self.metrics.observe("queue_wait", queue_wait)
                 self.metrics.observe("batch_processing", busy)
@@ -622,5 +650,8 @@ class Shard:
             else:
                 reply.set_exception(message[2])
         elif kind == "failed":
-            self._fail(message[1], message[2])
+            _tag, error, traceback_text, emitted = message
+            if emitted:
+                self._on_detections(self.shard_id, emitted)
+            self._fail(error, traceback_text)
         # "bye" carries nothing: the transport ends its own delivery on it.

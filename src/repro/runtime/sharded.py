@@ -50,7 +50,7 @@ from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.queues import BackpressurePolicy
 from repro.runtime.results import DetectionLog
 from repro.runtime.router import HashPartitionRouter
-from repro.runtime.shard import Shard, ShardEngineSpec, ShardFailure
+from repro.runtime.shard import Emitted, Shard, ShardEngineSpec, ShardFailure
 from repro.runtime.transport import TRANSPORTS
 from repro.streams.clock import Clock, SimulatedClock
 
@@ -206,7 +206,7 @@ class ShardedRuntime(Taps):
                 Shard(
                     shard_id,
                     shard_metrics,
-                    self._on_detection,
+                    self._on_detections,
                     transport_type(shard_id, self.spec),
                     self.telemetry,
                     capacity=self.queue_capacity,
@@ -302,13 +302,14 @@ class ShardedRuntime(Taps):
         failure = self.failure
         if failure is None:
             return
-        # Graceful shutdown: stop the healthy shards once, without waiting
-        # on their queues, then surface the failing shard's exception.
+        # Graceful shutdown: stop every shard once, without waiting on their
+        # queues, then surface the failing shard's exception.  The failed
+        # one too: its worker outlives a failure the transport reported
+        # (a batch that could not be sent), and ``join`` waits for it.
         if not self._failure_handled:
             self._failure_handled = True
             for shard in self._shards:
-                if shard.failure is None:
-                    shard.stop(drain=False)
+                shard.stop(drain=False)
             self._stopped = True
         failure.raise_()
 
@@ -604,34 +605,38 @@ class ShardedRuntime(Taps):
 
     # -- detections --------------------------------------------------------------------
 
-    def _on_detection(
-        self, shard_id: int, detection: Detection, latency: Optional[float]
-    ) -> None:
-        """Serialisation point: every shard's detections pass through here.
+    def _on_detections(self, shard_id: int, emitted: Emitted) -> None:
+        """Serialisation point: every shard's detections pass through here,
+        one batch (a ``done`` or ``failed`` message) per call.
 
         Runs on shard worker/listener threads, so it must never raise: a
         raising sink would otherwise kill the emitting shard (or wedge its
         credit stream); :class:`FanOutSink` has already
-        recorded the failure in ``handle.sink.failures``.  ``latency`` is
-        the ingest→detection time the worker measured at emit (``None``
-        with telemetry off).
+        recorded the failure in ``handle.sink.failures``.  Each detection
+        comes with the ingest→detection time the worker measured at emit
+        (``None`` with telemetry off).
 
-        The global dispatch lock covers only the bookkeeping (metrics, log,
-        handle lookup); sinks run *outside* it.  They are internally
+        The global dispatch lock is taken once per batch and covers only
+        the bookkeeping (metrics, histogram, log, handle lookups); sinks
+        run *outside* it, in emission order.  They are internally
         thread-safe, and holding the lock across user code
         would let one slow (or blocking) handler stall every other
         shard's detections — in the worst case a handler feeding a full
         ``block``-policy shard would deadlock the whole runtime.
         """
+        detections = [detection for detection, _latency in emitted]
         with self._dispatch_lock:
-            self.metrics.shard(shard_id).add(detections=1)
-            if latency is not None and self._e2e_histogram is not None:
-                self._e2e_histogram.record(latency)
-            self._log.record(detection)
-            handle = self._queries.get(detection.query_name)
-        if handle is not None and handle.enabled:
-            with contextlib.suppress(Exception):  # recorded in handle.sink.failures
-                handle.sink.emit(detection)
+            self.metrics.shard(shard_id).add(detections=len(detections))
+            if self._e2e_histogram is not None:
+                for _detection, latency in emitted:
+                    if latency is not None:
+                        self._e2e_histogram.record(latency)
+            self._log.extend(detections)
+            handles = [self._queries.get(detection.query_name) for detection in detections]
+        for detection, handle in zip(detections, handles):
+            if handle is not None and handle.enabled:
+                with contextlib.suppress(Exception):  # recorded in handle.sink.failures
+                    handle.sink.emit(detection)
 
     def detections(
         self, name: Optional[str] = None, partition: Any = _UNSET

@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import contextlib
 import multiprocessing
+import multiprocessing.queues
 import pickle
 import queue
 import threading
+import traceback
 from typing import Callable, FrozenSet, Optional, Protocol
 
 from repro.errors import SerializationError
@@ -49,9 +51,9 @@ class Transport(Protocol):
 class MemoryTransport:
     """The worker is a daemon thread reading a plain FIFO.
 
-    The worker's ``send`` is a direct call on its own thread, so
-    detections reach the runtime synchronously under the engine push that
-    produced them.
+    The worker's ``send`` is a direct call on its own thread, so a batch's
+    detections reach the runtime on the worker thread, right after the
+    engine push that produced them, with the batch's ``done``.
     """
 
     worker_idents: FrozenSet[int] = frozenset()
@@ -94,13 +96,40 @@ def _process_context():
     arbitrary application threads), and forking a multi-threaded process is
     a documented deadlock hazard.  ``forkserver`` (POSIX) forks workers
     from a clean single-threaded server and does not re-execute
-    ``__main__``; ``spawn`` is the portable fallback.  Everything that
-    crosses the boundary (the spec, query text, tuples, detections) is
-    picklable by design.
+    ``__main__``; ``spawn`` is the portable fallback.  What the runtime
+    itself sends (the spec, query text, detections) is picklable by
+    design; fed tuples are whatever the caller passed, and a batch that
+    does not pickle fails its shard (:class:`_ReportingQueue`).
     """
     if "forkserver" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("forkserver")
     return multiprocessing.get_context("spawn")
+
+
+class _ReportingQueue(multiprocessing.queues.Queue):
+    """A ``multiprocessing`` queue that reports a message it cannot send.
+
+    ``put`` pickles on a background feeder thread, which by default prints
+    the error and drops the message: a lost tuple batch never comes back
+    ``done``, so its credits would leak while a later ``drain()`` returned
+    as if it had been processed.  Here the failure becomes a ``failed``
+    message naming the lost message's kind, handed to ``report`` — the
+    shard's ``deliver`` in the parent, the worker's ``send`` in the child
+    (it is set on each side: it does not cross the process boundary).
+    """
+
+    report: Optional[Callable[[Message], None]] = None
+
+    def _on_queue_feeder_error(self, error: Exception, message: object) -> None:
+        if self.report is None:
+            super()._on_queue_feeder_error(error, message)
+            return
+        kind = message[0] if isinstance(message, tuple) else type(message).__name__
+        failure = SerializationError(
+            f"a {kind!r} message cannot cross the process boundary ({error})"
+        )
+        failure.__cause__ = error
+        self.report(("failed", failure, traceback.format_exc(), []))
 
 
 def _process_main(shard_id: int, spec: ShardEngineSpec, in_queue, out_queue) -> None:
@@ -115,13 +144,17 @@ def _process_main(shard_id: int, spec: ShardEngineSpec, in_queue, out_queue) -> 
         return message
 
     def send(message: Message) -> None:
-        if message[0] in ("nack", "failed"):
-            # The exception object cannot always cross the pipe; its repr
-            # and traceback can.
-            *head, error, remote_traceback = message
-            message = (*head, RemoteShardError(repr(error), remote_traceback), remote_traceback)
+        # The exception object cannot always cross the pipe; its repr and
+        # traceback can.
+        if message[0] == "nack":
+            _tag, token, error, remote_traceback = message
+            message = ("nack", token, RemoteShardError(repr(error), remote_traceback), remote_traceback)
+        elif message[0] == "failed":
+            _tag, error, remote_traceback, emitted = message
+            message = ("failed", RemoteShardError(repr(error), remote_traceback), remote_traceback, emitted)
         out_queue.put(message)
 
+    out_queue.report = send
     worker_loop(shard_id, spec, receive, send)
 
 
@@ -137,8 +170,8 @@ class ProcessTransport:
     def __init__(self, shard_id: int, spec: ShardEngineSpec) -> None:
         self._shard_id = shard_id
         context = _process_context()
-        self._in_queue = context.Queue()
-        self._out_queue = context.Queue()
+        self._in_queue = _ReportingQueue(ctx=context)
+        self._out_queue = _ReportingQueue(ctx=context)
         self._process = context.Process(
             target=_process_main,
             args=(shard_id, spec, self._in_queue, self._out_queue),
@@ -149,6 +182,7 @@ class ProcessTransport:
         self._closing = False
 
     def start(self, deliver: Callable[[Message], None]) -> None:
+        self._in_queue.report = deliver
         self._process.start()
         self._listener = threading.Thread(
             target=self._listen,
@@ -174,6 +208,7 @@ class ProcessTransport:
                                 f"shard process {self._shard_id} died unexpectedly"
                             ),
                             "",
+                            [],
                         )
                     )
                 return
@@ -183,10 +218,10 @@ class ProcessTransport:
 
     def send(self, message: Message) -> None:
         if message[0] == "control":
-            # ``Queue.put`` pickles on a feeder thread, where a failure is
-            # printed and the message silently lost — its caller would wait
-            # forever.  Controls are rare and carry user objects (UDFs), so
-            # they are pickled here, where the error can be raised; tuple
+            # ``Queue.put`` pickles on a feeder thread, which can only
+            # fail the shard (``_ReportingQueue``).  Controls are rare and
+            # carry user objects (UDFs), so they are pickled here, where the
+            # error is raised to the caller and the shard lives; tuple
             # batches keep the asynchronous feeder path.
             try:
                 message = ("control", pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL))

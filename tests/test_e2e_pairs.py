@@ -9,7 +9,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
-from e2e_pairs import layer_table, render, summarise  # noqa: E402 — path set up above
+from e2e_pairs import layer_table, parse_args, render, summarise  # noqa: E402 — path set up above
 
 SPECS = [
     {"name": "tuples_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
@@ -113,3 +113,34 @@ def test_the_layer_table_refuses_an_incorrect_traced_run(broken):
         layer_table(LAYER_SPECS, traced(), broken)
     with pytest.raises(ValueError, match="the traced parent run"):
         layer_table(LAYER_SPECS, broken, traced())
+
+
+MANIFEST = {
+    "run_seconds": 24,
+    "workloads": [{"name": name} for name in ("inline_vocab8", "sharded_proc2", "gateway_ws2")],
+}
+
+
+def workloads(*argv):
+    return parse_args(["--parent", "HEAD~1", *argv], MANIFEST).workloads
+
+
+def test_workload_repeats_in_order_once_each_or_takes_all():
+    assert workloads("--workload", "sharded_proc2") == ["sharded_proc2"]
+    assert workloads("--workload", "gateway_ws2", "--workload", "inline_vocab8") == [
+        "gateway_ws2",
+        "inline_vocab8",
+    ]
+    assert workloads(*["--workload", "gateway_ws2"] * 2) == ["gateway_ws2"]
+    every = ["inline_vocab8", "sharded_proc2", "gateway_ws2"]
+    assert workloads("--workload", "all") == every
+    assert workloads("--workload", "gateway_ws2", "--workload", "all") == every
+    args = parse_args(["--parent", "abc", "--workload", "all"], MANIFEST)
+    assert (args.parent, args.pairs, args.seconds, args.trace) == ("abc", 10, 24.0, False)
+
+
+@pytest.mark.parametrize("argv", [[], ["--workload", "no_such_workload"]])
+def test_workload_is_required_and_must_be_in_the_manifest(argv, capsys):
+    with pytest.raises(SystemExit):
+        parse_args(["--parent", "HEAD~1", *argv], MANIFEST)
+    assert "--workload" in capsys.readouterr().err

@@ -21,6 +21,8 @@ from repro.cep import CEPEngine, install_kinect_view
 from repro.cep.matcher import MatcherConfig
 from repro.core import GestureLearner, LearnerConfig, QueryGenerator
 from repro.gateway.tenants import Tenant, TenantConfig
+from repro.runtime.shard import Shard
+from repro.runtime.transport import MemoryTransport
 from repro.kinect import (
     CircleTrajectory,
     GaussianNoise,
@@ -144,6 +146,38 @@ def test_mode_detects_what_the_hand_wired_engine_detects(
             session.deploy(query)
         session.feed(frames)
         assert per_player(session.detections()) == baseline
+
+
+def test_a_shard_answers_each_batch_with_one_message(queries, frames, baseline, monkeypatch):
+    """Two thread shards at ``batch_size=64``: exactly one ``done`` per
+    ``tuples`` message, no message per detection, and the detections ride
+    the ``done``s — the same ones the hand-wired engine finds."""
+    sent, received = [], []
+    send, handle = MemoryTransport.send, Shard.handle
+
+    def spy_send(self, message):
+        sent.append(message[0])
+        return send(self, message)
+
+    def spy_handle(self, message):
+        received.append((message[0], len(message[4]) if message[0] == "done" else 0))
+        return handle(self, message)
+
+    monkeypatch.setattr(MemoryTransport, "send", spy_send)
+    monkeypatch.setattr(Shard, "handle", spy_handle)
+    with GestureSession(config(shards=2, batch_size=64)) as session:
+        for query in queries:
+            session.deploy(query)
+        session.drain()
+        del sent[:], received[:]
+        session.feed(frames)
+        session.drain()
+        detections = session.detections()
+        kinds = [kind for kind, _ in received]
+    assert kinds.count("done") == sent.count("tuples") >= len(frames) / 64
+    assert set(kinds) == {"done", "ack"}  # the acks answer the drain's flushes
+    assert sum(carried for _, carried in received) == len(detections)
+    assert per_player(detections) == baseline
 
 
 def test_recovery_and_replay_after_a_midpoint_snapshot_detect_the_same(

@@ -8,6 +8,7 @@ handing it messages directly, over a transport that carries nothing.
 
 from __future__ import annotations
 
+import multiprocessing
 import queue
 import threading
 import time
@@ -17,8 +18,9 @@ import pytest
 from repro.errors import RuntimeStateError, SerializationError, ShardFailedError
 from repro.observability.clock import monotonic_time
 from repro.runtime import MetricsRegistry
+from repro.runtime import shard as shard_module
 from repro.runtime.shard import Shard, ShardEngineSpec, worker_loop
-from repro.runtime.transport import ProcessTransport
+from repro.runtime.transport import ProcessTransport, _ReportingQueue
 
 HIGH = 'SELECT "high" MATCHING kinect_t(rhand_y > 450);'
 SPEC = ShardEngineSpec(install_view=False, raw_stream="kinect_t")
@@ -36,6 +38,10 @@ def tuples(*values, meta=None):
     return ("tuples", "kinect_t", records, None, meta)
 
 
+#: Everything a worker may send: one reply per inbox message, plus ``bye``.
+REPLY_KINDS = {"ack", "nack", "done", "failed", "bye"}
+
+
 def run_worker(*messages):
     """Run the loop to completion over ``messages`` (+ ``stop``); what it sent."""
     inbox, outbox = queue.Queue(), queue.Queue()
@@ -46,30 +52,46 @@ def run_worker(*messages):
 
 
 def kinds(sent):
-    return [message[0] for message in sent]
+    found = [message[0] for message in sent]
+    # No per-detection (or any other) message kind, whatever the test.
+    assert set(found) <= REPLY_KINDS
+    return found
+
+
+def emitted(message):
+    """The ``(query, ts, latency)`` of each detection a ``done``/``failed`` carries."""
+    return [(d.query_name, d.timestamp, latency) for d, latency in message[-1]]
 
 
 def boom(value):
     return 1 / 0
 
 
+def fails_on(value, target):
+    if value == target:
+        raise ZeroDivisionError(f"{value} is the target")
+    return 1
+
+
 class TestWorkerLoop:
     def test_stop_ends_with_bye(self):
         assert run_worker() == [("bye",)]
 
-    def test_detections_leave_as_det_before_their_batch_is_done(self):
+    def test_detections_leave_with_their_batchs_done(self):
         sent = run_worker(deploy(1), tuples(500.0, 100.0, 480.0))
-        assert kinds(sent) == ["ack", "det", "det", "done", "bye"]
-        _tag, count, busy, queue_wait = sent[3]
+        assert kinds(sent) == ["ack", "done", "bye"]
+        _tag, count, busy, queue_wait, _detections = sent[1]
         assert count == 3 and busy >= 0.0
         # No stamp came with the batch, so nothing was measured.
         assert queue_wait is None
-        assert [message[2] for message in sent[1:3]] == [None, None]
+        # In emission order, each with its latency.
+        assert emitted(sent[1]) == [("high", 0.0, None), ("high", 2.0, None)]
 
     def test_latency_is_measured_worker_side_from_the_batch_stamp(self):
         stamp = (monotonic_time() - 0.25, None)
         sent = run_worker(deploy(1), tuples(500.0, meta=stamp))
-        (_tag, detection, latency), done = sent[1], sent[2]
+        done = sent[1]
+        ((detection, latency),) = done[4]
         assert detection.query_name == "high"
         assert 0.25 <= latency < 5.0
         assert 0.25 <= done[3] <= latency  # queue wait, taken at dequeue
@@ -81,11 +103,12 @@ class TestWorkerLoop:
             deploy(3),
             tuples(500.0),
         )
-        assert kinds(sent) == ["nack", "nack", "ack", "det", "done", "bye"]
+        assert kinds(sent) == ["nack", "nack", "ack", "done", "bye"]
         _tag, token, error, remote_traceback = sent[0]
         assert token == 1 and isinstance(error, Exception)
         assert "Traceback" in remote_traceback
         assert isinstance(sent[1][2], ValueError)
+        assert emitted(sent[3]) == [("high", 0.0, None)]
 
     def test_flush_acks_only_after_earlier_batches(self):
         # The drain barrier: the inbox is FIFO, so a flush ack proves the
@@ -93,8 +116,13 @@ class TestWorkerLoop:
         sent = run_worker(
             deploy(1), tuples(500.0), tuples(500.0), ("control", 2, "flush", None), tuples(500.0)
         )
-        assert kinds(sent) == ["ack", "det", "done", "det", "done", "ack", "det", "done", "bye"]
-        assert sent[5] == ("ack", 2, None)
+        assert kinds(sent) == ["ack", "done", "done", "ack", "done", "bye"]
+        assert sent[3] == ("ack", 2, None)
+        # Each batch's detection left with its own ``done``, so the ones
+        # queued before the flush had reached the parent when it was acked.
+        assert [emitted(message) for message in sent if message[0] == "done"] == [
+            [("high", 0.0, None)]
+        ] * 3
 
     def test_only_plain_data_results_ride_the_ack(self):
         sent = run_worker(deploy(1), ("control", 2, "query_stats", None))
@@ -116,6 +144,7 @@ class TestWorkerLoop:
         assert kinds(sent) == ["ack", "ack", "failed", "bye"]
         assert isinstance(sent[2][1], ZeroDivisionError)
         assert "boom" in sent[2][2]
+        assert sent[2][3] == []  # the first tuple raised: nothing was emitted
         # The flush behind the poisoned batch is never answered by the
         # worker; releasing its caller is the parent's job (below).
         assert inbox.qsize() == 2
@@ -128,6 +157,37 @@ class TestWorkerLoop:
         outbox = queue.Queue()
         worker_loop(0, BrokenSpec(), queue.Queue().get, outbox.put)
         assert kinds(outbox.queue) == ["failed", "bye"]
+        assert outbox.queue[0][3] == []
+
+    def test_a_failing_batch_delivers_what_it_emitted_before_the_failure(self):
+        sent = run_worker(
+            ("control", 1, "register_function", ("fails_on", fails_on, 2)),
+            deploy(2, text='SELECT "f" MATCHING kinect_t(fails_on(rhand_y, 100.0) > 0);', name="f"),
+            tuples(500.0, 100.0, 480.0),
+        )
+        assert kinds(sent) == ["ack", "ack", "failed", "bye"]
+        assert isinstance(sent[2][1], ZeroDivisionError)
+        assert emitted(sent[2]) == [("f", 0.0, None)]
+
+    def test_a_control_that_emits_fails_the_shard_with_its_detections(self, monkeypatch):
+        # No control emits today; the worker refuses to strand one that
+        # would, since a control's reply carries no detections.
+        apply_control = shard_module._apply_control
+
+        def apply(engine, op, payload):
+            if op == "push":
+                return engine.push("kinect_t", payload)
+            return apply_control(engine, op, payload)
+
+        monkeypatch.setattr(shard_module, "_apply_control", apply)
+        sent = run_worker(
+            deploy(1),
+            ("control", 2, "push", {"ts": 7.0, "player": 1, "rhand_y": 500.0}),
+            tuples(500.0),
+        )
+        assert kinds(sent) == ["ack", "failed", "bye"]
+        assert "'push' emitted detections" in str(sent[1][1])
+        assert emitted(sent[1]) == [("high", 7.0, None)]
 
     def test_progress_answers_best_progress_and_live_runs_per_query(self):
         updown = 'SELECT "ud" MATCHING ( kinect_t(rhand_y > 450) -> kinect_t(rhand_y < 100) );'
@@ -172,15 +232,22 @@ class _InstantTransport(_DeafTransport):
     def send(self, message):
         super().send(message)
         if message[0] == "tuples":
-            self.deliver(("done", len(message[2]), 0.0, None))
+            self.deliver(("done", len(message[2]), 0.0, None, []))
 
 
 def make_shard(transport, capacity=8):
+    """A started shard; its detections land in the returned list.
+
+    Each entry is ``(detection, queue_depth)``: the tuples still in flight
+    when the detection was dispatched.
+    """
     detections = []
     shard = Shard(
         0,
         MetricsRegistry().shard(0),
-        lambda shard_id, detection, latency: detections.append(detection),
+        lambda shard_id, batch: detections.extend(
+            (detection, shard.queue_depth) for detection, _latency in batch
+        ),
         transport,
         capacity=capacity,
     )
@@ -209,14 +276,18 @@ class TestShardHandle:
 
     def test_failed_releases_every_pending_control(self):
         transport = _DeafTransport()
-        shard, _ = make_shard(transport)
+        shard, detections = make_shard(transport)
         first, first_outcome = self._pending_control(shard)
         token_one = transport.sent[0][1]
         transport.sent.clear()
         second, second_outcome = self._pending_control(shard, "query_stats")
         assert transport.sent[0][1] != token_one
 
-        shard.handle(("failed", ZeroDivisionError("division by zero"), "remote tb"))
+        shard.handle(
+            ("failed", ZeroDivisionError("division by zero"), "remote tb", [("before", None)])
+        )
+        # What the batch emitted before it failed is still delivered.
+        assert detections == [("before", 0)]
         first.join(timeout=5.0)
         second.join(timeout=5.0)
         assert not first.is_alive() and not second.is_alive()
@@ -245,7 +316,7 @@ class TestShardHandle:
         producer.start()
         producer.join(timeout=0.1)
         assert producer.is_alive()  # blocked: no ``done`` came back
-        shard.handle(("failed", ZeroDivisionError("division by zero"), "remote tb"))
+        shard.handle(("failed", ZeroDivisionError("division by zero"), "remote tb", []))
         producer.join(timeout=5.0)
         assert not producer.is_alive()
         assert isinstance(outcome[0], ShardFailedError)
@@ -292,11 +363,11 @@ class TestShardHandle:
         shard, detections = make_shard(transport)
         shard.enqueue_tuples("kinect_t", [{"ts": float(i), "player": 1} for i in range(5)])
         assert shard.queue_depth == 5
-        shard.handle(("det", "a-detection", 0.5))
-        shard.handle(("done", 3, 0.01, 0.002))
+        shard.handle(("done", 3, 0.01, 0.002, [("a-detection", 0.5), ("b-detection", 0.6)]))
         assert shard.queue_depth == 2
-        shard.handle(("done", 2, 0.01, None))  # unmeasured batch
-        assert detections == ["a-detection"]
+        shard.handle(("done", 2, 0.01, None, []))  # unmeasured batch
+        # Dispatched in order, while the batch's 3 credits were still out.
+        assert detections == [("a-detection", 5), ("b-detection", 5)]
         assert shard.queue_depth == 0
         snapshot = shard.metrics.snapshot()
         assert snapshot["tuples_processed"] == 5
@@ -328,3 +399,20 @@ class TestProcessTransportSeam:
             shard.control("register_function", ("f", lambda value: value, 1))
         assert shard._pending == {}
         assert not shard.failed
+
+    def test_a_message_the_feeder_cannot_pickle_is_reported_as_failed(self):
+        reports = []
+        inbox = _ReportingQueue(ctx=multiprocessing.get_context())
+        inbox.report = reports.append
+        inbox.put(("tuples", "kinect_t", [{"lock": threading.Lock()}], None, None))
+        deadline = time.monotonic() + 5.0
+        while not reports and time.monotonic() < deadline:
+            time.sleep(0.005)
+        inbox.close()
+        inbox.join_thread()
+        ((kind, error, traceback_text, detections),) = reports
+        assert kind == "failed" and detections == []
+        assert isinstance(error, SerializationError)
+        assert "'tuples' message" in str(error)
+        assert isinstance(error.__cause__, TypeError)
+        assert "_thread.lock" in traceback_text

@@ -563,6 +563,31 @@ class TestProcessExecutor:
             assert len(runtime.detections()) == 1
         assert not runtime.failed
 
+    def test_unpicklable_tuple_batch_fails_its_shard_loudly(self, spec):
+        # Tuple batches are pickled on multiprocessing's feeder thread,
+        # which used to print the error and drop the batch: drain()
+        # returned normally and the lost chunk's credits never came back.
+        router = HashPartitionRouter(2)
+        bad, good = 1, next(p for p in range(2, 20) if router.shard_for_key(p) != router.shard_for_key(1))
+        frames = [
+            {"ts": 0.0, "player": good, "rhand_y": 500.0},
+            {"ts": 0.0, "player": bad, "rhand_y": 500.0, "lock": threading.Lock()},
+        ]
+        with ShardedRuntime(shard_count=2, spec=spec, executor="process") as runtime:
+            runtime.register_query(HIGH)
+            runtime.push_many("kinect_t", frames)
+            with pytest.raises(ShardFailedError) as excinfo:
+                runtime.drain(timeout=30.0)
+            assert excinfo.value.shard_id == router.shard_for_key(bad)
+            assert isinstance(excinfo.value.cause, SerializationError)
+            assert "'tuples' message" in str(excinfo.value.cause)
+            with pytest.raises(ShardFailedError):
+                runtime.push_many("kinect_t", frames[:1])
+            assert [d.partition for d in runtime.detections()] == [good]
+        runtime.join(timeout=30.0)
+        # The failed shard's worker was healthy; stopping the runtime ends it too.
+        assert not any(shard.transport.alive for shard in runtime._shards)
+
 
 # ---------------------------------------------------------------------------
 # GestureSession integration

@@ -1,7 +1,8 @@
 #!/usr/bin/env python
 """Alternating parent/change pairs of ``benchmarks/e2e`` — the claim protocol as a command.
 
-    python tools/e2e_pairs.py --parent <rev> --workload <name> --pairs 10 [--seconds 24] [--trace]
+    python tools/e2e_pairs.py --parent <rev> --workload <name> [--workload <name> ...] --pairs 10 [--seconds 24] [--trace]
+    python tools/e2e_pairs.py --parent <rev> --workload all --pairs 3
 
 Checks ``<rev>`` out into a temporary directory (``git archive``: committed
 files only, in a new directory — what the driver measures — and nothing is
@@ -27,9 +28,14 @@ benchmark once more per side with ``--trace 1 --seed 1`` and prints each
 ``per_layer`` metric of ``BENCHMARK.json`` as parent → change with the
 ratio.  One traced run per side orients; the pairs are the claim.
 
+``--workload`` repeats, and ``all`` names every workload of
+``BENCHMARK.json``: the workloads run one after another (all pairs of one,
+then the next) against one parent checkout, and one table is printed per
+workload, so "no other workload got worse" is one command.
+
 The tool reads ``BENCHMARK.json`` and calls the benchmark; it edits
-neither.  ``summarise`` and ``layer_table`` are the pure parts
-(``tests/test_e2e_pairs.py``).
+neither.  ``summarise`` and ``layer_table`` are the pure parts, and
+``parse_args`` the command line (``tests/test_e2e_pairs.py``).
 """
 
 from __future__ import annotations
@@ -150,17 +156,57 @@ def _run_once(command: Sequence[str], tree: Path) -> Dict[str, Any]:
     return json.loads(lines[-1])
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    manifest = json.loads((REPO_ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+def parse_args(argv: Sequence[str] | None, manifest: Mapping[str, Any]) -> argparse.Namespace:
+    """The command line; ``workloads`` lists each workload to run once, in order.
+
+    ``--workload`` may repeat, and ``all`` stands for every workload of
+    ``BENCHMARK.json`` in its order.
+    """
+    names = [workload["name"] for workload in manifest["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision to compare the working tree against")
-    parser.add_argument("--workload", required=True, choices=[w["name"] for w in manifest["workloads"]])
+    parser.add_argument(
+        "--workload",
+        required=True,
+        action="append",
+        choices=[*names, "all"],
+        help="a workload of BENCHMARK.json; repeat it for several, or give 'all'",
+    )
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=manifest["run_seconds"])
     parser.add_argument(
         "--trace", action="store_true", help="then one traced seed-1 run per side: per-layer table"
     )
     args = parser.parse_args(argv)
+    args.workloads = names if "all" in args.workload else list(dict.fromkeys(args.workload))
+    return args
+
+
+def _run_workload(
+    manifest: Mapping[str, Any], args: argparse.Namespace, workload: str, trees: Mapping[str, Path]
+) -> Tuple[List[Tuple[Run, Run]], Dict[str, Run]]:
+    """The pairs of one workload, then its traced run per side with ``--trace``."""
+    base = [*manifest["command"], "--workload", workload]
+    pairs: List[Tuple[Run, Run]] = []
+    for seed in range(1, args.pairs + 1):
+        command = [*base, "--seed", str(seed), "--seconds", f"{args.seconds:g}"]
+        runs = {}
+        for side in ("parent", "change") if seed % 2 else ("change", "parent"):
+            runs[side] = _run_once(command, trees[side])
+            print(json.dumps({"workload": workload, "pair": seed, "side": side, **runs[side]}), flush=True)
+        pairs.append((runs["parent"], runs["change"]))
+    traced = {}
+    if args.trace:
+        command = [*base, "--seed", "1", "--seconds", f"{args.seconds:g}", "--trace", "1"]
+        for side in ("parent", "change"):
+            traced[side] = _run_once(command, trees[side])
+            print(json.dumps({"workload": workload, "trace": 1, "side": side, **traced[side]}), flush=True)
+    return pairs, traced
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    manifest = json.loads((REPO_ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    args = parse_args(argv, manifest)
 
     with tempfile.TemporaryDirectory(prefix="e2e-parent-") as scratch:
         archive = subprocess.run(
@@ -168,36 +214,24 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
         subprocess.run(["tar", "-x", "-C", scratch], input=archive.stdout, check=True)
         trees = {"parent": Path(scratch), "change": REPO_ROOT}
-        pairs: List[Tuple[Run, Run]] = []
-        for seed in range(1, args.pairs + 1):
-            command = [*manifest["command"], "--workload", args.workload]
-            command += ["--seed", str(seed), "--seconds", f"{args.seconds:g}"]
-            runs = {}
-            for side in ("parent", "change") if seed % 2 else ("change", "parent"):
-                runs[side] = _run_once(command, trees[side])
-                print(json.dumps({"pair": seed, "side": side, **runs[side]}), flush=True)
-            pairs.append((runs["parent"], runs["change"]))
-        traced = {}
-        if args.trace:
-            command = [*manifest["command"], "--workload", args.workload, "--seed", "1"]
-            command += ["--seconds", f"{args.seconds:g}", "--trace", "1"]
-            for side in ("parent", "change"):
-                traced[side] = _run_once(command, trees[side])
-                print(json.dumps({"trace": 1, "side": side, **traced[side]}), flush=True)
-    try:
-        rows = summarise(manifest["end_to_end"], pairs)
-        layers = ""
-        if traced:
-            layers = layer_table(manifest["per_layer"], traced["parent"], traced["change"])
-    except ValueError as error:
-        print(f"e2e_pairs: {error}", file=sys.stderr)
-        return 1
-    print(f"\n{args.workload}: {args.pairs} pairs of {args.seconds:g} s, parent {args.parent}")
-    print(render(rows))
-    if layers:
-        print(f"\n{args.workload}: one traced run per side, seed 1")
-        print(layers)
-    return 0
+        results = {workload: _run_workload(manifest, args, workload, trees) for workload in args.workloads}
+    status = 0
+    for workload, (pairs, traced) in results.items():
+        try:
+            rows = summarise(manifest["end_to_end"], pairs)
+            layers = ""
+            if traced:
+                layers = layer_table(manifest["per_layer"], traced["parent"], traced["change"])
+        except ValueError as error:
+            print(f"e2e_pairs: {workload}: {error}", file=sys.stderr)
+            status = 1
+            continue
+        print(f"\n{workload}: {args.pairs} pairs of {args.seconds:g} s, parent {args.parent}")
+        print(render(rows))
+        if layers:
+            print(f"\n{workload}: one traced run per side, seed 1")
+            print(layers)
+    return status
 
 
 if __name__ == "__main__":
