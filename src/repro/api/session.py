@@ -111,16 +111,8 @@ from repro.errors import (
     SessionStateError,
     ShardFailedError,
 )
-from repro.observability.health import (
-    LIVENESS_PREFIX,
-    HealthReport,
-    HealthWatchdog,
-    WatchdogConfig,
-    liveness_reading,
-)
-from repro.observability.slo import SLO, Alert, SLOEvaluator
+from repro.observability.health import HealthReport, HealthWatchdog
 from repro.observability.telemetry import Telemetry, TelemetryConfig
-from repro.observability.timeseries import MetricsSampler
 from repro.observability.tracing import TraceContext, use_context
 from repro.persistence import (
     FSYNC_OWED_AFTER,
@@ -197,25 +189,6 @@ class SessionConfig:
     slow_batch_seconds:
         When set, a batch taking longer than this logs a structured
         warning on the ``repro.observability.slowlog`` logger.
-    sample_interval_seconds:
-        When set, a background
-        :class:`~repro.observability.timeseries.MetricsSampler` polls the
-        session's counters and histogram digests into windowed ring-buffer
-        series at this interval (``session.sampler``).  ``None`` (default)
-        starts no sampler thread.
-    slos:
-        Declarative :class:`~repro.observability.slo.SLO` objectives,
-        evaluated by burn-rate rules on the sampler's beat (implies a
-        sampler at the default interval when ``sample_interval_seconds``
-        is unset).  Fired alerts land on ``session.alerts``, the
-        structured alert log and the gateway's ``/alerts``.
-    watchdog:
-        A :class:`~repro.observability.health.WatchdogConfig` adds the
-        health rules to the sampler's beat (implying a sampler like
-        ``slos``): per-shard progress heartbeats, stall /
-        queue-saturation / fsync-stall detection, read via
-        ``session.health()`` and the gateway's ``/healthz``.  ``None``
-        (default) evaluates no health rules.
     """
 
     matcher: MatcherConfig = field(default_factory=MatcherConfig)
@@ -235,9 +208,6 @@ class SessionConfig:
     trace_sample_rate: float = 0.0
     trace_buffer_size: int = 4096
     slow_batch_seconds: Optional[float] = None
-    sample_interval_seconds: Optional[float] = None
-    slos: Tuple[SLO, ...] = ()
-    watchdog: Optional[WatchdogConfig] = None
 
     def telemetry_config(self) -> Optional[TelemetryConfig]:
         """The flat telemetry knobs as one config (``None`` when off)."""
@@ -268,18 +238,6 @@ class SessionConfig:
         from repro.runtime.queues import BackpressurePolicy
 
         BackpressurePolicy.validate_shard(self.backpressure)
-        object.__setattr__(self, "slos", tuple(self.slos))  # accept any iterable
-        if self.sample_interval_seconds is not None and self.sample_interval_seconds <= 0:
-            raise ValueError("sample_interval_seconds must be positive when given")
-        if not self.telemetry and (
-            self.sample_interval_seconds is not None
-            or self.slos
-            or self.watchdog is not None
-        ):
-            raise ValueError(
-                "sample_interval_seconds / slos / watchdog need "
-                "telemetry=True: the control plane observes the telemetry layer"
-            )
         # TelemetryConfig validates rates/bounds/threshold in its own
         # __post_init__; building it here surfaces bad knobs eagerly too.
         self.telemetry_config()
@@ -344,9 +302,8 @@ class GestureSession:
         self._durability: Optional[DurabilityManager] = None
         self._metrics: Optional[MetricsRegistry] = None
         self._telemetry: Optional[Telemetry] = None
-        self._sampler: Optional[MetricsSampler] = None
-        self._slo_evaluator: Optional[SLOEvaluator] = None
-        self._watchdog: Optional[HealthWatchdog] = None
+        fsync = durability.fsync if durability is not None else None
+        self._health = HealthWatchdog(FSYNC_OWED_AFTER.get(fsync))
         #: What the last :meth:`recover` replayed (``None`` on live sessions).
         self.last_recovery: Optional[RecoveryResult] = None
         self._started = False
@@ -372,7 +329,6 @@ class GestureSession:
             engine=self._engine, querygen_config=self.config.workflow.querygen
         )
         self._init_durability()
-        self._start_control_plane()
         self._started = True
         return self
 
@@ -426,36 +382,6 @@ class GestureSession:
         self._metrics = runtime.metrics
         return runtime
 
-    def _start_control_plane(self) -> None:
-        """Start the opted-in control-plane thread: the sampler, whose
-        tick runs SLO evaluation and the health rules.
-
-        Everything here is off-by-default — with none of the knobs set
-        this method does nothing, and the hot path is untouched either
-        way (the control plane only *reads* parent-visible state on its
-        own named threads).
-        """
-        if self._telemetry is None:
-            return
-        config = self.config
-        if config.slos:
-            self._slo_evaluator = SLOEvaluator(config.slos)
-        if config.watchdog is not None:
-            fsync = self._durability_config.fsync if self._durability_config else None
-            self._watchdog = HealthWatchdog(config.watchdog, FSYNC_OWED_AFTER.get(fsync))
-        evaluators = tuple(filter(None, (self._slo_evaluator, self._watchdog)))
-        if evaluators or config.sample_interval_seconds is not None:
-            self._sampler = MetricsSampler(
-                interval_seconds=config.sample_interval_seconds or 0.5,
-                evaluators=evaluators,
-            )
-            self._sampler.add_registry(self._metrics)
-            if self._watchdog is not None and self._runtime is not None:
-                self._sampler.add_source(
-                    LIVENESS_PREFIX, lambda: liveness_reading(self._runtime.shard_liveness())
-                )
-            self._sampler.start()
-
     def _init_durability(self) -> None:
         """Open the event log and install the write-ahead ingest tap."""
         if self._durability_config is None:
@@ -476,10 +402,6 @@ class GestureSession:
             return
         self._closed = True
         self._started = False
-        # The control-plane beat first: its final read observes the live
-        # runtime, and nothing may outlive the session.
-        if self._sampler is not None:
-            self._sampler.stop()
         if self._runtime is not None:
             # Finish queued work, stop the workers, keep results readable.
             self._runtime.stop(drain=True)
@@ -941,44 +863,24 @@ class GestureSession:
             Path(path).write_text(json.dumps(document, indent=2), encoding="utf-8")
         return document
 
-    @property
-    def sampler(self) -> Optional[MetricsSampler]:
-        """The background metrics sampler, or ``None`` when not configured."""
-        return self._sampler
+    def health(self, now: Optional[float] = None) -> HealthReport:
+        """Evaluate the health rules on the session's live state.
 
-    @property
-    def slo_evaluator(self) -> Optional[SLOEvaluator]:
-        """The burn-rate evaluator, or ``None`` without configured SLOs."""
-        return self._slo_evaluator
-
-    @property
-    def alerts(self) -> List[Alert]:
-        """Fired burn-rate alerts, oldest first (empty without SLOs).
-
-        Stays readable after :meth:`close` — the bounded alert log is the
-        post-mortem record of what breached during the run.
+        Reads the runtime's per-shard liveness rows
+        (:meth:`~repro.runtime.ShardedRuntime.shard_liveness`; an inline
+        session has none) and the durable log's counters, which arm the
+        fsync rule under ``FSYNC_OWED_AFTER[fsync]``.  Nothing polls in
+        the background: each call moves the rules' progress marks, so a
+        stall is timed between reads.  ``now`` substitutes the monotonic
+        clock.  Never starts the session, and answers after :meth:`close`.
+        Safe from any thread.
         """
-        if self._slo_evaluator is None:
-            return []
-        return self._slo_evaluator.alerts()
-
-    @property
-    def watchdog(self) -> Optional[HealthWatchdog]:
-        """The health rules on the sampler's beat, or ``None`` when not
-        configured."""
-        return self._watchdog
-
-    def health(self) -> Optional[HealthReport]:
-        """The latest health report (``None`` without a watchdog).
-
-        Takes one synchronous sample when the sampler has not ticked yet,
-        so the first read after :meth:`start` is real.
-        """
-        if self._watchdog is None:
-            return None
-        if self._watchdog.report().checks == 0:
-            self._sampler.sample_once()
-        return self._watchdog.report()
+        reading: Dict[str, Any] = {}
+        if self._runtime is not None:
+            reading["shards"] = self._runtime.shard_liveness()
+        if self._durability is not None:
+            reading["durability"] = self._metrics.durability.values()
+        return self._health.evaluate(reading, now=now)
 
     def profile(self) -> Dict[str, Any]:
         """Per-query attribution of matcher time, from the traced spans.

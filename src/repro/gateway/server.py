@@ -3,7 +3,8 @@
 One :class:`GatewayServer` listens on a single port and speaks two
 dialects over it:
 
-* plain HTTP for ``GET /healthz`` (liveness) and ``GET /metrics``
+* plain HTTP for ``GET /healthz`` (every tenant's health rules,
+  evaluated on the read), ``GET /debug/vars`` and ``GET /metrics``
   (Prometheus text exposition by default, the JSON document with
   ``?format=json``), and
 * the websocket application protocol of :mod:`repro.gateway.protocol`
@@ -47,6 +48,7 @@ from repro.gateway.metrics import GatewayMetrics, LoopLagMonitor
 from repro.gateway.protocol import ErrorCode
 from repro.gateway.tenants import Tenant, TenantConfig
 from repro.observability.clock import perf_clock
+from repro.observability.health import HealthReason
 from repro.observability.registry import Family, Sample, build_info_sample, exposition
 from repro.observability.tracing import TraceContext
 
@@ -215,9 +217,6 @@ class GatewayServer:
             body = json.dumps(document, sort_keys=True).encode("utf-8")
             status = 503 if document["status"] == "unhealthy" else 200
             response = http.render_response(status, body + b"\n", "application/json")
-        elif request.path == "/alerts":
-            body = json.dumps(self._alerts_document(), sort_keys=True).encode("utf-8")
-            response = http.render_response(200, body + b"\n", "application/json")
         elif request.path == "/debug/vars":
             # session.profile() may broadcast a telemetry collection to
             # process shards; keep that off the event loop.
@@ -237,31 +236,38 @@ class GatewayServer:
                 )
         else:
             response = http.render_response(
-                404, b"try /healthz, /metrics, /alerts or /debug/vars\n"
+                404, b"try /healthz, /metrics or /debug/vars\n"
             )
         writer.write(response)
         await writer.drain()
 
     def _health_document(self) -> Dict[str, Any]:
-        """The ``/healthz`` body: gateway liveness + per-tenant watchdogs.
+        """The ``/healthz`` body: gateway liveness + every tenant's health.
 
-        The overall status is the worst across every tenant session that
-        runs a health watchdog (sessions without one contribute ``ok``),
-        with each contributing reason tagged by tenant — machine-readable
-        input for load balancers.
+        Each started tenant's session evaluates its health rules on this
+        read; a tenant whose feed failed (and so refuses every ingest) is
+        ``unhealthy`` whatever its shards say.  The overall status is the
+        worst across tenants, with each contributing reason tagged by
+        tenant — machine-readable input for load balancers.
         """
         rank = {"ok": 0, "degraded": 1, "unhealthy": 2}
         status = "ok"
         reasons: List[Dict[str, Any]] = []
         for name, tenant in sorted(self.tenants.items()):
-            session = tenant.session
-            watchdog = getattr(session, "watchdog", None) if session is not None else None
-            if watchdog is None:
+            if tenant.session is None:
                 continue
-            report = watchdog.report()
-            if rank.get(report.status, 0) > rank[status]:
-                status = report.status
-            for reason in report.reasons:
+            found = list(tenant.session.health().reasons)
+            if tenant.failure is not None:
+                found.append(
+                    HealthReason(
+                        code="tenant-failed",
+                        severity="unhealthy",
+                        subject=name,
+                        detail=f"tenant '{name}' failed and refuses ingest: {tenant.failure!r}",
+                    )
+                )
+            for reason in found:
+                status = max(status, reason.severity, key=rank.__getitem__)
                 reasons.append({"tenant": name, **reason.to_dict()})
         return {
             "status": status,
@@ -269,20 +275,6 @@ class GatewayServer:
             "tenants": len(self.tenants),
             "connections": self.metrics.values()["connections_active"],
         }
-
-    def _alerts_document(self) -> Dict[str, Any]:
-        """The ``/alerts`` body: every tenant's burn-rate alert log."""
-        alerts: List[Dict[str, Any]] = []
-        for name, tenant in sorted(self.tenants.items()):
-            session = tenant.session
-            evaluator = (
-                getattr(session, "slo_evaluator", None) if session is not None else None
-            )
-            if evaluator is None:
-                continue
-            for alert in evaluator.alert_log():
-                alerts.append({"tenant": name, **alert})
-        return {"alerts": alerts, "count": len(alerts)}
 
     def _debug_vars_document(self) -> Dict[str, Any]:
         """The ``/debug/vars`` body: live internals for humans and the
@@ -292,18 +284,10 @@ class GatewayServer:
             session = tenant.session
             if session is None:
                 continue
-            entry: Dict[str, Any] = {"profile": session.profile()}
-            sampler = session.sampler
-            if sampler is not None:
-                entry["series"] = sampler.latest()
-                entry["sampler_ticks"] = sampler.ticks
-            watchdog = session.watchdog
-            if watchdog is not None:
-                entry["health"] = watchdog.report().to_dict()
-            evaluator = session.slo_evaluator
-            if evaluator is not None:
-                entry["active_alerts"] = [list(key) for key in evaluator.active()]
-            tenants[name] = entry
+            tenants[name] = {
+                "profile": session.profile(),
+                "health": session.health().to_dict(),
+            }
         return {"gateway": self.metrics.snapshot(), "tenants": tenants}
 
     def _metrics_document(self) -> Dict[str, Any]:

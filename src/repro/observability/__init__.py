@@ -19,13 +19,7 @@ Its building blocks:
 * :class:`JsonFormatter` — a stdlib ``logging`` formatter emitting one
   JSON object per line with trace-id correlation (see
   :mod:`repro.observability.jsonlog`);
-* :class:`TimeSeries` / :class:`MetricsSampler` — ring-buffered metric
-  history with windowed rate/delta queries, fed by the one background
-  sampler polling the metric registries (see :mod:`repro.observability.timeseries`);
-* :class:`SLO` / :class:`SLOEvaluator` — declarative objectives checked
-  by multi-window burn-rate rules, producing typed :class:`Alert` events
-  (see :mod:`repro.observability.slo`);
-* :class:`HealthWatchdog` — health rules on the sampler's tick turning
+* :class:`HealthWatchdog` — health rules evaluated on read, turning
   shard liveness and durability progress into a machine-readable health
   report (see :mod:`repro.observability.health`).
 
@@ -37,28 +31,11 @@ matcher-time dashboard over a gateway's ``/debug/vars``.
 """
 
 from repro.observability.clock import monotonic_time, perf_clock, wall_clock
-from repro.observability.health import (
-    HealthReason,
-    HealthReport,
-    HealthWatchdog,
-    WatchdogConfig,
-)
+from repro.observability.health import HealthReason, HealthReport, HealthWatchdog
 from repro.observability.histogram import LatencyHistogram
 from repro.observability.jsonlog import JsonFormatter, configure_json_logging
 from repro.observability.registry import Family, MetricSet, exposition
-from repro.observability.slo import (
-    DEFAULT_RULES,
-    Alert,
-    BurnRateRule,
-    SLO,
-    SLOEvaluator,
-)
 from repro.observability.telemetry import Telemetry, TelemetryConfig
-from repro.observability.timeseries import (
-    MetricsSampler,
-    TimeSeries,
-    flatten_registry,
-)
 from repro.observability.tracing import (
     SpanHandle,
     TraceContext,
@@ -68,9 +45,6 @@ from repro.observability.tracing import (
 )
 
 __all__ = [
-    "Alert",
-    "BurnRateRule",
-    "DEFAULT_RULES",
     "Family",
     "HealthReason",
     "HealthReport",
@@ -78,20 +52,14 @@ __all__ = [
     "JsonFormatter",
     "LatencyHistogram",
     "MetricSet",
-    "MetricsSampler",
-    "SLO",
-    "SLOEvaluator",
     "SpanHandle",
     "Telemetry",
     "TelemetryConfig",
-    "TimeSeries",
     "TraceContext",
     "Tracer",
-    "WatchdogConfig",
     "configure_json_logging",
     "current_context",
     "exposition",
-    "flatten_registry",
     "monotonic_time",
     "perf_clock",
     "use_context",

@@ -222,9 +222,6 @@ def _render_top_frame(document: Mapping[str, Any]) -> str:
         health = entry.get("health")
         if health:
             frames.append(f"  health: {health.get('status', '?')}")
-        active = entry.get("active_alerts")
-        if active:
-            frames.append(f"  active alerts: {active}")
         frames.append("")
     return "\n".join(frames).rstrip()
 

@@ -1,4 +1,4 @@
-"""Health rules on the sampler's beat: stall, saturation and fsync stalls.
+"""Health rules, evaluated on read: stall, saturation and fsync stalls.
 
 The counters say what the pipeline *has done*; the health rules answer
 the harder operational question — is it *still making progress*?  Three
@@ -12,16 +12,19 @@ are invisible to cumulative counters:
 * a **stalled fsync** (a dying disk, an NFS hiccup) leaves the durability
   log owing an fsync that its ``fsyncs`` counter never records.
 
-:class:`HealthWatchdog` is an evaluator on the
-:class:`~repro.observability.timeseries.MetricsSampler` tick, beside the
-SLO evaluator: it owns no thread and no sources.  Each tick it reads the
-sampler's fresh reading — the runtime's per-shard liveness rows (a
-sampler source under :data:`LIVENESS_PREFIX`, see :func:`liveness_reading`)
-and the registry's ``durability.*`` counters — moves its per-subject
-progress marks, and publishes a :class:`HealthReport`: ``ok`` /
-``degraded`` / ``unhealthy`` plus machine-readable :class:`HealthReason`
-rows naming the misbehaving shard.  The gateway maps the report straight
-onto ``/healthz`` (503 when unhealthy).
+A shard the runtime has already marked failed, or whose worker died with
+backlog, is unhealthy at once.
+
+:class:`HealthWatchdog` owns no thread and polls nothing.  Each
+:meth:`HealthWatchdog.evaluate` is handed one plain reading — the
+runtime's per-shard liveness rows (``ShardedRuntime.shard_liveness()``)
+and the registry's durability counters — moves its per-subject progress
+marks, and returns a :class:`HealthReport`: ``ok`` / ``degraded`` /
+``unhealthy`` plus machine-readable :class:`HealthReason` rows naming the
+misbehaving shard.  ``GestureSession.health()`` builds the reading from
+live state on every call; the gateway maps the report straight onto
+``/healthz`` (503 when unhealthy).  The marks are the only history the
+rules need: a stall is timed from the last read that saw progress.
 
 **No false positives on idle:** a stall requires *backlog with no
 progress*.  A paused replay (``ReplayController.pause()``) stops feeding,
@@ -35,17 +38,14 @@ from __future__ import annotations
 import logging
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.observability.clock import monotonic_time
 
 __all__ = [
-    "LIVENESS_PREFIX",
-    "WatchdogConfig",
     "HealthReason",
     "HealthReport",
     "HealthWatchdog",
-    "liveness_reading",
 ]
 
 _logger = logging.getLogger("repro.observability.health")
@@ -53,73 +53,27 @@ _logger = logging.getLogger("repro.observability.health")
 #: Ranking used to pick the overall status from individual reasons.
 _STATUS_RANK = {"ok": 0, "degraded": 1, "unhealthy": 2}
 
-#: Sampler prefix of the per-shard liveness series the shard rules read.
-LIVENESS_PREFIX = "liveness."
-
-#: The registry series (``MetricsSampler.add_registry``) the fsync rule reads.
-_APPENDED = "durability.entries_appended"
-_FSYNCS = "durability.fsyncs"
-
-
-def liveness_reading(rows: Iterable[Mapping[str, object]]) -> Dict[str, float]:
-    """Flatten liveness rows into one sampler reading.
-
-    ``rows`` has the shape ``ShardedRuntime.shard_liveness()`` produces:
-    one mapping per shard with ``shard_id``, ``alive``, ``backlog``,
-    ``tuples_processed`` and optionally ``queue_depth`` /
-    ``queue_capacity``.  The result maps ``"<shard_id>.<field>"`` to a
-    float; register it with ``sampler.add_source(LIVENESS_PREFIX, ...)``.
-    """
-    return {
-        f"{row['shard_id']}.{key}": float(value)  # type: ignore[arg-type]
-        for row in rows
-        for key, value in row.items()
-        if key != "shard_id"
-    }
-
-
-def _shard_rows(reading: Mapping[str, float]) -> Dict[str, Dict[str, float]]:
-    """Regroup a tick's liveness series into one row per shard id."""
-    rows: Dict[str, Dict[str, float]] = {}
-    for name, value in reading.items():
-        if name.startswith(LIVENESS_PREFIX):
-            shard_id, _, key = name[len(LIVENESS_PREFIX) :].partition(".")
-            rows.setdefault(shard_id, {})[key] = value
-    return rows
-
-
-@dataclass(frozen=True)
-class WatchdogConfig:
-    """Thresholds of the health rules.  Frozen and picklable like the
-    other observability configs; the beat is the sampler's interval."""
-
-    #: A shard with backlog whose processed count has not advanced for
-    #: this long is stalled (degraded; 3x this is unhealthy).
-    stall_after_seconds: float = 5.0
-    #: Queue occupancy (depth / capacity) at or above this fraction…
-    saturation_ratio: float = 0.9
-    #: …sustained for this long marks the queue saturated.
-    saturation_after_seconds: float = 5.0
-    #: An fsync owed under the log's policy but not issued for this long
-    #: is an fsync stall.
-    fsync_stall_seconds: float = 5.0
-
-    def __post_init__(self) -> None:
-        if self.stall_after_seconds <= 0 or self.fsync_stall_seconds <= 0:
-            raise ValueError("stall windows must be positive")
-        if not 0.0 < self.saturation_ratio <= 1.0:
-            raise ValueError("saturation_ratio must be in (0, 1]")
-        if self.saturation_after_seconds <= 0:
-            raise ValueError("saturation_after_seconds must be positive")
+#: A shard with backlog whose processed count has not advanced for this
+#: long is stalled (degraded; 3x this is unhealthy).
+STALL_AFTER_SECONDS = 5.0
+#: Queue occupancy (depth / capacity) at or above this fraction…
+SATURATION_RATIO = 0.9
+#: …sustained for this long marks the queue saturated.
+SATURATION_AFTER_SECONDS = 5.0
+#: An fsync owed under the log's policy but not issued for this long is an
+#: fsync stall.
+FSYNC_STALL_SECONDS = 5.0
 
 
 @dataclass(frozen=True)
 class HealthReason:
     """One machine-readable cause for a non-``ok`` report."""
 
-    code: str  # "shard-stalled" | "shard-dead" | "queue-saturated" | "fsync-stalled"
+    # "shard-failed" | "shard-dead" | "shard-stalled" | "queue-saturated" |
+    # "fsync-stalled"; the gateway adds "tenant-failed".
+    code: str
     severity: str  # "degraded" | "unhealthy"
-    subject: str  # e.g. "shard-0", "durability"
+    subject: str  # e.g. "shard-0", "durability", a tenant name
     detail: str
     data: Dict[str, float] = field(default_factory=dict)
 
@@ -135,7 +89,7 @@ class HealthReason:
 
 @dataclass(frozen=True)
 class HealthReport:
-    """The rules' verdict at one tick."""
+    """The rules' verdict at one read."""
 
     status: str  # "ok" | "degraded" | "unhealthy"
     reasons: Tuple[HealthReason, ...]
@@ -156,14 +110,20 @@ class HealthReport:
 
 
 class HealthWatchdog:
-    """Turns each sampler tick into a health report.
+    """Turns each reading of live state into a health report.
 
-    Install it as one of ``MetricsSampler(evaluators=...)``; every
-    :meth:`MetricsSampler.sample_once` then calls :meth:`evaluate`, which
-    reads ``sampler.reading`` — so tests drive the rules through the one
-    clock, ``sampler.sample_once(now=...)``.  The progress marks (when
-    each subject last advanced) are evaluator state, so a stall is timed
-    exactly however long it outlives the sampler's series capacity.
+    A reading is a plain mapping: ``"shards"``, the liveness rows
+    ``ShardedRuntime.shard_liveness()`` produces (one mapping per shard
+    with ``shard_id``, ``alive``, ``failed``, ``backlog``,
+    ``tuples_processed`` and optionally ``queue_depth`` /
+    ``queue_capacity``), and ``"durability"``, the event log's counters
+    (``entries_appended``, ``fsyncs``).  Either may be absent.  Tests pass
+    ``now=`` to drive the rules on their own clock.
+
+    The progress marks (when each subject last advanced) are the only
+    state carried between reads.  Readers on several threads — the
+    gateway's event loop, ``/debug/vars`` off-loop, user code — move them,
+    so one lock covers the whole rule pass.
 
     ``fsync_owed_after`` is how many appends past its last fsync the event
     log may go before it owes one (``FSYNC_OWED_AFTER[policy]`` in
@@ -171,12 +131,7 @@ class HealthWatchdog:
     whose owed fsync the counters cannot show — turns the fsync rule off.
     """
 
-    def __init__(
-        self,
-        config: Optional[WatchdogConfig] = None,
-        fsync_owed_after: Optional[int] = None,
-    ) -> None:
-        self.config = config or WatchdogConfig()
+    def __init__(self, fsync_owed_after: Optional[int] = None) -> None:
         self.fsync_owed_after = fsync_owed_after
         self._lock = threading.Lock()
         # Heartbeats: subject -> (last value that counted as progress,
@@ -186,31 +141,28 @@ class HealthWatchdog:
         # (appended, fsyncs) when fsyncs last advanced; when the debt fell due.
         self._fsync_mark: Optional[Tuple[float, float]] = None
         self._fsync_owed_since: Optional[float] = None
-        self._report = HealthReport(status="ok", reasons=(), checked_at=monotonic_time())
+        self._status = "ok"
         self._checks = 0
 
     # -- the rules -----------------------------------------------------------------------
 
-    def evaluate(self, sampler, now: Optional[float] = None) -> HealthReport:
-        """Apply every rule to the sampler's latest reading; publish the report."""
-        stamp = monotonic_time() if now is None else now
-        reading: Mapping[str, float] = sampler.reading
-        reasons: List[HealthReason] = []
-        for shard_id, row in _shard_rows(reading).items():
-            reasons.extend(self._check_shard(f"shard-{shard_id}", row, stamp))
-        reason = self._check_fsync(reading, stamp)
-        if reason is not None:
-            reasons.append(reason)
-
-        status = max((r.severity for r in reasons), key=_STATUS_RANK.__getitem__, default="ok")
+    def evaluate(self, reading: Mapping[str, Any], now: Optional[float] = None) -> HealthReport:
+        """Apply every rule to one reading of live state."""
         with self._lock:
+            stamp = monotonic_time() if now is None else now
+            reasons: List[HealthReason] = []
+            for row in reading.get("shards", ()):
+                reasons.extend(self._check_shard(f"shard-{row['shard_id']}", row, stamp))
+            reason = self._check_fsync(reading.get("durability", {}), stamp)
+            if reason is not None:
+                reasons.append(reason)
+            status = max(
+                (r.severity for r in reasons), key=_STATUS_RANK.__getitem__, default="ok"
+            )
             self._checks += 1
-            previous = self._report.status
-            self._report = HealthReport(
-                status=status,
-                reasons=tuple(reasons),
-                checked_at=stamp,
-                checks=self._checks,
+            previous, self._status = self._status, status
+            report = HealthReport(
+                status=status, reasons=tuple(reasons), checked_at=stamp, checks=self._checks
             )
         if status != previous:
             _logger.warning(
@@ -218,21 +170,29 @@ class HealthWatchdog:
                 previous,
                 status,
                 "; ".join(f"{r.code}({r.subject})" for r in reasons) or "recovered",
-                extra={"data": self._report.to_dict()},
+                extra={"data": report.to_dict()},
             )
-        return self._report
+        return report
 
     def _check_shard(
         self, subject: str, row: Mapping[str, float], stamp: float
     ) -> List[HealthReason]:
-        config = self.config
-        alive = bool(row.get("alive", True))
-        backlog = row.get("backlog", 0.0)
-        processed = row.get("tuples_processed", 0.0)
-        reasons: List[HealthReason] = []
-
-        if not alive and backlog > 0:
-            reasons.append(
+        backlog = float(row.get("backlog", 0.0))
+        processed = float(row.get("tuples_processed", 0.0))
+        # A failed or dead shard is not additionally "stalled".
+        if row.get("failed"):
+            return [
+                HealthReason(
+                    code="shard-failed",
+                    severity="unhealthy",
+                    subject=subject,
+                    detail=f"{subject} failed with {backlog:.0f} tuples of backlog; "
+                    "the runtime refuses further ingest",
+                    data={"backlog": backlog},
+                )
+            ]
+        if not row.get("alive", True) and backlog > 0:
+            return [
                 HealthReason(
                     code="shard-dead",
                     severity="unhealthy",
@@ -240,8 +200,9 @@ class HealthWatchdog:
                     detail=f"{subject} worker is not alive with {backlog:.0f} tuples of backlog",
                     data={"backlog": backlog},
                 )
-            )
-            return reasons  # a dead shard is not additionally "stalled"
+            ]
+
+        reasons: List[HealthReason] = []
 
         # Progress heartbeat: the mark moves whenever processed advances
         # OR the backlog clears (idle is progress — see module docstring).
@@ -250,10 +211,8 @@ class HealthWatchdog:
             self._progress[subject] = (processed, stamp)
         else:
             stuck_for = stamp - mark[1]
-            if stuck_for >= config.stall_after_seconds:
-                severity = (
-                    "unhealthy" if stuck_for >= 3 * config.stall_after_seconds else "degraded"
-                )
+            if stuck_for >= STALL_AFTER_SECONDS:
+                severity = "unhealthy" if stuck_for >= 3 * STALL_AFTER_SECONDS else "degraded"
                 reasons.append(
                     HealthReason(
                         code="shard-stalled",
@@ -271,10 +230,10 @@ class HealthWatchdog:
         capacity = row.get("queue_capacity")
         if depth is not None and capacity:
             occupancy = depth / capacity
-            if occupancy >= config.saturation_ratio:
+            if occupancy >= SATURATION_RATIO:
                 since = self._saturated_since.setdefault(subject, stamp)
                 saturated_for = stamp - since
-                if saturated_for >= config.saturation_after_seconds:
+                if saturated_for >= SATURATION_AFTER_SECONDS:
                     reasons.append(
                         HealthReason(
                             code="queue-saturated",
@@ -295,11 +254,11 @@ class HealthWatchdog:
         return reasons
 
     def _check_fsync(
-        self, reading: Mapping[str, float], stamp: float
+        self, counters: Mapping[str, float], stamp: float
     ) -> Optional[HealthReason]:
         owed_after = self.fsync_owed_after
-        appended = reading.get(_APPENDED)
-        fsyncs = reading.get(_FSYNCS)
+        appended = counters.get("entries_appended")
+        fsyncs = counters.get("fsyncs")
         if owed_after is None or appended is None or fsyncs is None:
             return None
         mark = self._fsync_mark
@@ -308,7 +267,7 @@ class HealthWatchdog:
             self._fsync_mark = (appended, fsyncs)
             self._fsync_owed_since = None
             return None
-        # Appends counted since the tick that saw the last fsync: a lower
+        # Appends counted since the read that saw the last fsync: a lower
         # bound on the log's debt, so a healthy log never trips it.
         pending = appended - mark[0]
         if pending < owed_after:
@@ -316,7 +275,7 @@ class HealthWatchdog:
         if self._fsync_owed_since is None:
             self._fsync_owed_since = stamp
         stuck_for = stamp - self._fsync_owed_since
-        if stuck_for < self.config.fsync_stall_seconds:
+        if stuck_for < FSYNC_STALL_SECONDS:
             return None
         return HealthReason(
             code="fsync-stalled",
@@ -329,16 +288,5 @@ class HealthWatchdog:
             data={"stuck_seconds": round(stuck_for, 3), "appends_pending": pending},
         )
 
-    # -- readers -------------------------------------------------------------------------
-
-    def report(self) -> HealthReport:
-        """The latest published report (never waits on a tick)."""
-        with self._lock:
-            return self._report
-
     def __repr__(self) -> str:
-        report = self.report()
-        return (
-            f"HealthWatchdog(status={report.status!r}, reasons={len(report.reasons)}, "
-            f"checks={report.checks})"
-        )
+        return f"HealthWatchdog(status={self._status!r}, checks={self._checks})"

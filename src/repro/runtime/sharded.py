@@ -732,13 +732,13 @@ class ShardedRuntime(Taps):
     def shard_liveness(self) -> List[Dict[str, float]]:
         """One cheap parent-visible liveness row per shard.
 
-        The shard health rules' input, read on the sampler's tick through
-        ``repro.observability.health.liveness_reading``: worker aliveness,
-        current backlog (enqueued − processed − dropped), processed count
-        (the progress heartbeat), and the tuples in flight.  Reads only
-        parent-side counters and thread/process flags — no control
-        broadcast, so it never blocks behind queued work and is safe from
-        any thread.
+        The shard health rules' input, read by ``GestureSession.health()``
+        on every call: worker aliveness, whether the runtime marked the
+        shard failed, current backlog (enqueued − processed − dropped),
+        processed count (the progress heartbeat), and the tuples in
+        flight.  Reads only parent-side counters and thread/process flags
+        — no control broadcast, so it never blocks behind queued work and
+        is safe from any thread.
         """
         rows: List[Dict[str, float]] = []
         for shard in self._shards:

@@ -814,69 +814,34 @@ class TestShutdown:
 
 
 class TestControlPlaneEndpoints:
-    """/alerts, /debug/vars, the degraded /healthz and build info."""
+    """/debug/vars, the health-aware /healthz and build info."""
 
     def control_tenant(self):
-        from repro.observability.health import WatchdogConfig
-        from repro.observability.slo import SLO, BurnRateRule
+        return TenantConfig(session=SessionConfig(trace_sample_rate=1.0))
 
-        slo = SLO.latency(
-            "ingest_p99",
-            "hist.ingest_to_detection.p99_seconds",
-            threshold_seconds=1e-12,  # every sampled p99 violates
-            rules=(BurnRateRule(5.0, 0.5, 2.0),),
-        )
-        # An hour-long beat: the sampler thread never ticks mid-test, so
-        # each test drives the control plane with sampler.sample_once().
-        return TenantConfig(
-            session=SessionConfig(
-                sample_interval_seconds=3600.0,
-                slos=(slo,),
-                watchdog=WatchdogConfig(),
-                trace_sample_rate=1.0,
-            )
-        )
+    @staticmethod
+    def stall_shard(monkeypatch, session, shard_id):
+        """Freeze one shard's liveness row with backlog, and hand the
+        health rules a clock the test moves (``clock[0]``)."""
+        from repro.observability import health
 
-    def test_alerts_endpoint_reports_fired_alerts(self):
-        tenants = {"ctl": self.control_tenant()}
+        runtime = session.runtime
+        rows = runtime.shard_liveness
 
-        async def scenario():
-            async with serve(tenants=tenants) as server:
-                client = await connect(server, "ctl")
-                await client.deploy(HIGH)
-                await client.send_tuples(make_frames(), stream="kinect_t")
-                await client.drain()
+        def stalled_rows():
+            return [
+                {**row, "backlog": 9, "tuples_processed": 42}
+                if row["shard_id"] == shard_id
+                else row
+                for row in rows()
+            ]
 
-                session = server.tenants["ctl"].session
-                loop = asyncio.get_running_loop()
+        clock = [0.0]
+        monkeypatch.setattr(runtime, "shard_liveness", stalled_rows)
+        monkeypatch.setattr(health, "monotonic_time", lambda: clock[0])
+        return clock
 
-                def force_evaluation():
-                    session.sampler.sample_once()
-                    session.sampler.sample_once()
-
-                await loop.run_in_executor(None, force_evaluation)
-                status, body = await http_get(server, "/alerts")
-                assert status == 200
-                document = json.loads(body)
-                assert document["count"] >= 1
-                alert = document["alerts"][0]
-                assert alert["tenant"] == "ctl"
-                assert alert["slo"] == "ingest_p99"
-                assert alert["severity"] == "page"
-
-        run(scenario())
-
-    def test_alerts_endpoint_empty_without_slos(self):
-        async def scenario():
-            async with serve() as server:
-                await connect(server, "t1")
-                status, body = await http_get(server, "/alerts")
-                assert status == 200
-                assert json.loads(body) == {"alerts": [], "count": 0}
-
-        run(scenario())
-
-    def test_debug_vars_serves_profile_series_and_health(self):
+    def test_debug_vars_serves_profile_and_health(self):
         tenants = {"ctl": self.control_tenant()}
 
         async def scenario():
@@ -886,17 +851,13 @@ class TestControlPlaneEndpoints:
                 await client.send_tuples(make_frames(rounds=40), stream="kinect_t")
                 await client.drain()
 
-                session = server.tenants["ctl"].session
-                loop = asyncio.get_running_loop()
-                await loop.run_in_executor(None, session.sampler.sample_once)
                 status, body = await http_get(server, "/debug/vars")
                 assert status == 200
                 document = json.loads(body)
                 entry = document["tenants"]["ctl"]
+                assert set(entry) == {"profile", "health"}
                 assert entry["profile"]["enabled"]
-                assert entry["health"]["status"] in ("ok", "degraded")
-                assert entry["sampler_ticks"] >= 0
-                assert "shard.tuples_processed" in entry["series"]
+                assert entry["health"]["status"] == "ok"
                 assert "gateway" in document
 
         run(scenario())
@@ -915,10 +876,6 @@ class TestControlPlaneEndpoints:
                 await traced.drain()
                 plain = await connect(server, "plain")
                 await plain.deploy(HIGH)
-                session = server.tenants["ctl"].session
-                await asyncio.get_running_loop().run_in_executor(
-                    None, session.sampler.sample_once
-                )
                 _, body = await http_get(server, "/debug/vars")
                 return json.loads(body)
 
@@ -930,29 +887,16 @@ class TestControlPlaneEndpoints:
         assert "  health: " in ctl
         assert "trace_sample_rate" in plain and "%" not in plain
 
-    def test_forced_stall_degrades_healthz_naming_the_shard(self):
-        from repro.observability.health import LIVENESS_PREFIX, liveness_reading
-
-        tenants = {"ctl": self.control_tenant()}
+    def test_forced_stall_degrades_healthz_naming_the_shard(self, monkeypatch):
+        tenants = {"ctl": TenantConfig(session=SessionConfig(shards=2))}
 
         async def scenario():
             async with serve(tenants=tenants) as server:
                 await connect(server, "ctl")
-                session = server.tenants["ctl"].session
-                session.sampler.add_source(
-                    LIVENESS_PREFIX,
-                    lambda: liveness_reading(
-                        [{"shard_id": 9, "alive": True, "backlog": 9, "tuples_processed": 42}]
-                    ),
-                )
-
-                def stall_past_the_window():
-                    session.sampler.sample_once(now=0.0)
-                    session.sampler.sample_once(now=6.0)
-
-                await asyncio.get_running_loop().run_in_executor(
-                    None, stall_past_the_window
-                )
+                clock = self.stall_shard(monkeypatch, server.tenants["ctl"].session, 1)
+                status, body = await http_get(server, "/healthz")
+                assert (status, json.loads(body)["status"]) == (200, "ok")
+                clock[0] = 6.0  # past the stall window
                 status, body = await http_get(server, "/healthz")
                 document = json.loads(body)
                 assert document["status"] == "degraded"
@@ -960,11 +904,172 @@ class TestControlPlaneEndpoints:
                 # unhealthy turns 503.
                 assert status == 200
                 subjects = {reason["subject"] for reason in document["reasons"]}
-                assert "shard-9" in subjects
+                assert "shard-1" in subjects
                 tenancy = {reason["tenant"] for reason in document["reasons"]}
                 assert tenancy == {"ctl"}
 
         run(scenario())
+
+    def test_cli_built_gateway_answers_health(self, tmp_path, monkeypatch):
+        # The config file can set no health knob: every CLI-built tenant
+        # is evaluated on read.
+        from repro.gateway.cli import _build_parser
+
+        config_path = tmp_path / "gateway.json"
+        config_path.write_text(
+            json.dumps({"port": 0, "default_tenant": {"session": {"shards": 2}}})
+        )
+        config = build_config(_build_parser().parse_args(["--config", str(config_path)]))
+
+        async def scenario():
+            server = GatewayServer(config)
+            await server.start()
+            try:
+                await connect(server, "t1")
+                clock = self.stall_shard(monkeypatch, server.tenants["t1"].session, 0)
+                status, body = await http_get(server, "/healthz")
+                assert (status, json.loads(body)["status"]) == (200, "ok")
+                clock[0] = 6.0
+                status, body = await http_get(server, "/healthz")
+                document = json.loads(body)
+                assert (status, document["status"]) == (200, "degraded")
+                (reason,) = document["reasons"]
+                assert (reason["tenant"], reason["subject"]) == ("t1", "shard-0")
+                assert reason["code"] == "shard-stalled"
+            finally:
+                await server.close()
+
+        run(scenario())
+
+    def test_failed_tenant_makes_healthz_unhealthy(self):
+        async def scenario():
+            async with serve() as server:
+                client = await connect(server, "t1")
+                await client.deploy(HIGH)
+                # A raw frame without torso fields: the kinect_t view
+                # raises on the feed, which poisons the tenant.
+                await client.send_tuples([{"ts": 0.0, "player": 1}])
+                tenant = server.tenants["t1"]
+                for _ in range(500):
+                    if tenant.failure is not None:
+                        break
+                    await asyncio.sleep(0.01)
+                assert isinstance(tenant.failure, KeyError)
+                status, body = await http_get(server, "/healthz")
+                document = json.loads(body)
+                assert (status, document["status"]) == (503, "unhealthy")
+                (reason,) = document["reasons"]
+                assert reason["tenant"] == reason["subject"] == "t1"
+                assert (reason["code"], reason["severity"]) == ("tenant-failed", "unhealthy")
+                assert "torso_x" in reason["detail"]
+
+        run(scenario())
+
+    @staticmethod
+    def patch_row(monkeypatch, session, shard_id, **fields):
+        """Override fields of one shard's liveness row."""
+        runtime = session.runtime
+        rows = runtime.shard_liveness
+        monkeypatch.setattr(
+            runtime,
+            "shard_liveness",
+            lambda: [
+                {**row, **fields} if row["shard_id"] == shard_id else row for row in rows()
+            ],
+        )
+
+    @pytest.mark.parametrize(
+        "fields, later, http_status, status, code",
+        [
+            ({"backlog": 9, "tuples_processed": 42}, 6.0, 200, "degraded", "shard-stalled"),
+            ({"backlog": 9, "tuples_processed": 42}, 16.0, 503, "unhealthy", "shard-stalled"),
+            ({"alive": False, "backlog": 3}, 0.0, 503, "unhealthy", "shard-dead"),
+            ({"failed": True, "backlog": 3}, 0.0, 503, "unhealthy", "shard-failed"),
+        ],
+    )
+    def test_healthz_maps_each_shard_verdict(
+        self, monkeypatch, fields, later, http_status, status, code
+    ):
+        from repro.observability import health
+
+        tenants = {"ctl": TenantConfig(session=SessionConfig(shards=2))}
+        clock = [0.0]
+        monkeypatch.setattr(health, "monotonic_time", lambda: clock[0])
+
+        async def scenario():
+            async with serve(tenants=tenants) as server:
+                await connect(server, "ctl")
+                self.patch_row(monkeypatch, server.tenants["ctl"].session, 1, **fields)
+                await http_get(server, "/healthz")
+                clock[0] = later
+                response, body = await http_get(server, "/healthz")
+                document = json.loads(body)
+                assert (response, document["status"]) == (http_status, status)
+                (reason,) = document["reasons"]
+                assert (reason["tenant"], reason["subject"]) == ("ctl", "shard-1")
+                assert (reason["code"], reason["severity"]) == (code, status)
+
+        run(scenario())
+
+    def test_healthz_is_the_worst_tenant_with_each_reason_tagged(self, monkeypatch):
+        from repro.observability import health
+
+        tenants = {
+            name: TenantConfig(session=SessionConfig(shards=2)) for name in ("a", "b", "c")
+        }
+        clock = [0.0]
+        monkeypatch.setattr(health, "monotonic_time", lambda: clock[0])
+
+        async def scenario():
+            async with serve(tenants=tenants) as server:
+                for name in tenants:
+                    await connect(server, name)
+                sessions = {name: server.tenants[name].session for name in tenants}
+                self.patch_row(monkeypatch, sessions["a"], 0, backlog=9, tuples_processed=42)
+                self.patch_row(monkeypatch, sessions["b"], 1, alive=False, backlog=3)
+                await http_get(server, "/healthz")
+                clock[0] = 6.0
+                response, body = await http_get(server, "/healthz")
+                document = json.loads(body)
+                assert (response, document["status"]) == (503, "unhealthy")
+                assert [
+                    (reason["tenant"], reason["subject"], reason["code"])
+                    for reason in document["reasons"]
+                ] == [("a", "shard-0", "shard-stalled"), ("b", "shard-1", "shard-dead")]
+
+        run(scenario())
+
+    def test_healthz_skips_tenants_without_a_session(self):
+        # A refused hello registers its tenant without starting a session.
+        tenants = {"locked": TenantConfig(token="s3cret"), "used": TenantConfig()}
+
+        async def scenario():
+            async with serve(tenants=tenants) as server:
+                refused = await GatewayClient.connect("127.0.0.1", server.port)
+                with pytest.raises(GatewayProtocolError):
+                    await refused.hello("locked", token="wrong")
+                await refused.close()
+                await connect(server, "used")
+                assert server.tenants["locked"].session is None
+                response, body = await http_get(server, "/healthz")
+                document = json.loads(body)
+                assert (response, document["status"], document["reasons"]) == (200, "ok", [])
+                assert document["tenants"] == 2
+                assert set(document) == {"status", "reasons", "tenants", "connections"}
+                _, body = await http_get(server, "/debug/vars")
+                assert set(json.loads(body)["tenants"]) == {"used"}
+
+        run(scenario())
+
+    def test_alerts_endpoint_is_gone(self):
+        async def scenario():
+            async with serve() as server:
+                await connect(server, "t1")
+                return await http_get(server, "/alerts")
+
+        status, body = run(scenario())
+        assert status == 404
+        assert "/healthz" in body
 
     def test_metrics_expositions_carry_build_info_and_scrape_duration(self):
         async def scenario():

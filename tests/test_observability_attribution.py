@@ -171,17 +171,12 @@ class TestTopFrame:
         assert _render_top_frame({"tenants": {}}) == "no tenant sessions attached yet"
         assert _render_top_frame({}) == "no tenant sessions attached yet"
 
-    def test_health_and_active_alerts_are_listed(self):
+    def test_health_is_listed(self):
         frame = _render_top_frame(
-            self.document(
-                profile={"enabled": False},
-                health={"status": "degraded"},
-                active_alerts=["p99-page"],
-            )
+            self.document(profile={"enabled": False}, health={"status": "degraded"})
         )
         assert frame.splitlines() == [
             "tenant: t1",
             "  attribution off (SessionConfig.trace_sample_rate = 0)",
             "  health: degraded",
-            "  active alerts: ['p99-page']",
         ]

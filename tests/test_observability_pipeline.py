@@ -18,7 +18,6 @@ import pytest
 from repro.api.session import GestureSession, SessionConfig
 from repro.gateway import GatewayClient, GatewayConfig, GatewayServer, TenantConfig
 from repro.observability.__main__ import summarize_trace
-from repro.observability.health import WatchdogConfig
 
 HIGH = 'SELECT "high" MATCHING kinect_t(rhand_y > 450);'
 
@@ -124,20 +123,14 @@ class TestInlineSession:
 
     def test_detections_identical_with_and_without_telemetry(self):
         frames = make_frames()
-        control_plane = SessionConfig(
-            sample_interval_seconds=0.5, watchdog=WatchdogConfig()
-        )
         results = []
         for config in (SessionConfig(telemetry=False), SessionConfig(),
-                       SessionConfig(trace_sample_rate=1.0), control_plane):
+                       SessionConfig(trace_sample_rate=1.0)):
             with GestureSession(config) as session:
                 session.deploy(HIGH)
                 session.feed(frames, stream="kinect_t")
+                assert session.health().status == "ok"  # a read, not a feed
                 results.append([d.to_state() for d in session.detections()])
-                if config is control_plane:
-                    session.sampler.sample_once()
-                    assert session.sampler.names()
-                    assert session.health().status == "ok"
         assert results[0], "workload produced no detections"
         assert all(result == results[0] for result in results[1:])
 

@@ -27,12 +27,23 @@ from repo_lint import (  # noqa: E402 — path set up above
     MESSAGE_CARRIER,
     ORPHAN_CONSUMER_ROOTS,
     ORPHAN_KEEP,
+    REPO_ROOT,
     STRUCT_CODEC_MODULES,
+    THREAD_FORBIDDEN_PATH,
+    THREAD_STARTER,
     WALL_CLOCK_FORBIDDEN_PATHS,
     lint_file,
     lint_orphans,
     lint_repository,
     main,
+)
+
+
+#: Every package of the tree RL011 guards, read from the repository.
+GUARDED_PACKAGES = sorted(
+    path.name
+    for path in (REPO_ROOT / THREAD_FORBIDDEN_PATH).iterdir()
+    if (path / "__init__.py").is_file()
 )
 
 
@@ -57,7 +68,7 @@ class TestRepositoryIsClean:
         out = capsys.readouterr().out
         for code in (
             "RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007", "RL008", "RL009",
-            "RL010",
+            "RL010", "RL011",
         ):
             assert code in out
 
@@ -228,10 +239,12 @@ class TestRL003WallClock:
 
 
 class TestRL004UnnamedThreads:
+    # Threads are constructed in the transport only (RL011), so the naming
+    # rule is exercised there.
     def test_unnamed_thread_flagged(self, tmp_path):
         path = write_module(
             tmp_path,
-            "src/repro/runtime/bad_thread.py",
+            THREAD_STARTER,
             "import threading\nworker = threading.Thread(target=print, daemon=True)\n",
         )
         violations = lint_file(path, root=tmp_path)
@@ -242,7 +255,7 @@ class TestRL004UnnamedThreads:
     def test_bare_thread_import_flagged(self, tmp_path):
         path = write_module(
             tmp_path,
-            "src/repro/gateway/bad_thread.py",
+            THREAD_STARTER,
             "from threading import Thread\nworker = Thread(target=print)\n",
         )
         assert [v.code for v in lint_file(path, root=tmp_path)] == ["RL004"]
@@ -250,7 +263,7 @@ class TestRL004UnnamedThreads:
     def test_named_thread_allowed(self, tmp_path):
         path = write_module(
             tmp_path,
-            "src/repro/runtime/ok_thread.py",
+            THREAD_STARTER,
             "import threading\n"
             "worker = threading.Thread(target=print, name='repro-worker', daemon=True)\n",
         )
@@ -259,7 +272,7 @@ class TestRL004UnnamedThreads:
     def test_kwargs_splat_assumed_named(self, tmp_path):
         path = write_module(
             tmp_path,
-            "src/repro/runtime/splat_thread.py",
+            THREAD_STARTER,
             "import threading\n"
             "def spawn(**kwargs):\n"
             "    return threading.Thread(target=print, **kwargs)\n",
@@ -586,3 +599,72 @@ class TestRL010ATransportCarriesMessages:
         )
         assert lint_file(shard, root=tmp_path) == []
         assert lint_file(lookalike, root=tmp_path) == []
+
+
+class TestRL011ThreadsStartInTheTransportOnly:
+    @pytest.mark.parametrize(
+        "relative, source",
+        [
+            (
+                "src/repro/observability/sampler.py",
+                "import threading\n"
+                "beat = threading.Thread(target=print, name='repro-metrics-sampler')\n",
+            ),
+            (
+                "src/repro/api/session.py",
+                "from threading import Thread\nbeat = Thread(target=print, name='repro-beat')\n",
+            ),
+            (
+                "src/repro/runtime/shard.py",
+                "import threading\n"
+                "def spawn(**kwargs):\n"
+                "    return threading.Thread(target=print, **kwargs)\n",
+            ),
+        ],
+    )
+    def test_a_thread_outside_the_transport_is_flagged(self, tmp_path, relative, source):
+        path = write_module(tmp_path, relative, source)
+        violations = lint_file(path, root=tmp_path)
+        assert [v.code for v in violations] == ["RL011"]
+        assert "transport" in violations[0].message
+
+    def test_an_unnamed_thread_outside_the_transport_breaks_both_rules(self, tmp_path):
+        path = write_module(
+            tmp_path,
+            "src/repro/gateway/poller.py",
+            "import threading\nworker = threading.Thread(target=print)\n",
+        )
+        assert sorted(v.code for v in lint_file(path, root=tmp_path)) == ["RL004", "RL011"]
+
+    def test_the_transport_and_other_trees_may_start_threads(self, tmp_path):
+        source = "import threading\nworker = threading.Thread(target=print, name='repro-x')\n"
+        transport = write_module(tmp_path, THREAD_STARTER, source)
+        tool = write_module(tmp_path, "tools/helper.py", source)
+        bench = write_module(tmp_path, "benchmarks/e2e/load.py", source)
+        lookalike = write_module(
+            tmp_path,
+            "src/repro/runtime/timer.py",
+            "import threading\ntimer = threading.Timer(1.0, print)\nlock = threading.Lock()\n",
+        )
+        for path in (transport, tool, bench, lookalike):
+            assert lint_file(path, root=tmp_path) == []
+
+    @pytest.mark.parametrize("package", GUARDED_PACKAGES)
+    def test_every_package_is_covered(self, tmp_path, package):
+        path = write_module(
+            tmp_path,
+            f"{THREAD_FORBIDDEN_PATH}/{package}/poller.py",
+            "import threading\n"
+            "class Poller:\n"
+            "    def start(self):\n"
+            "        threading.Thread(target=print, name='repro-poller').start()\n",
+        )
+        violations = lint_file(path, root=tmp_path)
+        assert [(v.code, v.line) for v in violations] == [("RL011", 4)]
+
+    def test_the_real_transport_would_be_flagged_anywhere_else(self, tmp_path):
+        # The exemption is not vacuous: the transport does start threads.
+        source = (REPO_ROOT / THREAD_STARTER).read_text(encoding="utf-8")
+        moved = write_module(tmp_path, f"{THREAD_FORBIDDEN_PATH}/runtime/workers.py", source)
+        codes = [v.code for v in lint_file(moved, root=tmp_path)]
+        assert codes and set(codes) == {"RL011"}

@@ -26,6 +26,7 @@ from repro.errors import (
     SessionStateError,
     ShardFailedError,
 )
+from repro.observability.health import HealthWatchdog
 from repro.runtime import (
     BackpressurePolicy,
     HashPartitionRouter,
@@ -584,9 +585,30 @@ class TestProcessExecutor:
             with pytest.raises(ShardFailedError):
                 runtime.push_many("kinect_t", frames[:1])
             assert [d.partition for d in runtime.detections()] == [good]
+            # The health rules see the failure on the first read, not after
+            # a stall window: session.health() evaluates exactly these rows.
+            report = HealthWatchdog().evaluate({"shards": runtime.shard_liveness()}, now=0.0)
+            assert report.status == "unhealthy"
+            failed = f"shard-{router.shard_for_key(bad)}"
+            assert ("shard-failed", failed) in {(r.code, r.subject) for r in report.reasons}
         runtime.join(timeout=30.0)
         # The failed shard's worker was healthy; stopping the runtime ends it too.
         assert not any(shard.transport.alive for shard in runtime._shards)
+
+    def test_a_failed_shard_makes_session_health_unhealthy_at_once(self):
+        records = [
+            {"ts": 0.0, "player": player, "rhand_y": 500.0, "lock": threading.Lock()}
+            for player in range(1, 5)
+        ]
+        with GestureSession(session_config(2, shard_executor="process")) as session:
+            session.deploy(HIGH)
+            with pytest.raises(ShardFailedError):
+                session.feed(records, stream="kinect_t")
+                session.drain()
+            assert session.runtime.failed
+            report = session.health(now=0.0)
+            assert report.status == "unhealthy"
+            assert {r.code for r in report.reasons} == {"shard-failed"}
 
 
 # ---------------------------------------------------------------------------

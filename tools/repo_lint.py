@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repository-specific lint rules that generic linters do not cover.
 
-Ten rules, all born from real failure modes of this codebase:
+Eleven rules, all born from real failure modes of this codebase:
 
 ``RL001`` — no builtin ``hash()`` on routing/persistence code paths or in benchmarks
     CPython salts ``hash()`` per process (PYTHONHASHSEED), so a shard
@@ -99,6 +99,16 @@ Ten rules, all born from real failure modes of this codebase:
     telemetry are the shard protocol's.  ``src/repro/runtime/transport.py``
     may not import ``repro.cep`` or ``repro.observability``.
 
+``RL011`` — the control plane stays threadless; only a transport starts threads
+    A metrics-sampler thread once polled every session that asked for SLOs
+    or health rules, so a verdict depended on the beat of a second clock
+    and every test had to stop that thread before ticking by hand.  Health
+    is now evaluated when it is read.  Shard workers (and the process
+    transport's listener) are the only threads the package needs, and
+    ``src/repro/runtime/transport.py`` starts them; a ``threading.Thread(``
+    (or a bare ``Thread(``) anywhere else under ``src/repro`` is a
+    background poller growing back.
+
 Run as a script (CI) or through ``tests/test_repo_lint.py``::
 
     python tools/repo_lint.py            # lint the repository, exit 0/1
@@ -177,6 +187,10 @@ CONTROL_REPLAY_GUARDED_PATH = "src/repro"
 MESSAGE_CARRIER = "src/repro/runtime/transport.py"
 CARRIER_FORBIDDEN_IMPORTS = ("repro.cep", "repro.observability")
 
+#: The one module allowed to construct a thread (RL011); the tree it guards.
+THREAD_STARTER = MESSAGE_CARRIER
+THREAD_FORBIDDEN_PATH = "src/repro"
+
 #: The tree whose public names must have a caller (RL009); the trees outside
 #: it whose references count as callers.
 ORPHAN_GUARDED_PATH = "src/repro"
@@ -210,6 +224,9 @@ ORPHAN_KEEP = {
     "src/repro/cep/query.py::sequence": "the documented constructor of a hand-written pattern",
     "src/repro/observability/jsonlog.py::configure_json_logging": (
         "the opt-in switch an application calls; the library never configures logging"
+    ),
+    "src/repro/observability/clock.py::wall_clock": (
+        "the civil-time reader RL003 sends latency-path code to instead of time.time()"
     ),
 }
 
@@ -292,18 +309,22 @@ def _lint_wall_clock_calls(path: Path, tree: ast.AST, relative: str) -> Iterable
             )
 
 
-def _is_unnamed_thread_ctor(node: ast.AST) -> bool:
-    """Match ``threading.Thread(...)`` / ``Thread(...)`` without ``name=``."""
+def _is_thread_ctor(node: ast.AST) -> bool:
+    """Match ``threading.Thread(...)`` / ``Thread(...)``."""
     if not isinstance(node, ast.Call):
         return False
     func = node.func
-    is_thread = (
+    return (
         isinstance(func, ast.Attribute)
         and func.attr == "Thread"
         and isinstance(func.value, ast.Name)
         and func.value.id == "threading"
     ) or (isinstance(func, ast.Name) and func.id == "Thread")
-    if not is_thread:
+
+
+def _is_unnamed_thread_ctor(node: ast.AST) -> bool:
+    """Match ``threading.Thread(...)`` / ``Thread(...)`` without ``name=``."""
+    if not _is_thread_ctor(node):
         return False
     if any(keyword.arg is None for keyword in node.keywords):  # **kwargs: assume named
         return False
@@ -320,6 +341,19 @@ def _lint_unnamed_threads(path: Path, tree: ast.AST, relative: str) -> Iterable[
                 "threading.Thread(...) without name=; anonymous threads are "
                 "unattributable in span tids, health reports and "
                 "threading.enumerate() dumps — pass name='repro-<role>'",
+            )
+
+
+def _lint_thread_ctors(path: Path, tree: ast.AST, relative: str) -> Iterable[Violation]:
+    for node in ast.walk(tree):
+        if _is_thread_ctor(node):
+            yield Violation(
+                relative,
+                node.lineno,
+                "RL011",
+                "threading.Thread(...) outside the transport; the control plane "
+                "is evaluated on read and only repro.runtime.transport starts "
+                "(shard worker) threads",
             )
 
 
@@ -476,6 +510,8 @@ def lint_file(path: Path, root: Optional[Path] = None) -> List[Violation]:
         violations.extend(_lint_apply_control_calls(path, tree, relative))
     if posix == MESSAGE_CARRIER:
         violations.extend(_lint_carrier_imports(path, tree, relative))
+    if posix.startswith(THREAD_FORBIDDEN_PATH) and posix != THREAD_STARTER:
+        violations.extend(_lint_thread_ctors(path, tree, relative))
     return violations
 
 
@@ -598,6 +634,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "imports nothing from",
             ", ".join(CARRIER_FORBIDDEN_IMPORTS),
         )
+        print("RL011  threading.Thread( under", THREAD_FORBIDDEN_PATH, "only in", THREAD_STARTER)
         return 0
     violations = lint_repository()
     for violation in violations:
