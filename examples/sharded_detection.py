@@ -46,7 +46,6 @@ def main() -> None:
 
     config = SessionConfig(
         shards=4,                      # 4 worker shards, players hashed across them
-        backpressure="block",          # lossless replay; "drop_newest" sheds load instead
         workflow=WorkflowConfig(learner=LearnerConfig(joints=("rhand",))),
     )
     with GestureSession(config) as session:
@@ -86,9 +85,7 @@ def main() -> None:
         totals = session.metrics.totals()
         print(
             f"  total: {totals['tuples_processed']} tuples, "
-            f"{totals['detections']} detections, 0 dropped"
-            if totals["tuples_dropped"] == 0
-            else f"  total: {totals}"
+            f"{totals['detections']} detections"
         )
 
 

@@ -37,11 +37,12 @@ The matchers keep all their state per player, so detection over a shared
 multi-user stream is embarrassingly parallel — and
 ``GestureSession(SessionConfig(shards=N))`` exploits it: frames are routed
 to N worker shards by a stable hash of their ``player`` id, deployments
-fan out to every shard, and each shard bounds its tuples in flight under
-an explicit backpressure policy (``block`` / ``drop_newest`` / ``error``).  Per player
+fan out to every shard, and each shard bounds its tuples in flight: a
+feed that outruns the workers waits for them, and only a gateway tenant's
+edge queue sheds load.  Per player
 the detections are byte-identical to the inline engine's
 (``tests/test_execution_modes.py`` asserts it), ``session.metrics`` reports per-shard throughput / queue
-depth / drops, and ``shard_executor="process"`` turns the shards into
+depth, and ``shard_executor="process"`` turns the shards into
 worker processes for true multi-core parallelism:
 
 >>> from repro import GestureSession, SessionConfig            # doctest: +SKIP
@@ -68,7 +69,7 @@ The package is organised by subsystem:
     the CEP engine: query language, NFA matcher, views, sinks.
 ``repro.runtime``
     the sharded concurrent runtime: partition-hash routing, worker
-    shards with backpressure, merged results, metrics.
+    shards with bounded queues, merged results, metrics.
 ``repro.core``
     the learning pipeline: sampling, merging, validation, optimisation,
     query generation (the paper's contribution).

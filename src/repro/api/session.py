@@ -94,12 +94,7 @@ from repro.cep.engine import _UNSET, CEPEngine, Engine, QueryHandle
 from repro.cep.matcher import Detection, MatcherConfig
 from repro.cep.query import Query
 from repro.cep.sinks import Sink
-from repro.cep.views import (
-    RAW_STREAM_NAME,
-    TRANSFORMED_STREAM_NAME,
-    View,
-    install_kinect_view,
-)
+from repro.cep.views import RAW_STREAM_NAME, View, install_kinect_view
 from repro.core.description import GestureDescription
 from repro.core.learner import GestureLearner
 from repro.detection.detector import GestureDetector, GestureHandler
@@ -112,8 +107,7 @@ from repro.errors import (
     ShardFailedError,
 )
 from repro.observability.health import HealthReport, HealthWatchdog
-from repro.observability.telemetry import Telemetry, TelemetryConfig
-from repro.observability.tracing import TraceContext, use_context
+from repro.observability.tracing import TraceContext, Tracer, use_context
 from repro.persistence import (
     FSYNC_OWED_AFTER,
     DurabilityConfig,
@@ -146,8 +140,6 @@ class SessionConfig:
         Learning-pipeline configuration (its ``learner`` and ``querygen``
         entries are also what :meth:`GestureSession.learn` and
         :meth:`GestureSession.deploy` use for descriptions).
-    raw_stream / view_stream:
-        Names of the raw sensor stream and the transformed view.
     database_path:
         Gesture-database location (``":memory:"`` by default).
     batch_size:
@@ -164,12 +156,10 @@ class SessionConfig:
     shard_executor:
         ``"thread"`` (default) or ``"process"`` worker shards; only
         meaningful with ``shards > 1``.
-    backpressure:
-        Per-shard admission policy when feeding outruns the workers:
-        ``"block"`` (default), ``"drop_newest"`` or ``"error"``
-        (:mod:`repro.runtime.queues`).
     queue_capacity:
-        Per-shard bound on the tuples in flight to a worker.
+        Per-shard bound on the tuples in flight to a worker; feeding that
+        outruns the workers waits for them.  Load is shed only at a
+        gateway tenant's edge (``TenantConfig.policy``).
     analyze:
         Default static-analysis gate of :meth:`GestureSession.deploy` and
         :meth:`GestureSession.deploy_vocabulary`: ``"off"`` (default),
@@ -184,44 +174,22 @@ class SessionConfig:
         Fraction of feeds that start a trace (0.0, the default, records no
         spans and costs nothing on the hot path; 1.0 traces every feed).
         Sampled spans are exported by :meth:`GestureSession.export_trace`.
-    trace_buffer_size:
-        Span ring-buffer bound; oldest spans are evicted beyond it.
-    slow_batch_seconds:
-        When set, a batch taking longer than this logs a structured
-        warning on the ``repro.observability.slowlog`` logger.
     """
 
     matcher: MatcherConfig = field(default_factory=MatcherConfig)
     transform: TransformConfig = field(default_factory=TransformConfig)
     workflow: WorkflowConfig = field(default_factory=WorkflowConfig)
-    raw_stream: str = RAW_STREAM_NAME
-    view_stream: str = TRANSFORMED_STREAM_NAME
     database_path: Union[str, Path] = ":memory:"
     batch_size: Optional[int] = None
     deploy_control_gestures: bool = False
     shards: int = 1
     shard_executor: str = "thread"
-    backpressure: str = "block"
     queue_capacity: int = 2048
     analyze: str = "off"
     telemetry: bool = True
     trace_sample_rate: float = 0.0
-    trace_buffer_size: int = 4096
-    slow_batch_seconds: Optional[float] = None
-
-    def telemetry_config(self) -> Optional[TelemetryConfig]:
-        """The flat telemetry knobs as one config (``None`` when off)."""
-        if not self.telemetry:
-            return None
-        return TelemetryConfig(
-            trace_sample_rate=self.trace_sample_rate,
-            trace_buffer_size=self.trace_buffer_size,
-            slow_batch_seconds=self.slow_batch_seconds,
-        )
 
     def __post_init__(self) -> None:
-        if not self.raw_stream or not self.view_stream:
-            raise ValueError("stream names must be non-empty")
         if self.analyze not in ("off", "warn", "strict"):
             raise ValueError(
                 f"analyze must be 'off', 'warn' or 'strict', not {self.analyze!r}"
@@ -234,13 +202,10 @@ class SessionConfig:
             raise ValueError("shard_executor must be 'thread' or 'process'")
         if self.queue_capacity < 1:
             raise ValueError("queue_capacity must be at least 1")
-        # Validate the policy eagerly (and centrally) rather than at start().
-        from repro.runtime.queues import BackpressurePolicy
-
-        BackpressurePolicy.validate_shard(self.backpressure)
-        # TelemetryConfig validates rates/bounds/threshold in its own
-        # __post_init__; building it here surfaces bad knobs eagerly too.
-        self.telemetry_config()
+        if not 0.0 <= self.trace_sample_rate <= 1.0:
+            raise ValueError(
+                f"trace_sample_rate must be in [0, 1], got {self.trace_sample_rate!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -301,7 +266,7 @@ class GestureSession:
         self._durability_config = durability
         self._durability: Optional[DurabilityManager] = None
         self._metrics: Optional[MetricsRegistry] = None
-        self._telemetry: Optional[Telemetry] = None
+        self._tracer: Optional[Tracer] = None
         fsync = durability.fsync if durability is not None else None
         self._health = HealthWatchdog(FSYNC_OWED_AFTER.get(fsync))
         #: What the last :meth:`recover` replayed (``None`` on live sessions).
@@ -333,31 +298,25 @@ class GestureSession:
         return self
 
     def _build_engine(self) -> Engine:
-        """Build the engine, telemetry and registry: inline, or sharded."""
-        telemetry_config = self.config.telemetry_config()
-        if telemetry_config is not None:
-            self._telemetry = Telemetry(telemetry_config)
+        """Build the engine, tracer and registry: inline, or sharded."""
+        if self.config.telemetry:
+            self._tracer = Tracer(sample_rate=self.config.trace_sample_rate)
         if self.config.shards > 1:
-            return self._build_runtime(telemetry_config)
+            return self._build_runtime()
         engine = CEPEngine(matcher_config=self.config.matcher)
-        self._view = install_kinect_view(
-            engine,
-            transform_config=self.config.transform,
-            raw_name=self.config.raw_stream,
-            view_name=self.config.view_stream,
-        )
-        if self._telemetry is not None or self._durability_config is not None:
+        self._view = install_kinect_view(engine, transform_config=self.config.transform)
+        if self._tracer is not None or self._durability_config is not None:
             # Shard 0 of an inline registry holds the feed histograms, so
             # ``session.metrics`` (and a gateway scrape) works either way.
             self._metrics = MetricsRegistry()
-        if self._telemetry is not None:
+        if self._tracer is not None:
             # The engine measures its own ingest, as a runtime's shards do.
-            engine.telemetry = self._telemetry
+            engine.tracer = self._tracer
             engine.metrics = self._metrics
             self._metrics.set_query_stats_provider(engine.query_stats)
         return engine
 
-    def _build_runtime(self, telemetry_config: Optional[TelemetryConfig]) -> Engine:
+    def _build_runtime(self) -> Engine:
         """Build and start the :class:`~repro.runtime.ShardedRuntime`."""
         from repro.runtime import ShardedRuntime
         from repro.runtime.shard import ShardEngineSpec
@@ -365,17 +324,14 @@ class GestureSession:
         spec = ShardEngineSpec(
             matcher=self.config.matcher,
             transform=self.config.transform,
-            raw_stream=self.config.raw_stream,
-            view_stream=self.config.view_stream,
-            telemetry=telemetry_config,
+            telemetry=self.config.trace_sample_rate if self.config.telemetry else None,
         )
         runtime = ShardedRuntime(
             shard_count=self.config.shards,
             spec=spec,
             executor=self.config.shard_executor,
-            backpressure=self.config.backpressure,
             queue_capacity=self.config.queue_capacity,
-            telemetry=self._telemetry,
+            tracer=self._tracer,
         )
         runtime.start()
         self._runtime = runtime
@@ -470,9 +426,9 @@ class GestureSession:
         return self._metrics
 
     @property
-    def telemetry(self) -> Optional[Telemetry]:
-        """The live telemetry bundle (tracer + slow-batch log), or ``None``."""
-        return self._telemetry
+    def tracer(self) -> Optional[Tracer]:
+        """The session's span tracer, or ``None`` with telemetry off."""
+        return self._tracer
 
     @property
     def detector(self) -> GestureDetector:
@@ -737,7 +693,7 @@ class GestureSession:
         self._ensure_started()
         if batch_size is _UNSET:
             batch_size = self.config.batch_size
-        stream_name = stream or self.config.raw_stream
+        stream_name = stream or RAW_STREAM_NAME
         # Either engine measures its own ingest and originates its trace.
         if trace is None:
             count = self._engine.push_many(stream_name, frames, batch_size=batch_size)
@@ -751,7 +707,7 @@ class GestureSession:
     def feed_frame(self, frame: Mapping[str, float], stream: Optional[str] = None) -> None:
         """Push a single sensor frame (interactive / live sources)."""
         self._ensure_started()
-        self._engine.push(stream or self.config.raw_stream, frame)
+        self._engine.push(stream or RAW_STREAM_NAME, frame)
         if self._durability is not None:
             self._durability.maybe_snapshot()
 
@@ -892,7 +848,7 @@ class GestureSession:
         work.  With ``trace_sample_rate=0`` (the default) returns
         ``{"enabled": False}``.
         """
-        tracer = self._telemetry.tracer if self._telemetry is not None else None
+        tracer = self._tracer
         if tracer is None or not tracer.active:
             return {"enabled": False, "spans": 0, "queries": {}}
         self._engine.collect_telemetry()

@@ -96,8 +96,7 @@ from repro.cep.udf import default_functions
 from repro.cep.views import View
 from repro.transform.pipeline import KinectTransformer
 from repro.observability.clock import perf_clock
-from repro.observability.telemetry import Telemetry
-from repro.observability.tracing import current_context, use_context
+from repro.observability.tracing import Tracer, current_context, use_context
 from repro.errors import (
     QueryRegistrationError,
     SerializationError,
@@ -385,13 +384,13 @@ class CEPEngine(Taps):
         self._fanouts: Dict[str, _Fanout] = {}
         self._views: Dict[str, View] = {}
         self.tuples_processed = 0
-        #: Optional :class:`repro.observability.Telemetry`; when set and
+        #: Optional :class:`repro.observability.Tracer`; when set and
         #: tracing is active, matcher invocations record spans under the
         #: thread's ambient trace context.  ``None`` (the default) keeps
         #: the hot path at a single attribute check per handler call.
-        self.telemetry: Optional["Telemetry"] = None
+        self.tracer: Optional[Tracer] = None
         #: Optional ``repro.runtime.MetricsRegistry``, set together with
-        #: :attr:`telemetry`: every :meth:`push_many` is then measured into
+        #: :attr:`tracer`: every :meth:`push_many` is then measured into
         #: shard 0, as a sharded runtime's workers measure their batches.
         self.metrics: Optional[Any] = None
 
@@ -443,11 +442,11 @@ class CEPEngine(Taps):
         """
         if self.metrics is None:
             return self._push_many(stream_name, records, batch_size)
-        telemetry = self.telemetry
+        tracer = self.tracer
         trace = current_context()
-        if trace is None and telemetry.tracing_active:
-            trace = telemetry.tracer.sample("ingest")
-        span = telemetry.tracer.span("session.feed", "ingest", trace, stream=stream_name)
+        if trace is None and tracer.active:
+            trace = tracer.sample("ingest")
+        span = tracer.span("session.feed", "ingest", trace, stream=stream_name)
         started = perf_clock()
         if span is not None:
             with use_context(span.context):
@@ -463,7 +462,6 @@ class CEPEngine(Taps):
             tuples_enqueued=count, tuples_processed=count, batches_processed=1, busy_seconds=busy
         )
         self.metrics.histogram("ingest_to_detection").record(busy)
-        telemetry.maybe_log_slow_batch(busy, stream_name, count, context=trace)
         return count
 
     def _push_many(
@@ -704,10 +702,8 @@ class CEPEngine(Taps):
             index = fanout.index
             verdicts = index.lookup(record) if index.fields else None
             probe = -1 if verdicts is None else verdicts
-            telemetry = self.telemetry
-            context = (
-                current_context() if telemetry is not None and telemetry.tracing_active else None
-            )
+            tracer = self.tracer
+            context = current_context() if tracer is not None and tracer.active else None
             times: Dict[str, float] = {}
             first: Optional[Exception] = None
             for deployed, matcher, gate, field, partitions, timestamp_field in members:
@@ -730,7 +726,7 @@ class CEPEngine(Taps):
                         continue
                     span = None
                     if context is not None:
-                        span = telemetry.tracer.span(f"matcher:{deployed.name}", "matcher", context)
+                        span = tracer.span(f"matcher:{deployed.name}", "matcher", context)
                     detections = matcher.process(record, stream_name, timestamp, verdicts)
                     if span is not None:
                         span.close(tuples=1, detections=len(detections))
@@ -750,10 +746,8 @@ class CEPEngine(Taps):
             members = fanout.members or self._bind(stream_name, fanout)
             lookup = fanout.index.lookup
             verdicts = [lookup(record) for record in records] if fanout.index.fields else None
-            telemetry = self.telemetry
-            context = (
-                current_context() if telemetry is not None and telemetry.tracing_active else None
-            )
+            tracer = self.tracer
+            context = current_context() if tracer is not None and tracer.active else None
             times: Dict[str, List[float]] = {}
             first: Optional[Exception] = None
             for deployed, matcher, _, _, _, timestamp_field in members:
@@ -771,7 +765,7 @@ class CEPEngine(Taps):
                         times[timestamp_field] = timestamps
                     span = None
                     if context is not None:
-                        span = telemetry.tracer.span(f"matcher:{deployed.name}", "matcher", context)
+                        span = tracer.span(f"matcher:{deployed.name}", "matcher", context)
                     detections = matcher.process_batch(records, stream_name, timestamps, verdicts)
                     if span is not None:
                         span.close(tuples=len(records), detections=len(detections))
@@ -877,13 +871,13 @@ class CEPEngine(Taps):
         """No-op: every pushed tuple is processed before ``push`` returns."""
 
     def collect_telemetry(self, timeout: Optional[float] = None) -> None:
-        """No-op: matcher spans already land in :attr:`telemetry`."""
+        """No-op: matcher spans already land in :attr:`tracer`."""
 
     def export_trace(self) -> Dict[str, Any]:
         """The collected spans as a Chrome trace-event document."""
-        if self.telemetry is None:
+        if self.tracer is None:
             return {"traceEvents": [], "displayTimeUnit": "ms"}
-        return self.telemetry.tracer.export()
+        return self.tracer.export()
 
     # -- state capture / restore ----------------------------------------------------------
 

@@ -27,7 +27,7 @@ from repro.transform.pipeline import KinectTransformer, TransformConfig
 #: Sentinel distinguishing "parameter not given" from an explicit ``None``.
 _UNSET: Any = object()
 
-#: Default names of the raw and transformed Kinect streams.
+#: Names of the raw and transformed Kinect streams.
 RAW_STREAM_NAME = "kinect"
 TRANSFORMED_STREAM_NAME = "kinect_t"
 
@@ -121,11 +121,9 @@ class View:
 def install_kinect_view(
     engine: "CEPEngine",
     transform_config: Optional[TransformConfig] = None,
-    raw_name: str = RAW_STREAM_NAME,
-    view_name: str = TRANSFORMED_STREAM_NAME,
     partition_field: Optional[str] = _UNSET,
 ) -> View:
-    """Create the raw Kinect stream and its transformed ``kinect_t`` view.
+    """Create the raw ``kinect`` stream and its transformed ``kinect_t`` view.
 
     Registers two streams with the engine (if not present yet) and installs
     the transformation view between them.  Returns the installed view; its
@@ -148,10 +146,10 @@ def install_kinect_view(
     transformed stream.  ``partition_field`` here overrides the config's
     value (pass ``None`` explicitly for one shared smoothing state).
     """
-    if raw_name not in engine.streams:
-        engine.create_stream(raw_name)
+    if RAW_STREAM_NAME not in engine.streams:
+        engine.create_stream(RAW_STREAM_NAME)
     config = transform_config
     if partition_field is not _UNSET:
         config = replace(config or TransformConfig(), partition_field=partition_field)
     transformer = KinectTransformer(config)
-    return engine.register_view(view_name, raw_name, transformer)
+    return engine.register_view(TRANSFORMED_STREAM_NAME, RAW_STREAM_NAME, transformer)

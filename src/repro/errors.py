@@ -226,11 +226,6 @@ class RuntimeStateError(ShardedRuntimeError):
     (e.g. feeding before ``start()`` or after ``stop()``)."""
 
 
-class BackpressureError(ShardedRuntimeError):
-    """A bounded shard queue is full and its backpressure policy is
-    ``"error"``: the producer must slow down or drop data itself."""
-
-
 class ShardFailedError(ShardedRuntimeError):
     """A worker shard died on an exception.
 
@@ -329,6 +324,11 @@ class GatewayProtocolError(GatewayError):
         #: Extra fields copied onto the error frame (e.g. the analyzer's
         #: diagnostic ``codes`` on an ``analysis_rejected`` rejection).
         self.extra = extra
+
+
+class BackpressureError(GatewayError):
+    """A tenant's edge ingest queue is full and its admission policy is
+    ``"error"``: the client must slow down or drop data itself."""
 
 
 class AdmissionError(GatewayError):

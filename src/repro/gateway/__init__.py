@@ -3,8 +3,8 @@
 A stdlib-only asyncio gateway that exposes the in-process
 :class:`~repro.api.session.GestureSession` API over websockets: tenants
 attach with ``hello``, deploy vocabularies through the static-analyzer
-gate, stream framed tuples under edge admission control (the runtime's
-backpressure policies mapped to per-client behaviour), and receive
+gate, stream framed tuples under edge admission control (per-tenant
+backpressure policies, the one place the pipeline drops tuples), and receive
 detections pushed in order.  ``GET /healthz`` and ``GET /metrics``
 (Prometheus text exposition) ride on the same port.
 

@@ -25,7 +25,7 @@ The config file mirrors :class:`~repro.gateway.server.GatewayConfig`::
           "pending_capacity": 8192,
           "max_connections": 128,
           "rate_limit_tuples_per_second": 50000,
-          "session": {"shards": 4, "backpressure": "block", "analyze": "strict"}
+          "session": {"shards": 4, "queue_capacity": 4096, "analyze": "strict"}
         }
       }
     }
@@ -42,7 +42,7 @@ from typing import Any, Dict, Mapping, Optional
 
 from repro.api.session import SessionConfig
 from repro.gateway.server import GatewayConfig, GatewayServer
-from repro.gateway.tenants import TenantConfig
+from repro.gateway.tenants import BackpressurePolicy, TenantConfig
 
 __all__ = ["main", "build_config", "tenant_config_from_dict"]
 
@@ -50,13 +50,10 @@ __all__ = ["main", "build_config", "tenant_config_from_dict"]
 #: matcher/transform/workflow configs stay at their defaults — the
 #: gateway is an ingestion front door, not a learning workbench).
 _SESSION_FIELDS = (
-    "raw_stream",
-    "view_stream",
     "database_path",
     "batch_size",
     "shards",
     "shard_executor",
-    "backpressure",
     "queue_capacity",
     "analyze",
 )
@@ -147,7 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--policy",
-        choices=("block", "drop_oldest", "drop_newest", "error"),
+        choices=BackpressurePolicy.ALL,
         help="edge admission policy of dynamic tenants",
     )
     parser.add_argument(

@@ -559,10 +559,9 @@ class GatewayServer:
         tracing is off.
         """
         session = tenant.session
-        telemetry = session.telemetry if session is not None else None
-        if telemetry is None or not telemetry.tracing_active:
+        tracer = session.tracer if session is not None else None
+        if tracer is None or not tracer.active:
             return None
-        tracer = telemetry.tracer
         supplied = message.get("trace")
         trace: Optional[TraceContext]
         if isinstance(supplied, Mapping):

@@ -14,9 +14,10 @@ has its own engine(s), matchers, detector, metrics and database (see
 backlog or failure never shows up in another tenant's detections — the
 property the whole gateway tenancy model rests on.
 
-Edge admission applies a backpressure policy per client; besides the
-runtime's three it offers ``drop_oldest``, which only an edge queue can
-implement:
+Edge admission applies a backpressure policy per client
+(:class:`BackpressurePolicy`).  The edge is the one place the pipeline
+sheds load: below it a sharded session's producer waits for its shards,
+so every tuple the tenant feeds is processed.  The four policies:
 
 ``block``
     The ``tuples`` frame is held (the server stops reading that client's
@@ -49,9 +50,15 @@ from repro.detection.events import GestureEvent
 from repro.errors import AdmissionError, BackpressureError, GatewayError
 from repro.observability.registry import Family, Sample, scalar_samples
 from repro.observability.tracing import TraceContext
-from repro.runtime.queues import BackpressurePolicy
 
-__all__ = ["TENANT_FAMILIES", "TenantConfig", "Tenant", "TokenBucket", "AsyncIngestQueue"]
+__all__ = [
+    "TENANT_FAMILIES",
+    "AsyncIngestQueue",
+    "BackpressurePolicy",
+    "Tenant",
+    "TenantConfig",
+    "TokenBucket",
+]
 
 #: Per-tenant admission series of the gateway's ``/metrics`` (label
 #: ``tenant``); the keys are those of :meth:`Tenant.snapshot`.
@@ -61,6 +68,25 @@ TENANT_FAMILIES = (
     Family("tuples_fed", "repro_gateway_tenant_tuples_fed_total", "counter", "Tuples fed to the tenant's session."),
     Family("tuples_dropped", "repro_gateway_tenant_tuples_dropped_total", "counter", "Tuples the tenant's admission policy dropped."),
 )
+
+
+class BackpressurePolicy:
+    """The edge admission policy names (see the module docstring)."""
+
+    BLOCK = "block"
+    DROP_OLDEST = "drop_oldest"
+    DROP_NEWEST = "drop_newest"
+    ERROR = "error"
+
+    ALL = (BLOCK, DROP_OLDEST, DROP_NEWEST, ERROR)
+
+    @classmethod
+    def validate(cls, policy: str) -> str:
+        if policy not in cls.ALL:
+            raise ValueError(
+                f"unknown backpressure policy {policy!r}; expected one of {cls.ALL}"
+            )
+        return policy
 
 
 @dataclass(frozen=True)
@@ -79,10 +105,9 @@ class TenantConfig:
         ``tuples`` frame's records go to the engine at once when the frame
         names no ``batch``; unset, a frame is one batch).
     policy:
-        Edge admission policy (any
-        :class:`~repro.runtime.queues.BackpressurePolicy` name, including
-        ``drop_oldest``).  It governs the tenant's ingest queue only; a
-        sharded session's ``backpressure`` is ``session.backpressure``.
+        Edge admission policy (a :class:`BackpressurePolicy` name).  It
+        governs the tenant's ingest queue, the one place the tenant's
+        tuples can be dropped: a sharded session behind it never drops.
     pending_capacity:
         Bound on tuples admitted but not yet fed, per tenant.
     max_connections:
@@ -436,9 +461,13 @@ class Tenant:
 
     def raise_if_failed(self) -> None:
         if self.failure is not None:
-            raise GatewayError(
-                f"tenant '{self.name}' failed: {self.failure!r}"
-            ) from self.failure
+            raise self._failed_error()
+
+    def _failed_error(self) -> GatewayError:
+        """What every later request meets once a feed failed the tenant."""
+        error = GatewayError(f"tenant '{self.name}' failed: {self.failure!r}")
+        error.__cause__ = self.failure
+        return error
 
     # -- worker ------------------------------------------------------------------------
 
@@ -454,7 +483,12 @@ class Tenant:
         return events
 
     async def _run_worker(self) -> None:
-        """Service the ingest queue in order; feeds run on the executor."""
+        """Service the ingest queue in order; feeds run on the executor.
+
+        Once a feed failed the tenant, nothing queued behind it runs: later
+        frames are not fed and every queued control fails with the
+        tenant's failure.  ``stop`` still resolves, so :meth:`close` works.
+        """
         loop = asyncio.get_running_loop()
         assert self.session is not None
         session = self.session
@@ -462,6 +496,10 @@ class Tenant:
             item = await self.queue.get()
             if item is None:
                 break
+            if self.failure is not None and item.op != "stop":
+                if item.future is not None and not item.future.cancelled():
+                    item.future.set_exception(self._failed_error())
+                continue
             try:
                 if item.kind == "tuples":
                     assert item.records is not None

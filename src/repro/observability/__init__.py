@@ -35,7 +35,6 @@ from repro.observability.health import HealthReason, HealthReport, HealthWatchdo
 from repro.observability.histogram import LatencyHistogram
 from repro.observability.jsonlog import JsonFormatter, configure_json_logging
 from repro.observability.registry import Family, MetricSet, exposition
-from repro.observability.telemetry import Telemetry, TelemetryConfig
 from repro.observability.tracing import (
     SpanHandle,
     TraceContext,
@@ -53,8 +52,6 @@ __all__ = [
     "LatencyHistogram",
     "MetricSet",
     "SpanHandle",
-    "Telemetry",
-    "TelemetryConfig",
     "TraceContext",
     "Tracer",
     "configure_json_logging",

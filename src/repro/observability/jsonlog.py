@@ -4,8 +4,8 @@ One JSON object per line: timestamp, level, logger, message, and — the
 part that makes logs joinable with traces — a ``trace_id`` field filled
 from either an explicit ``extra={"trace_id": ...}`` on the log call or
 the thread's ambient :func:`~repro.observability.tracing.current_context`
-(the shard worker installs it around each sampled batch, so a slow-batch
-warning logged mid-batch correlates with its trace for free).
+(the shard worker installs it around each sampled batch, so a line
+logged mid-batch correlates with its trace for free).
 
 Arbitrary structured payloads ride in ``extra={"data": {...}}`` and are
 merged into the object; values that don't survive ``json.dumps`` are

@@ -7,19 +7,17 @@ side by side:
 ``repro.runtime.router``
     stable partition-hash routing — all tuples of one player reach the
     same shard, in order.
-``repro.runtime.queues``
-    the backpressure policy names: a shard admits tuples under
-    ``block`` / ``drop_newest`` / ``error``.
 ``repro.runtime.shard``
     the worker loop and its parent-side handle: one message protocol,
-    admission by credits, and graceful failure reporting.
+    admission by credits (a producer that outruns a shard waits; only
+    the gateway's edge drops tuples), and graceful failure reporting.
 ``repro.runtime.transport``
     what carries the protocol: a FIFO to a worker thread, or
     ``multiprocessing`` pipes to a worker process.
 ``repro.runtime.results``
     merging per-shard detections into one timestamp-ordered view.
 ``repro.runtime.metrics``
-    the per-shard counter families (throughput / queue depth / drops /
+    the per-shard counter families (throughput / queue depth /
     detections) and the registry that aggregates them.
 ``repro.runtime.sharded``
     :class:`ShardedRuntime`, the engine-shaped façade over all of it.
@@ -31,21 +29,17 @@ sharded runtime transparently (see :mod:`repro.api.session`).
 """
 
 from repro.errors import (
-    BackpressureError,
     RuntimeStateError,
     ShardedRuntimeError,
     ShardFailedError,
 )
 from repro.runtime.metrics import MetricsRegistry
-from repro.runtime.queues import BackpressurePolicy
 from repro.runtime.results import DetectionLog, merge_detections
 from repro.runtime.router import HashPartitionRouter, stable_partition_hash
 from repro.runtime.shard import RemoteShardError, ShardEngineSpec, ShardFailure
 from repro.runtime.sharded import ShardedQuery, ShardedRuntime
 
 __all__ = [
-    "BackpressureError",
-    "BackpressurePolicy",
     "DetectionLog",
     "HashPartitionRouter",
     "MetricsRegistry",

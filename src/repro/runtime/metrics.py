@@ -48,7 +48,6 @@ _logger = logging.getLogger(__name__)
 SHARD_FAMILIES = (
     Family("tuples_enqueued", "repro_shard_tuples_enqueued_total", "counter", "Tuples accepted into the shard queue."),
     Family("tuples_processed", "repro_shard_tuples_processed_total", "counter", "Tuples fully processed by the shard worker."),
-    Family("tuples_dropped", "repro_shard_tuples_dropped_total", "counter", "Tuples dropped by the queue's backpressure policy."),
     Family("batches_processed", "repro_shard_batches_processed_total", "counter", "Work items the shard worker completed."),
     Family("detections", "repro_shard_detections_total", "counter", "Detections emitted by the shard."),
     Family("errors", "repro_shard_errors_total", "counter", "Errors recorded against the shard."),

@@ -30,13 +30,11 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, 
 from repro.cep.engine import CEPEngine
 from repro.cep.matcher import Detection, MatcherConfig
 from repro.cep.sinks import CallbackSink
-from repro.cep.views import RAW_STREAM_NAME, TRANSFORMED_STREAM_NAME, install_kinect_view
-from repro.errors import BackpressureError, RuntimeStateError, ShardFailedError
+from repro.cep.views import TRANSFORMED_STREAM_NAME, install_kinect_view
+from repro.errors import RuntimeStateError, ShardFailedError
 from repro.observability.clock import monotonic_time, perf_clock
 from repro.observability.registry import MetricSet
-from repro.observability.telemetry import Telemetry, TelemetryConfig
-from repro.observability.tracing import TraceContext, use_context
-from repro.runtime.queues import BackpressurePolicy
+from repro.observability.tracing import TraceContext, Tracer, use_context
 from repro.streams.clock import SimulatedClock
 from repro.transform.pipeline import TransformConfig
 
@@ -103,41 +101,33 @@ class ShardEngineSpec:
 
     Each shard builds the standard stack from it: a fresh
     :class:`~repro.cep.engine.CEPEngine` with the configured matcher
-    defaults and the Kinect transformation view between ``raw_stream`` and
-    ``view_stream``.  Being a plain dataclass of plain dataclasses it
-    crosses a process boundary losslessly, which is what lets thread and
-    process workers run *identical* engines.
+    defaults and the Kinect transformation view from ``kinect`` to
+    ``kinect_t`` — or, with ``install_view=False``, only a ``kinect_t``
+    stream to feed transformed tuples into.  Being a plain dataclass of
+    plain dataclasses it crosses a process boundary losslessly, which is
+    what lets thread and process workers run *identical* engines.
     """
 
     matcher: MatcherConfig = field(default_factory=MatcherConfig)
     transform: TransformConfig = field(default_factory=TransformConfig)
-    raw_stream: str = RAW_STREAM_NAME
-    view_stream: str = TRANSFORMED_STREAM_NAME
     install_view: bool = True
-    #: Telemetry knobs for the shard's side of the pipeline.  Rides the
-    #: pickle boundary with the rest of the spec, so a worker process
-    #: builds the same tracer/histogram configuration the parent
-    #: runs (``None`` = telemetry fully off).
-    telemetry: Optional[TelemetryConfig] = None
+    #: The sample rate of the worker's tracer; ``None`` means telemetry is
+    #: off and the worker has no tracer.  Rides the pickle boundary with
+    #: the rest of the spec, so a worker process builds the same tracer
+    #: the parent runs.
+    telemetry: Optional[float] = None
 
     def build(self) -> CEPEngine:
         engine = CEPEngine(clock=SimulatedClock(), matcher_config=self.matcher)
         if self.install_view:
-            install_kinect_view(
-                engine,
-                transform_config=self.transform,
-                raw_name=self.raw_stream,
-                view_name=self.view_stream,
-            )
-        elif self.raw_stream not in engine.streams:
-            engine.create_stream(self.raw_stream)
+            install_kinect_view(engine, transform_config=self.transform)
+        else:
+            engine.create_stream(TRANSFORMED_STREAM_NAME)
         return engine
 
-    def build_telemetry(self) -> Optional[Telemetry]:
-        """The live telemetry bundle this spec describes (``None`` when off)."""
-        if self.telemetry is None:
-            return None
-        return Telemetry(self.telemetry)
+    def build_tracer(self) -> Optional[Tracer]:
+        """The tracer this spec describes (``None`` with telemetry off)."""
+        return None if self.telemetry is None else Tracer(sample_rate=self.telemetry)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +181,7 @@ def _apply_control(engine: CEPEngine, op: str, payload: Any) -> Any:
 
 def _run_batch(
     engine: CEPEngine,
-    telemetry: Optional[Telemetry],
+    tracer: Optional[Tracer],
     shard_id: int,
     stream: str,
     records: Sequence[Mapping[str, Any]],
@@ -212,8 +202,8 @@ def _run_batch(
         dequeued_at = monotonic_time()
         queue_wait = max(0.0, dequeued_at - enqueued_at)
     span = None
-    if trace is not None and telemetry is not None and telemetry.tracing_active:
-        telemetry.tracer.record_between(
+    if trace is not None and tracer is not None and tracer.active:
+        tracer.record_between(
             "queue.wait",
             "queue",
             trace,
@@ -222,7 +212,7 @@ def _run_batch(
             shard=shard_id,
             tuples=len(records),
         )
-        span = telemetry.tracer.span(
+        span = tracer.span(
             "shard.batch",
             "shard",
             trace,
@@ -239,10 +229,6 @@ def _run_batch(
     busy = perf_clock() - started
     if span is not None:
         span.close()
-    if telemetry is not None:
-        telemetry.maybe_log_slow_batch(
-            busy, stream, len(records), shard_id=shard_id, context=trace
-        )
     return busy, queue_wait
 
 
@@ -261,13 +247,13 @@ def worker_loop(
     which carries the batch's detections in emission order, a control its
     ``ack`` or ``nack``.  A data-path failure ends the loop with
     ``failed``, carrying the detections emitted before it.  The worker
-    builds its own telemetry bundle from the spec and ships its spans on
+    builds its own tracer from the spec and ships its spans on
     ``telemetry`` controls.
     """
     try:
         engine = spec.build()
-        telemetry = spec.build_telemetry()
-        engine.telemetry = telemetry
+        tracer = spec.build_tracer()
+        engine.tracer = tracer
     except Exception as error:  # noqa: BLE001 — a dead shard must report, not raise
         send(("failed", error, traceback.format_exc(), []))
         send(("bye",))
@@ -303,7 +289,7 @@ def worker_loop(
                 _tag, stream, records, batch_size, meta = message
                 enqueued_at = meta[0] if meta is not None else None
                 busy, queue_wait = _run_batch(
-                    engine, telemetry, shard_id, stream, records, batch_size, meta
+                    engine, tracer, shard_id, stream, records, batch_size, meta
                 )
                 enqueued_at = None
                 reply = ("done", len(records), busy, queue_wait, emitted)
@@ -316,7 +302,7 @@ def worker_loop(
                     # own tracer (spans are never re-sent), which
                     # ``_apply_control`` cannot see.
                     if op == "telemetry":
-                        result = None if telemetry is None else {"spans": telemetry.tracer.drain()}
+                        result = None if tracer is None else {"spans": tracer.drain()}
                     else:
                         result = _apply_control(engine, op, payload)
                 except Exception as error:  # noqa: BLE001 — report to the caller, shard lives
@@ -352,24 +338,21 @@ class _Credits:
         self._released = threading.Condition(self._lock)
         self.broken = False
 
-    def acquire(self, count: int, block: bool) -> Optional[int]:
-        """Admit ``count`` tuples; the new in-flight total, or ``None`` if refused.
+    def acquire(self, count: int) -> Optional[int]:
+        """Admit ``count`` tuples; the new in-flight total, or ``None`` if broken.
 
-        A blocking caller waits while earlier work is in flight and the
-        chunk does not fit; with nothing in flight any chunk is admitted,
-        so an oversized one cannot wait forever on itself.
+        The caller waits while earlier work is in flight and the chunk
+        does not fit; with nothing in flight any chunk is admitted, so an
+        oversized one cannot wait forever on itself.
         """
         with self._lock:
-            if block:
-                while (
-                    self._in_flight > 0
-                    and self._in_flight + count > self.capacity
-                    and not self.broken
-                ):
-                    self._released.wait()
-                if self.broken:
-                    return None
-            elif self._in_flight + count > self.capacity:
+            while (
+                self._in_flight > 0
+                and self._in_flight + count > self.capacity
+                and not self.broken
+            ):
+                self._released.wait()
+            if self.broken:
                 return None
             self._in_flight += count
             return self._in_flight
@@ -395,9 +378,9 @@ class Shard:
     """Parent-side handle of one worker: producer API plus message handler.
 
     Owns everything that is the same whichever transport carries the
-    messages: admission under the backpressure ``policy`` (at most
-    ``capacity`` tuples in flight, refilled by the worker's ``done``
-    messages), failure bookkeeping, chunked tuple enqueue, the
+    messages: admission (at most ``capacity`` tuples in flight, refilled
+    by the worker's ``done`` messages; a producer that outruns the worker
+    waits), failure bookkeeping, chunked tuple enqueue, the
     token-keyed control round-trip, and the handler for what the worker
     sends back.
     """
@@ -408,18 +391,16 @@ class Shard:
         metrics: MetricSet,
         on_detections: DetectionCallback,
         transport: "Transport",
-        telemetry: Optional[Telemetry] = None,
+        tracer: Optional[Tracer] = None,
         capacity: int = 2048,
-        policy: str = BackpressurePolicy.BLOCK,
     ) -> None:
         self.shard_id = shard_id
         self.metrics = metrics
         self.transport = transport
-        #: The parent-side bundle; the worker's spans are absorbed into it
-        #: by :meth:`collect_telemetry`.
-        self.telemetry = telemetry
+        #: The parent-side tracer; the worker's spans are absorbed into it
+        #: by :meth:`collect_telemetry`.  ``None`` with telemetry off.
+        self.tracer = tracer
         self.capacity = capacity
-        self.policy = policy
         self._credits = _Credits(capacity)
         self._on_detections = on_detections
         self._failure: Optional[ShardFailure] = None
@@ -501,23 +482,12 @@ class Shard:
             raise RuntimeStateError(f"shard {self.shard_id} is stopped")
         self.transport.send(message)
 
-    def _admit(self, count: int) -> bool:
-        """Take ``count`` credits under the policy; ``False`` drops the chunk."""
-        in_flight = self._credits.acquire(count, block=self.policy == BackpressurePolicy.BLOCK)
-        if in_flight is not None:
-            self.metrics.raise_to("queue_depth_hwm", in_flight)
-            return True
-        if self._credits.broken:
+    def _admit(self, count: int) -> None:
+        """Take ``count`` credits, waiting for ``done`` messages to free them."""
+        in_flight = self._credits.acquire(count)
+        if in_flight is None:
             raise RuntimeStateError(f"shard {self.shard_id} worker is gone")
-        if self.policy == BackpressurePolicy.DROP_NEWEST:
-            # The offered chunk is rejected whole; admitted work keeps its
-            # service guarantee.
-            self.metrics.add(tuples_dropped=count)
-            return False
-        raise BackpressureError(
-            f"shard {self.shard_id} is full ({self._credits.in_flight}/"
-            f"{self.capacity} tuples in flight, {count} more offered)"
-        )
+        self.metrics.raise_to("queue_depth_hwm", in_flight)
 
     def enqueue_tuples(
         self,
@@ -526,12 +496,12 @@ class Shard:
         batch_size: Optional[int] = None,
         trace: Optional[TraceContext] = None,
     ) -> None:
-        """Queue a chunk of tuples for this shard, respecting backpressure.
+        """Queue a chunk of tuples for this shard, waiting for credits.
 
-        Chunks are split to at most the capacity so the ``block`` policy's
-        bound stays meaningful, and to at most ``batch_size`` so the
-        worker's engine sees the same chunk boundaries an inline
-        ``push_many(batch_size=…)`` would produce.
+        Chunks are split to at most the capacity so the credit bound stays
+        meaningful, and to at most ``batch_size`` so the worker's engine
+        sees the same chunk boundaries an inline ``push_many(batch_size=…)``
+        would produce.
 
         With telemetry on, each chunk carries ``(enqueue_time, trace)`` so
         the worker can measure queue wait and detection latency and
@@ -542,15 +512,15 @@ class Shard:
         readings share its epoch.
         """
         self.raise_if_failed()
-        meta = (monotonic_time(), trace) if self.telemetry is not None else None
+        meta = (monotonic_time(), trace) if self.tracer is not None else None
         limit = self.capacity if batch_size is None else min(self.capacity, batch_size)
         for start in range(0, len(records), limit):
             chunk = records[start : start + limit]
             # A plain list crosses any transport, whatever Sequence came in.
             chunk = chunk if isinstance(chunk, list) else list(chunk)
             try:
-                if self._admit(len(chunk)):
-                    self._send(("tuples", stream, chunk, batch_size, meta))
+                self._admit(len(chunk))
+                self._send(("tuples", stream, chunk, batch_size, meta))
             except RuntimeStateError:
                 # Credits break when the worker dies; surface the cause.
                 self.raise_if_failed()
@@ -560,7 +530,7 @@ class Shard:
     def control(self, op: str, payload: Any = None, timeout: Optional[float] = None) -> Any:
         """Run a control operation on the worker and wait for its result.
 
-        Controls take no credits and are never dropped.  A failing control
+        Controls take no credits, so they never wait for one.  A failing control
         raises its error here and leaves the shard alive; a shard that
         fails (or whose worker vanishes) while the control is pending
         raises :class:`~repro.errors.ShardFailedError`.
@@ -611,12 +581,12 @@ class Shard:
         They are drained worker-side, so each is absorbed exactly once.
         Nothing to do with telemetry off.
         """
-        if self.telemetry is None:
+        if self.tracer is None:
             return
         # ``None`` from a worker that was configured without telemetry.
         payload = self.control("telemetry", timeout=timeout) or {}
         if payload.get("spans"):
-            self.telemetry.tracer.absorb(payload["spans"])
+            self.tracer.absorb(payload["spans"])
 
     # -- worker → parent ---------------------------------------------------------------
 

@@ -35,6 +35,7 @@ from repro.cep.engine import _UNSET, Taps, coerce_query
 from repro.cep.matcher import Detection, MatcherConfig
 from repro.cep.query import Query
 from repro.cep.sinks import FanOutSink, Sink
+from repro.cep.views import RAW_STREAM_NAME, TRANSFORMED_STREAM_NAME
 from repro.errors import (
     QueryRegistrationError,
     RuntimeStateError,
@@ -44,10 +45,8 @@ from repro.errors import (
     UnknownQueryError,
     UnknownStreamError,
 )
-from repro.observability.telemetry import Telemetry
-from repro.observability.tracing import TraceContext, current_context
+from repro.observability.tracing import TraceContext, Tracer, current_context
 from repro.runtime.metrics import MetricsRegistry
-from repro.runtime.queues import BackpressurePolicy
 from repro.runtime.results import DetectionLog
 from repro.runtime.router import HashPartitionRouter
 from repro.runtime.shard import Emitted, Shard, ShardEngineSpec, ShardFailure
@@ -103,16 +102,14 @@ class ShardedRuntime(Taps):
         wanted — :class:`~repro.api.session.SessionConfig` keeps ``shards=1``
         on the inline path for exactly that reason.
     spec:
-        Per-shard engine recipe (matcher/transform configuration, stream
-        names).  Every shard builds an identical engine from it.
+        Per-shard engine recipe (matcher/transform configuration, view,
+        trace sample rate).  Every shard builds an identical engine from it.
     executor:
         ``"thread"`` (default) or ``"process"`` — see ``docs/runtime.md``.
-    backpressure:
-        Admission policy when a producer outruns a shard: ``"block"``
-        (default), ``"drop_newest"`` or ``"error"``
-        (:mod:`repro.runtime.queues`).
     queue_capacity:
-        Per-shard bound on the tuples in flight to the worker.
+        Per-shard bound on the tuples in flight to the worker; a producer
+        that outruns a shard waits for it.  Nothing below the gateway's
+        edge drops a tuple.
     partition_field:
         Tuple field the router hashes (default: the spec's matcher
         partition field).  Deployed queries must partition on the same
@@ -123,6 +120,10 @@ class ShardedRuntime(Taps):
     clock:
         Time source reported to callers (``feedback()`` timestamps);
         defaults to a fresh simulated clock.
+    tracer:
+        The parent-side tracer the workers' spans are collected into;
+        built from the spec unless the caller shares one (the session
+        does, so gateway and runtime spans land in one buffer).
     """
 
     def __init__(
@@ -130,12 +131,11 @@ class ShardedRuntime(Taps):
         shard_count: int,
         spec: Optional[ShardEngineSpec] = None,
         executor: str = "thread",
-        backpressure: str = BackpressurePolicy.BLOCK,
         queue_capacity: int = 2048,
         partition_field: Optional[str] = None,
         metrics: Optional[MetricsRegistry] = None,
         clock: Optional[Clock] = None,
-        telemetry: Optional[Telemetry] = None,
+        tracer: Optional[Tracer] = None,
     ) -> None:
         if shard_count < 1:
             raise ValueError("shard_count must be at least 1")
@@ -143,7 +143,6 @@ class ShardedRuntime(Taps):
             raise ValueError(
                 f"unknown executor {executor!r}; expected one of {tuple(TRANSPORTS)}"
             )
-        BackpressurePolicy.validate_shard(backpressure)
         self.spec = spec or ShardEngineSpec()
         field = partition_field or self.spec.matcher.partition_field
         if not field:
@@ -153,7 +152,6 @@ class ShardedRuntime(Taps):
             )
         self.shard_count = shard_count
         self.executor = executor
-        self.backpressure = backpressure
         self.queue_capacity = queue_capacity
         self.router = HashPartitionRouter(shard_count, partition_field=field)
         self.metrics = metrics or MetricsRegistry()
@@ -164,23 +162,19 @@ class ShardedRuntime(Taps):
         self._log = DetectionLog()
         self._dispatch_lock = threading.Lock()
         #: Every stream the shard engines have: the spec's and the queries'.
-        self._streams = {self.spec.raw_stream}
+        self._streams = {TRANSFORMED_STREAM_NAME}
         if self.spec.install_view:
-            self._streams.add(self.spec.view_stream)
+            self._streams.add(RAW_STREAM_NAME)
         #: Tuples were enqueued since the last :meth:`drain` (reads drain then).
         self._unflushed = False
         self._started = False
         self._stopped = False
         self._worker_idents: set = set()
         self._failure_handled = False
-        #: The parent-side telemetry bundle the workers' spans are
-        #: collected into.  Built from the spec unless the caller hands in
-        #: a shared instance (the session does, so gateway and runtime
-        #: spans land in one tracer).
-        self.telemetry = telemetry if telemetry is not None else self.spec.build_telemetry()
+        self.tracer = tracer if tracer is not None else self.spec.build_tracer()
         self._query_stats_cache: Dict[str, Dict[str, int]] = {}
         self._progress_cache: Dict[str, Tuple[float, int]] = {}
-        if self.telemetry is not None:
+        if self.tracer is not None:
             self._e2e_histogram = self.metrics.histogram("ingest_to_detection")
             self.metrics.add_refresh_hook(self._refresh_telemetry)
             # The refresh hook (run by ``collect()`` before any exposition)
@@ -208,9 +202,8 @@ class ShardedRuntime(Taps):
                     shard_metrics,
                     self._on_detections,
                     transport_type(shard_id, self.spec),
-                    self.telemetry,
+                    self.tracer,
                     capacity=self.queue_capacity,
-                    policy=self.backpressure,
                 )
             )
         for shard in self._shards:
@@ -227,7 +220,7 @@ class ShardedRuntime(Taps):
         if not self._started or self._stopped:
             self._stopped = True
             return
-        if drain and not self.failed and self.telemetry is not None:
+        if drain and not self.failed and self.tracer is not None:
             # Final collection while the shards still answer controls: the
             # ``telemetry`` / ``query_stats`` controls are FIFO behind any
             # queued tuples, so this observes everything fed so far.
@@ -435,11 +428,11 @@ class ShardedRuntime(Taps):
 
     def _originate_trace(self) -> Optional[TraceContext]:
         """Continue the caller's ambient trace, or make the head sampling decision."""
-        telemetry = self.telemetry
-        if telemetry is None or not telemetry.tracing_active:
+        tracer = self.tracer
+        if tracer is None or not tracer.active:
             return None
         context = current_context()
-        return context if context is not None else telemetry.tracer.sample("ingest")
+        return context if context is not None else tracer.sample("ingest")
 
     def push(self, stream_name: str, record: Mapping[str, Any]) -> None:
         """Route one tuple to its partition's shard: :meth:`push_many` of one."""
@@ -457,7 +450,7 @@ class ShardedRuntime(Taps):
         ``batch_size`` selects the shard engines' batched delivery path,
         exactly like :meth:`CEPEngine.push_many`; ``None`` keeps per-tuple
         fan-out inside each shard.  The call returns once every tuple is
-        *enqueued* (subject to backpressure); use :meth:`drain` — or any
+        *enqueued* (waiting for credits when a shard is full); use :meth:`drain` — or any
         read, which drains implicitly — to wait for processing.
 
         The caller's ambient trace context (``use_context``; the session
@@ -483,7 +476,7 @@ class ShardedRuntime(Taps):
         trace = self._originate_trace()
         span = None
         if trace is not None:
-            span = self.telemetry.tracer.span(
+            span = self.tracer.span(
                 "ingest.route", "ingest", trace, stream=stream_name
             )
         downstream = span.context if span is not None else trace
@@ -734,7 +727,7 @@ class ShardedRuntime(Taps):
 
         The shard health rules' input, read by ``GestureSession.health()``
         on every call: worker aliveness, whether the runtime marked the
-        shard failed, current backlog (enqueued − processed − dropped),
+        shard failed, current backlog (enqueued − processed),
         processed count (the progress heartbeat), and the tuples in
         flight.  Reads only parent-side counters and thread/process flags
         — no control broadcast, so it never blocks behind queued work and
@@ -749,10 +742,7 @@ class ShardedRuntime(Taps):
                     "alive": bool(shard.transport.alive),
                     "failed": bool(shard.failed),
                     "backlog": max(
-                        0.0,
-                        snapshot["tuples_enqueued"]
-                        - snapshot["tuples_processed"]
-                        - snapshot["tuples_dropped"],
+                        0.0, snapshot["tuples_enqueued"] - snapshot["tuples_processed"]
                     ),
                     "tuples_processed": snapshot["tuples_processed"],
                     "queue_depth": float(shard.queue_depth),
@@ -768,10 +758,10 @@ class ShardedRuntime(Taps):
         full gateway → queue → shard → matcher span tree.  Empty (but
         valid) when tracing is off.
         """
-        if self.telemetry is None:
+        if self.tracer is None:
             return {"traceEvents": [], "displayTimeUnit": "ms"}
         self.collect_telemetry()
-        return self.telemetry.tracer.export()
+        return self.tracer.export()
 
     # -- internals ---------------------------------------------------------------------
 

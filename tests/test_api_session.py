@@ -342,6 +342,35 @@ class TestLearning:
 # ---------------------------------------------------------------------------
 
 
+class TestConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("backpressure", "block"),
+            ("trace_buffer_size", 4096),
+            ("slow_batch_seconds", 0.25),
+            ("raw_stream", "kinect"),
+            ("view_stream", "kinect_t"),
+        ],
+    )
+    def test_removed_knobs_are_not_fields(self, field, value):
+        with pytest.raises(TypeError, match=field):
+            SessionConfig(**{field: value})
+
+    def test_feed_defaults_to_the_raw_stream(self):
+        frames = [{"ts": 0.0, "player": 1, "rhand_y": 500.0}]
+        with GestureSession() as session:
+            session.deploy(HANDS_UP)
+            # A raw frame without torso fields fails in the kinect view,
+            # which only the raw ``kinect`` stream feeds.
+            with pytest.raises(KeyError, match="torso"):
+                session.feed(frames)
+            with pytest.raises(KeyError, match="torso"):
+                session.feed_frame(frames[0])
+            session.feed(frames, stream="kinect_t")
+            assert [event.gesture for event in session.events] == ["hands_up"]
+
+
 class TestTypedErrors:
     def test_unknown_view_names_key_and_lists_installed(self):
         engine = CEPEngine(clock=SimulatedClock())

@@ -5,7 +5,8 @@ protocol violations), the small HTTP reader, the JSON application
 protocol and its packed ``tuples`` frames (round trip against the JSON
 spelling, what the packer refuses, hostile bytes), the Prometheus
 exposition helpers (including label escaping),
-the token bucket and the per-tenant async ingest queue's policy matrix.
+the token bucket, the per-tenant async ingest queue's policy matrix, and a
+tenant's feed: the edge is its only drop point, and a failed feed stops it.
 The end-to-end server behaviour lives in ``test_gateway_server.py``.
 """
 
@@ -28,7 +29,13 @@ from repro.errors import (
     WebSocketError,
 )
 from repro.gateway import GatewayClient, GatewayConfig, GatewayServer, http, protocol, websocket
-from repro.gateway.tenants import AsyncIngestQueue, TenantConfig, TokenBucket
+from repro.gateway.tenants import (
+    AsyncIngestQueue,
+    BackpressurePolicy,
+    Tenant,
+    TenantConfig,
+    TokenBucket,
+)
 from repro.observability.registry import Family, exposition
 from repro.runtime.metrics import MetricsRegistry
 
@@ -651,9 +658,81 @@ class TestTenantConfigValidation:
         with pytest.raises(ValueError):
             TenantConfig(rate_limit_tuples_per_second=-1)
 
-    def test_session_config_accepts_drop_newest(self):
+    @pytest.mark.parametrize("policy", BackpressurePolicy.ALL)
+    def test_every_edge_policy_is_accepted(self, policy):
+        assert TenantConfig(policy=policy).policy == policy
+
+
+HIGH = 'SELECT "high" MATCHING kinect_t(rhand_y > 450);'
+
+
+def kinect_t_records(count, start=0):
+    return [
+        {"ts": (start + i) * 0.01, "player": 1 + (start + i) % 4, "rhand_y": 500.0}
+        for i in range(count)
+    ]
+
+
+class TestTenantFeed:
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("policy", BackpressurePolicy.ALL)
+    def test_the_edge_is_the_only_drop_point(self, policy, executor):
         config = TenantConfig(
-            policy="drop_newest",
-            session=SessionConfig(shards=2, backpressure="drop_newest"),
+            policy=policy,
+            pending_capacity=64,
+            session=SessionConfig(shards=2, shard_executor=executor, queue_capacity=8),
         )
-        assert config.session.backpressure == "drop_newest"
+
+        async def scenario():
+            tenant = Tenant("t", config)
+            await tenant.ensure_started()
+            try:
+                await tenant.control("deploy", {"query": HIGH})
+                offered = 0
+                for frame in range(50):
+                    records = kinect_t_records(40, start=frame * 40)
+                    try:
+                        await tenant.ingest(records, "kinect_t", None)
+                    except BackpressureError:
+                        assert policy == BackpressurePolicy.ERROR
+                        break
+                    offered += len(records)
+                await tenant.control("drain")
+                totals = tenant.session.metrics.totals()
+                return offered, tenant.tuples_fed, tenant.tuples_dropped, totals
+            finally:
+                await tenant.close()
+
+        offered, fed, dropped, totals = run(scenario())
+        assert fed == totals["tuples_processed"]
+        assert offered == fed + dropped
+        assert fed > 0
+        if policy == BackpressurePolicy.BLOCK:
+            assert fed == 2000 and dropped == 0
+        elif policy != BackpressurePolicy.ERROR:
+            assert dropped > 0
+
+    def test_a_failed_tenant_feeds_nothing_more(self):
+        async def scenario():
+            tenant = Tenant("t", TenantConfig())
+            await tenant.ensure_started()
+            try:
+                await tenant.control("deploy", {"query": HIGH})
+                # A raw frame without torso fields fails the kinect_t view.
+                await tenant.ingest([{"ts": 0.0, "player": 1}], None, None)
+                await tenant.ingest(kinect_t_records(3), "kinect_t", None)
+                drain = tenant.control("drain")
+                with pytest.raises(GatewayError, match="failed") as caught:
+                    await drain
+                assert isinstance(caught.value.__cause__, KeyError)
+                assert isinstance(tenant.failure, KeyError)
+                assert tenant.tuples_fed == 0
+                assert tenant.session.events == []
+                with pytest.raises(GatewayError, match="failed"):
+                    tenant.control("drain")
+            finally:
+                await tenant.close()
+            return tenant
+
+        tenant = run(scenario())
+        assert tenant.session.closed

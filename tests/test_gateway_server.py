@@ -731,7 +731,7 @@ class TestCli:
                 "pending_capacity": 128,
                 "max_connections": 3,
                 "rate_limit_tuples_per_second": 100,
-                "session": {"shards": 2, "backpressure": "drop_newest", "analyze": "warn"},
+                "session": {"shards": 2, "analyze": "warn"},
             }
         )
         assert config.token == "t"
@@ -744,6 +744,12 @@ class TestCli:
             tenant_config_from_dict({"tokens": "typo"})
         with pytest.raises(ValueError, match="unknown session config"):
             tenant_config_from_dict({"session": {"sharts": 2}})
+
+    @pytest.mark.parametrize("key", ["raw_stream", "view_stream", "backpressure"])
+    def test_removed_session_keys_are_unknown(self, key):
+        # The edge policy is the tenant's; stream names are fixed.
+        with pytest.raises(ValueError, match=f"unknown session config keys: \\['{key}'\\]"):
+            tenant_config_from_dict({"policy": "drop_newest", "session": {key: "block"}})
 
     def test_build_config_merges_file_and_flags(self, tmp_path):
         config_path = tmp_path / "gateway.json"

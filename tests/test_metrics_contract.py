@@ -65,7 +65,6 @@ def scripted_registry() -> MetricsRegistry:
     registry = MetricsRegistry()
     shard0 = registry.shard(0)
     shard0.add(tuples_enqueued=40)
-    shard0.add(tuples_dropped=3)
     shard0.raise_to("queue_depth_hwm", 7)
     shard0.raise_to("queue_depth_hwm", 5)
     shard0.observe("queue_wait", 0.002)

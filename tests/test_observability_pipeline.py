@@ -53,7 +53,7 @@ class TestInlineSession:
             session.deploy(HIGH)
             session.feed(make_frames(), stream="kinect_t")
             assert session.metrics is None
-            assert session.telemetry is None
+            assert session.tracer is None
             assert session.export_trace()["traceEvents"] == []
 
     def test_query_stats_labelled_by_query(self):
@@ -267,20 +267,21 @@ class TestGateway:
         assert snapshot["request_latency"]["max_seconds"] > 0
 
 
-class TestSlowBatchConfig:
-    def test_slow_batch_threshold_reaches_telemetry(self):
-        config = SessionConfig(slow_batch_seconds=0.25)
-        with GestureSession(config) as session:
-            assert session.telemetry.config.slow_batch_seconds == 0.25
-
+class TestTelemetryConfig:
     @pytest.mark.parametrize("field, value", [
         ("trace_sample_rate", 1.5),
-        ("trace_buffer_size", 0),
-        ("slow_batch_seconds", -1.0),
+        ("trace_sample_rate", -0.1),
     ])
     def test_invalid_telemetry_config_rejected(self, field, value):
         with pytest.raises(ValueError):
             SessionConfig(**{field: value})
+
+    @pytest.mark.parametrize("rate", [0.0, 0.25, 1.0])
+    def test_the_session_tracer_samples_at_the_configured_rate(self, rate):
+        with GestureSession(SessionConfig(trace_sample_rate=rate)) as session:
+            assert session.tracer.sample_rate == rate
+            assert session.tracer.active == (rate > 0)
+            assert session.tracer.buffer_size == 4096
 
 
 def boom(value):
@@ -293,15 +294,10 @@ class TestTelemetryUnderFailure:
 
     def test_process_shard_death_leaves_parent_telemetry_mergeable(self):
         from repro.errors import ShardFailedError
-        from repro.observability.telemetry import TelemetryConfig
         from repro.runtime import HashPartitionRouter, ShardedRuntime
         from repro.runtime.shard import ShardEngineSpec
 
-        spec = ShardEngineSpec(
-            install_view=False,
-            raw_stream="kinect_t",
-            telemetry=TelemetryConfig(trace_sample_rate=1.0),
-        )
+        spec = ShardEngineSpec(install_view=False, telemetry=1.0)
         router = HashPartitionRouter(2)
         p_bad = 1
         p_good = next(
@@ -342,7 +338,7 @@ class TestTelemetryUnderFailure:
             runtime.collect_telemetry(timeout=1.0)
             merged_after = runtime.metrics.merged_histograms()
             assert merged_after["batch_processing"].count >= count_before
-            assert runtime.telemetry.tracer.spans() is not None
+            assert runtime.tracer.spans() is not None
             liveness = runtime.shard_liveness()
             assert {row["shard_id"] for row in liveness} == {0, 1}
         finally:

@@ -1,4 +1,4 @@
-"""Tracing, JSON logging, the slow-batch log and the summarize CLI.
+"""Tracing, JSON logging and the summarize CLI.
 
 Unit-level here; the pipeline-spanning assertions (one trace id from the
 gateway frame to the matcher span, across the process-shard boundary)
@@ -16,7 +16,6 @@ import pytest
 
 from repro.observability.__main__ import main as cli_main, summarize_trace
 from repro.observability.jsonlog import JsonFormatter, configure_json_logging
-from repro.observability.telemetry import SLOW_BATCH_LOGGER, Telemetry, TelemetryConfig
 from repro.observability.tracing import (
     TraceContext,
     Tracer,
@@ -191,41 +190,6 @@ class TestJsonLogging:
             logger.exception("failed")
         payload = json.loads(stream.getvalue())
         assert "RuntimeError: boom" in payload["exception"]
-
-
-class TestSlowBatchLog:
-    @pytest.fixture()
-    def slow_stream(self):
-        stream = io.StringIO()
-        logger = configure_json_logging(SLOW_BATCH_LOGGER, stream=stream)
-        logger.propagate = False
-        yield stream
-        for handler in list(logger.handlers):
-            logger.removeHandler(handler)
-
-    def test_under_threshold_stays_silent(self, slow_stream):
-        telemetry = Telemetry(TelemetryConfig(slow_batch_seconds=1.0))
-        assert not telemetry.maybe_log_slow_batch(0.5, "s", 10)
-        assert slow_stream.getvalue() == ""
-
-    def test_disabled_threshold_stays_silent(self, slow_stream):
-        telemetry = Telemetry(TelemetryConfig())
-        assert not telemetry.maybe_log_slow_batch(999.0, "s", 10)
-        assert slow_stream.getvalue() == ""
-
-    def test_over_threshold_logs_structured_warning(self, slow_stream):
-        telemetry = Telemetry(TelemetryConfig(slow_batch_seconds=0.01))
-        context = TraceContext(trace_id="t-slow", span_id="s")
-        assert telemetry.maybe_log_slow_batch(
-            0.5, "kinect_t", 128, shard_id=3, context=context
-        )
-        payload = json.loads(slow_stream.getvalue())
-        assert payload["level"] == "WARNING"
-        assert payload["trace_id"] == "t-slow"
-        assert payload["stream"] == "kinect_t"
-        assert payload["tuples"] == 128
-        assert payload["shard_id"] == 3
-        assert payload["threshold_seconds"] == 0.01
 
 
 def make_document():

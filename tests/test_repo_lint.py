@@ -24,6 +24,7 @@ from repo_lint import (  # noqa: E402 — path set up above
     CONTROL_JOURNAL_WRITER,
     EXPOSITION_WRITER,
     HASH_FORBIDDEN_PATHS,
+    LOAD_SHEDDER,
     MESSAGE_CARRIER,
     ORPHAN_CONSUMER_ROOTS,
     ORPHAN_KEEP,
@@ -668,3 +669,72 @@ class TestRL011ThreadsStartInTheTransportOnly:
         moved = write_module(tmp_path, f"{THREAD_FORBIDDEN_PATH}/runtime/workers.py", source)
         codes = [v.code for v in lint_file(moved, root=tmp_path)]
         assert codes and set(codes) == {"RL011"}
+
+
+class TestRL012LoadIsShedAtTheEdgeOnly:
+    @pytest.mark.parametrize(
+        "relative, source, line",
+        [
+            (
+                "src/repro/runtime/shard.py",
+                "from repro.errors import BackpressureError\n"
+                "def admit(full):\n"
+                "    if full:\n"
+                "        raise BackpressureError('shard is full')\n",
+                4,
+            ),
+            (
+                "src/repro/runtime/sharded.py",
+                "from repro import errors\nraise errors.BackpressureError\n",
+                2,
+            ),
+            (
+                "src/repro/api/session.py",
+                "class Config:\n    backpressure: str = 'drop_newest'\n",
+                2,
+            ),
+            (
+                "src/repro/runtime/queues.py",
+                "SHARD = ('block', 'drop_newest', 'error')\n",
+                1,
+            ),
+            (
+                "src/repro/api/session.py",
+                "def check(policy):\n"
+                "    raise ValueError(f\"{policy!r}: 'drop_oldest' is an edge policy\")\n",
+                2,
+            ),
+        ],
+    )
+    def test_a_drop_point_below_the_edge_is_flagged(self, tmp_path, relative, source, line):
+        path = write_module(tmp_path, relative, source)
+        violations = lint_file(path, root=tmp_path)
+        assert [(v.code, v.line) for v in violations] == [("RL012", line)]
+        assert "gateway's edge" in violations[0].message
+
+    def test_the_gateway_docstrings_and_other_trees_may_name_drops(self, tmp_path):
+        source = (
+            "from repro.errors import BackpressureError\n"
+            "POLICIES = ('block', 'drop_oldest', 'drop_newest', 'error')\n"
+            "def admit(full):\n"
+            "    if full:\n"
+            "        raise BackpressureError('full')\n"
+        )
+        edge = write_module(tmp_path, f"{LOAD_SHEDDER}tenants.py", source)
+        tool = write_module(tmp_path, "tools/drops.py", source)
+        bench = write_module(tmp_path, "benchmarks/e2e/drops.py", source)
+        documented = write_module(
+            tmp_path,
+            "src/repro/runtime/shard.py",
+            '"""Shards never ``drop_newest``: only the edge drops."""\n'
+            "from repro.errors import BackpressureError\n"
+            "def admit():\n"
+            '    """No ``drop_oldest`` here either."""\n'
+            "    try:\n"
+            "        pass\n"
+            "    except BackpressureError:\n"
+            "        raise\n"
+            "DROPPED = 'dropped'\n",
+        )
+        for path in (edge, tool, bench, documented):
+            assert lint_file(path, root=tmp_path) == []

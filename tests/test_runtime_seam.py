@@ -17,13 +17,14 @@ import pytest
 
 from repro.errors import RuntimeStateError, SerializationError, ShardFailedError
 from repro.observability.clock import monotonic_time
+from repro.observability.tracing import TraceContext
 from repro.runtime import MetricsRegistry
 from repro.runtime import shard as shard_module
 from repro.runtime.shard import Shard, ShardEngineSpec, worker_loop
 from repro.runtime.transport import ProcessTransport, _ReportingQueue
 
 HIGH = 'SELECT "high" MATCHING kinect_t(rhand_y > 450);'
-SPEC = ShardEngineSpec(install_view=False, raw_stream="kinect_t")
+SPEC = ShardEngineSpec(install_view=False)
 
 
 def deploy(token, text=HIGH, name="high"):
@@ -71,6 +72,48 @@ def fails_on(value, target):
     if value == target:
         raise ZeroDivisionError(f"{value} is the target")
     return 1
+
+
+class TestShardEngineSpec:
+    def test_without_the_view_only_kinect_t_exists(self):
+        assert SPEC.build().streams.names() == ["kinect_t"]
+
+    def test_the_default_spec_installs_the_kinect_view(self):
+        engine = ShardEngineSpec().build()
+        assert sorted(engine.streams.names()) == ["kinect", "kinect_t"]
+        assert list(engine.views) == ["kinect_t"]
+
+    @pytest.mark.parametrize("rate", [None, 0.0, 0.5, 1.0])
+    def test_telemetry_is_the_trace_sample_rate(self, rate):
+        tracer = ShardEngineSpec(telemetry=rate).build_tracer()
+        if rate is None:
+            assert tracer is None
+        else:
+            assert tracer.sample_rate == rate and tracer.buffer_size == 4096
+
+    def test_the_worker_ships_its_spans_on_the_telemetry_control(self):
+        traced = ShardEngineSpec(install_view=False, telemetry=1.0)
+        inbox, outbox = queue.Queue(), queue.Queue()
+        stamp = (monotonic_time(), TraceContext(trace_id="t-1", span_id="root"))
+        for message in (
+            deploy(1),
+            tuples(500.0, meta=stamp),
+            ("control", 2, "telemetry", None),
+            ("control", 3, "telemetry", None),
+            ("stop",),
+        ):
+            inbox.put(message)
+        worker_loop(0, traced, inbox.get, outbox.put)
+        sent = list(outbox.queue)
+        assert kinds(sent) == ["ack", "done", "ack", "ack", "bye"]
+        names = {span["name"] for span in sent[2][2]["spans"]}
+        assert {"queue.wait", "shard.batch", "matcher:high"} <= names
+        # Drained worker-side: each span is handed over once.
+        assert sent[3][2] == {"spans": []}
+
+    def test_without_telemetry_the_telemetry_control_answers_none(self):
+        sent = run_worker(("control", 1, "telemetry", None))
+        assert sent == [("ack", 1, None), ("bye",)]
 
 
 class TestWorkerLoop:

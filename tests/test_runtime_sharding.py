@@ -20,7 +20,6 @@ from repro.api import F, GestureSession, Q, SessionConfig
 from repro.cep import CallbackSink, CEPEngine, CollectingSink, FanOutSink
 from repro.cep.matcher import MatcherConfig
 from repro.errors import (
-    BackpressureError,
     QueryRegistrationError,
     SerializationError,
     SessionStateError,
@@ -28,7 +27,6 @@ from repro.errors import (
 )
 from repro.observability.health import HealthWatchdog
 from repro.runtime import (
-    BackpressurePolicy,
     HashPartitionRouter,
     RemoteShardError,
     ShardedRuntime,
@@ -140,7 +138,7 @@ class TestRouter:
 
 @pytest.fixture
 def spec():
-    return ShardEngineSpec(install_view=False, raw_stream="kinect_t")
+    return ShardEngineSpec(install_view=False)
 
 
 class TestShardedRuntime:
@@ -270,7 +268,6 @@ class TestShardedRuntime:
             totals = runtime.metrics.totals()
         assert totals["tuples_enqueued"] == len(frames)
         assert totals["tuples_processed"] == len(frames)
-        assert totals["tuples_dropped"] == 0
         assert totals["detections"] == expected > 0
         assert totals["queue_depth_hwm"] >= 1
         snapshot = runtime.metrics.snapshot()
@@ -425,13 +422,12 @@ def linger(seconds):
 class TestAdmission:
     LINGER = 0.3
 
-    def busy_runtime(self, spec, executor, policy):
+    def busy_runtime(self, spec, executor):
         """One shard of 3 credits, 2 of them held for ``2 * LINGER`` seconds."""
         runtime = ShardedRuntime(
             shard_count=1,
             spec=spec,
             executor=executor,
-            backpressure=policy,
             queue_capacity=3,
         )
         runtime.start()
@@ -448,7 +444,7 @@ class TestAdmission:
     LATE = [{"ts": 9.0 + i, "player": 1, "rhand_y": 0.0} for i in range(2)]
 
     def test_block_waits_for_done(self, spec, executor):
-        runtime = self.busy_runtime(spec, executor, BackpressurePolicy.BLOCK)
+        runtime = self.busy_runtime(spec, executor)
         try:
             fed = threading.Event()
 
@@ -458,54 +454,21 @@ class TestAdmission:
 
             threading.Thread(target=feed, name="late-feed", daemon=True).start()
             assert not fed.wait(timeout=self.LINGER / 2)
+            # The credits are exhausted and a producer waits on them; a
+            # control takes none, so the deploy is admitted all the same.
+            assert runtime.shard_liveness()[0]["queue_depth"] == 2
+            runtime.register_query(HIGH)
             assert fed.wait(timeout=10.0)
             runtime.drain()
             totals = runtime.metrics.totals()
             assert totals["tuples_processed"] == 4
-            assert totals["tuples_dropped"] == 0
+            assert totals["tuples_enqueued"] == 4
             assert totals["queue_depth_hwm"] == 2
             assert runtime.shard_liveness()[0]["queue_depth"] == 0
-        finally:
-            runtime.stop()
-
-    def test_drop_newest_rejects_the_offered_chunk_whole_but_never_a_control(
-        self, spec, executor
-    ):
-        runtime = self.busy_runtime(spec, executor, BackpressurePolicy.DROP_NEWEST)
-        try:
-            runtime.push_many("kinect_t", self.LATE)
-            # Still full: the deploy control is admitted all the same.
-            runtime.register_query(HIGH)
-            runtime.drain()
-            totals = runtime.metrics.totals()
-            assert totals["tuples_dropped"] == 2
-            assert totals["tuples_processed"] == 2
-            assert totals["tuples_enqueued"] == 4
             assert runtime.query_names() == ["high", "slow"]
             assert len(runtime.detections("slow")) == 2
         finally:
             runtime.stop()
-
-    def test_error_raises_backpressure_error(self, spec, executor):
-        runtime = self.busy_runtime(spec, executor, BackpressurePolicy.ERROR)
-        try:
-            with pytest.raises(BackpressureError, match="in flight"):
-                runtime.push_many("kinect_t", self.LATE)
-            runtime.drain()
-            assert runtime.metrics.totals()["tuples_processed"] == 2
-        finally:
-            runtime.stop()
-
-    def test_drop_oldest_is_refused_at_configuration(self, spec, executor):
-        with pytest.raises(ValueError, match="TenantConfig.policy"):
-            ShardedRuntime(
-                shard_count=2,
-                spec=spec,
-                executor=executor,
-                backpressure=BackpressurePolicy.DROP_OLDEST,
-            )
-        with pytest.raises(ValueError, match="TenantConfig.policy"):
-            SessionConfig(shards=2, shard_executor=executor, backpressure="drop_oldest")
 
 
 class TestProcessExecutor:
@@ -518,25 +481,6 @@ class TestProcessExecutor:
             runtime.push_many("kinect_t", frames)
             assert per_partition(runtime.detections()) == baseline
         assert runtime.stopped
-
-    def test_process_executor_accepts_drop_newest(self, spec):
-        # drop_newest works parent-side: a failed credit acquire rejects
-        # the chunk before it crosses the pipe.
-        frames = make_frames(players=2, rounds=10)
-        with ShardedRuntime(
-            shard_count=2,
-            spec=spec,
-            executor="process",
-            backpressure=BackpressurePolicy.DROP_NEWEST,
-        ) as runtime:
-            runtime.register_query(HIGH)
-            runtime.push_many("kinect_t", frames)
-            runtime.drain()
-            totals = runtime.metrics.totals()
-            assert (
-                totals["tuples_processed"] + totals["tuples_dropped"]
-                == len(frames)
-            )
 
     def test_unpicklable_control_raises_instead_of_hanging(self, spec):
         # multiprocessing pickles on a feeder thread, where a failure is
@@ -657,23 +601,6 @@ class TestShardedSession:
         assert inline[0]["updown"] > 0 and inline[1]["updown"] > 0
         assert readings[1] == inline
         assert readings[2] == inline
-
-    def test_drop_newest_session_is_lossless_under_capacity(self):
-        # With the queue bound far above the workload the policy never
-        # triggers, so results must equal the inline session's exactly —
-        # drop_newest costs nothing until saturation.
-        frames = make_frames()
-        inline, _ = self._run_session(1, frames)
-        with GestureSession(
-            session_config(4, backpressure="drop_newest", queue_capacity=100_000)
-        ) as session:
-            session.deploy(UPDOWN)
-            session.deploy(HIGH)
-            session.feed(frames, stream="kinect_t")
-            assert per_partition(session.detections()) == inline
-            totals = session.metrics.totals()
-            assert totals["tuples_dropped"] == 0
-            assert totals["tuples_processed"] == len(frames)
 
     def test_events_and_handlers_carry_partitions(self):
         frames = make_frames(players=3)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repository-specific lint rules that generic linters do not cover.
 
-Eleven rules, all born from real failure modes of this codebase:
+Twelve rules, all born from real failure modes of this codebase:
 
 ``RL001`` — no builtin ``hash()`` on routing/persistence code paths or in benchmarks
     CPython salts ``hash()`` per process (PYTHONHASHSEED), so a shard
@@ -109,6 +109,17 @@ Eleven rules, all born from real failure modes of this codebase:
     (or a bare ``Thread(``) anywhere else under ``src/repro`` is a
     background poller growing back.
 
+``RL012`` — load is shed at the gateway's edge only
+    A gateway tenant once had two drop points: its edge queue, and the
+    admission policy of the sharded session behind it.  The inner one
+    dropped tuples the edge had already acknowledged as accepted, or
+    failed the tenant after the ack.  Shards now always wait for credits.
+    Under ``src/repro``, ``raise BackpressureError`` and a string literal
+    containing ``"drop_newest"`` or ``"drop_oldest"`` (docstrings and
+    other bare string statements excluded) may appear only in
+    ``src/repro/gateway/``: a second drop policy growing back below the
+    edge.
+
 Run as a script (CI) or through ``tests/test_repo_lint.py``::
 
     python tools/repo_lint.py            # lint the repository, exit 0/1
@@ -190,6 +201,12 @@ CARRIER_FORBIDDEN_IMPORTS = ("repro.cep", "repro.observability")
 #: The one module allowed to construct a thread (RL011); the tree it guards.
 THREAD_STARTER = MESSAGE_CARRIER
 THREAD_FORBIDDEN_PATH = "src/repro"
+
+#: The only package that may drop tuples or refuse them with
+#: ``BackpressureError`` (RL012); the tree it guards; the policy names.
+LOAD_SHEDDER = "src/repro/gateway/"
+LOAD_SHED_GUARDED_PATH = "src/repro"
+DROP_POLICY_NAMES = ("drop_newest", "drop_oldest")
 
 #: The tree whose public names must have a caller (RL009); the trees outside
 #: it whose references count as callers.
@@ -480,6 +497,44 @@ def _lint_carrier_imports(path: Path, tree: ast.AST, relative: str) -> Iterable[
             )
 
 
+def _is_backpressure_raise(node: ast.AST) -> bool:
+    """Match ``raise BackpressureError`` with or without a call or a module."""
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    name = raised.attr if isinstance(raised, ast.Attribute) else getattr(raised, "id", None)
+    return name == "BackpressureError"
+
+
+def _lint_load_shedding(path: Path, tree: ast.AST, relative: str) -> Iterable[Violation]:
+    # A string that is a whole statement documents; it cannot select a policy.
+    documentation = {
+        id(node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+    }
+    for node in ast.walk(tree):
+        if _is_backpressure_raise(node):
+            found = "raise BackpressureError"
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in documentation
+            and any(name in node.value for name in DROP_POLICY_NAMES)
+        ):
+            found = f"drop policy literal {node.value!r}"
+        else:
+            continue
+        yield Violation(
+            relative,
+            node.lineno,
+            "RL012",
+            f"{found} outside {LOAD_SHEDDER}; tuples are dropped or refused at "
+            "the gateway's edge only (TenantConfig.policy) — below it a producer "
+            "waits for its shards",
+        )
+
+
 def lint_file(path: Path, root: Optional[Path] = None) -> List[Violation]:
     """Lint one Python file; returns its violations."""
     root = root or REPO_ROOT
@@ -512,6 +567,8 @@ def lint_file(path: Path, root: Optional[Path] = None) -> List[Violation]:
         violations.extend(_lint_carrier_imports(path, tree, relative))
     if posix.startswith(THREAD_FORBIDDEN_PATH) and posix != THREAD_STARTER:
         violations.extend(_lint_thread_ctors(path, tree, relative))
+    if posix.startswith(LOAD_SHED_GUARDED_PATH) and not posix.startswith(LOAD_SHEDDER):
+        violations.extend(_lint_load_shedding(path, tree, relative))
     return violations
 
 
@@ -635,6 +692,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             ", ".join(CARRIER_FORBIDDEN_IMPORTS),
         )
         print("RL011  threading.Thread( under", THREAD_FORBIDDEN_PATH, "only in", THREAD_STARTER)
+        print(
+            "RL012  raise BackpressureError and",
+            " / ".join(repr(name) for name in DROP_POLICY_NAMES),
+            "literals under",
+            LOAD_SHED_GUARDED_PATH,
+            "only in",
+            LOAD_SHEDDER,
+        )
         return 0
     violations = lint_repository()
     for violation in violations:
