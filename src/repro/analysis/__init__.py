@@ -23,10 +23,10 @@ Entry points:
 * :func:`analyze_query` — diagnostics for one query,
 * :func:`analyze_vocabulary` — a :class:`VocabularyReport` over many,
 * deploy-time gating via ``analyze="off" | "warn" | "strict"`` on
-  :meth:`repro.cep.engine.CEPEngine.register_query`,
   :meth:`repro.api.GestureSession.deploy` and
-  :meth:`~repro.api.GestureSession.deploy_vocabulary` — every route, on
-  either engine, goes through :func:`gate_deployment`,
+  :meth:`~repro.api.GestureSession.deploy_vocabulary` — the session runs
+  :func:`gate_deployment` on the very queries it then deploys, on either
+  engine; engines and the detector do not analyse,
 * ``python -m repro.analysis`` — lint vocabulary manifests or gesture
   databases from the command line.
 

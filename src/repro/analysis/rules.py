@@ -40,7 +40,6 @@ from repro.cep.tuples import DEFAULT_PARTITION_FIELD
 
 if TYPE_CHECKING:
     from repro.cep.engine import Engine
-    from repro.cep.matcher import MatcherConfig
 
 __all__ = [
     "AnalysisContext",
@@ -81,12 +80,10 @@ class AnalysisContext:
     )
 
     @staticmethod
-    def for_engine(
-        engine: "Engine", config: Optional["MatcherConfig"] = None
-    ) -> "AnalysisContext":
-        """The facts a deployment on ``engine`` runs under; ``config`` is the
-        query's effective matcher configuration (default: the engine's)."""
-        config = config or engine.matcher_config
+    def for_engine(engine: "Engine") -> "AnalysisContext":
+        """The facts a deployment on ``engine`` runs under: every query runs
+        under the engine's matcher configuration."""
+        config = engine.matcher_config
         return AnalysisContext(
             partition_field=config.partition_field,
             run_ttl_seconds=config.run_ttl_seconds,
@@ -537,7 +534,8 @@ def _partition_diagnostics(
                     f"'{key}': {', '.join(carrying)} carry it but "
                     f"{', '.join(missing)} do not — runs started by a "
                     f"partitioned tuple can never be advanced by tuples of the "
-                    f"other streams; deploy with partition_field=None"
+                    "other streams; run it on an engine with "
+                    "MatcherConfig(partition_field=None)"
                 ),
                 query=query_name,
                 detail={"carrying": carrying, "missing": missing},
@@ -553,8 +551,8 @@ def _partition_diagnostics(
                     f"field '{key}' but the schema of "
                     f"{', '.join(unknown)} is undeclared — if the streams "
                     f"disagree on the field, cross-stream runs will never "
-                    f"advance; declare schemas or deploy with "
-                    f"partition_field=None"
+                    "advance; declare schemas or run it on an engine with "
+                    "MatcherConfig(partition_field=None)"
                 ),
                 query=query_name,
                 detail={"unknown": unknown},

@@ -11,7 +11,7 @@ shared-predicate factoring report that the multi-query optimisation layer
 
 Entry points: :func:`analyze_vocabulary`, returning a
 :class:`VocabularyReport`, and :func:`gate_deployment`, the ``analyze=``
-gate every deployment route calls.
+gate :class:`~repro.api.GestureSession` runs before it deploys.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from repro.cep.query import Query
 
 if TYPE_CHECKING:
     from repro.cep.engine import Engine
-    from repro.cep.matcher import MatcherConfig
 
 __all__ = ["VocabularyReport", "analyze_vocabulary", "gate_deployment"]
 
@@ -366,18 +365,18 @@ def analyze_vocabulary(
 
 def gate_deployment(
     engine: "Engine",
-    queries: Mapping[str, Any],
+    queries: Mapping[str, Query],
     mode: str,
-    config: Optional["MatcherConfig"] = None,
     subject: str = "vocabulary",
 ) -> Tuple[Diagnostic, ...]:
-    """The deploy-time ``analyze=`` gate of every deployment route.
+    """The deploy-time ``analyze=`` gate, which the session runs.
 
-    Analyses ``queries`` (name → query-like) as one vocabulary under
-    :meth:`AnalysisContext.for_engine`, gates the findings and returns them;
-    callers run it before deploying anything.
+    Analyses ``queries`` (registration name → the :class:`Query` about to
+    be deployed) as one vocabulary under :meth:`AnalysisContext.for_engine`,
+    gates the findings and returns them; the caller deploys those very
+    queries only after it returned.
     """
     validate_analyze_mode(mode)
-    report = analyze_vocabulary(queries, context=AnalysisContext.for_engine(engine, config))
+    report = analyze_vocabulary(queries, context=AnalysisContext.for_engine(engine))
     gate_diagnostics(report.diagnostics, mode, subject=subject)
     return report.diagnostics

@@ -90,7 +90,8 @@ from typing import (
 )
 
 from repro.api.dsl import Expr, QueryBuilder
-from repro.cep.engine import _UNSET, CEPEngine, Engine, QueryHandle
+from repro.analysis import gate_deployment
+from repro.cep.engine import _UNSET, CEPEngine, Engine, QueryHandle, coerce_query
 from repro.cep.matcher import Detection, MatcherConfig
 from repro.cep.query import Query
 from repro.cep.sinks import Sink
@@ -133,7 +134,8 @@ class SessionConfig:
     Attributes
     ----------
     matcher:
-        Engine-wide NFA runtime configuration.
+        Engine-wide NFA runtime configuration: every deployed query runs
+        under it, and a recovering session is built with it again.
     transform:
         Configuration of the installed Kinect transformation view.
     workflow:
@@ -557,15 +559,13 @@ class GestureSession:
         self,
         gesture: Union[GestureDescription, Query, str, Any],
         name: Optional[str] = None,
-        sink: Optional[Sink] = None,
         analyze: Optional[str] = None,
     ) -> QueryHandle:
         """Deploy a gesture description, query, query text, or builder chain.
 
         All deployments go through the session's detector, so detections are
-        dispatched to :meth:`on` handlers and collected in :attr:`events`.
-        ``sink`` additionally attaches a :class:`~repro.cep.sinks.Sink` to
-        the deployed query.
+        dispatched to :meth:`on` handlers and collected in :attr:`events`;
+        :meth:`attach_sink` adds a :class:`~repro.cep.sinks.Sink`.
 
         ``analyze`` gates the deployment through the static query analyzer:
         ``"warn"`` surfaces findings as Python warnings, ``"strict"``
@@ -574,11 +574,9 @@ class GestureSession:
         falls back to :attr:`SessionConfig.analyze`.
         """
         self._ensure_started()
-        mode = self.config.analyze if analyze is None else analyze
-        deployed = self.detector.deploy(gesture, name=name, analyze=mode)
-        if sink is not None:
-            deployed.sink.add(sink)
-        return deployed
+        registration, query = self._as_query(gesture, name)
+        self._gate({registration: query}, analyze, f"query '{registration}'")
+        return self.detector.deploy(query, name=registration)
 
     def deploy_vocabulary(
         self,
@@ -591,7 +589,8 @@ class GestureSession:
         ``source`` may be
 
         * ``None`` — the session's own gesture database,
-        * a :class:`GestureDatabase`,
+        * a :class:`GestureDatabase` — its (enabled) gestures' descriptions,
+          by name,
         * a manifest mapping gesture name → description, query, query text,
           builder chain, or a list of raw samples (which are learned first
           via :meth:`learn`).
@@ -606,17 +605,19 @@ class GestureSession:
         ``analyze`` (default: :attr:`SessionConfig.analyze`) gates the
         *whole vocabulary* as one unit — including the cross-query
         duplicate, subsumption and shared-predicate rules that per-query
-        deployment cannot see.  Entries that are raw sample lists are
-        learned on the fly and skip the pre-deployment analysis.
+        deployment cannot see — on the very queries deployed next.
+        Entries that are raw sample lists are learned on the fly and
+        deployed by :meth:`learn`, gated one by one under
+        :attr:`SessionConfig.analyze`.
         """
         self._ensure_started()
-        mode = self.config.analyze if analyze is None else analyze
         if source is None:
             source = self.database
         if isinstance(source, GestureDatabase):
-            return self.detector.deploy_from_database(
-                source, enabled_only=enabled_only, analyze=mode
-            )
+            source = {
+                record.name: record.description
+                for record in source.all_gestures(enabled_only=enabled_only)
+            }
 
         prepared: List[Tuple[str, Any]] = []
         for name, entry in source.items():
@@ -629,28 +630,36 @@ class GestureSession:
                 # The manifest key supplies the output value unless the
                 # chain set one explicitly.
                 entry = entry.build(entry.output_value or name)
+            if isinstance(entry, (GestureDescription, Query, str)):
+                entry = self._as_query(entry, name)[1]
             prepared.append((name, entry))
 
-        if mode != "off":
-            from repro.analysis import gate_deployment
-
-            analyzable = {
-                name: entry
-                for name, entry in prepared
-                if isinstance(entry, (GestureDescription, Query, str))
-            }
-            gate_deployment(self._engine, analyzable, mode)
-
-        deployed: List[str] = []
+        self._gate({name: entry for name, entry in prepared if isinstance(entry, Query)}, analyze)
         for name, entry in prepared:
-            if isinstance(entry, (GestureDescription, Query, str)):
-                # Already analysed (and gated) above as part of the
-                # vocabulary; skip per-query re-analysis.
-                self.deploy(entry, name=name, analyze="off")
+            if isinstance(entry, Query):
+                self.detector.deploy(entry, name=name)
             else:
                 self.learn(name, entry, deploy=True)
-            deployed.append(name)
-        return deployed
+        return [name for name, _ in prepared]
+
+    def _as_query(
+        self, gesture: Union[GestureDescription, Query, str, Any], name: Optional[str]
+    ) -> Tuple[str, Query]:
+        """``(registration name, query)`` of anything deployable: a
+        description becomes a query through the detector's generator."""
+        if isinstance(gesture, GestureDescription):
+            return name or gesture.name, self.detector.generator.generate(gesture)
+        query = coerce_query(gesture)
+        return name or query.registration_name, query
+
+    def _gate(
+        self, queries: Dict[str, Query], analyze: Optional[str], subject: str = "vocabulary"
+    ) -> None:
+        """The analyzer gate (``analyze``, default :attr:`SessionConfig.analyze`)
+        over the queries about to be deployed; it raises before any is."""
+        mode = self.config.analyze if analyze is None else analyze
+        if mode != "off":
+            gate_deployment(self._engine, queries, mode, subject)
 
     def undeploy(self, name: str) -> None:
         """Remove one deployed gesture."""

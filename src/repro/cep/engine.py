@@ -59,9 +59,9 @@ Deployed matchers partition their run tables by
 carrying several interleaved users detects, per user, exactly what each
 user's isolated stream would.  Every :class:`~repro.cep.matcher.Detection`
 carries the partition value of the tuples that matched;
-:meth:`CEPEngine.detections` can filter on it.  Pass
-``partition_field=None`` (to :meth:`CEPEngine.register_query` or via the
-engine-wide :class:`MatcherConfig`) for the single-user behaviour — in
+:meth:`CEPEngine.detections` can filter on it.  Every query runs under
+its engine's :class:`MatcherConfig`: build the engine with
+``MatcherConfig(partition_field=None)`` for the single-user behaviour — in
 particular for a pattern spanning streams that do not all carry the
 partition field, since runs only advance on tuples with the same partition
 value (see :class:`~repro.cep.matcher.MatcherConfig`).
@@ -79,7 +79,7 @@ snapshot, so detections can be read while a worker thread is emitting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import (
     Any, Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Protocol, Sequence, Tuple,
     Union,
@@ -91,7 +91,7 @@ from repro.cep.matcher import Detection, MatcherConfig, NFAMatcher
 from repro.cep.nfa import compile_pattern
 from repro.cep.parser import parse_query
 from repro.cep.query import Query
-from repro.cep.sinks import CollectingSink, FanOutSink, Sink
+from repro.cep.sinks import CollectingSink, FanOutSink
 from repro.cep.udf import default_functions
 from repro.cep.views import View
 from repro.transform.pipeline import KinectTransformer
@@ -101,14 +101,14 @@ from repro.errors import (
     QueryRegistrationError,
     SerializationError,
     UnknownQueryError,
-    UnknownStreamError,
     UnknownViewError,
 )
 from repro.streams.clock import Clock, SimulatedClock
 from repro.streams.stream import Stream, StreamRegistry, Subscription
 
-#: "Not given", as opposed to an explicit ``None`` (``partition_field=None``
-#: disables partitioning) — one object for every :class:`Engine`.
+#: "Not given", as opposed to an explicit ``None`` (``partition=None`` selects
+#: the detections of tuples without a partition) — one object for every
+#: :class:`Engine`.
 _UNSET: Any = object()
 
 #: An ingest tap observes every externally pushed tuple *before* delivery:
@@ -131,9 +131,9 @@ def coerce_query(query: Union[str, Query, Any]) -> Query:
 
     Accepts query text in the paper's dialect, a :class:`Query`, or any
     object with a ``build() -> Query`` method (in particular a
-    :class:`repro.api.QueryBuilder` chain).  Shared by the inline engine
-    and the sharded runtime so both deployment paths accept exactly the
-    same inputs.
+    :class:`repro.api.QueryBuilder` chain).  Shared by both engines and
+    the session, which gates the coerced query before it deploys it, so
+    every deployment path accepts exactly the same inputs.
     """
     if isinstance(query, str):
         return parse_query(query)
@@ -231,14 +231,7 @@ class Engine(Protocol):
     def query_names(self) -> List[str]: ...
     def stream_fields(self) -> Dict[str, Optional[FrozenSet[str]]]: ...
     def register_query(
-        self,
-        query: Union[str, Query, Any],
-        name: Optional[str] = None,
-        sink: Optional[Sink] = None,
-        matcher_config: Optional[MatcherConfig] = None,
-        create_missing_streams: bool = False,
-        partition_field: Optional[str] = _UNSET,
-        analyze: str = "off",
+        self, query: Union[str, Query, Any], name: Optional[str] = None
     ) -> QueryHandle: ...
     def unregister_query(self, name: str) -> None: ...
     def enable_query(self, name: str, enabled: bool = True) -> None: ...
@@ -310,8 +303,8 @@ class Taps:
 
 
 #: One query as a stream's fan-out visits it: the query, its matcher, its gate
-#: bit, partition field, run table and timestamp field.
-_Member = Tuple[DeployedQuery, NFAMatcher, int, Optional[str], Dict[Any, Any], str]
+#: bit and its run table.  The partition and timestamp fields are the engine's.
+_Member = Tuple[DeployedQuery, NFAMatcher, int, Dict[Any, Any]]
 
 
 def _fields_read(query: Query, config: MatcherConfig) -> Dict[str, FrozenSet[str]]:
@@ -355,7 +348,7 @@ class CEPEngine(Taps):
     clock:
         Time source used when tuples carry no timestamp.
     matcher_config:
-        Default NFA runtime configuration applied to deployed queries.
+        The NFA runtime configuration every deployed query runs under.
 
     Examples
     --------
@@ -539,54 +532,21 @@ class CEPEngine(Taps):
     # -- query management ----------------------------------------------------------------
 
     def register_query(
-        self,
-        query: Union[str, Query, Any],
-        name: Optional[str] = None,
-        sink: Optional[Sink] = None,
-        matcher_config: Optional[MatcherConfig] = None,
-        create_missing_streams: bool = False,
-        partition_field: Optional[str] = _UNSET,
-        analyze: str = "off",
+        self, query: Union[str, Query, Any], name: Optional[str] = None
     ) -> DeployedQuery:
-        """Deploy a gesture query.
+        """Deploy a gesture query under the engine's :class:`MatcherConfig`.
 
-        Parameters
-        ----------
-        query:
-            A parsed :class:`Query`, query text in the paper's dialect, or
-            any object with a ``build()`` method returning a :class:`Query`
-            (in particular a :class:`repro.api.QueryBuilder` chain).
-        name:
-            Registration name; defaults to the query's output value.
-        sink:
-            Optional additional sink; a collecting sink is always attached.
-        matcher_config:
-            Per-query override of the NFA runtime configuration.
-        create_missing_streams:
-            If true, streams referenced by the query that do not exist yet
-            are created on the fly (convenient in tests).
-        partition_field:
-            Per-query override of the run-table partition key (see
-            :class:`~repro.cep.matcher.MatcherConfig`); pass ``None``
-            explicitly to run this query unpartitioned.
-        analyze:
-            Static-analysis gate: ``"off"`` (default) skips analysis,
-            ``"warn"`` surfaces findings as
-            :class:`~repro.analysis.QueryAnalysisWarning` warnings, and
-            ``"strict"`` additionally rejects error-severity findings
-            with :class:`~repro.errors.QueryAnalysisError` before the
-            query touches the engine.  See ``docs/analysis.md``.
+        ``query`` is a parsed :class:`Query`, query text in the paper's
+        dialect, or any object with a ``build()`` method returning a
+        :class:`Query` (in particular a :class:`repro.api.QueryBuilder`
+        chain); ``name`` is the registration name and defaults to the
+        query's output value.  Streams the query names that do not exist
+        yet are created; feeding a stream nobody created is still refused.
 
         Raises
         ------
         QueryRegistrationError
             If a query with the same name is already deployed.
-        QueryAnalysisError
-            If ``analyze="strict"`` and the analyzer reports an
-            error-severity finding.
-        UnknownStreamError
-            If the query references an unregistered stream and
-            ``create_missing_streams`` is false.
         """
         query = coerce_query(query)
         registration_name = name or query.registration_name
@@ -595,28 +555,11 @@ class CEPEngine(Taps):
                 f"a query named '{registration_name}' is already registered"
             )
 
-        config = matcher_config or self.matcher_config
-        if partition_field is not _UNSET:
-            config = replace(config, partition_field=partition_field)
-        if analyze != "off":
-            # Imported lazily: analysis depends on the cep package, and the
-            # default "off" path must stay import- and overhead-free.
-            from repro.analysis import gate_deployment
-
-            gate_deployment(
-                self, {registration_name: query}, analyze, config, f"query '{registration_name}'"
-            )
-
+        config = self.matcher_config
         referenced = sorted(query.streams())
         for stream_name in referenced:
             if stream_name not in self.streams:
-                if create_missing_streams:
-                    self.streams.create(stream_name)
-                else:
-                    raise UnknownStreamError(
-                        f"query '{registration_name}' references unknown stream "
-                        f"'{stream_name}'; create it or pass create_missing_streams=True"
-                    )
+                self.streams.create(stream_name)
 
         compiled = compile_pattern(query.pattern)
         matcher = NFAMatcher(
@@ -628,15 +571,11 @@ class CEPEngine(Taps):
             compile_cache=self.compile_cache,
         )
         collector = CollectingSink()
-        fan_out = FanOutSink([collector])
-        if sink is not None:
-            fan_out.add(sink)
-
         deployed = DeployedQuery(
             name=registration_name,
             query=query,
             matcher=matcher,
-            sink=fan_out,
+            sink=FanOutSink([collector]),
             collector=collector,
             reads=_fields_read(query, config),
         )
@@ -670,14 +609,8 @@ class CEPEngine(Taps):
             gates = [matcher.bind_index(stream_name, index) for matcher in matchers]
         fanout.index = index
         fanout.members = tuple(
-            (
-                deployed,
-                deployed.matcher,
-                gate,
-                deployed.matcher.config.partition_field,
-                deployed.matcher._partitions,  # read in place, never replaced
-                deployed.matcher.config.timestamp_field,
-            )
+            # The run table is read in place, never replaced.
+            (deployed, deployed.matcher, gate, deployed.matcher._partitions)
             for deployed, gate in zip(fanout.queries, gates)
         )
         return fanout.members
@@ -704,18 +637,17 @@ class CEPEngine(Taps):
             probe = -1 if verdicts is None else verdicts
             tracer = self.tracer
             context = current_context() if tracer is not None and tracer.active else None
-            times: Dict[str, float] = {}
+            config = self.matcher_config
+            field = config.partition_field
+            timestamp: Optional[float] = None
             first: Optional[Exception] = None
-            for deployed, matcher, gate, field, partitions, timestamp_field in members:
+            for deployed, matcher, gate, partitions in members:
                 if not (deployed.enabled and deployed.active):
                     continue
                 try:
-                    timestamp = times.get(timestamp_field)
                     if timestamp is None:
-                        value = record.get(timestamp_field)
-                        timestamp = times[timestamp_field] = (
-                            float(value) if value is not None else self.clock.now()
-                        )
+                        value = record.get(config.timestamp_field)
+                        timestamp = float(value) if value is not None else self.clock.now()
                     # A traced tuple keeps one span per query: no skipping then.
                     if not (
                         probe & gate
@@ -748,21 +680,19 @@ class CEPEngine(Taps):
             verdicts = [lookup(record) for record in records] if fanout.index.fields else None
             tracer = self.tracer
             context = current_context() if tracer is not None and tracer.active else None
-            times: Dict[str, List[float]] = {}
+            timestamp_field = self.matcher_config.timestamp_field
+            timestamps: Optional[List[float]] = None
             first: Optional[Exception] = None
-            for deployed, matcher, _, _, _, timestamp_field in members:
+            for deployed, matcher, _, _ in members:
                 if not (deployed.enabled and deployed.active):
                     continue
                 try:
-                    timestamps = times.get(timestamp_field)
+                    # Bound only once every time converted: a bad time fails each query.
                     if timestamps is None:
-                        timestamps = []
-                        for record in records:
-                            value = record.get(timestamp_field)
-                            timestamps.append(
-                                float(value) if value is not None else self.clock.now()
-                            )
-                        times[timestamp_field] = timestamps
+                        timestamps = [
+                            float(value) if value is not None else self.clock.now()
+                            for value in (record.get(timestamp_field) for record in records)
+                        ]
                     span = None
                     if context is not None:
                         span = tracer.span(f"matcher:{deployed.name}", "matcher", context)
@@ -900,7 +830,6 @@ class CEPEngine(Taps):
                     "name": name,
                     "text": deployed.query.to_query(),
                     "enabled": deployed.enabled,
-                    "partition_field": deployed.matcher.config.partition_field,
                     "matcher": deployed.matcher.capture_state(),
                     "detections": [
                         d.to_state() for d in deployed.collector.detections
@@ -936,12 +865,22 @@ class CEPEngine(Taps):
         Raises
         ------
         repro.errors.SerializationError
-            If ``state`` is not a CEP engine snapshot.
+            If ``state`` is not a CEP engine snapshot, or records a query
+            partitioned on another field than this engine's.
         """
         if state.get("kind") != "cep-engine":
             raise SerializationError(
                 f"cannot restore a CEPEngine from a {state.get('kind')!r} state blob"
             )
+        field = self.matcher_config.partition_field
+        for entry in state.get("queries", []):
+            # Older snapshots record each query's partition field.
+            if entry.get("partition_field", field) != field:
+                raise SerializationError(
+                    f"query '{entry['name']}' was captured partitioned on "
+                    f"{entry['partition_field']!r}, but this engine partitions on "
+                    f"{field!r}; restore it into an engine with that MatcherConfig"
+                )
         for name, stream_state in state.get("streams", {}).items():
             if name not in self.streams:
                 self.streams.create(name)
@@ -958,12 +897,7 @@ class CEPEngine(Taps):
             if name in self._queries:
                 deployed = self._queries[name]
             else:
-                deployed = self.register_query(
-                    entry["text"],
-                    name=name,
-                    create_missing_streams=True,
-                    partition_field=entry.get("partition_field"),
-                )
+                deployed = self.register_query(entry["text"], name=name)
             deployed.matcher.restore_state(entry["matcher"])
             deployed.collector.restore(
                 [Detection.from_state(d) for d in entry.get("detections", [])]

@@ -29,7 +29,8 @@ matching on N interleaved users behaves exactly like N isolated matchers.
 ``consume all`` clears only the completing player's runs, and a completed
 :class:`Detection` carries the partition value so applications know *who*
 gestured.  Tuples missing the field share one partition (key ``None``);
-``partition_field=None`` restores the single global run table.  Partitions
+an engine built with ``MatcherConfig(partition_field=None)`` runs every
+query on the single global run table.  Partitions
 hold state only while they have live runs, so idle players cost nothing.
 
 Fast path
@@ -169,7 +170,8 @@ class MatcherConfig:
         Every stream of a pattern must agree on the field: a run started by
         a player-stamped tuple can only be advanced by tuples carrying the
         same value, so a query mixing streams *with* and *without* the
-        field should be deployed with ``partition_field=None``.
+        field should run on an engine whose configuration has
+        ``partition_field=None`` (queries run under their engine's).
     partition_idle_seconds:
         Drop all partial matches of a partition whose newest run activity is
         older than this (measured against the stream's latest event time).

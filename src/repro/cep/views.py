@@ -15,7 +15,6 @@ to compute less.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import for type hints only
@@ -24,7 +23,7 @@ if TYPE_CHECKING:  # pragma: no cover - import for type hints only
 from repro.streams.stream import Stream, Subscription
 from repro.transform.pipeline import KinectTransformer, TransformConfig
 
-#: Sentinel distinguishing "parameter not given" from an explicit ``None``.
+#: Sentinel: no read set projected yet (``None`` is a read set: any field).
 _UNSET: Any = object()
 
 #: Names of the raw and transformed Kinect streams.
@@ -121,7 +120,6 @@ class View:
 def install_kinect_view(
     engine: "CEPEngine",
     transform_config: Optional[TransformConfig] = None,
-    partition_field: Optional[str] = _UNSET,
 ) -> View:
     """Create the raw ``kinect`` stream and its transformed ``kinect_t`` view.
 
@@ -143,13 +141,9 @@ def install_kinect_view(
     concurrent users in one sensor space never blend scale factors; the
     ``player`` and ``ts`` fields pass through the transformation unchanged,
     which is what lets deployed queries partition their run tables on the
-    transformed stream.  ``partition_field`` here overrides the config's
-    value (pass ``None`` explicitly for one shared smoothing state).
+    transformed stream.
     """
     if RAW_STREAM_NAME not in engine.streams:
         engine.create_stream(RAW_STREAM_NAME)
-    config = transform_config
-    if partition_field is not _UNSET:
-        config = replace(config or TransformConfig(), partition_field=partition_field)
-    transformer = KinectTransformer(config)
+    transformer = KinectTransformer(transform_config)
     return engine.register_view(TRANSFORMED_STREAM_NAME, RAW_STREAM_NAME, transformer)

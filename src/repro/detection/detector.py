@@ -25,7 +25,6 @@ from repro.core.description import GestureDescription
 from repro.core.querygen import QueryGenConfig, QueryGenerator
 from repro.detection.events import DetectionFeedback, GestureEvent
 from repro.errors import BindingError, GestureNotFoundError
-from repro.storage.database import GestureDatabase
 from repro.streams.clock import Clock, SimulatedClock
 
 GestureHandler = Callable[[GestureEvent], None]
@@ -111,54 +110,19 @@ class GestureDetector:
     # -- deployment ------------------------------------------------------------------
 
     def deploy(
-        self,
-        gesture: Union[GestureDescription, Query, str, Any],
-        name: Optional[str] = None,
-        analyze: str = "off",
+        self, gesture: Union[GestureDescription, Query, str, Any], name: Optional[str] = None
     ) -> QueryHandle:
         """Deploy a gesture description, a query object, query text, or a
         fluent builder chain (anything with a ``build() -> Query`` method).
 
         Returns the engine's deployed-query handle.  The gesture becomes
         active immediately; previously deployed gestures keep running.
-        ``analyze`` gates the deployment through the static query analyzer
-        (see :meth:`repro.cep.engine.CEPEngine.register_query`).
         """
         if isinstance(gesture, GestureDescription):
-            query: Union[Query, str] = self.generator.generate(gesture)
-            registration = name or gesture.name
-        else:
-            query = gesture
-            registration = name
-        return self.engine.register_query(
-            query, name=registration, create_missing_streams=True, analyze=analyze
-        )
-
-    def deploy_from_database(
-        self, database: GestureDatabase, enabled_only: bool = True, analyze: str = "off"
-    ) -> List[str]:
-        """Deploy every gesture stored in ``database``; return their names.
-
-        With ``analyze`` other than ``"off"`` the whole vocabulary is
-        analysed first — including the cross-query duplicate, subsumption
-        and factoring rules — and gated as one unit, then the individual
-        deployments skip re-analysis.
-        """
-        if analyze != "off":
-            from repro.analysis import gate_deployment
-
-            # Analyse exactly the queries the loop below will deploy: same
-            # enabled filter, same generator configuration.
-            queries = {
-                record.name: self.generator.generate(record.description)
-                for record in database.all_gestures(enabled_only=enabled_only)
-            }
-            gate_deployment(self.engine, queries, analyze)
-        deployed: List[str] = []
-        for record in database.all_gestures(enabled_only=enabled_only):
-            self.deploy(record.description)
-            deployed.append(record.name)
-        return deployed
+            return self.engine.register_query(
+                self.generator.generate(gesture), name=name or gesture.name
+            )
+        return self.engine.register_query(gesture, name=name)
 
     def undeploy(self, name: str) -> None:
         """Remove a deployed gesture."""

@@ -50,9 +50,7 @@ def apply_engine_control(target: "Engine", control: str, payload: Any) -> None:
     """
     if control == "deploy":
         if payload["name"] not in target.queries:
-            target.register_query(
-                payload["text"], name=payload["name"], create_missing_streams=True
-            )
+            target.register_query(payload["text"], name=payload["name"])
     elif control == "undeploy":
         target.unregister_query(payload["name"])
     elif control == "enable":

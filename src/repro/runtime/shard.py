@@ -151,17 +151,8 @@ def _apply_control(engine: CEPEngine, op: str, payload: Any) -> Any:
     if op == "progress":
         return engine.query_progress()
     if op == "deploy":
-        name, query_text, matcher_config, partition_override = payload
-        kwargs: Dict[str, Any] = {}
-        if partition_override is not None:
-            kwargs["partition_field"] = partition_override[0]
-        engine.register_query(
-            query_text,
-            name=name,
-            matcher_config=matcher_config,
-            create_missing_streams=True,
-            **kwargs,
-        )
+        name, text = payload
+        engine.register_query(text, name=name)
     elif op == "undeploy":
         engine.unregister_query(payload)
     elif op == "enable":

@@ -28,13 +28,12 @@ from __future__ import annotations
 
 import contextlib
 import threading
-from dataclasses import replace
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.cep.engine import _UNSET, Taps, coerce_query
 from repro.cep.matcher import Detection, MatcherConfig
 from repro.cep.query import Query
-from repro.cep.sinks import FanOutSink, Sink
+from repro.cep.sinks import FanOutSink
 from repro.cep.views import RAW_STREAM_NAME, TRANSFORMED_STREAM_NAME
 from repro.errors import (
     QueryRegistrationError,
@@ -110,10 +109,6 @@ class ShardedRuntime(Taps):
         Per-shard bound on the tuples in flight to the worker; a producer
         that outruns a shard waits for it.  Nothing below the gateway's
         edge drops a tuple.
-    partition_field:
-        Tuple field the router hashes (default: the spec's matcher
-        partition field).  Deployed queries must partition on the same
-        field; ``register_query`` enforces it.
     metrics:
         Optional shared :class:`MetricsRegistry`; a private one is created
         by default.
@@ -132,7 +127,6 @@ class ShardedRuntime(Taps):
         spec: Optional[ShardEngineSpec] = None,
         executor: str = "thread",
         queue_capacity: int = 2048,
-        partition_field: Optional[str] = None,
         metrics: Optional[MetricsRegistry] = None,
         clock: Optional[Clock] = None,
         tracer: Optional[Tracer] = None,
@@ -144,11 +138,13 @@ class ShardedRuntime(Taps):
                 f"unknown executor {executor!r}; expected one of {tuple(TRANSPORTS)}"
             )
         self.spec = spec or ShardEngineSpec()
-        field = partition_field or self.spec.matcher.partition_field
+        # The router hashes the field every query partitions on: a shard
+        # holds all of a partition's tuples, so it detects what inline would.
+        field = self.spec.matcher.partition_field
         if not field:
             raise ValueError(
                 "a sharded runtime needs a partition field to route on; "
-                "configure MatcherConfig.partition_field (or partition_field=)"
+                "configure the spec's MatcherConfig.partition_field"
             )
         self.shard_count = shard_count
         self.executor = executor
@@ -309,14 +305,7 @@ class ShardedRuntime(Taps):
     # -- deployment (engine-compatible surface) ----------------------------------------
 
     def register_query(
-        self,
-        query: Union[str, Query, Any],
-        name: Optional[str] = None,
-        sink: Optional[Sink] = None,
-        matcher_config: Optional[MatcherConfig] = None,
-        create_missing_streams: bool = True,
-        partition_field: Optional[str] = _UNSET,
-        analyze: str = "off",
+        self, query: Union[str, Query, Any], name: Optional[str] = None
     ) -> ShardedQuery:
         """Deploy a query on **every** shard; returns the fan-out handle.
 
@@ -325,10 +314,6 @@ class ShardedRuntime(Taps):
         normalised to its canonical text and deployed shard-side through
         the standard parse → compiled-predicate-cache path, so cache keys
         and matcher behaviour are identical to an inline deployment.
-
-        The effective partition field must match the router's: a query
-        partitioned on a different field (or unpartitioned) would see only
-        a hash-arbitrary subset of its partitions per shard.
         """
         self._raise_if_failed()
         self._ensure_running()
@@ -338,32 +323,9 @@ class ShardedRuntime(Taps):
             raise QueryRegistrationError(
                 f"a query named '{registration_name}' is already registered"
             )
-        config = matcher_config or self.spec.matcher
-        if partition_field is not _UNSET:
-            config = replace(config, partition_field=partition_field)
-        if config.partition_field != self.router.partition_field:
-            raise QueryRegistrationError(
-                f"query '{registration_name}' partitions on "
-                f"{config.partition_field!r} but the runtime routes on "
-                f"{self.router.partition_field!r}; a shard would only see a "
-                f"hash-arbitrary subset of its partitions. Deploy with a "
-                f"matching partition_field, or run this query on an inline "
-                f"engine."
-            )
-        if analyze != "off":
-            # Gate coordinator-side, before the deploy broadcast: a rejected
-            # query must never reach any shard.
-            from repro.analysis import gate_deployment
-
-            gate_deployment(
-                self, {registration_name: query}, analyze, config, f"query '{registration_name}'"
-            )
-        override = None if partition_field is _UNSET else (partition_field,)
         handle = ShardedQuery(self, query, registration_name)
-        if sink is not None:
-            handle.sink.add(sink)
         text = query.to_query()
-        self._broadcast("deploy", (registration_name, text, matcher_config, override))
+        self._broadcast("deploy", (registration_name, text))
         self._queries[registration_name] = handle
         self._streams |= query.streams()
         self._notify_control("deploy", {"name": registration_name, "text": text})

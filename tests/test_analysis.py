@@ -1,8 +1,9 @@
 """Tests of the static query analyzer (``repro.analysis``).
 
 Covers the interval algebra, every diagnostic rule family, the
-deploy-time gating at the engine / detector / session / sharded-runtime
-layers, the vocabulary report, and the ``python -m repro.analysis`` CLI.
+deploy-time gate (the session's, on an inline and a sharded engine, over
+the very queries it deploys), the vocabulary report, and the
+``python -m repro.analysis`` CLI.
 """
 
 from __future__ import annotations
@@ -27,13 +28,14 @@ from repro.analysis import (
     gate_diagnostics,
     validate_analyze_mode,
 )
+from repro.analysis import vocabulary as vocabulary_module
 from repro.analysis.cli import main as analysis_cli
 from repro.api import F, GestureSession, Q, SessionConfig
-from repro.cep import CEPEngine
+from repro.cep import ConsumePolicy, SelectPolicy
 from repro.cep.engine import coerce_query
-from repro.cep.matcher import MatcherConfig
+from repro.core import GestureDescription, PoseWindow, QueryGenConfig, Window
+from repro.detection.workflow import WorkflowConfig
 from repro.storage.database import GestureDatabase
-from repro.streams.clock import SimulatedClock
 
 GOOD = (
     'SELECT "wave" MATCHING (kinect_t(abs(rhand_x - 400) < 50) -> '
@@ -48,6 +50,14 @@ UNSAT_CONJ = (
 
 def codes(diagnostics):
     return sorted({d.code for d in diagnostics})
+
+
+#: Shard count of the session each engine-kind test runs on.
+SHARDS = {"inline": 1, "sharded": 2}
+
+
+def session_on(engine):
+    return GestureSession(SessionConfig(shards=SHARDS[engine]))
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +333,6 @@ class TestVocabulary:
         assert report.has_errors
 
     def test_database_source(self, tmp_path):
-        from repro.core import GestureDescription, PoseWindow, Window
 
         db = GestureDatabase(str(tmp_path / "gestures.db"))
         description = GestureDescription(
@@ -380,29 +389,36 @@ class TestGating:
         with pytest.warns(QueryAnalysisWarning):
             gate_diagnostics(found, "strict")
 
-    def test_engine_strict_rejects_and_leaves_engine_clean(self):
-        engine = CEPEngine(clock=SimulatedClock())
-        with pytest.raises(QueryAnalysisError):
-            engine.register_query(UNSAT_ABS, create_missing_streams=True, analyze="strict")
-        assert engine.queries == {}
-        assert "kinect_t" not in engine.streams
+    @pytest.mark.parametrize("engine", sorted(SHARDS))
+    def test_session_strict_rejects_and_leaves_the_engine_clean(self, engine):
+        with session_on(engine) as session:
+            with pytest.raises(QueryAnalysisError):
+                session.deploy(UNSAT_ABS, analyze="strict")
+            assert (session.runtime or session.engine).queries == {}
+            assert session.deployed_gestures() == []
+            session.deploy(GOOD, analyze="strict")
+            assert session.deployed_gestures() == ["wave"]
 
-    def test_engine_warn_still_deploys(self):
-        engine = CEPEngine(clock=SimulatedClock())
-        with pytest.warns(QueryAnalysisWarning):
-            engine.register_query(UNSAT_ABS, create_missing_streams=True, analyze="warn")
-        assert "never" in engine.queries
+    @pytest.mark.parametrize("engine", sorted(SHARDS))
+    def test_session_warn_still_deploys(self, engine):
+        with session_on(engine) as session:
+            with pytest.warns(QueryAnalysisWarning):
+                session.deploy(UNSAT_ABS, analyze="warn")
+            assert session.deployed_gestures() == ["never"]
 
-    def test_engine_off_stays_silent(self):
-        engine = CEPEngine(clock=SimulatedClock())
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            engine.register_query(UNSAT_ABS, create_missing_streams=True)
+    @pytest.mark.parametrize("engine", sorted(SHARDS))
+    def test_session_off_stays_silent(self, engine):
+        with session_on(engine) as session:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                session.deploy(UNSAT_ABS)
 
-    def test_engine_rejects_unknown_mode(self):
-        engine = CEPEngine(clock=SimulatedClock())
-        with pytest.raises(ValueError, match="analyze mode"):
-            engine.register_query(GOOD, create_missing_streams=True, analyze="loud")
+    @pytest.mark.parametrize("engine", sorted(SHARDS))
+    def test_session_rejects_unknown_mode(self, engine):
+        with session_on(engine) as session:
+            with pytest.raises(ValueError, match="analyze mode"):
+                session.deploy(GOOD, analyze="loud")
+            assert session.deployed_gestures() == []
 
     def test_session_deploy_strict(self):
         with GestureSession() as session:
@@ -440,31 +456,77 @@ class TestGating:
                 )
             assert deployed == ["a", "never"]
 
-    def test_sharded_runtime_strict_rejects_before_broadcast(self):
-        from repro.runtime import ShardedRuntime
-
-        with ShardedRuntime(shard_count=2) as runtime:
-            with pytest.raises(QueryAnalysisError):
-                runtime.register_query(UNSAT_ABS, analyze="strict")
-            assert runtime.query_names() == []
-            runtime.register_query(GOOD, analyze="strict")
-            assert runtime.query_names() == ["wave"]
-
-    def test_detections_identical_with_analysis_enabled(self):
+    @pytest.mark.parametrize("engine", sorted(SHARDS))
+    def test_detections_identical_with_analysis_enabled(self, engine):
         """Enabling analysis must not change what the matcher produces."""
 
         def run(analyze: str):
-            engine = CEPEngine(clock=SimulatedClock())
-            engine.create_stream("kinect_t")
-            deployed = engine.register_query(GOOD, analyze=analyze)
-            for ts, x in enumerate([400.0, 500.0, 410.0, 505.0]):
-                engine.push("kinect_t", {"ts": float(ts), "player": 1, "rhand_x": x})
-            return [
-                (d.query_name, d.output, d.timestamp, d.partition)
-                for d in deployed.detections()
-            ]
+            with session_on(engine) as session:
+                session.deploy(GOOD, analyze=analyze)
+                session.feed(
+                    [
+                        {"ts": float(ts), "player": 1, "rhand_x": x}
+                        for ts, x in enumerate([400.0, 500.0, 410.0, 505.0])
+                    ],
+                    stream="kinect_t",
+                )
+                return [
+                    (d.query_name, d.output, d.timestamp, d.partition)
+                    for d in session.detections()
+                ]
 
         assert run("off") == run("strict")
+        assert run("off")
+
+
+def two_pose(name):
+    return GestureDescription(
+        name=name,
+        poses=[
+            PoseWindow(0, Window({"rhand_x": 100.0}, {"rhand_x": 25.0})),
+            PoseWindow(1, Window({"rhand_x": 300.0}, {"rhand_x": 25.0})),
+        ],
+        joints=["rhand"],
+        max_duration_s=1.0,
+    )
+
+
+class TestTheGateAnalysesWhatItDeploys:
+    """A session whose generator writes ``select all consume none``: every
+    deploy route must analyse the very query text it then deploys."""
+
+    @pytest.mark.parametrize("engine", sorted(SHARDS))
+    @pytest.mark.parametrize("route", ["deploy", "manifest", "database"])
+    def test_the_analysed_query_is_the_deployed_query(self, monkeypatch, route, engine):
+        analysed = {}
+        found = []
+
+        def spy(source, context=None, names=None):
+            # What the analyzer reads: its own coercion of the source.
+            for name, query in vocabulary_module._coerce_entries(source):
+                analysed[name] = query.to_query()
+            report = analyze_vocabulary(source, context=context, names=names)
+            found.extend(report.diagnostics)
+            return report
+
+        monkeypatch.setattr(vocabulary_module, "analyze_vocabulary", spy)
+        querygen = QueryGenConfig(select=SelectPolicy.ALL, consume=ConsumePolicy.NONE)
+        config = SessionConfig(shards=SHARDS[engine], workflow=WorkflowConfig(querygen=querygen))
+        with GestureSession(config) as session:
+            description = two_pose("g")
+            if route == "deploy":
+                session.deploy(description, analyze="warn")
+            elif route == "manifest":
+                session.deploy_vocabulary({"g": description}, analyze="warn")
+            else:
+                database = GestureDatabase(":memory:")
+                database.save_gesture(description)
+                session.deploy_vocabulary(database, analyze="warn")
+                database.close()
+            deployed = (session.runtime or session.engine).get_query("g").query.to_query()
+        assert analysed == {"g": deployed}
+        assert "select all consume none" in deployed
+        assert "QA021" in codes(found)
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +580,6 @@ class TestCLI:
         assert analysis_cli(["--strict", "--ttl", "10", str(path)]) == 0  # QA011 info
 
     def test_database_source(self, tmp_path):
-        from repro.core import GestureDescription, PoseWindow, Window
 
         db_path = tmp_path / "gestures.db"
         db = GestureDatabase(str(db_path))

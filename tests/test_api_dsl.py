@@ -322,7 +322,7 @@ def test_generated_query_corpus_round_trips(seed, nested):
 def _drive(query, records, *, batch_size=None):
     engine = CEPEngine(clock=SimulatedClock())
     engine.create_stream("kinect_t")
-    deployed = engine.register_query(query, create_missing_streams=True)
+    deployed = engine.register_query(query)
     engine.push_many("kinect_t", records, batch_size=batch_size)
     return _summary(deployed.detections())
 

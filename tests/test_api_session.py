@@ -214,12 +214,15 @@ class TestDetection:
             session.feed([_frame()], stream="kinect_t")
             assert sink.outputs() == ["hands_up"]
 
-    def test_deploy_with_sink_argument(self):
+    def test_attach_sink_to_every_query(self):
         sink = CollectingSink()
         with GestureSession() as session:
-            session.deploy(HANDS_UP, sink=sink)
+            session.deploy(HANDS_UP)
+            session.attach_sink(sink)
             session.feed([_frame()], stream="kinect_t")
             assert sink.outputs() == ["hands_up"]
+            with pytest.raises(TypeError, match="sink"):
+                session.deploy(HANDS_UP, name="again", sink=sink)
 
     def test_batched_feed_matches_per_tuple(self):
         frames = [

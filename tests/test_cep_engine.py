@@ -115,13 +115,16 @@ class TestEngineBasics:
         engine.push("s", {"ts": 0.0, "x": 150.0})
         assert [d.output for d in deployed.detections()] == ["up"]
 
-    def test_unknown_stream_rejected_unless_created(self):
+    def test_deploy_creates_the_streams_it_names_and_feeding_others_is_refused(self):
         engine = CEPEngine()
-        with pytest.raises(UnknownStreamError):
-            engine.register_query(SIMPLE_QUERY)
-        deployed = engine.register_query(SIMPLE_QUERY, create_missing_streams=True)
+        deployed = engine.register_query(SIMPLE_QUERY)
+        assert "s" in engine.streams
         engine.push("s", {"ts": 0.0, "x": 150.0})
         assert len(deployed.detections()) == 1
+        with pytest.raises(UnknownStreamError, match="nope"):
+            engine.push("nope", {"ts": 0.1, "x": 150.0})
+        with pytest.raises(UnknownStreamError, match="nope"):
+            engine.push_many("nope", [{"ts": 0.1, "x": 150.0}])
 
     def test_duplicate_query_name_rejected(self):
         engine = CEPEngine()
@@ -158,7 +161,7 @@ class TestEngineBasics:
 
     def test_a_true_predicate_detects_every_tuple(self):
         engine = CEPEngine(clock=SimulatedClock())
-        engine.register_query('SELECT "any" MATCHING s(true);', create_missing_streams=True)
+        engine.register_query('SELECT "any" MATCHING s(true);')
         engine.push_many("s", [{"ts": 0.1 * i} for i in range(5)])
         assert [d.timestamp for d in engine.detections()] == pytest.approx(
             [0.0, 0.1, 0.2, 0.3, 0.4]
@@ -195,7 +198,7 @@ class TestEngineBasics:
         engine = CEPEngine()
         engine.create_stream("s")
         seen = []
-        engine.register_query(SIMPLE_QUERY, sink=CallbackSink(seen.append))
+        engine.register_query(SIMPLE_QUERY).sink.add(CallbackSink(seen.append))
         engine.push("s", {"ts": 0.0, "x": 200.0})
         assert len(seen) == 1
 
@@ -234,22 +237,18 @@ class TestEngineBasics:
         engine.push("s", {"x": 150.0})
         assert deployed.detections()[0].timestamp == pytest.approx(3.0)
 
-    def test_per_query_matcher_config_override(self):
-        engine = CEPEngine()
+    def test_engine_matcher_config_applies_to_every_query(self):
+        engine = CEPEngine(matcher_config=MatcherConfig(store_matched_tuples=False))
         engine.create_stream("s")
-        deployed = engine.register_query(
-            SIMPLE_QUERY, matcher_config=MatcherConfig(store_matched_tuples=False)
-        )
+        deployed = engine.register_query(SIMPLE_QUERY)
         engine.push("s", {"ts": 0.0, "x": 150.0})
         assert deployed.detections()[0].matched is None
 
     def test_configured_timestamp_field_is_honored(self):
-        # The handler must read the matcher's timestamp_field, not "ts".
-        engine = CEPEngine()
+        # The handler must read the engine's timestamp_field, not "ts".
+        engine = CEPEngine(matcher_config=MatcherConfig(timestamp_field="t"))
         engine.create_stream("s")
-        deployed = engine.register_query(
-            SEQ_QUERY, matcher_config=MatcherConfig(timestamp_field="t")
-        )
+        deployed = engine.register_query(SEQ_QUERY)
         engine.push("s", {"t": 0.0, "x": 150.0})
         engine.push("s", {"t": 5.0, "x": 250.0})
         assert deployed.detections() == []  # 5 s apart: within 1 s violated
@@ -260,11 +259,9 @@ class TestEngineBasics:
         assert detections[0].timestamp == pytest.approx(10.5)
 
     def test_configured_timestamp_field_is_honored_on_batches(self):
-        engine = CEPEngine()
+        engine = CEPEngine(matcher_config=MatcherConfig(timestamp_field="t"))
         engine.create_stream("s")
-        deployed = engine.register_query(
-            SEQ_QUERY, matcher_config=MatcherConfig(timestamp_field="t")
-        )
+        deployed = engine.register_query(SEQ_QUERY)
         engine.push_many(
             "s",
             [{"t": 0.0, "x": 150.0}, {"t": 5.0, "x": 250.0},

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import GestureSession
 from repro.cep.matcher import Detection
 from repro.detection import (
     DetectionFeedback,
@@ -153,12 +154,13 @@ class TestGestureDetector:
         assert detector.transformer is view.function
         assert detector.transformers == [view.function]
 
-    def test_deploy_from_database(self, swipe_description):
+    def test_deploy_vocabulary_from_database(self, swipe_description):
         database = GestureDatabase(":memory:")
         database.save_gesture(swipe_description)
-        detector = GestureDetector()
-        deployed = detector.deploy_from_database(database)
-        assert deployed == ["swipe_right"]
+        with GestureSession() as session:
+            assert session.deploy_vocabulary(database) == ["swipe_right"]
+            assert session.detector.deployed_gestures() == ["swipe_right"]
+            assert not hasattr(session.detector, "deploy_from_database")
 
 
 class TestLearningWorkflow:

@@ -1,7 +1,7 @@
 """One engine surface: ``CEPEngine`` and ``ShardedRuntime`` implement ``Engine``.
 
 The protocol is checked member by member (presence, and each method's
-parameters by name and kind), and the behaviours that used to differ
+parameters by name, kind and default), and the behaviours that used to differ
 between the inline and the sharded engine are pinned on both: the
 deploy-time analyzer's verdict, what a rejected feed leaves in the
 journal, how an unknown stream is refused, how a recovery whose log
@@ -17,6 +17,7 @@ import multiprocessing
 import shutil
 import threading
 import warnings
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.analysis import QueryAnalysisWarning, gate_deployment
 from repro.api import DurabilityConfig, GestureSession, SessionConfig
-from repro.cep import CEPEngine, Engine, QueryHandle, parse_query
+from repro.cep import CEPEngine, Engine, MatcherConfig, QueryHandle, parse_query
 from repro.core import (
     GestureDescription,
     GestureLearner,
@@ -72,9 +73,11 @@ ENGINES = {
 }
 
 
-def session_config(engine: str) -> SessionConfig:
+def session_config(engine: str, matcher: Optional[MatcherConfig] = None) -> SessionConfig:
     shards, executor = ENGINES[engine]
-    return SessionConfig(shards=shards, shard_executor=executor)
+    return SessionConfig(
+        shards=shards, shard_executor=executor, matcher=matcher or MatcherConfig()
+    )
 
 
 def rows(count=8, value=500.0):
@@ -101,7 +104,9 @@ def members(protocol):
 
 
 def parameters(function):
-    return [(p.name, p.kind) for p in inspect.signature(function).parameters.values()]
+    return [
+        (p.name, p.kind, p.default) for p in inspect.signature(function).parameters.values()
+    ]
 
 
 def assert_implements(protocol, instance):
@@ -145,6 +150,21 @@ class TestProtocol:
         assert_implements(QueryHandle, deployed)
         sharded = ShardedQuery(ShardedRuntime(shard_count=2), deployed.query, "high")
         assert_implements(QueryHandle, sharded)
+
+    @pytest.mark.parametrize("engine", ["inline", "thread2"])
+    def test_register_query_takes_a_query_and_a_name_only(self, engine):
+        """Every query runs under its engine's configuration: a per-query
+        setting the journal would not record cannot be passed."""
+        target = make_engine(engine)
+        try:
+            for setting in (
+                "partition_field", "matcher_config", "sink", "analyze", "create_missing_streams"
+            ):
+                with pytest.raises(TypeError, match=setting):
+                    target.register_query(HIGH, **{setting: None})
+            assert target.query_names() == []
+        finally:
+            stop(target)
 
     def test_inline_drain_and_telemetry_are_trivial(self):
         engine = CEPEngine()
@@ -527,6 +547,43 @@ def continue_with(session, frames):
     return sorted((event.gesture, event.partition, event.timestamp) for event in seen)
 
 
+#: Non-default engine-wide matcher configurations.  A sharded engine routes
+#: on the partition field, so process shards keep it.
+CONFIGURED = {
+    "inline": MatcherConfig(partition_field=None, store_matched_tuples=False),
+    "process2": MatcherConfig(store_matched_tuples=False),
+}
+
+
+def assert_recovers_as_live(route, config, vocabulary, recording, tmp_path):
+    """Run ``route`` live, copy the journal mid-run, recover the copy, and
+    assert both sessions observe the same on the continuation; returns
+    what the live one observed."""
+    before, after = recording
+    live_dir, crash_dir = tmp_path / "live", tmp_path / "crash"
+    live = GestureSession(config, durability=DurabilityConfig(live_dir))
+    try:
+        ROUTES[route](live, vocabulary, lambda: live.feed(before))
+        live.drain()
+        live.durability.log.flush(sync=False)
+        shutil.copytree(live_dir, crash_dir)
+        live_events = continue_with(live, after)
+        expected = observed(live)
+    finally:
+        live.close()
+    assert expected["detections"] and live_events, "the route must detect something"
+
+    recovered = GestureSession.recover(DurabilityConfig(crash_dir), config)
+    try:
+        assert recovered.last_recovery.snapshot_offset is None
+        recovered_events = continue_with(recovered, after)
+        assert observed(recovered) == expected
+        assert recovered_events == live_events
+    finally:
+        recovered.close()
+    return expected
+
+
 class TestEveryRouteRecovers:
     """Each route changes the deployed vocabulary, the live run is abandoned
     without a snapshot (its directory is copied mid-run: a crash image), and
@@ -541,28 +598,23 @@ class TestEveryRouteRecovers:
     def test_recovered_session_equals_the_live_one(
         self, route, engine, vocabulary, recording, tmp_path
     ):
-        before, after = recording
-        live_dir, crash_dir = tmp_path / "live", tmp_path / "crash"
-        live = GestureSession(session_config(engine), durability=DurabilityConfig(live_dir))
-        try:
-            ROUTES[route](live, vocabulary, lambda: live.feed(before))
-            live.drain()
-            live.durability.log.flush(sync=False)
-            shutil.copytree(live_dir, crash_dir)
-            live_events = continue_with(live, after)
-            expected = observed(live)
-        finally:
-            live.close()
-        assert expected["detections"] and live_events, "the route must detect something"
+        assert_recovers_as_live(route, session_config(engine), vocabulary, recording, tmp_path)
 
-        recovered = GestureSession.recover(DurabilityConfig(crash_dir), session_config(engine))
-        try:
-            assert recovered.last_recovery.snapshot_offset is None
-            recovered_events = continue_with(recovered, after)
-            assert observed(recovered) == expected
-            assert recovered_events == live_events
-        finally:
-            recovered.close()
+    @pytest.mark.parametrize("engine", sorted(CONFIGURED))
+    def test_an_engine_wide_matcher_config_recovers_as_live(
+        self, engine, vocabulary, recording, tmp_path
+    ):
+        """The one way to configure matching is journal-safe: the engine's
+        configuration, which the recovering session is built with again."""
+        config = session_config(engine, CONFIGURED[engine])
+        expected = assert_recovers_as_live("manifest", config, vocabulary, recording, tmp_path)
+        detections = [
+            json.loads(state) for states in expected["detections"].values() for state in states
+        ]
+        assert all(state["matched"] is None for state in detections)
+        if config.matcher.partition_field is None:
+            assert set(expected["detections"]) <= {"None/circle", "None/push"}
+
 
 
 def wave(base, start):
@@ -679,7 +731,7 @@ def run_controls(target, texts, steps):
         try:
             if op == "deploy":
                 name = arguments[0]
-                target.register_query(texts[name], name=name, create_missing_streams=True)
+                target.register_query(texts[name], name=name)
             elif op == "undeploy":
                 target.unregister_query(*arguments)
             elif op == "enable":

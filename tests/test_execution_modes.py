@@ -108,7 +108,7 @@ def baseline(queries, frames):
     engine = CEPEngine(clock=SimulatedClock(), matcher_config=MATCHER)
     install_kinect_view(engine)
     for query in queries:
-        engine.register_query(query, create_missing_streams=True)
+        engine.register_query(query)
     for frame in frames:
         engine.push("kinect", frame)
     expected = per_player(engine.detections())

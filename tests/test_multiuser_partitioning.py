@@ -282,7 +282,6 @@ class TestEngineEndToEnd:
             'SELECT "ping" MATCHING ( s(x >= 10 AND x < 50)'
             " -> s(x >= 110 AND x < 150) within 1 seconds"
             " select first consume all );",
-            create_missing_streams=True,
         )
 
     def test_engine_detections_filter_by_partition(self):
@@ -298,19 +297,6 @@ class TestEngineEndToEnd:
         assert len(deployed.detections(partition=2)) == 2
         assert len(engine.detections("ping", partition=2)) == 2
         assert len(engine.detections()) == 3
-
-    def test_register_query_partition_override(self):
-        engine = CEPEngine(clock=SimulatedClock())
-        deployed = engine.register_query(
-            'SELECT "ping" MATCHING ( s(x >= 10 AND x < 50)'
-            " -> s(x >= 110 AND x < 150) within 1 seconds"
-            " select first consume all );",
-            create_missing_streams=True,
-            partition_field=None,
-        )
-        assert deployed.matcher.config.partition_field is None
-        # The engine-wide default is untouched.
-        assert engine.matcher_config.partition_field == "player"
 
     def test_two_simulated_players_produce_attributed_events(
         self, swipe_description

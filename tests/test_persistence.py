@@ -168,7 +168,7 @@ class TestSnapshotStore:
 
 def _engine_with_query():
     engine = CEPEngine(clock=SimulatedClock())
-    engine.register_query(HANDS_UP, name="hands_up", create_missing_streams=True)
+    engine.register_query(HANDS_UP, name="hands_up")
     return engine
 
 

@@ -18,6 +18,7 @@ TOOLS = Path(__file__).resolve().parent.parent / "tools"
 sys.path.insert(0, str(TOOLS))
 
 from repo_lint import (  # noqa: E402 — path set up above
+    ANALYZER_GATE,
     BELOW_RUNTIME_PATHS,
     CARRIER_FORBIDDEN_IMPORTS,
     CONTROL_JOURNAL_READER,
@@ -32,6 +33,7 @@ from repo_lint import (  # noqa: E402 — path set up above
     STRUCT_CODEC_MODULES,
     THREAD_FORBIDDEN_PATH,
     THREAD_STARTER,
+    UNANALYSED_PATHS,
     WALL_CLOCK_FORBIDDEN_PATHS,
     lint_file,
     lint_orphans,
@@ -69,7 +71,7 @@ class TestRepositoryIsClean:
         out = capsys.readouterr().out
         for code in (
             "RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007", "RL008", "RL009",
-            "RL010", "RL011",
+            "RL010", "RL011", "RL012", "RL013",
         ):
             assert code in out
 
@@ -738,3 +740,73 @@ class TestRL012LoadIsShedAtTheEdgeOnly:
         )
         for path in (edge, tool, bench, documented):
             assert lint_file(path, root=tmp_path) == []
+
+
+class TestRL013TheAnalyzerGatesAtTheSessionOnly:
+    @pytest.mark.parametrize(
+        "relative, source, lines",
+        [
+            (
+                "src/repro/cep/engine.py",
+                "def register_query(self, query, analyze='off'):\n"
+                "    if analyze != 'off':\n"
+                "        from repro.analysis import gate_deployment\n"
+                "        gate_deployment(self, {'q': query}, analyze)\n",
+                [3, 4],
+            ),
+            (
+                "src/repro/runtime/sharded.py",
+                "import repro.analysis.vocabulary as vocabulary\n",
+                [1],
+            ),
+            (
+                "src/repro/detection/detector.py",
+                "from repro import analysis\n",
+                [1],
+            ),
+            (
+                "src/repro/gateway/tenants.py",
+                "def deploy(session, queries):\n"
+                "    session.analysis.gate_deployment(session.engine, queries, 'strict')\n",
+                [2],
+            ),
+        ],
+        ids=["engine-lazy-gate", "runtime-import", "detector-import", "gateway-call"],
+    )
+    def test_a_second_gate_is_flagged(self, tmp_path, relative, source, lines):
+        path = write_module(tmp_path, relative, source)
+        violations = lint_file(path, root=tmp_path)
+        assert sorted((v.code, v.line) for v in violations) == [("RL013", n) for n in lines]
+        assert ANALYZER_GATE in violations[0].message
+
+    def test_the_session_gates_and_other_layers_may_read_the_analyzer(self, tmp_path):
+        gate = write_module(
+            tmp_path,
+            ANALYZER_GATE,
+            "from repro.analysis import gate_deployment\n"
+            "def deploy(session, queries, mode):\n"
+            "    gate_deployment(session.engine, queries, mode)\n",
+        )
+        definition = write_module(
+            tmp_path,
+            "src/repro/analysis/vocabulary.py",
+            "def gate_deployment(engine, queries, mode, subject='vocabulary'):\n"
+            "    return ()\n",
+        )
+        reader = write_module(
+            tmp_path,
+            "src/repro/gateway/cli.py",
+            "from repro.analysis import ANALYZE_MODES\n",
+        )
+        tool = write_module(
+            tmp_path,
+            "tools/lint_vocabulary.py",
+            "from repro.analysis import gate_deployment\ngate_deployment(None, {}, 'warn')\n",
+        )
+        for path in (gate, definition, reader, tool):
+            assert lint_file(path, root=tmp_path) == []
+
+    def test_the_guarded_packages_exist(self):
+        for prefix in UNANALYSED_PATHS:
+            assert (REPO_ROOT / prefix / "__init__.py").is_file()
+        assert (REPO_ROOT / ANALYZER_GATE).is_file()

@@ -28,7 +28,7 @@ SPEC = ShardEngineSpec(install_view=False)
 
 
 def deploy(token, text=HIGH, name="high"):
-    return ("control", token, "deploy", (name, text, None, None))
+    return ("control", token, "deploy", (name, text))
 
 
 def tuples(*values, meta=None):

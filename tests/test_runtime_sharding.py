@@ -18,7 +18,6 @@ import pytest
 from reference_matcher import reference_detections
 from repro.api import F, GestureSession, Q, SessionConfig
 from repro.cep import CallbackSink, CEPEngine, CollectingSink, FanOutSink
-from repro.cep.matcher import MatcherConfig
 from repro.errors import (
     QueryRegistrationError,
     SerializationError,
@@ -210,19 +209,11 @@ class TestShardedRuntime:
             assert len(runtime.detections("high")) == 4
             assert len(runtime.detections("late")) == 2
 
-    def test_duplicate_and_mismatched_partition_registration(self, spec):
+    def test_duplicate_registration(self, spec):
         with self.runtime(spec) as runtime:
             runtime.register_query(HIGH)
             with pytest.raises(QueryRegistrationError, match="already registered"):
                 runtime.register_query(HIGH)
-            with pytest.raises(QueryRegistrationError, match="routes on"):
-                runtime.register_query(UPDOWN, partition_field=None)
-            with pytest.raises(QueryRegistrationError, match="routes on"):
-                runtime.register_query(
-                    UPDOWN,
-                    name="other_field",
-                    matcher_config=MatcherConfig(partition_field="device"),
-                )
 
     def test_builder_chains_deploy_like_inline(self, spec):
         frames = make_frames(players=3)
@@ -276,7 +267,8 @@ class TestShardedRuntime:
     def test_raising_sink_is_isolated_and_recorded(self, spec):
         frames = make_frames(players=2, rounds=5)
         with self.runtime(spec) as runtime:
-            handle = runtime.register_query(HIGH, sink=CallbackSink(lambda detection: 1 / 0))
+            handle = runtime.register_query(HIGH)
+            handle.sink.add(CallbackSink(lambda detection: 1 / 0))
             runtime.push_many("kinect_t", frames)
             detections = runtime.detections()
             assert detections  # the raising sink never killed a shard
@@ -291,7 +283,8 @@ class TestShardedRuntime:
         sink = CollectingSink()
         frames = make_frames(players=4)
         with self.runtime(spec) as runtime:
-            handle = runtime.register_query(HIGH, sink=sink)
+            handle = runtime.register_query(HIGH)
+            handle.sink.add(sink)
             runtime.push_many("kinect_t", frames)
             runtime.drain()
             assert len(sink.detections) == len(handle.detections())

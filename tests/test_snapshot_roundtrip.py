@@ -18,7 +18,12 @@ import pytest
 from repro.api import DurabilityConfig, F, GestureSession, Q, SessionConfig
 from repro.cep import CEPEngine, install_kinect_view
 from repro.cep.matcher import MatcherConfig
-from repro.errors import RecoveryError, SessionClosedError, SessionStateError
+from repro.errors import (
+    RecoveryError,
+    SerializationError,
+    SessionClosedError,
+    SessionStateError,
+)
 from repro.streams import SimulatedClock
 
 UP_DOWN = (
@@ -61,7 +66,7 @@ class TestEngineRoundTrip:
             store_matched_tuples=store_matched_tuples, partition_field=partition_field
         )
         original = CEPEngine(clock=SimulatedClock(), matcher_config=config)
-        original.register_query(UP_DOWN, name="up_down", create_missing_streams=True)
+        original.register_query(UP_DOWN, name="up_down")
         # Stop on an even frame: partial matches are in flight per player.
         feed(original, frames(7), batch_size)
 
@@ -79,6 +84,29 @@ class TestEngineRoundTrip:
         after_b = restored.capture_state()
         assert after_a["queries"] == after_b["queries"]
         assert after_a["tuples_processed"] == after_b["tuples_processed"]
+
+    @pytest.mark.parametrize("recorded", ["player", None])
+    def test_a_query_captured_under_another_partition_field_is_refused(self, recorded):
+        """Older snapshots record each query's partition field.  One that
+        differs from the restoring engine's cannot be honoured — every query
+        runs under its engine's configuration — so it fails before any
+        state changes, and one that agrees restores."""
+        original = CEPEngine(clock=SimulatedClock())
+        original.register_query(UP_DOWN, name="up_down")
+        feed(original, frames(7), None)
+        state = json.loads(json.dumps(original.capture_state()))
+        assert "partition_field" not in state["queries"][0]
+        state["queries"][0]["partition_field"] = recorded
+
+        device = MatcherConfig(partition_field="device")
+        engine = CEPEngine(clock=SimulatedClock(), matcher_config=device)
+        with pytest.raises(SerializationError, match="up_down"):
+            engine.restore_state(state)
+        assert engine.query_names() == [] and engine.tuples_processed == 0
+        agreeing = MatcherConfig(partition_field=recorded)
+        restored = CEPEngine(clock=SimulatedClock(), matcher_config=agreeing)
+        restored.restore_state(state)
+        assert restored.query_names() == ["up_down"]
 
     def test_runs_holding_full_frames_restore_and_complete(self, noiseless_simulator):
         """Runs captured before ``kinect_t`` was projected hold the full

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repository-specific lint rules that generic linters do not cover.
 
-Twelve rules, all born from real failure modes of this codebase:
+Thirteen rules, all born from real failure modes of this codebase:
 
 ``RL001`` — no builtin ``hash()`` on routing/persistence code paths or in benchmarks
     CPython salts ``hash()`` per process (PYTHONHASHSEED), so a shard
@@ -120,6 +120,17 @@ Twelve rules, all born from real failure modes of this codebase:
     ``src/repro/gateway/``: a second drop policy growing back below the
     edge.
 
+``RL013`` — the analyzer gates at the session only
+    Three deploy routes once gated the analyzer each their own way: the
+    engines analysed under a per-query configuration the journal never
+    recorded, and the manifest route analysed a query built by a default
+    generator, not the one it deployed.  ``GestureSession`` now turns
+    everything into ``Query`` objects, gates exactly those, then deploys
+    them.  Under ``src/repro``, ``gate_deployment(`` may be called only in
+    ``src/repro/api/session.py``, and nothing under ``src/repro/cep``,
+    ``src/repro/runtime`` or ``src/repro/detection`` may import
+    ``repro.analysis``.
+
 Run as a script (CI) or through ``tests/test_repo_lint.py``::
 
     python tools/repo_lint.py            # lint the repository, exit 0/1
@@ -207,6 +218,12 @@ THREAD_FORBIDDEN_PATH = "src/repro"
 LOAD_SHEDDER = "src/repro/gateway/"
 LOAD_SHED_GUARDED_PATH = "src/repro"
 DROP_POLICY_NAMES = ("drop_newest", "drop_oldest")
+
+#: The one module allowed to call ``gate_deployment`` (RL013); the tree it
+#: guards; the packages below the session that may not import the analyzer.
+ANALYZER_GATE = "src/repro/api/session.py"
+ANALYZER_GATE_GUARDED_PATH = "src/repro"
+UNANALYSED_PATHS = ("src/repro/cep", "src/repro/runtime", "src/repro/detection")
 
 #: The tree whose public names must have a caller (RL009); the trees outside
 #: it whose references count as callers.
@@ -535,6 +552,31 @@ def _lint_load_shedding(path: Path, tree: ast.AST, relative: str) -> Iterable[Vi
         )
 
 
+def _lint_gate_calls(path: Path, tree: ast.AST, relative: str) -> Iterable[Violation]:
+    for node in ast.walk(tree):
+        if _is_call_to(node, "gate_deployment"):
+            yield Violation(
+                relative,
+                node.lineno,
+                "RL013",
+                f"gate_deployment() called outside {ANALYZER_GATE}; the session "
+                "gates the very Query objects it then deploys, and engines and "
+                "the detector deploy without analysing",
+            )
+
+
+def _lint_analyzer_imports(path: Path, tree: ast.AST, relative: str) -> Iterable[Violation]:
+    for node in ast.walk(tree):
+        if _imports_package(node, ("repro.analysis",)):
+            yield Violation(
+                relative,
+                node.lineno,
+                "RL013",
+                "this package deploys without analysing and may not import "
+                f"repro.analysis; the deploy-time gate is {ANALYZER_GATE}'s",
+            )
+
+
 def lint_file(path: Path, root: Optional[Path] = None) -> List[Violation]:
     """Lint one Python file; returns its violations."""
     root = root or REPO_ROOT
@@ -569,6 +611,10 @@ def lint_file(path: Path, root: Optional[Path] = None) -> List[Violation]:
         violations.extend(_lint_thread_ctors(path, tree, relative))
     if posix.startswith(LOAD_SHED_GUARDED_PATH) and not posix.startswith(LOAD_SHEDDER):
         violations.extend(_lint_load_shedding(path, tree, relative))
+    if posix.startswith(ANALYZER_GATE_GUARDED_PATH) and posix != ANALYZER_GATE:
+        violations.extend(_lint_gate_calls(path, tree, relative))
+    if any(posix.startswith(prefix + "/") for prefix in UNANALYSED_PATHS):
+        violations.extend(_lint_analyzer_imports(path, tree, relative))
     return violations
 
 
@@ -699,6 +745,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             LOAD_SHED_GUARDED_PATH,
             "only in",
             LOAD_SHEDDER,
+        )
+        print(
+            "RL013  gate_deployment( under",
+            ANALYZER_GATE_GUARDED_PATH,
+            "called only in",
+            ANALYZER_GATE + ";",
+            "no 'import repro.analysis' under",
+            ", ".join(UNANALYSED_PATHS),
         )
         return 0
     violations = lint_repository()
