@@ -54,8 +54,9 @@ snapshot plus the log tail, with per-partition detections identical to an
 uninterrupted run; :meth:`GestureSession.replay` re-drives the recorded
 log into fresh sessions with VCR controls (faster-than-realtime, pause,
 seek-to-offset).  Both drive the session's engine through one log
-applier, :func:`~repro.persistence.replay.apply_log_entry`, and the
-detector resyncs :attr:`GestureSession.events` after a snapshot restore.
+applier, :func:`~repro.persistence.replay.apply_log_entry`, and
+:attr:`GestureSession.events` reads the engine's detection log, which a
+snapshot restores.
 Works on inline and sharded sessions alike — a sharded
 snapshot captures every shard's engine keyed by the router topology, and
 recovery refuses a directory recorded under a different topology::
@@ -471,9 +472,10 @@ class GestureSession:
     def workflow(self) -> LearningWorkflow:
         """The interactive learning workflow, created on first use.
 
-        Shares the session's engine, database and detector, so gestures
-        finalised by the workflow dispatch to :meth:`on` handlers and land
-        in :attr:`events` like everything else.
+        Shares the session's engine and database, and deploys through the
+        session itself, so a gesture finalised by the workflow passes the
+        analyzer gate, dispatches to :meth:`on` handlers and lands in
+        :attr:`events` like everything else.
         """
         self._ensure_started()
         if self._runtime is not None:
@@ -487,7 +489,8 @@ class GestureSession:
                 engine=self._engine,
                 database=self._database,
                 config=self.config.workflow,
-                detector=self._detector,
+                # The workflow deploys through the session: its gate applies.
+                detector=self,
                 deploy_control_gestures=self.config.deploy_control_gestures,
             )
         return self._workflow
@@ -589,8 +592,9 @@ class GestureSession:
         ``source`` may be
 
         * ``None`` — the session's own gesture database,
-        * a :class:`GestureDatabase` — its (enabled) gestures' descriptions,
-          by name,
+        * a :class:`GestureDatabase` — its (enabled) gestures' stored query
+          texts (a tuned text included; the description where none is
+          stored), by name,
         * a manifest mapping gesture name → description, query, query text,
           builder chain, or a list of raw samples (which are learned first
           via :meth:`learn`).
@@ -614,8 +618,9 @@ class GestureSession:
         if source is None:
             source = self.database
         if isinstance(source, GestureDatabase):
+            # A tuned query text, when one is stored, is what was deployed.
             source = {
-                record.name: record.description
+                record.name: record.query_text or record.description
                 for record in source.all_gestures(enabled_only=enabled_only)
             }
 
@@ -758,19 +763,22 @@ class GestureSession:
 
     @property
     def events(self) -> List[GestureEvent]:
-        """All gesture events observed so far, in detection order.
+        """The gesture events of every detection so far.
 
-        Collected results stay readable after :meth:`close` — only feeding
-        and deploying are lifecycle-guarded.  On a sharded session the read
-        waits for queued frames to finish processing first, so events are
-        consistent with everything already fed.
+        Derived from the engine's detection log on each read, in its order
+        — ``(timestamp, partition key, arrival)``, the same on every engine
+        — and keeping an undeployed gesture's events.  Collected results
+        stay readable after :meth:`close` — only feeding and deploying are
+        lifecycle-guarded.  On a sharded session the read waits for queued
+        frames to finish processing first, so events are consistent with
+        everything already fed.
         """
         if self._detector is None:
             return []
         # Reads never raise: a failed shard surfaces on the next feed or drain.
         with contextlib.suppress(ShardFailedError):
             self._engine.drain()
-        return list(self._detector.events)
+        return self._detector.events
 
     def detections(
         self, name: Optional[str] = None, partition: Any = _UNSET
@@ -931,8 +939,8 @@ class GestureSession:
         recovered session keeps appending to the same directory, so
         repeated crash/recover cycles compose; what was replayed is
         reported in :attr:`last_recovery`.  The snapshot and the log tail
-        go straight into the session's engine; its detector keeps
-        :attr:`events` in step.
+        go straight into the session's engine, whose detection log
+        :attr:`events` reads.
 
         Raises :class:`~repro.errors.RecoveryError` — on either engine —
         when the snapshot or any replayed entry fails, including a tail

@@ -14,7 +14,8 @@ provides everything those queries need:
   policies (:mod:`repro.cep.nfa`, :mod:`repro.cep.matcher`),
 * derived streams / views such as ``kinect_t`` (:mod:`repro.cep.views`),
 * an engine that owns streams, views, deployed queries and sinks
-  (:mod:`repro.cep.engine`).
+  (:mod:`repro.cep.engine`), and keeps each detection once, in a
+  :class:`~repro.cep.sinks.DetectionLog`.
 """
 
 from repro.cep.tuples import DEFAULT_PARTITION_FIELD
@@ -44,7 +45,6 @@ from repro.cep.nfa import CompiledPattern, compile_pattern
 from repro.cep.matcher import Detection, NFAMatcher, MatcherConfig
 from repro.cep.sinks import (
     CallbackSink,
-    CollectingSink,
     FanOutSink,
     Sink,
     SinkFailure,
@@ -82,7 +82,6 @@ __all__ = [
     "Sink",
     "SinkFailure",
     "CallbackSink",
-    "CollectingSink",
     "FanOutSink",
     "install_kinect_view",
     "CEPEngine",

@@ -3,9 +3,13 @@
 :class:`CEPEngine` plays the role of AnduIN in the paper's architecture
 (Fig. 2): sensor measurements are pushed into the raw ``kinect`` stream, the
 ``kinect_t`` view transforms them on the fly, and every deployed gesture
-query runs an NFA matcher on its input streams.  Detections are delivered to
-the sinks attached to the query (by default a
-:class:`~repro.cep.sinks.CollectingSink` that applications can poll).
+query runs an NFA matcher on its input streams.  Each detection is
+appended to the engine's one :class:`~repro.cep.sinks.DetectionLog` and
+then delivered to the sinks attached to the query; every read —
+:meth:`CEPEngine.detections`, :meth:`DeployedQuery.detections`, snapshots —
+derives from the log, in the order ``(timestamp, partition key,
+arrival)`` a sharded runtime reads too.  Undeploying a query stops its
+future detections; its history stays.
 
 Queries can be registered either as parsed :class:`~repro.cep.query.Query`
 objects (what the learning pipeline produces) or as query text in the
@@ -72,9 +76,9 @@ The engine itself is single-threaded by design — one event loop drives
 streams, views and matchers deterministically.  Scaling across cores is
 the job of :mod:`repro.runtime`, which runs N engines side by side with
 per-player routing.  What *is* thread-safe here is the result surface the
-runtime shares with readers: the sinks lock their storage and every read
-(:meth:`DeployedQuery.detections`, :meth:`CEPEngine.detections`) returns a
-snapshot, so detections can be read while a worker thread is emitting.
+runtime shares with readers: the detection log locks its entries and every
+read (:meth:`DeployedQuery.detections`, :meth:`CEPEngine.detections`)
+returns a copy, so detections can be read while a worker thread appends.
 """
 
 from __future__ import annotations
@@ -91,7 +95,7 @@ from repro.cep.matcher import Detection, MatcherConfig, NFAMatcher
 from repro.cep.nfa import compile_pattern
 from repro.cep.parser import parse_query
 from repro.cep.query import Query
-from repro.cep.sinks import CollectingSink, FanOutSink
+from repro.cep.sinks import _UNSET, DetectionLog, FanOutSink
 from repro.cep.udf import default_functions
 from repro.cep.views import View
 from repro.transform.pipeline import KinectTransformer
@@ -106,11 +110,6 @@ from repro.errors import (
 from repro.streams.clock import Clock, SimulatedClock
 from repro.streams.stream import Stream, StreamRegistry, Subscription
 
-#: "Not given", as opposed to an explicit ``None`` (``partition=None`` selects
-#: the detections of tuples without a partition) — one object for every
-#: :class:`Engine`.
-_UNSET: Any = object()
-
 #: An ingest tap observes every externally pushed tuple *before* delivery:
 #: ``tap(stream_name, records, batch_size)``.  The durability subsystem uses
 #: this as its write-ahead hook; view-internal pushes (derived streams) do
@@ -121,8 +120,8 @@ IngestTap = Callable[[str, Sequence[Mapping[str, Any]], Optional[int]], None]
 #: it: ``tap(op, payload)`` with ``deploy {name, text}``, ``undeploy {name}``,
 #: ``enable {name, enabled}`` or ``clear {}``; the inverse is
 #: :func:`repro.persistence.replay.apply_engine_control`.  ``restore {}``
-#: follows a successful ``restore_state``: a resync signal for readers of
-#: the detection history, which the journal does not record.
+#: follows a successful ``restore_state``, which the journal does not
+#: record: the learning workflow reseeds its transformer from the view's.
 ControlTap = Callable[[str, Dict[str, Any]], None]
 
 
@@ -165,7 +164,8 @@ class DeployedQuery:
     query: Query
     matcher: NFAMatcher
     sink: FanOutSink
-    collector: CollectingSink
+    #: The engine's detection log, which this query's reads filter.
+    log: DetectionLog
     #: Per stream, the fields this query's matcher reads there (computed
     #: once at deploy; the stream's fan-out declares their union).
     reads: Dict[str, FrozenSet[str]]
@@ -174,26 +174,20 @@ class DeployedQuery:
     active: bool = True
 
     def detections(self, partition: Any = _UNSET) -> List[Detection]:
-        """All detections collected so far for this query.
+        """This query's detections so far, in the log's merged order.
 
         ``partition`` restricts the result to one player's detections
         (compare against :attr:`Detection.partition`).
         """
-        if partition is _UNSET:
-            return list(self.collector.detections)
-        return [
-            detection
-            for detection in self.collector.detections
-            if detection.partition == partition
-        ]
+        return self.log.snapshot(query_name=self.name, partition=partition)
 
     def clear_detections(self) -> None:
-        self.collector.clear()
+        self.log.clear_query(self.name)
 
     def __repr__(self) -> str:
         return (
             f"DeployedQuery(name={self.name!r}, events={self.query.event_count()}, "
-            f"detections={len(self.collector)})"
+            f"detections={len(self.detections())})"
         )
 
 
@@ -376,6 +370,8 @@ class CEPEngine(Taps):
         #: One subscription per stream the deployed queries read.
         self._fanouts: Dict[str, _Fanout] = {}
         self._views: Dict[str, View] = {}
+        #: Every detection, once, in arrival order; every read derives from it.
+        self._log = DetectionLog()
         self.tuples_processed = 0
         #: Optional :class:`repro.observability.Tracer`; when set and
         #: tracing is active, matcher invocations record spans under the
@@ -570,13 +566,12 @@ class CEPEngine(Taps):
             config=config,
             compile_cache=self.compile_cache,
         )
-        collector = CollectingSink()
         deployed = DeployedQuery(
             name=registration_name,
             query=query,
             matcher=matcher,
-            sink=FanOutSink([collector]),
-            collector=collector,
+            sink=FanOutSink([]),
+            log=self._log,
             reads=_fields_read(query, config),
         )
 
@@ -630,6 +625,8 @@ class CEPEngine(Taps):
     def _make_handler(
         self, stream_name: str, fanout: _Fanout
     ) -> Callable[[Mapping[str, Any]], None]:
+        log = self._log
+
         def handle(record: Mapping[str, Any]) -> None:
             members = fanout.members or self._bind(stream_name, fanout)
             index = fanout.index
@@ -662,8 +659,10 @@ class CEPEngine(Taps):
                     detections = matcher.process(record, stream_name, timestamp, verdicts)
                     if span is not None:
                         span.close(tuples=1, detections=len(detections))
-                    for detection in detections:
-                        deployed.sink.emit(detection)
+                    if detections:
+                        log.extend(detections)
+                        for detection in detections:
+                            deployed.sink.emit(detection)
                 except Exception as error:  # noqa: BLE001 — isolate, deliver to the rest
                     first = self._failed(stream_name, deployed, error, first)
             if first is not None:
@@ -674,6 +673,8 @@ class CEPEngine(Taps):
     def _make_batch_handler(
         self, stream_name: str, fanout: _Fanout
     ) -> Callable[[Sequence[Mapping[str, Any]]], None]:
+        log = self._log
+
         def handle_batch(records: Sequence[Mapping[str, Any]]) -> None:
             members = fanout.members or self._bind(stream_name, fanout)
             lookup = fanout.index.lookup
@@ -699,8 +700,10 @@ class CEPEngine(Taps):
                     detections = matcher.process_batch(records, stream_name, timestamps, verdicts)
                     if span is not None:
                         span.close(tuples=len(records), detections=len(detections))
-                    for detection in detections:
-                        deployed.sink.emit(detection)
+                    if detections:
+                        log.extend(detections)
+                        for detection in detections:
+                            deployed.sink.emit(detection)
                 except Exception as error:  # noqa: BLE001 — isolate, deliver to the rest
                     first = self._failed(stream_name, deployed, error, first)
             if first is not None:
@@ -709,7 +712,8 @@ class CEPEngine(Taps):
         return handle_batch
 
     def unregister_query(self, name: str) -> None:
-        """Remove a deployed query and detach it from its streams."""
+        """Remove a deployed query and detach it from its streams; its
+        detections so far stay in the log."""
         deployed = self.get_query(name)
         del self._queries[name]
         deployed.active = False
@@ -768,29 +772,25 @@ class CEPEngine(Taps):
     def detections(
         self, name: Optional[str] = None, partition: Any = _UNSET
     ) -> List[Detection]:
-        """All detections of one query, or of all queries in time order.
+        """The detections of one deployed query, or of every query this
+        engine ran, undeployed ones included, in the log's merged order.
 
         ``partition`` restricts the result to one player (compared against
         :attr:`Detection.partition`).
         """
         if name is not None:
             return self.get_query(name).detections(partition=partition)
-        merged: List[Detection] = []
-        for deployed in self._queries.values():
-            merged.extend(deployed.detections(partition=partition))
-        merged.sort(key=lambda detection: detection.timestamp)
-        return merged
+        return self._log.snapshot(partition=partition)
 
     def clear_detections(self) -> None:
-        for deployed in self._queries.values():
-            deployed.clear_detections()
+        self._log.clear()
 
     def reset_scene(self) -> None:
         """Start a fresh scene ("a new user steps in"): drop collected
         detections and partial matches, and reset every view's Kinect
         smoothing state."""
+        self._log.clear()
         for deployed in self._queries.values():
-            deployed.clear_detections()
             deployed.matcher.reset()
         for view in self._views.values():
             if isinstance(view.function, KinectTransformer):
@@ -816,24 +816,22 @@ class CEPEngine(Taps):
 
         The snapshot captures *state*, not wiring: deployed query texts (the
         paper's dialect round-trips via :meth:`Query.to_query`), each
-        matcher's run tables, collected detections, stream counters, the
-        simulated clock and stateful view transformers.  Subscriptions,
+        matcher's run tables, the detection log in arrival order, stream
+        counters, the simulated clock and stateful view transformers.  Subscriptions,
         sinks and compiled predicates are rebuilt on
         :meth:`restore_state` by redeploying the captured query texts.
         """
         clock_now = self.clock.now() if isinstance(self.clock, SimulatedClock) else None
         queries = []
-        for name in sorted(self._queries):
-            deployed = self._queries[name]
+        # In deploy order: a restore redeploys in it, and a tuple visits the
+        # queries in it, so detections sharing a frame keep their order.
+        for name, deployed in self._queries.items():
             queries.append(
                 {
                     "name": name,
                     "text": deployed.query.to_query(),
                     "enabled": deployed.enabled,
                     "matcher": deployed.matcher.capture_state(),
-                    "detections": [
-                        d.to_state() for d in deployed.collector.detections
-                    ],
                 }
             )
         transformers: Dict[str, Any] = {}
@@ -850,6 +848,7 @@ class CEPEngine(Taps):
                 for name in self.streams.names()
             },
             "queries": queries,
+            "detections": [d.to_state() for d in self._log.entries()],
             "transformers": transformers,
         }
 
@@ -859,8 +858,10 @@ class CEPEngine(Taps):
         Queries present in the snapshot but not yet deployed are registered
         from their captured text — a ``deploy`` control-tap subscriber (the
         detector, a shard) wires them as for any deploy; queries already
-        deployed only have their matcher, detections and enabled flag
-        overwritten.  Control taps see ``restore`` once it succeeded.
+        deployed only have their matcher and enabled flag overwritten.  The
+        detection log becomes the snapshot's (older snapshots keep one list
+        per query; those are concatenated).  Control taps see ``restore``
+        once it succeeded.
 
         Raises
         ------
@@ -899,10 +900,12 @@ class CEPEngine(Taps):
             else:
                 deployed = self.register_query(entry["text"], name=name)
             deployed.matcher.restore_state(entry["matcher"])
-            deployed.collector.restore(
-                [Detection.from_state(d) for d in entry.get("detections", [])]
-            )
             deployed.enabled = bool(entry.get("enabled", True))
+        detections = state.get("detections")
+        if detections is None:
+            queries = state.get("queries", [])
+            detections = [d for entry in queries for d in entry.get("detections", [])]
+        self._log.restore(Detection.from_state(d) for d in detections)
         for view_name, transformer_state in state.get("transformers", {}).items():
             view = self._views.get(view_name)
             if view is None:

@@ -1,23 +1,35 @@
-"""Sinks: where detections go.
+"""Sinks and the detection log: where detections go.
 
 On gesture detection, the paper's engine produces "a result tuple …  which
 can be used to trigger arbitrary actions in any listening application".
-A :class:`Sink` receives :class:`~repro.cep.matcher.Detection` objects; the
-engine attaches one (or more) to every deployed query.
+An engine keeps each result tuple once, in its :class:`DetectionLog`, and
+then hands it to the :class:`Sink` objects attached to the query that
+produced it (:class:`CallbackSink` for application code, grouped per query
+in a :class:`FanOutSink`).  Every read of the history — a query's, the
+engine's, the session's gesture events — derives from the log.
+
+Order
+-----
+The log keeps arrival order; reads sort by ``(timestamp, partition key,
+arrival)``: event time first, then a canonical encoding of the partition
+value, so two players gesturing in the very same frame order
+deterministically, with arrival order as the final stable tie-break within
+one partition.  A partition's detections arrive in the same order on every
+engine — one player never spans two shards — so the merged read is the
+same inline and on any number of shards.
 
 Thread safety
 -------------
-The sharded runtime (:mod:`repro.runtime`) emits detections from worker
-threads while application code reads them, so the built-in sinks are
-thread-safe: :class:`CollectingSink` guards its storage with a lock and
-every read (``detections`` / ``outputs`` / ``last``) returns a *snapshot*,
-never a live reference; :class:`FanOutSink` copies its sink list per emit
-so ``add`` during delivery is safe.  ``FanOutSink`` additionally isolates
-its children: one raising sink no longer starves the sinks after it — the
-failure is recorded in :attr:`FanOutSink.failures`, every remaining sink
-still receives the detection, and the first exception is re-raised once
-the fan-out completes (so an inline emitter still observes it, exactly
-like :meth:`~repro.streams.stream.Stream.push` does for subscribers; the
+The sharded runtime (:mod:`repro.runtime`) appends detections from worker
+threads while application code reads them, so the log guards its entries
+with a lock and every read returns a copy, never a live reference;
+:class:`FanOutSink` copies its sink list per emit so ``add`` during
+delivery is safe.  ``FanOutSink`` additionally isolates its children: one
+raising sink does not starve the sinks after it — the failure is recorded
+in :attr:`FanOutSink.failures`, every remaining sink still receives the
+detection, and the first exception is re-raised once the fan-out
+completes (so an inline emitter still observes it, exactly like
+:meth:`~repro.streams.stream.Stream.push` does for subscribers; the
 sharded runtime catches and records instead, because a user sink must not
 kill a worker shard).
 """
@@ -28,9 +40,14 @@ import threading
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, List, Optional
+from typing import Any, Callable, Deque, Iterable, List, Optional, Tuple
 
 from repro.cep.matcher import Detection
+
+#: "Not given", as opposed to an explicit ``None`` (``partition=None`` selects
+#: the detections of tuples without a partition) — one object for every
+#: engine's reads.
+_UNSET: Any = object()
 
 #: Cap on remembered failures; long-running sessions must stay bounded.
 _MAX_RECORDED_FAILURES = 256
@@ -42,64 +59,6 @@ class Sink(ABC):
     @abstractmethod
     def emit(self, detection: Detection) -> None:
         """Handle one detection."""
-
-
-class CollectingSink(Sink):
-    """Stores all detections in memory (the default sink; tests rely on it).
-
-    Parameters
-    ----------
-    capacity:
-        Optional bound on the number of stored detections; older detections
-        are dropped first, which keeps long-running sessions bounded.
-    """
-
-    def __init__(self, capacity: Optional[int] = None) -> None:
-        if capacity is not None and capacity <= 0:
-            raise ValueError("capacity must be positive when given")
-        self.capacity = capacity
-        self._lock = threading.Lock()
-        self._detections: List[Detection] = []
-
-    @property
-    def detections(self) -> List[Detection]:
-        """Snapshot of the collected detections (safe under concurrent emit)."""
-        with self._lock:
-            return list(self._detections)
-
-    def emit(self, detection: Detection) -> None:
-        with self._lock:
-            self._detections.append(detection)
-            if self.capacity is not None and len(self._detections) > self.capacity:
-                del self._detections[0 : len(self._detections) - self.capacity]
-
-    def clear(self) -> None:
-        with self._lock:
-            self._detections.clear()
-
-    def restore(self, detections: List[Detection]) -> None:
-        """Replace the stored detections (snapshot recovery path).
-
-        The capacity bound still applies: restoring more detections than
-        ``capacity`` keeps the newest ones, exactly as if they had been
-        emitted one by one.
-        """
-        with self._lock:
-            self._detections = list(detections)
-            if self.capacity is not None and len(self._detections) > self.capacity:
-                del self._detections[0 : len(self._detections) - self.capacity]
-
-    def outputs(self) -> List[str]:
-        """Just the output values, in detection order."""
-        return [d.output for d in self.detections]
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._detections)
-
-    def last(self) -> Optional[Detection]:
-        with self._lock:
-            return self._detections[-1] if self._detections else None
 
 
 class CallbackSink(Sink):
@@ -164,3 +123,80 @@ class FanOutSink(Sink):
     def add(self, sink: Sink) -> None:
         with self._lock:
             self.sinks.append(sink)
+
+
+def partition_sort_key(partition: Any) -> Tuple[str, str]:
+    """A total order over arbitrary partition values.
+
+    Partition values are usually small ints, but the field is untyped;
+    ordering by ``(type name, repr)`` is deterministic across runs and
+    never raises on mixed types.
+    """
+    return (type(partition).__name__, repr(partition))
+
+
+def merge_detections(detections: Iterable[Detection]) -> List[Detection]:
+    """Sort detections by ``(timestamp, partition key)``.
+
+    Stable: equal keys keep their input order, so per-shard sequences
+    concatenated in arrival order keep each shard's internal order.
+    """
+    return sorted(
+        detections,
+        key=lambda d: (d.timestamp, partition_sort_key(d.partition)),
+    )
+
+
+class DetectionLog:
+    """An engine's one detection history: appended in arrival order, read
+    merged (see the module docstring's *Order*).  Thread-safe."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._entries: List[Detection] = []
+
+    def extend(self, detections: Iterable[Detection]) -> None:
+        """Append detections in their arrival order."""
+        with self._lock:
+            self._entries.extend(detections)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+    def entries(self) -> List[Detection]:
+        """Arrival-ordered copy (what snapshots persist; reads merge instead)."""
+        with self._lock:
+            return list(self._entries)
+
+    def restore(self, detections: Iterable[Detection]) -> None:
+        """Replace the log contents (snapshot recovery path)."""
+        with self._lock:
+            self._entries = list(detections)
+
+    def clear_query(self, query_name: str) -> None:
+        """Drop one query's detections, keeping every other query's."""
+        with self._lock:
+            self._entries = [d for d in self._entries if d.query_name != query_name]
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+    def snapshot(
+        self,
+        query_name: Optional[str] = None,
+        partition: Any = _UNSET,
+    ) -> List[Detection]:
+        """Merged copy; optionally one query's, optionally one player's
+        (pass ``None`` explicitly for the unpartitioned bucket)."""
+        with self._lock:
+            entries = list(self._entries)
+        if query_name is not None:
+            entries = [d for d in entries if d.query_name == query_name]
+        if partition is not _UNSET:
+            entries = [d for d in entries if d.partition == partition]
+        return merge_detections(entries)
+
+    def __repr__(self) -> str:
+        return f"DetectionLog(entries={len(self)})"

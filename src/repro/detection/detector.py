@@ -77,17 +77,15 @@ class GestureDetector:
         self._handlers: Dict[str, List[GestureHandler]] = {}
         self._global_handlers: List[GestureHandler] = []
         self._deployed: Dict[str, QueryHandle] = {}
-        self.events: List[GestureEvent] = []
         # Serialises event dispatch: on a sharded runtime detections arrive
-        # from several worker threads at once, and handlers plus the events
-        # list must observe them one at a time.  Reentrant because a handler
-        # may feed another frame whose detection dispatches recursively.
+        # from several worker threads at once, and handlers must observe
+        # them one at a time.  Reentrant because a handler may feed another
+        # frame whose detection dispatches recursively.
         self._dispatch_lock = threading.RLock()
         engine.add_control_tap(self._on_control)
 
     def _on_control(self, op: str, payload: Dict[str, Any]) -> None:
-        """Follow the engine: wire each deployed gesture to :meth:`_dispatch`,
-        and keep :attr:`events` in step with a cleared or restored history."""
+        """Follow the engine: wire each deployed gesture to :meth:`_dispatch`."""
         if payload.get("name", "").startswith(CONTROL_QUERY_PREFIX):
             return
         if op == "deploy":
@@ -96,16 +94,6 @@ class GestureDetector:
             self._deployed[deployed.name] = deployed
         elif op == "undeploy":
             self._deployed.pop(payload["name"], None)
-        elif op == "clear":
-            self.events.clear()
-        elif op == "restore":
-            # Restored detections never went through dispatch: the events
-            # become the merged history, as the recorded run dispatched it.
-            self.events[:] = [
-                GestureEvent.from_detection(detection)
-                for detection in self.engine.detections()
-                if not detection.query_name.startswith(CONTROL_QUERY_PREFIX)
-            ]
 
     # -- deployment ------------------------------------------------------------------
 
@@ -156,7 +144,6 @@ class GestureDetector:
     def _dispatch(self, detection: Detection) -> None:
         with self._dispatch_lock:
             event = GestureEvent.from_detection(detection)
-            self.events.append(event)
             for handler in list(self._handlers.get(event.gesture, [])):
                 handler(event)
             for handler in list(self._global_handlers):
@@ -215,16 +202,28 @@ class GestureDetector:
         )
 
     def detections(self, name: Optional[str] = None) -> List[Detection]:
-        """Raw engine detections (see :meth:`events` for application events)."""
+        """Raw engine detections (see :attr:`events` for application events)."""
         return self.engine.detections(name)
+
+    @property
+    def events(self) -> List[GestureEvent]:
+        """The gesture events of the engine's detection history, undeployed
+        gestures' included and control queries' excluded, in the engine's
+        order: ``(timestamp, partition key, arrival)``."""
+        return [
+            GestureEvent.from_detection(detection)
+            for detection in self.engine.detections()
+            if not detection.query_name.startswith(CONTROL_QUERY_PREFIX)
+        ]
 
     def clear(self) -> None:
         """Reset the detector for a fresh scene.
 
-        Drops collected events/detections, all partial matches, *and* the
-        kinect view's smoothed-scale state: ``KinectTransformer.reset`` is
-        exactly the "new user steps in" hook, and skipping it would let a
-        previous user's smoothed scale skew the next user's first seconds.
+        Drops the detection history (and so the events), all partial
+        matches, *and* the kinect view's smoothed-scale state:
+        ``KinectTransformer.reset`` is exactly the "new user steps in" hook,
+        and skipping it would let a previous user's smoothed scale skew the
+        next user's first seconds.
         """
         self.engine.reset_scene()
 

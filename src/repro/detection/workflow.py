@@ -152,6 +152,8 @@ class LearningWorkflow:
             install_kinect_view(engine)
         self.engine = engine
         self.database = database or GestureDatabase(":memory:")
+        # What the workflow deploys through: a detector, or anything with its
+        # deploy / undeploy / deployed_gestures / events / feedback (a session).
         if detector is not None and detector.engine is not engine:
             raise InvalidWorkflowStateError(
                 "the workflow's detector must share the workflow's engine"
@@ -315,7 +317,7 @@ class LearningWorkflow:
         if self.config.auto_deploy:
             if description.name in self.detector.deployed_gestures():
                 self.detector.undeploy(description.name)
-            self.detector.deploy(description)
+            self.detector.deploy(query, name=description.name)
             self.database.log_deployment(description.name, query_text)
 
         self.phase = WorkflowPhase.TESTING

@@ -35,8 +35,9 @@ Client → server
     frame are fed to the engine in batches of ``batch`` — by default the
     tenant's configured ``session.batch_size``, else the whole frame.
 ``drain``
-    ``{"type": "drain"}`` — barrier: answered by ``drained`` only after
-    every tuple this tenant queued so far has been fully processed.
+    ``{"type": "drain"}`` — barrier: answered by ``drained`` (``{"type":
+    "drained", "id"?: …}``, nothing else) only after every tuple this
+    tenant queued so far has been fully processed.
 ``detections``
     ``{"type": "detections", "name"?: str, "partition"?: any}`` —
     request-response read of the tenant's engine detections (drains

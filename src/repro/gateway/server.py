@@ -433,8 +433,8 @@ class GatewayServer:
         elif message_type == "deploy_vocabulary":
             await self._handle_deploy_vocabulary(connection, tenant, message, request_id)
         elif message_type == "drain":
-            result = await self._tenant_control(tenant, "drain")
-            await connection.send({"type": "drained", "id": request_id, **result})
+            await self._tenant_control(tenant, "drain")
+            await connection.send({"type": "drained", "id": request_id})
         elif message_type == "detections":
             detections = await self._tenant_control(
                 tenant,

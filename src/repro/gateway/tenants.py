@@ -550,7 +550,7 @@ class Tenant:
         """Run one control op on the executor thread, after earlier feeds."""
         if op == "drain":
             session.drain()
-            return {"events": len(session.events)}
+            return None
         if op == "deploy":
             deployed = session.deploy(payload["query"], name=payload.get("name"))
             return [deployed.name]

@@ -153,7 +153,7 @@ class DurabilityManager:
         self._tuples_since_snapshot += len(records)
 
     def _control_tap(self, op: str, payload: Dict[str, Any]) -> None:
-        # ``restore`` only resyncs readers; the snapshot is the record of it.
+        # ``restore`` only reseeds the workflow; the snapshot is the record of it.
         if op != "restore" and not (self._suspended or self._closed):
             self.log.append_control(op, payload)
 

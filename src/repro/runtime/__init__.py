@@ -14,8 +14,6 @@ side by side:
 ``repro.runtime.transport``
     what carries the protocol: a FIFO to a worker thread, or
     ``multiprocessing`` pipes to a worker process.
-``repro.runtime.results``
-    merging per-shard detections into one timestamp-ordered view.
 ``repro.runtime.metrics``
     the per-shard counter families (throughput / queue depth /
     detections) and the registry that aggregates them.
@@ -34,13 +32,11 @@ from repro.errors import (
     ShardFailedError,
 )
 from repro.runtime.metrics import MetricsRegistry
-from repro.runtime.results import DetectionLog, merge_detections
 from repro.runtime.router import HashPartitionRouter, stable_partition_hash
 from repro.runtime.shard import RemoteShardError, ShardEngineSpec, ShardFailure
 from repro.runtime.sharded import ShardedQuery, ShardedRuntime
 
 __all__ = [
-    "DetectionLog",
     "HashPartitionRouter",
     "MetricsRegistry",
     "RemoteShardError",
@@ -51,6 +47,5 @@ __all__ = [
     "ShardedQuery",
     "ShardedRuntime",
     "ShardedRuntimeError",
-    "merge_detections",
     "stable_partition_hash",
 ]

@@ -33,7 +33,7 @@ from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Mapping, Opti
 from repro.cep.engine import _UNSET, Taps, coerce_query
 from repro.cep.matcher import Detection, MatcherConfig
 from repro.cep.query import Query
-from repro.cep.sinks import FanOutSink
+from repro.cep.sinks import DetectionLog, FanOutSink
 from repro.cep.views import RAW_STREAM_NAME, TRANSFORMED_STREAM_NAME
 from repro.errors import (
     QueryRegistrationError,
@@ -46,7 +46,6 @@ from repro.errors import (
 )
 from repro.observability.tracing import TraceContext, Tracer, current_context
 from repro.runtime.metrics import MetricsRegistry
-from repro.runtime.results import DetectionLog
 from repro.runtime.router import HashPartitionRouter
 from repro.runtime.shard import Emitted, Shard, ShardEngineSpec, ShardFailure
 from repro.runtime.transport import TRANSPORTS
@@ -59,8 +58,8 @@ class ShardedQuery:
     """A query deployed on every shard of a :class:`ShardedRuntime`.
 
     Like :class:`~repro.cep.engine.DeployedQuery` it is a
-    :class:`~repro.cep.engine.QueryHandle`, backed by the runtime's merged
-    detection log instead of a single collector.
+    :class:`~repro.cep.engine.QueryHandle` whose reads filter its engine's
+    detection log — here the runtime's merge of every shard's.
     """
 
     def __init__(self, runtime: "ShardedRuntime", query: Query, name: str) -> None:
@@ -486,14 +485,9 @@ class ShardedRuntime(Taps):
             "tuples_processed": self.tuples_processed,
             "clock": clock_now,
             "queries": [
-                {
-                    "name": name,
-                    "text": self._queries[name].query.to_query(),
-                    "enabled": self._queries[name].enabled,
-                }
-                for name in sorted(self._queries)
+                {"name": name, "text": handle.query.to_query(), "enabled": handle.enabled}
+                for name, handle in self._queries.items()  # deploy order, as inline
             ],
-            "detections": [d.to_state() for d in self._log.entries()],
             "shards": {str(shard_id): state for shard_id, state in enumerate(shard_states)},
         }
 
@@ -503,8 +497,11 @@ class ShardedRuntime(Taps):
         Queries missing parent-side are re-deployed from their captured
         text (which broadcasts the standard ``deploy`` to every shard);
         each shard then restores its own engine state in place.  The
-        parent's merged detection log is restored from the snapshot, then
-        control taps see ``restore``.
+        parent's log is rebuilt from the shards' logs: one player's
+        detections are all on one shard, so merged reads equal the live
+        ones.  Snapshots that also hold the parent's list (every one
+        written before the shards' lists became the only copy) restore
+        from that list.  Control taps then see ``restore``.
 
         Raises
         ------
@@ -540,14 +537,16 @@ class ShardedRuntime(Taps):
                 self.register_query(entry["text"], name=entry["name"])
             handle = self._queries[entry["name"]]
             handle.enabled = bool(entry.get("enabled", True))
+        shard_states = state.get("shards", {})
         for shard_id, shard in enumerate(self._shards):
-            shard_state = state.get("shards", {}).get(str(shard_id))
+            shard_state = shard_states.get(str(shard_id))
             if shard_state is not None:
                 shard.control("restore_state", shard_state)
                 self._streams.update(shard_state.get("streams", {}))
-        self._log.restore(
-            [Detection.from_state(d) for d in state.get("detections", [])]
-        )
+        detections = state.get("detections")
+        if detections is None:
+            detections = [d for shard in shard_states.values() for d in shard.get("detections", [])]
+        self._log.restore(Detection.from_state(d) for d in detections)
         clock_now = state.get("clock")
         if (
             clock_now is not None

@@ -528,6 +528,32 @@ class TestTheGateAnalysesWhatItDeploys:
         assert "select all consume none" in deployed
         assert "QA021" in codes(found)
 
+    def test_finalize_is_gated_once_as_learn_is(self, monkeypatch, simulator, swipe):
+        """The workflow deploys through the session, so the interactive
+        route analyses the query it generated once, as ``learn`` does."""
+        analysed = []
+
+        def spy(source, context=None, names=None):
+            entries = vocabulary_module._coerce_entries(source)
+            analysed.extend((name, query.to_query()) for name, query in entries)
+            return analyze_vocabulary(source, context=context, names=names)
+
+        monkeypatch.setattr(vocabulary_module, "analyze_vocabulary", spy)
+        samples = [simulator.perform_variation(swipe) for _ in range(3)]
+        with GestureSession(SessionConfig(analyze="warn")) as session, warnings.catch_warnings():
+            warnings.simplefilter("ignore", QueryAnalysisWarning)
+            session.learn("learned", samples, deploy=True)
+            session.begin_gesture("finalized")
+            for sample in samples:
+                session.record_sample(sample)
+            session.finalize()
+            deployed = {
+                name: session.engine.get_query(name).query.to_query()
+                for name in ("learned", "finalized")
+            }
+            assert session.database.load_gesture("finalized").query_text == deployed["finalized"]
+        assert analysed == list(deployed.items())
+
 
 # ---------------------------------------------------------------------------
 # CLI

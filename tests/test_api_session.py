@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import F, GestureSession, Q, SessionConfig
-from repro.cep import CEPEngine, CollectingSink, install_kinect_view
+from repro.cep import CallbackSink, CEPEngine, install_kinect_view
 from repro.core import GestureDescription, LearnerConfig, PoseWindow, Window
 from repro.detection import WorkflowConfig
 from repro.errors import (
@@ -207,20 +207,21 @@ class TestDetection:
             assert session.events[0].player == 1
 
     def test_attach_sink(self):
-        sink = CollectingSink()
+        seen = []
         with GestureSession() as session:
             session.deploy(HANDS_UP)
-            session.attach_sink(sink, query="hands_up")
+            session.attach_sink(CallbackSink(seen.append), query="hands_up")
             session.feed([_frame()], stream="kinect_t")
-            assert sink.outputs() == ["hands_up"]
+            assert [d.output for d in seen] == ["hands_up"]
 
     def test_attach_sink_to_every_query(self):
-        sink = CollectingSink()
+        seen = []
+        sink = CallbackSink(seen.append)
         with GestureSession() as session:
             session.deploy(HANDS_UP)
             session.attach_sink(sink)
             session.feed([_frame()], stream="kinect_t")
-            assert sink.outputs() == ["hands_up"]
+            assert [d.output for d in seen] == ["hands_up"]
             with pytest.raises(TypeError, match="sink"):
                 session.deploy(HANDS_UP, name="again", sink=sink)
 

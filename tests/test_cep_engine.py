@@ -7,7 +7,7 @@ import pytest
 from reference_matcher import reference_detections
 from repro.cep.engine import CEPEngine
 from repro.cep.matcher import Detection, MatcherConfig
-from repro.cep.sinks import CallbackSink, CollectingSink, FanOutSink
+from repro.cep.sinks import CallbackSink, DetectionLog, FanOutSink
 from repro.cep.views import RAW_STREAM_NAME, TRANSFORMED_STREAM_NAME, install_kinect_view
 from repro.errors import (
     ExpressionError,
@@ -30,39 +30,31 @@ def _detection(output="g", ts=0.0):
 
 
 class TestSinks:
-    def test_collecting_sink_stores_detections(self):
-        sink = CollectingSink()
-        sink.emit(_detection())
-        assert len(sink) == 1
-        assert sink.outputs() == ["g"]
-        assert sink.last().output == "g"
-
-    def test_collecting_sink_capacity_drops_oldest(self):
-        sink = CollectingSink(capacity=2)
-        for index in range(5):
-            sink.emit(_detection(ts=float(index)))
-        assert len(sink) == 2
-        assert sink.detections[0].timestamp == 3.0
-
-    def test_collecting_sink_rejects_bad_capacity(self):
-        with pytest.raises(ValueError):
-            CollectingSink(capacity=0)
+    def test_detection_log_appends_in_arrival_order_and_reads_merged(self):
+        log = DetectionLog()
+        late, p2, p1 = (
+            Detection(output=o, query_name=o, timestamp=ts, start_timestamp=ts,
+                      step_timestamps=(ts,), partition=p)
+            for o, ts, p in (("a", 2.0, 1), ("a", 1.0, 2), ("b", 1.0, 1))
+        )
+        log.extend([late, p2, p1])
+        assert len(log) == 3
+        assert log.entries() == [late, p2, p1]
+        assert log.snapshot() == [p1, p2, late]
+        assert log.snapshot(query_name="a", partition=1) == [late]
+        log.clear_query("a")
+        assert log.entries() == [p1]
+        log.clear()
+        assert log.snapshot() == []
 
     def test_callback_and_fanout(self):
-        seen = []
+        seen, also = [], []
         callback = CallbackSink(seen.append)
-        collecting = CollectingSink()
-        fan_out = FanOutSink([callback, collecting])
+        fan_out = FanOutSink([callback, CallbackSink(also.append)])
         fan_out.emit(_detection())
         assert len(seen) == 1
         assert callback.emitted == 1
-        assert collecting.detections == seen
-
-    def test_collecting_sink_clear_and_empty_last(self):
-        sink = CollectingSink()
-        sink.emit(_detection())
-        sink.clear()
-        assert sink.last() is None
+        assert also == seen
 
     def test_callback_sink_counts_only_delivered_detections(self):
         def explode(detection):
@@ -74,13 +66,13 @@ class TestSinks:
         assert sink.emitted == 0
 
     def test_a_sink_added_to_a_fanout_receives_later_detections(self):
-        early, late = CollectingSink(), CollectingSink()
-        fan_out = FanOutSink([early])
+        early, late = [], []
+        fan_out = FanOutSink([CallbackSink(early.append)])
         fan_out.emit(_detection(ts=1.0))
-        fan_out.add(late)
+        fan_out.add(CallbackSink(late.append))
         fan_out.emit(_detection(ts=2.0))
-        assert [d.timestamp for d in early.detections] == [1.0, 2.0]
-        assert [d.timestamp for d in late.detections] == [2.0]
+        assert [d.timestamp for d in early] == [1.0, 2.0]
+        assert [d.timestamp for d in late] == [2.0]
 
 
 class TestDetectionState:

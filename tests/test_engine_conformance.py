@@ -27,11 +27,13 @@ from hypothesis import strategies as st
 from repro.analysis import QueryAnalysisWarning, gate_deployment
 from repro.api import DurabilityConfig, GestureSession, SessionConfig
 from repro.cep import CEPEngine, Engine, MatcherConfig, QueryHandle, parse_query
+from repro.cep.query import ConsumePolicy, SelectPolicy
 from repro.core import (
     GestureDescription,
     GestureLearner,
     LearnerConfig,
     PoseWindow,
+    QueryGenConfig,
     QueryGenerator,
     Window,
 )
@@ -426,10 +428,16 @@ def vocabulary():
 
 @pytest.fixture(scope="module")
 def recording():
-    """Raw two-player frames, split into the run before and after the crash."""
-    frames = generate_multiuser_recording(
-        GESTURES, user_count=2, gestures_per_user=4, seed=77
-    ).frames
+    """Raw two-player frames, split into the run before and after the crash.
+    Player 2 becomes player 4: players 1 and 2 hash to the same one of two
+    shards, and the players must be on different shards for the sharded
+    engines' merge to be exercised."""
+    frames = [
+        {**frame, "player": 4} if frame["player"] == 2 else frame
+        for frame in generate_multiuser_recording(
+            GESTURES, user_count=2, gestures_per_user=4, seed=77
+        ).frames
+    ]
     middle = len(frames) // 2
     return frames[:middle], frames[middle:]
 
@@ -450,6 +458,20 @@ def route_database(session, vocabulary, feed):
         database.save_gesture(description)
     session.deploy_vocabulary(database)
     database.close()
+    feed()
+
+
+def route_database_tuned(session, vocabulary, feed):
+    # A stored query text tuned by hand is what the database deploys.
+    database = GestureDatabase(":memory:")
+    for _, description in vocabulary.values():
+        database.save_gesture(description)
+    generator = QueryGenerator(QueryGenConfig(select=SelectPolicy.ALL, consume=ConsumePolicy.NONE))
+    tuned = generator.generate(vocabulary["circle"][1]).to_query()
+    database.update_query_text("circle", tuned)
+    session.deploy_vocabulary(database)
+    database.close()
+    assert (session.runtime or session.engine).get_query("circle").query.to_query() == tuned
     feed()
 
 
@@ -500,6 +522,7 @@ ROUTES = {
     "deploy": route_deploy,
     "manifest": route_manifest,
     "database": route_database,
+    "database-tuned": route_database_tuned,
     "learn": route_learn,
     "undeploy": route_undeploy,
     "clear": route_clear,
@@ -535,6 +558,7 @@ def observed(session):
             for name, handle in sorted(engine.queries.items())
         },
         "detections": per_player(session),
+        "events": [(event.gesture, event.partition, event.timestamp) for event in session.events],
     }
 
 
@@ -555,16 +579,18 @@ CONFIGURED = {
 }
 
 
-def assert_recovers_as_live(route, config, vocabulary, recording, tmp_path):
-    """Run ``route`` live, copy the journal mid-run, recover the copy, and
-    assert both sessions observe the same on the continuation; returns
-    what the live one observed."""
+def assert_recovers_as_live(route, config, vocabulary, recording, tmp_path, snapshot=False):
+    """Run ``route`` live, copy the journal mid-run (after a snapshot with
+    ``snapshot``), recover the copy, and assert both sessions observe the
+    same on the continuation; returns what the live one observed."""
     before, after = recording
     live_dir, crash_dir = tmp_path / "live", tmp_path / "crash"
     live = GestureSession(config, durability=DurabilityConfig(live_dir))
     try:
         ROUTES[route](live, vocabulary, lambda: live.feed(before))
         live.drain()
+        if snapshot:
+            live.snapshot()
         live.durability.log.flush(sync=False)
         shutil.copytree(live_dir, crash_dir)
         live_events = continue_with(live, after)
@@ -575,7 +601,7 @@ def assert_recovers_as_live(route, config, vocabulary, recording, tmp_path):
 
     recovered = GestureSession.recover(DurabilityConfig(crash_dir), config)
     try:
-        assert recovered.last_recovery.snapshot_offset is None
+        assert (recovered.last_recovery.snapshot_offset is not None) == snapshot
         recovered_events = continue_with(recovered, after)
         assert observed(recovered) == expected
         assert recovered_events == live_events
@@ -586,8 +612,9 @@ def assert_recovers_as_live(route, config, vocabulary, recording, tmp_path):
 
 class TestEveryRouteRecovers:
     """Each route changes the deployed vocabulary, the live run is abandoned
-    without a snapshot (its directory is copied mid-run: a crash image), and
-    the recovered session must match the live one on a continuation stream.
+    (its directory is copied mid-run: a crash image), with or without a
+    snapshot just before the copy, and the recovered session must match the
+    live one, events included, and on a continuation stream.
 
     Gateway tenants run non-durable sessions, so the gateway's deploy routes
     (``deploy``, ``deploy_database``) are covered here only through the
@@ -599,6 +626,16 @@ class TestEveryRouteRecovers:
         self, route, engine, vocabulary, recording, tmp_path
     ):
         assert_recovers_as_live(route, session_config(engine), vocabulary, recording, tmp_path)
+
+    @pytest.mark.parametrize("route, engine", MATRIX)
+    def test_recovered_through_a_snapshot_equals_the_live_one(
+        self, route, engine, vocabulary, recording, tmp_path
+    ):
+        """The snapshot holds each engine's detection log once; restored,
+        it reads — events included — exactly as the live history."""
+        assert_recovers_as_live(
+            route, session_config(engine), vocabulary, recording, tmp_path, snapshot=True
+        )
 
     @pytest.mark.parametrize("engine", sorted(CONFIGURED))
     def test_an_engine_wide_matcher_config_recovers_as_live(

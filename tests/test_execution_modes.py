@@ -243,3 +243,53 @@ def test_gateway_tenant_feeds_in_the_batches_it_was_told_to(
 
     assert asyncio.run(asyncio.wait_for(scenario(), timeout=60)) == baseline
     assert seen == [(len(chunk), expected_batch or len(chunk)) for chunk in chunks]
+
+
+#: Two one-step queries; on player 1's second frame both complete.
+QUERY_A = 'SELECT "a" MATCHING kinect_t(x > 0);'
+QUERY_B = 'SELECT "b" MATCHING kinect_t(y > 0);'
+
+ENGINES = {
+    "inline": SessionConfig(),
+    "thread2": SessionConfig(shards=2),
+    "process2": SessionConfig(shards=2, shard_executor="process"),
+}
+
+
+@pytest.mark.parametrize("other", [2, 4])
+def test_every_engine_reads_one_order_and_keeps_an_undeployed_history(other):
+    """Two players detect in the same frame: every engine reads the whole
+    history in one order, (timestamp, player, arrival), and keeps an
+    undeployed query's detections.  Of two shards, player 2 is on player
+    1's and player 4 on the other."""
+    first = [
+        {"ts": 1.0, "player": other, "x": 1.0, "y": 0.0},
+        {"ts": 1.0, "player": 1, "x": 0.0, "y": 1.0},
+        {"ts": 2.0, "player": 1, "x": 1.0, "y": 1.0},
+    ]
+    later = [
+        {"ts": 3.0, "player": other, "x": 1.0, "y": 1.0},
+        {"ts": 3.0, "player": 1, "x": 1.0, "y": 1.0},
+    ]
+
+    def states(session):
+        return [json.dumps(d.to_state(), sort_keys=True) for d in session.detections()]
+
+    read = {}
+    for engine, session_config in ENGINES.items():
+        with GestureSession(session_config) as session:
+            session.deploy(QUERY_A)
+            session.deploy(QUERY_B)
+            session.feed(first, stream="kinect_t")
+            before = states(session)
+            session.undeploy("a")
+            session.feed(later, stream="kinect_t")
+            events = [(e.gesture, e.partition, e.timestamp) for e in session.events]
+            read[engine] = (before, states(session), events)
+    assert read["thread2"] == read["inline"]
+    assert read["process2"] == read["inline"]
+    assert read["inline"][2] == [
+        ("b", 1, 1.0), ("a", other, 1.0),
+        ("a", 1, 2.0), ("b", 1, 2.0),
+        ("b", 1, 3.0), ("b", other, 3.0),
+    ]

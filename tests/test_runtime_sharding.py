@@ -17,7 +17,8 @@ import pytest
 
 from reference_matcher import reference_detections
 from repro.api import F, GestureSession, Q, SessionConfig
-from repro.cep import CallbackSink, CEPEngine, CollectingSink, FanOutSink
+from repro.cep import CallbackSink, CEPEngine, FanOutSink, Sink
+from repro.cep.sinks import DetectionLog
 from repro.errors import (
     QueryRegistrationError,
     SerializationError,
@@ -280,15 +281,15 @@ class TestShardedRuntime:
         assert not runtime.failed
 
     def test_sinks_receive_detections_from_all_shards(self, spec):
-        sink = CollectingSink()
+        seen = []
         frames = make_frames(players=4)
         with self.runtime(spec) as runtime:
             handle = runtime.register_query(HIGH)
-            handle.sink.add(sink)
+            handle.sink.add(CallbackSink(seen.append))
             runtime.push_many("kinect_t", frames)
             runtime.drain()
-            assert len(sink.detections) == len(handle.detections())
-            assert {d.partition for d in sink.detections} == {1, 2, 3, 4}
+            assert len(seen) == len(handle.detections())
+            assert {d.partition for d in seen} == {1, 2, 3, 4}
 
     def test_lifecycle_guards(self, spec):
         runtime = self.runtime(spec)
@@ -747,14 +748,14 @@ def _detection(ts=0.0, partition=None, output="x"):
 
 
 class TestSinkConcurrency:
-    def test_collecting_sink_snapshot_under_concurrent_emit(self):
-        sink = CollectingSink()
+    def test_detection_log_snapshot_under_concurrent_extend(self):
+        log = DetectionLog()
         stop = threading.Event()
 
         def writer():
             i = 0
             while not stop.is_set():
-                sink.emit(_detection(ts=float(i)))
+                log.extend([_detection(ts=float(i))])
                 i += 1
 
         thread = threading.Thread(target=writer, daemon=True)
@@ -762,29 +763,29 @@ class TestSinkConcurrency:
         try:
             deadline = time.monotonic() + 0.3
             while time.monotonic() < deadline:
-                snapshot = sink.detections
-                # Snapshot is a copy: mutating it cannot corrupt the sink.
+                snapshot = log.snapshot()
+                # Snapshot is a copy: mutating it cannot corrupt the log.
                 snapshot.clear()
-                assert sink.outputs() is not None
+                assert log.entries() is not None
         finally:
             stop.set()
             thread.join(timeout=2.0)
-        assert len(sink) > 0
+        assert len(log) > 0
 
-    def test_collecting_sink_detections_is_a_snapshot(self):
-        sink = CollectingSink()
-        sink.emit(_detection())
-        snapshot = sink.detections
-        snapshot.append(_detection(ts=1.0))
-        assert len(sink) == 1
+    def test_detection_log_reads_are_copies(self):
+        log = DetectionLog()
+        log.extend([_detection()])
+        log.snapshot().append(_detection(ts=1.0))
+        log.entries().append(_detection(ts=1.0))
+        assert len(log) == 1
 
     def test_fan_out_isolates_a_raising_sink(self):
-        class ExplodingSink(CollectingSink):
+        class ExplodingSink(Sink):
             def emit(self, detection):
                 raise RuntimeError("sink is broken")
 
-        healthy = CollectingSink()
-        fan = FanOutSink([ExplodingSink(), healthy])
+        healthy = []
+        fan = FanOutSink([ExplodingSink(), CallbackSink(healthy.append)])
         for ts in (0.0, 1.0):
             # The first failure is re-raised after the full fan-out, so an
             # inline caller still observes it ...

@@ -12,6 +12,8 @@ finished results.
 from __future__ import annotations
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -283,3 +285,115 @@ class TestShardedRoundTripOnProcesses(TestShardedRoundTrip):
     """Snapshot → crash → recover is transport-independent."""
 
     CONFIG = SessionConfig(shards=4, shard_executor="process")
+
+
+# ---------------------------------------------------------------------------
+# One detection log per engine, in every snapshot format
+# ---------------------------------------------------------------------------
+
+#: Two one-step queries fed three players' frames that share timestamps.
+PAIR = ('SELECT "a" MATCHING kinect_t(x > 0);', 'SELECT "b" MATCHING kinect_t(y > 0);')
+
+#: Players 1 and 2 are on one of two shards, player 4 on the other.
+PAIR_FRAMES = [
+    {"ts": float(ts), "player": player, "x": float((ts + player) % 2), "y": float(ts % 3 != 1)}
+    for ts in range(1, 9)
+    for player in (4, 1, 2)
+]
+
+LATER_FRAMES = [dict(frame, ts=frame["ts"] + 10.0) for frame in PAIR_FRAMES]
+
+PAIR_ENGINES = {"inline": SessionConfig(), "thread2": SessionConfig(shards=2)}
+
+#: Durability directories of :func:`record_pair`, one per engine, written
+#: by the version whose inline snapshots kept one detection list per query
+#: and whose sharded snapshots kept the parent's merged list besides the
+#: shards' (see :func:`write_pair_fixtures`).
+FIXTURES = Path(__file__).parent / "data" / "snapshots"
+
+
+def record_pair(session, order=PAIR):
+    """The recorded run: deploy, feed, snapshot, then feed the log tail."""
+    for text in order:
+        session.deploy(text)
+    session.feed(PAIR_FRAMES[:12], stream="kinect_t")
+    session.snapshot()
+    session.feed(PAIR_FRAMES[12:], stream="kinect_t")
+    session.drain()
+
+
+def write_pair_fixtures(directory):
+    """Write :data:`FIXTURES`: ``python -c "import test_snapshot_roundtrip as
+    t; t.write_pair_fixtures('tests/data/snapshots')"`` from the repository
+    root, with ``src`` and ``tests`` on ``PYTHONPATH``."""
+    for engine, config in PAIR_ENGINES.items():
+        session = GestureSession(config, durability=DurabilityConfig(Path(directory) / engine))
+        record_pair(session)
+        session.close()
+
+
+def engine_snapshot(directory):
+    newest = max(Path(directory).glob("snapshot-*.json"))
+    return json.loads(newest.read_text())["state"]["engine"]
+
+
+def read(session):
+    return (
+        [d.to_state() for d in session.detections()],
+        [(e.gesture, e.partition, e.timestamp) for e in session.events],
+    )
+
+
+class TestOneDetectionLog:
+    @pytest.mark.parametrize("engine", sorted(PAIR_ENGINES))
+    def test_an_older_snapshot_restores_as_the_recorded_run(self, engine, tmp_path):
+        directory = tmp_path / "recorded"
+        shutil.copytree(FIXTURES / engine, directory)
+        state = engine_snapshot(directory)
+        if engine == "inline":
+            assert "detections" not in state
+            assert all(query["detections"] for query in state["queries"])
+        else:
+            assert state["detections"]
+        config = PAIR_ENGINES[engine]
+        with GestureSession(config, durability=DurabilityConfig(tmp_path / "live")) as live:
+            record_pair(live)
+            expected = read(live)
+        recovered = GestureSession.recover(DurabilityConfig(directory), config)
+        try:
+            assert recovered.last_recovery.snapshot_offset is not None
+            assert read(recovered) == expected
+        finally:
+            recovered.close()
+
+    @pytest.mark.parametrize("engine", sorted(PAIR_ENGINES))
+    @pytest.mark.parametrize("order", [PAIR, PAIR[::-1]], ids=["ab", "ba"])
+    def test_a_snapshot_holds_each_detection_once_and_restores_as_live(
+        self, engine, order, tmp_path
+    ):
+        config = PAIR_ENGINES[engine]
+        live = GestureSession(config, durability=DurabilityConfig(tmp_path / "live"))
+        try:
+            record_pair(live, order)
+            live.snapshot()
+            shutil.copytree(tmp_path / "live", tmp_path / "crash")
+            state = engine_snapshot(tmp_path / "crash")
+            if engine == "inline":
+                stored = state["detections"]
+                assert not any("detections" in query for query in state["queries"])
+            else:
+                assert "detections" not in state
+                stored = [d for shard in state["shards"].values() for d in shard["detections"]]
+            assert len(stored) == len(live.detections())
+            # Two queries complete on one frame: a restored engine keeps
+            # their deploy order, so the continuation reads as the live one.
+            live.feed(LATER_FRAMES, stream="kinect_t")
+            expected = read(live)
+        finally:
+            live.close()
+        recovered = GestureSession.recover(DurabilityConfig(tmp_path / "crash"), config)
+        try:
+            recovered.feed(LATER_FRAMES, stream="kinect_t")
+            assert read(recovered) == expected
+        finally:
+            recovered.close()
