@@ -24,15 +24,26 @@ across queries.  Each stream that deployed queries read has **one**
 subscription, and one :class:`~repro.cep.index.StepIndex` over the steps of
 every query on it, built on the first tuple after a deploy, undeploy or
 ``restore_state``.  Per tuple (or per chunk) the subscription computes the
-index verdicts and event times once, then visits the queries in deploy
-order: each keeps its own matcher, ``MatcherStats``, ``matcher:<name>``
-span and sinks, and a query whose gate bit is clear and whose
-player holds no runs is only counted (:meth:`NFAMatcher.skip`).  A tuple
-the index cannot read (a missing or non-numeric field) falls back to every
+index verdicts and event times once, then hands the tuple to its queries:
+each keeps its own matcher, ``MatcherStats``, ``matcher:<name>`` span and
+sinks.  A chunk goes to every query, in deploy order.  A tuple goes only
+to the queries it can change — its gate bit, the bit of a step its
+player's runs wait for (a step without a bit always), a prune of those
+runs due, an idle sweep due — and the rest are counted in bulk
+(:meth:`NFAMatcher.settle`; ``_Fanout`` keeps per-player wake masks and
+expiries), so a tuple that wakes nothing costs the lookup, a few mask
+tests and a counter increment, whatever the vocabulary's size.  Of the
+woken queries, those that can complete a run on the tuple take it first,
+in deploy order, and the others after the detections went out; a sink
+still sees the tuple delivered in deploy order, since whatever could tell
+the difference from inside it — a counter or progress read, a control, a
+tuple fed from the sink — first hands the earlier ones the tuple.  A
+traced tuple goes to every query, so each keeps its span.  A tuple the
+index cannot read (a missing or non-numeric field) falls back to every
 query's closures, and so does a stream where the index would answer no
-query's gate: there a lookup per tuple would buy nothing.  A query that raises costs only itself, as a separate
-subscription would: the rest still get the tuple, the producer sees the
-first error.
+query's gate: there a lookup per tuple would buy nothing.  A query that
+raises costs only itself, as a separate subscription would: the rest still
+get the tuple, the producer sees the first error in deploy order.
 
 The subscription also declares the fields its queries read (each query's
 set is computed once, at deploy), and does so the moment the queries
@@ -83,7 +94,10 @@ returns a copy, so detections can be read while a worker thread appends.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import partial
+from operator import itemgetter
 from typing import (
     Any, Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Protocol, Sequence, Tuple,
     Union,
@@ -91,7 +105,7 @@ from typing import (
 
 from repro.cep.expressions import CompiledPredicateCache
 from repro.cep.index import ALWAYS, StepIndex
-from repro.cep.matcher import Detection, MatcherConfig, NFAMatcher
+from repro.cep.matcher import UNPARTITIONED, Detection, MatcherConfig, NFAMatcher
 from repro.cep.nfa import compile_pattern
 from repro.cep.parser import parse_query
 from repro.cep.query import Query
@@ -296,11 +310,6 @@ class Taps:
             tap(op, payload)
 
 
-#: One query as a stream's fan-out visits it: the query, its matcher, its gate
-#: bit and its run table.  The partition and timestamp fields are the engine's.
-_Member = Tuple[DeployedQuery, NFAMatcher, int, Dict[Any, Any]]
-
-
 def _fields_read(query: Query, config: MatcherConfig) -> Dict[str, FrozenSet[str]]:
     """Per stream, the fields a matcher of ``query`` under ``config`` reads:
     its predicates', the timestamp field and the partition field."""
@@ -313,25 +322,353 @@ def _fields_read(query: Query, config: MatcherConfig) -> Dict[str, FrozenSet[str
     return reads
 
 
-class _Fanout:
-    """A stream's one subscription: the queries reading it, in deploy order,
-    and the index over their steps (``members`` is ``None`` until the first
-    tuple after they changed)."""
+class _Member:
+    """One query as a stream's fan-out visits it.
+
+    ``flag`` is its bit in a set of woken queries (bit ``i`` for the
+    ``i``-th deployed); ``tracked`` says whether the fan-out wakes it by bit
+    (an index answers its gate and it reads no other stream) rather than
+    on every tuple.  ``runs`` is its matcher's live run tables and
+    ``masks`` / ``costs`` / ``finals`` / ``window`` its wake tables on the
+    stream (:meth:`NFAMatcher.wake_tables`).  What a tracked query's
+    matcher is owed: the fan-out's tuples since ``base`` but the
+    ``claimed`` ones its ``process`` counted, and ``owed`` predicate
+    evaluations on top of its partitions' entries.  Tuple ``sweep_at``
+    makes its idle sweep due.
+    """
+
+    __slots__ = (
+        "deployed", "matcher", "gate", "flag", "tracked", "runs", "masks", "costs", "finals",
+        "window", "base", "claimed", "owed", "sweep_at",
+    )
+
+    def __init__(
+        self, deployed: DeployedQuery, stream_name: str, gate: int, order: int, tracked: bool
+    ) -> None:
+        self.deployed = deployed
+        self.matcher = deployed.matcher
+        self.gate = gate
+        self.flag = 1 << order
+        self.tracked = tracked
+        self.runs = self.matcher.runs
+        self.masks, self.costs, self.finals = self.matcher.wake_tables(stream_name)
+        self.window = self.matcher.expiry_window
+        self.base = self.claimed = self.owed = 0
+        self.sweep_at: float = math.inf
+
+
+class _Awake:
+    """One partition as a fan-out sees it.
+
+    Per tracked query holding runs there, an entry ``[table, base, cost,
+    mask, oldest, final, occupied]``: the matcher's live run table, the
+    ``count`` of this partition's tuples its evaluations are settled up to,
+    and what the table held when its query last processed one of them —
+    the evaluations a tuple it skips costs, the bits that wake it, the
+    ``oldest`` bound its prune tests, the bit that completes a run, and
+    the occupancy all but ``oldest`` derive from.  ``mask`` / ``expiry``
+    bound every entry (``oldest`` plus its window): they only widen as
+    entries change, and are made tight again when they wake nothing.
+    """
+
+    __slots__ = ("count", "mask", "expiry", "runs")
 
     def __init__(self) -> None:
+        self.count = 0
+        self.mask = 0
+        self.expiry = math.inf
+        self.runs: Dict[_Member, List[Any]] = {}
+
+    def enter(self, member: _Member, part: Any) -> None:
+        """(Re)read ``member``'s entry from its run table ``part``."""
+        occupied = part.occupied
+        mask = member.masks[occupied]
+        self.runs[member] = [
+            part,
+            self.count,
+            member.costs[occupied],
+            mask,
+            part.oldest,
+            member.finals[occupied],
+            occupied,
+        ]
+        self.mask |= mask
+        expiry = part.oldest + member.window
+        if expiry < self.expiry:
+            self.expiry = expiry
+
+
+class _Fanout:
+    """A stream's one subscription: the queries reading it, in deploy order,
+    the index over their steps (``members`` is ``None`` until the first
+    tuple after they changed), and the wake state of the per-tuple path.
+
+    Wake state: a tuple calls :meth:`NFAMatcher.process` only on the queries
+    it can change; every other tracked query is owed the count ``process``
+    would have made, settled in bulk by :meth:`release`.  The state is
+    built on the first per-tuple tuple after a release, which a batch, a
+    control and a read of a matcher's counters all cause.  ``ready`` is
+    false until it is built, and while detections are emitted (``busy``).
+
+    A woken query that cannot complete a run on the tuple (``late``) takes
+    it after every query that can, so detections go out first.  While a
+    sink runs, the late ones deploy order puts before the emitting query
+    are ``deferred``: whatever could see the difference — a tuple fed from
+    the sink, a release, a progress read — hands them the tuple first
+    (:meth:`flush`), from ``held``, the tuple's delivery.
+    """
+
+    def __init__(
+        self,
+        stream_name: str,
+        log: DetectionLog,
+        failed: Callable[[DeployedQuery, Exception], None],
+    ) -> None:
+        self.stream = stream_name
+        self.log = log
+        self.failed = failed
         self.queries: List[DeployedQuery] = []
         self.subscription: Optional[Subscription] = None
         self.members: Optional[Tuple[_Member, ...]] = None
         self.index = StepIndex(())
+        self.ready = self.fresh = self.busy = self.tracking = False
+        #: Bumped by every :meth:`release`: a delivery that sees it move
+        #: stops keeping the wake state it started with.
+        self.epoch = 0
+        self.time_field = "ts"
+        self.field: Optional[str] = None
+        #: Flags of the enabled queries, and of the untracked ones, which
+        #: every tuple wakes.
+        self.enabled = self.always = 0
+        self.everyone: Tuple[_Member, ...] = ()
+        self.tracked: Tuple[_Member, ...] = ()
+        self.by_flag: Dict[int, _Member] = {}
+        #: Per gate bit, the flags of the tracked queries a tuple carrying
+        #: it opens a run of; ``singles``: those whose gate completes one.
+        self.gates: Dict[int, int] = {}
+        self.gate_mask = self.singles = self.completing = 0
+        self.parts: Dict[Any, _Awake] = {}
+        #: Tuples delivered since the wake state was built.
+        self.count = 0
+        self.sweep_at: float = math.inf
+        #: The tuple being delivered: its partition, the flags of the woken
+        #: queries that have not started on it (a release leaves the tuple
+        #: to them) and of those whose runs are not read back yet, what the
+        #: late ones need (``held``) and the errors they raised.
+        self.inflight: Optional[_Awake] = None
+        self.pending = self.unread = self.deferred = 0
+        self.held: Optional[Tuple[Any, ...]] = None
+        self.failures: List[Tuple[int, Exception]] = []
 
-    def changed(self, stream_name: str) -> None:
+    def changed(self) -> None:
         """The queries changed: rebind on the next tuple, and declare at
         once the fields they read, so the view producing the stream
         projects that very tuple."""
-        self.members = None
+        self.rebind()
         self.subscription.declare(
-            frozenset().union(*(deployed.reads[stream_name] for deployed in self.queries))
+            frozenset().union(*(deployed.reads[self.stream] for deployed in self.queries))
         )
+
+    def rebind(self) -> None:
+        self.release()
+        self.members = None
+
+    def flush(self) -> None:
+        """Hand the deferred queries the tuple in flight."""
+        if self.deferred:
+            flags, self.deferred = self.deferred, 0
+            self.late(flags)
+
+    def late(self, flags: int) -> None:
+        """Hand the late queries ``flags`` names the tuple in flight, in
+        deploy order, as the handler's loop would (they cannot complete a
+        run on it)."""
+        record, timestamp, verdicts, key, position, epoch = self.held
+        while flags:
+            flag = flags & -flags
+            flags ^= flag
+            member = self.by_flag[flag]
+            deployed = member.deployed
+            if not (deployed.enabled and deployed.active):
+                continue
+            booked = self.epoch == epoch
+            if booked:
+                self.pending &= ~flag
+                if position < member.sweep_at:
+                    member.claimed += 1
+                else:
+                    self.claim(member, self.inflight, position)
+            else:
+                self.release()
+            try:
+                detections = member.matcher.process(record, self.stream, timestamp, verdicts)
+                if detections:  # not from a run it cannot complete; kept whole regardless
+                    self.log.extend(detections)
+                    for detection in detections:
+                        deployed.sink.emit(detection)
+            except Exception as error:  # noqa: BLE001 — isolate, deliver to the rest
+                self.failed(deployed, error)
+                self.failures.append((flag, error))
+            if booked and self.epoch == epoch:
+                self.processed(member, key, position)
+
+    def release(self) -> None:
+        """Settle every count owed and forget the wake state."""
+        self.flush()
+        if not self.fresh:
+            return
+        self.fresh = self.ready = False
+        self.epoch += 1
+        for member in self.tracked:
+            member.matcher.release = None
+            if member.flag & (self.pending | self.unread):
+                # The tuple in flight is this query's own to count.
+                if member.flag & self.pending:
+                    member.claimed += 1
+                entry = self.inflight.runs.get(member) if self.inflight else None
+                if entry is not None:
+                    entry[1] += 1
+            self._settle(member, self.count)
+        self.parts = {}
+        self.inflight, self.pending, self.unread = None, 0, 0
+
+    def _settle(self, member: _Member, upto: int) -> None:
+        """Hand ``member``'s matcher what it is owed for tuples up to ``upto``."""
+        evaluations = member.owed
+        for awake in self.parts.values():
+            entry = awake.runs.get(member)
+            if entry is not None:
+                evaluations += (awake.count - entry[1]) * entry[2]
+                entry[1] = awake.count
+        tuples = upto - member.base - member.claimed
+        if tuples or evaluations:
+            member.matcher.settle(self.stream, tuples, evaluations)
+        member.base, member.claimed, member.owed = upto, 0, 0
+
+    def awaken(self, config: MatcherConfig) -> None:
+        """Build the wake state from the enabled queries' run tables."""
+        self.fresh = True
+        self.ready = not self.busy
+        self.time_field, self.field = config.timestamp_field, config.partition_field
+        self.count = 0
+        self.parts = {}
+        enabled = [
+            member
+            for member in self.members
+            if member.deployed.enabled and member.deployed.active
+        ]
+        self.by_flag = {member.flag: member for member in enabled}
+        self.everyone = tuple(enabled)
+        self.tracked = tuple(member for member in enabled if member.tracked)
+        self.tracking = bool(self.tracked)
+        self.enabled = self.always = self.gate_mask = self.singles = 0
+        self.gates = {}
+        for member in enabled:
+            self.enabled |= member.flag
+            if not member.tracked:
+                self.always |= member.flag
+                continue
+            member.base = member.claimed = member.owed = 0
+            member.sweep_at = member.matcher.tuples_until_sweep()
+            self.gates[member.gate] = self.gates.get(member.gate, 0) | member.flag
+            self.gate_mask |= member.gate
+            if member.matcher.pattern.length == 1:
+                self.singles |= member.flag
+            for key in member.runs:
+                self.rejoin(member, key)
+            member.matcher.release = self.release
+        self.sweep_at = min((member.sweep_at for member in self.tracked), default=math.inf)
+
+    def gated(self, hit: int) -> int:
+        """The flags of the queries whose gate bits ``hit`` holds."""
+        flags = 0
+        while hit:
+            bit = hit & -hit
+            flags |= self.gates[bit]
+            hit ^= bit
+        return flags
+
+    def due(self, awake: _Awake, verdicts: int, timestamp: float) -> int:
+        """The flags of the queries holding runs in ``awake``'s partition
+        that the tuple can move (it carries a bit of a step they wait for)
+        or prune; ``completing``, of those it can complete a run of.  The
+        bounds are made tight when there are none."""
+        flags = early = 0
+        for member, entry in awake.runs.items():
+            # Exactly when process would scan: see "Fast path" in repro.cep.matcher.
+            if verdicts & entry[3] or timestamp - entry[4] > member.window:
+                flags |= member.flag
+                if verdicts & entry[5]:
+                    early |= member.flag
+        if not flags:
+            mask, expiry = 0, math.inf
+            for member, entry in awake.runs.items():
+                mask |= entry[3]
+                expiry = min(expiry, entry[4] + member.window)
+            awake.mask, awake.expiry = mask, expiry
+        self.completing = early
+        return flags
+
+    def sweeping(self, position: int) -> int:
+        """The flags of the queries whose idle sweep tuple ``position`` makes due."""
+        return sum(member.flag for member in self.tracked if member.sweep_at <= position)
+
+    def claim(self, member: _Member, awake: Optional[_Awake], position: int) -> None:
+        """Leave tuple ``position``, which makes ``member``'s idle sweep
+        due, to its ``process``: a sweep may drop any partition, so
+        everything up to the tuple before is settled first."""
+        entry = awake.runs.get(member) if awake is not None else None
+        if entry is not None:
+            awake.count -= 1  # this tuple is not owed
+            self._settle(member, position - 1)
+            awake.count += 1
+            entry[1] = awake.count
+        else:
+            self._settle(member, position - 1)
+        member.base = position
+
+    def processed(self, member: _Member, key: Any, position: int) -> None:
+        """After ``member`` processed tuple ``position`` of ``key``'s
+        partition: settle the tuples it skipped there before, at the cost
+        they saw, and read back its runs (the handler reads back an entry
+        the tuple left unchanged itself)."""
+        if position >= member.sweep_at:
+            # A sweep only drops partitions; every count is settled.
+            for other, awake in list(self.parts.items()):
+                if other != key and member in awake.runs and other not in member.runs:
+                    self.rejoin(member, other)
+            self.rejoin(member, key)
+            due = member.sweep_at
+            member.sweep_at = position + member.matcher.tuples_until_sweep()
+            if due == self.sweep_at:
+                self.sweep_at = min(other.sweep_at for other in self.tracked)
+            return
+        awake = self.parts.get(key)
+        entry = awake.runs.get(member) if awake is not None else None
+        if entry is None:
+            self.rejoin(member, key)
+            return
+        member.owed += (awake.count - 1 - entry[1]) * entry[2]
+        part = member.runs.get(key)
+        if part is not None:
+            awake.enter(member, part)
+        else:
+            del awake.runs[member]
+            if not awake.runs:
+                del self.parts[key]
+
+    def rejoin(self, member: _Member, key: Any) -> None:
+        """Read back ``member``'s runs in ``key``'s partition, whose counts
+        are settled."""
+        part = member.runs.get(key)
+        awake = self.parts.get(key)
+        if part is not None:
+            if awake is None:
+                awake = self.parts[key] = _Awake()
+            awake.enter(member, part)
+        elif awake is not None and awake.runs.pop(member, None) is not None:
+            if not awake.runs:
+                del self.parts[key]
 
 
 class CEPEngine(Taps):
@@ -578,7 +915,11 @@ class CEPEngine(Taps):
         for stream_name in referenced:
             fanout = self._fanouts.get(stream_name)
             if fanout is None:
-                fanout = self._fanouts[stream_name] = _Fanout()
+                fanout = self._fanouts[stream_name] = _Fanout(
+                    stream_name,
+                    self._log,
+                    partial(self._failed, stream_name),
+                )
                 fanout.subscription = self.streams.get(stream_name).subscribe(
                     self._make_handler(stream_name, fanout),
                     name=f"queries:{stream_name}",
@@ -586,7 +927,7 @@ class CEPEngine(Taps):
                     reads=(),
                 )
             fanout.queries.append(deployed)
-            fanout.changed(stream_name)
+            fanout.changed()
 
         self._queries[registration_name] = deployed
         self._notify_control("deploy", {"name": registration_name, "text": query.to_query()})
@@ -604,23 +945,23 @@ class CEPEngine(Taps):
             gates = [matcher.bind_index(stream_name, index) for matcher in matchers]
         fanout.index = index
         fanout.members = tuple(
-            # The run table is read in place, never replaced.
-            (deployed, deployed.matcher, gate, deployed.matcher._partitions)
-            for deployed, gate in zip(fanout.queries, gates)
+            _Member(
+                deployed,
+                stream_name,
+                gate,
+                order,
+                # Woken by bit: the index answers its gate, and every tuple it
+                # counts arrives here.
+                tracked=gate not in (0, ALWAYS) and len(deployed.reads) == 1,
+            )
+            for order, (deployed, gate) in enumerate(zip(fanout.queries, gates))
         )
         return fanout.members
 
-    def _failed(
-        self,
-        stream_name: str,
-        deployed: DeployedQuery,
-        error: Exception,
-        first: Optional[Exception],
-    ) -> Exception:
-        """Record a query's failure as its own subscription's would be, and
-        return the error to raise once every query had the delivery."""
+    def _failed(self, stream_name: str, deployed: DeployedQuery, error: Exception) -> None:
+        """Record a query's failure as its own subscription's would be; the
+        first error is raised once every query had the delivery."""
         self.streams.get(stream_name).record_failure(f"query:{deployed.name}", error)
-        return first or error
 
     def _make_handler(
         self, stream_name: str, fanout: _Fanout
@@ -628,35 +969,51 @@ class CEPEngine(Taps):
         log = self._log
 
         def handle(record: Mapping[str, Any]) -> None:
-            members = fanout.members or self._bind(stream_name, fanout)
+            if not fanout.ready:
+                if fanout.members is None:
+                    self._bind(stream_name, fanout)
+                elif fanout.busy:
+                    # Fed by a sink: settle the delivery under way, which
+                    # then stops keeping the state rebuilt here.
+                    fanout.release()
+                if not fanout.fresh:
+                    fanout.awaken(self.matcher_config)
+            if not fanout.enabled:
+                return
+            try:
+                value = record.get(fanout.time_field)
+                timestamp = float(value) if value is not None else self.clock.now()
+            except Exception as error:  # noqa: BLE001 — every query fails on it
+                for member in fanout.everyone:
+                    self._failed(stream_name, member.deployed, error)
+                raise
             index = fanout.index
             verdicts = index.lookup(record) if index.fields else None
-            probe = -1 if verdicts is None else verdicts
             tracer = self.tracer
+            # A traced tuple keeps one span per query: every query is woken then.
             context = current_context() if tracer is not None and tracer.active else None
-            config = self.matcher_config
-            field = config.partition_field
-            timestamp: Optional[float] = None
+            if fanout.tracking:
+                field = fanout.field
+                key = record.get(field) if field is not None else UNPARTITIONED
+                try:
+                    awake = fanout.parts.get(key)
+                except TypeError:  # an unhashable partition value: every query raises
+                    fanout.release()
+                else:
+                    deliver(record, timestamp, verdicts, context, key, awake)
+                    return
+            # No bits to wake on: every query takes the tuple, in deploy order.
+            epoch = fanout.epoch
             first: Optional[Exception] = None
-            for deployed, matcher, gate, partitions in members:
+            for member in fanout.everyone:
+                deployed = member.deployed
                 if not (deployed.enabled and deployed.active):
                     continue
                 try:
-                    if timestamp is None:
-                        value = record.get(config.timestamp_field)
-                        timestamp = float(value) if value is not None else self.clock.now()
-                    # A traced tuple keeps one span per query: no skipping then.
-                    if not (
-                        probe & gate
-                        or context is not None
-                        or (record.get(field) in partitions if field is not None else partitions)
-                    ):
-                        matcher.skip(stream_name, timestamp)
-                        continue
                     span = None
                     if context is not None:
                         span = tracer.span(f"matcher:{deployed.name}", "matcher", context)
-                    detections = matcher.process(record, stream_name, timestamp, verdicts)
+                    detections = member.matcher.process(record, stream_name, timestamp, verdicts)
                     if span is not None:
                         span.close(tuples=1, detections=len(detections))
                     if detections:
@@ -664,9 +1021,131 @@ class CEPEngine(Taps):
                         for detection in detections:
                             deployed.sink.emit(detection)
                 except Exception as error:  # noqa: BLE001 — isolate, deliver to the rest
-                    first = self._failed(stream_name, deployed, error, first)
+                    self._failed(stream_name, deployed, error)
+                    first = first or error
+            if fanout.epoch != epoch:
+                fanout.release()
             if first is not None:
                 raise first
+
+        def deliver(
+            record: Mapping[str, Any],
+            timestamp: float,
+            verdicts: Optional[int],
+            context: Any,
+            key: Any,
+            awake: Optional[_Awake],
+        ) -> None:
+            """Hand the tuple to the queries it wakes (see ``_Fanout``)."""
+            position = fanout.count = fanout.count + 1
+            if awake is not None:
+                awake.count += 1
+            late = 0
+            if verdicts is None or context is not None:
+                flags = fanout.enabled
+            else:
+                flags = early = fanout.always
+                hit = verdicts & fanout.gate_mask
+                if hit:
+                    gated = fanout.gates.get(hit) or fanout.gated(hit)
+                    flags |= gated
+                    early |= gated & fanout.singles
+                if awake is not None and (verdicts & awake.mask or timestamp >= awake.expiry):
+                    flags |= fanout.due(awake, verdicts, timestamp)
+                    early |= fanout.completing
+                if position >= fanout.sweep_at:
+                    flags |= fanout.sweeping(position)
+                if not flags:
+                    return  # the tuple wakes nothing
+                late = flags & ~early
+                flags = early
+            tracer = self.tracer
+            epoch = fanout.epoch
+            by_flag = fanout.by_flag
+            failures: Optional[List[Tuple[int, Exception]]] = None
+            while flags or late:
+                if not flags:
+                    flags, late = late, 0
+                flag = flags & -flags
+                flags ^= flag
+                member = by_flag[flag]
+                deployed = member.deployed
+                if not (deployed.enabled and deployed.active):
+                    continue
+                booked = member.tracked
+                if booked:
+                    if fanout.epoch != epoch:
+                        # A sink released the state mid-delivery: settle what
+                        # the state rebuilt since owes before runs change.
+                        fanout.release()
+                        booked = False
+                    elif position < member.sweep_at:
+                        member.claimed += 1  # process counts it
+                    else:
+                        fanout.claim(member, awake, position)
+                try:
+                    span = None
+                    if context is not None:
+                        span = tracer.span(f"matcher:{deployed.name}", "matcher", context)
+                    detections = member.matcher.process(record, stream_name, timestamp, verdicts)
+                    if span is not None:
+                        span.close(tuples=1, detections=len(detections))
+                    if detections:
+                        log.extend(detections)
+                        # What a sink does may release the state: tell it
+                        # which queries have not started on the tuple yet,
+                        # and which one has not been read back.
+                        fanout.inflight, fanout.pending = awake, flags | late
+                        fanout.unread = flag if booked else 0
+                        # Its sinks run as if deploy order had been kept: what
+                        # could tell the late queries before it apart hands
+                        # them the tuple first (_Fanout.flush).
+                        deferred = late & (flag - 1)
+                        if deferred:
+                            late ^= deferred
+                            fanout.deferred = deferred
+                            fanout.held = (record, timestamp, verdicts, key, position, epoch)
+                        outer = fanout.busy
+                        fanout.busy, fanout.ready = True, False
+                        try:
+                            for detection in detections:
+                                deployed.sink.emit(detection)
+                        finally:
+                            fanout.busy = outer
+                            fanout.ready = fanout.fresh and not outer
+                            fanout.inflight, fanout.pending, fanout.unread = None, 0, 0
+                            if deferred:
+                                late |= fanout.deferred
+                                fanout.deferred, fanout.held = 0, None
+                except Exception as error:  # noqa: BLE001 — isolate, deliver to the rest
+                    self._failed(stream_name, deployed, error)
+                    failures = (failures or []) + [(flag, error)]
+                # Read back after the detections went out, off the path to
+                # them; a sink that released the state meanwhile settled it.
+                if booked and fanout.epoch == epoch:
+                    entry = awake.runs.get(member) if awake is not None else None
+                    part = member.runs.get(key)
+                    if (
+                        entry is not None
+                        and part is entry[0]
+                        and part.occupied == entry[6]
+                        and part.oldest == entry[4]
+                        and position < member.sweep_at
+                    ):
+                        # The tuple changed nothing the entry reads: settle
+                        # the tuples skipped before it, at the cost they saw.
+                        member.owed += (awake.count - 1 - entry[1]) * entry[2]
+                        entry[1] = awake.count
+                    else:
+                        fanout.processed(member, key, position)
+            if fanout.failures:
+                failures = (failures or []) + fanout.failures
+                fanout.failures = []
+            if fanout.epoch != epoch:
+                fanout.release()
+            if failures:
+                # The producer sees the first error in deploy order.
+                raise min(failures, key=itemgetter(0))[1]
 
         return handle
 
@@ -684,7 +1163,8 @@ class CEPEngine(Taps):
             timestamp_field = self.matcher_config.timestamp_field
             timestamps: Optional[List[float]] = None
             first: Optional[Exception] = None
-            for deployed, matcher, _, _ in members:
+            for member in members:
+                deployed = member.deployed
                 if not (deployed.enabled and deployed.active):
                     continue
                 try:
@@ -697,7 +1177,9 @@ class CEPEngine(Taps):
                     span = None
                     if context is not None:
                         span = tracer.span(f"matcher:{deployed.name}", "matcher", context)
-                    detections = matcher.process_batch(records, stream_name, timestamps, verdicts)
+                    detections = member.matcher.process_batch(
+                        records, stream_name, timestamps, verdicts
+                    )
                     if span is not None:
                         span.close(tuples=len(records), detections=len(detections))
                     if detections:
@@ -705,7 +1187,8 @@ class CEPEngine(Taps):
                         for detection in detections:
                             deployed.sink.emit(detection)
                 except Exception as error:  # noqa: BLE001 — isolate, deliver to the rest
-                    first = self._failed(stream_name, deployed, error, first)
+                    self._failed(stream_name, deployed, error)
+                    first = first or error
             if first is not None:
                 raise first
 
@@ -721,8 +1204,9 @@ class CEPEngine(Taps):
             fanout = self._fanouts[stream_name]
             fanout.queries.remove(deployed)
             if fanout.queries:
-                fanout.changed(stream_name)
+                fanout.changed()
             else:
+                fanout.release()
                 fanout.subscription.cancel()
                 del self._fanouts[stream_name]
         self._notify_control("undeploy", {"name": name})
@@ -753,6 +1237,8 @@ class CEPEngine(Taps):
     def query_progress(self) -> Dict[str, Tuple[float, int]]:
         """Per-query ``(progress, active_runs)``: how far the best partial
         match got and how many runs are live (Fig. 5 style feedback)."""
+        for fanout in self._fanouts.values():
+            fanout.flush()
         return {
             name: (deployed.matcher.progress(), deployed.matcher.active_runs)
             for name, deployed in self._queries.items()
@@ -764,7 +1250,11 @@ class CEPEngine(Taps):
 
     def enable_query(self, name: str, enabled: bool = True) -> None:
         """Pause or resume a deployed query without removing it."""
-        self.get_query(name).enabled = enabled
+        deployed = self.get_query(name)
+        # Its counts are owed up to now, and stop (or restart) here.
+        for stream_name in deployed.reads:
+            self._fanouts[stream_name].release()
+        deployed.enabled = enabled
         self._notify_control("enable", {"name": name, "enabled": enabled})
 
     # -- detections -----------------------------------------------------------------------
@@ -915,7 +1405,7 @@ class CEPEngine(Taps):
                 restore(transformer_state)
         self.tuples_processed = int(state.get("tuples_processed", 0))
         for fanout in self._fanouts.values():
-            fanout.members = None
+            fanout.rebind()
         self._notify_control("restore", {})
 
     def __repr__(self) -> str:

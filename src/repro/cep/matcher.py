@@ -58,11 +58,30 @@ step *i*.  Buckets are visited last step first, so a run that just moved is
 not looked at again and every run advances by at most one step per tuple.
 Tuples from streams that appear nowhere in the pattern short-circuit before
 any predicate is evaluated.  ``MatcherStats.predicate_evaluations`` counts
-the atoms actually evaluated: at most once per tuple and step.  With
-verdicts, a tuple whose partition holds no runs and whose gate bit is clear
-can change nothing but counters: the engine calls :meth:`NFAMatcher.skip`
-for it instead of :meth:`~NFAMatcher.process`, and
-:meth:`~NFAMatcher.process_batch` passes over it after one bit test and one
+the atoms actually evaluated: at most once per tuple and step.
+
+With verdicts, most tuples can change nothing of a query but its counters:
+the gate bit is clear, no step its partition's runs wait for holds, none of
+them can expire yet and no idle sweep is due.  Bit *i* of a partition's
+``occupied`` is set while ``waiting[i]`` holds runs, and
+:meth:`NFAMatcher.wake_tables` folds an occupancy into what an engine needs
+to tell such tuples apart without calling the matcher: the bits that can
+move the runs (a step without a bit counts as always set), what a tuple
+missing them adds to ``predicate_evaluations``, and the bit that completes
+a run.  Runs may be pruned once ``timestamp - oldest`` exceeds
+:attr:`~NFAMatcher.expiry_window`, the very test ``_prune`` starts with.
+An engine reads the live tables (:attr:`NFAMatcher.runs`), calls
+:meth:`~NFAMatcher.process` only on a tuple that can change them or makes
+the idle sweep due (:meth:`~NFAMatcher.tuples_until_sweep`), and hands the
+matcher what it would have counted for every other tuple in bulk
+(:meth:`~NFAMatcher.settle`).  What it owes is settled before anyone can
+see it: :attr:`~NFAMatcher.stats`, :meth:`~NFAMatcher.capture_state`, and
+every change to the runs outside ``process``
+(:meth:`~NFAMatcher.process_batch`, :meth:`~NFAMatcher.reset`,
+:meth:`~NFAMatcher.restore_state`) call the engine's ``release`` hook
+first, so every reader sees what ``process`` on every tuple would have
+counted.  :meth:`~NFAMatcher.process_batch` passes over a tuple whose gate
+bit is clear and whose partition holds no runs after one bit test and one
 dict lookup — counting it as the gate rejection it is.
 
 Expiry is checked only when something can expire.  Each partition keeps a
@@ -110,7 +129,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from itertools import repeat
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+)
 
 from repro.cep.expressions import CompiledExpression, CompiledPredicateCache
 from repro.cep.index import ALWAYS, Atom, StepIndex, step_atoms
@@ -122,7 +143,7 @@ from repro.errors import SerializationError
 
 #: Run-table key used when ``partition_field`` is ``None``: all tuples share
 #: one partition, which is exactly the pre-partitioning behaviour.
-_UNPARTITIONED = object()
+UNPARTITIONED: Any = object()
 
 #: Tuples processed between idle-partition sweeps.  Pruning only ever runs
 #: against a partition's own tuples, so runs of a player who stopped
@@ -283,20 +304,23 @@ class _Partition:
     """One partition's partial matches, bucketed by the step they wait for.
 
     ``waiting[i]`` holds the runs whose next step is ``i`` (slot 0 stays
-    empty: a run exists only once step 0 matched), ``count`` is the number
-    of runs over all buckets, and ``oldest`` is a lower bound on every
-    timestamp those runs hold (``inf`` while there are none).
+    empty: a run exists only once step 0 matched), bit ``i`` of
+    ``occupied`` is set while it does, ``count`` is the number of runs over
+    all buckets, and ``oldest`` is a lower bound on every timestamp those
+    runs hold (``inf`` while there are none).
     """
 
     waiting: List[List[_Run]]
     count: int = 0
     oldest: float = math.inf
+    occupied: int = 0
 
     def clear(self) -> None:
         for bucket in self.waiting:
             bucket.clear()
         self.count = 0
         self.oldest = math.inf
+        self.occupied = 0
 
 
 @dataclass
@@ -339,6 +363,25 @@ class MatcherStats:
         (snapshots written before a counter existed still load)."""
         for f in fields(self):
             setattr(self, f.name, int(state.get(f.name, 0)))
+
+
+class _Folds(Dict[int, int]):
+    """Per bucket occupancy, the values of the occupied steps OR-ed (or,
+    with ``add``, summed): folded on first use, since a partition takes
+    few shapes."""
+
+    def __init__(self, steps: Sequence[Tuple[int, int]], add: bool = False) -> None:
+        super().__init__()
+        self._steps = steps
+        self._add = add
+
+    def __missing__(self, occupied: int) -> int:
+        folded = 0
+        for step, value in self._steps:
+            if occupied & step:
+                folded = folded + value if self._add else folded | value
+        self[occupied] = folded
+        return folded
 
 
 def _tightest(constraints: Iterable[TimeConstraint]) -> Tuple[Tuple[int, float], ...]:
@@ -388,7 +431,12 @@ class NFAMatcher:
         self.query_name = query_name or output
         self.functions = functions or default_functions()
         self.config = config or MatcherConfig()
-        self.stats = MatcherStats()
+        self._stats = MatcherStats()
+        #: Set by an engine that counts this matcher's untouched tuples in
+        #: bulk (see "Fast path"): settles what it still owes and forgets what
+        #: it knew of the runs.  Called before the counters are read and
+        #: before the runs change outside :meth:`process`.
+        self.release: Optional[Callable[[], None]] = None
         # Run buckets keyed by partition value (player id).  Entries exist
         # only while a partition has live runs, so idle players cost nothing.
         self._partitions: Dict[Any, _Partition] = {}
@@ -426,6 +474,8 @@ class NFAMatcher:
             )
             for stream in pattern.streams()
         }
+        self._wake_tables: Dict[str, Tuple[_Folds, _Folds, _Folds]] = {}
+        self._bind_wake_tables()
         # Per-step (anchor step, seconds) tables so the hot path never
         # rebuilds lists.  A within around a single event spans no time:
         # there is nothing to check when it ends (and no timestamp of that
@@ -452,6 +502,12 @@ class NFAMatcher:
     # -- introspection -------------------------------------------------------------
 
     @property
+    def stats(self) -> MatcherStats:
+        """The counters, exact: what an engine still owes is settled first."""
+        self._released()
+        return self._stats
+
+    @property
     def active_runs(self) -> int:
         """Number of partial matches currently tracked, over all partitions."""
         return sum(part.count for part in self._partitions.values())
@@ -464,10 +520,10 @@ class NFAMatcher:
     def partition_keys(self) -> List[Any]:
         """Partition values that currently hold partial matches."""
         return [
-            None if key is _UNPARTITIONED else key for key in self._partitions
+            None if key is UNPARTITIONED else key for key in self._partitions
         ]
 
-    def furthest_step(self, partition: Any = _UNPARTITIONED) -> int:
+    def furthest_step(self, partition: Any = UNPARTITIONED) -> int:
         """Index of the furthest step any partial match has reached.
 
         This is the "how far did my movement get" feedback of the testing
@@ -476,10 +532,10 @@ class NFAMatcher:
         ``partition`` to restrict the answer to one player; the default
         looks across all partitions.
         """
-        if partition is _UNPARTITIONED and self._partition_field is not None:
+        if partition is UNPARTITIONED and self._partition_field is not None:
             parts: Sequence[_Partition] = list(self._partitions.values())
         else:
-            key = partition if self._partition_field is not None else _UNPARTITIONED
+            key = partition if self._partition_field is not None else UNPARTITIONED
             part = self._partitions.get(key)
             parts = [part] if part is not None else []
         for index in range(self._length - 1, 0, -1):
@@ -487,13 +543,18 @@ class NFAMatcher:
                 return index
         return 0
 
-    def progress(self, partition: Any = _UNPARTITIONED) -> float:
+    def progress(self, partition: Any = UNPARTITIONED) -> float:
         """Furthest progress as a fraction of the pattern length."""
         return self.furthest_step(partition) / self.pattern.length
 
     def reset(self) -> None:
         """Discard all partial matches (used when a query is redeployed)."""
+        self._released()
         self._partitions.clear()
+
+    def _released(self) -> None:
+        if self.release is not None:
+            self.release()
 
     # -- state capture / restore --------------------------------------------------------
 
@@ -517,9 +578,10 @@ class NFAMatcher:
             If a partition key is not a JSON value (the default ``player``
             ids — ints, floats, strings — always are).
         """
+        self._released()
         partitions = []
         for key, part in self._partitions.items():
-            if key is _UNPARTITIONED:
+            if key is UNPARTITIONED:
                 encoded_key: Dict[str, Any] = {"unpartitioned": True}
             else:
                 if key is not None and not isinstance(key, (str, int, float, bool)):
@@ -547,7 +609,7 @@ class NFAMatcher:
             "query_name": self.query_name,
             "run_counter": self._run_counter,
             "tuples_since_sweep": self._tuples_since_sweep,
-            "stats": self.stats.as_dict(),
+            "stats": self._stats.as_dict(),
             "partitions": partitions,
         }
 
@@ -577,7 +639,7 @@ class NFAMatcher:
         partitions: Dict[Any, _Partition] = {}
         for entry in state["partitions"]:
             encoded_key = entry["key"]
-            key = _UNPARTITIONED if encoded_key.get("unpartitioned") else encoded_key["value"]
+            key = UNPARTITIONED if encoded_key.get("unpartitioned") else encoded_key["value"]
             part = self._new_partition()
             for run_state in entry["runs"]:
                 next_step = int(run_state["next_step"])
@@ -600,18 +662,19 @@ class NFAMatcher:
                         f"the pattern has {self._length} steps"
                     )
                 part.waiting[next_step].append(run)
+                part.occupied |= 1 << next_step
                 part.count += 1
                 part.oldest = min(part.oldest, *run.step_timestamps)
             if part.count:
                 partitions[key] = part
-        # In place: the engine's fan-out holds on to this dict.
+        self._released()
         self._partitions.clear()
         self._partitions.update(partitions)
         self._run_counter = int(state["run_counter"])
         self._tuples_since_sweep = int(state["tuples_since_sweep"])
         stats_state = state.get("stats")
         if stats_state:
-            self.stats.restore(stats_state)
+            self._stats.restore(stats_state)
 
     # -- matching -----------------------------------------------------------------------
 
@@ -630,7 +693,19 @@ class NFAMatcher:
             if step.stream == stream:
                 atoms = self._step_atoms[position]
                 self._step_bits[position] = 0 if atoms is None else index.bits.get(atoms, 0)
+        self._bind_wake_tables()
         return self.gate(stream)
+
+    def _bind_wake_tables(self) -> None:
+        last = self._length - 1
+        self._wake_tables = {
+            stream: (
+                _Folds([(1 << index, self._step_bits[index] or ALWAYS) for index in order]),
+                _Folds([(1 << index, self._step_costs[index]) for index in order], add=True),
+                _Folds([(1 << last, self._step_bits[last] or ALWAYS)] if last in order else []),
+            )
+            for stream, order in self._advance_order.items()
+        }
 
     def gate(self, stream: str) -> int:
         """The bit a tuple's verdicts must carry to start a run from ``stream``:
@@ -663,13 +738,13 @@ class NFAMatcher:
             this matcher was bound to on ``stream``; ``None`` evaluates
             every step's closure.
         """
-        self.stats.tuples_processed += 1
+        self._stats.tuples_processed += 1
         if stream not in self._advance_order:
             return []
         if timestamp is None:
             timestamp = float(record.get(self.config.timestamp_field, 0.0))
         field = self._partition_field
-        key = record.get(field) if field is not None else _UNPARTITIONED
+        key = record.get(field) if field is not None else UNPARTITIONED
         part = self._partitions.get(key)
         if part is not None:
             self._prune(part, timestamp)
@@ -678,16 +753,53 @@ class NFAMatcher:
         self._maybe_sweep(1, timestamp)
         return detections
 
-    def skip(self, stream: str, timestamp: float) -> None:
-        """Count a tuple whose verdicts lack :meth:`gate` and whose partition
-        holds no runs, exactly as :meth:`process` would have: it can change
-        nothing else."""
-        stats = self.stats
-        stats.tuples_processed += 1
+    @property
+    def runs(self) -> Mapping[Any, _Partition]:
+        """The live run tables, by the tuple's partition value
+        (:data:`UNPARTITIONED` when the matcher is unpartitioned).  A table
+        stays the same object until its partition empties; read its
+        ``occupied`` and ``oldest``, never write them."""
+        return self._partitions
+
+    def wake_tables(
+        self, stream: str
+    ) -> Tuple[Mapping[int, int], Mapping[int, int], Mapping[int, int]]:
+        """Per ``occupied`` value of a partition, what can make
+        :meth:`process` change its runs on a tuple from ``stream``: the
+        bits of the steps its runs wait for there
+        (:data:`~repro.cep.index.ALWAYS` for a step without one); what a
+        tuple whose verdicts miss them and :meth:`gate` adds to
+        ``predicate_evaluations`` beyond the gate's own cost; and the bit a
+        tuple must carry to complete one of the runs (0: none can).  Runs
+        may expire once ``timestamp - oldest`` exceeds
+        :attr:`expiry_window`; a single-step pattern completes on its gate."""
+        return self._wake_tables[stream]
+
+    @property
+    def expiry_window(self) -> float:
+        """The shortest span after which pruning can remove a run."""
+        return self._shortest_window
+
+    def settle(self, stream: str, tuples: int, evaluations: int) -> None:
+        """Count ``tuples`` tuples from ``stream`` that :meth:`process` would
+        only have counted; ``evaluations`` is what they cost beyond their
+        gate's (see :meth:`wake_tables`), which is added here.
+
+        The caller keeps every such tuple short of an idle sweep
+        (:meth:`tuples_until_sweep`): those go through :meth:`process`.
+        """
+        stats = self._stats
+        stats.tuples_processed += tuples
         if stream == self._first_stream:
-            stats.predicate_evaluations += self._step_costs[0]
-            stats.gate_rejections += 1
-        self._maybe_sweep(1, timestamp)
+            stats.gate_rejections += tuples
+            evaluations += tuples * self._step_costs[0]
+        stats.predicate_evaluations += evaluations
+        self._tuples_since_sweep += tuples
+
+    def tuples_until_sweep(self) -> int:
+        """How many more tuples make the next idle sweep due: that tuple's
+        :meth:`process` runs it."""
+        return _IDLE_SWEEP_TUPLES - self._tuples_since_sweep
 
     def process_many(
         self,
@@ -733,7 +845,8 @@ class NFAMatcher:
             :meth:`process`).  A tuple whose mask lacks :meth:`gate` and
             whose partition holds no runs is only counted.
         """
-        self.stats.tuples_processed += len(records)
+        self._released()
+        self._stats.tuples_processed += len(records)
         if not records or stream not in self._advance_order:
             return []
         if timestamps is None:
@@ -750,7 +863,7 @@ class NFAMatcher:
         rejected = 0
         masks = repeat(None) if verdicts is None else verdicts
         for record, timestamp, mask in zip(records, timestamps, masks):
-            key = record.get(field) if field is not None else _UNPARTITIONED
+            key = record.get(field) if field is not None else UNPARTITIONED
             part = partitions.get(key)
             if part is None and mask is not None and not mask & gate:
                 # Marking ``key`` pruned is moot: pruning a partition that
@@ -763,8 +876,8 @@ class NFAMatcher:
                     self._prune(part, timestamp)
             self._process_tuple(record, stream, timestamp, key, part, detections, mask)
         if stream == self._first_stream:
-            self.stats.predicate_evaluations += rejected * self._step_costs[0]
-            self.stats.gate_rejections += rejected
+            self._stats.predicate_evaluations += rejected * self._step_costs[0]
+            self._stats.gate_rejections += rejected
         self._maybe_sweep(len(records), timestamps[-1])
         return detections
 
@@ -790,7 +903,7 @@ class NFAMatcher:
         a bit takes its verdict from ``verdicts``; without verdicts every
         bit reads as absent and each step runs its closure.
         """
-        stats = self.stats
+        stats = self._stats
         length = self._length
         store_tuples = self.config.store_matched_tuples
         bits = self._no_bits if verdicts is None else self._step_bits
@@ -827,11 +940,14 @@ class NFAMatcher:
                 stats.runs_advanced += len(bucket)
                 if timestamp < part.oldest:
                     part.oldest = timestamp
+                part.occupied &= ~(1 << index)
                 if index + 1 == length:
                     completed = bucket
                     part.count -= len(bucket)
                 else:
                     waiting[index + 1].extend(bucket)
+                    if bucket:
+                        part.occupied |= 2 << index
 
         # Possibly start a new run from this tuple.
         if stream == self._first_stream:
@@ -853,6 +969,7 @@ class NFAMatcher:
                     stats.runs_suppressed += 1
                 else:
                     part.waiting[1].append(self._new_run(record, timestamp))
+                    part.occupied |= 2
                     part.count += 1
                     if timestamp < part.oldest:
                         part.oldest = timestamp
@@ -872,7 +989,7 @@ class NFAMatcher:
             sequence_number=self._run_counter,
         )
         self._run_counter += 1
-        self.stats.runs_started += 1
+        self._stats.runs_started += 1
         return run
 
     def _maybe_sweep(self, count: int, now: float) -> None:
@@ -901,8 +1018,8 @@ class NFAMatcher:
         ]
         for key in stale:
             reclaimed = self._partitions.pop(key).count
-            self.stats.runs_pruned += reclaimed
-            self.stats.runs_evicted += reclaimed
+            self._stats.runs_pruned += reclaimed
+            self._stats.runs_evicted += reclaimed
 
     def _evict_expired(self, part: _Partition, timestamp: float) -> bool:
         """At the run cap, prune expired runs; return whether a slot freed up.
@@ -938,6 +1055,7 @@ class NFAMatcher:
         ttl = self._ttl
         waiting = part.waiting
         oldest = math.inf
+        occupied = 0
         for index in range(1, self._length):
             bucket = waiting[index]
             if not bucket:
@@ -951,12 +1069,14 @@ class NFAMatcher:
             if not constraints and ttl is not None:
                 kept = [run for run in bucket if not timestamp - run.start_timestamp > ttl]
             if len(kept) != len(bucket):
-                self.stats.runs_pruned += len(bucket) - len(kept)
+                self._stats.runs_pruned += len(bucket) - len(kept)
                 part.count -= len(bucket) - len(kept)
                 waiting[index] = kept
             if kept:
                 oldest = min(oldest, min(map(min, [run.step_timestamps for run in kept])))
+                occupied |= 1 << index
         part.oldest = oldest
+        part.occupied = occupied
 
     def _report(
         self,
@@ -973,7 +1093,7 @@ class NFAMatcher:
         else:
             selected = completed
 
-        partition = None if key is _UNPARTITIONED else key
+        partition = None if key is UNPARTITIONED else key
         detections = [
             Detection(
                 output=self.output,
@@ -986,7 +1106,7 @@ class NFAMatcher:
             )
             for run in selected
         ]
-        self.stats.detections += len(detections)
+        self._stats.detections += len(detections)
 
         if part is not None and self.pattern.consume is ConsumePolicy.ALL:
             # Consumption is per player: only the completing partition's

@@ -40,7 +40,7 @@ import threading
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.cep.matcher import Detection
 
@@ -135,25 +135,28 @@ def partition_sort_key(partition: Any) -> Tuple[str, str]:
     return (type(partition).__name__, repr(partition))
 
 
-def merge_detections(detections: Iterable[Detection]) -> List[Detection]:
-    """Sort detections by ``(timestamp, partition key)``.
-
-    Stable: equal keys keep their input order, so per-shard sequences
-    concatenated in arrival order keep each shard's internal order.
-    """
-    return sorted(
-        detections,
-        key=lambda d: (d.timestamp, partition_sort_key(d.partition)),
-    )
+#: A log entry's read order, then the detection: ``(timestamp, partition
+#: key, arrival, detection)``.  Arrival numbers are unique, so two entries
+#: never compare their detections.
+_Keyed = Tuple[float, Tuple[str, str], int, Detection]
 
 
 class DetectionLog:
     """An engine's one detection history: appended in arrival order, read
-    merged (see the module docstring's *Order*).  Thread-safe."""
+    merged (see the module docstring's *Order*).  Thread-safe.
+
+    A detection's sort key is built once, by the first read after it was
+    appended — not on the frame-to-detection path — and that read merges
+    only the entries appended since the previous one into the order the
+    log keeps.
+    """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._entries: List[Detection] = []
+        #: ``_entries[:_keyed]`` in read order; ``_arrivals`` numbers the next.
+        self._merged: List[_Keyed] = []
+        self._keyed = self._arrivals = 0
 
     def extend(self, detections: Iterable[Detection]) -> None:
         """Append detections in their arrival order."""
@@ -161,8 +164,7 @@ class DetectionLog:
             self._entries.extend(detections)
 
     def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
+        self.restore(())
 
     def entries(self) -> List[Detection]:
         """Arrival-ordered copy (what snapshots persist; reads merge instead)."""
@@ -173,11 +175,16 @@ class DetectionLog:
         """Replace the log contents (snapshot recovery path)."""
         with self._lock:
             self._entries = list(detections)
+            self._merged = []
+            self._keyed = self._arrivals = 0
 
     def clear_query(self, query_name: str) -> None:
         """Drop one query's detections, keeping every other query's."""
         with self._lock:
             self._entries = [d for d in self._entries if d.query_name != query_name]
+            # Arrival numbers keep their gaps: the order among the rest holds.
+            self._merged = [entry for entry in self._merged if entry[3].query_name != query_name]
+            self._keyed = len(self._merged)
 
     def __len__(self) -> int:
         with self._lock:
@@ -191,12 +198,40 @@ class DetectionLog:
         """Merged copy; optionally one query's, optionally one player's
         (pass ``None`` explicitly for the unpartitioned bucket)."""
         with self._lock:
-            entries = list(self._entries)
-        if query_name is not None:
-            entries = [d for d in entries if d.query_name == query_name]
-        if partition is not _UNSET:
-            entries = [d for d in entries if d.partition == partition]
-        return merge_detections(entries)
+            merged = self._merge()
+            if query_name is None and partition is _UNSET:
+                return [entry[3] for entry in merged]
+            return [
+                detection
+                for *_, detection in merged
+                if (query_name is None or detection.query_name == query_name)
+                and (partition is _UNSET or detection.partition == partition)
+            ]
+
+    def _merge(self) -> List[_Keyed]:
+        """Key what arrived since the last read and merge it in (lock held)."""
+        merged = self._merged
+        if self._keyed == len(self._entries):
+            return merged
+        keys: Dict[Tuple[type, Any], Tuple[str, str]] = {}  # one key per player, not per detection
+        fresh = []
+        for arrival, d in enumerate(self._entries[self._keyed :], start=self._arrivals):
+            partition = d.partition
+            try:
+                key = keys.get((partition.__class__, partition))
+                if key is None:
+                    key = keys[partition.__class__, partition] = partition_sort_key(partition)
+            except TypeError:  # an unhashable partition value
+                key = partition_sort_key(partition)
+            fresh.append((d.timestamp, key, arrival, d))
+        fresh.sort()
+        self._keyed = len(self._entries)
+        self._arrivals += len(fresh)
+        later = not merged or merged[-1] < fresh[0]
+        merged.extend(fresh)
+        if not later:
+            merged.sort()  # two sorted runs: a linear merge
+        return merged
 
     def __repr__(self) -> str:
         return f"DetectionLog(entries={len(self)})"

@@ -13,7 +13,7 @@ query the engine deploys dispatches here, whoever deployed it.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.cep.engine import CEPEngine, Engine, QueryHandle
 from repro.cep.matcher import Detection
@@ -82,6 +82,9 @@ class GestureDetector:
         # them one at a time.  Reentrant because a handler may feed another
         # frame whose detection dispatches recursively.
         self._dispatch_lock = threading.RLock()
+        #: The detections the last :attr:`events` read converted, and its
+        #: events (one attribute: readers on other threads see a pair).
+        self._converted: Tuple[List[Detection], List[GestureEvent]] = ([], [])
         engine.add_control_tap(self._on_control)
 
     def _on_control(self, op: str, payload: Dict[str, Any]) -> None:
@@ -209,12 +212,25 @@ class GestureDetector:
     def events(self) -> List[GestureEvent]:
         """The gesture events of the engine's detection history, undeployed
         gestures' included and control queries' excluded, in the engine's
-        order: ``(timestamp, partition key, arrival)``."""
-        return [
-            GestureEvent.from_detection(detection)
+        order: ``(timestamp, partition key, arrival)``.  A read converts
+        only what follows the part of the previous read's history that is
+        unchanged: a history that grew at its end is converted once."""
+        detections = [
+            detection
             for detection in self.engine.detections()
             if not detection.query_name.startswith(CONTROL_QUERY_PREFIX)
         ]
+        seen, converted = self._converted
+        kept = 0
+        for detection, earlier in zip(detections, seen):
+            if detection is not earlier:
+                break
+            kept += 1
+        events = converted[:kept] + [
+            GestureEvent.from_detection(detection) for detection in detections[kept:]
+        ]
+        self._converted = (detections, events)
+        return list(events)
 
     def clear(self) -> None:
         """Reset the detector for a fresh scene.

@@ -11,6 +11,13 @@ from types import SimpleNamespace
 
 from repro.cep.matcher import Detection
 from repro.cep.query import ConsumePolicy, SelectPolicy
+from repro.cep.sinks import partition_sort_key
+
+
+def merge_detections(detections):
+    """The order every engine reads its detection log in, as one stable sort:
+    ``(timestamp, partition key)``, arrival order breaking ties."""
+    return sorted(detections, key=lambda d: (d.timestamp, partition_sort_key(d.partition)))
 
 
 class ReferenceMatcher:

@@ -3,10 +3,12 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from reference_matcher import reference_detections
+from reference_matcher import merge_detections, reference_detections
 from repro.cep.engine import CEPEngine
-from repro.cep.matcher import Detection, MatcherConfig
+from repro.cep.matcher import Detection, MatcherConfig, NFAMatcher
+from repro.cep import sinks
 from repro.cep.sinks import CallbackSink, DetectionLog, FanOutSink
 from repro.cep.views import RAW_STREAM_NAME, TRANSFORMED_STREAM_NAME, install_kinect_view
 from repro.errors import (
@@ -46,6 +48,61 @@ class TestSinks:
         assert log.entries() == [p1]
         log.clear()
         assert log.snapshot() == []
+
+    def test_a_read_keys_only_what_arrived_since_the_last(self, monkeypatch):
+        log = DetectionLog()
+        log.extend([_detection("a", ts=2.0), _detection("b", ts=1.0)])
+        assert [d.output for d in log.snapshot()] == ["b", "a"]
+        built = []
+        original = sinks.partition_sort_key
+
+        def spy(partition):
+            built.append(partition)
+            return original(partition)
+
+        monkeypatch.setattr(sinks, "partition_sort_key", spy)
+        assert [d.output for d in log.snapshot()] == ["b", "a"]
+        assert [d.output for d in log.snapshot(query_name="a")] == ["a"]
+        assert built == []
+        log.extend([_detection("c", ts=1.5)])
+        assert [d.output for d in log.snapshot()] == ["b", "c", "a"]
+        assert len(built) == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(
+                    st.tuples(
+                        st.sampled_from([0.0, 1.0, 2.0]),
+                        st.sampled_from([1, 2, "1", None, 1.0, True]),
+                        st.sampled_from(["a", "b"]),
+                    ),
+                    max_size=6,
+                ),
+                st.sampled_from(["read", "clear_query", "none"]),
+            ),
+            max_size=8,
+        )
+    )
+    def test_incremental_reads_are_the_full_merge(self, steps):
+        # Whatever the appends and reads interleave, a read is the stable
+        # (timestamp, partition key) sort of the arrival-ordered entries.
+        log = DetectionLog()
+        for batch, then in steps:
+            log.extend(
+                Detection(output=o, query_name=o, timestamp=ts, start_timestamp=ts,
+                          step_timestamps=(ts,), partition=p)
+                for ts, p, o in batch
+            )
+            if then == "read":
+                assert log.snapshot() == merge_detections(log.entries())
+            elif then == "clear_query":
+                log.clear_query("a")
+            assert log.snapshot(query_name="b") == merge_detections(
+                d for d in log.entries() if d.query_name == "b"
+            )
+        assert log.snapshot() == merge_detections(log.entries())
 
     def test_callback_and_fanout(self):
         seen, also = [], []
@@ -493,6 +550,117 @@ HANDS_ONLY = 'SELECT "hands" MATCHING kinect_t(rhand_y > 100000);'
 #: Reads the left elbow, and fires on every frame.
 ELBOW = 'SELECT "elbow" MATCHING kinect_t(lelbow_y > -100000);'
 HANDS = {"rhand", "lhand"}
+
+
+class TestWakeOnBit:
+    """Per tuple, a query's matcher is entered only when the tuple can change
+    its runs; every other tuple is counted in bulk."""
+
+    @staticmethod
+    def _feed():
+        # Four players, 20 rounds a quarter second apart.  Player 1 opens and
+        # completes g0; player 2 opens g1 and lets it expire; the other
+        # tuples fall outside every gate.
+        frames = []
+        for round_ in range(20):
+            for player in range(1, 5):
+                x, y = -100.0, -100.0
+                if (round_, player) == (0, 1):
+                    x = 0.0
+                elif (round_, player) == (1, 1):
+                    y = 0.0
+                elif (round_, player) == (0, 2):
+                    x = 10.0
+                frames.append({"ts": round_ * 0.25, "player": player, "x": x, "y": y})
+        return frames
+
+    @staticmethod
+    def _entries(monkeypatch, gestures, frames):
+        """Matcher entries (``process`` and ``settle`` calls) over ``frames``
+        pushed one by one into ``gestures`` disjoint two-pose queries."""
+        calls = []
+        for name in ("process", "settle"):
+            original = getattr(NFAMatcher, name)
+
+            def spy(self, *args, _original=original, _name=name):
+                calls.append(_name)
+                return _original(self, *args)
+
+            monkeypatch.setattr(NFAMatcher, name, spy)
+        engine = CEPEngine(clock=SimulatedClock())
+        engine.create_stream("s")
+        for number in range(gestures):
+            centre = 10 * number
+            engine.register_query(
+                f'SELECT "g{number}" MATCHING s(abs(x - {centre}) < 2) -> '
+                f"s(abs(y - {centre}) < 2) within 1 seconds;"
+            )
+        for frame in frames:
+            engine.push("s", frame)
+        return engine, calls
+
+    @pytest.mark.parametrize("gestures", [8, 32])
+    def test_matcher_entries_do_not_grow_with_the_vocabulary(self, monkeypatch, gestures):
+        frames = self._feed()
+        engine, calls = self._entries(monkeypatch, gestures, frames)
+        # Player 1: open, complete.  Player 2: open, and the prune of its
+        # run once it is older than its 1 s window (at 1.25 s).
+        assert calls == ["process"] * 4
+        assert [d.partition for d in engine.detections()] == [1]
+        stats = engine.query_stats()
+        assert {row["tuples_processed"] for row in stats.values()} == {len(frames)}
+        # One atom per gate test, and one for the step player 1 completed.
+        assert stats["g0"]["predicate_evaluations"] == len(frames) + 1
+        assert stats["g1"]["runs_pruned"] == 1
+
+    @staticmethod
+    def _opener_and_closer():
+        # "opener" (deployed first) opens a run on the tuple and cannot
+        # complete one on it; "closer" completes on it.  Completion goes
+        # first, so closer's sinks run before opener has taken the tuple.
+        engine = CEPEngine(clock=SimulatedClock())
+        engine.create_stream("s")
+        engine.register_query(
+            'SELECT "opener" MATCHING s(abs(x - 0) < 2) -> s(abs(y - 5) < 2) within 1 seconds;'
+        )
+        closer = engine.register_query('SELECT "closer" MATCHING s(abs(y - 0) < 2);')
+        return engine, closer
+
+    def test_a_sink_sees_every_earlier_query_take_the_tuple(self):
+        engine, closer = self._opener_and_closer()
+        seen = []
+
+        def look(detection):
+            seen.append((engine.query_progress()["opener"], engine.query_stats()["opener"]))
+
+        closer.sink.add(CallbackSink(look))
+        engine.push("s", {"ts": 0.0, "player": 1, "x": 0.0, "y": 0.0})
+        [(progress, stats)] = seen
+        assert progress == (0.5, 1)
+        assert (stats["tuples_processed"], stats["runs_started"]) == (1, 1)
+        assert engine.query_stats()["opener"]["tuples_processed"] == 1
+
+    def test_a_tuple_fed_from_a_sink_reaches_earlier_queries_after_this_one(self):
+        engine, closer = self._opener_and_closer()
+
+        def feed(detection):
+            if detection.timestamp == 0.0:
+                engine.push("s", {"ts": 0.1, "player": 1, "x": -100.0, "y": 5.0})
+
+        closer.sink.add(CallbackSink(feed))
+        engine.push("s", {"ts": 0.0, "player": 1, "x": 0.0, "y": 0.0})
+        # In deploy order opener took the first tuple before the sink fed the
+        # second, so its run completes on the second.
+        assert [(d.query_name, d.timestamp) for d in engine.detections()] == [
+            ("closer", 0.0),
+            ("opener", 0.1),
+        ]
+        assert engine.query_stats()["opener"]["tuples_processed"] == 2
+
+    def test_gated_out_tuples_enter_no_matcher(self, monkeypatch):
+        frames = [frame for frame in self._feed() if frame["player"] > 2]
+        _, calls = self._entries(monkeypatch, 32, frames)
+        assert calls == []
 
 
 def _joints(record):

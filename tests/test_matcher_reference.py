@@ -9,11 +9,12 @@ predicates over two small-valued fields, so many runs wait for the same
 step and see the same verdict: the case the step buckets exist for.
 """
 
+import dataclasses
 import json
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from reference_matcher import ReferenceMatcher
+from reference_matcher import ReferenceMatcher, merge_detections
 from repro.cep.expressions import (
     BooleanOp,
     Comparison,
@@ -21,12 +22,12 @@ from repro.cep.expressions import (
     Literal,
     abs_diff_predicate,
 )
+from repro.cep import matcher as matcher_module
 from repro.cep.engine import CEPEngine
 from repro.cep.matcher import MatcherConfig, NFAMatcher
 from repro.cep.nfa import CompiledPattern, Step, TimeConstraint, compile_pattern
 from repro.cep.parser import parse_expression
 from repro.cep.query import ConsumePolicy, EventPattern, Query, SelectPolicy, sequence
-from repro.cep.sinks import merge_detections
 from repro.streams import SimulatedClock
 
 PREDICATES = (
@@ -212,3 +213,61 @@ def test_queries_sharing_an_engine_stream_match_the_reference(
             standalone.process_many(records, "s")
         matcher = engine.get_query(query.output).matcher
         assert matcher.capture_state() == standalone.capture_state()
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    count=st.integers(2, 6),
+    config=configs,
+    records=streams(jitter=[0.0, 0.0, 0.45, 1.3]),
+    sweeps=st.booleans(),
+    batched_prefix=st.booleans(),
+    data=st.data(),
+)
+def test_per_tuple_counters_match_standalone_matchers(
+    monkeypatch, count, config, records, sweeps, batched_prefix, data
+):
+    # Per tuple, the engine calls a query's matcher only when the tuple can
+    # change its runs and counts the other tuples in bulk: every counter
+    # and the whole run state must still be what a standalone matcher fed
+    # every tuple holds — after a batched prefix, on disordered time, and
+    # across idle sweeps.
+    if sweeps:
+        config = dataclasses.replace(config, partition_idle_seconds=0.3)
+    deployed = [data.draw(queries(f"g{number}"), label="query") for number in range(count)]
+    chunks, position = [], 0
+    prefix = data.draw(st.integers(0, len(records)), label="prefix") if batched_prefix else 0
+    while position < prefix:
+        size = data.draw(st.integers(1, 12), label="chunk")
+        chunks.append(records[position : min(position + size, prefix)])
+        position += size
+    midpoint = data.draw(st.integers(prefix, len(records)), label="midpoint")
+    with monkeypatch.context() as patch:
+        if sweeps:
+            patch.setattr(matcher_module, "_IDLE_SWEEP_TUPLES", 3)
+        engine = CEPEngine(clock=SimulatedClock(), matcher_config=config)
+        engine.create_stream("s")
+        for query in deployed:
+            engine.register_query(query)
+        standalone = {
+            query.output: NFAMatcher(compile_pattern(query.pattern), query.output, config=config)
+            for query in deployed
+        }
+        for chunk in chunks:
+            engine.push_many("s", chunk, batch_size=len(chunk))
+            for matcher in standalone.values():
+                matcher.process_batch(chunk, "s")
+        for number, record in enumerate(records[prefix:], start=prefix):
+            if number == midpoint:
+                assert engine.query_stats() == {
+                    name: matcher.stats.as_dict() for name, matcher in sorted(standalone.items())
+                }
+            engine.push("s", record)
+            for matcher in standalone.values():
+                matcher.process(record, "s")
+        for name, matcher in standalone.items():
+            assert engine.get_query(name).matcher.capture_state() == matcher.capture_state()

@@ -23,6 +23,7 @@ from repo_lint import (  # noqa: E402 — path set up above
     CARRIER_FORBIDDEN_IMPORTS,
     CONTROL_JOURNAL_READER,
     CONTROL_JOURNAL_WRITER,
+    COUNTER_OWNER,
     EXPOSITION_WRITER,
     HASH_FORBIDDEN_PATHS,
     LOAD_SHEDDER,
@@ -35,6 +36,7 @@ from repo_lint import (  # noqa: E402 — path set up above
     THREAD_STARTER,
     UNANALYSED_PATHS,
     WALL_CLOCK_FORBIDDEN_PATHS,
+    counter_fields,
     lint_file,
     lint_orphans,
     lint_repository,
@@ -71,7 +73,7 @@ class TestRepositoryIsClean:
         out = capsys.readouterr().out
         for code in (
             "RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007", "RL008", "RL009",
-            "RL010", "RL011", "RL012", "RL013",
+            "RL010", "RL011", "RL012", "RL013", "RL014",
         ):
             assert code in out
 
@@ -810,3 +812,57 @@ class TestRL013TheAnalyzerGatesAtTheSessionOnly:
         for prefix in UNANALYSED_PATHS:
             assert (REPO_ROOT / prefix / "__init__.py").is_file()
         assert (REPO_ROOT / ANALYZER_GATE).is_file()
+
+
+class TestRL014OneDoorToTheMatcherCounters:
+    def test_the_fields_are_read_from_the_matcher(self):
+        assert {"tuples_processed", "predicate_evaluations", "gate_rejections"} <= counter_fields()
+        assert not {"pushed", "dropped"} & counter_fields()
+
+    @pytest.mark.parametrize(
+        "source, lines",
+        [
+            (
+                "def skip(matcher, cost):\n"
+                "    matcher.stats.tuples_processed += 1\n"
+                "    matcher.stats.predicate_evaluations += cost\n",
+                [2, 3],
+            ),
+            ("def zero(deployed):\n    deployed.matcher.stats.detections = 0\n", [2]),
+            ("def both(a, b):\n    a.stats.runs_pruned, b.stats.runs_evicted = 1, 2\n", [2, 2]),
+            ("def typed(matcher):\n    matcher.stats.gate_rejections: int = 0\n", [2]),
+        ],
+        ids=["augmented", "assigned", "unpacked", "annotated"],
+    )
+    def test_a_counter_written_outside_the_matcher_is_flagged(self, tmp_path, source, lines):
+        path = write_module(tmp_path, "src/repro/cep/engine.py", source)
+        violations = lint_file(path, root=tmp_path)
+        assert sorted((v.code, v.line) for v in violations) == [("RL014", n) for n in lines]
+        assert COUNTER_OWNER in violations[0].message
+
+    def test_other_stats_reads_and_the_matcher_itself_are_allowed(self, tmp_path):
+        stream = write_module(
+            tmp_path,
+            "src/repro/streams/stream.py",
+            "def push(self, item):\n"
+            "    self.stats.pushed += 1\n"
+            "    self.stats.dropped = 0\n",
+        )
+        reader = write_module(
+            tmp_path,
+            "src/repro/evaluation/harness.py",
+            "def evaluations(deployed):\n"
+            "    total = deployed.matcher.stats.predicate_evaluations\n"
+            "    deployed.stats = None\n"
+            "    return total\n",
+        )
+        owner = write_module(
+            tmp_path,
+            COUNTER_OWNER,
+            "def settle(self, tuples):\n    self.stats.tuples_processed += tuples\n",
+        )
+        outside = write_module(
+            tmp_path, "benchmarks/bench_x.py", "def f(m):\n    m.stats.detections = 0\n"
+        )
+        for path in (stream, reader, owner, outside):
+            assert lint_file(path, root=tmp_path) == []

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repository-specific lint rules that generic linters do not cover.
 
-Thirteen rules, all born from real failure modes of this codebase:
+Fourteen rules, all born from real failure modes of this codebase:
 
 ``RL001`` — no builtin ``hash()`` on routing/persistence code paths or in benchmarks
     CPython salts ``hash()`` per process (PYTHONHASHSEED), so a shard
@@ -131,6 +131,19 @@ Thirteen rules, all born from real failure modes of this codebase:
     ``src/repro/runtime`` or ``src/repro/detection`` may import
     ``repro.analysis``.
 
+``RL014`` — one door to the matcher's counters
+    The engine's per-tuple path once bumped four ``MatcherStats`` counters
+    of every deployed query on every tuple, through a matcher method that
+    did nothing else.  It now calls a matcher only when a tuple can change
+    it and hands it the rest in bulk (``NFAMatcher.settle``), and the
+    counters stay exact for every reader because ``NFAMatcher.stats``
+    settles first.  Under ``src/repro``, outside
+    ``src/repro/cep/matcher.py``, nothing may assign or augment-assign an
+    attribute named after a ``MatcherStats`` field on a ``.stats`` object
+    (``Stream.stats.pushed`` and ``.dropped`` are not such fields): a
+    counter written from outside is a second count growing beside the
+    matcher's own.
+
 Run as a script (CI) or through ``tests/test_repo_lint.py``::
 
     python tools/repo_lint.py            # lint the repository, exit 0/1
@@ -143,7 +156,8 @@ import argparse
 import ast
 import sys
 from pathlib import Path
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Set
+from functools import lru_cache
+from typing import FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -224,6 +238,12 @@ DROP_POLICY_NAMES = ("drop_newest", "drop_oldest")
 ANALYZER_GATE = "src/repro/api/session.py"
 ANALYZER_GATE_GUARDED_PATH = "src/repro"
 UNANALYSED_PATHS = ("src/repro/cep", "src/repro/runtime", "src/repro/detection")
+
+#: The one module that writes the matcher's counters (RL014), the tree it
+#: guards, and the class whose fields name the counters.
+COUNTER_OWNER = "src/repro/cep/matcher.py"
+COUNTER_GUARDED_PATH = "src/repro"
+COUNTER_CLASS = "MatcherStats"
 
 #: The tree whose public names must have a caller (RL009); the trees outside
 #: it whose references count as callers.
@@ -577,6 +597,58 @@ def _lint_analyzer_imports(path: Path, tree: ast.AST, relative: str) -> Iterable
             )
 
 
+@lru_cache(maxsize=None)
+def counter_fields() -> FrozenSet[str]:
+    """The field names of ``MatcherStats``, read from the repository (RL014)."""
+    tree = ast.parse((REPO_ROOT / COUNTER_OWNER).read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name == COUNTER_CLASS:
+            return frozenset(
+                statement.target.id
+                for statement in node.body
+                if isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name)
+            )
+    return frozenset()
+
+
+def _assignment_targets(node: ast.AST) -> Iterable[ast.AST]:
+    """Every expression ``node`` assigns to, unpacking tuples and lists."""
+    if isinstance(node, ast.Assign):
+        pending = list(node.targets)
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        pending = [node.target]
+    else:
+        return
+    while pending:
+        target = pending.pop()
+        if isinstance(target, (ast.Tuple, ast.List)):
+            pending.extend(target.elts)
+        elif isinstance(target, ast.Starred):
+            pending.append(target.value)
+        else:
+            yield target
+
+
+def _lint_counter_writes(path: Path, tree: ast.AST, relative: str) -> Iterable[Violation]:
+    fields = counter_fields()
+    for node in ast.walk(tree):
+        for target in _assignment_targets(node):
+            if (
+                isinstance(target, ast.Attribute)
+                and target.attr in fields
+                and isinstance(target.value, ast.Attribute)
+                and target.value.attr == "stats"
+            ):
+                yield Violation(
+                    relative,
+                    target.lineno,
+                    "RL014",
+                    f"matcher counter '{target.attr}' written outside {COUNTER_OWNER}; "
+                    "a matcher counts its own tuples (NFAMatcher.process), and what an "
+                    "engine counts in bulk goes through NFAMatcher.settle",
+                )
+
+
 def lint_file(path: Path, root: Optional[Path] = None) -> List[Violation]:
     """Lint one Python file; returns its violations."""
     root = root or REPO_ROOT
@@ -615,6 +687,8 @@ def lint_file(path: Path, root: Optional[Path] = None) -> List[Violation]:
         violations.extend(_lint_gate_calls(path, tree, relative))
     if any(posix.startswith(prefix + "/") for prefix in UNANALYSED_PATHS):
         violations.extend(_lint_analyzer_imports(path, tree, relative))
+    if posix.startswith(COUNTER_GUARDED_PATH) and posix != COUNTER_OWNER:
+        violations.extend(_lint_counter_writes(path, tree, relative))
     return violations
 
 
@@ -753,6 +827,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             ANALYZER_GATE + ";",
             "no 'import repro.analysis' under",
             ", ".join(UNANALYSED_PATHS),
+        )
+        print(
+            f"RL014  no assignment to <x>.stats.<{COUNTER_CLASS} field> under",
+            COUNTER_GUARDED_PATH,
+            "outside",
+            COUNTER_OWNER,
         )
         return 0
     violations = lint_repository()
