@@ -92,7 +92,35 @@ approximate: a run is expired when ``now - anchor > seconds`` for one of its
 own timestamps ``anchor >= oldest``, and floating-point subtraction is
 monotone in the anchor, so ``now - anchor <= now - oldest <= seconds`` — the
 full scan would have removed nothing.  Recording a timestamp may only lower
-the bound; it is raised only by a scan that looked at every surviving run.
+the bound; it is raised only by a prune, to the exact minimum of what
+survives.  The same bound lets the idle sweep pass over a partition with
+``now - oldest <= partition_idle_seconds`` without looking at a run.
+
+**Ordered partitions.**  When something can expire, a prune costs
+O(expired runs + buckets), not O(runs), as long as the partition's time
+runs forward.  Take a partition whose processed timestamps never
+decreased (and were never NaN) since it was empty: runs start and advance
+in arrival order, so each bucket holds its runs in ``sequence_number``
+order, every step's timestamp is nondecreasing along a bucket, and each
+run's own timestamps are nondecreasing.  Expiry is ``now - anchor >
+seconds`` for one anchor step per window, so for every ``within`` and for
+the TTL the expired runs of a bucket are a prefix of it, the cut stops at
+the first survivor, and the new ``oldest`` is the start of each bucket's
+first survivor.  The same prefix cut filters a bucket that advances
+against the ``within`` constraints ending at its step, and a bucket's
+newest timestamp is its last run's.  Each partition keeps ``latest``, the
+last timestamp it processed, and an ``ordered`` flag: a tuple older than
+``latest``, or a NaN timestamp, clears the flag, and the partition takes
+the full scan (``_prune_scan``) until it empties and is dropped.  A
+restored partition starts ordered only if :meth:`NFAMatcher.restore_state`
+finds its runs as a live ordered partition holds them: taken in
+``sequence_number`` order, each waits for no later step than the one
+before it and holds no earlier timestamp at any step they share.
+Both ways give the same runs, the same ``oldest`` and ``occupied`` and the
+same counters; only the work differs, and a jittery player never slows
+another player, since a partition never spans players.  The cut is exact
+only while the matcher is the one writer of its run tables: repo lint
+RL015 keeps every other module from writing them.
 
 Batched path
 ------------
@@ -105,7 +133,9 @@ expired constraint is rejected when the constraint's span ends,
 TTL-governed patterns fall back to per-tuple pruning, and hitting the run
 cap lazily evicts expired runs before suppressing a new one — so with
 monotone timestamps the batched detections are identical to the per-tuple
-path's.
+path's.  Every tuple of a chunk checks its partition's order as a tuple
+fed alone does, so a chunk that runs backwards inside one partition moves
+that partition to the full scan from the next prune on.
 
 Run-cap semantics
 -----------------
@@ -160,8 +190,11 @@ class MatcherConfig:
     max_active_runs:
         Upper bound on simultaneously tracked partial matches *per
         partition*.  A user holding the start pose produces one matching
-        tuple per frame; the bound keeps state (and per-tuple cost) constant
-        without letting one player's noisy stream starve the others.  When
+        tuple per frame; the bound keeps that player's state finite when no
+        window expires their runs (a TTL of ``None`` on a pattern without
+        ``within``), without letting one player's noisy stream starve the
+        others.  Per-tuple cost still grows with the runs a tuple advances;
+        pruning them costs what expires (see "Ordered partitions").  When
         the bound is reached no new runs are started in that partition until
         existing ones advance, finish or are pruned.  Completions are never
         suppressed: single-step patterns detect even at the cap because they
@@ -307,13 +340,18 @@ class _Partition:
     empty: a run exists only once step 0 matched), bit ``i`` of
     ``occupied`` is set while it does, ``count`` is the number of runs over
     all buckets, and ``oldest`` is a lower bound on every timestamp those
-    runs hold (``inf`` while there are none).
+    runs hold (``inf`` while there are none).  ``latest`` is the last
+    timestamp the partition processed and ``ordered`` says that none ran
+    backwards or was NaN; it never comes back once cleared (see "Ordered
+    partitions" in the module docstring).
     """
 
     waiting: List[List[_Run]]
     count: int = 0
     oldest: float = math.inf
     occupied: int = 0
+    latest: float = -math.inf
+    ordered: bool = True
 
     def clear(self) -> None:
         for bucket in self.waiting:
@@ -397,6 +435,38 @@ def _tightest(constraints: Iterable[TimeConstraint]) -> Tuple[Tuple[int, float],
             constraint.seconds, windows.get(constraint.first, math.inf)
         )
     return tuple(windows.items())
+
+
+def _expired(bucket: List[_Run], windows: Tuple[Tuple[int, float], ...], timestamp: float) -> int:
+    """How many runs at the front of an ordered partition's ``bucket`` one of
+    ``windows`` (anchor step, seconds) expires at ``timestamp``: they are a
+    prefix of it (see "Ordered partitions" in the module docstring)."""
+    cut, size = 0, len(bucket)
+    for first, seconds in windows:
+        while cut < size and timestamp - bucket[cut].step_timestamps[first] > seconds:
+            cut += 1
+    return cut
+
+
+def _in_order(runs: Sequence[Tuple[int, _Run]]) -> bool:
+    """Whether ``(next step, run)`` pairs in ``sequence_number`` order hold
+    what an ordered partition's runs hold: later runs wait no further,
+    each step's timestamp never falls from one run to the next, and each
+    run starts at its first timestamp and never runs backwards (a NaN fails
+    every comparison)."""
+    for position, (step, run) in enumerate(runs):
+        stamps = run.step_timestamps
+        if not run.start_timestamp == stamps[0] or any(
+            not a <= b for a, b in zip(stamps, stamps[1:])
+        ):
+            return False
+        if position:
+            prior_step, prior = runs[position - 1]
+            if not (prior.sequence_number < run.sequence_number and prior_step >= step):
+                return False
+            if any(not a <= b for a, b in zip(prior.step_timestamps, stamps)):
+                return False
+    return True
 
 
 class NFAMatcher:
@@ -492,6 +562,13 @@ class NFAMatcher:
         # must prune per tuple to stay equivalent to the per-tuple path.
         uncovered = any(not self._constraints_covering[i] for i in range(self._length - 1))
         self._ttl: Optional[float] = self.config.run_ttl_seconds if uncovered else None
+        # Per step, the windows that expire a run waiting for it: the
+        # constraints covering the step it last matched, else the TTL
+        # measured from its start (step 0's timestamp).
+        ttl_window = () if self._ttl is None else ((0, self._ttl),)
+        self._expiring: Tuple[Tuple[Tuple[int, float], ...], ...] = ((),) + tuple(
+            self._constraints_covering[i] or ttl_window for i in range(self._length - 1)
+        )
         # The shortest span after which pruning can remove a run at all; see
         # "Fast path" in the module docstring for why _prune may trust it.
         windows = [constraint.seconds for constraint in pattern.constraints]
@@ -640,7 +717,7 @@ class NFAMatcher:
         for entry in state["partitions"]:
             encoded_key = entry["key"]
             key = UNPARTITIONED if encoded_key.get("unpartitioned") else encoded_key["value"]
-            part = self._new_partition()
+            runs: List[Tuple[int, _Run]] = []
             for run_state in entry["runs"]:
                 next_step = int(run_state["next_step"])
                 run = _Run(
@@ -661,6 +738,15 @@ class NFAMatcher:
                         f"timestamps and {len(run.matched)} matched tuples, but "
                         f"the pattern has {self._length} steps"
                     )
+                runs.append((next_step, run))
+            # Buckets in sequence order, as live ones are; the partition
+            # takes the prefix cut only if its runs are in time order too.
+            runs.sort(key=lambda pair: pair[1].sequence_number)
+            part = self._new_partition(
+                max((run.step_timestamps[-1] for _, run in runs), default=-math.inf)
+            )
+            part.ordered = part.ordered and _in_order(runs)
+            for next_step, run in runs:
                 part.waiting[next_step].append(run)
                 part.occupied |= 1 << next_step
                 part.count += 1
@@ -883,8 +969,10 @@ class NFAMatcher:
 
     # -- internals -----------------------------------------------------------------------
 
-    def _new_partition(self) -> _Partition:
-        return _Partition([[] for _ in range(self._length)])
+    def _new_partition(self, latest: float) -> _Partition:
+        return _Partition(
+            [[] for _ in range(self._length)], latest=latest, ordered=not math.isnan(latest)
+        )
 
     def _process_tuple(
         self,
@@ -912,6 +1000,11 @@ class NFAMatcher:
         # One verdict per step: a rejected bucket stays put, an accepted one
         # moves whole (each run by at most one step — see _advance_order).
         if part is not None:
+            if part.ordered:
+                if timestamp >= part.latest:
+                    part.latest = timestamp
+                else:
+                    part.ordered = False
             waiting = part.waiting
             for index in self._advance_order[stream]:
                 bucket = waiting[index]
@@ -923,16 +1016,23 @@ class NFAMatcher:
                     continue
                 waiting[index] = []
                 # The within constraints ending here are each run's own.
-                accepted = len(bucket)
-                for first, seconds in self._constraints_ending[index]:
-                    bucket = [
-                        run
-                        for run in bucket
-                        if not timestamp - run.step_timestamps[first] > seconds
-                    ]
-                if len(bucket) != accepted:
-                    stats.runs_pruned += accepted - len(bucket)
-                    part.count -= accepted - len(bucket)
+                ending = self._constraints_ending[index]
+                if ending:
+                    if part.ordered:
+                        expired = _expired(bucket, ending, timestamp)
+                        del bucket[:expired]
+                    else:
+                        accepted = len(bucket)
+                        for first, seconds in ending:
+                            bucket = [
+                                run
+                                for run in bucket
+                                if not timestamp - run.step_timestamps[first] > seconds
+                            ]
+                        expired = accepted - len(bucket)
+                    if expired:
+                        stats.runs_pruned += expired
+                        part.count -= expired
                 for run in bucket:
                     run.step_timestamps.append(timestamp)
                     if store_tuples:
@@ -961,7 +1061,7 @@ class NFAMatcher:
                 completed.append(self._new_run(record, timestamp))
             else:
                 if part is None:
-                    part = self._partitions[key] = self._new_partition()
+                    part = self._partitions[key] = self._new_partition(timestamp)
                 if (
                     part.count >= self.config.max_active_runs
                     and not self._evict_expired(part, timestamp)
@@ -1009,17 +1109,25 @@ class NFAMatcher:
         idle = self.config.partition_idle_seconds
         if idle is None or self._partition_field is None:
             return
-        stale = [
-            key
-            for key, part in self._partitions.items()
-            if now
-            - max(run.step_timestamps[-1] for bucket in part.waiting for run in bucket)
-            > idle
-        ]
+        stale = [key for key, part in self._partitions.items() if self._stale(part, now, idle)]
         for key in stale:
             reclaimed = self._partitions.pop(key).count
             self._stats.runs_pruned += reclaimed
             self._stats.runs_evicted += reclaimed
+
+    @staticmethod
+    def _stale(part: _Partition, now: float, idle: float) -> bool:
+        """Whether ``part``'s newest run activity lags ``now`` by more than
+        ``idle``.  ``oldest`` bounds every timestamp the runs hold, so a
+        partition within ``idle`` of it is not read at all; in an ordered
+        one, each bucket's last run holds its bucket's newest timestamp."""
+        if now - part.oldest <= idle:
+            return False
+        if part.ordered:
+            newest = max(bucket[-1].step_timestamps[-1] for bucket in part.waiting if bucket)
+        else:
+            newest = max(run.step_timestamps[-1] for bucket in part.waiting for run in bucket)
+        return now - newest > idle
 
     def _evict_expired(self, part: _Partition, timestamp: float) -> bool:
         """At the run cap, prune expired runs; return whether a slot freed up.
@@ -1046,12 +1154,41 @@ class NFAMatcher:
         cannot change when a run expires.
 
         Returns without looking at a run while nothing can have expired
-        (``oldest`` bound, exact — see "Fast path" in the module docstring).
-        An emptied partition is left for ``_process_tuple`` to drop: pruning
-        is always followed by processing a tuple of the same partition.
+        (``oldest`` bound, exact — see "Fast path" in the module docstring),
+        and cuts an expired prefix off each bucket of an ordered partition
+        ("Ordered partitions"); any other partition takes
+        :meth:`_prune_scan`.  An emptied partition is left for
+        ``_process_tuple`` to drop: pruning is always followed by processing
+        a tuple of the same partition.
         """
         if timestamp - part.oldest <= self._shortest_window:
             return
+        if not part.ordered:
+            self._prune_scan(part, timestamp)
+            return
+        waiting = part.waiting
+        oldest = math.inf
+        occupied = 0
+        for index in range(1, self._length):
+            bucket = waiting[index]
+            if not bucket:
+                continue
+            expired = _expired(bucket, self._expiring[index], timestamp)
+            if expired:
+                del bucket[:expired]
+                self._stats.runs_pruned += expired
+                part.count -= expired
+            if bucket:
+                start = bucket[0].step_timestamps[0]
+                if start < oldest:
+                    oldest = start
+                occupied |= 1 << index
+        part.oldest = oldest
+        part.occupied = occupied
+
+    def _prune_scan(self, part: _Partition, timestamp: float) -> None:
+        """:meth:`_prune` for a partition that is not ordered: checks every
+        run and takes ``oldest`` over every timestamp."""
         ttl = self._ttl
         waiting = part.waiting
         oldest = math.inf

@@ -66,14 +66,14 @@ INGEST_TO_DETECTION = Family("ingest_to_detection", "repro_ingest_to_detection_s
 #: one); the keys are those of ``query_stats()``.
 QUERY_FAMILIES = (
     Family("tuples_processed", "repro_query_tuples_processed_total", "counter", "Tuples examined by the query's matcher."),
-    Family("predicate_evaluations", "repro_query_predicate_evaluations_total", "counter", "Predicate evaluations the matcher performed."),
+    Family("predicate_evaluations", "repro_query_predicate_evaluations_total", "counter", "Atoms the query's steps asked about, counted as their closures would count them: index verdicts and tuples settled in bulk included."),
     Family("gate_rejections", "repro_query_gate_rejections_total", "counter", "Tuples rejected by first-step gating without touching run state."),
     Family("runs_started", "repro_query_runs_started_total", "counter", "NFA runs created."),
     Family("runs_advanced", "repro_query_runs_advanced_total", "counter", "NFA run step advancements."),
     Family("runs_completed", "repro_query_runs_completed_total", "counter", "NFA runs that reached their final step."),
-    Family("runs_pruned", "repro_query_runs_pruned_total", "counter", "NFA runs discarded by TTL / within-window pruning."),
+    Family("runs_pruned", "repro_query_runs_pruned_total", "counter", "NFA runs discarded for any expiry: TTL / within-window pruning, a within failed on advance, and idle-sweep evictions."),
     Family("runs_evicted", "repro_query_runs_evicted_total", "counter", "NFA runs reclaimed by idle-partition sweeps."),
-    Family("runs_suppressed", "repro_query_runs_suppressed_total", "counter", "Run creations suppressed by the dedup policy."),
+    Family("runs_suppressed", "repro_query_runs_suppressed_total", "counter", "Run starts suppressed because the partition held max_active_runs runs."),
     Family("detections", "repro_query_detections_total", "counter", "Detections the query emitted."),
 )
 

@@ -1,12 +1,18 @@
 """Unit tests for the NFA matcher runtime."""
 
+import json
+import math
+
 import pytest
 
+from repro.cep import matcher as matcher_module
+from repro.cep.engine import CEPEngine
 from repro.cep.expressions import Comparison, FieldRef, Literal
 from repro.cep.matcher import MatcherConfig, NFAMatcher
 from repro.cep.nfa import compile_pattern
 from repro.cep.query import ConsumePolicy, EventPattern, SelectPolicy, sequence
 from repro.errors import SerializationError
+from repro.streams import SimulatedClock
 
 
 def _step(low: float, high: float) -> EventPattern:
@@ -405,3 +411,89 @@ class TestRestoreState:
         engine.push("s", {"ts": 0.1, "x": 15})
         engine.push("s", {"ts": 0.2, "x": 25})
         assert len(engine.detections("g")) == 1
+
+
+class TestOrderedPartitions:
+    """A partition whose time runs forward prunes by cutting expired
+    prefixes off its buckets; the full scan (``_prune_scan``) is entered
+    only for a partition whose order is lost, and only for that one."""
+
+    QUERY = 'SELECT "g" MATCHING (s(abs(x) < 5) -> s(abs(x - 100) < 5) within 1 seconds);'
+
+    @pytest.fixture
+    def scanned(self, monkeypatch):
+        parts = []
+        full_scan = NFAMatcher._prune_scan
+
+        def spy(matcher, part, timestamp):
+            parts.append(part)
+            full_scan(matcher, part, timestamp)
+
+        monkeypatch.setattr(NFAMatcher, "_prune_scan", spy)
+        return parts
+
+    @staticmethod
+    def _held(frames=120, players=3):
+        """Every player holds the start pose at 30 Hz: one run per frame,
+        each expiring a second later."""
+        return [
+            {"ts": frame / 30.0, "player": player, "x": 0.0}
+            for frame in range(frames)
+            for player in range(1, players + 1)
+        ]
+
+    def _engine(self, records):
+        engine = CEPEngine(clock=SimulatedClock())
+        engine.create_stream("s")
+        engine.register_query(self.QUERY, "g")
+        for record in records:
+            engine.push("s", record)
+        return engine.get_query("g").matcher
+
+    def _restored(self, state, records):
+        matcher = NFAMatcher(self._engine([]).pattern, "g")
+        matcher.restore_state(json.loads(json.dumps(state)))
+        for record in records:
+            matcher.process(record, "s")
+        return matcher
+
+    def test_a_held_start_pose_never_takes_the_full_scan(self, scanned):
+        matcher = self._engine(self._held())
+        assert matcher.stats.runs_pruned == 3 * (120 - 31)
+        assert scanned == []
+        assert all(part.ordered for part in matcher.runs.values())
+
+    @pytest.mark.parametrize("late", [0.5, math.nan], ids=["out-of-order", "nan"])
+    def test_a_late_or_nan_timestamp_sends_only_its_player_to_the_full_scan(self, scanned, late):
+        records = self._held()
+        records.insert(151, dict(records[150], ts=records[150]["ts"] - late))
+        matcher = self._engine(records)
+        runs = matcher.runs
+        assert not runs[1].ordered and runs[2].ordered and runs[3].ordered
+        assert scanned and all(part is runs[1] for part in scanned)
+
+    def test_the_idle_sweep_reclaims_only_the_player_who_left(self, monkeypatch):
+        # Every partition is older than the idle limit, so none is passed
+        # over on `oldest` alone; only the one whose newest run is stale goes.
+        monkeypatch.setattr(matcher_module, "_IDLE_SWEEP_TUPLES", 3)
+        matcher = NFAMatcher(
+            self._engine([]).pattern, "g", config=MatcherConfig(partition_idle_seconds=0.5)
+        )
+        records = [r for r in self._held() if r["player"] != 3 or r["ts"] < 2.0]
+        for record in records:
+            matcher.process(record, "s")
+        assert sorted(matcher.runs) == [1, 2]
+        assert matcher.stats.runs_evicted == 31
+
+    def test_a_restored_partition_is_checked_for_order(self, scanned):
+        records = self._held()
+        state = self._engine(records[:150]).capture_state()
+        matcher = self._restored(state, records[150:])
+        assert scanned == [] and all(part.ordered for part in matcher.runs.values())
+
+        late = dict(records[148], ts=records[148]["ts"] - 0.5)
+        state = self._engine(records[:150] + [late]).capture_state()
+        scanned.clear()
+        matcher = self._restored(state, records[150:])
+        assert [part.ordered for part in matcher.runs.values()] == [True, False, True]
+        assert scanned and all(part is matcher.runs[2] for part in scanned)

@@ -271,3 +271,70 @@ def test_per_tuple_counters_match_standalone_matchers(
                 matcher.process(record, "s")
         for name, matcher in standalone.items():
             assert engine.get_query(name).matcher.capture_state() == matcher.capture_state()
+
+
+class FullScan(NFAMatcher):
+    """The matcher with every partition unordered and no sweep shortcut:
+    each prune, advance filter and idle sweep reads every run."""
+
+    def _new_partition(self, latest):
+        part = super()._new_partition(latest)
+        part.ordered = False
+        return part
+
+    @staticmethod
+    def _stale(part, now, idle):
+        newest = max(run.step_timestamps[-1] for bucket in part.waiting for run in bucket)
+        return now - newest > idle
+
+
+def _tables(matcher):
+    return {key: (repr(part.oldest), part.occupied) for key, part in matcher.runs.items()}
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    pattern=patterns(),
+    config=configs,
+    idle=st.sampled_from([None, 0.3]),
+    records=streams(jitter=[0.0]) | streams(jitter=[0.0, 0.45]),
+    data=st.data(),
+)
+def test_the_prefix_cut_equals_the_full_scan(monkeypatch, pattern, config, idle, records, data):
+    # Cutting expired prefixes off ordered partitions (and skipping sweeps
+    # the `oldest` bound rules out) is work saved, never a change: per
+    # tuple and in chunks, across a snapshot, on monotone and jittered
+    # time, every detection, counter, snapshot and run-table bound must be
+    # the full scan's.
+    monkeypatch.setattr(matcher_module, "_IDLE_SWEEP_TUPLES", 3)
+    config = dataclasses.replace(config, partition_idle_seconds=idle)
+    fast = NFAMatcher(pattern, "g", config=config)
+    full = FullScan(pattern, "g", config=config)
+    midpoint = data.draw(st.integers(0, len(records)), label="midpoint")
+    position = 0
+    while position < len(records):
+        if midpoint is not None and position >= midpoint:
+            state = fast.capture_state()
+            assert state == full.capture_state()
+            fast = NFAMatcher(pattern, "g", config=config)
+            full = FullScan(pattern, "g", config=config)
+            fast.restore_state(json.loads(json.dumps(state)))
+            full.restore_state(json.loads(json.dumps(state)))
+            midpoint = None
+        chunk = records[position : position + data.draw(st.integers(1, 9), label="chunk")]
+        position += len(chunk)
+        if data.draw(st.booleans(), label="batched"):
+            detected = [_states(matcher.process_batch(chunk, "s")) for matcher in (fast, full)]
+        else:
+            detected = [
+                [s for record in chunk for s in _states(matcher.process(record, "s"))]
+                for matcher in (fast, full)
+            ]
+        assert detected[0] == detected[1]
+        assert fast.stats.as_dict() == full.stats.as_dict()
+        assert _tables(fast) == _tables(full)
+    assert fast.capture_state() == full.capture_state()

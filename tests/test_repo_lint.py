@@ -31,6 +31,7 @@ from repo_lint import (  # noqa: E402 — path set up above
     ORPHAN_CONSUMER_ROOTS,
     ORPHAN_KEEP,
     REPO_ROOT,
+    RUN_TABLE_OWNER,
     STRUCT_CODEC_MODULES,
     THREAD_FORBIDDEN_PATH,
     THREAD_STARTER,
@@ -73,7 +74,7 @@ class TestRepositoryIsClean:
         out = capsys.readouterr().out
         for code in (
             "RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007", "RL008", "RL009",
-            "RL010", "RL011", "RL012", "RL013", "RL014",
+            "RL010", "RL011", "RL012", "RL013", "RL014", "RL015",
         ):
             assert code in out
 
@@ -865,4 +866,54 @@ class TestRL014OneDoorToTheMatcherCounters:
             tmp_path, "benchmarks/bench_x.py", "def f(m):\n    m.stats.detections = 0\n"
         )
         for path in (stream, reader, owner, outside):
+            assert lint_file(path, root=tmp_path) == []
+
+
+class TestRL015OneDoorToTheRunTables:
+    @pytest.mark.parametrize(
+        "source, lines",
+        [
+            ("def tighten(part, now):\n    part.oldest = now\n", [2]),
+            ("def mark(part, step):\n    part.occupied |= 1 << step\n", [2]),
+            ("def reorder(a, b):\n    a.latest, b.ordered = 0.0, True\n", [2, 2]),
+            ("def drop(part):\n    del part.waiting\n", [2]),
+            ("def swap(part, runs):\n    part.waiting[1] = runs\n", [2]),
+            ("def cut(part):\n    del part.waiting[1][:3]\n", [2]),
+            (
+                "def grow(matcher, run):\n"
+                "    matcher.runs[7].waiting[1].append(run)\n"
+                "    matcher.runs[7].waiting[2].sort(key=len)\n",
+                [2, 3],
+            ),
+        ],
+        ids=[
+            "assigned", "augmented", "unpacked", "deleted", "bucket-set", "bucket-del", "bucket-method"
+        ],
+    )
+    def test_a_run_table_written_outside_the_matcher_is_flagged(self, tmp_path, source, lines):
+        path = write_module(tmp_path, "src/repro/cep/engine.py", source)
+        violations = lint_file(path, root=tmp_path)
+        assert sorted((v.code, v.line) for v in violations) == [("RL015", n) for n in lines]
+        assert RUN_TABLE_OWNER in violations[0].message
+
+    def test_reads_counts_the_matcher_itself_and_other_trees_are_allowed(self, tmp_path):
+        reader = write_module(
+            tmp_path,
+            "src/repro/cep/engine.py",
+            "def enter(self, part):\n"
+            "    self.count += 1\n"
+            "    expiry = part.oldest + part.occupied\n"
+            "    waiting = [len(bucket) for bucket in part.waiting]\n"
+            "    first = part.waiting[1][0]\n"
+            "    return expiry, waiting, first, sorted(part.waiting[1], key=id)\n",
+        )
+        owner = write_module(
+            tmp_path,
+            RUN_TABLE_OWNER,
+            "def prune(part, cut):\n    del part.waiting[1][:cut]\n    part.oldest = 0.0\n",
+        )
+        outside = write_module(
+            tmp_path, "benchmarks/e2e/tracing.py", "def f(self):\n    self.waiting = set()\n"
+        )
+        for path in (reader, owner, outside):
             assert lint_file(path, root=tmp_path) == []

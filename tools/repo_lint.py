@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repository-specific lint rules that generic linters do not cover.
 
-Fourteen rules, all born from real failure modes of this codebase:
+Fifteen rules, all born from real failure modes of this codebase:
 
 ``RL001`` — no builtin ``hash()`` on routing/persistence code paths or in benchmarks
     CPython salts ``hash()`` per process (PYTHONHASHSEED), so a shard
@@ -144,6 +144,17 @@ Fourteen rules, all born from real failure modes of this codebase:
     counter written from outside is a second count growing beside the
     matcher's own.
 
+``RL015`` — one door to the run tables
+    A partition whose time runs forward prunes by cutting an expired
+    prefix off each bucket, and the engine's wake state trusts each run
+    table's ``oldest`` and ``occupied``.  Both are exact only while the
+    matcher is the one writer of its tables.  Under ``src/repro``, outside
+    ``src/repro/cep/matcher.py``, nothing may assign, augment-assign or
+    delete an attribute named ``oldest``, ``occupied``, ``waiting``,
+    ``latest`` or ``ordered``, and nothing may mutate a ``.waiting[...]``
+    bucket (item assignment or deletion, or a list method that changes it).
+    ``count``, which the engine's wake state also keeps, is left out.
+
 Run as a script (CI) or through ``tests/test_repo_lint.py``::
 
     python tools/repo_lint.py            # lint the repository, exit 0/1
@@ -244,6 +255,13 @@ UNANALYSED_PATHS = ("src/repro/cep", "src/repro/runtime", "src/repro/detection")
 COUNTER_OWNER = "src/repro/cep/matcher.py"
 COUNTER_GUARDED_PATH = "src/repro"
 COUNTER_CLASS = "MatcherStats"
+
+#: The one module that writes run tables (RL015), the tree it guards, the
+#: table fields, and the list methods that change a bucket in place.
+RUN_TABLE_OWNER = COUNTER_OWNER
+RUN_TABLE_GUARDED_PATH = "src/repro"
+RUN_TABLE_FIELDS = ("oldest", "occupied", "waiting", "latest", "ordered")
+LIST_MUTATORS = ("append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse")
 
 #: The tree whose public names must have a caller (RL009); the trees outside
 #: it whose references count as callers.
@@ -649,6 +667,40 @@ def _lint_counter_writes(path: Path, tree: ast.AST, relative: str) -> Iterable[V
                 )
 
 
+def _is_waiting(node: ast.AST) -> bool:
+    """Whether ``node`` is ``<x>.waiting`` or an item of it, at any depth."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return isinstance(node, ast.Attribute) and node.attr == "waiting"
+
+
+def _lint_run_table_writes(path: Path, tree: ast.AST, relative: str) -> Iterable[Violation]:
+    for node in ast.walk(tree):
+        targets = node.targets if isinstance(node, ast.Delete) else _assignment_targets(node)
+        written = [
+            target
+            for target in targets
+            if (isinstance(target, ast.Attribute) and target.attr in RUN_TABLE_FIELDS)
+            or (isinstance(target, ast.Subscript) and _is_waiting(target.value))
+        ]
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in LIST_MUTATORS
+            and _is_waiting(node.func.value)
+        ):
+            written.append(node)
+        for target in written:
+            yield Violation(
+                relative,
+                target.lineno,
+                "RL015",
+                f"run table written outside {RUN_TABLE_OWNER}; read a table's "
+                "'occupied' and 'oldest' (NFAMatcher.runs), and change runs only "
+                "through the matcher",
+            )
+
+
 def lint_file(path: Path, root: Optional[Path] = None) -> List[Violation]:
     """Lint one Python file; returns its violations."""
     root = root or REPO_ROOT
@@ -689,6 +741,8 @@ def lint_file(path: Path, root: Optional[Path] = None) -> List[Violation]:
         violations.extend(_lint_analyzer_imports(path, tree, relative))
     if posix.startswith(COUNTER_GUARDED_PATH) and posix != COUNTER_OWNER:
         violations.extend(_lint_counter_writes(path, tree, relative))
+    if posix.startswith(RUN_TABLE_GUARDED_PATH) and posix != RUN_TABLE_OWNER:
+        violations.extend(_lint_run_table_writes(path, tree, relative))
     return violations
 
 
@@ -833,6 +887,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             COUNTER_GUARDED_PATH,
             "outside",
             COUNTER_OWNER,
+        )
+        print(
+            "RL015  no write to",
+            " / ".join(RUN_TABLE_FIELDS),
+            "and no change to a .waiting[...] bucket under",
+            RUN_TABLE_GUARDED_PATH,
+            "outside",
+            RUN_TABLE_OWNER,
         )
         return 0
     violations = lint_repository()
