@@ -29,7 +29,7 @@ each keeps its own matcher, ``MatcherStats``, ``matcher:<name>`` span and
 sinks.  A chunk goes to every query, in deploy order.  A tuple goes only
 to the queries it can change — its gate bit, the bit of a step its
 player's runs wait for (a step without a bit always), a prune of those
-runs due, an idle sweep due — and the rest are counted in bulk
+runs due — and the rest are counted in bulk
 (:meth:`NFAMatcher.settle`; ``_Fanout`` keeps per-player wake masks and
 expiries), so a tuple that wakes nothing costs the lookup, a few mask
 tests and a counter increment, whatever the vocabulary's size.  Of the
@@ -44,6 +44,13 @@ query's closures, and so does a stream where the index would answer no
 query's gate: there a lookup per tuple would buy nothing.  A query that
 raises costs only itself, as a separate subscription would: the rest still
 get the tuple, the producer sees the first error in deploy order.
+
+The subscription also runs the idle sweep (:meth:`NFAMatcher.sweep`) of
+every enabled query on the stream, without waking one: after each tuple
+that brings the stream's ``pushed`` counter to a multiple of
+:data:`_IDLE_SWEEP_TUPLES`, at its event time (batched: at the end of the
+chunk reaching one, at its last).  A query reading two streams is swept
+by both, and a restored engine sweeps on the tuples the live one would.
 
 The subscription also declares the fields its queries read (each query's
 set is computed once, at deploy), and does so the moment the queries
@@ -129,6 +136,10 @@ from repro.streams.stream import Stream, StreamRegistry, Subscription
 #: this as its write-ahead hook; view-internal pushes (derived streams) do
 #: not pass through taps, so a tap sees exactly the external ingest.
 IngestTap = Callable[[str, Sequence[Mapping[str, Any]], Optional[int]], None]
+
+#: Tuples of a stream between idle sweeps of its queries; the phase is the
+#: stream's ``pushed`` counter, which snapshots keep.
+_IDLE_SWEEP_TUPLES = 512
 
 #: A control tap sees every state change *after* it succeeded, whoever made
 #: it: ``tap(op, payload)`` with ``deploy {name, text}``, ``undeploy {name}``,
@@ -333,13 +344,12 @@ class _Member:
     stream (:meth:`NFAMatcher.wake_tables`).  What a tracked query's
     matcher is owed: the fan-out's tuples since ``base`` but the
     ``claimed`` ones its ``process`` counted, and ``owed`` predicate
-    evaluations on top of its partitions' entries.  Tuple ``sweep_at``
-    makes its idle sweep due.
+    evaluations on top of its partitions' entries.
     """
 
     __slots__ = (
         "deployed", "matcher", "gate", "flag", "tracked", "runs", "masks", "costs", "finals",
-        "window", "base", "claimed", "owed", "sweep_at",
+        "window", "base", "claimed", "owed",
     )
 
     def __init__(
@@ -354,7 +364,6 @@ class _Member:
         self.masks, self.costs, self.finals = self.matcher.wake_tables(stream_name)
         self.window = self.matcher.expiry_window
         self.base = self.claimed = self.owed = 0
-        self.sweep_at: float = math.inf
 
 
 class _Awake:
@@ -402,6 +411,7 @@ class _Fanout:
     """A stream's one subscription: the queries reading it, in deploy order,
     the index over their steps (``members`` is ``None`` until the first
     tuple after they changed), and the wake state of the per-tuple path.
+    Both handlers call :meth:`sweep`, the stream's idle sweep.
 
     Wake state: a tuple calls :meth:`NFAMatcher.process` only on the queries
     it can change; every other tracked query is owed the count ``process``
@@ -450,7 +460,6 @@ class _Fanout:
         self.parts: Dict[Any, _Awake] = {}
         #: Tuples delivered since the wake state was built.
         self.count = 0
-        self.sweep_at: float = math.inf
         #: The tuple being delivered: its partition, the flags of the woken
         #: queries that have not started on it (a release leaves the tuple
         #: to them) and of those whose runs are not read back yet, what the
@@ -483,7 +492,7 @@ class _Fanout:
         """Hand the late queries ``flags`` names the tuple in flight, in
         deploy order, as the handler's loop would (they cannot complete a
         run on it)."""
-        record, timestamp, verdicts, key, position, epoch = self.held
+        record, timestamp, verdicts, key, epoch = self.held
         while flags:
             flag = flags & -flags
             flags ^= flag
@@ -494,10 +503,7 @@ class _Fanout:
             booked = self.epoch == epoch
             if booked:
                 self.pending &= ~flag
-                if position < member.sweep_at:
-                    member.claimed += 1
-                else:
-                    self.claim(member, self.inflight, position)
+                member.claimed += 1
             else:
                 self.release()
             try:
@@ -510,7 +516,7 @@ class _Fanout:
                 self.failed(deployed, error)
                 self.failures.append((flag, error))
             if booked and self.epoch == epoch:
-                self.processed(member, key, position)
+                self.processed(member, key)
 
     def release(self) -> None:
         """Settle every count owed and forget the wake state."""
@@ -531,6 +537,14 @@ class _Fanout:
             self._settle(member, self.count)
         self.parts = {}
         self.inflight, self.pending, self.unread = None, 0, 0
+
+    def sweep(self, now: float) -> None:
+        """Sweep every enabled query at event time ``now``: one that drops a
+        partition releases the wake state first, one that drops nothing
+        leaves it."""
+        for deployed in tuple(self.queries):
+            if deployed.enabled and deployed.active:
+                deployed.matcher.sweep(now)
 
     def _settle(self, member: _Member, upto: int) -> None:
         """Hand ``member``'s matcher what it is owed for tuples up to ``upto``."""
@@ -569,7 +583,6 @@ class _Fanout:
                 self.always |= member.flag
                 continue
             member.base = member.claimed = member.owed = 0
-            member.sweep_at = member.matcher.tuples_until_sweep()
             self.gates[member.gate] = self.gates.get(member.gate, 0) | member.flag
             self.gate_mask |= member.gate
             if member.matcher.pattern.length == 1:
@@ -577,7 +590,6 @@ class _Fanout:
             for key in member.runs:
                 self.rejoin(member, key)
             member.matcher.release = self.release
-        self.sweep_at = min((member.sweep_at for member in self.tracked), default=math.inf)
 
     def gated(self, hit: int) -> int:
         """The flags of the queries whose gate bits ``hit`` holds."""
@@ -609,40 +621,11 @@ class _Fanout:
         self.completing = early
         return flags
 
-    def sweeping(self, position: int) -> int:
-        """The flags of the queries whose idle sweep tuple ``position`` makes due."""
-        return sum(member.flag for member in self.tracked if member.sweep_at <= position)
-
-    def claim(self, member: _Member, awake: Optional[_Awake], position: int) -> None:
-        """Leave tuple ``position``, which makes ``member``'s idle sweep
-        due, to its ``process``: a sweep may drop any partition, so
-        everything up to the tuple before is settled first."""
-        entry = awake.runs.get(member) if awake is not None else None
-        if entry is not None:
-            awake.count -= 1  # this tuple is not owed
-            self._settle(member, position - 1)
-            awake.count += 1
-            entry[1] = awake.count
-        else:
-            self._settle(member, position - 1)
-        member.base = position
-
-    def processed(self, member: _Member, key: Any, position: int) -> None:
-        """After ``member`` processed tuple ``position`` of ``key``'s
-        partition: settle the tuples it skipped there before, at the cost
-        they saw, and read back its runs (the handler reads back an entry
-        the tuple left unchanged itself)."""
-        if position >= member.sweep_at:
-            # A sweep only drops partitions; every count is settled.
-            for other, awake in list(self.parts.items()):
-                if other != key and member in awake.runs and other not in member.runs:
-                    self.rejoin(member, other)
-            self.rejoin(member, key)
-            due = member.sweep_at
-            member.sweep_at = position + member.matcher.tuples_until_sweep()
-            if due == self.sweep_at:
-                self.sweep_at = min(other.sweep_at for other in self.tracked)
-            return
+    def processed(self, member: _Member, key: Any) -> None:
+        """After ``member`` processed a tuple of ``key``'s partition: settle
+        the tuples it skipped there before, at the cost they saw, and read
+        back its runs (the handler reads back an entry the tuple left
+        unchanged itself)."""
         awake = self.parts.get(key)
         entry = awake.runs.get(member) if awake is not None else None
         if entry is None:
@@ -967,6 +950,7 @@ class CEPEngine(Taps):
         self, stream_name: str, fanout: _Fanout
     ) -> Callable[[Mapping[str, Any]], None]:
         log = self._log
+        stats = self.streams.get(stream_name).stats
 
         def handle(record: Mapping[str, Any]) -> None:
             if not fanout.ready:
@@ -992,18 +976,30 @@ class CEPEngine(Taps):
             tracer = self.tracer
             # A traced tuple keeps one span per query: every query is woken then.
             context = current_context() if tracer is not None and tracer.active else None
-            if fanout.tracking:
-                field = fanout.field
-                key = record.get(field) if field is not None else UNPARTITIONED
-                try:
-                    awake = fanout.parts.get(key)
-                except TypeError:  # an unhashable partition value: every query raises
-                    fanout.release()
-                else:
-                    deliver(record, timestamp, verdicts, context, key, awake)
-                    return
-            # No bits to wake on: every query takes the tuple, in deploy order.
+            # Read before delivery: a tuple fed from a sink counts after this one.
+            sweep = not stats.pushed % _IDLE_SWEEP_TUPLES
+            try:
+                if fanout.tracking:
+                    field = fanout.field
+                    key = record.get(field) if field is not None else UNPARTITIONED
+                    try:
+                        awake = fanout.parts.get(key)
+                    except TypeError:  # an unhashable partition value: every query raises
+                        fanout.release()
+                    else:
+                        deliver(record, timestamp, verdicts, context, key, awake)
+                        return
+                visit(record, timestamp, verdicts, context)
+            finally:
+                if sweep:
+                    fanout.sweep(timestamp)
+
+        def visit(
+            record: Mapping[str, Any], timestamp: float, verdicts: Optional[int], context: Any
+        ) -> None:
+            """No bits to wake on: every query takes the tuple, in deploy order."""
             epoch = fanout.epoch
+            tracer = self.tracer
             first: Optional[Exception] = None
             for member in fanout.everyone:
                 deployed = member.deployed
@@ -1037,7 +1033,7 @@ class CEPEngine(Taps):
             awake: Optional[_Awake],
         ) -> None:
             """Hand the tuple to the queries it wakes (see ``_Fanout``)."""
-            position = fanout.count = fanout.count + 1
+            fanout.count += 1
             if awake is not None:
                 awake.count += 1
             late = 0
@@ -1053,8 +1049,6 @@ class CEPEngine(Taps):
                 if awake is not None and (verdicts & awake.mask or timestamp >= awake.expiry):
                     flags |= fanout.due(awake, verdicts, timestamp)
                     early |= fanout.completing
-                if position >= fanout.sweep_at:
-                    flags |= fanout.sweeping(position)
                 if not flags:
                     return  # the tuple wakes nothing
                 late = flags & ~early
@@ -1079,10 +1073,8 @@ class CEPEngine(Taps):
                         # the state rebuilt since owes before runs change.
                         fanout.release()
                         booked = False
-                    elif position < member.sweep_at:
-                        member.claimed += 1  # process counts it
                     else:
-                        fanout.claim(member, awake, position)
+                        member.claimed += 1  # process counts it
                 try:
                     span = None
                     if context is not None:
@@ -1104,7 +1096,7 @@ class CEPEngine(Taps):
                         if deferred:
                             late ^= deferred
                             fanout.deferred = deferred
-                            fanout.held = (record, timestamp, verdicts, key, position, epoch)
+                            fanout.held = (record, timestamp, verdicts, key, epoch)
                         outer = fanout.busy
                         fanout.busy, fanout.ready = True, False
                         try:
@@ -1130,14 +1122,13 @@ class CEPEngine(Taps):
                         and part is entry[0]
                         and part.occupied == entry[6]
                         and part.oldest == entry[4]
-                        and position < member.sweep_at
                     ):
                         # The tuple changed nothing the entry reads: settle
                         # the tuples skipped before it, at the cost they saw.
                         member.owed += (awake.count - 1 - entry[1]) * entry[2]
                         entry[1] = awake.count
                     else:
-                        fanout.processed(member, key, position)
+                        fanout.processed(member, key)
             if fanout.failures:
                 failures = (failures or []) + fanout.failures
                 fanout.failures = []
@@ -1153,8 +1144,11 @@ class CEPEngine(Taps):
         self, stream_name: str, fanout: _Fanout
     ) -> Callable[[Sequence[Mapping[str, Any]]], None]:
         log = self._log
+        stats = self.streams.get(stream_name).stats
 
         def handle_batch(records: Sequence[Mapping[str, Any]]) -> None:
+            # The chunk is counted already; a tuple fed from a sink counts after it.
+            pushed = stats.pushed
             members = fanout.members or self._bind(stream_name, fanout)
             lookup = fanout.index.lookup
             verdicts = [lookup(record) for record in records] if fanout.index.fields else None
@@ -1189,6 +1183,9 @@ class CEPEngine(Taps):
                 except Exception as error:  # noqa: BLE001 — isolate, deliver to the rest
                     self._failed(stream_name, deployed, error)
                     first = first or error
+            # At the end of a chunk that reaches a multiple of the period.
+            if timestamps and pushed % _IDLE_SWEEP_TUPLES < len(records):
+                fanout.sweep(timestamps[-1])
             if first is not None:
                 raise first
 

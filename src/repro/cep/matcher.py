@@ -61,8 +61,8 @@ any predicate is evaluated.  ``MatcherStats.predicate_evaluations`` counts
 the atoms actually evaluated: at most once per tuple and step.
 
 With verdicts, most tuples can change nothing of a query but its counters:
-the gate bit is clear, no step its partition's runs wait for holds, none of
-them can expire yet and no idle sweep is due.  Bit *i* of a partition's
+the gate bit is clear, no step its partition's runs wait for holds and
+none of them can expire yet.  Bit *i* of a partition's
 ``occupied`` is set while ``waiting[i]`` holds runs, and
 :meth:`NFAMatcher.wake_tables` folds an occupancy into what an engine needs
 to tell such tuples apart without calling the matcher: the bits that can
@@ -71,16 +71,16 @@ missing them adds to ``predicate_evaluations``, and the bit that completes
 a run.  Runs may be pruned once ``timestamp - oldest`` exceeds
 :attr:`~NFAMatcher.expiry_window`, the very test ``_prune`` starts with.
 An engine reads the live tables (:attr:`NFAMatcher.runs`), calls
-:meth:`~NFAMatcher.process` only on a tuple that can change them or makes
-the idle sweep due (:meth:`~NFAMatcher.tuples_until_sweep`), and hands the
-matcher what it would have counted for every other tuple in bulk
-(:meth:`~NFAMatcher.settle`).  What it owes is settled before anyone can
-see it: :attr:`~NFAMatcher.stats`, :meth:`~NFAMatcher.capture_state`, and
-every change to the runs outside ``process``
+:meth:`~NFAMatcher.process` only on a tuple that can change them, and
+hands the matcher what it would have counted for every other tuple in
+bulk (:meth:`~NFAMatcher.settle`).  What it owes is settled before anyone
+can see it: :attr:`~NFAMatcher.stats`, :meth:`~NFAMatcher.capture_state`,
+and every change to the runs outside ``process``
 (:meth:`~NFAMatcher.process_batch`, :meth:`~NFAMatcher.reset`,
-:meth:`~NFAMatcher.restore_state`) call the engine's ``release`` hook
-first, so every reader sees what ``process`` on every tuple would have
-counted.  :meth:`~NFAMatcher.process_batch` passes over a tuple whose gate
+:meth:`~NFAMatcher.restore_state`, a :meth:`~NFAMatcher.sweep` that drops
+a partition) call the engine's ``release`` hook first, so every reader
+sees what ``process`` on every tuple would have counted.
+:meth:`~NFAMatcher.process_batch` passes over a tuple whose gate
 bit is clear and whose partition holds no runs after one bit test and one
 dict lookup — counting it as the gate rejection it is.
 
@@ -93,8 +93,9 @@ own timestamps ``anchor >= oldest``, and floating-point subtraction is
 monotone in the anchor, so ``now - anchor <= now - oldest <= seconds`` — the
 full scan would have removed nothing.  Recording a timestamp may only lower
 the bound; it is raised only by a prune, to the exact minimum of what
-survives.  The same bound lets the idle sweep pass over a partition with
-``now - oldest <= partition_idle_seconds`` without looking at a run.
+survives.  The same bound lets the idle sweep pass over an ordered
+partition with ``now - oldest <= partition_idle_seconds`` without looking
+at a run (an unordered one may hold NaN, which the bound ignores).
 
 **Ordered partitions.**  When something can expire, a prune costs
 O(expired runs + buckets), not O(runs), as long as the partition's time
@@ -175,11 +176,6 @@ from repro.errors import SerializationError
 #: one partition, which is exactly the pre-partitioning behaviour.
 UNPARTITIONED: Any = object()
 
-#: Tuples processed between idle-partition sweeps.  Pruning only ever runs
-#: against a partition's own tuples, so runs of a player who stopped
-#: streaming need this periodic sweep to be reclaimed.
-_IDLE_SWEEP_TUPLES = 512
-
 
 @dataclass
 class MatcherConfig:
@@ -228,7 +224,8 @@ class MatcherConfig:
         ``partition_field=None`` (queries run under their engine's).
     partition_idle_seconds:
         Drop all partial matches of a partition whose newest run activity is
-        older than this (measured against the stream's latest event time).
+        older than this (measured against a stream's latest event time
+        every 512 tuples of the stream, see :meth:`NFAMatcher.sweep`).
         A player who left the scene mid-gesture otherwise parks runs — and
         stale :meth:`NFAMatcher.furthest_step` feedback — forever, since
         pruning only ever runs against a partition's own tuples.  Pick it
@@ -512,7 +509,6 @@ class NFAMatcher:
         self._partitions: Dict[Any, _Partition] = {}
         self._partition_field = self.config.partition_field
         self._run_counter = 0
-        self._tuples_since_sweep = 0
 
         steps = pattern.steps
         self._length = len(steps)
@@ -643,11 +639,11 @@ class NFAMatcher:
         tuples by value, never by object identity) in ``sequence_number``
         order — so captures of the same stream taken on the per-tuple,
         batched and sharded paths converge —, the run sequence counter
-        (detection ordering under ``select first/last`` depends on it), the
-        idle-sweep phase, and the stats counters.  Restoring the captured
-        state into a matcher compiled from the same query text makes every
-        subsequent detection byte-identical to an uninterrupted run — the
-        recovery tests assert it on the per-tuple and batched paths.
+        (detection ordering under ``select first/last`` depends on it) and
+        the stats counters.  Restoring the captured state into a matcher
+        compiled from the same query text makes every subsequent detection
+        byte-identical to an uninterrupted run — the recovery tests assert
+        it on the per-tuple and batched paths.
 
         Raises
         ------
@@ -685,7 +681,6 @@ class NFAMatcher:
             "kind": "nfa-matcher",
             "query_name": self.query_name,
             "run_counter": self._run_counter,
-            "tuples_since_sweep": self._tuples_since_sweep,
             "stats": self._stats.as_dict(),
             "partitions": partitions,
         }
@@ -696,7 +691,8 @@ class NFAMatcher:
         The matcher must have been built from the same pattern the
         snapshot was taken from (recovery redeploys the captured query
         text before restoring); predicates, constraints and configuration
-        are *not* part of the state.  Runs may come in any order.
+        are *not* part of the state.  Runs may come in any order, and a
+        ``tuples_since_sweep`` key (older snapshots) is ignored.
 
         Raises
         ------
@@ -757,7 +753,6 @@ class NFAMatcher:
         self._partitions.clear()
         self._partitions.update(partitions)
         self._run_counter = int(state["run_counter"])
-        self._tuples_since_sweep = int(state["tuples_since_sweep"])
         stats_state = state.get("stats")
         if stats_state:
             self._stats.restore(stats_state)
@@ -836,7 +831,6 @@ class NFAMatcher:
             self._prune(part, timestamp)
         detections: List[Detection] = []
         self._process_tuple(record, stream, timestamp, key, part, detections, verdicts)
-        self._maybe_sweep(1, timestamp)
         return detections
 
     @property
@@ -869,23 +863,13 @@ class NFAMatcher:
     def settle(self, stream: str, tuples: int, evaluations: int) -> None:
         """Count ``tuples`` tuples from ``stream`` that :meth:`process` would
         only have counted; ``evaluations`` is what they cost beyond their
-        gate's (see :meth:`wake_tables`), which is added here.
-
-        The caller keeps every such tuple short of an idle sweep
-        (:meth:`tuples_until_sweep`): those go through :meth:`process`.
-        """
+        gate's (see :meth:`wake_tables`), which is added here."""
         stats = self._stats
         stats.tuples_processed += tuples
         if stream == self._first_stream:
             stats.gate_rejections += tuples
             evaluations += tuples * self._step_costs[0]
         stats.predicate_evaluations += evaluations
-        self._tuples_since_sweep += tuples
-
-    def tuples_until_sweep(self) -> int:
-        """How many more tuples make the next idle sweep due: that tuple's
-        :meth:`process` runs it."""
-        return _IDLE_SWEEP_TUPLES - self._tuples_since_sweep
 
     def process_many(
         self,
@@ -964,7 +948,6 @@ class NFAMatcher:
         if stream == self._first_stream:
             self._stats.predicate_evaluations += rejected * self._step_costs[0]
             self._stats.gate_rejections += rejected
-        self._maybe_sweep(len(records), timestamps[-1])
         return detections
 
     # -- internals -----------------------------------------------------------------------
@@ -1092,24 +1075,26 @@ class NFAMatcher:
         self._stats.runs_started += 1
         return run
 
-    def _maybe_sweep(self, count: int, now: float) -> None:
-        """Periodically drop partitions of players who stopped streaming.
+    def sweep(self, now: float) -> None:
+        """Drop the partitions of players who stopped streaming.
 
         A partition is only ever pruned by its own tuples, so a player who
         leaves the scene mid-gesture would park runs (and stale progress
-        feedback) forever.  Every ``_IDLE_SWEEP_TUPLES`` tuples, partitions
-        whose newest run activity lags the stream's event time by more than
-        ``partition_idle_seconds`` are reclaimed.  Unpartitioned matchers
-        never sweep — the single table keeps the seed's lifetime rules.
+        feedback) forever.  The engine calls this every 512 tuples of each
+        stream the query reads, at that stream's event time ``now``.  A
+        partition survives if some run's newest timestamp lags ``now`` by
+        at most ``partition_idle_seconds`` (a NaN is never recent; a NaN
+        ``now`` reclaims nothing).  Unpartitioned matchers never sweep — the
+        single table keeps the seed's lifetime rules.  ``release`` runs
+        only when a partition is about to go.
         """
-        self._tuples_since_sweep += count
-        if self._tuples_since_sweep < _IDLE_SWEEP_TUPLES:
-            return
-        self._tuples_since_sweep = 0
         idle = self.config.partition_idle_seconds
-        if idle is None or self._partition_field is None:
+        if idle is None or self._partition_field is None or math.isnan(now):
             return
         stale = [key for key, part in self._partitions.items() if self._stale(part, now, idle)]
+        if not stale:
+            return
+        self._released()
         for key in stale:
             reclaimed = self._partitions.pop(key).count
             self._stats.runs_pruned += reclaimed
@@ -1117,17 +1102,18 @@ class NFAMatcher:
 
     @staticmethod
     def _stale(part: _Partition, now: float, idle: float) -> bool:
-        """Whether ``part``'s newest run activity lags ``now`` by more than
-        ``idle``.  ``oldest`` bounds every timestamp the runs hold, so a
-        partition within ``idle`` of it is not read at all; in an ordered
-        one, each bucket's last run holds its bucket's newest timestamp."""
-        if now - part.oldest <= idle:
-            return False
+        """Whether no run of ``part`` holds a newest timestamp within
+        ``idle`` of ``now``.  An ordered partition holds no NaN, so
+        ``oldest`` bounds every timestamp of it: one within ``idle`` of it
+        is not read at all, and otherwise each bucket's last run holds its
+        bucket's newest timestamp.  Any other partition reads every run."""
         if part.ordered:
-            newest = max(bucket[-1].step_timestamps[-1] for bucket in part.waiting if bucket)
-        else:
-            newest = max(run.step_timestamps[-1] for bucket in part.waiting for run in bucket)
-        return now - newest > idle
+            return now - part.oldest > idle and not any(
+                now - bucket[-1].step_timestamps[-1] <= idle for bucket in part.waiting if bucket
+            )
+        return not any(
+            now - run.step_timestamps[-1] <= idle for bucket in part.waiting for run in bucket
+        )
 
     def _evict_expired(self, part: _Partition, timestamp: float) -> bool:
         """At the run cap, prune expired runs; return whether a slot freed up.

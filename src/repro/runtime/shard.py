@@ -157,8 +157,6 @@ def _apply_control(engine: CEPEngine, op: str, payload: Any) -> Any:
         engine.unregister_query(payload)
     elif op == "enable":
         engine.enable_query(*payload)
-    elif op == "clear_detections":  # payload: one query's name, or None for all
-        (engine if payload is None else engine.get_query(payload)).clear_detections()
     elif op == "reset_scene":
         engine.reset_scene()
     elif op == "register_function":
@@ -235,8 +233,9 @@ def worker_loop(
     delivers one to the parent-side :class:`Shard`; the loop talks to
     nothing else, so it runs unchanged on a thread or in a child process.
     Every inbox message gets exactly one reply: a tuple batch its ``done``,
-    which carries the batch's detections in emission order, a control its
-    ``ack`` or ``nack``.  A data-path failure ends the loop with
+    which carries the batch's detections in emission order (the engine's
+    log then drops them: the parent's log is their one copy), a control
+    its ``ack`` or ``nack``.  A data-path failure ends the loop with
     ``failed``, carrying the detections emitted before it.  The worker
     builds its own tracer from the spec and ships its spans on
     ``telemetry`` controls.
@@ -284,6 +283,9 @@ def worker_loop(
                 )
                 enqueued_at = None
                 reply = ("done", len(records), busy, queue_wait, emitted)
+                if emitted:
+                    # They leave with the reply: the parent's log is their one copy.
+                    engine.clear_detections()
                 emitted = []
                 send(reply)
             elif kind == "control":

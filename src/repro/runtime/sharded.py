@@ -78,8 +78,6 @@ class ShardedQuery:
 
     def clear_detections(self) -> None:
         self._runtime._drain_for_read()
-        if self._runtime.started and not self._runtime.stopped:
-            self._runtime._broadcast("clear_detections", self.name)
         self._runtime._log.clear_query(self.name)
 
     def __repr__(self) -> str:
@@ -474,6 +472,13 @@ class ShardedRuntime(Taps):
         self._ensure_running()
         self.drain()
         shard_states = self._broadcast("capture_state", None)
+        # A shard keeps no detections once they left it; the format still
+        # stores each shard's own, so they are filled from the parent's log.
+        for state in shard_states:
+            state["detections"] = []
+        for detection in self._log.entries():
+            shard_id = self.router.shard_for_key(detection.partition)
+            shard_states[shard_id]["detections"].append(detection.to_state())
         clock_now = self.clock.now() if isinstance(self.clock, SimulatedClock) else None
         return {
             "kind": "sharded-runtime",
@@ -496,12 +501,13 @@ class ShardedRuntime(Taps):
 
         Queries missing parent-side are re-deployed from their captured
         text (which broadcasts the standard ``deploy`` to every shard);
-        each shard then restores its own engine state in place.  The
-        parent's log is rebuilt from the shards' logs: one player's
-        detections are all on one shard, so merged reads equal the live
-        ones.  Snapshots that also hold the parent's list (every one
-        written before the shards' lists became the only copy) restore
-        from that list.  Control taps then see ``restore``.
+        each shard then restores its own engine state in place, without
+        detections: the parent's log is their one copy.  That log is
+        rebuilt from the shards' lists: one player's detections are all on
+        one shard, so merged reads equal the live ones.  Snapshots that
+        also hold the parent's list (every one written before the shards'
+        lists became the only copy) restore from that list.  Control taps
+        then see ``restore``.
 
         Raises
         ------
@@ -541,7 +547,7 @@ class ShardedRuntime(Taps):
         for shard_id, shard in enumerate(self._shards):
             shard_state = shard_states.get(str(shard_id))
             if shard_state is not None:
-                shard.control("restore_state", shard_state)
+                shard.control("restore_state", {**shard_state, "detections": []})
                 self._streams.update(shard_state.get("streams", {}))
         detections = state.get("detections")
         if detections is None:
@@ -608,10 +614,8 @@ class ShardedRuntime(Taps):
         return self._log.snapshot(query_name=name, partition=partition)
 
     def clear_detections(self) -> None:
-        """Drop collected detections, parent-side and on every shard."""
+        """Drop collected detections (the parent's log is their one copy)."""
         self._drain_for_read()
-        if self._started and not self._stopped:
-            self._broadcast("clear_detections", None)
         self._log.clear()
 
     def reset_scene(self) -> None:

@@ -3,8 +3,10 @@
 The oracle ``tests/test_matcher_reference.py`` holds ``NFAMatcher`` to: a flat
 list of runs per partition, ``Expression.evaluate`` once per run, a prune
 before every tuple — no gating, no buckets, no batching, no compiled
-closures, no shortcut on expiry.  It does not model the idle-partition sweep
-(feed it fewer tuples than a sweep period, or disable the sweep).
+closures, no shortcut on expiry.  It does not model the idle-partition sweep,
+which the engine runs per stream (``NFAMatcher.sweep`` every
+``_IDLE_SWEEP_TUPLES`` tuples of a stream): compare it with the sweep
+disabled, or over fewer tuples than a sweep period.
 """
 
 from types import SimpleNamespace

@@ -1,6 +1,7 @@
 """Unit tests for the CEP engine, views and sinks."""
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,8 @@ from repro.errors import (
     UnknownStreamError,
 )
 from repro.kinect.skeleton import JOINTS
+from repro.runtime import ShardedRuntime
+from repro.runtime.shard import ShardEngineSpec
 from repro.streams import SimulatedClock
 
 SIMPLE_QUERY = 'SELECT "up" MATCHING s(x > 100);'
@@ -661,6 +664,133 @@ class TestWakeOnBit:
         frames = [frame for frame in self._feed() if frame["player"] > 2]
         _, calls = self._entries(monkeypatch, 32, frames)
         assert calls == []
+
+    @pytest.mark.parametrize("gestures", [8, 32])
+    def test_the_idle_sweep_tuple_enters_no_matcher(self, monkeypatch, gestures):
+        # Past the stream's 512th tuple: the engine sweeps every query on it
+        # (reclaiming nothing here), and wakes none of them for it.
+        frames = self._feed()
+        frames += [
+            {"ts": 5.0 + index * 0.01, "player": 3 + index % 2, "x": -100.0, "y": -100.0}
+            for index in range(600 - len(frames))
+        ]
+        engine, calls = self._entries(monkeypatch, gestures, frames)
+        assert calls == ["process"] * 4
+        stats = engine.query_stats()
+        assert {row["tuples_processed"] for row in stats.values()} == {len(frames)}
+        assert stats["g1"]["runs_pruned"] == 1
+
+
+class TestIdleSweep:
+    """Each stream's fan-out sweeps the stream's enabled queries after every
+    ``_IDLE_SWEEP_TUPLES``-th tuple of the stream, at its event time: the
+    phase is the stream's ``pushed`` counter, on every path."""
+
+    QUERY = (
+        'SELECT "g" MATCHING kinect_t(abs(x - 0) < 5) -> kinect_t(abs(x - 100) < 5) '
+        "within 60 seconds;"
+    )
+    CONFIG = MatcherConfig(partition_idle_seconds=1.0)
+
+    @staticmethod
+    def _records(leave_at=0.0, count=600):
+        """Player 1 opens a run and leaves; player 2 streams on, matching nothing."""
+        left = {"ts": leave_at, "player": 1, "x": 0.0}
+        return [left] + [{"ts": index * 0.01, "player": 2, "x": -50.0} for index in range(1, count)]
+
+    def _open(self, mode="inline"):
+        if mode == "thread2":
+            spec = ShardEngineSpec(matcher=self.CONFIG, install_view=False)
+            engine = ShardedRuntime(shard_count=2, spec=spec).start()
+            # One shard sees every tuple, so its stream counts as inline's does.
+            assert engine.router.shard_for_key(1) == engine.router.shard_for_key(2)
+        else:
+            engine = CEPEngine(clock=SimulatedClock(), matcher_config=self.CONFIG)
+        engine.register_query(self.QUERY)
+        return engine
+
+    @staticmethod
+    def _left(engine):
+        """The query's live runs, and the runs its idle sweeps reclaimed."""
+        return engine.query_progress()["g"][1], engine.query_stats()["g"]["runs_evicted"]
+
+    @pytest.mark.parametrize("mode", ["push", "batched", "thread2", "recovered"])
+    def test_a_player_who_left_is_reclaimed_on_the_sweep_tuple(self, mode):
+        records = self._records()
+        batch_size = 8 if mode == "batched" else None  # a chunk ends on tuple 512
+        engine = self._open(mode)
+        try:
+            fed = 0
+            if mode == "recovered":
+                fed = 300  # mid-period: the phase rides in the stream's counter
+                engine.push_many(TRANSFORMED_STREAM_NAME, records[:fed])
+                state = json.loads(json.dumps(engine.capture_state()))
+                engine = CEPEngine(clock=SimulatedClock(), matcher_config=self.CONFIG)
+                engine.restore_state(state)
+            # Per tuple the run outlives tuple 511; batched, the chunk 505-512.
+            last = 511 if batch_size is None else 504
+            engine.push_many(TRANSFORMED_STREAM_NAME, records[fed:last], batch_size=batch_size)
+            assert self._left(engine) == (1, 0)
+            engine.push_many(TRANSFORMED_STREAM_NAME, records[last:512], batch_size=batch_size)
+            assert self._left(engine) == (0, 1)
+        finally:
+            if mode == "thread2":
+                engine.stop()
+
+    def test_a_chunk_sweeps_only_when_it_reaches_a_multiple(self):
+        engine = self._open()
+        records = self._records(count=1024)
+        for index, record in enumerate(records[1:512], start=1):
+            record["ts"] = index * 0.001  # player 1 is not idle yet at tuple 512
+        engine.push_many(TRANSFORMED_STREAM_NAME, records[:512], batch_size=512)
+        # Tuples 513-520 end 8 past a multiple: no sweep, however late.
+        engine.push_many(TRANSFORMED_STREAM_NAME, records[512:520], batch_size=8)
+        assert self._left(engine) == (1, 0)
+        engine.push_many(TRANSFORMED_STREAM_NAME, records[520:], batch_size=504)
+        assert self._left(engine) == (0, 1)
+
+    def test_a_sweep_that_reclaims_settles_the_wake_state_first(self):
+        # Player 1 comes back after the sweep took their run: the tuples the
+        # engine then skips cost what a standalone matcher counts, the gate
+        # alone, not the step the run waited for.
+        engine = self._open()
+        standalone = NFAMatcher(engine.get_query("g").matcher.pattern, "g", config=self.CONFIG)
+        records = self._records()
+        back = [{"ts": 5.2 + index * 0.01, "player": 1, "x": -50.0} for index in range(5)]
+        records[512:512] = back
+        for number, record in enumerate(records, start=1):
+            engine.push(TRANSFORMED_STREAM_NAME, record)
+            standalone.process(record, TRANSFORMED_STREAM_NAME)
+            if number == 512:
+                standalone.sweep(record["ts"])
+        assert engine._fanouts[TRANSFORMED_STREAM_NAME].index.fields  # woken by bit
+        assert self._left(engine) == (0, 1)
+        assert engine.query_stats()["g"] == standalone.stats.as_dict()
+
+    def test_the_phase_is_the_streams_not_the_querys(self):
+        # Deployed after 100 tuples of the stream, the query is swept on the
+        # stream's 512th tuple, its own 412th.
+        engine = CEPEngine(clock=SimulatedClock(), matcher_config=self.CONFIG)
+        engine.create_stream(TRANSFORMED_STREAM_NAME)
+        engine.push_many(TRANSFORMED_STREAM_NAME, [{"ts": -1.0, "player": 3, "x": -50.0}] * 100)
+        engine.register_query(self.QUERY)
+        records = self._records()
+        engine.push_many(TRANSFORMED_STREAM_NAME, records[:411])
+        assert self._left(engine) == (1, 0)
+        engine.push(TRANSFORMED_STREAM_NAME, records[411])
+        assert self._left(engine) == (0, 1)
+        assert engine.query_stats()["g"]["tuples_processed"] == 412
+
+    @pytest.mark.parametrize("batch_size", [None, 64])
+    def test_a_nan_stamped_run_is_reclaimed(self, batch_size):
+        # A NaN is never recent: the run it opened goes on the first sweep
+        # after the stream's time has moved on.
+        engine = self._open()
+        records = self._records(leave_at=math.nan, count=3000)
+        for record in records[1:]:
+            record["ts"] *= 100 / 30  # 3 000 tuples over 100 s
+        engine.push_many(TRANSFORMED_STREAM_NAME, records, batch_size=batch_size)
+        assert self._left(engine) == (0, 1)
 
 
 def _joints(record):

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from repro.cep import matcher as matcher_module
+from repro.cep import engine as engine_module
 from repro.cep.engine import CEPEngine
 from repro.cep.expressions import Comparison, FieldRef, Literal
 from repro.cep.matcher import MatcherConfig, NFAMatcher
@@ -475,15 +475,38 @@ class TestOrderedPartitions:
     def test_the_idle_sweep_reclaims_only_the_player_who_left(self, monkeypatch):
         # Every partition is older than the idle limit, so none is passed
         # over on `oldest` alone; only the one whose newest run is stale goes.
-        monkeypatch.setattr(matcher_module, "_IDLE_SWEEP_TUPLES", 3)
+        monkeypatch.setattr(engine_module, "_IDLE_SWEEP_TUPLES", 3)
         matcher = NFAMatcher(
             self._engine([]).pattern, "g", config=MatcherConfig(partition_idle_seconds=0.5)
         )
         records = [r for r in self._held() if r["player"] != 3 or r["ts"] < 2.0]
-        for record in records:
+        # The engine's rule: a sweep after every period's last tuple.
+        for number, record in enumerate(records, start=1):
             matcher.process(record, "s")
+            if not number % engine_module._IDLE_SWEEP_TUPLES:
+                matcher.sweep(record["ts"])
         assert sorted(matcher.runs) == [1, 2]
         assert matcher.stats.runs_evicted == 31
+
+    def test_a_nan_is_never_recent_and_a_nan_sweep_reclaims_nothing(self):
+        # Player 1's runs hold 0.0 and NaN (in either bucket order), player
+        # 2's a NaN only: neither keeps its runs once time moved on.
+        pattern = self._engine([]).pattern
+        for first, second in ((0.0, math.nan), (math.nan, 0.0)):
+            matcher = NFAMatcher(pattern, "g", config=MatcherConfig(partition_idle_seconds=0.5))
+            for record in (
+                {"ts": first, "player": 1, "x": 0.0},
+                {"ts": second, "player": 1, "x": 0.0},
+                {"ts": math.nan, "player": 2, "x": 0.0},
+            ):
+                matcher.process(record, "s")
+            matcher.sweep(math.nan)
+            assert sorted(matcher.runs) == [1, 2]
+            matcher.sweep(0.25)
+            assert sorted(matcher.runs) == [1]
+            matcher.sweep(10.0)
+            assert not matcher.runs
+            assert matcher.stats.runs_evicted == 3
 
     def test_a_restored_partition_is_checked_for_order(self, scanned):
         records = self._held()

@@ -22,7 +22,7 @@ from repro.cep.expressions import (
     Literal,
     abs_diff_predicate,
 )
-from repro.cep import matcher as matcher_module
+from repro.cep import engine as engine_module
 from repro.cep.engine import CEPEngine
 from repro.cep.matcher import MatcherConfig, NFAMatcher
 from repro.cep.nfa import CompiledPattern, Step, TimeConstraint, compile_pattern
@@ -95,6 +95,37 @@ def streams(draw, jitter):
         now += step
         records.append({"ts": now - behind, "player": player, "x": x, "y": y})
     return records
+
+
+class Stream:
+    """Standalone matchers fed as one engine stream feeds its queries: a
+    tuple or a chunk goes to each matcher, then every matcher is swept once
+    the stream's count reaches a multiple of ``_IDLE_SWEEP_TUPLES`` — after
+    that tuple at its timestamp, or at the end of the chunk reaching it at
+    the chunk's last timestamp.  ``matchers`` may be swapped (a restore)."""
+
+    def __init__(self, matchers):
+        self.matchers = matchers
+        self.pushed = 0
+
+    def push(self, record):
+        """Each matcher's detections on ``record``."""
+        detections = [matcher.process(record, "s") for matcher in self.matchers]
+        self._count(1, record["ts"])
+        return detections
+
+    def push_batch(self, chunk):
+        """Each matcher's detections on ``chunk``."""
+        detections = [matcher.process_batch(chunk, "s") for matcher in self.matchers]
+        self._count(len(chunk), chunk[-1]["ts"])
+        return detections
+
+    def _count(self, tuples, now):
+        period = engine_module._IDLE_SWEEP_TUPLES
+        before, self.pushed = self.pushed, self.pushed + tuples
+        if before // period != self.pushed // period:
+            for matcher in self.matchers:
+                matcher.sweep(now)
 
 
 def _states(detections):
@@ -248,7 +279,7 @@ def test_per_tuple_counters_match_standalone_matchers(
     midpoint = data.draw(st.integers(prefix, len(records)), label="midpoint")
     with monkeypatch.context() as patch:
         if sweeps:
-            patch.setattr(matcher_module, "_IDLE_SWEEP_TUPLES", 3)
+            patch.setattr(engine_module, "_IDLE_SWEEP_TUPLES", 3)
         engine = CEPEngine(clock=SimulatedClock(), matcher_config=config)
         engine.create_stream("s")
         for query in deployed:
@@ -257,18 +288,17 @@ def test_per_tuple_counters_match_standalone_matchers(
             query.output: NFAMatcher(compile_pattern(query.pattern), query.output, config=config)
             for query in deployed
         }
+        stream = Stream(list(standalone.values()))
         for chunk in chunks:
             engine.push_many("s", chunk, batch_size=len(chunk))
-            for matcher in standalone.values():
-                matcher.process_batch(chunk, "s")
+            stream.push_batch(chunk)
         for number, record in enumerate(records[prefix:], start=prefix):
             if number == midpoint:
                 assert engine.query_stats() == {
                     name: matcher.stats.as_dict() for name, matcher in sorted(standalone.items())
                 }
             engine.push("s", record)
-            for matcher in standalone.values():
-                matcher.process(record, "s")
+            stream.push(record)
         for name, matcher in standalone.items():
             assert engine.get_query(name).matcher.capture_state() == matcher.capture_state()
 
@@ -284,8 +314,9 @@ class FullScan(NFAMatcher):
 
     @staticmethod
     def _stale(part, now, idle):
-        newest = max(run.step_timestamps[-1] for bucket in part.waiting for run in bucket)
-        return now - newest > idle
+        return not any(
+            now - run.step_timestamps[-1] <= idle for bucket in part.waiting for run in bucket
+        )
 
 
 def _tables(matcher):
@@ -310,10 +341,11 @@ def test_the_prefix_cut_equals_the_full_scan(monkeypatch, pattern, config, idle,
     # tuple and in chunks, across a snapshot, on monotone and jittered
     # time, every detection, counter, snapshot and run-table bound must be
     # the full scan's.
-    monkeypatch.setattr(matcher_module, "_IDLE_SWEEP_TUPLES", 3)
+    monkeypatch.setattr(engine_module, "_IDLE_SWEEP_TUPLES", 3)
     config = dataclasses.replace(config, partition_idle_seconds=idle)
     fast = NFAMatcher(pattern, "g", config=config)
     full = FullScan(pattern, "g", config=config)
+    stream = Stream([fast, full])
     midpoint = data.draw(st.integers(0, len(records)), label="midpoint")
     position = 0
     while position < len(records):
@@ -324,16 +356,15 @@ def test_the_prefix_cut_equals_the_full_scan(monkeypatch, pattern, config, idle,
             full = FullScan(pattern, "g", config=config)
             fast.restore_state(json.loads(json.dumps(state)))
             full.restore_state(json.loads(json.dumps(state)))
+            stream.matchers = [fast, full]
             midpoint = None
         chunk = records[position : position + data.draw(st.integers(1, 9), label="chunk")]
         position += len(chunk)
         if data.draw(st.booleans(), label="batched"):
-            detected = [_states(matcher.process_batch(chunk, "s")) for matcher in (fast, full)]
+            detected = [_states(found) for found in stream.push_batch(chunk)]
         else:
-            detected = [
-                [s for record in chunk for s in _states(matcher.process(record, "s"))]
-                for matcher in (fast, full)
-            ]
+            pushed = [stream.push(record) for record in chunk]
+            detected = [[s for found in pushed for s in _states(found[side])] for side in (0, 1)]
         assert detected[0] == detected[1]
         assert fast.stats.as_dict() == full.stats.as_dict()
         assert _tables(fast) == _tables(full)

@@ -15,6 +15,7 @@ import random
 import pytest
 
 from reference_matcher import ReferenceMatcher
+from repro.cep import engine as engine_module
 from repro.cep.engine import CEPEngine
 from repro.cep.expressions import BooleanOp, Comparison, FieldRef, Literal
 from repro.cep.matcher import MatcherConfig, NFAMatcher
@@ -48,6 +49,16 @@ def _matcher(
         sequence(events, within_seconds=within, select=select, consume=consume)
     )
     return NFAMatcher(pattern, output="g", config=MatcherConfig(**config_kwargs))
+
+
+def _feed_as_a_stream(matcher, records, pushed):
+    """Feed ``records`` one by one to a stream that had ``pushed`` tuples,
+    sweeping as an engine stream does: after every ``_IDLE_SWEEP_TUPLES``-th
+    tuple, at its timestamp."""
+    for number, record in enumerate(records, start=pushed + 1):
+        matcher.process(record, "s")
+        if not number % engine_module._IDLE_SWEEP_TUPLES:
+            matcher.sweep(record["ts"])
 
 
 def _player_tuples(player: int, values, start_ts=0.0, dt=0.1):
@@ -246,7 +257,7 @@ class TestPartitionSemantics:
         assert matcher.partition_keys() == [1]
         # >512 player-2 tuples spanning >5s of event time trigger the sweep.
         filler = _player_tuples(2, [999] * 600, start_ts=1.0, dt=0.05)
-        matcher.process_many(filler, "s")
+        _feed_as_a_stream(matcher, filler, pushed=2)
         assert matcher.partition_keys() == []
         assert matcher.furthest_step() == 0
 
@@ -256,7 +267,7 @@ class TestPartitionSemantics:
         matcher.process_many(_player_tuples(1, [10, 110]), "s")
         # Plenty of traffic, but little event time passes: no eviction.
         filler = _player_tuples(2, [999] * 600, start_ts=0.2, dt=0.001)
-        matcher.process_many(filler, "s")
+        _feed_as_a_stream(matcher, filler, pushed=2)
         assert matcher.partition_keys() == [1]
         # The surviving run still completes.
         detections = matcher.process(

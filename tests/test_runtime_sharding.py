@@ -9,6 +9,7 @@ on.
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 import zlib
@@ -250,6 +251,26 @@ class TestShardedRuntime:
             assert runtime.detections()
             runtime.clear_detections()
             assert runtime.detections() == []
+
+    def test_the_parents_log_is_each_detections_one_copy(self, spec):
+        frames = make_frames(players=4, rounds=20)
+        with self.runtime(spec) as runtime:
+            runtime.register_query(HIGH)
+            runtime.push_many("kinect_t", frames, batch_size=8)
+            detections = runtime.detections()
+            assert detections
+            # A shard engine drops what left with its replies ...
+            shard_states = runtime._broadcast("capture_state", None)
+            assert [state["detections"] for state in shard_states] == [[], []]
+            # ... and a snapshot still files each detection under its shard.
+            state = runtime.capture_state()
+            for shard_id in range(2):
+                stored = state["shards"][str(shard_id)]["detections"]
+                assert sorted(json.dumps(d, sort_keys=True) for d in stored) == sorted(
+                    json.dumps(d.to_state(), sort_keys=True)
+                    for d in detections
+                    if runtime.router.shard_for_key(d.partition) == shard_id
+                )
 
     def test_metrics_account_for_everything(self, spec):
         frames = make_frames(players=4, rounds=20)
