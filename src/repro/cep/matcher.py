@@ -78,7 +78,7 @@ can see it: :attr:`~NFAMatcher.stats`, :meth:`~NFAMatcher.capture_state`,
 and every change to the runs outside ``process``
 (:meth:`~NFAMatcher.process_batch`, :meth:`~NFAMatcher.reset`,
 :meth:`~NFAMatcher.restore_state`, a :meth:`~NFAMatcher.sweep` that drops
-a partition) call the engine's ``release`` hook first, so every reader
+a partition) call the fan-out's ``release`` hook first, so every reader
 sees what ``process`` on every tuple would have counted.
 :meth:`~NFAMatcher.process_batch` passes over a tuple whose gate
 bit is clear and whose partition holds no runs after one bit test and one
@@ -1080,7 +1080,7 @@ class NFAMatcher:
 
         A partition is only ever pruned by its own tuples, so a player who
         leaves the scene mid-gesture would park runs (and stale progress
-        feedback) forever.  The engine calls this every 512 tuples of each
+        feedback) forever.  The fan-out calls this every 512 tuples of each
         stream the query reads, at that stream's event time ``now``.  A
         partition survives if some run's newest timestamp lags ``now`` by
         at most ``partition_idle_seconds`` (a NaN is never recent; a NaN

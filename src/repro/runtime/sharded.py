@@ -330,9 +330,10 @@ class ShardedRuntime(Taps):
 
     def unregister_query(self, name: str) -> None:
         """Remove a deployed query from every shard."""
-        self.get_query(name)  # unknown names raise before any shard is asked
+        handle = self.get_query(name)  # unknown names raise before any shard is asked
         self._broadcast("undeploy", name)
         del self._queries[name]
+        handle.enabled = False
         self._notify_control("undeploy", {"name": name})
 
     def get_query(self, name: str) -> ShardedQuery:

@@ -512,6 +512,19 @@ class TestQueriesSharingAStreamStayIsolated:
         engine.push_many("s", [self._good(3.0)], batch_size=8)
         assert self._counts(engine) == {"a": 1, "b": 4, "c": 1}
 
+    @pytest.mark.parametrize("batch_size", [None, 8], ids=["per-tuple", "batched"])
+    def test_a_time_that_does_not_convert_fails_each_query_on_its_own(self, batch_size):
+        engine = self._engine()
+        with pytest.raises(ValueError, match="could not convert") as raised:
+            engine.push_many("s", [{**self._good(0.0), "ts": "abc"}], batch_size=batch_size)
+        failures = list(engine.get_stream("s").delivery_errors)
+        assert [failure.subscriber for failure in failures] == ["query:a", "query:c", "query:b"]
+        assert len({id(failure.error) for failure in failures}) == 3
+        assert raised.value is failures[0].error
+        assert {row["tuples_processed"] for row in engine.query_stats().values()} == {0}
+        engine.push("s", self._good(1.0))
+        assert self._counts(engine) == {"a": 1, "b": 1, "c": 1}
+
     @pytest.mark.parametrize("batch_size", [None, 4])
     def test_non_finite_coordinates_match_nothing_and_raise_nothing(self, batch_size):
         engine = self._engine()
@@ -525,6 +538,51 @@ class TestQueriesSharingAStreamStayIsolated:
         engine.push_many("s", frames, batch_size=batch_size)
         assert self._counts(engine) == {"a": 0, "b": 0, "c": 0}
         assert engine.query_stats()["b"]["tuples_processed"] == len(frames)
+
+
+class TestAnUnhashablePartitionValue:
+    """A partition value the wake state cannot look up: every query's matcher
+    raises on it, each records its own failure, and the runs it passed over
+    complete on the next tuple as if it had never come."""
+
+    @staticmethod
+    def _engine():
+        engine = CEPEngine(clock=SimulatedClock())
+        engine.create_stream("s")
+        for number in range(3):
+            centre = 10 * number
+            engine.register_query(
+                f'SELECT "g{number}" MATCHING s(abs(x - {centre}) < 2) -> '
+                f"s(abs(y - {centre}) < 2) within 1 seconds;"
+            )
+        return engine
+
+    OPEN = {"ts": 0.0, "player": 1, "x": 0.0, "y": -100.0}
+    BAD = {"ts": 0.1, "player": [1], "x": 0.0, "y": 0.0}
+    CLOSE = {"ts": 0.2, "player": 1, "x": -100.0, "y": 0.0}
+
+    @pytest.mark.parametrize("batch_size", [None, 8], ids=["per-tuple", "batched"])
+    def test_each_query_fails_alone_and_the_gesture_still_completes(self, batch_size):
+        engine = self._engine()
+        engine.push_many("s", [self.OPEN], batch_size=batch_size)
+        if batch_size is None:
+            assert engine._fanouts["s"].tracking  # woken by bit
+        with pytest.raises(TypeError, match="unhashable") as raised:
+            engine.push_many("s", [self.BAD], batch_size=batch_size)
+        failures = list(engine.get_stream("s").delivery_errors)
+        assert [failure.subscriber for failure in failures] == ["query:g0", "query:g1", "query:g2"]
+        assert all(isinstance(failure.error, TypeError) for failure in failures)
+        assert raised.value is failures[0].error
+        engine.push_many("s", [self.CLOSE], batch_size=batch_size)
+        stats = engine.query_stats()
+        assert {name: row["tuples_processed"] for name, row in stats.items()} == {
+            "g0": 3, "g1": 3, "g2": 3
+        }
+        clean = self._engine()
+        clean.push_many("s", [self.OPEN, self.CLOSE], batch_size=batch_size)
+        assert [(d.query_name, d.timestamp, d.partition) for d in engine.detections()] == [
+            (d.query_name, d.timestamp, d.partition) for d in clean.detections()
+        ] == [("g0", 0.2, 1)]
 
 
 class TestStepIndexWiring:
@@ -659,6 +717,47 @@ class TestWakeOnBit:
             ("opener", 0.1),
         ]
         assert engine.query_stats()["opener"]["tuples_processed"] == 2
+
+    def test_a_state_rebuilt_mid_delivery_claims_none_of_the_tuple(self):
+        # "a" completes on the tuple first and its sink feeds another, which
+        # rebuilds the wake state; "u" (not woken by bit) then emits, and its
+        # sink reads the counters before "d" has taken the first tuple.  The
+        # rebuilt state never counted that tuple, so it owes "d" the fed one.
+        engine = CEPEngine(clock=SimulatedClock())
+        engine.create_stream("s")
+        feeder = engine.register_query('SELECT "a" MATCHING s(abs(y - 0) < 2);')
+        reader = engine.register_query('SELECT "u" MATCHING s(y * 1 < 2 and y * 1 > -2);')
+        engine.register_query(
+            'SELECT "d" MATCHING s(abs(x - 0) < 2) -> s(abs(y - 5) < 2) within 1 seconds;'
+        )
+        fed = []
+
+        def feed(detection):
+            if not fed:
+                fed.append(detection)
+                engine.push("s", {"ts": 0.1, "player": 2, "x": -100.0, "y": -100.0})
+
+        feeder.sink.add(CallbackSink(feed))
+        reader.sink.add(CallbackSink(lambda detection: engine.query_stats()))
+        frames = [(0.0, 1, -100.0, -100.0), (0.05, 1, 0.0, 0.0), (0.2, 3, -100.0, -100.0)]
+        for ts, player, x, y in frames:
+            engine.push("s", {"ts": ts, "player": player, "x": x, "y": y})
+        assert [m.deployed.name for m in engine._fanouts["s"].members if m.tracked] == ["a", "d"]
+        stats = engine.query_stats()
+        assert {name: row["tuples_processed"] for name, row in stats.items()} == {
+            "a": 4, "u": 4, "d": 4
+        }
+        assert stats["d"]["runs_started"] == 1
+
+    def test_a_prune_that_moves_the_oldest_run_is_read_back(self, monkeypatch):
+        # The third start pose prunes the run opened at 0 s: the step stays
+        # occupied, but the partition's oldest run is now 0.5 s old, so the
+        # tuples before 1.5 s owe the query no prune and wake nothing.
+        frames = [{"ts": ts, "player": 1, "x": 0.0, "y": -100.0} for ts in (0.0, 0.5, 1.1)]
+        frames += [{"ts": ts, "player": 1, "x": -100.0, "y": -100.0} for ts in (1.2, 1.3, 1.4)]
+        engine, calls = self._entries(monkeypatch, 1, frames)
+        assert calls == ["process"] * 3
+        assert engine.query_stats()["g0"]["runs_pruned"] == 1
 
     def test_gated_out_tuples_enter_no_matcher(self, monkeypatch):
         frames = [frame for frame in self._feed() if frame["player"] > 2]

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from repro.cep import engine as engine_module
+from repro.cep import fanout as fanout_module
 from repro.cep.engine import CEPEngine
 from repro.cep.expressions import Comparison, FieldRef, Literal
 from repro.cep.matcher import MatcherConfig, NFAMatcher
@@ -475,7 +475,7 @@ class TestOrderedPartitions:
     def test_the_idle_sweep_reclaims_only_the_player_who_left(self, monkeypatch):
         # Every partition is older than the idle limit, so none is passed
         # over on `oldest` alone; only the one whose newest run is stale goes.
-        monkeypatch.setattr(engine_module, "_IDLE_SWEEP_TUPLES", 3)
+        monkeypatch.setattr(fanout_module, "_IDLE_SWEEP_TUPLES", 3)
         matcher = NFAMatcher(
             self._engine([]).pattern, "g", config=MatcherConfig(partition_idle_seconds=0.5)
         )
@@ -483,7 +483,7 @@ class TestOrderedPartitions:
         # The engine's rule: a sweep after every period's last tuple.
         for number, record in enumerate(records, start=1):
             matcher.process(record, "s")
-            if not number % engine_module._IDLE_SWEEP_TUPLES:
+            if not number % fanout_module._IDLE_SWEEP_TUPLES:
                 matcher.sweep(record["ts"])
         assert sorted(matcher.runs) == [1, 2]
         assert matcher.stats.runs_evicted == 31

@@ -344,7 +344,8 @@ def make_engine(engine: str):
         inline = CEPEngine()
         inline.create_stream("kinect_t")
         return inline
-    return ShardedRuntime(shard_count=2).start()
+    shards, executor = ENGINES[engine]
+    return ShardedRuntime(shard_count=shards, executor=executor).start()
 
 
 def stop(target):
@@ -391,6 +392,19 @@ class TestControlTaps:
             target.remove_control_tap(refuse)
             target.unregister_query("high")
             assert target.query_names() == []
+        finally:
+            stop(target)
+
+
+class TestUndeploy:
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_a_handle_kept_past_undeploy_is_disabled(self, engine):
+        target = make_engine(engine)
+        try:
+            handle = target.register_query(HIGH)
+            assert handle.enabled is True
+            target.unregister_query("high")
+            assert handle.enabled is False
         finally:
             stop(target)
 

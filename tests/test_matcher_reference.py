@@ -22,7 +22,7 @@ from repro.cep.expressions import (
     Literal,
     abs_diff_predicate,
 )
-from repro.cep import engine as engine_module
+from repro.cep import fanout as fanout_module
 from repro.cep.engine import CEPEngine
 from repro.cep.matcher import MatcherConfig, NFAMatcher
 from repro.cep.nfa import CompiledPattern, Step, TimeConstraint, compile_pattern
@@ -121,7 +121,7 @@ class Stream:
         return detections
 
     def _count(self, tuples, now):
-        period = engine_module._IDLE_SWEEP_TUPLES
+        period = fanout_module._IDLE_SWEEP_TUPLES
         before, self.pushed = self.pushed, self.pushed + tuples
         if before // period != self.pushed // period:
             for matcher in self.matchers:
@@ -279,7 +279,7 @@ def test_per_tuple_counters_match_standalone_matchers(
     midpoint = data.draw(st.integers(prefix, len(records)), label="midpoint")
     with monkeypatch.context() as patch:
         if sweeps:
-            patch.setattr(engine_module, "_IDLE_SWEEP_TUPLES", 3)
+            patch.setattr(fanout_module, "_IDLE_SWEEP_TUPLES", 3)
         engine = CEPEngine(clock=SimulatedClock(), matcher_config=config)
         engine.create_stream("s")
         for query in deployed:
@@ -341,7 +341,7 @@ def test_the_prefix_cut_equals_the_full_scan(monkeypatch, pattern, config, idle,
     # tuple and in chunks, across a snapshot, on monotone and jittered
     # time, every detection, counter, snapshot and run-table bound must be
     # the full scan's.
-    monkeypatch.setattr(engine_module, "_IDLE_SWEEP_TUPLES", 3)
+    monkeypatch.setattr(fanout_module, "_IDLE_SWEEP_TUPLES", 3)
     config = dataclasses.replace(config, partition_idle_seconds=idle)
     fast = NFAMatcher(pattern, "g", config=config)
     full = FullScan(pattern, "g", config=config)

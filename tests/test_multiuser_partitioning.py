@@ -15,7 +15,7 @@ import random
 import pytest
 
 from reference_matcher import ReferenceMatcher
-from repro.cep import engine as engine_module
+from repro.cep import fanout as fanout_module
 from repro.cep.engine import CEPEngine
 from repro.cep.expressions import BooleanOp, Comparison, FieldRef, Literal
 from repro.cep.matcher import MatcherConfig, NFAMatcher
@@ -57,7 +57,7 @@ def _feed_as_a_stream(matcher, records, pushed):
     tuple, at its timestamp."""
     for number, record in enumerate(records, start=pushed + 1):
         matcher.process(record, "s")
-        if not number % engine_module._IDLE_SWEEP_TUPLES:
+        if not number % fanout_module._IDLE_SWEEP_TUPLES:
             matcher.sweep(record["ts"])
 
 

@@ -27,6 +27,7 @@ from repo_lint import (  # noqa: E402 — path set up above
     EXPOSITION_WRITER,
     HASH_FORBIDDEN_PATHS,
     LOAD_SHEDDER,
+    MATCHER_DOORS,
     MESSAGE_CARRIER,
     ORPHAN_CONSUMER_ROOTS,
     ORPHAN_KEEP,
@@ -74,7 +75,7 @@ class TestRepositoryIsClean:
         out = capsys.readouterr().out
         for code in (
             "RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007", "RL008", "RL009",
-            "RL010", "RL011", "RL012", "RL013", "RL014", "RL015",
+            "RL010", "RL011", "RL012", "RL013", "RL014", "RL015", "RL016",
         ):
             assert code in out
 
@@ -916,4 +917,56 @@ class TestRL015OneDoorToTheRunTables:
             tmp_path, "benchmarks/e2e/tracing.py", "def f(self):\n    self.waiting = set()\n"
         )
         for path in (reader, owner, outside):
+            assert lint_file(path, root=tmp_path) == []
+
+
+class TestRL016OneDoorToTheMatcherEntryPoints:
+    @pytest.mark.parametrize(
+        "source, lines",
+        [
+            ("def feed(matcher, record):\n    return matcher.process(record, 's')\n", [2]),
+            (
+                "def chunk(deployed, records):\n"
+                "    return deployed.matcher.process_batch(records, 's')\n",
+                [2],
+            ),
+            ("def skip(matcher):\n    matcher.settle('s', 3, 0)\n", [2]),
+            ("def reclaim(queries, now):\n    [q.matcher.sweep(now) for q in queries]\n", [2]),
+            ("def hook(matcher, state):\n    matcher.release = state.release\n", [2]),
+            ("def unhook(a, b):\n    a.release, b.release = None, None\n", [2, 2]),
+        ],
+        ids=["process", "process_batch", "settle", "sweep", "hook", "unpacked-hook"],
+    )
+    def test_a_matcher_entered_outside_the_fanout_is_flagged(self, tmp_path, source, lines):
+        path = write_module(tmp_path, "src/repro/cep/engine.py", source)
+        violations = lint_file(path, root=tmp_path)
+        assert sorted((v.code, v.line) for v in violations) == [("RL016", n) for n in lines]
+        assert all(door in violations[0].message for door in MATCHER_DOORS)
+
+    def test_the_doors_reads_and_other_trees_are_allowed(self, tmp_path):
+        reader = write_module(
+            tmp_path,
+            "src/repro/api/session.py",
+            "def look(matcher, state):\n"
+            "    state.released = matcher.release\n"
+            "    return matcher.process, matcher.stats, state.release()\n",
+        )
+        doors = [
+            write_module(
+                tmp_path,
+                door,
+                "def deliver(member, record, now):\n"
+                "    member.matcher.release = None\n"
+                "    member.matcher.settle('s', 1, 0)\n"
+                "    member.matcher.sweep(now)\n"
+                "    return member.matcher.process(record, 's')\n",
+            )
+            for door in MATCHER_DOORS
+        ]
+        outside = write_module(
+            tmp_path,
+            "benchmarks/e2e/tracing.py",
+            "def f(matcher, records):\n    return matcher.process_batch(records, 's')\n",
+        )
+        for path in (reader, *doors, outside):
             assert lint_file(path, root=tmp_path) == []

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repository-specific lint rules that generic linters do not cover.
 
-Fifteen rules, all born from real failure modes of this codebase:
+Sixteen rules, all born from real failure modes of this codebase:
 
 ``RL001`` — no builtin ``hash()`` on routing/persistence code paths or in benchmarks
     CPython salts ``hash()`` per process (PYTHONHASHSEED), so a shard
@@ -134,10 +134,10 @@ Fifteen rules, all born from real failure modes of this codebase:
 ``RL014`` — one door to the matcher's counters
     The engine's per-tuple path once bumped four ``MatcherStats`` counters
     of every deployed query on every tuple, through a matcher method that
-    did nothing else.  It now calls a matcher only when a tuple can change
-    it and hands it the rest in bulk (``NFAMatcher.settle``), and the
-    counters stay exact for every reader because ``NFAMatcher.stats``
-    settles first.  Under ``src/repro``, outside
+    did nothing else.  A stream's fan-out now calls a matcher only when a
+    tuple can change it and hands it the rest in bulk
+    (``NFAMatcher.settle``), and the counters stay exact for every reader
+    because ``NFAMatcher.stats`` settles first.  Under ``src/repro``, outside
     ``src/repro/cep/matcher.py``, nothing may assign or augment-assign an
     attribute named after a ``MatcherStats`` field on a ``.stats`` object
     (``Stream.stats.pushed`` and ``.dropped`` are not such fields): a
@@ -146,14 +146,26 @@ Fifteen rules, all born from real failure modes of this codebase:
 
 ``RL015`` — one door to the run tables
     A partition whose time runs forward prunes by cutting an expired
-    prefix off each bucket, and the engine's wake state trusts each run
-    table's ``oldest`` and ``occupied``.  Both are exact only while the
-    matcher is the one writer of its tables.  Under ``src/repro``, outside
+    prefix off each bucket, and the fan-out's wake state
+    (``src/repro/cep/fanout.py``) trusts each run table's ``oldest`` and
+    ``occupied``.  Both are exact only while the matcher is the one
+    writer of its tables.  Under ``src/repro``, outside
     ``src/repro/cep/matcher.py``, nothing may assign, augment-assign or
     delete an attribute named ``oldest``, ``occupied``, ``waiting``,
     ``latest`` or ``ordered``, and nothing may mutate a ``.waiting[...]``
     bucket (item assignment or deletion, or a list method that changes it).
-    ``count``, which the engine's wake state also keeps, is left out.
+    ``count``, which the fan-out's wake state also keeps, is left out.
+
+``RL016`` — one door to a matcher's entry points
+    The fan-out's wake state knows what every deployed matcher's runs
+    hold and what each is owed, because it is the one caller that enters
+    a matcher: a tuple it delivers, a chunk, a bulk count, an idle sweep,
+    and the ``release`` hook each matcher calls before its runs change
+    any other way.  A matcher entered anywhere else changes its runs
+    behind that state.  Under ``src/repro``, outside
+    ``src/repro/cep/matcher.py`` and ``src/repro/cep/fanout.py``, nothing
+    may call an attribute named ``process``, ``process_batch``,
+    ``settle`` or ``sweep``, nor assign an attribute named ``release``.
 
 Run as a script (CI) or through ``tests/test_repo_lint.py``::
 
@@ -262,6 +274,13 @@ RUN_TABLE_OWNER = COUNTER_OWNER
 RUN_TABLE_GUARDED_PATH = "src/repro"
 RUN_TABLE_FIELDS = ("oldest", "occupied", "waiting", "latest", "ordered")
 LIST_MUTATORS = ("append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse")
+
+#: The modules allowed to enter a matcher (RL016), the tree it guards, the
+#: entry points and the hook.
+MATCHER_DOORS = (COUNTER_OWNER, "src/repro/cep/fanout.py")
+MATCHER_DOOR_GUARDED_PATH = "src/repro"
+MATCHER_ENTRY_POINTS = ("process", "process_batch", "settle", "sweep")
+MATCHER_HOOK = "release"
 
 #: The tree whose public names must have a caller (RL009); the trees outside
 #: it whose references count as callers.
@@ -701,6 +720,31 @@ def _lint_run_table_writes(path: Path, tree: ast.AST, relative: str) -> Iterable
             )
 
 
+def _lint_matcher_entries(path: Path, tree: ast.AST, relative: str) -> Iterable[Violation]:
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in MATCHER_ENTRY_POINTS
+        ):
+            yield Violation(
+                relative,
+                node.lineno,
+                "RL016",
+                f"'{node.func.attr}()' called outside {' and '.join(MATCHER_DOORS)}; "
+                "a stream's fan-out is the one caller that enters a matcher",
+            )
+        for target in _assignment_targets(node):
+            if isinstance(target, ast.Attribute) and target.attr == MATCHER_HOOK:
+                yield Violation(
+                    relative,
+                    target.lineno,
+                    "RL016",
+                    f"'{MATCHER_HOOK}' hook set outside {' and '.join(MATCHER_DOORS)}; "
+                    "only the fan-out's wake state settles what a matcher is owed",
+                )
+
+
 def lint_file(path: Path, root: Optional[Path] = None) -> List[Violation]:
     """Lint one Python file; returns its violations."""
     root = root or REPO_ROOT
@@ -743,6 +787,8 @@ def lint_file(path: Path, root: Optional[Path] = None) -> List[Violation]:
         violations.extend(_lint_counter_writes(path, tree, relative))
     if posix.startswith(RUN_TABLE_GUARDED_PATH) and posix != RUN_TABLE_OWNER:
         violations.extend(_lint_run_table_writes(path, tree, relative))
+    if posix.startswith(MATCHER_DOOR_GUARDED_PATH) and posix not in MATCHER_DOORS:
+        violations.extend(_lint_matcher_entries(path, tree, relative))
     return violations
 
 
@@ -895,6 +941,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             RUN_TABLE_GUARDED_PATH,
             "outside",
             RUN_TABLE_OWNER,
+        )
+        print(
+            "RL016  no call to",
+            " / ".join(f".{name}()" for name in MATCHER_ENTRY_POINTS),
+            f"and no assignment to .{MATCHER_HOOK} under",
+            MATCHER_DOOR_GUARDED_PATH,
+            "outside",
+            " and ".join(MATCHER_DOORS),
         )
         return 0
     violations = lint_repository()

@@ -45,7 +45,7 @@ from typing import Any, Dict, List, Mapping, NamedTuple, Sequence
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: Tuples of a stream between idle sweeps (``repro.cep.engine``).
+#: Tuples of a stream between idle sweeps (``repro.cep.fanout``).
 SWEEP_PERIOD = 512
 PLAYERS = 8
 CHUNK = 8
