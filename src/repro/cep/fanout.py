@@ -7,8 +7,14 @@ of every query on it, built on the first tuple after a deploy, undeploy or
 verdicts and event times once, then hands the tuple to its queries: each
 keeps its own matcher, ``MatcherStats``, ``matcher:<name>`` span and sinks,
 and :meth:`Fanout._take` is the one place a query is given a tuple or a
-chunk (repo lint RL016 keeps matchers entered nowhere else).  A chunk goes
-to every query, in deploy order.  A tuple goes only to the queries it can
+chunk (repo lint RL016 keeps matchers entered nowhere else).  A chunk is
+grouped by partition once (:class:`~repro.cep.matcher.ChunkPlan`) and goes,
+in deploy order, to every enabled query but the tracked ones (below) whose
+gate bit no tuple of it carries and which hold no run in any of its
+partitions: those are counted in bulk (:meth:`NFAMatcher.settle`).  Each
+query that takes the chunk passes over the partitions and tuples of it
+that cannot change its runs (see "Batched path" in
+:mod:`repro.cep.matcher`).  A tuple goes only to the queries it can
 change — its gate bit, the bit of a step its player's runs wait for (a step
 without a bit always), a prune of those runs due — and the rest are counted
 in bulk (:meth:`NFAMatcher.settle`; the fan-out keeps per-player wake masks
@@ -19,11 +25,11 @@ deploy order, and the others after the detections went out; a sink still
 sees the tuple delivered in deploy order, since whatever could tell the
 difference from inside it — a counter or progress read, a control, a tuple
 fed from the sink — first hands the earlier ones the tuple.  A traced tuple
-goes to every query, so each keeps its span; so does every tuple when no
-query is woken by bit.  A tuple the index cannot read (a missing or
-non-numeric field) falls back to every query's closures, and so does a
-stream where the index would answer no query's gate: there a lookup per
-tuple would buy nothing.  A query that raises costs only itself, as a
+(or chunk) goes to every query, so each keeps its span; so does every
+tuple when no query is woken by bit.  A tuple the index cannot read (a
+missing or non-numeric field) falls back to every query's closures, and so
+does a stream where the index would answer no query's gate: there a lookup
+per tuple would buy nothing.  A query that raises costs only itself, as a
 separate subscription would: the rest still get the tuple, each query
 records its own failure, and the producer sees the first error in deploy
 order.  An event time that does not convert fails every query, and an
@@ -34,9 +40,10 @@ Wake state
 A tuple calls :meth:`NFAMatcher.process` only on the queries it can change;
 every other tracked query is owed the count ``process`` would have made,
 settled in bulk by :meth:`Fanout.release`.  The state is built on the first
-per-tuple tuple after a release, which a batch, a control and a read of a
-matcher's counters all cause (the matcher's ``release`` hook).  ``ready``
-is false until it is built, and while detections are emitted (``busy``).
+per-tuple tuple after a release, which a batch (once per chunk), a control
+and a read of a matcher's counters all cause (the matcher's ``release``
+hook).  ``ready`` is false until it is built, and while detections are
+emitted (``busy``).
 Every release bumps ``epoch``: a delivery that sees it move stops keeping
 the wake state it started with, and settles the state rebuilt since before
 its next query's runs change.
@@ -65,7 +72,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cep.index import ALWAYS, StepIndex
-from repro.cep.matcher import UNPARTITIONED
+from repro.cep.matcher import UNPARTITIONED, ChunkPlan
 from repro.cep.sinks import DetectionLog
 from repro.observability.tracing import current_context
 from repro.streams.stream import Stream
@@ -256,25 +263,31 @@ class Fanout:
         return float(value) if value is not None else self.clock.now()
 
     def _take(
-        self, member: _Member, many: bool, items: Any, times: Any, verdicts: Any, context: Any
+        self, member: _Member, plan: Optional[ChunkPlan], items: Any, times: Any, verdicts: Any,
+        context: Any,
     ) -> Optional[Exception]:
         """Give ``member``'s query the tuple ``items`` at event time
-        ``times``, or the chunk ``items`` (``many``) at theirs (``None``: no
-        time converted, so it fails on its own conversion).  Returns the
-        error it raised, recorded as its own subscription's would be."""
+        ``times``, or (with ``plan``) the chunk ``items`` at theirs
+        (``None``: no time converted, so it fails on its own conversion).
+        Returns the error it raised, recorded as its own subscription's
+        would be."""
         deployed = member.deployed
         try:
             if times is None:
-                times = [self.time(record) for record in items] if many else self.time(items)
+                if plan is not None:
+                    times = [self.time(record) for record in items]
+                else:
+                    times = self.time(items)
             span = None
             if context is not None:
                 span = self.engine.tracer.span(f"matcher:{deployed.name}", "matcher", context)
-            if many:
-                detections = member.matcher.process_batch(items, self.name, times, verdicts)
+            if plan is not None:
+                detections = member.matcher.process_batch(items, self.name, times, verdicts, plan)
             else:
                 detections = member.matcher.process(items, self.name, times, verdicts)
             if span is not None:
-                span.close(tuples=len(items) if many else 1, detections=len(detections))
+                tuples = len(items) if plan is not None else 1
+                span.close(tuples=tuples, detections=len(detections))
             if detections:
                 self.log.extend(detections)
                 outer = self.busy
@@ -378,7 +391,7 @@ class Fanout:
                     late ^= deferred
                     self.deferred = deferred
                     self.held = (record, timestamp, verdicts, key, awake, epoch)
-                error = self._take(member, False, record, timestamp, verdicts, context)
+                error = self._take(member, None, record, timestamp, verdicts, context)
                 self.inflight, self.pending, self.unread = None, 0, 0
                 if deferred:
                     late |= self.deferred
@@ -429,18 +442,21 @@ class Fanout:
                 member.claimed += 1
             else:
                 self.release()
-            error = self._take(member, False, record, timestamp, verdicts, None)
+            error = self._take(member, None, record, timestamp, verdicts, None)
             if error is not None:
                 self.failures.append((flag, error))
             if booked and self.epoch == epoch:
                 self.processed(member, key, awake)
 
     def handle_batch(self, records: Sequence[Mapping[str, Any]]) -> None:
-        """The batch callback: every enabled query takes the chunk, in
-        deploy order."""
+        """The batch callback: group the chunk by partition once, give it to
+        the enabled queries it can change, in deploy order, and count it in
+        bulk for the rest."""
         # The chunk is counted already; a tuple fed from a sink counts after it.
         pushed = self.stats.pushed
         members = self.members or self.bind()
+        # The chunk changes runs behind the wake state: settle it once.
+        self.release()
         lookup = self.index.lookup
         verdicts = [lookup(record) for record in records] if self.index.fields else None
         tracer = self.engine.tracer
@@ -450,11 +466,28 @@ class Fanout:
             timestamps: Optional[List[float]] = [time(record) for record in records]
         except Exception:  # noqa: BLE001 — every query fails on it, each on its own (_take)
             timestamps = None
+        plan = ChunkPlan(records, self.field, verdicts)
+        # The verdicts of the whole chunk, when a tracked query may be passed
+        # over on them (a traced chunk keeps every query's span).
+        quiet = plan.mask
+        if timestamps is None or context is not None or plan.size < len(records):
+            quiet = None
+        groups = plan.groups
         first: Optional[Exception] = None
         for member in members:
-            if member.deployed.enabled:
-                error = self._take(member, True, records, timestamps, verdicts, context)
-                first = first or error
+            if not member.deployed.enabled:
+                continue
+            if (
+                quiet is not None
+                and member.tracked
+                and not quiet & member.gate
+                and groups.keys().isdisjoint(member.runs)
+            ):
+                # It opens no run and holds none the chunk can touch.
+                member.matcher.settle(self.name, len(records), 0)
+                continue
+            error = self._take(member, plan, records, timestamps, verdicts, context)
+            first = first or error
         # At the end of a chunk that reaches a multiple of the period.
         if timestamps and pushed % _IDLE_SWEEP_TUPLES < len(records):
             self.sweep(timestamps[-1])

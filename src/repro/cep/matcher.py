@@ -80,9 +80,8 @@ and every change to the runs outside ``process``
 :meth:`~NFAMatcher.restore_state`, a :meth:`~NFAMatcher.sweep` that drops
 a partition) call the fan-out's ``release`` hook first, so every reader
 sees what ``process`` on every tuple would have counted.
-:meth:`~NFAMatcher.process_batch` passes over a tuple whose gate
-bit is clear and whose partition holds no runs after one bit test and one
-dict lookup — counting it as the gate rejection it is.
+The same tables let :meth:`~NFAMatcher.process_batch` pass over the
+tuples of a chunk that cannot change its runs (see "Batched path").
 
 Expiry is checked only when something can expire.  Each partition keeps a
 lower bound ``oldest`` on every timestamp its runs hold, and pruning returns
@@ -127,16 +126,33 @@ Batched path
 ------------
 :meth:`NFAMatcher.process_batch` feeds a whole chunk of tuples (sharing one
 prune window) through the same buckets: expired runs are pruned once per
-partition at the batch boundary instead of per tuple, while ``within``
-constraints are still enforced exactly on every advancement.  Expired runs
-that linger mid-batch cannot change the outcome: advancement past an
-expired constraint is rejected when the constraint's span ends,
-TTL-governed patterns fall back to per-tuple pruning, and hitting the run
-cap lazily evicts expired runs before suppressing a new one — so with
-monotone timestamps the batched detections are identical to the per-tuple
-path's.  Every tuple of a chunk checks its partition's order as a tuple
-fed alone does, so a chunk that runs backwards inside one partition moves
-that partition to the full scan from the next prune on.
+partition, at the chunk's first tuple of it, instead of per tuple, while
+``within`` constraints are still enforced exactly on every advancement.
+Expired runs that linger mid-batch cannot change the outcome: advancement
+past an expired constraint is rejected when the constraint's span ends,
+TTL-governed patterns prune per tuple, and hitting the run cap lazily
+evicts expired runs before suppressing a new one — so with monotone
+timestamps the batched detections are identical to the per-tuple path's.
+Every tuple of a chunk checks its partition's order as a tuple fed alone
+does, so a chunk that runs backwards inside one partition moves that
+partition to the full scan from the next prune on.
+
+A chunk is grouped by partition once (:class:`ChunkPlan`: each tuple's
+key, each partition's tuple positions and the OR of their verdicts); an
+engine builds the plan once for all the queries on a stream, and a
+standalone call builds its own.  After the first tuple's prune, a
+partition whose OR misses the gate bit and every bit its runs wait for
+(``wake_tables`` of its ``occupied``) is passed over whole, as is a single
+tuple that misses them; under a TTL, only while no prune is due on any of
+them.  Each is counted as :meth:`NFAMatcher.process` would count it —
+``tuples_processed``, ``gate_rejections`` and the wake tables'
+``predicate_evaluations`` — and an emptied partition is dropped as it would
+be.  A tuple without verdicts is never passed over.  The remaining tuples
+are processed in arrival order, so sequence numbers, ``select`` /
+``consume`` and the detections' order are those of the full loop.  Such a
+skip leaves ``latest`` and ``ordered`` where they were, as the per-tuple
+wake does: only processed tuples write timestamps into runs, and the
+order they were processed in is what "Ordered partitions" relies on.
 
 Run-cap semantics
 -----------------
@@ -159,7 +175,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from itertools import repeat
+from itertools import chain, repeat
 from typing import (
     Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 )
@@ -464,6 +480,56 @@ def _in_order(runs: Sequence[Tuple[int, _Run]]) -> bool:
             if any(not a <= b for a, b in zip(prior.step_timestamps, stamps)):
                 return False
     return True
+
+
+class ChunkPlan:
+    """A chunk grouped by partition, once for every query reading it.
+
+    ``keys`` holds each tuple's partition key (by ``field``, or
+    :data:`UNPARTITIONED` when ``field`` is ``None``) and ``groups`` maps
+    each key, in order of first arrival, to ``[positions, mask]``: its
+    tuples' positions in the chunk and the OR of their verdicts (``None``
+    when a tuple has none).  ``mask`` is the OR over the chunk.  ``size``
+    is how many tuples were grouped: the plan stops at the first tuple
+    whose key cannot be looked up, which each query then raises on after
+    taking the tuples before it, as it would without a plan.
+    """
+
+    __slots__ = ("keys", "groups", "mask", "size")
+
+    def __init__(
+        self,
+        records: Sequence[Mapping[str, Any]],
+        field: Optional[str],
+        verdicts: Optional[Sequence[Optional[int]]] = None,
+    ) -> None:
+        keys: List[Any] = []
+        groups: Dict[Any, List[Any]] = {}
+        masks = repeat(None) if verdicts is None else verdicts
+        size = len(records)
+        try:
+            for position, (record, mask) in enumerate(zip(records, masks)):
+                key = record.get(field) if field is not None else UNPARTITIONED
+                group = groups.get(key)
+                if group is None:
+                    groups[key] = [[position], mask]
+                else:
+                    group[0].append(position)
+                    if group[1] is not None:
+                        group[1] = None if mask is None else group[1] | mask
+                keys.append(key)
+        except Exception:  # noqa: BLE001 — each query raises on that tuple (process_batch)
+            size = len(keys)
+        self.keys = keys
+        self.groups = groups
+        self.size = size
+        chunk: Optional[int] = 0
+        for _, mask in groups.values():
+            if mask is None:
+                chunk = None
+                break
+            chunk |= mask
+        self.mask = chunk
 
 
 class NFAMatcher:
@@ -888,18 +954,25 @@ class NFAMatcher:
         stream: str,
         timestamps: Optional[Sequence[float]] = None,
         verdicts: Optional[Sequence[Optional[int]]] = None,
+        plan: Optional[ChunkPlan] = None,
     ) -> List[Detection]:
         """Feed a chunk of tuples sharing one prune window.
 
-        Expired runs are pruned once per partition, when the batch first
-        touches that partition, instead of per tuple; ``within`` constraints
-        are still enforced exactly whenever a run advances.  When the TTL
-        can govern a run (some step is not covered by any constraint and
-        ``run_ttl_seconds`` is set) pruning falls back to per tuple, and
-        reaching the run cap mid-batch lazily evicts expired runs before
-        suppressing a new one — so with monotone timestamps this produces
-        the same detections as calling :meth:`process` per tuple
+        Expired runs are pruned once per partition, at the chunk's first
+        tuple of that partition, instead of per tuple; ``within``
+        constraints are still enforced exactly whenever a run advances.
+        When the TTL can govern a run (some step is not covered by any
+        constraint and ``run_ttl_seconds`` is set) pruning falls back to per
+        tuple, and reaching the run cap mid-batch lazily evicts expired runs
+        before suppressing a new one — so with monotone timestamps this
+        produces the same detections as calling :meth:`process` per tuple
         (``tests/test_execution_modes.py`` asserts it at a binding cap).
+
+        A partition whose verdicts, OR-ed over the chunk, miss :meth:`gate`
+        and every bit its runs wait for (:meth:`wake_tables`) is passed over
+        whole, and so is a single tuple that misses them, provided no prune
+        is due on it: each is counted as :meth:`process` would count it.
+        The other tuples are processed in arrival order.
 
         Parameters
         ----------
@@ -912,42 +985,88 @@ class NFAMatcher:
             defaults to each tuple's timestamp field.
         verdicts:
             Optional index masks, parallel to ``records`` (see
-            :meth:`process`).  A tuple whose mask lacks :meth:`gate` and
-            whose partition holds no runs is only counted.
+            :meth:`process`).
+        plan:
+            The chunk grouped by this matcher's partition field, with
+            ``verdicts``; built here when absent.
         """
         self._released()
-        self._stats.tuples_processed += len(records)
+        stats = self._stats
+        stats.tuples_processed += len(records)
         if not records or stream not in self._advance_order:
             return []
         if timestamps is None:
             timestamp_field = self.config.timestamp_field
             timestamps = [float(r.get(timestamp_field, 0.0)) for r in records]
-        detections: List[Detection] = []
-        partitions = self._partitions
         field = self._partition_field
+        if plan is None:
+            plan = ChunkPlan(records, field, verdicts)
+        partitions = self._partitions
+        gate = self.gate(stream)
+        wake, costs, _ = self._wake_tables[stream]
+        window = self._shortest_window
         # TTL expiry is not re-checked on advancement (unlike within
         # constraints), so under a TTL only per-tuple pruning keeps equivalence.
         prune_every_tuple = self._ttl is not None
-        pruned: set = set()
-        gate = self.gate(stream)
-        rejected = 0
-        masks = repeat(None) if verdicts is None else verdicts
-        for record, timestamp, mask in zip(records, timestamps, masks):
-            key = record.get(field) if field is not None else UNPARTITIONED
+        skipped = evaluations = 0
+        visits: List[List[int]] = []
+        for key, (positions, mask) in plan.groups.items():
             part = partitions.get(key)
-            if part is None and mask is not None and not mask & gate:
-                # Marking ``key`` pruned is moot: pruning a partition that
-                # does not exist yet is a no-op either way.
-                rejected += 1
+            if part is not None:
+                self._prune(part, timestamps[positions[0]])
+                if (
+                    mask is not None
+                    and not mask & (gate | wake[part.occupied])
+                    and not (
+                        prune_every_tuple
+                        and any(timestamps[p] - part.oldest > window for p in positions)
+                    )
+                ):
+                    skipped += len(positions)
+                    evaluations += len(positions) * costs[part.occupied]
+                    if not part.count:
+                        del partitions[key]
+                    continue
+            elif mask is not None and not mask & gate:
+                skipped += len(positions)
                 continue
-            if prune_every_tuple or key not in pruned:
-                pruned.add(key)
-                if part is not None:
+            visits.append(positions)
+        if len(visits) == len(plan.groups):
+            order: Iterable[int] = range(plan.size)
+        elif len(visits) == 1:
+            order = visits[0]
+        else:
+            order = sorted(chain.from_iterable(visits))
+        keys = plan.keys
+        detections: List[Detection] = []
+        for position in order:
+            key = keys[position]
+            part = partitions.get(key)
+            timestamp = timestamps[position]
+            mask = None if verdicts is None else verdicts[position]
+            if part is not None:
+                if prune_every_tuple:
                     self._prune(part, timestamp)
-            self._process_tuple(record, stream, timestamp, key, part, detections, mask)
+                if mask is not None and not mask & (gate | wake[part.occupied]):
+                    skipped += 1
+                    evaluations += costs[part.occupied]
+                    if not part.count:
+                        del partitions[key]
+                    continue
+            elif mask is not None and not mask & gate:
+                skipped += 1
+                continue
+            self._process_tuple(
+                records[position], stream, timestamp, key, part, detections, mask
+            )
         if stream == self._first_stream:
-            self._stats.predicate_evaluations += rejected * self._step_costs[0]
-            self._stats.gate_rejections += rejected
+            stats.gate_rejections += skipped
+            evaluations += skipped * self._step_costs[0]
+        stats.predicate_evaluations += evaluations
+        if plan.size < len(records):
+            # The tuple the plan could not group raises here, on its lookup.
+            record = records[plan.size]
+            partitions.get(record.get(field) if field is not None else UNPARTITIONED)
         return detections
 
     # -- internals -----------------------------------------------------------------------

@@ -674,6 +674,74 @@ class TestWakeOnBit:
         assert stats["g0"]["predicate_evaluations"] == len(frames) + 1
         assert stats["g1"]["runs_pruned"] == 1
 
+    @pytest.mark.parametrize("gestures", [8, 32])
+    def test_a_chunk_enters_only_the_queries_and_tuples_it_can_change(
+        self, monkeypatch, gestures
+    ):
+        # The same feed in 64-tuple chunks.  Chunk 1: g0 takes player 1's
+        # tuples (open, complete) and passes over the rest, g1 takes player
+        # 2's (open, then 15 tuples missing its second pose); chunk 2: g1
+        # prunes player 2's run and passes over the partition.  Every other
+        # query is counted in bulk.  (Each query used to take every chunk,
+        # and g1 every tuple of player 2 while its run lived: 19 entries.)
+        frames = self._feed()
+        calls = []
+        for name in ("process_batch", "_process_tuple"):
+            original = getattr(NFAMatcher, name)
+
+            def spy(self, *args, _original=original, _name=name):
+                calls.append((_name, self.query_name))
+                return _original(self, *args)
+
+            monkeypatch.setattr(NFAMatcher, name, spy)
+        engine = CEPEngine(clock=SimulatedClock())
+        engine.create_stream("s")
+        for number in range(gestures):
+            engine.register_query(
+                f'SELECT "g{number}" MATCHING s(abs(x - {10 * number}) < 2) -> '
+                f"s(abs(y - {10 * number}) < 2) within 1 seconds;"
+            )
+        chunks = [frames[:64], frames[64:]]
+        for chunk in chunks:
+            engine.push_many("s", chunk, batch_size=64)
+        assert calls == [
+            ("process_batch", "g0"),
+            ("_process_tuple", "g0"),
+            ("_process_tuple", "g0"),
+            ("process_batch", "g1"),
+            ("_process_tuple", "g1"),
+            ("process_batch", "g1"),
+        ]
+        assert [d.partition for d in engine.detections()] == [1]
+        # Every counter is what a matcher taking every tuple of the chunks holds.
+        for name, row in engine.query_stats().items():
+            standalone = NFAMatcher(engine.get_query(name).matcher.pattern, name)
+            for chunk in chunks:
+                standalone.process_batch(chunk, "s")
+            assert row == standalone.stats.as_dict()
+        assert engine.query_stats()["g1"]["runs_pruned"] == 1
+
+    def test_a_chunk_passes_over_a_partition_only_while_no_prune_is_due(self):
+        # No within: the run's 10 s TTL governs, so a chunk prunes per tuple.
+        # Player 1 opens a run, then stands away: the second chunk's tuples
+        # miss every step, but the one at 11 s is past the TTL and prunes it.
+        engine = CEPEngine(clock=SimulatedClock())
+        engine.create_stream("s")
+        engine.register_query('SELECT "t" MATCHING s(abs(x - 0) < 2) -> s(abs(y - 0) < 2);')
+        away = {"player": 1, "x": -100.0, "y": -100.0}
+        chunks = [
+            [{"ts": 0.0, "player": 1, "x": 0.0, "y": -100.0}],
+            [{"ts": ts, **away} for ts in (5.0, 11.0, 12.0)],
+        ]
+        standalone = NFAMatcher(engine.get_query("t").matcher.pattern, "t")
+        for chunk in chunks:
+            engine.push_many("s", chunk, batch_size=len(chunk))
+            standalone.process_batch(chunk, "s")
+        matcher = engine.get_query("t").matcher
+        assert matcher.active_runs == 0
+        assert matcher.capture_state() == standalone.capture_state()
+        assert engine.query_stats()["t"]["runs_pruned"] == 1
+
     @staticmethod
     def _opener_and_closer():
         # "opener" (deployed first) opens a run on the tuple and cannot

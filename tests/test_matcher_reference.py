@@ -11,6 +11,7 @@ step and see the same verdict: the case the step buckets exist for.
 
 import dataclasses
 import json
+from fractions import Fraction
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -74,9 +75,10 @@ configs = st.builds(
 
 
 @st.composite
-def streams(draw, jitter):
-    """Tuples of 1–3 players; ``jitter`` is what a tuple's clock may run behind."""
-    players = draw(st.integers(1, 3))
+def streams(draw, jitter, players=3):
+    """Tuples of 1–``players`` players; ``jitter`` is what a tuple's clock
+    may run behind."""
+    players = draw(st.integers(1, players))
     frames = draw(
         st.lists(
             st.tuples(
@@ -369,3 +371,97 @@ def test_the_prefix_cut_equals_the_full_scan(monkeypatch, pattern, config, idle,
         assert fast.stats.as_dict() == full.stats.as_dict()
         assert _tables(fast) == _tables(full)
     assert fast.capture_state() == full.capture_state()
+
+
+def _unreadable(value, kind):
+    """``value`` as the step index cannot read it but every closure can: an
+    int beyond ``2**53`` or a :class:`~fractions.Fraction` (neither gets
+    verdicts, so the tuple takes the closures)."""
+    return value + 2**60 if kind == "huge" else Fraction(value)
+
+
+def _encoded(detections):
+    return [json.dumps(d.to_state(), sort_keys=True, default=repr) for d in detections]
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    count=st.integers(2, 6),
+    config=configs,
+    records=(
+        streams(jitter=[0.0], players=8) | streams(jitter=[0.0, 0.0, 0.45, 1.3], players=8)
+    ),
+    sweeps=st.booleans(),
+    data=st.data(),
+)
+def test_batched_counters_and_runs_match_standalone_matchers(
+    monkeypatch, count, config, records, sweeps, data
+):
+    # Per chunk, the engine groups the tuples by player once, passes over
+    # the queries and the tuples that cannot change a query's runs and
+    # counts them in bulk: every counter and the whole run state must still
+    # be what a standalone matcher taking every tuple of the same chunks
+    # holds — after a per-tuple prefix, on disordered time, with players
+    # away from every pose, with tuples the index cannot read, and across
+    # idle sweeps.
+    if sweeps:
+        config = dataclasses.replace(config, partition_idle_seconds=0.3)
+    # A player toggles between posing and standing away from every pose (no
+    # step of ENGINE_PREDICATES holds), so the runs they opened wait across
+    # tuples, and whole chunks, that cannot move them.
+    records, away = [dict(record) for record in records], set()
+    for record in records:
+        change = data.draw(st.sampled_from([None] * 4 + ["toggle", "huge", "fraction"]))
+        if change == "toggle":
+            away ^= {record["player"]}
+        if record["player"] in away:
+            record.update(x=-100.0, y=100.0)
+        elif change in ("huge", "fraction"):
+            field = data.draw(st.sampled_from(["x", "y"]), label="field")
+            record[field] = _unreadable(int(record[field]), change)
+    deployed = [data.draw(queries(f"g{number}"), label="query") for number in range(count)]
+    prefix = data.draw(st.integers(0, len(records)), label="prefix")
+    chunks, position = [], prefix
+    while position < len(records):
+        size = data.draw(st.integers(1, 64), label="chunk")
+        chunks.append(records[position : position + size])
+        position += size
+    with monkeypatch.context() as patch:
+        if sweeps:
+            patch.setattr(fanout_module, "_IDLE_SWEEP_TUPLES", 3)
+        engine = CEPEngine(clock=SimulatedClock(), matcher_config=config)
+        engine.create_stream("s")
+        for query in deployed:
+            engine.register_query(query)
+        standalone = {
+            query.output: NFAMatcher(compile_pattern(query.pattern), query.output, config=config)
+            for query in deployed
+        }
+        stream = Stream(list(standalone.values()))
+        found = {name: [] for name in standalone}
+        for record in records[:prefix]:
+            engine.push("s", record)
+            for name, detections in zip(standalone, stream.push(record)):
+                found[name] += detections
+        for chunk in chunks:
+            engine.push_many("s", chunk, batch_size=len(chunk))
+            for name, detections in zip(standalone, stream.push_batch(chunk)):
+                found[name] += detections
+            assert engine.query_stats() == {
+                name: matcher.stats.as_dict() for name, matcher in sorted(standalone.items())
+            }
+    monotone = all(a["ts"] <= b["ts"] for a, b in zip(records, records[1:]))
+    for query in deployed:
+        name = query.output
+        assert engine.get_query(name).matcher.capture_state() == standalone[name].capture_state()
+        detected = _encoded(engine.detections(name))
+        assert detected == _encoded(merge_detections(found[name]))
+        if monotone and not sweeps:
+            # Time runs forward and no sweep fires: the reference's semantics.
+            reference = ReferenceMatcher(compile_pattern(query.pattern), name, config)
+            expected = [d for record in records for d in reference.process(record, "s")]
+            assert detected == _encoded(merge_detections(expected))

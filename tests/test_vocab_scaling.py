@@ -39,13 +39,27 @@ def test_sweep_positions_are_every_periods_last_tuple():
     assert sweep_positions(2 * SWEEP_PERIOD + 1) == [SWEEP_PERIOD - 1, 2 * SWEEP_PERIOD - 1]
 
 
-def _round(per_tuple_ns, batched_ns, detections="d", query_stats="s", size="8"):
-    digests = {"detections": detections, "query_stats": query_stats}
+def _round(
+    per_tuple_ns, batched_ns, detections="d", query_stats="s", size="8", batched_64_ns=None,
+    path=None,
+):
+    """One round; ``detections`` / ``query_stats`` are the digests of
+    ``path``, or of every path when it is ``None`` (the others read "d" and
+    "s")."""
+    digests = {
+        name: (
+            {"detections": detections, "query_stats": query_stats}
+            if path in (None, name)
+            else {"detections": "d", "query_stats": "s"}
+        )
+        for name in ("per_tuple", "batched", "batched_64")
+    }
     return {
         size: {
             "per_tuple_ns": per_tuple_ns,
             "batched_ns": batched_ns,
-            "digests": {"per_tuple": dict(digests), "batched": dict(digests)},
+            "batched_64_ns": batched_ns if batched_64_ns is None else batched_64_ns,
+            "digests": digests,
         }
     }
 
@@ -56,12 +70,19 @@ def test_summarise_takes_each_tuples_best_round_then_the_sweep_tuples():
     fast = [2000] * tuples
     slow[SWEEP_PERIOD - 1], fast[SWEEP_PERIOD - 1] = 90_000, 100_000
     slow[2 * SWEEP_PERIOD - 1], fast[2 * SWEEP_PERIOD - 1] = 50_000, 70_000
-    [row] = summarise("change", [_round(slow, tuples * 9000), _round(fast, tuples * 8000)])
+    [row] = summarise(
+        "change",
+        [
+            _round(slow, tuples * 9000, batched_64_ns=tuples * 4000),
+            _round(fast, tuples * 8000, batched_64_ns=tuples * 5000),
+        ],
+    )
     assert (row.side, row.queries) == ("change", 8)
     assert row.median_us == 2.0
     assert (row.sweep_median_us, row.sweep_max_us) == (70.0, 90.0)
-    assert row.batched_us_per_tuple == 8.0
-    assert "change" in render([row]) and "70.0" in render([row])
+    assert (row.batched_us_per_tuple, row.batched_64_us_per_tuple) == (8.0, 4.0)
+    rendered = render([row])
+    assert "change" in rendered and "70.0" in rendered and "64-tuple chunks" in rendered
 
 
 def test_summarise_refuses_no_rounds_and_rounds_of_different_lengths():
@@ -80,14 +101,21 @@ def test_different_answers_are_refused():
         check_same([same, _round([1], 1, detections="other")], [same])
     with pytest.raises(ValueError, match="other sizes"):
         check_same([same], [_round([1], 1, size="64")])
+    with pytest.raises(ValueError, match="detections differ at 8 queries on the batched 64 path"):
+        check_same([same], [_round([1], 1, detections="other", path="batched_64")])
 
 
 def test_one_measured_round_is_consistent_across_paths():
     [(size, result)] = measure([2], 64).items()
     assert size == "2" and len(result["per_tuple_ns"]) == 64
     digests = result["digests"]
-    # Per tuple and in chunks the engine detects the same.
-    assert digests["per_tuple"]["detections"] == digests["batched"]["detections"]
+    assert set(result) == {"per_tuple_ns", "batched_ns", "batched_64_ns", "digests"}
+    # Per tuple and in chunks of either size the engine detects the same.
+    assert (
+        digests["per_tuple"]["detections"]
+        == digests["batched"]["detections"]
+        == digests["batched_64"]["detections"]
+    )
     assert query_text(1).startswith('SELECT "g1"')
 
 

@@ -12,16 +12,18 @@ The workload is the disjoint two-pose vocabulary: query *i* is
 ``s(abs(x - 10i) < 2) -> s(abs(y - 10i) < 2) within 1 seconds``, deployed
 together on one engine stream, fed tuples of 8 players who each pose one
 of gestures 0-7 per second, at 30 frames per second.  Per vocabulary size
-a round feeds the tuples twice: one ``engine.push`` at a time, each timed
-on its own, and in 8-tuple chunks (``push_many(batch_size=8)``, one
-gateway frame), timed whole.
+a round feeds the tuples three times: one ``engine.push`` at a time, each
+timed on its own; in 8-tuple chunks (``push_many(batch_size=8)``, one
+gateway latency frame: one tuple per player), timed whole; and in 64-tuple
+chunks (``push_many(batch_size=64)``, the chunk of the e2e throughput
+phase and of the gateway's throughput frames), timed whole.
 
 Per side and size it prints, each tuple's best over the rounds taken
 first: the median tuple, the median and max of the idle-sweep tuples
 (every ``SWEEP_PERIOD``-th tuple of the stream, where every query's idle
-sweep is due), and the best batched µs per tuple.  It fails when the two
-sides' detections or ``query_stats()`` differ on either path: a timing of
-different answers is not a comparison.
+sweep is due), and the best µs per tuple of each chunk size.  It fails
+when the two sides' detections or ``query_stats()`` differ on any path: a
+timing of different answers is not a comparison.
 
 The measuring half (``measure``) imports only ``repro.cep`` and
 ``repro.streams`` names both trees have.  ``workload``, ``summarise``,
@@ -48,11 +50,13 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: Tuples of a stream between idle sweeps (``repro.cep.fanout``).
 SWEEP_PERIOD = 512
 PLAYERS = 8
-CHUNK = 8
+#: The chunk sizes fed through ``push_many``, by the path name of each.
+CHUNKS = {"batched": 8, "batched_64": 64}
 
 #: One round of one side: per vocabulary size (a string key, as JSON has
-#: it), ``per_tuple_ns`` (one timing per tuple), ``batched_ns`` (the whole
-#: chunked feed) and the digests of what each path detected and counted.
+#: it), ``per_tuple_ns`` (one timing per tuple), ``batched_ns`` and
+#: ``batched_64_ns`` (the whole feed in chunks of :data:`CHUNKS`) and the
+#: digests of what each path detected and counted.
 Round = Mapping[str, Mapping[str, Any]]
 
 
@@ -63,6 +67,7 @@ class Row(NamedTuple):
     sweep_median_us: float
     sweep_max_us: float
     batched_us_per_tuple: float
+    batched_64_us_per_tuple: float
 
 
 def query_text(number: int) -> str:
@@ -110,34 +115,32 @@ def measure(sizes: Sequence[int], tuples: int) -> Dict[str, Dict[str, Any]]:
     records = workload(tuples)
     result: Dict[str, Dict[str, Any]] = {}
     for size in sizes:
-        engines = []
-        for _path in ("per_tuple", "batched"):
-            engine = CEPEngine(clock=SimulatedClock())
+        engines = {}
+        for path in ("per_tuple", *CHUNKS):
+            engine = engines[path] = CEPEngine(clock=SimulatedClock())
             engine.create_stream("s")
             for number in range(size):
                 engine.register_query(query_text(number))
-            engines.append(engine)
-        single, batched = engines
         timings = []
         clock = time.perf_counter_ns
+        single = engines["per_tuple"]
         for record in records:
             started = clock()
             single.push("s", record)
             timings.append(clock() - started)
-        started = clock()
-        batched.push_many("s", records, batch_size=CHUNK)
-        batched_ns = clock() - started
-        result[str(size)] = {
-            "per_tuple_ns": timings,
-            "batched_ns": batched_ns,
-            "digests": {
-                path: {
-                    "detections": _digest([d.to_state() for d in engine.detections()]),
-                    "query_stats": _digest(engine.query_stats()),
-                }
-                for path, engine in zip(("per_tuple", "batched"), engines)
-            },
+        measured: Dict[str, Any] = {"per_tuple_ns": timings}
+        for path, chunk in CHUNKS.items():
+            started = clock()
+            engines[path].push_many("s", records, batch_size=chunk)
+            measured[f"{path}_ns"] = clock() - started
+        measured["digests"] = {
+            path: {
+                "detections": _digest([d.to_state() for d in engine.detections()]),
+                "query_stats": _digest(engine.query_stats()),
+            }
+            for path, engine in engines.items()
         }
+        result[str(size)] = measured
     return result
 
 
@@ -157,7 +160,10 @@ def summarise(side: str, rounds: Sequence[Round]) -> List[Row]:
             raise ValueError(f"the {side}'s rounds timed different tuple counts at {size} queries")
         best = [min(values) / 1000.0 for values in zip(*timings)]
         sweeps = [best[index] for index in sweep_positions(len(best))]
-        batched = min(round_[size]["batched_ns"] for round_ in rounds) / 1000.0 / len(best)
+        batched = [
+            min(round_[size][f"{path}_ns"] for round_ in rounds) / 1000.0 / len(best)
+            for path in CHUNKS
+        ]
         rows.append(
             Row(
                 side,
@@ -165,7 +171,7 @@ def summarise(side: str, rounds: Sequence[Round]) -> List[Row]:
                 statistics.median(best),
                 statistics.median(sweeps) if sweeps else float("nan"),
                 max(sweeps) if sweeps else float("nan"),
-                batched,
+                *batched,
             )
         )
     return rows
@@ -192,12 +198,14 @@ def check_same(parent: Sequence[Round], change: Sequence[Round]) -> None:
 def render(rows: Sequence[Row]) -> str:
     lines = [
         f"{'queries':>8}{'side':>8}{'median tuple':>14}{'sweep median':>14}"
-        f"{'sweep max':>12}{'8-tuple chunks':>16}   (us; chunks per tuple)"
+        f"{'sweep max':>12}{'8-tuple chunks':>16}{'64-tuple chunks':>17}"
+        "   (us; chunks per tuple)"
     ]
     for row in sorted(rows, key=lambda row: (row.queries, row.side != "parent")):
         lines.append(
             f"{row.queries:>8}{row.side:>8}{row.median_us:>14.2f}{row.sweep_median_us:>14.1f}"
             f"{row.sweep_max_us:>12.1f}{row.batched_us_per_tuple:>16.2f}"
+            f"{row.batched_64_us_per_tuple:>17.2f}"
         )
     return "\n".join(lines)
 
