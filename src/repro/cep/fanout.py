@@ -472,7 +472,7 @@ class Fanout:
         quiet = plan.mask
         if timestamps is None or context is not None or plan.size < len(records):
             quiet = None
-        groups = plan.groups
+        keys = plan.groups.keys()
         first: Optional[Exception] = None
         for member in members:
             if not member.deployed.enabled:
@@ -481,7 +481,7 @@ class Fanout:
                 quiet is not None
                 and member.tracked
                 and not quiet & member.gate
-                and groups.keys().isdisjoint(member.runs)
+                and keys.isdisjoint(member.runs)
             ):
                 # It opens no run and holds none the chunk can touch.
                 member.matcher.settle(self.name, len(records), 0)

@@ -153,6 +153,8 @@ are processed in arrival order, so sequence numbers, ``select`` /
 skip leaves ``latest`` and ``ordered`` where they were, as the per-tuple
 wake does: only processed tuples write timestamps into runs, and the
 order they were processed in is what "Ordered partitions" relies on.
+A tuple that raises ends the chunk for its matcher; what was passed over
+up to it, and every partition passed over whole, is counted all the same.
 
 Run-cap semantics
 -----------------
@@ -175,7 +177,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from itertools import chain, repeat
+from itertools import repeat
 from typing import (
     Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 )
@@ -972,7 +974,8 @@ class NFAMatcher:
         and every bit its runs wait for (:meth:`wake_tables`) is passed over
         whole, and so is a single tuple that misses them, provided no prune
         is due on it: each is counted as :meth:`process` would count it.
-        The other tuples are processed in arrival order.
+        The other tuples are processed in arrival order; a tuple that raises
+        ends the chunk, and what was passed over is counted all the same.
 
         Parameters
         ----------
@@ -1009,11 +1012,13 @@ class NFAMatcher:
         # constraints), so under a TTL only per-tuple pruning keeps equivalence.
         prune_every_tuple = self._ttl is not None
         skipped = evaluations = 0
-        visits: List[List[int]] = []
+        visited: List[int] = []
         for key, (positions, mask) in plan.groups.items():
             part = partitions.get(key)
             if part is not None:
-                self._prune(part, timestamps[positions[0]])
+                timestamp = timestamps[positions[0]]
+                if timestamp - part.oldest > window:
+                    self._prune(part, timestamp)
                 if (
                     mask is not None
                     and not mask & (gate | wake[part.occupied])
@@ -1030,39 +1035,40 @@ class NFAMatcher:
             elif mask is not None and not mask & gate:
                 skipped += len(positions)
                 continue
-            visits.append(positions)
-        if len(visits) == len(plan.groups):
-            order: Iterable[int] = range(plan.size)
-        elif len(visits) == 1:
-            order = visits[0]
-        else:
-            order = sorted(chain.from_iterable(visits))
+            visited += positions
+        order: Iterable[int] = range(plan.size)
+        if len(visited) < plan.size:
+            visited.sort()
+            order = visited
         keys = plan.keys
         detections: List[Detection] = []
-        for position in order:
-            key = keys[position]
-            part = partitions.get(key)
-            timestamp = timestamps[position]
-            mask = None if verdicts is None else verdicts[position]
-            if part is not None:
-                if prune_every_tuple:
-                    self._prune(part, timestamp)
-                if mask is not None and not mask & (gate | wake[part.occupied]):
+        try:
+            for position in order:
+                key = keys[position]
+                part = partitions.get(key)
+                timestamp = timestamps[position]
+                mask = None if verdicts is None else verdicts[position]
+                if part is not None:
+                    if prune_every_tuple and timestamp - part.oldest > window:
+                        self._prune(part, timestamp)
+                    if mask is not None and not mask & (gate | wake[part.occupied]):
+                        skipped += 1
+                        evaluations += costs[part.occupied]
+                        if not part.count:
+                            del partitions[key]
+                        continue
+                elif mask is not None and not mask & gate:
                     skipped += 1
-                    evaluations += costs[part.occupied]
-                    if not part.count:
-                        del partitions[key]
                     continue
-            elif mask is not None and not mask & gate:
-                skipped += 1
-                continue
-            self._process_tuple(
-                records[position], stream, timestamp, key, part, detections, mask
-            )
-        if stream == self._first_stream:
-            stats.gate_rejections += skipped
-            evaluations += skipped * self._step_costs[0]
-        stats.predicate_evaluations += evaluations
+                self._process_tuple(
+                    records[position], stream, timestamp, key, part, detections, mask
+                )
+        finally:
+            # Even when a tuple raises (see "Batched path").
+            if stream == self._first_stream:
+                stats.gate_rejections += skipped
+                evaluations += skipped * self._step_costs[0]
+            stats.predicate_evaluations += evaluations
         if plan.size < len(records):
             # The tuple the plan could not group raises here, on its lookup.
             record = records[plan.size]

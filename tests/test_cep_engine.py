@@ -1,5 +1,6 @@
 """Unit tests for the CEP engine, views and sinks."""
 
+import contextlib
 import json
 import math
 
@@ -511,6 +512,26 @@ class TestQueriesSharingAStreamStayIsolated:
         assert self._counts(engine) == {"a": 0, "b": 3, "c": 0}
         engine.push_many("s", [self._good(3.0)], batch_size=8)
         assert self._counts(engine) == {"a": 1, "b": 4, "c": 1}
+
+    @pytest.mark.parametrize("extra, error, message", BAD)
+    def test_a_chunk_that_raises_still_counts_what_it_passed_over(self, extra, error, message):
+        # Players 2 and 3 stand away from every pose, so a chunk passes over
+        # their tuples; player 1's tuple between them raises in "a" and "c".
+        # Each passed-over tuple is still counted as a tuple fed alone is.
+        away = {"x": 100.0, "y": 100.0, "z": 100.0}
+        chunk = [
+            {"ts": 0.0, "player": 2, **away},
+            {"ts": 0.0, "player": 1, "x": 5.0, **extra},
+            {"ts": 0.0, "player": 3, **away},
+        ]
+        batched, single = self._engine(), self._engine()
+        with pytest.raises(error, match=message):
+            batched.push_many("s", chunk, batch_size=8)
+        for record in chunk:
+            with contextlib.suppress(error):
+                single.push("s", record)
+        assert batched.query_stats() == single.query_stats()
+        assert batched.query_stats()["a"]["gate_rejections"] == 2
 
     @pytest.mark.parametrize("batch_size", [None, 8], ids=["per-tuple", "batched"])
     def test_a_time_that_does_not_convert_fails_each_query_on_its_own(self, batch_size):
